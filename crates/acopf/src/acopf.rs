@@ -18,6 +18,7 @@ use crate::flows::{end_flow, EndFlow, THF, THT, VF, VT};
 use crate::ipm::{self, IpmOptions, Nlp};
 use crate::types::{AcopfError, AcopfSolution, BranchLoading};
 use gm_network::{Network, YBus};
+use gm_numeric::Fnv1a;
 use gm_sparse::{CsMat, Triplets};
 
 /// ACOPF solver options.
@@ -31,18 +32,17 @@ pub struct AcopfOptions {
 
 impl AcopfOptions {
     /// Deterministic fingerprint of every solver control that can affect
-    /// the solution, for cross-session solver-cache keys (gm-serve):
-    /// FNV-1a over the canonical debug rendering. Two option sets with
-    /// identical fields always fingerprint equal; any tolerance,
-    /// iteration-limit, or warm-start change fingerprints different.
+    /// the solution, for cross-session solver-cache keys (gm-serve). Two
+    /// option sets with identical fields always fingerprint equal; any
+    /// tolerance, iteration-limit, or warm-start change fingerprints
+    /// different. The destructuring is exhaustive on purpose: a new
+    /// field fails to compile here until it is folded in.
     pub fn fingerprint(&self) -> u64 {
-        let text = format!("{self:?}");
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let AcopfOptions { ipm, warm_start } = self;
+        let mut h = Fnv1a::new();
+        h.u64(ipm.fingerprint());
+        h.u64(u64::from(*warm_start));
+        h.finish()
     }
 }
 

@@ -18,6 +18,7 @@
 //! separate primal/dual step clipping, and the standard normalized
 //! convergence criteria (feasibility, gradient, complementarity, cost).
 
+use gm_numeric::Fnv1a;
 use gm_sparse::{CsMat, LuEngine, ScatterMap, Triplets};
 
 /// A smooth nonlinear program the IPM can solve.
@@ -68,6 +69,31 @@ impl Default for IpmOptions {
             sigma: 0.1,
             xi: 0.99995,
         }
+    }
+}
+
+impl IpmOptions {
+    /// Deterministic fingerprint of every IPM control, for cache keys.
+    /// The destructuring is exhaustive on purpose: a new field fails to
+    /// compile here until it is folded in.
+    pub fn fingerprint(&self) -> u64 {
+        let IpmOptions {
+            feastol,
+            gradtol,
+            comptol,
+            costtol,
+            max_iter,
+            sigma,
+            xi,
+        } = self;
+        let mut h = Fnv1a::new();
+        for tol in [feastol, gradtol, comptol, costtol] {
+            h.u64(tol.to_bits());
+        }
+        h.u64(*max_iter as u64);
+        h.u64(sigma.to_bits());
+        h.u64(xi.to_bits());
+        h.finish()
     }
 }
 

@@ -20,6 +20,7 @@ use crate::acopf::{unpack_solution, AcopfOptions, AcopfProblem};
 use crate::ipm::{self, Nlp};
 use crate::types::{AcopfError, AcopfSolution};
 use gm_network::Network;
+use gm_numeric::Fnv1a;
 use gm_powerflow::sensitivities_for_screening;
 use gm_sparse::{CsMat, Triplets};
 
@@ -59,13 +60,20 @@ impl ScopfOptions {
     /// options included) for cross-session solver-cache keys; same
     /// construction as [`AcopfOptions::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        let text = format!("{self:?}");
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let ScopfOptions {
+            acopf,
+            monitor_threshold,
+            emergency_factor,
+            max_constraints,
+            max_rounds,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(acopf.fingerprint());
+        h.u64(monitor_threshold.to_bits());
+        h.u64(emergency_factor.to_bits());
+        h.u64(*max_constraints as u64);
+        h.u64(*max_rounds as u64);
+        h.finish()
     }
 }
 
@@ -303,7 +311,6 @@ mod tests {
     /// gm-contingency): counts outages that cause a thermal overload.
     mod gm_contingency_probe {
         use gm_network::{topology, Network};
-        use gm_numeric::Complex;
         use gm_powerflow::{solve, solve_from, PfOptions};
 
         pub fn run(net: &Network) -> Option<usize> {
@@ -312,11 +319,7 @@ mod tests {
                 ..Default::default()
             };
             let base = solve(net, &opts).ok()?;
-            let v0: Vec<Complex> = base
-                .buses
-                .iter()
-                .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-                .collect();
+            let v0 = base.voltages();
             let mut bad = 0;
             let mut work = net.clone();
             for k in 0..net.branches.len() {

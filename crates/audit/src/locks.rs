@@ -53,20 +53,19 @@ use crate::tree::{parse, scan_items, Group, TokenTree};
 pub const LOCK_CRATES: &[&str] = &["serve", "core"];
 
 /// Solver/engine entry points a held guard must never span: the
-/// conversational engine and every cached/uncached solver entry.
+/// conversational engine, the one memo path, and every solver entry.
 pub const ENGINE_ENTRY_FNS: &[&str] = &[
     "ask",
+    "memoized",
     "solve_acopf",
     "solve_scopf",
-    "solve_base",
     "solve_dcopf",
-    "solve_acopf_cached",
-    "solve_scopf_cached",
-    "solve_base_cached",
+    "solve_base",
+    "solve_fast_decoupled",
+    "run_batch",
     "run_n1",
-    "run_n1_screened",
     "run_n1_cached",
-    "run_n1_cached_shared",
+    "run_gen_n1",
 ];
 
 /// One discovered lock field.

@@ -67,6 +67,41 @@ fn allowlist_matches_grandfathered_sites_exactly() {
     );
 }
 
+// -------------------------------------------------------------- lock-graph
+
+#[test]
+fn guard_spanning_a_batch_study_is_flagged() {
+    // Regression: the engine-entry list once named the per-kind cache
+    // wrappers but not `run_batch`, `run_gen_n1`, `solve_fast_decoupled`
+    // (nor, now, the single memo entry), so a guard held across a whole
+    // batch study went unreported.
+    for entry in [
+        "run_batch",
+        "run_gen_n1",
+        "solve_fast_decoupled",
+        "memoized",
+    ] {
+        let src = format!(
+            "pub struct Study {{ results: Mutex<Vec<Report>> }}
+            fn sweep(study: &Study, net: &Network) {{
+                let mut results = study.results.lock();
+                results.push({entry}(net, &opts, &set));
+            }}
+            fn sweep_checked_out(study: &Study, net: &Network) {{
+                let report = {entry}(net, &opts, &set);
+                study.results.lock().push(report);
+            }}"
+        );
+        let rep = gm_audit::locks::analyze_lock_sources(&[("fixture.rs".into(), src)]);
+        assert_eq!(rep.findings.len(), 1, "{entry}: {:?}", rep.findings);
+        let finding = &rep.findings[0];
+        assert_eq!(finding.rule, "lock-across-entry");
+        assert!(finding.excerpt.contains("Study.results"), "{finding:?}");
+        assert!(finding.excerpt.contains(entry), "{finding:?}");
+        assert!(finding.excerpt.contains("`sweep`"), "{finding:?}");
+    }
+}
+
 #[test]
 fn every_paper_case_passes_lint_case() {
     for id in [

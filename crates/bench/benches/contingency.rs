@@ -2,7 +2,7 @@
 //! DESIGN.md §4.1) and warm- vs flat-started post-outage solves (§4.3).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gm_contingency::{run_n1, run_n1_screened, solve_base, CaOptions};
+use gm_contingency::{run_n1, solve_base, CaOptions};
 use gm_network::{cases, CaseId};
 use std::hint::black_box;
 
@@ -21,15 +21,6 @@ fn bench_parallel_ablation(c: &mut Criterion) {
     });
     group.bench_function("serial", |b| {
         b.iter(|| black_box(run_n1(&net, &ser, Some(&base)).unwrap().n_contingencies))
-    });
-    group.bench_function("dc_screened_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                run_n1_screened(&net, &par, Some(&base), 0.85)
-                    .unwrap()
-                    .n_contingencies,
-            )
-        })
     });
     group.finish();
 }

@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gm_network::{cases, CaseId};
-use gm_numeric::Complex;
 use gm_powerflow::{solve, solve_from, InitStrategy, PfOptions};
 use std::hint::black_box;
 
@@ -32,11 +31,7 @@ fn bench_warm_vs_flat(c: &mut Criterion) {
         ..Default::default()
     };
     let base = solve(&net, &opts).unwrap();
-    let v0: Vec<Complex> = base
-        .buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-        .collect();
+    let v0 = base.voltages();
     // Perturbed case (one outage) resolved warm vs flat — the contingency
     // engine's inner loop.
     let mut outaged = net.clone();

@@ -23,12 +23,10 @@
 //! that goes dark fails (the screen silently never engaging is a
 //! regression even at equal speed).
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gm_bench::compare::{compare_artifact, tolerances_from_env};
-use gm_bench::stats;
+use gm_bench::{stats, stats_value};
 use gm_contingency::{run_n1, solve_base, CaOptions, ContingencyReport, SweepMode};
 use gm_network::{cases, CaseId};
 use gm_telemetry::Registry;
@@ -36,17 +34,6 @@ use serde_json::{json, Value};
 
 const RUNS: usize = 3;
 const TOP_K: usize = 5;
-
-fn stats_value(samples: &[f64]) -> Value {
-    let s = stats(samples);
-    json!({
-        "runs": samples.len(),
-        "mean_s": s.mean,
-        "std_s": s.std,
-        "min_s": s.min,
-        "max_s": s.max,
-    })
-}
 
 struct SweepOutcome {
     report: ContingencyReport,
@@ -132,29 +119,13 @@ fn bench_case(id: CaseId) -> (Value, bool) {
 }
 
 fn main() -> ExitCode {
-    let mut out_dir = PathBuf::from(".");
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--compare" {
-            match args.next() {
-                Some(d) => baseline_dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("bench_ca: --compare needs a baseline directory");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            out_dir = PathBuf::from(arg);
+    let (out_dir, baseline_dir) = match gm_bench::parse_args() {
+        Ok(dirs) => dirs,
+        Err(e) => {
+            eprintln!("bench_ca: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    if !out_dir.is_dir() {
-        eprintln!(
-            "bench_ca: output directory {} does not exist",
-            out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    };
 
     let reg = Registry::new();
     let guard = reg.install();
@@ -178,52 +149,14 @@ fn main() -> ExitCode {
     let mut doc = json!({ "bench": "ca", "cases": Value::Object(per_case) });
     doc["telemetry"] = reg.export();
 
-    let path = out_dir.join("BENCH_ca.json");
-    let text = serde_json::to_string_pretty(&doc).expect("artifact serializes");
-    if let Err(e) = std::fs::write(&path, text + "\n") {
-        eprintln!("bench_ca: writing {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-
-    if !all_ok {
-        eprintln!("bench_ca: cascade equivalence/speed invariant failed");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(base_dir) = baseline_dir {
-        let baseline = match read_artifact(&base_dir, "BENCH_ca.json") {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("bench_ca: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let tolerances = tolerances_from_env();
-        let report = compare_artifact("BENCH_ca.json", &baseline, &doc, tolerances);
-        println!(
-            "compared {} wall stats and {} counters against {} (wall tolerance {:.0}%)",
-            report.walls_checked,
-            report.counters_checked,
-            base_dir.display(),
-            tolerances.wall * 100.0
-        );
-        if !report.passed() {
-            for line in report.failures() {
-                eprintln!("bench_ca: REGRESSION {line}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("no regressions");
-    }
-
-    println!("inspect with: cargo run -p gm-telemetry --bin gm-trace -- BENCH_ca.json");
-    ExitCode::SUCCESS
-}
-
-fn read_artifact(dir: &Path, name: &str) -> Result<Value, String> {
-    let path = dir.join(name);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
+    gm_bench::finish_artifact(
+        "bench_ca",
+        "BENCH_ca.json",
+        &doc,
+        all_ok
+            .then_some(())
+            .ok_or("cascade equivalence/speed invariant failed"),
+        &out_dir,
+        baseline_dir.as_deref(),
+    )
 }

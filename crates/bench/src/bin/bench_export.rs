@@ -23,13 +23,12 @@
 //! `acopf.ipm.iterations`, `sparse.lu.factorizations`, ...) are exact
 //! work counts and therefore comparable across machines.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use gm_acopf::{solve_acopf, AcopfOptions};
 use gm_bench::compare::{compare_all, tolerances_from_env};
-use gm_bench::stats;
+use gm_bench::{read_artifact, stats_value, write_artifact};
 use gm_network::{cases, CaseId};
 use gm_powerflow::{solve, PfOptions};
 use gm_telemetry::Registry;
@@ -39,17 +38,6 @@ use serde_json::{json, Value};
 const PF_RUNS: usize = 5;
 const ACOPF_RUNS: usize = 3;
 const SPARSE_RUNS: usize = 20;
-
-fn stats_value(samples: &[f64]) -> Value {
-    let s = stats(samples);
-    json!({
-        "runs": samples.len(),
-        "mean_s": s.mean,
-        "std_s": s.std,
-        "min_s": s.min,
-        "max_s": s.max,
-    })
-}
 
 /// Newton power flow across every paper case, telemetry installed.
 fn bench_pf() -> Value {
@@ -243,44 +231,14 @@ fn bench_serve() -> Value {
     out
 }
 
-fn write_artifact(dir: &Path, name: &str, value: &Value) -> std::io::Result<PathBuf> {
-    let path = dir.join(name);
-    let text = serde_json::to_string_pretty(value).expect("artifact serializes");
-    std::fs::write(&path, text + "\n")?;
-    Ok(path)
-}
-
-fn read_artifact(dir: &Path, name: &str) -> Result<Value, String> {
-    let path = dir.join(name);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
-}
-
 fn main() -> ExitCode {
-    let mut out_dir = PathBuf::from(".");
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--compare" {
-            match args.next() {
-                Some(d) => baseline_dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("bench_export: --compare needs a baseline directory");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            out_dir = PathBuf::from(arg);
+    let (out_dir, baseline_dir) = match gm_bench::parse_args() {
+        Ok(dirs) => dirs,
+        Err(e) => {
+            eprintln!("bench_export: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    if !out_dir.is_dir() {
-        eprintln!(
-            "bench_export: output directory {} does not exist",
-            out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    };
     let artifacts = [
         ("BENCH_pf.json", bench_pf()),
         ("BENCH_acopf.json", bench_acopf()),

@@ -33,12 +33,10 @@
 //! cargo run -p gm-bench --bin bench_scale --release -- [out_dir] [--compare <baseline_dir>]
 //! ```
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gm_bench::compare::{compare_artifact, tolerances_from_env};
-use gm_bench::stats;
+use gm_bench::{stats, stats_value};
 use gm_network::{cases, load_scale, CaseId, Network, ScaleId};
 use gm_powerflow::{solve_from_with_engine, PfOptions};
 use gm_sparse::{CsMat, LuEngine, Ordering, SparseLu, SymbolicLu, Triplets};
@@ -52,17 +50,6 @@ const NRHS: usize = 64;
 const MIN_NEWTON_SPEEDUP: f64 = 2.0;
 /// AMD fill must stay within this factor of greedy fill everywhere.
 const MAX_FILL_RATIO: f64 = 1.1;
-
-fn stats_value(samples: &[f64]) -> Value {
-    let s = stats(samples);
-    json!({
-        "runs": samples.len(),
-        "mean_s": s.mean,
-        "std_s": s.std,
-        "min_s": s.min,
-        "max_s": s.max,
-    })
-}
 
 /// DC B-matrix with the slack row pinned: the power-grid Laplacian
 /// pattern class every solver in the stack factors, assembled from the
@@ -253,29 +240,13 @@ fn bench_case(name: &str, net: &Network) -> CaseResult {
 }
 
 fn main() -> ExitCode {
-    let mut out_dir = PathBuf::from(".");
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--compare" {
-            match args.next() {
-                Some(d) => baseline_dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("bench_scale: --compare needs a baseline directory");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            out_dir = PathBuf::from(arg);
+    let (out_dir, baseline_dir) = match gm_bench::parse_args() {
+        Ok(dirs) => dirs,
+        Err(e) => {
+            eprintln!("bench_scale: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    if !out_dir.is_dir() {
-        eprintln!(
-            "bench_scale: output directory {} does not exist",
-            out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    };
 
     let reg = Registry::new();
     let guard = reg.install();
@@ -346,47 +317,14 @@ fn main() -> ExitCode {
     });
     doc["telemetry"] = reg.export();
 
-    let path = out_dir.join("BENCH_scale.json");
-    let text = serde_json::to_string_pretty(&doc).expect("artifact serializes");
-    if let Err(e) = std::fs::write(&path, text + "\n") {
-        eprintln!("bench_scale: writing {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-
-    if !all_ok {
-        eprintln!("bench_scale: scaling-tier invariant failed");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(base_dir) = baseline_dir {
-        let baseline = match read_artifact(&base_dir, "BENCH_scale.json") {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("bench_scale: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let tolerances = tolerances_from_env();
-        let report = compare_artifact("BENCH_scale.json", &baseline, &doc, tolerances);
-        println!(
-            "compared {} wall stats and {} counters against {} (wall tolerance {:.0}%)",
-            report.walls_checked,
-            report.counters_checked,
-            base_dir.display(),
-            tolerances.wall * 100.0
-        );
-        if !report.passed() {
-            for line in report.failures() {
-                eprintln!("bench_scale: REGRESSION {line}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("no regressions");
-    }
-
-    println!("inspect with: cargo run -p gm-telemetry --bin gm-trace -- BENCH_scale.json");
-    ExitCode::SUCCESS
+    gm_bench::finish_artifact(
+        "bench_scale",
+        "BENCH_scale.json",
+        &doc,
+        all_ok.then_some(()).ok_or("scaling-tier invariant failed"),
+        &out_dir,
+        baseline_dir.as_deref(),
+    )
 }
 
 fn print_case(name: &str, res: &CaseResult) {
@@ -406,11 +344,4 @@ fn print_case(name: &str, res: &CaseResult) {
         b["panel_blocked"]["min_s"].as_f64().unwrap_or(0.0) * 1e3,
         b["panel_percol"]["min_s"].as_f64().unwrap_or(0.0) * 1e3,
     );
-}
-
-fn read_artifact(dir: &Path, name: &str) -> Result<Value, String> {
-    let path = dir.join(name);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
 }

@@ -21,7 +21,6 @@
 //! emitted tables are reproducible. Output goes to stdout as Rust source.
 
 use gm_network::{cases, topology, CaseId};
-use gm_numeric::Complex;
 use gm_powerflow::{solve, solve_from, PfOptions};
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -65,11 +64,7 @@ fn main() {
         let mut net = cases::load(id);
         let base = solve(&net, &opts).expect("base case must converge");
         let base_s = branch_mva(&base);
-        let v0: Vec<Complex> = base
-            .buses
-            .iter()
-            .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-            .collect();
+        let v0 = base.voltages();
         let n_br = net.branches.len();
         let mut worst = base_s.clone();
         let mut outage_flows: Vec<(usize, Vec<f64>)> = Vec::new();

@@ -6,7 +6,7 @@
 //! per-outage power flow that is still fresh, and invalidates naturally
 //! when the diff log changes the network.
 
-use crate::types::{ContingencyOutcome, SweepMode};
+use crate::types::ContingencyOutcome;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -19,10 +19,13 @@ pub struct CacheKey {
     pub outage_branch: usize,
     /// Hash of the applied modification log.
     pub diff_hash: u64,
-    /// Sweep mode the outcome was produced under. Cascade outcomes
-    /// (screened estimates, compensated solves) and brute outcomes agree
-    /// to solver tolerance but not bit-for-bit, so they must never alias.
-    pub mode: SweepMode,
+    /// Fingerprint of every sweep option the outcome can depend on: the
+    /// voltage band, thermal threshold, power-flow controls, and the
+    /// sweep mode with its screening knobs (cascade and brute outcomes
+    /// agree to solver tolerance but not bit-for-bit). Only `parallel`
+    /// and the ranking strategy are left out, so a re-ranking of the
+    /// same sweep still hits.
+    pub options: u64,
 }
 
 /// Thread-safe per-outage result cache with hit/miss accounting.
@@ -81,7 +84,8 @@ impl ContingencyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Outage;
+    use crate::engine::CaOptions;
+    use crate::types::{Outage, RankingStrategy, SweepMode};
     use gm_network::BranchKind;
 
     fn outcome(branch: usize) -> ContingencyOutcome {
@@ -107,19 +111,38 @@ mod tests {
             case: case.into(),
             outage_branch: branch,
             diff_hash: diff,
-            mode: SweepMode::Brute,
+            options: CaOptions::default().outcome_fingerprint(),
         }
     }
 
     #[test]
-    fn mode_keys_do_not_alias() {
+    fn option_fingerprints_do_not_alias() {
         let cache = ContingencyCache::new();
         cache.put(key("c14", 0, 1), outcome(0));
-        let cascade = CacheKey {
-            mode: SweepMode::Cascade,
-            ..key("c14", 0, 1)
+        let keyed = |tweak: fn(&mut CaOptions)| {
+            let mut opts = CaOptions::default();
+            tweak(&mut opts);
+            CacheKey {
+                options: opts.outcome_fingerprint(),
+                ..key("c14", 0, 1)
+            }
         };
-        assert!(cache.get(&cascade).is_none());
+        // Anything an outcome can depend on keys apart ...
+        let outcome_relevant: [fn(&mut CaOptions); 4] = [
+            |o| o.mode = SweepMode::Brute,
+            |o| o.vmin_pu = 1.0,
+            |o| o.thermal_threshold_pct = 90.0,
+            |o| o.pf.tol_pu = 1e-4,
+        ];
+        for tweak in outcome_relevant {
+            assert!(cache.get(&keyed(tweak)).is_none());
+        }
+        // ... while what only schedules or orders outcomes does not.
+        let reranked_serial = keyed(|o| {
+            o.strategy = RankingStrategy::OverloadFirst;
+            o.parallel = false;
+        });
+        assert!(cache.get(&reranked_serial).is_some());
     }
 
     #[test]

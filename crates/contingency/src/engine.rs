@@ -1,32 +1,35 @@
 //! The N-1 sweep engine.
 //!
 //! Enumerates single-element outages (lines and transformers) and scans
-//! each post-contingency state for thermal and voltage violations. Three
-//! sweep modes share the enumeration, caching, and report machinery:
+//! each post-contingency state for thermal and voltage violations. One
+//! driver ([`run_n1_cached`]) owns the base solve, the enumeration, the
+//! per-outage cache, the worker pool and the report; a sweep mode is
+//! nothing but the per-outage plan it hands that driver:
 //!
-//! - **Brute** — one full AC power flow per outage, warm-started from the
-//!   base solution with a flat-start retry on divergence (the paper's
-//!   reference sweep and automatic recovery path).
-//! - **Cascade** (default) — the multi-fidelity screen-then-verify
-//!   architecture: LODFs computed once rank every outage by DC-estimated
-//!   post-outage loading; outages above the screening cutoff (plus a
-//!   safety band of top-ranked ones) are AC-verified against the
-//!   base-case Jacobian factorization via Woodbury compensation, with the
-//!   full-Newton path as fallback when compensation is ill-conditioned,
-//!   stalls, or the outage islands the network.
-//! - **Screened** — the pure-DC ablation: flagged outages get a full AC
-//!   solve, everything else is classified from the linear estimate alone.
+//! - **Brute** — the all-Newton plan: one full AC power flow per outage,
+//!   warm-started from the base solution with a flat-start retry on
+//!   divergence (the paper's reference sweep and automatic recovery
+//!   path).
+//! - **Cascade** (default) — the multi-fidelity screen-then-verify plan:
+//!   LODFs computed once rank every outage by DC-estimated post-outage
+//!   loading; outages above the screening cutoff (plus a safety band of
+//!   top-ranked ones) are AC-verified against the base-case Jacobian
+//!   factorization via Woodbury compensation, with the full-Newton path
+//!   as fallback when compensation is ill-conditioned, stalls, or the
+//!   outage islands the network; the rest is classified from the linear
+//!   estimate alone.
 //!
 //! The sweep is embarrassingly parallel and runs on rayon by default; the
 //! serial path is kept for the ablation benchmark.
 
+use crate::cache::{CacheKey, ContingencyCache};
 use crate::ranking::rank;
 use crate::types::{
     ContingencyOutcome, ContingencyReport, Outage, RankingStrategy, SweepMode, Violation,
 };
 use gm_network::{topology, BranchKind, Network};
-use gm_numeric::Complex;
-use gm_powerflow::{solve_from_with_engine, CompensationBase, PfOptions, PfReport, Sensitivities};
+use gm_numeric::{Complex, Fnv1a};
+use gm_powerflow::{solve_from_with_engine, CompensationBase, PfOptions, PfReport};
 use gm_sparse::LuEngine;
 use rayon::prelude::*;
 
@@ -57,12 +60,12 @@ pub struct CaOptions {
     pub strategy: RankingStrategy,
     /// Sweep fidelity mode (default: the screening cascade).
     pub mode: SweepMode,
-    /// Cascade/screened: an outage is a suspect when its DC-estimated
-    /// worst post-outage loading reaches this fraction of any rating.
+    /// Cascade: an outage is a suspect when its DC-estimated worst
+    /// post-outage loading reaches this fraction of any rating.
     pub screen_margin: f64,
-    /// Cascade/screened: safety band subtracted from the margin — the
-    /// effective cutoff is `screen_margin - screen_band`, absorbing the
-    /// DC estimate's systematic underestimate of MVA loading.
+    /// Cascade: safety band subtracted from the margin — the effective
+    /// cutoff is `screen_margin - screen_band`, absorbing the DC
+    /// estimate's systematic underestimate of MVA loading.
     pub screen_band: f64,
     /// Cascade: this many top-DC-ranked outages are AC-verified even when
     /// they fall below the cutoff, so the head of the criticality ranking
@@ -99,21 +102,55 @@ impl CaOptions {
     /// Deterministic fingerprint of every sweep control that can affect
     /// the report (voltage band, thermal threshold, scope, ranking
     /// strategy, sweep mode and screening knobs, inner power-flow
-    /// options), for cross-session solver-cache keys (gm-serve). FNV-1a
-    /// over the canonical debug rendering; `parallel` is excluded because
-    /// serial and parallel sweeps produce identical reports.
+    /// options), for cross-session solver-cache keys (gm-serve).
+    /// `parallel` is excluded because serial and parallel sweeps produce
+    /// identical reports.
     pub fn fingerprint(&self) -> u64 {
-        let scrubbed = CaOptions {
-            parallel: true,
-            ..self.clone()
-        };
-        let text = format!("{scrubbed:?}");
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let mut h = Fnv1a::new();
+        h.u64(self.outcome_fingerprint());
+        h.u64(match self.strategy {
+            RankingStrategy::Composite => 0,
+            RankingStrategy::OverloadFirst => 1,
+            RankingStrategy::VoltageFirst => 2,
+        });
+        h.finish()
+    }
+
+    /// Fingerprint of the controls a single outage's outcome can depend
+    /// on — everything but `parallel` and the ranking `strategy`, which
+    /// only orders finished outcomes. The per-outage cache keys on this.
+    /// The destructuring is exhaustive on purpose: a new field fails to
+    /// compile here until it is folded in (or explicitly left out).
+    pub(crate) fn outcome_fingerprint(&self) -> u64 {
+        let CaOptions {
+            vmin_pu,
+            vmax_pu,
+            thermal_threshold_pct,
+            include_lines,
+            include_trafos,
+            parallel: _,
+            strategy: _,
+            mode,
+            screen_margin,
+            screen_band,
+            screen_top_k,
+            pf,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(vmin_pu.to_bits());
+        h.u64(vmax_pu.to_bits());
+        h.u64(thermal_threshold_pct.to_bits());
+        h.u64(u64::from(*include_lines));
+        h.u64(u64::from(*include_trafos));
+        h.u64(match mode {
+            SweepMode::Brute => 0,
+            SweepMode::Cascade => 1,
+        });
+        h.u64(screen_margin.to_bits());
+        h.u64(screen_band.to_bits());
+        h.u64(*screen_top_k as u64);
+        h.u64(pf.fingerprint());
+        h.finish()
     }
 
     /// Effective DC screening cutoff (fraction of rating).
@@ -220,34 +257,41 @@ pub fn run_n1(
     run_n1_cached(net, opts, base, None)
 }
 
+/// How the sweep driver evaluates one outage. A sweep mode is nothing
+/// but the plan — one step per target — it hands [`run_n1_cached`].
+#[derive(Clone, Copy)]
+enum Step {
+    /// Classified secure from the DC estimate (fraction of rating)
+    /// alone: no solver runs and the per-outage cache is not touched.
+    ScreenedOut(f64),
+    /// Full Newton solve, warm-started from the base voltages.
+    Newton,
+    /// Woodbury-compensated solve against the base-case factorization
+    /// (full-Newton fallback), with the DC estimate when there is one.
+    Compensated(Option<f64>),
+}
+
 /// Runs the N-1 study with a per-outage result cache (§3.4: "each
 /// outage evaluation is cached under a composite key (case + outage +
 /// diff hash)").
 ///
 /// `cache` is `(cache, diff_hash)`: outcomes are looked up / stored under
 /// the network's case name, branch index, the supplied hash, and the
-/// sweep mode, so a repeated compound request recomputes only what the
-/// diff log staled — and cascade results never alias brute ones.
+/// fingerprint of every option an outcome can depend on, so a repeated
+/// compound request recomputes only what the diff log staled — and
+/// neither cascade results nor a different voltage band, thermal
+/// threshold or power-flow setting can alias a stored outcome.
 pub fn run_n1_cached(
     net: &Network,
     opts: &CaOptions,
     base: Option<&PfReport>,
-    cache: Option<(&crate::cache::ContingencyCache, u64)>,
+    cache: Option<(&ContingencyCache, u64)>,
 ) -> Result<ContingencyReport, gm_powerflow::PfError> {
-    match opts.mode {
-        SweepMode::Brute => run_brute(net, opts, base, cache),
-        SweepMode::Cascade => run_cascade(net, opts, base, cache),
-        SweepMode::Screened => run_n1_screened(net, opts, base, opts.screen_cutoff()),
-    }
-}
-
-fn run_brute(
-    net: &Network,
-    opts: &CaOptions,
-    base: Option<&PfReport>,
-    cache: Option<(&crate::cache::ContingencyCache, u64)>,
-) -> Result<ContingencyReport, gm_powerflow::PfError> {
-    let sweep_span = gm_telemetry::span!("ca.sweep", case = net.name, mode = "full");
+    let label = match opts.mode {
+        SweepMode::Brute => "full",
+        SweepMode::Cascade => "cascade",
+    };
+    let sweep_span = gm_telemetry::span!("ca.sweep", case = net.name, mode = label);
     let started = std::time::Instant::now();
     let owned_base;
     let base = match base {
@@ -257,32 +301,58 @@ fn run_brute(
             &owned_base
         }
     };
-    let v0: Vec<Complex> = base
-        .buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-        .collect();
-
+    let v0 = base.voltages();
     let targets = enumerate_targets(net, opts);
+    // Brute is the all-Newton plan — and so is a cascade whose DC screen
+    // is unavailable, which reports itself as the brute sweep it ran.
+    let cascade = match opts.mode {
+        SweepMode::Brute => None,
+        SweepMode::Cascade => cascade_plan(net, opts, base, &targets),
+    };
+    let (mode, steps, comp_base) = match cascade {
+        Some((steps, comp_base)) => (SweepMode::Cascade, steps, comp_base),
+        None => (SweepMode::Brute, vec![Step::Newton; targets.len()], None),
+    };
+    let plan: Vec<((Outage, usize), Step)> = targets.into_iter().zip(steps).collect();
 
-    let eval = |engine: &mut LuEngine,
-                &(outage, kind_index): &(Outage, usize)|
-     -> ContingencyOutcome {
-        if let Some((cache, diff_hash)) = cache {
-            let key = crate::cache::CacheKey {
+    let options = opts.outcome_fingerprint();
+    let eval = |engine: &mut LuEngine, &((outage, kind_index), step): &((Outage, usize), Step)| {
+        let compensated = match step {
+            Step::ScreenedOut(estimate) => {
+                return screened_out_outcome(base, outage, kind_index, estimate)
+            }
+            Step::Newton => None,
+            Step::Compensated(estimate) => Some(estimate),
+        };
+        let keyed = cache.map(|(cache, diff_hash)| {
+            let key = CacheKey {
                 case: net.name.clone(),
                 outage_branch: outage.branch,
                 diff_hash,
-                mode: SweepMode::Brute,
+                options,
             };
-            if let Some(hit) = cache.get(&key) {
-                return hit;
-            }
-            let outcome = evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine);
-            cache.put(key, outcome.clone());
-            return outcome;
+            (cache, key)
+        });
+        if let Some(hit) = keyed.as_ref().and_then(|(cache, key)| cache.get(key)) {
+            return hit;
         }
-        evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine)
+        let outcome = match compensated {
+            Some(estimate) => evaluate_outage_cascade(
+                net,
+                opts,
+                comp_base.as_ref(),
+                &v0,
+                outage,
+                kind_index,
+                estimate,
+                engine,
+            ),
+            None => evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine),
+        };
+        if let Some((cache, key)) = keyed {
+            cache.put(key, outcome.clone());
+        }
+        outcome
     };
     let outcomes: Vec<ContingencyOutcome> = if opts.parallel {
         // Rayon workers have their own collector stacks: re-install the
@@ -293,8 +363,7 @@ fn run_brute(
         // skip the fill-reducing analysis.
         let collector = gm_telemetry::current();
         let parent = sweep_span.id();
-        targets
-            .par_iter()
+        plan.par_iter()
             .map_init(
                 || {
                     (
@@ -302,24 +371,19 @@ fn run_brute(
                         LuEngine::with_capacity(SWEEP_ENGINE_SLOTS),
                     )
                 },
-                |(_worker, engine), t| eval(engine, t),
+                |(_worker, engine), job| eval(engine, job),
             )
             .collect()
     } else {
         let mut engine = LuEngine::with_capacity(SWEEP_ENGINE_SLOTS);
-        targets.iter().map(|t| eval(&mut engine, t)).collect()
+        plan.iter().map(|job| eval(&mut engine, job)).collect()
     };
-
-    Ok(assemble_report(
-        net,
-        opts,
-        outcomes,
-        started,
-        SweepMode::Brute,
-    ))
+    Ok(assemble_report(net, opts, outcomes, started, mode))
 }
 
-/// The multi-fidelity screening cascade (default sweep mode).
+/// The multi-fidelity screening plan (default sweep mode); `None` when
+/// the linear model itself is unavailable (e.g. a degenerate network)
+/// and the sweep must degrade to brute rather than guess.
 ///
 /// Phase 1 — screen: compute LODFs once from the base-case PTDF
 /// machinery and rank every outage by its DC-estimated worst post-outage
@@ -328,51 +392,22 @@ fn run_brute(
 /// anything the linear model cannot screen (islanding columns) get an AC
 /// verification. Each verified solve goes through the base-case Jacobian
 /// factorization with a Woodbury outage-block correction
-/// ([`gm_powerflow::CompensationBase`]); ill-conditioned or stalled
-/// compensations fall back to the full-Newton [`LuEngine`] path, and
-/// islanding outages never reach a solver at all. Screened-out outages
-/// are classified secure from the DC estimate with `ac_solved = false`
-/// and counted honestly in the report.
-fn run_cascade(
+/// ([`gm_powerflow::CompensationBase`], returned beside the steps);
+/// ill-conditioned or stalled compensations fall back to the full-Newton
+/// [`LuEngine`] path, and islanding outages never reach a solver at all.
+/// Screened-out outages are classified secure from the DC estimate with
+/// `ac_solved = false` and counted honestly in the report.
+fn cascade_plan(
     net: &Network,
     opts: &CaOptions,
-    base: Option<&PfReport>,
-    cache: Option<(&crate::cache::ContingencyCache, u64)>,
-) -> Result<ContingencyReport, gm_powerflow::PfError> {
-    let sweep_span = gm_telemetry::span!("ca.sweep", case = net.name, mode = "cascade");
-    let started = std::time::Instant::now();
-    let owned_base;
-    let base = match base {
-        Some(b) => b,
-        None => {
-            owned_base = solve_base(net, opts)?;
-            &owned_base
-        }
+    base: &PfReport,
+    targets: &[(Outage, usize)],
+) -> Option<(Vec<Step>, Option<CompensationBase>)> {
+    let Ok(sens) = gm_powerflow::sensitivities_for_screening(net) else {
+        gm_telemetry::counter_add("ca.screen.unavailable", 1);
+        return None;
     };
-    let v0: Vec<Complex> = base
-        .buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-        .collect();
-
-    // Phase 1: the DC screen. When the linear model itself is
-    // unavailable (e.g. a degenerate network), the cascade degrades to
-    // the brute sweep rather than guessing.
-    let sens = match gm_powerflow::sensitivities_for_screening(net) {
-        Ok(s) => s,
-        Err(_) => {
-            gm_telemetry::counter_add("ca.screen.unavailable", 1);
-            return run_brute(net, opts, Some(base), cache);
-        }
-    };
-    let base_p: Vec<f64> = base.branches.iter().map(|b| b.p_from_mw).collect();
-    let base_q: Vec<f64> = base
-        .branches
-        .iter()
-        .map(|b| b.q_from_mvar.abs().max(b.q_to_mvar.abs()))
-        .collect();
-
-    let targets = enumerate_targets(net, opts);
+    let (base_p, base_q) = screening_inputs(base);
     let estimates: Vec<Option<f64>> = targets
         .iter()
         .map(|&(outage, _)| {
@@ -400,22 +435,22 @@ fn run_cascade(
         let eb = estimates[b].unwrap_or(f64::INFINITY);
         eb.total_cmp(&ea).then(a.cmp(&b))
     });
-    let mut verify = vec![false; targets.len()];
+    let mut steps = vec![Step::Newton; targets.len()];
     for (pos, &ti) in order.iter().enumerate() {
-        verify[ti] = pos < opts.screen_top_k
-            || match estimates[ti] {
-                None => true,
-                Some(e) => e >= cutoff,
-            };
+        steps[ti] = match estimates[ti] {
+            Some(e) if pos >= opts.screen_top_k && e < cutoff => Step::ScreenedOut(e),
+            estimate => Step::Compensated(estimate),
+        };
     }
-    let n_screened_out = verify.iter().filter(|&&v| !v).count() as u64;
-    let n_verified = verify.len() as u64 - n_screened_out;
+    let n_screened_out = steps
+        .iter()
+        .filter(|s| matches!(s, Step::ScreenedOut(_)))
+        .count() as u64;
     gm_telemetry::counter_add("ca.screen.screened_out", n_screened_out);
-    gm_telemetry::counter_add("ca.screen.verified", n_verified);
+    gm_telemetry::counter_add("ca.screen.verified", steps.len() as u64 - n_screened_out);
 
-    // Phase 2: AC verification of the suspect set against the base-case
-    // factorization. A failed base build (e.g. Q-limit options) routes
-    // every suspect through the full-Newton fallback.
+    // A failed base build (e.g. Q-limit options) routes every suspect
+    // through the full-Newton fallback.
     let comp_base = match CompensationBase::new(net, &opts.pf, base) {
         Ok(cb) => Some(cb),
         Err(e) => {
@@ -423,75 +458,7 @@ fn run_cascade(
             None
         }
     };
-
-    let eval = |engine: &mut LuEngine, idx: usize| -> ContingencyOutcome {
-        let (outage, kind_index) = targets[idx];
-        if !verify[idx] {
-            return screened_out_outcome(base, outage, kind_index, estimates[idx].unwrap_or(0.0));
-        }
-        if let Some((cache, diff_hash)) = cache {
-            let key = crate::cache::CacheKey {
-                case: net.name.clone(),
-                outage_branch: outage.branch,
-                diff_hash,
-                mode: SweepMode::Cascade,
-            };
-            if let Some(hit) = cache.get(&key) {
-                return hit;
-            }
-            let outcome = evaluate_outage_cascade(
-                net,
-                opts,
-                comp_base.as_ref(),
-                &v0,
-                outage,
-                kind_index,
-                estimates[idx],
-                engine,
-            );
-            cache.put(key, outcome.clone());
-            return outcome;
-        }
-        evaluate_outage_cascade(
-            net,
-            opts,
-            comp_base.as_ref(),
-            &v0,
-            outage,
-            kind_index,
-            estimates[idx],
-            engine,
-        )
-    };
-
-    let indices: Vec<usize> = (0..targets.len()).collect();
-    let outcomes: Vec<ContingencyOutcome> = if opts.parallel {
-        let collector = gm_telemetry::current();
-        let parent = sweep_span.id();
-        indices
-            .par_iter()
-            .map_init(
-                || {
-                    (
-                        collector.as_ref().map(|reg| reg.install_scoped(parent)),
-                        LuEngine::with_capacity(SWEEP_ENGINE_SLOTS),
-                    )
-                },
-                |(_worker, engine), &idx| eval(engine, idx),
-            )
-            .collect()
-    } else {
-        let mut engine = LuEngine::with_capacity(SWEEP_ENGINE_SLOTS);
-        indices.iter().map(|&idx| eval(&mut engine, idx)).collect()
-    };
-
-    Ok(assemble_report(
-        net,
-        opts,
-        outcomes,
-        started,
-        SweepMode::Cascade,
-    ))
+    Some((steps, comp_base))
 }
 
 /// The DC-secure outcome for a screened-out outage: no AC solve, loading
@@ -514,89 +481,6 @@ fn screened_out_outcome(
         load_shed_mw: 0.0,
         ac_solved: false,
     }
-}
-
-/// Runs the N-1 study with DC (LODF) screening: outages whose estimated
-/// worst post-outage DC loading stays below `screen_threshold` (fraction
-/// of rating, e.g. 0.9) are classified secure from the linear estimate
-/// alone; only flagged outages get a full AC solve.
-///
-/// This is the fast screening mode real-time CA tools use (and this
-/// library's speed-vs-completeness ablation): it can miss voltage
-/// violations on screened-out outages, which the AC sweep would catch --
-/// outcomes carry `ac_solved = false` so reports can count the shortcut.
-pub fn run_n1_screened(
-    net: &Network,
-    opts: &CaOptions,
-    base: Option<&PfReport>,
-    screen_threshold: f64,
-) -> Result<ContingencyReport, gm_powerflow::PfError> {
-    let sweep_span = gm_telemetry::span!("ca.sweep", case = net.name, mode = "screened");
-    let started = std::time::Instant::now();
-    let owned_base;
-    let base = match base {
-        Some(b) => b,
-        None => {
-            owned_base = solve_base(net, opts)?;
-            &owned_base
-        }
-    };
-    let v0: Vec<Complex> = base
-        .buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-        .collect();
-    let sens = gm_powerflow::sensitivities_for_screening(net)?;
-    let base_p: Vec<f64> = base.branches.iter().map(|b| b.p_from_mw).collect();
-    let base_q: Vec<f64> = base
-        .branches
-        .iter()
-        .map(|b| b.q_from_mvar.abs().max(b.q_to_mvar.abs()))
-        .collect();
-
-    let targets = enumerate_targets(net, opts);
-
-    let eval =
-        |engine: &mut LuEngine, &(outage, kind_index): &(Outage, usize)| -> ContingencyOutcome {
-            match sens.worst_post_outage_loading_mva(net, &base_p, &base_q, outage.branch) {
-                // Islanding (or unscreenable): always full evaluation.
-                None => evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine),
-                Some(worst) if worst >= screen_threshold => {
-                    evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine)
-                }
-                Some(worst) => {
-                    gm_telemetry::counter_add("ca.screen.skipped", 1);
-                    screened_out_outcome(base, outage, kind_index, worst)
-                }
-            }
-        };
-    let outcomes: Vec<ContingencyOutcome> = if opts.parallel {
-        let collector = gm_telemetry::current();
-        let parent = sweep_span.id();
-        targets
-            .par_iter()
-            .map_init(
-                || {
-                    (
-                        collector.as_ref().map(|reg| reg.install_scoped(parent)),
-                        LuEngine::with_capacity(SWEEP_ENGINE_SLOTS),
-                    )
-                },
-                |(_worker, engine), t| eval(engine, t),
-            )
-            .collect()
-    } else {
-        let mut engine = LuEngine::with_capacity(SWEEP_ENGINE_SLOTS);
-        targets.iter().map(|t| eval(&mut engine, t)).collect()
-    };
-
-    Ok(assemble_report(
-        net,
-        opts,
-        outcomes,
-        started,
-        SweepMode::Screened,
-    ))
 }
 
 /// Analyzes one specific outage (the `analyze_specific_contingency` tool).
@@ -640,13 +524,9 @@ fn islanding_outcome(
     }
 }
 
-/// Scans a solved post-outage report for violations.
-fn outcome_from_pf(
-    rep: &PfReport,
-    opts: &CaOptions,
-    outage: Outage,
-    kind_index: usize,
-) -> ContingencyOutcome {
+/// Thermal and voltage violations of a solved post-outage report against
+/// the sweep's threshold and band (branch and generator sweeps alike).
+pub(crate) fn violations_of(rep: &PfReport, opts: &CaOptions) -> Vec<Violation> {
     let mut violations = Vec::new();
     for bf in &rep.branches {
         if bf.loading_pct > opts.thermal_threshold_pct {
@@ -669,13 +549,23 @@ fn outcome_from_pf(
             });
         }
     }
+    violations
+}
+
+/// The outcome of a solved post-outage report.
+fn outcome_from_pf(
+    rep: &PfReport,
+    opts: &CaOptions,
+    outage: Outage,
+    kind_index: usize,
+) -> ContingencyOutcome {
     ContingencyOutcome {
         outage,
         kind_index,
         converged: true,
         islands: false,
         stranded_buses: 0,
-        violations,
+        violations: violations_of(rep, opts),
         max_loading_pct: rep.max_loading.0,
         min_vm: rep.min_vm,
         load_shed_mw: 0.0,
@@ -781,7 +671,8 @@ fn evaluate_outage_cascade(
     evaluate_outage_with_engine(net, opts, v0, outage, kind_index, engine)
 }
 
-/// Internal handle exposing screening machinery to the N-2 preview.
+/// Base-case `(P, |Q|)` branch flows the LODF screens (cascade plan and
+/// N-2 preview) estimate post-outage loading from.
 pub(crate) fn screening_inputs(base: &PfReport) -> (Vec<f64>, Vec<f64>) {
     let base_p: Vec<f64> = base.branches.iter().map(|b| b.p_from_mw).collect();
     let base_q: Vec<f64> = base
@@ -790,13 +681,6 @@ pub(crate) fn screening_inputs(base: &PfReport) -> (Vec<f64>, Vec<f64>) {
         .map(|b| b.q_from_mvar.abs().max(b.q_to_mvar.abs()))
         .collect();
     (base_p, base_q)
-}
-
-/// Re-export for the N-2 preview module.
-pub(crate) fn screening_sensitivities(
-    net: &Network,
-) -> Result<Sensitivities, gm_powerflow::PfError> {
-    gm_powerflow::sensitivities_for_screening(net)
 }
 
 #[cfg(test)]
@@ -828,53 +712,35 @@ mod tests {
         assert_eq!(rep.screened_out, 0);
     }
 
+    /// Serial ≡ parallel through the single driver: the whole report is
+    /// `{:?}`-identical but for how it ran and how long it took.
+    fn assert_serial_matches_parallel(mode: SweepMode) {
+        for id in [CaseId::Ieee30, CaseId::Ieee57] {
+            let net = cases::load(id);
+            let run = |parallel: bool| {
+                let opts = CaOptions {
+                    mode,
+                    parallel,
+                    ..Default::default()
+                };
+                let mut rep = run_n1(&net, &opts, None).unwrap();
+                assert_eq!((rep.parallel, rep.mode), (parallel, mode));
+                rep.parallel = false;
+                rep.sweep_time_s = 0.0;
+                format!("{rep:?}")
+            };
+            assert_eq!(run(true), run(false), "{mode:?} on {id:?}");
+        }
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
-        let net = cases::load(CaseId::Ieee30);
-        let par = run_n1(&net, &brute_opts(), None).unwrap();
-        let ser = run_n1(
-            &net,
-            &CaOptions {
-                parallel: false,
-                ..brute_opts()
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(par.n_contingencies, ser.n_contingencies);
-        assert_eq!(par.total_violations, ser.total_violations);
-        for (a, b) in par.outcomes.iter().zip(&ser.outcomes) {
-            assert_eq!(a.converged, b.converged);
-            assert!((a.max_loading_pct - b.max_loading_pct).abs() < 1e-9);
-        }
-        // Ranking order identical.
-        let la: Vec<_> = par.ranking.iter().map(|r| r.label.clone()).collect();
-        let lb: Vec<_> = ser.ranking.iter().map(|r| r.label.clone()).collect();
-        assert_eq!(la, lb);
+        assert_serial_matches_parallel(SweepMode::Brute);
     }
 
     #[test]
     fn cascade_serial_and_parallel_agree() {
-        let net = cases::load(CaseId::Ieee30);
-        let par = run_n1(&net, &CaOptions::default(), None).unwrap();
-        let ser = run_n1(
-            &net,
-            &CaOptions {
-                parallel: false,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(par.n_contingencies, ser.n_contingencies);
-        assert_eq!(par.screened_out, ser.screened_out);
-        for (a, b) in par.outcomes.iter().zip(&ser.outcomes) {
-            assert_eq!(a.ac_solved, b.ac_solved);
-            assert!((a.max_loading_pct - b.max_loading_pct).abs() < 1e-9);
-        }
-        let la: Vec<_> = par.ranking.iter().map(|r| r.label.clone()).collect();
-        let lb: Vec<_> = ser.ranking.iter().map(|r| r.label.clone()).collect();
-        assert_eq!(la, lb);
+        assert_serial_matches_parallel(SweepMode::Cascade);
     }
 
     #[test]
@@ -996,34 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn screened_sweep_agrees_on_thermal_criticals() {
-        let net = cases::load(CaseId::Ieee118);
-        let full = run_n1(&net, &brute_opts(), None).unwrap();
-        // DC screening underestimates MVA loading (no reactive flow), so
-        // the guarantee threshold must be conservative.
-        let screened = run_n1_screened(&net, &brute_opts(), None, 0.85).unwrap();
-        assert_eq!(screened.n_contingencies, full.n_contingencies);
-        // Every thermally overloading outage in the full sweep must have
-        // been AC-solved by the screen and carry the same overload count.
-        for (f, s) in full.outcomes.iter().zip(&screened.outcomes) {
-            if f.n_thermal() > 0 {
-                assert!(
-                    s.ac_solved,
-                    "outage of branch {} missed by the screen",
-                    f.outage.branch
-                );
-                assert_eq!(f.n_thermal(), s.n_thermal());
-            }
-        }
-        // And the screen must actually skip a meaningful share.
-        let skipped = screened.outcomes.iter().filter(|o| !o.ac_solved).count();
-        assert!(
-            skipped > screened.n_contingencies / 4,
-            "screen only skipped {skipped}"
-        );
-    }
-
-    #[test]
     fn cached_sweep_hits_on_repeat() {
         let net = cases::load(CaseId::Ieee14);
         let cache = crate::cache::ContingencyCache::new();
@@ -1041,6 +879,44 @@ mod tests {
         let _ = run_n1_cached(&net, &opts, None, Some((&cache, 43))).unwrap();
         let (_, m3) = cache.stats();
         assert_eq!(m3 as usize, 2 * r1.n_contingencies);
+    }
+
+    #[test]
+    fn cached_sweep_misses_when_outcome_options_change() {
+        // Regression: the per-outage key used to be (case, outage, diff
+        // hash, mode), so a second sweep differing only in the voltage
+        // band was served the first sweep's violations.
+        let net = cases::load(CaseId::Ieee30);
+        let cache = crate::cache::ContingencyCache::new();
+        let cached =
+            |opts: &CaOptions| run_n1_cached(&net, opts, None, Some((&cache, 42))).unwrap();
+        let loose = CaOptions {
+            vmin_pu: 0.80,
+            ..brute_opts()
+        };
+        let tight = CaOptions {
+            vmin_pu: 1.00,
+            ..brute_opts()
+        };
+        let n = cached(&loose).n_contingencies as u64;
+        let fresh = run_n1(&net, &tight, None).unwrap();
+        assert_eq!(cached(&tight).total_violations, fresh.total_violations);
+        assert_eq!(cache.stats(), (0, 2 * n), "a band change must miss");
+        // The thermal threshold and the power-flow controls miss too ...
+        let mut coarse = CaOptions {
+            thermal_threshold_pct: 50.0,
+            ..loose.clone()
+        };
+        cached(&coarse);
+        coarse.pf.tol_pu = 1e-5;
+        cached(&coarse);
+        assert_eq!(cache.stats(), (0, 4 * n));
+        // ... while a strategy-only change still hits, as it always did.
+        cached(&CaOptions {
+            strategy: RankingStrategy::OverloadFirst,
+            ..loose
+        });
+        assert_eq!(cache.stats(), (n, 4 * n));
     }
 
     #[test]
@@ -1092,18 +968,45 @@ mod tests {
     fn fingerprint_distinguishes_modes() {
         let brute = brute_opts();
         let cascade = CaOptions::default();
-        let screened = CaOptions {
-            mode: SweepMode::Screened,
-            ..Default::default()
-        };
         assert_ne!(brute.fingerprint(), cascade.fingerprint());
-        assert_ne!(brute.fingerprint(), screened.fingerprint());
-        assert_ne!(cascade.fingerprint(), screened.fingerprint());
         // Screening knobs are fingerprint-relevant too.
         let tighter = CaOptions {
             screen_band: 0.30,
             ..Default::default()
         };
         assert_ne!(cascade.fingerprint(), tighter.fingerprint());
+    }
+
+    #[test]
+    fn old_mix_collision_is_fixed() {
+        // The pre-canonical solver-cache key xor-folded a mode flag and
+        // the screening threshold into the options fingerprint,
+        //   old(fp, s, t) = (((fp ^ s) * P) ^ t.bits) * P,
+        // so old(fp, 1, t1) == old(fp, 0, t2) at
+        // t2.bits = t1.bits ^ ((fp^1)*P) ^ (fp*P): a screening sweep could
+        // be served a cached full sweep. Mode and threshold are
+        // `CaOptions` fields now, and the fixed-width encoding behind
+        // `fingerprint` gives each its own lane.
+        const P: u64 = 0x100000001b3;
+        let old_mix = |fp: u64, screening: bool, t: f64| -> u64 {
+            ((fp ^ u64::from(screening)).wrapping_mul(P) ^ t.to_bits()).wrapping_mul(P)
+        };
+        let fp = CaOptions::default().fingerprint();
+        let t1 = 0.85f64;
+        let t2 = f64::from_bits(t1.to_bits() ^ (fp ^ 1).wrapping_mul(P) ^ fp.wrapping_mul(P));
+        assert_ne!(t1.to_bits(), t2.to_bits(), "a genuinely distinct threshold");
+        assert_eq!(old_mix(fp, true, t1), old_mix(fp, false, t2));
+        let new = |mode: SweepMode, margin: f64| {
+            CaOptions {
+                mode,
+                screen_margin: margin,
+                ..Default::default()
+            }
+            .fingerprint()
+        };
+        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Brute, t2));
+        // The ordinary neighbours too: a mode flip, a threshold change.
+        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Brute, t1));
+        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Cascade, 0.9));
     }
 }

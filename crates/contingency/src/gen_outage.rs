@@ -7,10 +7,9 @@
 //! primary-response abstraction), and the post-outage power flow is
 //! scanned with the same violation rules as the branch sweep.
 
-use crate::engine::CaOptions;
+use crate::engine::{violations_of, CaOptions};
 use crate::types::Violation;
 use gm_network::Network;
-use gm_numeric::Complex;
 use gm_powerflow::{solve_from, PfReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -54,11 +53,7 @@ pub fn run_gen_n1(
             &owned
         }
     };
-    let v0: Vec<Complex> = base
-        .buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-        .collect();
+    let v0 = base.voltages();
     let Some(slack) = net.slack() else {
         return Err(gm_powerflow::PfError::InvalidNetwork {
             problems: vec!["network has no slack bus".into()],
@@ -123,28 +118,6 @@ pub fn run_gen_n1(
                 slack_pickup_mw: 0.0,
             },
             Ok(rep) => {
-                let mut violations = Vec::new();
-                for bf in &rep.branches {
-                    if bf.loading_pct > opts.thermal_threshold_pct {
-                        violations.push(Violation::ThermalOverload {
-                            branch: bf.index,
-                            loading_pct: bf.loading_pct,
-                        });
-                    }
-                }
-                for b in &rep.buses {
-                    if b.vm_pu < opts.vmin_pu {
-                        violations.push(Violation::LowVoltage {
-                            bus_id: b.id,
-                            vm_pu: b.vm_pu,
-                        });
-                    } else if b.vm_pu > opts.vmax_pu {
-                        violations.push(Violation::HighVoltage {
-                            bus_id: b.id,
-                            vm_pu: b.vm_pu,
-                        });
-                    }
-                }
                 let new_slack_p: f64 = rep
                     .gens
                     .iter()
@@ -158,7 +131,7 @@ pub fn run_gen_n1(
                     lost_mw,
                     converged: true,
                     loses_reference: false,
-                    violations,
+                    violations: violations_of(&rep, opts),
                     max_loading_pct: rep.max_loading.0,
                     min_vm: rep.min_vm,
                     slack_pickup_mw: new_slack_p - base_slack_p,

@@ -42,7 +42,7 @@ pub mod ranking;
 pub mod types;
 
 pub use cache::{CacheKey, ContingencyCache};
-pub use engine::{evaluate_outage, run_n1, run_n1_cached, run_n1_screened, solve_base, CaOptions};
+pub use engine::{evaluate_outage, run_n1, run_n1_cached, solve_base, CaOptions};
 pub use gen_outage::{run_gen_n1, GenOutageOutcome};
 pub use n2::{n_minus_2_preview, N2Preview, PairOutcome};
 pub use ranking::{rank, score};

@@ -10,9 +10,7 @@
 //! outage is a rank-≤-8 Jacobian correction, still far cheaper than a
 //! fresh factorization per pair.
 
-use crate::engine::{
-    enumerate_targets, screening_inputs, screening_sensitivities, solve_base, CaOptions,
-};
+use crate::engine::{enumerate_targets, screening_inputs, solve_base, CaOptions};
 use crate::types::{Outage, Violation};
 use gm_network::{topology, Network};
 use gm_powerflow::{CompensationBase, PfReport};
@@ -92,7 +90,7 @@ pub fn n_minus_2_preview(
             &owned_base
         }
     };
-    let sens = screening_sensitivities(net)?;
+    let sens = gm_powerflow::sensitivities_for_screening(net)?;
     let (base_p, base_q) = screening_inputs(base);
     let targets = enumerate_targets(net, opts);
     // Same unrated-network guard as the N-1 cascade: no ratings means no

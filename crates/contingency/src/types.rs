@@ -114,11 +114,6 @@ pub enum SweepMode {
     /// `ac_solved = false` and the report counts them honestly.
     #[default]
     Cascade,
-    /// Pure-DC screening ablation: outages below the cutoff are
-    /// classified from the linear estimate alone, flagged outages get a
-    /// full-Newton solve (no compensation). Kept as the
-    /// speed-vs-completeness baseline between brute and cascade.
-    Screened,
 }
 
 impl SweepMode {
@@ -130,7 +125,6 @@ impl SweepMode {
         match self {
             SweepMode::Brute => "brute",
             SweepMode::Cascade => "cascade",
-            SweepMode::Screened => "screened",
         }
     }
 }

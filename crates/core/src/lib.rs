@@ -60,6 +60,5 @@ pub use recovery::{
 };
 pub use session::{SessionContext, SessionError, SessionState, SharedSession, Stamped};
 pub use solver_cache::{
-    run_batch_cached, QueryKind, SharedSolverCache, SolverCache, SolverCacheKey, SolverCacheStats,
-    SolverResult,
+    QueryKind, SharedSolverCache, SolverCache, SolverCacheKey, SolverCacheStats, SolverResult,
 };

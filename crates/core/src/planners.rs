@@ -614,19 +614,14 @@ impl CaPlanner {
             })
             .collect();
         let max_overload = f(rep, "max_overload_pct");
-        // Honest fidelity statement: a cascade/screened sweep must say
-        // how many outages were classified from the DC estimate alone.
+        // Honest fidelity statement: a cascade sweep must say how many
+        // outages were classified from the DC estimate alone.
         let screened_out = rep["screened_out"].as_u64().unwrap_or(0);
         let fidelity = match rep["mode"].as_str() {
             Some("cascade") if screened_out > 0 => format!(
                 " The sweep used DC screening with AC verification: {} outages were \
                  AC-verified and {} were classified secure from the linear screen alone.",
                 rep["ac_verified"], screened_out
-            ),
-            Some("screened") => format!(
-                " The sweep used the fast DC screen: {} outages were classified from the \
-                 linear estimate without an AC solve and can hide voltage-only violations.",
-                screened_out
             ),
             _ => String::new(),
         };

@@ -30,14 +30,12 @@
 //! [`AcopfError::InvalidNetwork`]) are *not* recoverable by switching
 //! algorithms and pass through untouched.
 
-use crate::solver_cache::{
-    solve_acopf_cached, solve_base_cached, solve_scopf_cached, SharedSolverCache,
-};
+use crate::solver_cache::{memoized, SharedSolverCache};
 use gm_acopf::{
-    solve_dcopf, AcopfError, AcopfOptions, AcopfSolution, BranchLoading, IpmOptions, ScopfOptions,
-    ScopfSolution,
+    solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, BranchLoading,
+    IpmOptions, ScopfOptions, ScopfSolution,
 };
-use gm_contingency::CaOptions;
+use gm_contingency::{solve_base, CaOptions};
 use gm_network::Network;
 use gm_powerflow::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions};
 use gm_powerflow::PfReport;
@@ -94,7 +92,7 @@ pub fn solve_base_recovered(
 ) -> Result<(PfReport, Option<String>), PfError> {
     let primary = match injected_pf_error("pf.base") {
         Some(e) => Err(e),
-        None => solve_base_cached(cache, net, opts),
+        None => memoized(cache, net, opts.fingerprint(), || solve_base(net, opts)),
     };
     let err = match primary {
         Ok(rep) => return Ok((rep, None)),
@@ -274,7 +272,7 @@ pub fn solve_acopf_recovered(
             feascond: f64::INFINITY,
             message: "barrier stall: complementarity gap stopped shrinking".into(),
         }),
-        _ => solve_acopf_cached(cache, net, opts),
+        _ => memoized(cache, net, opts.fingerprint(), || solve_acopf(net, opts)),
     };
     let err = match primary {
         Ok(sol) => return Ok((sol, None)),
@@ -360,7 +358,7 @@ pub fn solve_scopf_recovered(
     net: &Network,
     opts: &ScopfOptions,
 ) -> Result<(ScopfSolution, Option<String>), AcopfError> {
-    let err = match solve_scopf_cached(cache, net, opts) {
+    let err = match memoized(cache, net, opts.fingerprint(), || solve_scopf(net, opts)) {
         Ok(s) => return Ok((s, None)),
         Err(e @ AcopfError::InvalidNetwork { .. }) => return Err(e),
         Err(e) => e,

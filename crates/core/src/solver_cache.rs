@@ -29,12 +29,10 @@
 //! to the installed telemetry collector as `serve.cache.{hits,misses,
 //! evictions,inserts}`.
 
-use gm_acopf::{
-    solve_acopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, ScopfOptions, ScopfSolution,
-};
-use gm_contingency::{solve_base, CaOptions, ContingencyCache, ContingencyReport};
+use gm_acopf::{AcopfSolution, ScopfSolution};
+use gm_contingency::ContingencyReport;
 use gm_network::Network;
-use gm_powerflow::{BatchError, BatchReport, PfError, PfOptions, PfReport, ScenarioSet};
+use gm_powerflow::{BatchReport, PfReport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,223 +257,94 @@ fn cache_lookup(cache: &SolverCache, key: &SolverCacheKey) -> Option<SolverResul
     }
 }
 
-/// ACOPF through the cache: a hit recalls the memoized interior-point
-/// solution; a miss solves and memoizes. `None` cache always solves.
-pub fn solve_acopf_cached(
-    cache: Option<&SharedSolverCache>,
-    net: &Network,
-    opts: &AcopfOptions,
-) -> Result<AcopfSolution, AcopfError> {
-    let Some(cache) = cache else {
-        return solve_acopf(net, opts);
-    };
-    let key = SolverCacheKey {
-        net_hash: net.content_hash(),
-        kind: QueryKind::Acopf,
-        params: opts.fingerprint(),
-    };
-    if let Some(SolverResult::Acopf(sol)) = cache_lookup(cache, &key) {
-        return Ok(sol);
+/// A solver outcome the cache can hold: its [`QueryKind`] slot and its
+/// [`SolverResult`] variant. Supporting a new query kind is one
+/// `memo_kind!` line here plus a [`memoized`] call at the tool.
+pub trait Memo: Clone {
+    /// The key's middle component for this outcome type.
+    const KIND: QueryKind;
+    /// Wraps the outcome into its cache variant.
+    fn into_result(self) -> SolverResult;
+    /// Unwraps a recalled entry; `None` when the variant is not this type.
+    fn from_result(result: SolverResult) -> Option<Self>;
+    /// Whether this outcome may be memoized at all (default: always).
+    fn cacheable(&self) -> bool {
+        true
     }
-    let sol = solve_acopf(net, opts)?;
-    cache.put(key, SolverResult::Acopf(sol.clone()));
-    Ok(sol)
 }
 
-/// SCOPF through the cache.
-pub fn solve_scopf_cached(
-    cache: Option<&SharedSolverCache>,
-    net: &Network,
-    opts: &ScopfOptions,
-) -> Result<ScopfSolution, AcopfError> {
-    let Some(cache) = cache else {
-        return solve_scopf(net, opts);
-    };
-    let key = SolverCacheKey {
-        net_hash: net.content_hash(),
-        kind: QueryKind::Scopf,
-        params: opts.fingerprint(),
-    };
-    if let Some(SolverResult::Scopf(sol)) = cache_lookup(cache, &key) {
-        return Ok(sol);
-    }
-    let sol = solve_scopf(net, opts)?;
-    cache.put(key, SolverResult::Scopf(sol.clone()));
-    Ok(sol)
-}
-
-/// Base-case power flow through the cache.
-pub fn solve_base_cached(
-    cache: Option<&SharedSolverCache>,
-    net: &Network,
-    opts: &CaOptions,
-) -> Result<PfReport, PfError> {
-    let Some(cache) = cache else {
-        return solve_base(net, opts);
-    };
-    let key = SolverCacheKey {
-        net_hash: net.content_hash(),
-        kind: QueryKind::BasePf,
-        params: opts.fingerprint(),
-    };
-    if let Some(SolverResult::Pf(rep)) = cache_lookup(cache, &key) {
-        return Ok(rep);
-    }
-    let rep = solve_base(net, opts)?;
-    cache.put(key, SolverResult::Pf(rep.clone()));
-    Ok(rep)
-}
-
-/// Folds the N-1 parameter triple into one fingerprint via a canonical
-/// **length-prefixed** byte encoding hashed with FNV-1a. Each field is
-/// serialized as `len byte ‖ little-endian bytes`, so the byte stream
-/// parses back to exactly one `(fingerprint, screened, threshold)`
-/// triple and distinct triples can only collide through the hash itself
-/// — unlike the previous xor/multiply mix, where the `screened` bit and
-/// the threshold bits occupied overlapping lanes and a crafted
-/// `(screened, threshold)` pair could alias a `(full, threshold')` key
-/// (see `old_mix_collision_is_fixed`).
-///
-/// Since the sweep mode moved into [`CaOptions`] (`mode`, `screen_margin`,
-/// `screen_band`, `screen_top_k` are all covered by
-/// `CaOptions::fingerprint`), the extra fields are derived from the
-/// options rather than passed by callers — kept in the key encoding so
-/// pre-existing cache-key reasoning (and the collision regression test)
-/// stays valid.
-fn n1_params_fingerprint(opts_fp: u64, screened: bool, screen_threshold: f64) -> u64 {
-    let fields: [&[u8]; 3] = [
-        &opts_fp.to_le_bytes(),
-        &[u8::from(screened)],
-        &screen_threshold.to_bits().to_le_bytes(),
-    ];
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    };
-    for field in fields {
-        eat(field.len() as u8);
-        for &b in field {
-            eat(b);
+macro_rules! memo_kind {
+    ($ty:ty, $variant:ident, $kind:ident $(, cacheable = $pred:expr)?) => {
+        impl Memo for $ty {
+            const KIND: QueryKind = QueryKind::$kind;
+            fn into_result(self) -> SolverResult {
+                SolverResult::$variant(self)
+            }
+            fn from_result(result: SolverResult) -> Option<Self> {
+                match result {
+                    SolverResult::$variant(value) => Some(value),
+                    _ => None,
+                }
+            }
+            $(fn cacheable(&self) -> bool {
+                $pred(self)
+            })?
         }
-    }
-    h
+    };
 }
 
-/// N-1 sweep through the cache. The sweep mode (brute / cascade /
-/// screened) and the screening knobs live in `opts` and fold into the
-/// parameter fingerprint so sweeps of different fidelity over the same
-/// network never alias. On a miss the sweep runs with the session's
-/// per-outage cache (`session_cache`) exactly as before.
-pub fn run_n1_cached_shared(
+memo_kind!(AcopfSolution, Acopf, Acopf);
+memo_kind!(ScopfSolution, Scopf, Scopf);
+memo_kind!(PfReport, Pf, BasePf);
+memo_kind!(ContingencyReport, Contingency, ContingencyN1);
+// Only fully-clean batches — every scenario outcome `Ok` — are memoized:
+// a batch with failed scenarios may be narrated through the recovery
+// ladder with CAVEATs, and degraded results must never be served from
+// cache.
+memo_kind!(
+    BatchReport,
+    Batch,
+    BatchStudy,
+    cacheable = |rep: &BatchReport| rep.outcomes.iter().all(|o| o.report.is_ok())
+);
+
+/// The one memo path: runs `solve` through the cache under
+/// `(net.content_hash(), T::KIND, params)`. A hit recalls the memoized
+/// outcome; a miss solves and, when the outcome is
+/// [`Memo::cacheable`], memoizes it. `None` cache always solves.
+///
+/// `params` must fingerprint everything besides the network that
+/// `solve` depends on — the solver options' `fingerprint()`, plus any
+/// further input (the batch tool folds its scenario set in).
+pub fn memoized<T: Memo, E>(
     cache: Option<&SharedSolverCache>,
     net: &Network,
-    opts: &CaOptions,
-    base: Option<&PfReport>,
-    session_cache: Option<(&ContingencyCache, u64)>,
-) -> Result<ContingencyReport, PfError> {
-    let run = |net: &Network| gm_contingency::engine::run_n1_cached(net, opts, base, session_cache);
+    params: u64,
+    solve: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
     let Some(cache) = cache else {
-        return run(net);
+        return solve();
     };
-    let params = n1_params_fingerprint(
-        opts.fingerprint(),
-        opts.mode == gm_contingency::SweepMode::Screened,
-        opts.screen_cutoff(),
-    );
     let key = SolverCacheKey {
         net_hash: net.content_hash(),
-        kind: QueryKind::ContingencyN1,
+        kind: T::KIND,
         params,
     };
-    if let Some(SolverResult::Contingency(rep)) = cache_lookup(cache, &key) {
-        return Ok(rep);
+    if let Some(hit) = cache_lookup(cache, &key).and_then(T::from_result) {
+        return Ok(hit);
     }
-    let rep = run(net)?;
-    cache.put(key, SolverResult::Contingency(rep.clone()));
-    Ok(rep)
-}
-
-/// Folds the batch-study parameters — the power-flow options and the
-/// full [`ScenarioSet`] — into one fingerprint via the same canonical
-/// length-prefixed FNV-1a scheme as [`n1_params_fingerprint`].
-///
-/// This is the bugfix the batch tool shipped with: `SolverCacheKey`
-/// only folds `Network::content_hash` and an *option* fingerprint, and
-/// the scenario set is neither — two studies over the same base network
-/// with the same options but different sweeps would alias if the set
-/// were left out, and a naive unprefixed concatenation of labels/deltas
-/// would let `["ab","c"]` alias `["a","bc"]`
-/// (see `batch_naive_concat_collision_is_fixed`).
-/// [`ScenarioSet::canonical_bytes`] length-prefixes every variable
-/// field, and each `PfOptions` field is emitted as its own
-/// length-prefixed field, so the byte stream parses back to exactly one
-/// `(options, set)` pair.
-fn batch_params_fingerprint(opts: &PfOptions, set: &ScenarioSet) -> u64 {
-    let init_tag: u8 = match opts.init {
-        gm_powerflow::InitStrategy::Flat => 0,
-        gm_powerflow::InitStrategy::CaseValues => 1,
-        gm_powerflow::InitStrategy::DcWarmStart => 2,
-    };
-    let set_bytes = set.canonical_bytes();
-    let fields: [&[u8]; 7] = [
-        &opts.tol_pu.to_bits().to_le_bytes(),
-        &(opts.max_iter as u64).to_le_bytes(),
-        &[u8::from(opts.iwamoto_damping)],
-        &[u8::from(opts.enforce_q_limits)],
-        &(opts.max_q_rounds as u64).to_le_bytes(),
-        &[init_tag],
-        &set_bytes,
-    ];
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    };
-    for field in fields {
-        // The set encoding can exceed 255 bytes; use a 4-byte prefix.
-        for &b in &(field.len() as u32).to_le_bytes() {
-            eat(b);
-        }
-        for &b in field {
-            eat(b);
-        }
+    let out = solve()?;
+    if out.cacheable() {
+        cache.put(key, out.clone().into_result());
     }
-    h
-}
-
-/// Batched multi-scenario study through the cache. Only fully-clean
-/// batches — every scenario outcome `Ok` — are memoized: a batch with
-/// failed scenarios may be narrated through the recovery ladder with
-/// CAVEATs, and degraded results must never be served from cache.
-pub fn run_batch_cached(
-    cache: Option<&SharedSolverCache>,
-    net: &Network,
-    opts: &PfOptions,
-    set: &ScenarioSet,
-) -> Result<BatchReport, BatchError> {
-    let Some(cache) = cache else {
-        return gm_powerflow::run_batch(net, opts, set);
-    };
-    let key = SolverCacheKey {
-        net_hash: net.content_hash(),
-        kind: QueryKind::BatchStudy,
-        params: batch_params_fingerprint(opts, set),
-    };
-    if let Some(SolverResult::Batch(rep)) = cache_lookup(cache, &key) {
-        return Ok(rep);
-    }
-    let rep = gm_powerflow::run_batch(net, opts, set)?;
-    if rep.outcomes.iter().all(|o| o.report.is_ok()) {
-        cache.put(key, SolverResult::Batch(rep.clone()));
-    }
-    Ok(rep)
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gm_network::cases;
+    use gm_powerflow::{run_batch, PfOptions, ScenarioSet};
 
     fn key(net_hash: u64, params: u64) -> SolverCacheKey {
         SolverCacheKey {
@@ -607,128 +476,22 @@ mod tests {
     }
 
     #[test]
-    fn old_mix_collision_is_fixed() {
-        // The pre-canonical key derivation xor-folded the screened flag
-        // and the threshold bits into the fingerprint:
-        //   old(fp, s, t) = (((fp ^ s) * P) ^ t.bits) * P
-        // For any fingerprint and threshold t1, the screened key
-        // old(fp, 1, t1) collides with the *full-sweep* key
-        // old(fp, 0, t2) at t2.bits = t1.bits ^ ((fp^1)*P) ^ (fp*P):
-        // a screened sweep could be served a cached full sweep (or vice
-        // versa). The canonical length-prefixed encoding keeps the two
-        // keys distinct.
-        const P: u64 = 0x100000001b3;
-        let old_mix = |fp: u64, screened: bool, t: f64| -> u64 {
-            let mut h = fp;
-            h ^= u64::from(screened);
-            h = h.wrapping_mul(P);
-            h ^= t.to_bits();
-            h.wrapping_mul(P)
-        };
-        let fp = CaOptions::default().fingerprint();
-        let t1 = 0.85f64;
-        let t2 = f64::from_bits(t1.to_bits() ^ (fp ^ 1).wrapping_mul(P) ^ fp.wrapping_mul(P));
-        assert_ne!(t1.to_bits(), t2.to_bits(), "a genuinely distinct threshold");
-        assert_eq!(
-            old_mix(fp, true, t1),
-            old_mix(fp, false, t2),
-            "the ad-hoc mix collapsed this screened/full pair"
-        );
-        assert_ne!(
-            n1_params_fingerprint(fp, true, t1),
-            n1_params_fingerprint(fp, false, t2),
-            "the canonical encoding must separate it"
-        );
-        // And the canonical encoding still distinguishes the ordinary
-        // neighbours: mode flips and threshold changes.
-        assert_ne!(
-            n1_params_fingerprint(fp, true, t1),
-            n1_params_fingerprint(fp, false, t1)
-        );
-        assert_ne!(
-            n1_params_fingerprint(fp, true, t1),
-            n1_params_fingerprint(fp, true, 0.9)
-        );
-    }
-
-    #[test]
-    fn batch_naive_concat_collision_is_fixed() {
-        use gm_powerflow::{Scenario, ScenarioSet};
-        // A naive fingerprint that concatenates scenario labels without
-        // length prefixes cannot tell ["ab","c"] from ["a","bc"]: the
-        // byte streams are identical, so the keys collide and one
-        // study's table would be served for the other.
-        let a = ScenarioSet::new(vec![
-            Scenario {
-                label: "ab".into(),
-                deltas: vec![],
-            },
-            Scenario {
-                label: "c".into(),
-                deltas: vec![],
-            },
-        ]);
-        let b = ScenarioSet::new(vec![
-            Scenario {
-                label: "a".into(),
-                deltas: vec![],
-            },
-            Scenario {
-                label: "bc".into(),
-                deltas: vec![],
-            },
-        ]);
-        let naive = |set: &ScenarioSet| -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for sc in &set.scenarios {
-                for &byte in sc.label.as_bytes() {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-            h
-        };
-        assert_eq!(naive(&a), naive(&b), "the naive concat collapses the pair");
-        let opts = PfOptions::default();
-        assert_ne!(
-            batch_params_fingerprint(&opts, &a),
-            batch_params_fingerprint(&opts, &b),
-            "the canonical length-prefixed encoding must separate it"
-        );
-        // Option changes must also miss: same set, different tolerance.
-        let tight = PfOptions {
-            tol_pu: 1e-10,
-            ..PfOptions::default()
-        };
-        assert_ne!(
-            batch_params_fingerprint(&opts, &a),
-            batch_params_fingerprint(&tight, &a)
-        );
-        // And a delta-value change inside one scenario must miss.
-        let mut c = a.clone();
-        c.scenarios[0]
-            .deltas
-            .push(gm_powerflow::ScenarioDelta::ScaleAllLoads { factor: 1.1 });
-        assert_ne!(
-            batch_params_fingerprint(&opts, &a),
-            batch_params_fingerprint(&opts, &c)
-        );
-    }
-
-    #[test]
     fn batch_study_caches_clean_runs_and_recalls_them() {
         let net = cases::load(gm_network::CaseId::Ieee14);
         let cache = SolverCache::new(8);
         let opts = PfOptions::default();
-        let set = gm_powerflow::ScenarioSet::load_sweep(0.9, 1.1, 5);
-        let first = run_batch_cached(Some(&cache), &net, &opts, &set).unwrap();
+        let study = |set: &ScenarioSet| {
+            let params = crate::tools_batch::batch_params(&opts, set);
+            memoized(Some(&cache), &net, params, || run_batch(&net, &opts, set)).unwrap()
+        };
+        let set = ScenarioSet::load_sweep(0.9, 1.1, 5);
+        let first = study(&set);
         assert_eq!(cache.stats().inserts, 1, "clean batch is memoized");
-        let second = run_batch_cached(Some(&cache), &net, &opts, &set).unwrap();
+        let second = study(&set);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(format!("{second:?}"), format!("{first:?}"));
         // A different sweep over the same network and options misses.
-        let other = gm_powerflow::ScenarioSet::load_sweep(0.8, 1.2, 5);
-        let _ = run_batch_cached(Some(&cache), &net, &opts, &other).unwrap();
+        let _ = study(&ScenarioSet::load_sweep(0.8, 1.2, 5));
         assert_eq!(cache.stats().inserts, 2);
     }
 
@@ -736,12 +499,18 @@ mod tests {
     fn injected_cache_faults_force_resolve_and_poison_detection() {
         let net = cases::load(gm_network::CaseId::Ieee14);
         let cache = SolverCache::new(8);
-        let opts = CaOptions::default();
-        let warm = solve_base_cached(Some(&cache), &net, &opts).unwrap();
+        let opts = gm_contingency::CaOptions::default();
+        let base = || {
+            memoized(Some(&cache), &net, opts.fingerprint(), || {
+                gm_contingency::solve_base(&net, &opts)
+            })
+            .unwrap()
+        };
+        let warm = base();
         assert_eq!(cache.stats().hits, 0);
 
         // Fault-free: the warmed entry hits and recalls identical bytes.
-        let hit = solve_base_cached(Some(&cache), &net, &opts).unwrap();
+        let hit = base();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(format!("{hit:?}"), format!("{warm:?}"));
 
@@ -755,8 +524,8 @@ mod tests {
             gm_faults::FaultRule::new("cache.get", gm_faults::FaultKind::CachePoison, 1, 1),
         ]);
         let _g = inj.install();
-        let missed = solve_base_cached(Some(&cache), &net, &opts).unwrap();
-        let poisoned = solve_base_cached(Some(&cache), &net, &opts).unwrap();
+        let missed = base();
+        let poisoned = base();
         assert_eq!(format!("{missed:?}"), format!("{warm:?}"));
         assert_eq!(format!("{poisoned:?}"), format!("{warm:?}"));
         assert_eq!(reg.counter_value("serve.cache.poison_detected"), 1);

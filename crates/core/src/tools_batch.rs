@@ -2,7 +2,7 @@
 //!
 //! Turns a scenario specification (a load sweep, a 24-hour profile, or
 //! a per-bus ramp) into a [`gm_powerflow::ScenarioSet`], runs it through
-//! the batched engine via [`crate::solver_cache::run_batch_cached`], and
+//! the batched engine via [`crate::solver_cache::memoized`], and
 //! returns one table the planner narrates: per-scenario cost and
 //! violation counts plus min/max/argmax summaries.
 //!
@@ -12,14 +12,15 @@
 //! and anything still failing after that is walked down the
 //! [`crate::recovery`] ladder here, producing a caveated approximate row
 //! instead of losing the whole study. Degraded rows are never cached —
-//! `run_batch_cached` only stores all-converged reports.
+//! the memo only stores all-converged reports.
 
 use crate::recovery::{caveat, pf_ladder};
 use crate::session::SharedSession;
-use crate::solver_cache::run_batch_cached;
+use crate::solver_cache::memoized;
 use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
 use gm_network::Network;
-use gm_powerflow::{PfOptions, PfReport, ScenarioSet};
+use gm_numeric::Fnv1a;
+use gm_powerflow::{run_batch, PfOptions, PfReport, ScenarioSet};
 use serde_json::{json, Value};
 
 /// Voltage band and thermal threshold used for the violation counts.
@@ -33,6 +34,21 @@ const DAILY_FACTORS: [f64; 24] = [
     0.74, 0.71, 0.69, 0.68, 0.70, 0.75, 0.83, 0.91, 0.96, 0.99, 1.01, 1.02, 1.02, 1.01, 1.00, 0.99,
     1.00, 1.03, 1.06, 1.08, 1.05, 0.98, 0.89, 0.80,
 ];
+
+/// Solver-cache parameters of a batch study: the power-flow options
+/// *and* the scenario set. `SolverCacheKey` only folds the network hash
+/// and an option fingerprint, and the set is neither — two studies over
+/// the same base network with the same options but different sweeps
+/// would alias if it were left out. [`ScenarioSet::canonical_bytes`]
+/// length-prefixes every variable field inside the set, and the set goes
+/// in as one length-prefixed field after the fixed-width options, so the
+/// stream parses back to exactly one `(options, set)` pair.
+pub(crate) fn batch_params(opts: &PfOptions, set: &ScenarioSet) -> u64 {
+    let mut h = Fnv1a::new();
+    h.u64(opts.fingerprint());
+    h.field(&set.canonical_bytes());
+    h.finish()
+}
 
 /// Total production cost ($/h) of a solved scenario, evaluated on the
 /// scenario's own network (dispatch deltas change the cost basis).
@@ -223,11 +239,16 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
             };
             let set = scenario_set_from_args(args, &net)?;
             let opts = PfOptions::default();
-            let batch = run_batch_cached(session.solver_cache.as_ref(), &net, &opts, &set)
-                .map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: false,
-                })?;
+            let batch = memoized(
+                session.solver_cache.as_ref(),
+                &net,
+                batch_params(&opts, &set),
+                || run_batch(&net, &opts, &set),
+            )
+            .map_err(|e| ToolError::Execution {
+                message: e.to_string(),
+                recoverable: false,
+            })?;
 
             // Scenario networks are needed twice: to price each dispatch
             // on its own cost basis, and to rebuild a failed scenario for
@@ -335,4 +356,56 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
             Ok(out)
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gm_powerflow::{Scenario, ScenarioDelta};
+
+    #[test]
+    fn batch_naive_concat_collision_is_fixed() {
+        // A naive fingerprint that concatenates scenario labels without
+        // length prefixes cannot tell ["ab","c"] from ["a","bc"]: the
+        // byte streams are identical, so the keys collide and one
+        // study's table would be served for the other.
+        let labelled = |labels: [&str; 2]| {
+            ScenarioSet::new(
+                labels
+                    .iter()
+                    .map(|l| Scenario {
+                        label: l.to_string(),
+                        deltas: vec![],
+                    })
+                    .collect(),
+            )
+        };
+        let (a, b) = (labelled(["ab", "c"]), labelled(["a", "bc"]));
+        let naive = |set: &ScenarioSet| -> u64 {
+            let mut h = Fnv1a::new();
+            for sc in &set.scenarios {
+                h.bytes(sc.label.as_bytes());
+            }
+            h.finish()
+        };
+        assert_eq!(naive(&a), naive(&b), "the naive concat collapses the pair");
+        let opts = PfOptions::default();
+        assert_ne!(
+            batch_params(&opts, &a),
+            batch_params(&opts, &b),
+            "the canonical length-prefixed encoding must separate it"
+        );
+        // Option changes must also miss: same set, different tolerance.
+        let tight = PfOptions {
+            tol_pu: 1e-10,
+            ..PfOptions::default()
+        };
+        assert_ne!(batch_params(&opts, &a), batch_params(&tight, &a));
+        // And a delta-value change inside one scenario must miss.
+        let mut c = a.clone();
+        c.scenarios[0]
+            .deltas
+            .push(ScenarioDelta::ScaleAllLoads { factor: 1.1 });
+        assert_ne!(batch_params(&opts, &a), batch_params(&opts, &c));
+    }
 }

@@ -4,13 +4,13 @@
 
 use crate::recovery::solve_base_recovered;
 use crate::session::SharedSession;
-use crate::solver_cache::run_n1_cached_shared;
+use crate::solver_cache::memoized;
 use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
 use gm_contingency::{
-    evaluate_outage, run_gen_n1, solve_base, CaOptions, ContingencyReport, Outage, RankingStrategy,
+    evaluate_outage, run_gen_n1, run_n1_cached, solve_base, CaOptions, ContingencyReport, Outage,
+    RankingStrategy,
 };
 use gm_network::BranchKind;
-use gm_numeric::Complex;
 use serde_json::{json, Value};
 
 fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
@@ -56,9 +56,9 @@ pub fn report_to_json(rep: &ContingencyReport, k: usize) -> Value {
         "max_overload_pct": rep.max_overload_pct.0,
         "voltage_band": [rep.voltage_band.0, rep.voltage_band.1],
         "sweep_time_s": rep.sweep_time_s,
-        // The sweep's fidelity is part of the answer: a cascade or
-        // screened report says how many outages were classified from the
-        // DC estimate alone versus AC-verified.
+        // The sweep's fidelity is part of the answer: a cascade report
+        // says how many outages were classified from the DC estimate
+        // alone versus AC-verified.
         "mode": rep.mode.as_str(),
         "screened_out": rep.screened_out,
         "ac_verified": rep.ac_verified,
@@ -142,8 +142,8 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                 ),
                 Field::optional(
                     "mode",
-                    Schema::string_enum(&["cascade", "full", "screened"]),
-                    "cascade (default): DC screening with compensated AC verification of suspects; full: brute AC sweep of every outage; screened: pure-DC fast mode",
+                    Schema::string_enum(&["cascade", "full"]),
+                    "cascade (default): DC screening with compensated AC verification of suspects; full: brute AC sweep of every outage",
                 ),
             ]),
             output: Schema::Object {
@@ -168,7 +168,6 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
             })?;
             let mode = match args.get("mode").and_then(|v| v.as_str()) {
                 Some("full") | Some("brute") => gm_contingency::SweepMode::Brute,
-                Some("screened") => gm_contingency::SweepMode::Screened,
                 _ => gm_contingency::SweepMode::Cascade,
             };
             let opts = CaOptions {
@@ -187,12 +186,13 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                         mismatch_pu: f64::INFINITY,
                     })
                 }
-                _ => run_n1_cached_shared(
+                // On a shared-cache miss the sweep still runs against the
+                // session's per-outage cache.
+                _ => memoized(
                     session.solver_cache.as_ref(),
                     &net,
-                    &opts,
-                    base.as_ref(),
-                    Some((&session.cache, diff_hash)),
+                    opts.fingerprint(),
+                    || run_n1_cached(&net, &opts, base.as_ref(), Some((&session.cache, diff_hash))),
                 ),
             };
             let (rep, degraded) = match primary {
@@ -212,7 +212,7 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                         message: format!("base case power flow failed: {e}"),
                         recoverable: true,
                     })?;
-                    let rep = run_n1_cached_shared(None, &net, &opts, Some(&rbase), None)
+                    let rep = run_n1_cached(&net, &opts, Some(&rbase), None)
                         .map_err(|e| ToolError::Execution {
                             message: format!("base case power flow failed: {e}"),
                             recoverable: true,
@@ -288,23 +288,14 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 })?;
             let opts = CaOptions::default();
             // Warm start from the fresh base solution when available.
-            let v0: Vec<Complex> = match session.fresh_base_pf() {
-                Some(rep) => rep
-                    .buses
-                    .iter()
-                    .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-                    .collect(),
-                None => {
-                    let rep = solve_base(&net, &opts).map_err(|e| ToolError::Execution {
-                        message: e.to_string(),
-                        recoverable: true,
-                    })?;
-                    rep.buses
-                        .iter()
-                        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-                        .collect()
-                }
+            let base = match session.fresh_base_pf() {
+                Some(rep) => rep,
+                None => solve_base(&net, &opts).map_err(|e| ToolError::Execution {
+                    message: e.to_string(),
+                    recoverable: true,
+                })?,
             };
+            let v0 = base.voltages();
             let outage = Outage {
                 branch,
                 kind: want_kind,

@@ -285,13 +285,9 @@ impl DiffLog {
     /// (`case + outage + diff hash`, §3.4). FNV-1a over the serialized
     /// entries.
     pub fn hash(&self) -> u64 {
-        let bytes = serde_json::to_vec(&self.entries).unwrap_or_default();
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let mut h = gm_numeric::Fnv1a::new();
+        h.bytes(&serde_json::to_vec(&self.entries).unwrap_or_default());
+        h.finish()
     }
 }
 

@@ -427,13 +427,9 @@ impl Network {
     /// (gm-serve): any parameter perturbation, e.g. a single line
     /// rating, produces a different hash and therefore a cache miss.
     pub fn content_hash(&self) -> u64 {
-        let bytes = serde_json::to_vec(self).unwrap_or_default();
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let mut h = gm_numeric::Fnv1a::new();
+        h.bytes(&serde_json::to_vec(self).unwrap_or_default());
+        h.finish()
     }
 
     /// One-line inventory summary (the paper's "network summary" log line).

@@ -18,6 +18,8 @@
 //!   forward/backward solves and determinant/condition estimates.
 //! - [`vecops`] — BLAS-1 style helpers (norms, dot products, axpy) on `f64`
 //!   and [`Complex`] slices.
+//! - [`fnv`] — the FNV-1a encoder ([`Fnv1a`]) every cache key in the suite
+//!   is hashed with.
 //!
 //! ```
 //! use gm_numeric::Complex;
@@ -40,9 +42,11 @@
 
 pub mod complex;
 pub mod dense;
+pub mod fnv;
 pub mod lu;
 pub mod vecops;
 
 pub use complex::Complex;
 pub use dense::DMat;
+pub use fnv::Fnv1a;
 pub use lu::DenseLu;

@@ -382,7 +382,7 @@ pub fn run_batch(
                 if warm && !flat_restarted {
                     warm_hits += 1;
                 }
-                solved_v[k] = Some(report_voltages(&rep));
+                solved_v[k] = Some(rep.voltages());
                 solved_q[k] = Some(qstate);
                 Ok(rep)
             }
@@ -464,7 +464,7 @@ pub fn run_naive(
                 if warm && !flat_restarted {
                     warm_hits += 1;
                 }
-                solved_v[k] = Some(report_voltages(&rep));
+                solved_v[k] = Some(rep.voltages());
                 solved_q[k] = Some(qstate);
                 Ok(rep)
             }
@@ -645,14 +645,6 @@ fn dc_voltages(theta: &[f64]) -> Vec<Complex> {
     theta
         .iter()
         .map(|&th| Complex::from_polar(1.0, th))
-        .collect()
-}
-
-/// Reconstructs the complex bus voltages of a solved report.
-fn report_voltages(rep: &PfReport) -> Vec<Complex> {
-    rep.buses
-        .iter()
-        .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
         .collect()
 }
 

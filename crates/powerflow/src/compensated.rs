@@ -166,11 +166,7 @@ impl CompensationBase {
             });
         }
 
-        let v0: Vec<Complex> = base
-            .buses
-            .iter()
-            .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-            .collect();
+        let v0 = base.voltages();
         let s0 = ybus.injections(&v0);
 
         // Assemble and factor the base Jacobian at v0.

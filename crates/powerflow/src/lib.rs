@@ -233,11 +233,7 @@ mod tests {
             ..Default::default()
         };
         let rep = solve(&net, &opts).unwrap();
-        let v: Vec<gm_numeric::Complex> = rep
-            .buses
-            .iter()
-            .map(|b| gm_numeric::Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
-            .collect();
+        let v = rep.voltages();
         let rep2 = solve_from(&net, &opts, Some(&v)).unwrap();
         assert!(
             rep2.iterations <= 2,

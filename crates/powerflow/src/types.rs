@@ -1,5 +1,6 @@
 //! Options, reports, and errors shared by the power flow solvers.
 
+use gm_numeric::{Complex, Fnv1a};
 use serde::{Deserialize, Serialize};
 
 /// Voltage initialization strategy.
@@ -43,6 +44,34 @@ impl Default for PfOptions {
             max_q_rounds: 6,
             init: InitStrategy::Flat,
         }
+    }
+}
+
+impl PfOptions {
+    /// Deterministic fingerprint of every solver control, for cache keys.
+    /// The destructuring is exhaustive on purpose: a new field fails to
+    /// compile here until it is folded in.
+    pub fn fingerprint(&self) -> u64 {
+        let PfOptions {
+            tol_pu,
+            max_iter,
+            iwamoto_damping,
+            enforce_q_limits,
+            max_q_rounds,
+            init,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.u64(tol_pu.to_bits());
+        h.u64(*max_iter as u64);
+        h.u64(u64::from(*iwamoto_damping));
+        h.u64(u64::from(*enforce_q_limits));
+        h.u64(*max_q_rounds as u64);
+        h.u64(match init {
+            InitStrategy::Flat => 0,
+            InitStrategy::CaseValues => 1,
+            InitStrategy::DcWarmStart => 2,
+        });
+        h.finish()
     }
 }
 
@@ -133,6 +162,15 @@ pub struct PfReport {
 }
 
 impl PfReport {
+    /// The solved complex bus voltages (the warm start for a follow-up
+    /// solve on the same bus set).
+    pub fn voltages(&self) -> Vec<Complex> {
+        self.buses
+            .iter()
+            .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
+            .collect()
+    }
+
     /// Voltage violations against the bus limits: `(bus id, vm, low?)`.
     pub fn voltage_violations(&self, vmin: f64, vmax: f64) -> Vec<(u32, f64, bool)> {
         self.buses

@@ -2,7 +2,7 @@
 
 use crate::scalar::Scalar;
 use crate::triplets::Triplets;
-use gm_numeric::DMat;
+use gm_numeric::{DMat, Fnv1a};
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -121,22 +121,16 @@ impl<T: Scalar> CsMat<T> {
     /// symbolic-factorization caches; callers should still cross-check
     /// shape and nnz, which the factorization layer does.
     pub fn pattern_fingerprint(&self) -> u64 {
-        fn mix(mut h: u64, x: usize) -> u64 {
-            for b in (x as u64).to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = mix(h, self.rows);
-        h = mix(h, self.cols);
+        let mut h = Fnv1a::new();
+        h.u64(self.rows as u64);
+        h.u64(self.cols as u64);
         for &p in &self.indptr {
-            h = mix(h, p);
+            h.u64(p as u64);
         }
         for &j in &self.indices {
-            h = mix(h, j);
+            h.u64(j as u64);
         }
-        h
+        h.finish()
     }
 
     /// Value at `(i, j)`, `zero()` if not stored. Binary-searches the row.

@@ -6,6 +6,7 @@
 
 use crate::csmat::CsMat;
 use crate::scalar::Scalar;
+use gm_numeric::Fnv1a;
 
 /// A growable list of `(row, col, value)` entries.
 #[derive(Clone, Debug)]
@@ -215,18 +216,12 @@ impl<T: Scalar> Triplets<T> {
 
 /// FNV-1a over the `(row, col)` push sequence, values ignored.
 fn position_fingerprint<T: Scalar>(entries: &[(usize, usize, T)]) -> u64 {
-    fn mix(mut h: u64, x: usize) -> u64 {
-        for b in (x as u64).to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for &(r, c, _) in entries {
-        h = mix(h, r);
-        h = mix(h, c);
+        h.u64(r as u64);
+        h.u64(c as u64);
     }
-    h
+    h.finish()
 }
 
 /// Precomputed triplet → CSR scatter plan.

@@ -73,6 +73,23 @@ fn memory_blob_round_trips_through_json_text() {
 }
 
 #[test]
+fn persisted_report_naming_the_retired_sweep_mode_is_a_typed_error() {
+    // The `Screened` sweep mode is gone: a session saved while it existed
+    // must fail to restore with a serde error naming the variant, never
+    // silently reinterpret the report as some surviving mode.
+    let mut gm = GridMind::new(ModelProfile::by_name("GPT-5").unwrap());
+    gm.ask("solve case14");
+    gm.ask("run the contingency analysis");
+    let mut blob = gm.session.save();
+    assert!(SessionContext::restore(&blob).is_ok());
+    let mode = &mut blob["contingency"]["value"]["mode"];
+    assert_eq!(*mode, json!("Cascade"));
+    *mode = json!("Screened");
+    let err: serde_json::Error = SessionContext::restore(&blob).unwrap_err();
+    assert!(err.to_string().contains("Screened"), "{err}");
+}
+
+#[test]
 fn schema_layer_rejects_malformed_session() {
     assert!(SessionContext::restore(&json!({"bogus": true})).is_err());
     assert!(SessionContext::restore(&json!(42)).is_err());
