@@ -9,6 +9,7 @@
 //! on loss-dominated systems.
 
 use crate::ipm::{self, IpmOptions, Nlp};
+use crate::types::AcopfError;
 use gm_network::Network;
 use gm_sparse::{CsMat, Triplets};
 
@@ -197,23 +198,28 @@ impl Nlp for DcOpfProblem<'_> {
     }
 }
 
-/// Solves the DC optimal power flow.
-pub fn solve_dcopf(net: &Network, opts: &IpmOptions) -> Result<DcOpfSolution, String> {
+/// Solves the DC optimal power flow. Fails with
+/// [`AcopfError::InvalidNetwork`] on a network that does not validate (or
+/// has no slack bus) and [`AcopfError::NotConverged`] when the interior
+/// point method stops short.
+pub fn solve_dcopf(net: &Network, opts: &IpmOptions) -> Result<DcOpfSolution, AcopfError> {
     if let Err(p) = net.validate() {
-        return Err(format!(
-            "invalid network: {}",
-            p.iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ));
+        return Err(AcopfError::InvalidNetwork {
+            problems: p.iter().map(|e| e.to_string()).collect(),
+        });
     }
     let Some(prob) = DcOpfProblem::build(net) else {
-        return Err("invalid network: no slack bus".to_string());
+        return Err(AcopfError::InvalidNetwork {
+            problems: vec!["no slack bus".to_string()],
+        });
     };
     let res = ipm::solve(&prob, opts);
     if !res.converged {
-        return Err(format!("DC-OPF did not converge: {}", res.message));
+        return Err(AcopfError::NotConverged {
+            iterations: res.iterations,
+            feascond: res.feascond,
+            message: format!("DC-OPF: {}", res.message),
+        });
     }
     let base = net.base_mva;
     let mut gen_p = vec![0.0; net.gens.len()];

@@ -57,6 +57,26 @@ pub enum ToolError {
     },
 }
 
+impl ToolError {
+    /// A domain failure retrying cannot fix (unknown case, missing
+    /// element, malformed request), carrying `e`'s rendering.
+    pub fn fatal(e: impl std::fmt::Display) -> ToolError {
+        ToolError::Execution {
+            message: e.to_string(),
+            recoverable: false,
+        }
+    }
+
+    /// A domain failure the agent may retry with adjusted arguments
+    /// (solver divergence, no case loaded yet), carrying `e`'s rendering.
+    pub fn recoverable(e: impl std::fmt::Display) -> ToolError {
+        ToolError::Execution {
+            message: e.to_string(),
+            recoverable: true,
+        }
+    }
+}
+
 impl std::fmt::Display for ToolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -342,12 +362,7 @@ mod tests {
                 input: Schema::Any,
                 output: Schema::Any,
             },
-            |_| {
-                Err(ToolError::Execution {
-                    message: "solver diverged".into(),
-                    recoverable: true,
-                })
-            },
+            |_| Err(ToolError::recoverable("solver diverged")),
         ));
         let err = r.invoke("fail", &json!({})).unwrap_err();
         assert!(err.to_string().contains("diverged"));

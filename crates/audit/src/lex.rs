@@ -6,7 +6,7 @@
 //! what is not:
 //!
 //! - line comments (`//`, `///`, `//!`) and **nested** block comments
-//!   (`/* /* */ */`), all discarded as [`TokKind::trivia`];
+//!   (`/* /* */ */`), all discarded as trivia (no token is emitted);
 //! - string literals: plain (`"…"` with escapes), raw (`r"…"`,
 //!   `r##"…"##`), byte (`b"…"`), raw byte (`br#"…"#`), and C strings
 //!   (`c"…"`);

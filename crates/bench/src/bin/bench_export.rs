@@ -100,8 +100,9 @@ fn bench_acopf() -> Value {
 /// Symbolic-analysis vs pattern-reuse refactorization microbenchmark on
 /// the Ybus sparsity of the small and large paper cases — the structure
 /// every Newton Jacobian inherits. `analyze` times a full factorization
-/// (ordering + symbolic + numeric); `refactor` times the [`LuEngine`]
-/// cache-hit path on perturbed values of the same pattern.
+/// (ordering + symbolic + numeric); `refactor` times the
+/// [`gm_sparse::LuEngine`] cache-hit path on perturbed values of the
+/// same pattern.
 fn bench_sparse() -> Value {
     use gm_network::YBus;
     use gm_sparse::{CsMat, LuEngine, Ordering, SparseLu, Triplets};

@@ -37,9 +37,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gm_bench::{stats, stats_value};
-use gm_network::{cases, load_scale, CaseId, Network, ScaleId};
+use gm_network::{cases, load_scale, slack_pinned_bprime, CaseId, Network, ScaleId};
 use gm_powerflow::{solve_from_with_engine, PfOptions};
-use gm_sparse::{CsMat, LuEngine, Ordering, SparseLu, SymbolicLu, Triplets};
+use gm_sparse::{CsMat, LuEngine, Ordering, SparseLu, SymbolicLu};
 use gm_telemetry::Registry;
 use serde_json::{json, Value};
 
@@ -55,25 +55,7 @@ const MAX_FILL_RATIO: f64 = 1.1;
 /// pattern class every solver in the stack factors, assembled from the
 /// public network model so the bench needs no solver internals.
 fn b_matrix(net: &Network) -> CsMat<f64> {
-    let n = net.n_bus();
-    let slack = net.slack().unwrap_or(0);
-    let mut t = Triplets::new(n, n);
-    for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        if i != slack && j != slack {
-            t.push(i, i, b);
-            t.push(j, j, b);
-            t.push(i, j, -b);
-            t.push(j, i, -b);
-        } else if i != slack {
-            t.push(i, i, b);
-        } else if j != slack {
-            t.push(j, j, b);
-        }
-    }
-    t.push(slack, slack, 1.0);
-    t.to_csr()
+    slack_pinned_bprime(net, net.slack().unwrap_or(0)).to_csr()
 }
 
 /// Deterministic pseudo-random RHS panel (no rand dependency needed:

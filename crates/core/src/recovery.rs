@@ -14,6 +14,13 @@
 //! 4. **DC approximation** (lossless, flat voltage): always solvable on
 //!    a connected network.
 //!
+//! Four ladders live here, one per solver entry the tools use:
+//! [`solve_base_recovered`] (the rungs above), `run_n1_recovered` (the
+//! N-1 sweep re-run from a base case rebuilt down the same rungs),
+//! [`solve_acopf_recovered`] (interior point → DC OPF) and
+//! [`solve_scopf_recovered`] (constrained → unconstrained dispatch). No
+//! tool carries a ladder of its own.
+//!
 //! Every rung is recorded as a `recovery.*` telemetry counter, and any
 //! answer produced below rung 1 carries an explicit caveat string that
 //! the planners must surface verbatim in the narration — a degraded
@@ -35,10 +42,11 @@ use gm_acopf::{
     solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, BranchLoading,
     IpmOptions, ScopfOptions, ScopfSolution,
 };
-use gm_contingency::{solve_base, CaOptions};
+use gm_contingency::{run_n1_cached, solve_base, CaOptions, ContingencyCache, ContingencyReport};
 use gm_network::Network;
 use gm_powerflow::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions};
 use gm_powerflow::PfReport;
+use serde_json::{json, Value};
 
 /// Marker every degraded-answer caveat starts with. The planners append
 /// caveat lines verbatim, and the serve-layer chaos gate greps responses
@@ -57,6 +65,15 @@ pub fn caveat(primary: &str, reason: &str, fallback: &str) -> String {
          produced by the {fallback} fallback and should be treated as \
          approximate."
     )
+}
+
+/// Attaches a fallback rung's caveat to a tool's JSON answer as
+/// `degraded_caveat` — the field the planners surface verbatim.
+pub(crate) fn with_caveat(mut out: Value, degraded: Option<String>) -> Value {
+    if let Some(c) = degraded {
+        out["degraded_caveat"] = json!(c);
+    }
+    out
 }
 
 /// Maps an injected fault at the power-flow boundary to the solver error
@@ -81,6 +98,34 @@ fn pf_recoverable(e: &PfError) -> bool {
     )
 }
 
+/// The descent both power-flow ladders share. Consults the `pf.base`
+/// fault site, runs `primary`, and on a recoverable failure counts the
+/// attempt, walks [`pf_ladder`] for a base case and hands it to
+/// `rebuild` to produce the degraded answer. A clean primary returns
+/// untouched, with no caveat and no counter.
+fn descend_pf<T>(
+    net: &Network,
+    pf: &PfOptions,
+    primary: impl FnOnce() -> Result<T, PfError>,
+    rebuild: impl FnOnce(PfReport) -> Result<T, PfError>,
+) -> Result<(T, Option<String>), PfError> {
+    let primary = match injected_pf_error("pf.base") {
+        Some(e) => Err(e),
+        None => primary(),
+    };
+    let err = match primary {
+        Ok(out) => return Ok((out, None)),
+        Err(e) if pf_recoverable(&e) => e,
+        Err(e) => return Err(e),
+    };
+    gm_telemetry::counter_add("recovery.attempts", 1);
+    gm_telemetry::flight_event("recovery.descent", format!("ladder=pf reason={err}"));
+    match pf_ladder(net, pf, &err.to_string()) {
+        Some((rep, cav)) => Ok((rebuild(rep)?, Some(cav))),
+        None => Err(err),
+    }
+}
+
 /// Base-case power flow with the full recovery ladder.
 ///
 /// Returns the report plus `Some(caveat)` when a fallback rung produced
@@ -90,28 +135,48 @@ pub fn solve_base_recovered(
     net: &Network,
     opts: &CaOptions,
 ) -> Result<(PfReport, Option<String>), PfError> {
-    let primary = match injected_pf_error("pf.base") {
-        Some(e) => Err(e),
-        None => memoized(cache, net, opts.fingerprint(), || solve_base(net, opts)),
-    };
-    let err = match primary {
-        Ok(rep) => return Ok((rep, None)),
-        Err(e) if pf_recoverable(&e) => e,
-        Err(e) => return Err(e),
-    };
-    gm_telemetry::counter_add("recovery.attempts", 1);
-    gm_telemetry::flight_event("recovery.descent", format!("ladder=pf reason={err}"));
-    match pf_ladder(net, &opts.pf, &err.to_string()) {
-        Some((rep, cav)) => Ok((rep, Some(cav))),
-        None => Err(err),
-    }
+    descend_pf(
+        net,
+        &opts.pf,
+        || memoized(cache, net, opts.fingerprint(), || solve_base(net, opts)),
+        Ok,
+    )
+}
+
+/// N-1 sweep with the recovery ladder under its base case.
+///
+/// The primary sweep warm-starts from `base` (the session's fresh base
+/// case, if any) and reads and writes the per-outage cache `outages`. If
+/// its base solve fails numerically — or a `pf.base` fault imitates that,
+/// bypassing the warm start too — the base case is rebuilt down the
+/// ladder and the sweep re-run from it, bypassing both the shared solver
+/// cache and the per-outage cache so approximate outcomes can never be
+/// recalled as exact ones.
+pub(crate) fn run_n1_recovered(
+    cache: Option<&SharedSolverCache>,
+    net: &Network,
+    opts: &CaOptions,
+    base: Option<&PfReport>,
+    outages: (&ContingencyCache, u64),
+) -> Result<(ContingencyReport, Option<String>), PfError> {
+    descend_pf(
+        net,
+        &opts.pf,
+        // On a shared-cache miss the sweep still runs against the
+        // per-outage cache.
+        || {
+            memoized(cache, net, opts.fingerprint(), || {
+                run_n1_cached(net, opts, base, Some(outages))
+            })
+        },
+        |rebuilt| run_n1_cached(net, opts, Some(&rebuilt), None),
+    )
 }
 
 /// Rungs 2–4 of the power-flow ladder (the primary attempt has already
 /// failed with `reason`). Returns the recovered report and its caveat,
-/// or `None` when every rung fails. Also used by the N-1 tool to rebuild
-/// a base case after the sweep's own base solve fails — callers there
-/// must bump `recovery.attempts` themselves.
+/// or `None` when every rung fails. The batch tool walks it once per
+/// failed scenario and bumps `recovery.attempts` itself.
 pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(PfReport, String)> {
     // One symbolic-LU engine spans the whole ladder: the flat-Newton
     // retry and the FDLF rung's Newton polish share the same Jacobian

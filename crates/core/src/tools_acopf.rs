@@ -8,11 +8,11 @@
 //! `min_voltage_pu`, …), and deposits typed artifacts for other agents.
 
 use crate::quality;
-use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered};
+use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, with_caveat};
 use crate::session::SharedSession;
 use gm_acopf::{AcopfOptions, AcopfSolution, ScopfOptions};
 use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
-use gm_network::Modification;
+use gm_network::{Modification, Network};
 use serde_json::{json, Value};
 
 /// JSON summary of an ACOPF solution (the `ACOPFSolution` wire shape).
@@ -76,6 +76,21 @@ fn solution_output_schema() -> Schema {
     }
 }
 
+/// Scores a freshly solved dispatch, deposits it as the session's ACOPF
+/// artifact and renders the tool output, carrying the recovery caveat
+/// when a fallback rung produced the numbers.
+fn publish_solution(
+    session: &SharedSession,
+    clock: &VirtualClock,
+    net: &Network,
+    sol: &AcopfSolution,
+    degraded: Option<String>,
+) -> Value {
+    let q = quality::assess(net, sol);
+    session.put_acopf(sol.clone(), clock.now());
+    with_caveat(solution_to_json(sol, q.overall_score), degraded)
+}
+
 /// `solve_acopf_case` — load and solve an IEEE case.
 pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
@@ -91,25 +106,14 @@ pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnT
         },
         move |args| {
             let name = args["case_name"].as_str().unwrap_or_default();
-            let (net, confidence) = session.load_case(name).map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let (net, confidence) = session.load_case(name).map_err(ToolError::fatal)?;
             let (sol, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &AcopfOptions::default(),
             )
-            .map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: true,
-            })?;
-            let q = quality::assess(&net, &sol);
-            session.put_acopf(sol.clone(), clock.now());
-            let mut out = solution_to_json(&sol, q.overall_score);
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
+            .map_err(ToolError::recoverable)?;
+            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
             out["identification_confidence"] = json!(confidence);
             out["network_summary"] = serde_json::to_value(net.summary()).unwrap();
             Ok(out)
@@ -156,29 +160,17 @@ pub fn modify_bus_load_tool(session: SharedSession, clock: VirtualClock) -> FnTo
                     p_mw,
                     q_mvar,
                 })
-                .map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: false,
-                })?;
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+                .map_err(ToolError::fatal)?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let (sol, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &AcopfOptions::default(),
             )
-            .map_err(|e| ToolError::Execution {
-                message: format!("re-solve after modification failed: {e}"),
-                recoverable: true,
+            .map_err(|e| {
+                ToolError::recoverable(format!("re-solve after modification failed: {e}"))
             })?;
-            let q = quality::assess(&net, &sol);
-            session.put_acopf(sol.clone(), clock.now());
-            let mut out = solution_to_json(&sol, q.overall_score);
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
+            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
             out["previous_cost"] = json!(previous_cost);
             out["cost_delta"] = json!(sol.objective_cost - previous_cost);
             out["modified_bus"] = json!(bus_id);
@@ -213,13 +205,9 @@ pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> Fn
             let bus_id = args["bus_id"].as_u64().unwrap() as u32;
             let p_min = args["p_min_mw"].as_f64().unwrap();
             let p_max = args["p_max_mw"].as_f64().unwrap();
-            let net0 = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
-            let bus = net0.bus_index(bus_id).ok_or_else(|| ToolError::Execution {
-                message: format!("bus {bus_id} does not exist in {}", net0.name),
-                recoverable: false,
+            let net0 = session.current_network().map_err(ToolError::fatal)?;
+            let bus = net0.bus_index(bus_id).ok_or_else(|| {
+                ToolError::fatal(format!("bus {bus_id} does not exist in {}", net0.name))
             })?;
             let gens: Vec<usize> = net0
                 .gens
@@ -229,10 +217,7 @@ pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> Fn
                 .map(|(i, _)| i)
                 .collect();
             if gens.is_empty() {
-                return Err(ToolError::Execution {
-                    message: format!("bus {bus_id} hosts no generator"),
-                    recoverable: false,
-                });
+                return Err(ToolError::fatal(format!("bus {bus_id} hosts no generator")));
             }
             let previous_cost = session
                 .any_acopf()
@@ -245,30 +230,18 @@ pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> Fn
                         p_min_mw: p_min,
                         p_max_mw: p_max,
                     })
-                    .map_err(|e| ToolError::Execution {
-                        message: e.to_string(),
-                        recoverable: false,
-                    })?;
+                    .map_err(ToolError::fatal)?;
             }
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let (sol, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &AcopfOptions::default(),
             )
-            .map_err(|e| ToolError::Execution {
-                message: format!("re-solve after limit change failed: {e}"),
-                recoverable: true,
+            .map_err(|e| {
+                ToolError::recoverable(format!("re-solve after limit change failed: {e}"))
             })?;
-            let q = quality::assess(&net, &sol);
-            session.put_acopf(sol.clone(), clock.now());
-            let mut out = solution_to_json(&sol, q.overall_score);
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
+            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
             out["previous_cost"] = json!(previous_cost);
             out["cost_delta"] = json!(sol.objective_cost - previous_cost);
             out["modified_bus"] = json!(bus_id);
@@ -310,30 +283,16 @@ pub fn solve_security_constrained_tool(session: SharedSession, clock: VirtualClo
         },
         move |args| {
             if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
-                session.load_case(name).map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: false,
-                })?;
+                session.load_case(name).map_err(ToolError::fatal)?;
             }
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let (scopf, degraded) = solve_scopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &ScopfOptions::default(),
             )
-            .map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: true,
-            })?;
-            let q = quality::assess(&net, &scopf.solution);
-            session.put_acopf(scopf.solution.clone(), clock.now());
-            let mut out = solution_to_json(&scopf.solution, q.overall_score);
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
+            .map_err(ToolError::recoverable)?;
+            let mut out = publish_solution(&session, &clock, &net, &scopf.solution, degraded);
             out["economic_cost"] = json!(scopf.economic_cost);
             out["security_premium"] = json!(scopf.security_premium);
             out["n_security_constraints"] = json!(scopf.n_security_constraints);
@@ -361,10 +320,7 @@ pub fn get_network_status_tool(session: SharedSession, _clock: VirtualClock) -> 
                     "message": "no case loaded yet",
                 }));
             };
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let (solution, stale) = match session.any_acopf() {
                 Some((sol, stale)) => (Some(solution_to_json(&sol, 0.0)), stale),
                 None => (None, false),

@@ -93,17 +93,14 @@ fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, To
         "daily_profile" => Ok(ScenarioSet::daily_profile(&DAILY_FACTORS)),
         "bus_profile" => {
             let Some(bus_id) = args["bus_id"].as_u64() else {
-                return Err(ToolError::Execution {
-                    message: "bus_profile needs a bus_id".into(),
-                    recoverable: false,
-                });
+                return Err(ToolError::fatal("bus_profile needs a bus_id"));
             };
             let bus_id = u32::try_from(bus_id).unwrap_or(u32::MAX);
             let Some(bus_ix) = net.buses.iter().position(|b| b.id == bus_id) else {
-                return Err(ToolError::Execution {
-                    message: format!("bus {bus_id} not found in {}", net.name),
-                    recoverable: false,
-                });
+                return Err(ToolError::fatal(format!(
+                    "bus {bus_id} not found in {}",
+                    net.name
+                )));
             };
             let base_p: f64 = net
                 .loads
@@ -126,12 +123,9 @@ fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, To
                 .collect();
             Ok(ScenarioSet::bus_profile(bus_id, &levels))
         }
-        other => Err(ToolError::Execution {
-            message: format!(
-                "unknown study kind '{other}' (expected load_sweep, daily_profile, or bus_profile)"
-            ),
-            recoverable: false,
-        }),
+        other => Err(ToolError::fatal(format!(
+            "unknown study kind '{other}' (expected load_sweep, daily_profile, or bus_profile)"
+        ))),
     }
 }
 
@@ -222,20 +216,9 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
         move |args| {
             let net = match args["case_name"].as_str() {
                 Some(name) if !name.is_empty() => {
-                    session
-                        .load_case(name)
-                        .map_err(|e| ToolError::Execution {
-                            message: e.to_string(),
-                            recoverable: false,
-                        })?
-                        .0
+                    session.load_case(name).map_err(ToolError::fatal)?.0
                 }
-                _ => session
-                    .current_network()
-                    .map_err(|e| ToolError::Execution {
-                        message: e.to_string(),
-                        recoverable: true,
-                    })?,
+                _ => session.current_network().map_err(ToolError::recoverable)?,
             };
             let set = scenario_set_from_args(args, &net)?;
             let opts = PfOptions::default();
@@ -245,18 +228,12 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
                 batch_params(&opts, &set),
                 || run_batch(&net, &opts, &set),
             )
-            .map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            .map_err(ToolError::fatal)?;
 
             // Scenario networks are needed twice: to price each dispatch
             // on its own cost basis, and to rebuild a failed scenario for
             // the recovery ladder.
-            let nets = set.materialize(&net).map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let nets = set.materialize(&net).map_err(ToolError::fatal)?;
 
             let mut rows = Vec::with_capacity(batch.outcomes.len());
             let mut converged = 0usize;

@@ -2,15 +2,14 @@
 //! `solve_base_case`, `run_n1_contingency_analysis`,
 //! `analyze_specific_contingency`, `get_contingency_status`.
 
-use crate::recovery::solve_base_recovered;
+use crate::recovery::{run_n1_recovered, solve_base_recovered, with_caveat};
 use crate::session::SharedSession;
-use crate::solver_cache::memoized;
 use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
 use gm_contingency::{
-    evaluate_outage, run_gen_n1, run_n1_cached, solve_base, CaOptions, ContingencyReport, Outage,
-    RankingStrategy,
+    evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy,
 };
-use gm_network::BranchKind;
+use gm_network::{BranchKind, Network};
+use gm_powerflow::{PfError, PfReport};
 use serde_json::{json, Value};
 
 fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
@@ -18,6 +17,26 @@ fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
         Some("overload_first") => RankingStrategy::OverloadFirst,
         Some("voltage_first") => RankingStrategy::VoltageFirst,
         _ => RankingStrategy::Composite,
+    }
+}
+
+fn base_case_failed(e: PfError) -> ToolError {
+    ToolError::recoverable(format!("base case power flow failed: {e}"))
+}
+
+/// The base case an outage study starts from: the session's fresh
+/// artifact when there is one, else a solve down the recovery ladder —
+/// whose caveat, if any, the tool must attach to its answer.
+fn base_case(
+    session: &SharedSession,
+    net: &Network,
+    opts: &CaOptions,
+) -> Result<(PfReport, Option<String>), ToolError> {
+    match session.fresh_base_pf() {
+        Some(rep) => Ok((rep, None)),
+        None => {
+            solve_base_recovered(session.solver_cache.as_ref(), net, opts).map_err(base_case_failed)
+        }
     }
 }
 
@@ -88,23 +107,14 @@ pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTo
         },
         move |args| {
             if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
-                session.load_case(name).map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: false,
-                })?;
+                session.load_case(name).map_err(ToolError::fatal)?;
             }
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let opts = CaOptions::default();
             let (rep, degraded) = solve_base_recovered(session.solver_cache.as_ref(), &net, &opts)
-                .map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: true,
-                })?;
+                .map_err(ToolError::recoverable)?;
             session.put_base_pf(rep.clone(), clock.now());
-            let mut out = json!({
+            let out = json!({
                 "converged": rep.converged,
                 "iterations": rep.iterations,
                 "losses_mw": rep.losses_mw,
@@ -115,10 +125,7 @@ pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTo
                 "total_load_mw": net.total_load_mw(),
                 "network_summary": serde_json::to_value(net.summary()).unwrap(),
             });
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
-            Ok(out)
+            Ok(with_caveat(out, degraded))
         },
     )
 }
@@ -162,10 +169,7 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                 .get("top_k")
                 .and_then(|v| v.as_u64())
                 .unwrap_or(10) as usize;
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             let mode = match args.get("mode").and_then(|v| v.as_str()) {
                 Some("full") | Some("brute") => gm_contingency::SweepMode::Brute,
                 _ => gm_contingency::SweepMode::Cascade,
@@ -176,62 +180,16 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                 ..Default::default()
             };
             let base = session.fresh_base_pf();
-            let diff_hash = session.diff_hash();
-            // An injected `pf.base` fault imitates the sweep's own base
-            // solve diverging (the session warm start is bypassed too).
-            let primary = match gm_faults::inject("pf.base") {
-                Some(gm_faults::FaultKind::NewtonDiverge | gm_faults::FaultKind::LuSingular) => {
-                    Err(gm_powerflow::PfError::Diverged {
-                        iterations: 0,
-                        mismatch_pu: f64::INFINITY,
-                    })
-                }
-                // On a shared-cache miss the sweep still runs against the
-                // session's per-outage cache.
-                _ => memoized(
-                    session.solver_cache.as_ref(),
-                    &net,
-                    opts.fingerprint(),
-                    || run_n1_cached(&net, &opts, base.as_ref(), Some((&session.cache, diff_hash))),
-                ),
-            };
-            let (rep, degraded) = match primary {
-                Ok(rep) => (rep, None),
-                Err(
-                    e @ (gm_powerflow::PfError::Diverged { .. }
-                    | gm_powerflow::PfError::SingularJacobian { .. }),
-                ) => {
-                    // Recovery: rebuild the base case down the ladder and
-                    // sweep from it. The degraded sweep bypasses both the
-                    // shared solver cache and the per-outage session cache
-                    // so approximate outcomes can never be recalled as
-                    // exact ones.
-                    gm_telemetry::counter_add("recovery.attempts", 1);
-                    let (rbase, cav) = crate::recovery::pf_ladder(&net, &opts.pf, &e.to_string())
-                        .ok_or_else(|| ToolError::Execution {
-                        message: format!("base case power flow failed: {e}"),
-                        recoverable: true,
-                    })?;
-                    let rep = run_n1_cached(&net, &opts, Some(&rbase), None)
-                        .map_err(|e| ToolError::Execution {
-                            message: format!("base case power flow failed: {e}"),
-                            recoverable: true,
-                        })?;
-                    (rep, Some(cav))
-                }
-                Err(e) => {
-                    return Err(ToolError::Execution {
-                        message: format!("base case power flow failed: {e}"),
-                        recoverable: true,
-                    })
-                }
-            };
+            let (rep, degraded) = run_n1_recovered(
+                session.solver_cache.as_ref(),
+                &net,
+                &opts,
+                base.as_ref(),
+                (&session.cache, session.diff_hash()),
+            )
+            .map_err(base_case_failed)?;
             session.put_contingency(rep.clone(), clock.now());
-            let mut out = report_to_json(&rep, top_k);
-            if let Some(c) = degraded {
-                out["degraded_caveat"] = json!(c);
-            }
-            Ok(out)
+            Ok(with_caveat(report_to_json(&rep, top_k), degraded))
         },
     )
 }
@@ -265,10 +223,7 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
         move |args| {
             let element = args["element"].as_str().unwrap();
             let index = args["index"].as_u64().unwrap() as usize;
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
             // Resolve the kind-relative index to a branch index.
             let want_kind = if element == "line" {
                 BranchKind::Line
@@ -282,19 +237,12 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 .filter(|(_, b)| b.kind == want_kind)
                 .nth(index)
                 .map(|(bi, _)| bi)
-                .ok_or_else(|| ToolError::Execution {
-                    message: format!("{element} {index} does not exist in {}", net.name),
-                    recoverable: false,
+                .ok_or_else(|| {
+                    ToolError::fatal(format!("{element} {index} does not exist in {}", net.name))
                 })?;
             let opts = CaOptions::default();
-            // Warm start from the fresh base solution when available.
-            let base = match session.fresh_base_pf() {
-                Some(rep) => rep,
-                None => solve_base(&net, &opts).map_err(|e| ToolError::Execution {
-                    message: e.to_string(),
-                    recoverable: true,
-                })?,
-            };
+            // Warm start from the base solution.
+            let (base, degraded) = base_case(&session, &net, &opts)?;
             let v0 = base.voltages();
             let outage = Outage {
                 branch,
@@ -306,7 +254,7 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 .iter()
                 .map(|v| serde_json::to_value(v).unwrap())
                 .collect();
-            Ok(json!({
+            let out = json!({
                 "label": outage.label(index),
                 "branch_index": branch,
                 "converged": o.converged,
@@ -318,7 +266,8 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 "min_voltage_bus": o.min_vm.1,
                 "n_violations": o.violations.len(),
                 "violations": violations,
-            }))
+            });
+            Ok(with_caveat(out, degraded))
         },
     )
 }
@@ -348,17 +297,10 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
         },
         move |args| {
             let top_k = args.get("top_k").and_then(|v| v.as_u64()).unwrap_or(5) as usize;
-            let net = session.current_network().map_err(|e| ToolError::Execution {
-                message: e.to_string(),
-                recoverable: false,
-            })?;
-            let base = session.fresh_base_pf();
-            let outcomes = run_gen_n1(&net, &CaOptions::default(), base.as_ref()).map_err(
-                |e| ToolError::Execution {
-                    message: format!("base case power flow failed: {e}"),
-                    recoverable: true,
-                },
-            )?;
+            let net = session.current_network().map_err(ToolError::fatal)?;
+            let opts = CaOptions::default();
+            let (base, degraded) = base_case(&session, &net, &opts)?;
+            let outcomes = run_gen_n1(&net, &opts, Some(&base)).map_err(base_case_failed)?;
             // Rank: reference loss > non-convergence > violations > lost MW.
             let mut scored: Vec<(f64, &gm_contingency::GenOutageOutcome)> = outcomes
                 .iter()
@@ -391,12 +333,13 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
                     })
                 })
                 .collect();
-            Ok(json!({
+            let out = json!({
                 "n_units": outcomes.len(),
                 "units_not_converged": outcomes.iter().filter(|o| !o.converged).count(),
                 "units_with_violations": outcomes.iter().filter(|o| !o.violations.is_empty()).count(),
                 "ranking": ranking,
-            }))
+            });
+            Ok(with_caveat(out, degraded))
         },
     )
 }

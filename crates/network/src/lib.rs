@@ -56,4 +56,4 @@ pub use model::{
 };
 pub use scale::{generate_scale, identify_scale, load_scale, ScaleId, ScaleSpec};
 pub use synth::SynthError;
-pub use ybus::YBus;
+pub use ybus::{slack_pinned_bprime, YBus};

@@ -13,7 +13,8 @@
 //! [`SmallRng`]); two calls produce identical networks.
 
 use crate::model::{Branch, BranchKind, Bus, BusKind, GenCost, Generator, Load, Network, Shunt};
-use gm_sparse::{SparseLu, Triplets};
+use crate::ybus::slack_pinned_bprime;
+use gm_sparse::SparseLu;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -450,34 +451,12 @@ pub fn generate(spec: &SynthSpec) -> Result<Network, SynthError> {
 /// DC power flow: returns per-branch active flow in p.u. (from → to).
 /// Internal calibration tool — the real solvers live in `gm-powerflow`.
 pub(crate) fn dc_flows(net: &Network) -> Result<Vec<f64>, SynthError> {
-    let n = net.n_bus();
     let slack = net.slack().ok_or(SynthError::NoSlack)?;
-    // Injections in p.u.
+    // Injections in p.u.; the pinned slack row absorbs the imbalance.
     let (p_mw, _) = net.scheduled_injections();
     let mut p: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
-    // Distribute the mismatch onto the slack so the system balances.
-    let total: f64 = p.iter().sum();
-    p[slack] -= total;
-
-    // B matrix with the slack row/column pinned.
-    let mut t = Triplets::new(n, n);
-    for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        if i != slack && j != slack {
-            t.push(i, i, b);
-            t.push(j, j, b);
-            t.push(i, j, -b);
-            t.push(j, i, -b);
-        } else if i != slack {
-            t.push(i, i, b);
-        } else if j != slack {
-            t.push(j, j, b);
-        }
-    }
-    t.push(slack, slack, 1.0);
     p[slack] = 0.0;
-    let bmat = t.to_csr();
+    let bmat = slack_pinned_bprime(net, slack).to_csr();
     let lu = SparseLu::factor(&bmat).map_err(|_| SynthError::DcSingular)?;
     let theta = lu.solve(&p);
     Ok(net

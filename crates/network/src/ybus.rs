@@ -125,6 +125,40 @@ impl YBus {
     }
 }
 
+/// The DC susceptance matrix `B'` with the slack row and column pinned:
+/// every in-service branch stamps `1/x` on the diagonal of its non-slack
+/// endpoints and `-1/x` between them when neither is the slack, and the
+/// slack keeps a lone unit diagonal so the matrix stays `n × n` and its
+/// angle solves to exactly zero (for a right-hand side that is zero
+/// there). Taps, shunts and resistance are ignored.
+///
+/// This is the one assembly behind every DC-model matrix in the stack
+/// (DC power flow and seeds, PTDF/LODF, FDLF's B′, the synthetic-case
+/// rating calibration). The stamp order — branches in index order, then
+/// the slack pin — is part of the contract: the embedded rating tables
+/// and every committed baseline are calibrated against the factor it
+/// yields.
+pub fn slack_pinned_bprime(net: &Network, slack: usize) -> Triplets<f64> {
+    let n = net.n_bus();
+    let mut t = Triplets::with_capacity(n, n, 4 * net.branches.len() + 1);
+    for br in net.branches.iter().filter(|b| b.in_service) {
+        let b = 1.0 / br.x_pu;
+        let (i, j) = (br.from_bus, br.to_bus);
+        if i != slack && j != slack {
+            t.push(i, i, b);
+            t.push(j, j, b);
+            t.push(i, j, -b);
+            t.push(j, i, -b);
+        } else if i != slack {
+            t.push(i, i, b);
+        } else if j != slack {
+            t.push(j, j, b);
+        }
+    }
+    t.push(slack, slack, 1.0);
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

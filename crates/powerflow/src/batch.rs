@@ -31,9 +31,9 @@
 use crate::newton::{solve_prepared, JacScratch, QState};
 use crate::types::{InitStrategy, PfError, PfOptions, PfReport};
 use gm_faults::FaultKind;
-use gm_network::{Modification, Network, YBus};
+use gm_network::{slack_pinned_bprime, Modification, Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{LuEngine, SparseLu, Triplets};
+use gm_sparse::{LuEngine, SparseLu};
 use serde::{Deserialize, Serialize};
 
 /// One load/dispatch edit inside a scenario. None of the variants touch
@@ -346,71 +346,41 @@ pub fn run_batch(
     set: &ScenarioSet,
 ) -> Result<BatchReport, BatchError> {
     let _span = gm_telemetry::span!("batch.run", case = net.name, scenarios = set.len());
-    let (nets, sigs, order) = prepare(net, set)?;
-    let nrhs = nets.len();
+    let plan = prepare(net, set)?;
+    let nets = &plan.0;
 
     // Fixed costs, paid once for the whole batch.
     let ybus = YBus::assemble(net);
     let dc_lu = dc_bprime(net)?;
-    let dc_seeds = dc_seed_panel(&dc_lu, net, &nets);
+    let dc_seeds = dc_seed_panel(&dc_lu, net, nets);
     let mut engine = LuEngine::new();
     let mut scratch = JacScratch::new();
 
-    let mut outcomes: Vec<Option<ScenarioOutcome>> = (0..nrhs).map(|_| None).collect();
-    let mut solved_v: Vec<Option<Vec<Complex>>> = vec![None; nrhs];
-    let mut solved_q: Vec<Option<QState>> = vec![None; nrhs];
-    let mut warm_hits = 0u64;
-    let mut flat_restarts = 0u64;
+    let report = run_plan(
+        net,
+        set,
+        &plan,
+        |k| Ok(dc_voltages(&dc_seeds[k])),
+        |k, seed, q_seed| {
+            let t0 = std::time::Instant::now();
+            let solved = solve_scenario(
+                &nets[k],
+                opts,
+                seed,
+                q_seed,
+                &ybus,
+                &mut engine,
+                &mut scratch,
+            );
+            gm_telemetry::quantile_record("batch.scenario_s", t0.elapsed().as_secs_f64());
+            solved
+        },
+    )?;
 
-    for &k in &order {
-        let t0 = std::time::Instant::now();
-        let (seed, q_seed, warm) = match nearest_converged(k, &sigs, &solved_v) {
-            Some(j) => (report_voltages_of(&solved_v, j), solved_q[j].clone(), true),
-            None => (dc_voltages(&dc_seeds[k]), None, false),
-        };
-        let (result, flat_restarted) = solve_scenario(
-            &nets[k],
-            opts,
-            &seed,
-            q_seed.as_ref(),
-            &ybus,
-            &mut engine,
-            &mut scratch,
-        );
-        let report = match result {
-            Ok((rep, qstate)) => {
-                if warm && !flat_restarted {
-                    warm_hits += 1;
-                }
-                solved_v[k] = Some(rep.voltages());
-                solved_q[k] = Some(qstate);
-                Ok(rep)
-            }
-            Err(e) => Err(e),
-        };
-        if flat_restarted {
-            flat_restarts += 1;
-        }
-        gm_telemetry::quantile_record("batch.scenario_s", t0.elapsed().as_secs_f64());
-        outcomes[k] = Some(ScenarioOutcome {
-            label: set.scenarios[k].label.clone(),
-            signature_mw: sigs[k],
-            report,
-            warm_started: warm,
-            flat_restarted,
-        });
-    }
-
-    gm_telemetry::counter_add("batch.scenarios", nrhs as u64);
-    gm_telemetry::counter_add("batch.warm_hits", warm_hits);
-    gm_telemetry::counter_add("batch.flat_restarts", flat_restarts);
-    Ok(BatchReport {
-        case_name: net.name.clone(),
-        outcomes: outcomes.into_iter().flatten().collect(),
-        scenarios: nrhs,
-        warm_hits,
-        flat_restarts,
-    })
+    gm_telemetry::counter_add("batch.scenarios", report.scenarios as u64);
+    gm_telemetry::counter_add("batch.warm_hits", report.warm_hits);
+    gm_telemetry::counter_add("batch.flat_restarts", report.flat_restarts);
+    Ok(report)
 }
 
 /// The reference replay: the same plan order and the same seeds as
@@ -424,52 +394,75 @@ pub fn run_naive(
     opts: &PfOptions,
     set: &ScenarioSet,
 ) -> Result<BatchReport, BatchError> {
-    let (nets, sigs, order) = prepare(net, set)?;
-    let nrhs = nets.len();
+    let plan = prepare(net, set)?;
+    let nets = &plan.0;
+    run_plan(
+        net,
+        set,
+        &plan,
+        |k| {
+            // Per-scenario DC seed: fresh factorization, single RHS.
+            let lu = dc_bprime(net)?;
+            let n = net.n_bus();
+            let mut b = vec![0.0f64; n];
+            dc_rhs(net, &nets[k], &mut b, 1, 0);
+            let mut ws = vec![0.0f64; n];
+            lu.solve_in_place(&mut b, &mut ws);
+            Ok(dc_voltages(&b))
+        },
+        |k, seed, q_seed| {
+            let ybus = YBus::assemble(&nets[k]);
+            let (mut engine, mut scratch) = (LuEngine::new(), JacScratch::new());
+            solve_scenario(
+                &nets[k],
+                opts,
+                seed,
+                q_seed,
+                &ybus,
+                &mut engine,
+                &mut scratch,
+            )
+        },
+    )
+}
 
+/// One scenario's solve: the result and whether it took a flat restart.
+type Solved = (Result<(PfReport, QState), PfError>, bool);
+
+/// The plan loop and bookkeeping both entry points share. Walks the
+/// plan order; seeds each scenario from the nearest already-converged
+/// neighbor's voltages and Q-switching state, or from `dc_seed` until
+/// one exists; runs `solve`; files the outcome row under the scenario's
+/// original index and tallies warm hits and flat restarts. What each
+/// caller keeps to itself is the lifetime of its `YBus`, `LuEngine` and
+/// `B'` factor.
+fn run_plan(
+    net: &Network,
+    set: &ScenarioSet,
+    (nets, sigs, order): &BatchPlan,
+    mut dc_seed: impl FnMut(usize) -> Result<Vec<Complex>, BatchError>,
+    mut solve: impl FnMut(usize, &[Complex], Option<&QState>) -> Solved,
+) -> Result<BatchReport, BatchError> {
+    let nrhs = nets.len();
     let mut outcomes: Vec<Option<ScenarioOutcome>> = (0..nrhs).map(|_| None).collect();
-    let mut solved_v: Vec<Option<Vec<Complex>>> = vec![None; nrhs];
-    let mut solved_q: Vec<Option<QState>> = vec![None; nrhs];
+    let mut solved: Vec<Option<(Vec<Complex>, QState)>> = vec![None; nrhs];
     let mut warm_hits = 0u64;
     let mut flat_restarts = 0u64;
 
-    for &k in &order {
-        let (seed, q_seed, warm) = match nearest_converged(k, &sigs, &solved_v) {
-            Some(j) => (report_voltages_of(&solved_v, j), solved_q[j].clone(), true),
-            None => {
-                // Per-scenario DC seed: fresh factorization, single RHS.
-                let lu = dc_bprime(net)?;
-                let n = net.n_bus();
-                let mut b = vec![0.0f64; n];
-                dc_rhs(net, &nets[k], &mut b, 1, 0);
-                let mut ws = vec![0.0f64; n];
-                lu.solve_in_place(&mut b, &mut ws);
-                (dc_voltages(&b), None, false)
-            }
+    for &k in order {
+        let neighbor = nearest_converged(k, sigs, &solved).and_then(|j| solved[j].as_ref());
+        let warm = neighbor.is_some();
+        let (result, flat_restarted) = match neighbor {
+            Some((v, q)) => solve(k, v, Some(q)),
+            None => solve(k, &dc_seed(k)?, None),
         };
-        let ybus = YBus::assemble(&nets[k]);
-        let mut engine = LuEngine::new();
-        let mut scratch = JacScratch::new();
-        let (result, flat_restarted) = solve_scenario(
-            &nets[k],
-            opts,
-            &seed,
-            q_seed.as_ref(),
-            &ybus,
-            &mut engine,
-            &mut scratch,
-        );
-        let report = match result {
-            Ok((rep, qstate)) => {
-                if warm && !flat_restarted {
-                    warm_hits += 1;
-                }
-                solved_v[k] = Some(rep.voltages());
-                solved_q[k] = Some(qstate);
-                Ok(rep)
+        let report = result.map(|(rep, qstate)| {
+            if warm && !flat_restarted {
+                warm_hits += 1;
             }
-            Err(e) => Err(e),
-        };
+            solved[k] = Some((rep.voltages(), qstate));
+            rep
+        });
         if flat_restarted {
             flat_restarts += 1;
         }
@@ -527,7 +520,7 @@ fn solve_scenario(
     ybus: &YBus,
     engine: &mut LuEngine,
     scratch: &mut JacScratch,
-) -> (Result<(PfReport, QState), PfError>, bool) {
+) -> Solved {
     let primary = match gm_faults::inject("batch.scenario") {
         Some(FaultKind::NewtonDiverge) | Some(FaultKind::LuSingular) => Err(PfError::Diverged {
             iterations: 0,
@@ -565,7 +558,7 @@ fn signature_mw(net: &Network) -> f64 {
 
 /// Nearest already-converged scenario by |signature difference|, ties
 /// broken toward the lower index.
-fn nearest_converged(k: usize, sigs: &[f64], solved: &[Option<Vec<Complex>>]) -> Option<usize> {
+fn nearest_converged<T>(k: usize, sigs: &[f64], solved: &[Option<T>]) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
     for (j, v) in solved.iter().enumerate() {
         if v.is_none() {
@@ -579,34 +572,17 @@ fn nearest_converged(k: usize, sigs: &[f64], solved: &[Option<Vec<Complex>>]) ->
     best.map(|(_, j)| j)
 }
 
-/// The slack-reduced DC `B'` factorization (same assembly as
-/// [`crate::dc::solve_dc`]). Load/dispatch deltas never touch branch
-/// data, so one factorization from the base network serves every
-/// scenario in the set.
+/// The DC `B'` factorization over [`slack_pinned_bprime`] — the same
+/// matrix [`crate::dc::solve_dc`] factors. Load/dispatch deltas never
+/// touch branch data, so one factorization from the base network serves
+/// every scenario in the set.
 fn dc_bprime(net: &Network) -> Result<SparseLu, BatchError> {
-    let n = net.n_bus();
     let Some(slack) = net.slack() else {
         return Err(BatchError::InvalidBase {
             problems: vec!["network has no slack bus".into()],
         });
     };
-    let mut t = Triplets::new(n, n);
-    for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        if i != slack && j != slack {
-            t.push(i, i, b);
-            t.push(j, j, b);
-            t.push(i, j, -b);
-            t.push(j, i, -b);
-        } else if i != slack {
-            t.push(i, i, b);
-        } else if j != slack {
-            t.push(j, j, b);
-        }
-    }
-    t.push(slack, slack, 1.0);
-    SparseLu::factor(&t.to_csr()).map_err(|_| BatchError::DcSeed {
+    SparseLu::factor(&slack_pinned_bprime(net, slack).to_csr()).map_err(|_| BatchError::DcSeed {
         error: PfError::SingularJacobian { iteration: 0 },
     })
 }
@@ -646,12 +622,6 @@ fn dc_voltages(theta: &[f64]) -> Vec<Complex> {
         .iter()
         .map(|&th| Complex::from_polar(1.0, th))
         .collect()
-}
-
-/// Clones the stored voltages of scenario `j` (always present for a
-/// `nearest_converged` hit).
-fn report_voltages_of(solved: &[Option<Vec<Complex>>], j: usize) -> Vec<Complex> {
-    solved[j].clone().unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -23,9 +23,10 @@
 //! stalled or diverging iteration, Q-limit enforcement) is a typed error
 //! that routes the caller to the existing full-Newton fallback.
 
-use crate::newton::{build_report, Role};
+use crate::newton::build_report;
+use crate::polar::{effective_roles, targets_pu, PolarIndex, Role};
 use crate::types::{PfOptions, PfReport};
-use gm_network::{BusKind, Network, YBus};
+use gm_network::{Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{CompensateError, CompensatedLu, SparseLu, Triplets};
 
@@ -88,9 +89,7 @@ impl std::error::Error for CompensatedPfError {}
 pub struct CompensationBase {
     ybus: YBus,
     role: Vec<Role>,
-    col_th: Vec<usize>,
-    col_vm: Vec<usize>,
-    nvar: usize,
+    idx: PolarIndex,
     p_spec: Vec<f64>,
     q_spec: Vec<f64>,
     slack: usize,
@@ -129,37 +128,12 @@ impl CompensationBase {
         };
         let ybus = YBus::assemble(net);
 
-        // Effective roles, as in the Newton solver (no Q-limit rounds, so
-        // they are fixed for the whole sweep).
-        let mut role = vec![Role::Pq; n];
-        for (i, bus) in net.buses.iter().enumerate() {
-            if bus.kind == BusKind::Pv && net.gens_at(i).next().is_some() {
-                role[i] = Role::Pv;
-            }
-        }
-        role[slack] = Role::Slack;
-
-        let (p_mw, q_mvar) = net.scheduled_injections();
-        let p_spec: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
-        let q_spec: Vec<f64> = q_mvar.iter().map(|v| v / net.base_mva).collect();
-
-        let mut col_th = vec![usize::MAX; n];
-        let mut col_vm = vec![usize::MAX; n];
-        let mut n_th = 0usize;
-        for i in 0..n {
-            if role[i] != Role::Slack {
-                col_th[i] = n_th;
-                n_th += 1;
-            }
-        }
-        let mut n_vm = 0usize;
-        for i in 0..n {
-            if role[i] == Role::Pq {
-                col_vm[i] = n_th + n_vm;
-                n_vm += 1;
-            }
-        }
-        let nvar = n_th + n_vm;
+        // No Q-limit rounds, so roles and the variable map are fixed for
+        // the whole sweep.
+        let role = effective_roles(net, slack);
+        let (p_spec, q_spec) = targets_pu(net);
+        let idx = PolarIndex::new(&role);
+        let nvar = idx.nvar();
         if nvar == 0 {
             return Err(CompensatedPfError::Unsupported {
                 reason: "no free variables",
@@ -171,20 +145,13 @@ impl CompensationBase {
 
         // Assemble and factor the base Jacobian at v0.
         let mut tj = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
-        for i in 0..n {
-            let (cols, vals) = ybus.matrix.row(i);
-            for (&j, &y) in cols.iter().zip(vals) {
-                stamp_pair(&mut tj, &v0, &s0, &col_th, &col_vm, i, j, y);
-            }
-        }
+        idx.stamp_jacobian(&mut tj, &ybus, &v0, &s0);
         let j0 = SparseLu::factor(&tj.to_csr()).map_err(|_| CompensatedPfError::BaseSingular)?;
 
         Ok(CompensationBase {
             ybus,
             role,
-            col_th,
-            col_vm,
-            nvar,
+            idx,
             p_spec,
             q_spec,
             slack,
@@ -214,7 +181,7 @@ impl CompensationBase {
             n_bus = work.n_bus()
         );
         gm_telemetry::counter_add("pf.compensated.solves", 1);
-        let n = work.n_bus();
+        let nvar = self.idx.nvar();
         let ybus_out = YBus::assemble(work);
         let s0_out = ybus_out.injections(&self.v0);
 
@@ -230,32 +197,17 @@ impl CompensationBase {
 
         // ΔJ = J_out(v0) − J_base(v0), restricted to the endpoint block.
         let mut delta: Vec<(usize, usize, f64)> = Vec::new();
-        let mut out_entries = Triplets::new(self.nvar, self.nvar);
-        let mut base_entries = Triplets::new(self.nvar, self.nvar);
+        let mut out_entries = Triplets::new(nvar, nvar);
+        let mut base_entries = Triplets::new(nvar, nvar);
         for &i in &buses {
+            let row = (i, self.v0[i].abs(), self.v0[i].arg());
             for &j in &buses {
                 let y_out = ybus_entry(&ybus_out, i, j);
                 let y_base = ybus_entry(&self.ybus, i, j);
-                stamp_pair(
-                    &mut out_entries,
-                    &self.v0,
-                    &s0_out,
-                    &self.col_th,
-                    &self.col_vm,
-                    i,
-                    j,
-                    y_out,
-                );
-                stamp_pair(
-                    &mut base_entries,
-                    &self.v0,
-                    &self.s0,
-                    &self.col_th,
-                    &self.col_vm,
-                    i,
-                    j,
-                    y_base,
-                );
+                self.idx
+                    .stamp_entries(&mut out_entries, row, j, y_out, &self.v0, &s0_out);
+                self.idx
+                    .stamp_entries(&mut base_entries, row, j, y_base, &self.v0, &self.s0);
             }
         }
         collect_delta(&out_entries, &base_entries, &mut delta);
@@ -291,30 +243,15 @@ impl CompensationBase {
         })?;
 
         // Fixed-Jacobian iteration against the true post-outage mismatch.
-        let mismatch = |v: &[Complex]| -> (Vec<f64>, f64) {
-            let s = ybus_out.injections(v);
-            let mut f = vec![0.0f64; self.nvar];
-            let mut norm = 0.0f64;
-            for i in 0..n {
-                if self.col_th[i] != usize::MAX {
-                    let m = s[i].re - self.p_spec[i];
-                    f[self.col_th[i]] = m;
-                    norm = norm.max(m.abs());
-                }
-                if self.col_vm[i] != usize::MAX {
-                    let m = s[i].im - self.q_spec[i];
-                    f[self.col_vm[i]] = m;
-                    norm = norm.max(m.abs());
-                }
-            }
-            (f, norm)
+        let mismatch_at = |v: &[Complex]| {
+            self.idx
+                .mismatch(&ybus_out.injections(v), &self.p_spec, &self.q_spec)
         };
-
         let mut v = self.v0.clone();
-        let mut scratch = vec![0.0f64; self.nvar];
+        let mut scratch = vec![0.0f64; nvar];
         let mut mismatch_history = Vec::new();
         let mut multipliers = Vec::new();
-        let (mut f, mut norm) = mismatch(&v);
+        let (mut f, mut norm) = mismatch_at(&v);
         let mut best = norm;
         let mut stall = 0usize;
         let mut iterations = 0usize;
@@ -332,32 +269,16 @@ impl CompensationBase {
             iterations += 1;
             comp.solve_in_place(&mut f, &mut scratch);
             let dx = &f;
-            let apply = |v: &[Complex], mu: f64| -> Vec<Complex> {
-                let mut out = v.to_vec();
-                for i in 0..n {
-                    let mut vm = v[i].abs();
-                    let mut th = v[i].arg();
-                    if self.col_th[i] != usize::MAX {
-                        th -= mu * dx[self.col_th[i]];
-                    }
-                    if self.col_vm[i] != usize::MAX {
-                        vm -= mu * dx[self.col_vm[i]];
-                        vm = vm.max(0.1);
-                    }
-                    out[i] = Complex::from_polar(vm, th);
-                }
-                out
-            };
-            let full = apply(&v, 1.0);
-            let (f_full, norm_full) = mismatch(&full);
+            let full = self.idx.step(&v, dx, 1.0);
+            let (f_full, norm_full) = mismatch_at(&full);
             let (vc, fc, nc, mu) = if norm_full <= norm || !opts.iwamoto_damping {
                 (full, f_full, norm_full, 1.0)
             } else {
                 // Overshoot: one halved step is the cheap stabilizer —
                 // if that does not help either, the stall guard below
                 // routes to the full solver.
-                let half = apply(&v, 0.5);
-                let (f_half, norm_half) = mismatch(&half);
+                let half = self.idx.step(&v, dx, 0.5);
+                let (f_half, norm_half) = mismatch_at(&half);
                 if norm_half < norm_full {
                     (half, f_half, norm_half, 0.5)
                 } else {
@@ -403,7 +324,7 @@ impl CompensationBase {
 
     /// Number of solver variables (diagnostics).
     pub fn n_variables(&self) -> usize {
-        self.nvar
+        self.idx.nvar()
     }
 
     /// Bus role check used by callers that must not compensate across a
@@ -423,60 +344,6 @@ fn ybus_entry(ybus: &YBus, i: usize, j: usize) -> Complex {
         }
     }
     Complex::new(0.0, 0.0)
-}
-
-/// Stamps the polar Jacobian entries for the bus pair `(i, j)` — the
-/// same formulas as the Newton solver's assembly loop, factored out so
-/// the compensated path computes single blocks without a full assembly.
-#[allow(clippy::too_many_arguments)]
-fn stamp_pair(
-    tj: &mut Triplets<f64>,
-    v: &[Complex],
-    s_calc: &[Complex],
-    col_th: &[usize],
-    col_vm: &[usize],
-    i: usize,
-    j: usize,
-    y: Complex,
-) {
-    let (g, b) = (y.re, y.im);
-    let vi = v[i].abs();
-    let thi = v[i].arg();
-    let row_p = col_th[i];
-    let row_q = col_vm[i];
-    if i == j {
-        let (pi, qi) = (s_calc[i].re, s_calc[i].im);
-        if row_p != usize::MAX {
-            tj.push(row_p, col_th[i], -qi - b * vi * vi);
-            if col_vm[i] != usize::MAX {
-                tj.push(row_p, col_vm[i], pi / vi + g * vi);
-            }
-        }
-        if row_q != usize::MAX {
-            tj.push(row_q, col_th[i], pi - g * vi * vi);
-            tj.push(row_q, col_vm[i], qi / vi - b * vi);
-        }
-    } else {
-        let vj = v[j].abs();
-        let thij = thi - v[j].arg();
-        let (sin, cos) = thij.sin_cos();
-        if row_p != usize::MAX {
-            if col_th[j] != usize::MAX {
-                tj.push(row_p, col_th[j], vi * vj * (g * sin - b * cos));
-            }
-            if col_vm[j] != usize::MAX {
-                tj.push(row_p, col_vm[j], vi * (g * cos + b * sin));
-            }
-        }
-        if row_q != usize::MAX {
-            if col_th[j] != usize::MAX {
-                tj.push(row_q, col_th[j], -vi * vj * (g * cos + b * sin));
-            }
-            if col_vm[j] != usize::MAX {
-                tj.push(row_q, col_vm[j], vi * (g * sin - b * cos));
-            }
-        }
-    }
 }
 
 /// `out − base` over two triplet sets stamped on the same block,

@@ -5,8 +5,8 @@
 //! as the fast screening stage of contingency analysis.
 
 use crate::types::PfError;
-use gm_network::Network;
-use gm_sparse::{SparseLu, Triplets};
+use gm_network::{slack_pinned_bprime, Network};
+use gm_sparse::SparseLu;
 
 /// DC power flow result.
 #[derive(Clone, Debug)]
@@ -25,36 +25,14 @@ pub struct DcReport {
 /// B matrix is singular (islanded network).
 pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
     gm_telemetry::counter_add("pf.dc.solves", 1);
-    let n = net.n_bus();
-    let Some(slack) = net.slack() else {
-        return Err(PfError::InvalidNetwork {
-            problems: vec!["network has no slack bus".into()],
-        });
-    };
+    let slack = net.slack().ok_or_else(PfError::no_slack)?;
+    // The pinned slack row absorbs the imbalance (loads + losses are not
+    // represented).
     let (p_mw, _) = net.scheduled_injections();
     let mut p: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
-    let total: f64 = p.iter().sum();
-    // Slack absorbs the imbalance (loads + losses are not represented).
-    let slack_p_sched = p[slack];
     p[slack] = 0.0;
 
-    let mut t = Triplets::new(n, n);
-    for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        if i != slack && j != slack {
-            t.push(i, i, b);
-            t.push(j, j, b);
-            t.push(i, j, -b);
-            t.push(j, i, -b);
-        } else if i != slack {
-            t.push(i, i, b);
-        } else if j != slack {
-            t.push(j, j, b);
-        }
-    }
-    t.push(slack, slack, 1.0);
-    let bmat = t.to_csr();
+    let bmat = slack_pinned_bprime(net, slack).to_csr();
     let lu = SparseLu::factor(&bmat).map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
     let theta = lu.solve(&p);
 
@@ -70,7 +48,6 @@ pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
         })
         .collect();
 
-    let _ = (slack_p_sched, total);
     // Net flow leaving the slack bus equals the power it injects; add the
     // local load back to get the slack *generation*.
     let mut slack_injection = 0.0;

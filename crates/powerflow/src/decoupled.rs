@@ -5,8 +5,9 @@
 //! GridMind uses it as a recovery fallback when Newton struggles and as a
 //! cross-check in the validation layer.
 
+use crate::polar::{effective_roles, targets_pu, Role};
 use crate::types::{PfError, PfOptions, PfReport};
-use gm_network::{BusKind, Network, YBus};
+use gm_network::{slack_pinned_bprime, Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{LuEngine, Triplets};
 
@@ -40,54 +41,37 @@ pub fn solve_fast_decoupled_with_engine(
         });
     }
     let n = net.n_bus();
-    let Some(slack) = net.slack() else {
-        return Err(PfError::InvalidNetwork {
-            problems: vec!["network has no slack bus".into()],
-        });
-    };
+    let slack = net.slack().ok_or_else(PfError::no_slack)?;
     let ybus = YBus::assemble(net);
 
-    // Roles (no Q-limit handling in the decoupled solver: it is a fallback
-    // / screening method; use Newton for limit-accurate solutions).
-    let mut is_pv = vec![false; n];
-    for (i, b) in net.buses.iter().enumerate() {
-        if b.kind == BusKind::Pv && net.gens_at(i).next().is_some() {
-            is_pv[i] = true;
-        }
-    }
+    // Roles and targets are the polar system's; the B′ / B″ index spaces
+    // below are this solver's own (each reduced system starts at column
+    // zero). No Q-limit handling here: it is a fallback / screening
+    // method; use Newton for limit-accurate solutions.
+    let role = effective_roles(net, slack);
+    let (p_spec, q_spec) = targets_pu(net);
 
     let mut col_th = vec![usize::MAX; n];
     let mut n_th = 0;
-    for i in 0..n {
-        if i != slack {
-            col_th[i] = n_th;
-            n_th += 1;
-        }
-    }
     let mut col_vm = vec![usize::MAX; n];
     let mut n_vm = 0;
     for i in 0..n {
-        if i != slack && !is_pv[i] {
+        if role[i] != Role::Slack {
+            col_th[i] = n_th;
+            n_th += 1;
+        }
+        if role[i] == Role::Pq {
             col_vm[i] = n_vm;
             n_vm += 1;
         }
     }
 
-    // B′: series susceptance 1/x, taps and shunts ignored, over θ vars.
+    // B′: the shared DC stamp (series susceptance 1/x, taps and shunts
+    // ignored) with the slack row and column dropped, over θ vars.
     let mut tp = Triplets::new(n_th, n_th);
-    for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        let (ci, cj) = (col_th[i], col_th[j]);
-        if ci != usize::MAX {
-            tp.push(ci, ci, b);
-        }
-        if cj != usize::MAX {
-            tp.push(cj, cj, b);
-        }
-        if ci != usize::MAX && cj != usize::MAX {
-            tp.push(ci, cj, -b);
-            tp.push(cj, ci, -b);
+    for &(r, c, b) in slack_pinned_bprime(net, slack).entries() {
+        if r != slack {
+            tp.push(col_th[r], col_th[c], b);
         }
     }
     let bp = tp.to_csr();
@@ -126,15 +110,10 @@ pub fn solve_fast_decoupled_with_engine(
         None
     };
 
-    // Scheduled injections (p.u.).
-    let (p_mw, q_mvar) = net.scheduled_injections();
-    let p_spec: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
-    let q_spec: Vec<f64> = q_mvar.iter().map(|v| v / net.base_mva).collect();
-
     // Flat start with setpoint magnitudes.
     let mut vm: Vec<f64> = (0..n)
         .map(|i| {
-            if i == slack || is_pv[i] {
+            if role[i] != Role::Pq {
                 net.gens_at(i)
                     .next()
                     .map(|(_, g)| g.vm_setpoint_pu)

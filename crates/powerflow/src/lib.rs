@@ -39,6 +39,7 @@ pub mod compensated;
 pub mod dc;
 pub mod decoupled;
 pub mod newton;
+mod polar;
 pub mod sensitivity;
 pub mod types;
 

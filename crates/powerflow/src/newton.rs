@@ -6,19 +6,11 @@
 //! `iwamoto muliplier:` lines visible in the paper's Fig. 8 logs), and
 //! generator reactive-limit enforcement by PV→PQ switching.
 
+use crate::polar::{effective_roles, targets_pu, PolarIndex, Role};
 use crate::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
-use gm_network::{BusKind, Network, YBus};
+use gm_network::{Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{CsMat, LuEngine, ScatterMap, Triplets};
-
-/// Effective bus role during the solve (PV buses can be demoted to PQ when
-/// their units hit reactive limits).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Role {
-    Slack,
-    Pv,
-    Pq,
-}
 
 /// Solves the AC power flow for a network.
 pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
@@ -92,28 +84,12 @@ pub(crate) fn solve_prepared(
     let _span = gm_telemetry::span!("pf.newton.solve", case = net.name, n_bus = net.n_bus());
     gm_telemetry::counter_add("pf.newton.solves", 1);
     let n = net.n_bus();
-    let Some(slack) = net.slack() else {
-        // `validate` above guarantees a slack; keep a typed error rather
-        // than a panic in case validation rules and this ever drift.
-        return Err(PfError::InvalidNetwork {
-            problems: vec!["network has no slack bus".into()],
-        });
-    };
+    // `validate` above guarantees a slack; keep a typed error rather
+    // than a panic in case validation rules and this ever drift.
+    let slack = net.slack().ok_or_else(PfError::no_slack)?;
 
-    // Effective roles: a PV bus without an in-service generator is just PQ.
-    let mut role = vec![Role::Pq; n];
-    role[slack] = Role::Slack;
-    for (i, bus) in net.buses.iter().enumerate() {
-        if bus.kind == BusKind::Pv && net.gens_at(i).next().is_some() {
-            role[i] = Role::Pv;
-        }
-    }
-    role[slack] = Role::Slack;
-
-    // Scheduled injections in p.u.
-    let (p_mw, q_mvar) = net.scheduled_injections();
-    let p_spec: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
-    let mut q_spec: Vec<f64> = q_mvar.iter().map(|v| v / net.base_mva).collect();
+    let mut role = effective_roles(net, slack);
+    let (p_spec, mut q_spec) = targets_pu(net);
     // At PQ buses the scheduled Q excludes any (switched-off-PV) generator
     // contribution — handled below during Q-limit rounds.
 
@@ -195,12 +171,10 @@ pub(crate) fn solve_prepared(
 
     loop {
         let converged = newton_inner(
-            net,
             ybus,
             &role,
             &p_spec,
             &q_spec,
-            slack,
             opts,
             &mut v,
             &mut iterations,
@@ -346,12 +320,10 @@ impl JacScratch {
 /// spent. Returns `Ok(true)` on convergence.
 #[allow(clippy::too_many_arguments)]
 fn newton_inner(
-    net: &Network,
     ybus: &YBus,
     role: &[Role],
     p_spec: &[f64],
     q_spec: &[f64],
-    _slack: usize,
     opts: &PfOptions,
     v: &mut [Complex],
     iterations: &mut usize,
@@ -360,51 +332,15 @@ fn newton_inner(
     engine: &mut LuEngine,
     scratch: &mut JacScratch,
 ) -> Result<bool, PfError> {
-    let n = net.n_bus();
-
-    // Variable maps.
-    let mut col_th = vec![usize::MAX; n];
-    let mut col_vm = vec![usize::MAX; n];
-    let mut n_th = 0usize;
-    for i in 0..n {
-        if role[i] != Role::Slack {
-            col_th[i] = n_th;
-            n_th += 1;
-        }
-    }
-    let mut n_vm = 0usize;
-    for i in 0..n {
-        if role[i] == Role::Pq {
-            col_vm[i] = n_th + n_vm;
-            n_vm += 1;
-        }
-    }
-    let nvar = n_th + n_vm;
+    let idx = PolarIndex::new(role);
+    let nvar = idx.nvar();
     if nvar == 0 {
         mismatch_history.push(0.0);
         return Ok(true);
     }
+    let mismatch_at = |v: &[Complex]| idx.mismatch(&ybus.injections(v), p_spec, q_spec);
 
-    let mismatch = |v: &[Complex]| -> (Vec<f64>, f64) {
-        let s = ybus.injections(v);
-        let mut f = vec![0.0f64; nvar];
-        let mut norm = 0.0f64;
-        for i in 0..n {
-            if col_th[i] != usize::MAX {
-                let m = s[i].re - p_spec[i];
-                f[col_th[i]] = m;
-                norm = norm.max(m.abs());
-            }
-            if col_vm[i] != usize::MAX {
-                let m = s[i].im - q_spec[i];
-                f[col_vm[i]] = m;
-                norm = norm.max(m.abs());
-            }
-        }
-        (f, norm)
-    };
-
-    let (mut f, mut norm) = mismatch(v);
+    let (mut f, mut norm) = mismatch_at(v);
     for local_iter in 0..=opts.max_iter {
         mismatch_history.push(norm);
         if norm < opts.tol_pu {
@@ -418,50 +354,7 @@ fn newton_inner(
         // ---- Jacobian assembly over the Ybus sparsity pattern.
         let s_calc = ybus.injections(v);
         scratch.begin(nvar, 4 * ybus.matrix.nnz());
-        let tj = &mut scratch.tj;
-        for i in 0..n {
-            let (cols, vals) = ybus.matrix.row(i);
-            let vi = v[i].abs();
-            let thi = v[i].arg();
-            let row_p = col_th[i]; // P-mismatch row shares the θ index
-            let row_q = col_vm[i]; // Q-mismatch row shares the Vm index
-            for (&j, &y) in cols.iter().zip(vals) {
-                let (g, b) = (y.re, y.im);
-                if i == j {
-                    let (pi, qi) = (s_calc[i].re, s_calc[i].im);
-                    if row_p != usize::MAX {
-                        tj.push(row_p, col_th[i], -qi - b * vi * vi);
-                        if col_vm[i] != usize::MAX {
-                            tj.push(row_p, col_vm[i], pi / vi + g * vi);
-                        }
-                    }
-                    if row_q != usize::MAX {
-                        tj.push(row_q, col_th[i], pi - g * vi * vi);
-                        tj.push(row_q, col_vm[i], qi / vi - b * vi);
-                    }
-                } else {
-                    let vj = v[j].abs();
-                    let thij = thi - v[j].arg();
-                    let (sin, cos) = thij.sin_cos();
-                    if row_p != usize::MAX {
-                        if col_th[j] != usize::MAX {
-                            tj.push(row_p, col_th[j], vi * vj * (g * sin - b * cos));
-                        }
-                        if col_vm[j] != usize::MAX {
-                            tj.push(row_p, col_vm[j], vi * (g * cos + b * sin));
-                        }
-                    }
-                    if row_q != usize::MAX {
-                        if col_th[j] != usize::MAX {
-                            tj.push(row_q, col_th[j], -vi * vj * (g * cos + b * sin));
-                        }
-                        if col_vm[j] != usize::MAX {
-                            tj.push(row_q, col_vm[j], vi * (g * sin - b * cos));
-                        }
-                    }
-                }
-            }
-        }
+        idx.stamp_jacobian(&mut scratch.tj, ybus, v, &s_calc);
         let jac = scratch.assemble();
         let lu = engine
             .factorize(jac)
@@ -475,25 +368,8 @@ fn newton_inner(
         let dx = &scratch.dx;
 
         // ---- Step with optional Iwamoto-style optimal multiplier.
-        let apply = |v: &[Complex], mu: f64| -> Vec<Complex> {
-            let mut out = v.to_vec();
-            for i in 0..n {
-                let mut vm = v[i].abs();
-                let mut th = v[i].arg();
-                if col_th[i] != usize::MAX {
-                    th -= mu * dx[col_th[i]];
-                }
-                if col_vm[i] != usize::MAX {
-                    vm -= mu * dx[col_vm[i]];
-                    vm = vm.max(0.1); // keep magnitudes physical
-                }
-                out[i] = Complex::from_polar(vm, th);
-            }
-            out
-        };
-
-        let full = apply(v, 1.0);
-        let (f_full, norm_full) = mismatch(&full);
+        let full = idx.step(v, dx, 1.0);
+        let (f_full, norm_full) = mismatch_at(&full);
         let (chosen_v, chosen_f, chosen_norm, mu_used) =
             if !opts.iwamoto_damping || norm_full <= norm {
                 (full, f_full, norm_full, 1.0)
@@ -503,8 +379,8 @@ fn newton_inner(
                 // evaluated numerically).
                 let mut best = (full, f_full, norm_full, 1.0);
                 for &mu in &[0.9, 0.75, 0.5, 0.35, 0.2, 0.1, 0.05] {
-                    let cand = apply(v, mu);
-                    let (fc, nc) = mismatch(&cand);
+                    let cand = idx.step(v, dx, mu);
+                    let (fc, nc) = mismatch_at(&cand);
                     if nc < best.2 {
                         best = (cand, fc, nc, mu);
                     }

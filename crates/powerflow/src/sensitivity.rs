@@ -8,9 +8,9 @@
 //! and the security constraints of the SCOPF extension.
 
 use crate::types::PfError;
-use gm_network::Network;
+use gm_network::{slack_pinned_bprime, Network};
 use gm_numeric::DMat;
-use gm_sparse::{SparseLu, Triplets};
+use gm_sparse::SparseLu;
 
 /// PTDF/LODF matrices for a network snapshot (in-service branches only;
 /// out-of-service rows are zero).
@@ -68,32 +68,15 @@ pub fn sensitivities_for_screening(net: &Network) -> Result<Sensitivities, PfErr
 fn sensitivities_impl(net: &Network, wanted: Option<&[bool]>) -> Result<Sensitivities, PfError> {
     let n = net.n_bus();
     let nb = net.branches.len();
-    let Some(slack) = net.slack() else {
-        return Err(PfError::InvalidNetwork {
-            problems: vec!["network has no slack bus".into()],
-        });
-    };
+    let slack = net.slack().ok_or_else(PfError::no_slack)?;
 
     // Reduced B with the slack pinned, as in the DC power flow.
-    let mut t = Triplets::new(n, n);
+    let mut t = slack_pinned_bprime(net, slack);
     let mut connected = vec![false; n];
     for br in net.branches.iter().filter(|b| b.in_service) {
-        let b = 1.0 / br.x_pu;
-        let (i, j) = (br.from_bus, br.to_bus);
-        connected[i] = true;
-        connected[j] = true;
-        if i != slack && j != slack {
-            t.push(i, i, b);
-            t.push(j, j, b);
-            t.push(i, j, -b);
-            t.push(j, i, -b);
-        } else if i != slack {
-            t.push(i, i, b);
-        } else if j != slack {
-            t.push(j, j, b);
-        }
+        connected[br.from_bus] = true;
+        connected[br.to_bus] = true;
     }
-    t.push(slack, slack, 1.0);
     // Buses with no in-service branch would leave a zero row; pin them
     // like the slack so B stays factorizable. Their PTDF columns are
     // forced to zero below (no in-service branch can see them), so the
@@ -380,21 +363,9 @@ mod tests {
         let n = net.n_bus();
         let slack = net.slack().unwrap();
         let mut bd = DMat::zeros(n, n);
-        for br in net.branches.iter().filter(|b| b.in_service) {
-            let b = 1.0 / br.x_pu;
-            let (i, j) = (br.from_bus, br.to_bus);
-            if i != slack && j != slack {
-                bd[(i, i)] += b;
-                bd[(j, j)] += b;
-                bd[(i, j)] -= b;
-                bd[(j, i)] -= b;
-            } else if i != slack {
-                bd[(i, i)] += b;
-            } else if j != slack {
-                bd[(j, j)] += b;
-            }
+        for &(r, c, b) in slack_pinned_bprime(&net, slack).entries() {
+            bd[(r, c)] += b;
         }
-        bd[(slack, slack)] += 1.0;
         let dlu = DenseLu::factor(&bd).unwrap();
         for col in 0..n {
             if col == slack {
@@ -441,6 +412,10 @@ mod tests {
         net.loads.retain(|l| l.bus != stub);
         net.gens.retain(|g| g.bus != stub);
 
+        // The stub has no in-service branch left: the shared stamp alone
+        // has a zero row there, the isolated-bus pin makes it factorable.
+        let bare = slack_pinned_bprime(&net, net.slack().unwrap());
+        assert!(SparseLu::factor(&bare.to_csr()).is_err());
         let full = sensitivities(&net).unwrap();
         let reg = gm_telemetry::Registry::new();
         let scoped = {

@@ -219,6 +219,16 @@ pub enum PfError {
     },
 }
 
+impl PfError {
+    /// The error every solver entry reports for a network without a
+    /// slack bus.
+    pub(crate) fn no_slack() -> PfError {
+        PfError::InvalidNetwork {
+            problems: vec!["network has no slack bus".into()],
+        }
+    }
+}
+
 impl std::fmt::Display for PfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

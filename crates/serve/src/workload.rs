@@ -8,7 +8,7 @@
 //! recalls exactly what a fresh solve would have produced. Busy
 //! rejections are retried with a bounded, deterministic backoff (the
 //! retry budget and wait accounting run on a virtual clock — see
-//! [`Backoff`]) rather than dropped, so backpressure shows up as
+//! `Backoff`) rather than dropped, so backpressure shows up as
 //! `busy_retries` instead of lost work.
 //!
 //! ## Chaos mode

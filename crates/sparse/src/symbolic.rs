@@ -194,18 +194,6 @@ impl SymbolicLu {
         Ok(out)
     }
 
-    /// Numeric refactorization: replays the captured elimination on
-    /// `a`'s values, reusing `out`'s buffers and `scratch` (resized to
-    /// `n`; contents irrelevant) so the steady state allocates nothing.
-    ///
-    /// On `Ok`, `out` is bit-identical to what a fresh
-    /// [`SparseLu::factor_with`]`(a, ordering, pivot_tol)` would
-    /// produce. On `Err` — the pivot sequence no longer reproduces
-    /// ([`SparseLuError::RefactorUnstable`]), the matrix went singular,
-    /// or the pattern differs from the analyzed one
-    /// ([`SparseLuError::NotSquare`] / unstable at step 0) — `out` is
-    /// left in an unspecified state and must be rebuilt via
-    /// [`SymbolicLu::analyze`].
     /// Fresh numeric factorization of `a` reusing only the cached
     /// fill-reducing ordering and column-access plan — pivoting is
     /// re-run from scratch, so this succeeds where
@@ -232,6 +220,18 @@ impl SymbolicLu {
         )
     }
 
+    /// Numeric refactorization: replays the captured elimination on
+    /// `a`'s values, reusing `out`'s buffers and `scratch` (resized to
+    /// `n`; contents irrelevant) so the steady state allocates nothing.
+    ///
+    /// On `Ok`, `out` is bit-identical to what a fresh
+    /// [`SparseLu::factor_with`]`(a, ordering, pivot_tol)` would
+    /// produce. On `Err` — the pivot sequence no longer reproduces
+    /// ([`SparseLuError::RefactorUnstable`]), the matrix went singular,
+    /// or the pattern differs from the analyzed one
+    /// ([`SparseLuError::NotSquare`] / unstable at step 0) — `out` is
+    /// left in an unspecified state and must be rebuilt via
+    /// [`SymbolicLu::analyze`].
     pub fn refactor_into(
         &self,
         a: &CsMat<f64>,
@@ -401,7 +401,7 @@ const DIRECT_DEMOTION_STREAK: u32 = 2;
 /// analyzes on a miss. Numeric factors and scratch space are owned by
 /// the engine and reused across calls.
 ///
-/// A slot whose replays keep failing ([`DIRECT_DEMOTION_STREAK`]
+/// A slot whose replays keep failing (`DIRECT_DEMOTION_STREAK`
 /// consecutive fallbacks) is demoted: further hits skip the replay and
 /// run [`SymbolicLu::factor_fresh`] — cached ordering, fresh pivots —
 /// which is still well below cold-factorization cost.

@@ -1,0 +1,123 @@
+//! Golden-bit pins for the power-flow core.
+//!
+//! Newton, the compensated outage solve, FDLF, DC, the LODF and the
+//! synthetic generator all share one statement of the power-flow
+//! equations (the polar system in `gm-powerflow`, the slack-pinned `B'`
+//! stamp in `gm-network`). A refactor of that shared code must not move
+//! a single bit of any answer: the N-1 cascade's "compensated ≡ Newton"
+//! guarantee, the embedded rating tables and every committed bench
+//! baseline are calibrated against these exact numbers. Each digest is
+//! FNV-1a over the `to_bits()` of the quantities named beside it,
+//! recorded before the equations were pulled into one place.
+
+use gm_network::{cases, generate_scale, CaseId, ScaleId};
+use gm_numeric::Fnv1a;
+use gm_powerflow::{
+    sensitivities, solve, solve_dc, solve_fast_decoupled, CompensationBase, PfOptions, PfReport,
+};
+
+fn digest(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for v in values {
+        h.u64(v.to_bits());
+    }
+    h.finish()
+}
+
+/// Every bus `vm_pu`/`va_deg`, then every branch `p_from_mw`.
+fn report_digest(rep: &PfReport) -> u64 {
+    digest(
+        rep.buses
+            .iter()
+            .flat_map(|b| [b.vm_pu, b.va_deg])
+            .chain(rep.branches.iter().map(|f| f.p_from_mw)),
+    )
+}
+
+fn q_limits(on: bool) -> PfOptions {
+    PfOptions {
+        enforce_q_limits: on,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn newton_reports_are_bit_pinned() {
+    let nets = [
+        cases::load(CaseId::Ieee14),
+        cases::load(CaseId::Ieee118),
+        generate_scale(&ScaleId::Synth1354.spec()).unwrap(),
+    ];
+    // Per network: Q-limit enforcement on, then off.
+    let got: Vec<u64> = nets
+        .iter()
+        .flat_map(|net| [true, false].map(|on| report_digest(&solve(net, &q_limits(on)).unwrap())))
+        .collect();
+    let want = [
+        0x41cc55cc87da3327, // case14 has no binding Q-limit: same answer twice
+        0x41cc55cc87da3327,
+        0xba28fc38f04d3c0c,
+        0x2b93ff05cab3a68f,
+        0x3edf30983c7c7f72,
+        0x5d8449d519d9f1f0,
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
+}
+
+#[test]
+fn fdlf_report_is_bit_pinned() {
+    let opts = PfOptions {
+        enforce_q_limits: false,
+        max_iter: 60,
+        ..Default::default()
+    };
+    let rep = solve_fast_decoupled(&cases::load(CaseId::Ieee30), &opts).unwrap();
+    let got = report_digest(&rep);
+    assert_eq!(got, 0xb1092365e1331e9d, "{got:#018x}");
+}
+
+#[test]
+fn compensated_outages_are_bit_pinned() {
+    let net = cases::load(CaseId::Ieee118);
+    let opts = PfOptions {
+        enforce_q_limits: false,
+        max_iter: 25,
+        ..Default::default()
+    };
+    let base = solve(&net, &opts).unwrap();
+    let comp = CompensationBase::new(&net, &opts, &base).unwrap();
+    let got = [0usize, 50, 120].map(|branch| {
+        let mut work = net.clone();
+        work.branches[branch].in_service = false;
+        report_digest(&comp.solve_outage(&work, &opts, &[branch]).unwrap())
+    });
+    let want = [0x73ec130aed4a04e9, 0x574bbf2e0078d05f, 0xcd4f44497e04b4d1];
+    assert_eq!(got, want, "{got:#018x?}");
+}
+
+#[test]
+fn dc_solution_is_bit_pinned() {
+    let dc = solve_dc(&cases::load(CaseId::Ieee300)).unwrap();
+    let got = digest(dc.theta_rad.iter().chain(&dc.flow_mw).copied());
+    assert_eq!(got, 0xfa9eeb66a46f03ca, "{got:#018x}");
+}
+
+#[test]
+fn lodf_is_bit_pinned() {
+    let net = cases::load(CaseId::Ieee57);
+    let s = sensitivities(&net).unwrap();
+    let nb = net.branches.len();
+    let got = digest(
+        (0..nb)
+            .flat_map(|l| (0..nb).map(move |k| (l, k)))
+            .map(|i| s.lodf[i]),
+    );
+    assert_eq!(got, 0xade211cc7ed7dc35, "{got:#018x}");
+}
+
+#[test]
+fn synth1354_branches_are_bit_pinned() {
+    let net = generate_scale(&ScaleId::Synth1354.spec()).unwrap();
+    let got = digest(net.branches.iter().flat_map(|b| [b.x_pu, b.rating_mva]));
+    assert_eq!(got, 0xf0bdde5fbe57c1bd, "{got:#018x}");
+}

@@ -3,8 +3,72 @@
 //! grounded response (the paper's reliability claim depends on this).
 
 use gm_agents::{classify, extract_entities, IntentRule, Schema};
-use gridmind_core::{GridMind, ModelProfile};
+use gm_faults::{FaultInjector, FaultKind, FaultRule};
+use gridmind_core::{GridMind, ModelProfile, CAVEAT_PREFIX};
 use proptest::prelude::*;
+
+/// Asks one outage study of a session that has case14 loaded but no base
+/// case solved, with `fault` scripted at the base-case solve. Returns the
+/// narration and the session's `recovery.attempts`.
+fn outage_study(ask: &str, fault: Option<FaultRule>) -> (String, u64) {
+    let inj = FaultInjector::scripted(fault.into_iter().collect());
+    let _g = inj.install();
+    let mut gm = GridMind::new(ModelProfile::paper_models().remove(0));
+    assert!(gm.session.load_case("case14").is_ok());
+    let text = gm.ask(ask).text;
+    (
+        text,
+        gm.session.telemetry.counter_value("recovery.attempts"),
+    )
+}
+
+/// A base case that needs a fallback rung reaches the user as a caveated
+/// answer — never a tool error — and costs exactly one ladder descent,
+/// whichever outage study asked for it.
+fn assert_caveated(ask: &str, fault: FaultRule) {
+    let (text, attempts) = outage_study(ask, Some(fault));
+    assert!(text.contains(CAVEAT_PREFIX), "{ask}: {text}");
+    assert_eq!(attempts, 1, "{ask}: {text}");
+}
+
+#[test]
+fn specific_outage_caveats_a_diverging_base_case() {
+    assert_caveated(
+        "analyze the outage of line 0",
+        FaultRule::new("pf.base", FaultKind::NewtonDiverge, 0, 1),
+    );
+}
+
+#[test]
+fn generator_sweep_caveats_a_diverging_base_case() {
+    assert_caveated(
+        "simulate the loss of each generator unit",
+        FaultRule::new("pf.base", FaultKind::NewtonDiverge, 0, 1),
+    );
+}
+
+#[test]
+fn n1_sweep_caveats_a_singular_base_case() {
+    // The plan solves the base case first; the second consult of the
+    // site is the sweep's own.
+    assert_caveated(
+        "run the n-1 contingency analysis",
+        FaultRule::new("pf.base", FaultKind::LuSingular, 1, 1),
+    );
+}
+
+#[test]
+fn fault_free_outage_studies_never_touch_the_ladder() {
+    for ask in [
+        "analyze the outage of line 0",
+        "simulate the loss of each generator unit",
+        "run the n-1 contingency analysis",
+    ] {
+        let (text, attempts) = outage_study(ask, None);
+        assert!(!text.contains(CAVEAT_PREFIX), "{ask}: {text}");
+        assert_eq!(attempts, 0, "{ask}");
+    }
+}
 
 #[test]
 fn degenerate_inputs_never_break_the_coordinator() {

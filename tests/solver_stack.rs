@@ -2,8 +2,8 @@
 //! flow, economic dispatch, DC-OPF, and ACOPF must tell one coherent
 //! numerical story on every case.
 
-use gm_acopf::{economic_dispatch, solve_acopf, solve_dcopf, AcopfOptions, IpmOptions};
-use gm_network::{cases, CaseId};
+use gm_acopf::{economic_dispatch, solve_acopf, solve_dcopf, AcopfError, AcopfOptions, IpmOptions};
+use gm_network::{cases, BusKind, CaseId};
 use gm_powerflow::{solve, solve_dc, PfOptions};
 
 #[test]
@@ -34,6 +34,26 @@ fn cost_hierarchy_ed_dcopf_acopf() {
             ed.cost
         );
     }
+}
+
+#[test]
+fn dcopf_failures_are_typed_like_the_other_solver_entries() {
+    let mut net = cases::load(CaseId::Ieee14);
+    for b in &mut net.buses {
+        b.kind = BusKind::Pq; // no slack anywhere
+    }
+    let err = solve_dcopf(&net, &IpmOptions::default()).unwrap_err();
+    assert!(matches!(err, AcopfError::InvalidNetwork { .. }), "{err}");
+
+    let starved = IpmOptions {
+        max_iter: 1,
+        ..Default::default()
+    };
+    let err = solve_dcopf(&cases::load(CaseId::Ieee14), &starved).unwrap_err();
+    assert!(
+        matches!(err, AcopfError::NotConverged { iterations: 1, .. }),
+        "{err}"
+    );
 }
 
 #[test]
