@@ -20,6 +20,7 @@ use crate::types::{AcopfError, AcopfSolution, BranchLoading};
 use gm_network::{Network, YBus};
 use gm_numeric::Fnv1a;
 use gm_sparse::{CsMat, Triplets};
+use std::cell::{Ref, RefCell};
 
 /// ACOPF solver options.
 #[derive(Clone, Debug, Default)]
@@ -123,6 +124,17 @@ pub(crate) struct AcopfProblem<'a> {
     /// Shunt (g, b) per bus in p.u.
     shunt: Vec<(f64, f64)>,
     warm_start: bool,
+    /// Branch-end flows at the iterate they were last asked for. The
+    /// three constraint callbacks and [`unpack_solution`] all evaluate
+    /// at the same `x`, so each iterate's flows are computed once.
+    flows: RefCell<FlowMemo>,
+}
+
+/// Both ends of every branch (`None` when out of service) at `x`.
+#[derive(Default)]
+struct FlowMemo {
+    x: Vec<f64>,
+    ends: Vec<Option<(EndFlow, EndFlow)>>,
 }
 
 impl<'a> AcopfProblem<'a> {
@@ -188,7 +200,14 @@ impl<'a> AcopfProblem<'a> {
             qd,
             shunt,
             warm_start,
+            flows: RefCell::default(),
         })
+    }
+
+    /// Rows of [`Nlp::inequalities`]: two flow limits per rated branch,
+    /// then the box bounds.
+    pub(crate) fn n_inequalities(&self) -> usize {
+        self.limits.len() + self.bounds.len()
     }
 
     /// Decodes θ and Vm for a bus from the variable vector.
@@ -202,24 +221,32 @@ impl<'a> AcopfProblem<'a> {
         (th, x[self.layout.vm[bus]])
     }
 
-    /// Evaluates both ends of every in-service branch.
-    fn branch_flows(&self, x: &[f64]) -> Vec<Option<(EndFlow, EndFlow)>> {
-        self.net
-            .branches
-            .iter()
-            .enumerate()
-            .map(|(bi, br)| {
-                if !br.in_service {
-                    return None;
-                }
-                let blk = &self.ybus.branch[bi];
-                let (thf, vf) = self.bus_state(x, br.from_bus);
-                let (tht, vt) = self.bus_state(x, br.to_bus);
-                let from = end_flow(thf, tht, vf, vt, blk.yff, blk.yft);
-                let to = end_flow(tht, thf, vt, vf, blk.ytt, blk.ytf);
-                Some((from, to))
-            })
-            .collect()
+    /// Both ends of every in-service branch at `x`, evaluated on the
+    /// first request for a new `x` and served from the memo after that.
+    fn branch_flows(&self, x: &[f64]) -> Ref<'_, [Option<(EndFlow, EndFlow)>]> {
+        let stale = {
+            let memo = self.flows.borrow();
+            memo.ends.len() != self.net.branches.len() || memo.x != x
+        };
+        if stale {
+            let mut memo = self.flows.borrow_mut();
+            memo.x.clear();
+            memo.x.extend_from_slice(x);
+            memo.ends.clear();
+            memo.ends
+                .extend(self.net.branches.iter().enumerate().map(|(bi, br)| {
+                    if !br.in_service {
+                        return None;
+                    }
+                    let blk = &self.ybus.branch[bi];
+                    let (thf, vf) = self.bus_state(x, br.from_bus);
+                    let (tht, vt) = self.bus_state(x, br.to_bus);
+                    let from = end_flow(thf, tht, vf, vt, blk.yff, blk.yft);
+                    let to = end_flow(tht, thf, vt, vf, blk.ytt, blk.ytf);
+                    Some((from, to))
+                }));
+        }
+        Ref::map(self.flows.borrow(), |memo| &memo.ends[..])
     }
 
     /// The four variable columns of a branch oriented for the given end.
@@ -338,21 +365,17 @@ impl Nlp for AcopfProblem<'_> {
                     if cols[k] == usize::MAX {
                         continue;
                     }
-                    if end.dp[k] != 0.0 {
-                        t.push(bus, cols[k], end.dp[k]);
-                    }
-                    if end.dq[k] != 0.0 {
-                        t.push(n + bus, cols[k], end.dq[k]);
-                    }
+                    t.push(bus, cols[k], end.dp[k]);
+                    t.push(n + bus, cols[k], end.dq[k]);
                 }
             }
         }
-        (g, t.to_csr())
+        (g, t.to_csr_structural())
     }
 
     fn inequalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
         let flows = self.branch_flows(x);
-        let niq = self.limits.len() + self.bounds.len();
+        let niq = self.n_inequalities();
         let mut h = vec![0.0; niq];
         let mut t = Triplets::with_capacity(niq, self.layout.nx, 8 * self.limits.len() + niq);
 
@@ -370,10 +393,7 @@ impl Nlp for AcopfProblem<'_> {
                 if cols[k] == usize::MAX {
                     continue;
                 }
-                let d = 2.0 * (end.p * end.dp[k] + end.q * end.dq[k]);
-                if d != 0.0 {
-                    t.push(r, cols[k], d);
-                }
+                t.push(r, cols[k], 2.0 * (end.p * end.dp[k] + end.q * end.dq[k]));
             }
         }
         let off = self.limits.len();
@@ -381,7 +401,7 @@ impl Nlp for AcopfProblem<'_> {
             h[off + r] = coef * x[col] + konst;
             t.push(off + r, col, coef);
         }
-        (h, t.to_csr())
+        (h, t.to_csr_structural())
     }
 
     fn lagrangian_hessian(&self, x: &[f64], lam: &[f64], mu: &[f64]) -> CsMat<f64> {
@@ -410,9 +430,7 @@ impl Nlp for AcopfProblem<'_> {
             let (gsh, bsh) = self.shunt[i];
             if gsh != 0.0 || bsh != 0.0 {
                 let w = lam[i] * 2.0 * gsh + lam[n + i] * (-2.0 * bsh);
-                if w != 0.0 {
-                    t.push(self.layout.vm[i], self.layout.vm[i], w);
-                }
+                t.push(self.layout.vm[i], self.layout.vm[i], w);
             }
         }
 
@@ -425,18 +443,13 @@ impl Nlp for AcopfProblem<'_> {
             for (end, bus, from_end) in [(from, br.from_bus, true), (to, br.to_bus, false)] {
                 let cols = self.end_cols(bi, from_end);
                 let (wp, wq) = (lam[bus], lam[n + bus]);
-                if wp != 0.0 || wq != 0.0 {
-                    scatter_4x4(&mut t, &cols, |r, c| {
-                        wp * end.d2p[r][c] + wq * end.d2q[r][c]
-                    });
-                }
+                scatter_4x4(&mut t, &cols, |r, c| {
+                    wp * end.d2p[r][c] + wq * end.d2q[r][c]
+                });
             }
         }
         for (r, lim) in self.limits.iter().enumerate() {
             let m = mu[r];
-            if m == 0.0 {
-                continue;
-            }
             let Some((from, to)) = flows[lim.branch].as_ref() else {
                 continue; // zero flow on an out-of-service branch
             };
@@ -451,12 +464,13 @@ impl Nlp for AcopfProblem<'_> {
                         + end.q * end.d2q[r2][c2])
             });
         }
-        t.to_csr()
+        t.to_csr_structural()
     }
 }
 
 /// Scatters a dense symmetric 4×4 block into the triplet buffer, skipping
-/// fixed (slack-θ) columns.
+/// fixed (slack-θ) columns. Zero values are stamped too: the Hessian
+/// pattern must not depend on the iterate.
 fn scatter_4x4(t: &mut Triplets<f64>, cols: &[usize; 4], val: impl Fn(usize, usize) -> f64) {
     for r in [THF, THT, VF, VT] {
         if cols[r] == usize::MAX {
@@ -466,10 +480,7 @@ fn scatter_4x4(t: &mut Triplets<f64>, cols: &[usize; 4], val: impl Fn(usize, usi
             if cols[c] == usize::MAX {
                 continue;
             }
-            let v = val(r, c);
-            if v != 0.0 {
-                t.push(cols[r], cols[c], v);
-            }
+            t.push(cols[r], cols[c], val(r, c));
         }
     }
 }

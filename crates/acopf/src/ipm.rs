@@ -17,11 +17,34 @@
 //!
 //! separate primal/dual step clipping, and the standard normalized
 //! convergence criteria (feasibility, gradient, complementarity, cost).
+//!
+//! The reduced system is symmetric and its pattern is fixed for the
+//! whole solve (the [`Nlp`] callbacks return structural patterns), so it
+//! is factored by the static-order [`SparseLdl`]: one symbolic analysis
+//! per solve, a numeric refactorization per barrier iteration. The
+//! static order carries no stability guarantee, so every step is
+//! verified instead — refined against the assembled system to a
+//! relative residual of 1e-12 — and an iteration whose LDLᵀ breaks down or
+//! cannot be refined that far takes its step from a one-shot pivoting
+//! LU, counted as `acopf.kkt.lu_fallbacks`.
 
+use gm_faults::FaultKind;
 use gm_numeric::Fnv1a;
-use gm_sparse::{CsMat, LuEngine, ScatterMap, Triplets};
+use gm_sparse::{CsMat, ScatterMap, SparseLdl, SparseLu, Triplets};
+
+/// Relative residual (as [`SparseLdl::solve_refined`] measures it)
+/// every LDLᵀ step is refined to before the IPM takes it.
+const KKT_RESIDUAL_TOL: f64 = 1e-12;
+/// Correction solves allowed per step before falling back to LU.
+const KKT_REFINE_STEPS: usize = 12;
 
 /// A smooth nonlinear program the IPM can solve.
+///
+/// The sparsity pattern of each returned matrix must depend only on the
+/// problem, never on `x` or the multipliers: a derivative that happens
+/// to be zero at some iterate is stored as an explicit zero
+/// ([`Triplets::to_csr_structural`]), so the KKT pattern — and with it
+/// the symbolic factorization — holds for the whole solve.
 pub trait Nlp {
     /// Number of primal variables.
     fn nx(&self) -> usize;
@@ -136,6 +159,10 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
             "acopf.ipm.barrier_mu",
             &[1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0],
         );
+        reg.register_histogram(
+            "acopf.kkt.residual",
+            &[1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-6],
+        );
     }
     let nx = prob.nx();
     let mut x = prob.x0();
@@ -161,14 +188,12 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
 
     let (mut feascond, mut gradcond, mut compcond) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
 
-    // KKT scratch, hoisted out of the barrier loop: the triplet buffer,
-    // assembled matrix, and scatter map are reused across iterations
-    // (the KKT pattern is stable once the active barrier terms settle),
-    // and the symbolic LU analysis is reused through the engine whenever
-    // the pattern repeats.
-    let mut engine = LuEngine::new();
-    let mut kkt_t: Triplets<f64> = Triplets::new(0, 0);
-    let mut kkt: Option<(CsMat<f64>, ScatterMap)> = None;
+    // KKT state, reused across barrier iterations: the stamping buffer,
+    // the assembled matrix with its scatter plan, and the LDLᵀ analysis.
+    let n_kkt = nx + neq;
+    let mut kkt_t: Triplets<f64> = Triplets::new(n_kkt, n_kkt);
+    let mut kkt: Option<(CsMat<f64>, ScatterMap, SparseLdl)> = None;
+    let mut rhs: Vec<f64> = Vec::new();
     let mut sol: Vec<f64> = Vec::new();
     let mut solve_ws: Vec<f64> = Vec::new();
 
@@ -205,17 +230,7 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
 
         // ---- Reduced KKT assembly.
         let hess = prob.lagrangian_hessian(&x, &lam, &mu);
-        let n_kkt = nx + neq;
-        if kkt_t.shape() != (n_kkt, n_kkt) {
-            kkt_t = Triplets::with_capacity(
-                n_kkt,
-                n_kkt,
-                hess.nnz() + 2 * jg.nnz() + jh.nnz() * 4 + nx,
-            );
-            kkt = None;
-        } else {
-            kkt_t.clear();
-        }
+        kkt_t.clear();
         let t = &mut kkt_t;
         for (i, j, v) in hess.iter() {
             t.push(i, j, v);
@@ -223,9 +238,6 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
         // Jhᵀ·(Z⁻¹M)·Jh: accumulate row-pair products per inequality row.
         for r in 0..niq {
             let wr = mu[r] / z[r];
-            if wr == 0.0 {
-                continue;
-            }
             let (cols, vals) = jh.row(r);
             for (idx_a, (&ca, &va)) in cols.iter().zip(vals).enumerate() {
                 for (&cb, &vb) in cols[idx_a..].iter().zip(&vals[idx_a..]) {
@@ -249,45 +261,71 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
         for r in 0..neq {
             t.push(nx + r, nx + r, -1e-11);
         }
-        // Scatter the fresh values into the cached CSC/CSR storage when
-        // the triplet pattern repeats; rebuild the matrix and map when it
-        // doesn't (the stamping skips exact-zero barrier weights, so the
-        // pattern is value-dependent).
-        let reusable = match &mut kkt {
-            Some((m, map)) => map.scatter(&kkt_t, m),
+        // Same stamping sequence as the last iteration (always, with
+        // structural callbacks): refresh the values in place. Otherwise
+        // assemble afresh, zeros kept, and analyze the new pattern.
+        let same_pattern = match &mut kkt {
+            Some((m, map, _)) => map.scatter(&kkt_t, m),
             None => false,
         };
-        if !reusable {
-            kkt = None;
+        if !same_pattern {
+            let (m, map) = kkt_t.to_csr_structural_with_map();
+            kkt = SparseLdl::analyze(&m).ok().map(|ldl| (m, map, ldl));
         }
-        let tref = &kkt_t;
-        let (kkt_m, _) = kkt.get_or_insert_with(|| tref.to_csr_with_map());
+        let Some((kkt_m, _, ldl)) = &mut kkt else {
+            message = format!("KKT system not square at iteration {it}");
+            break;
+        };
 
         // RHS: [−N; −g], N = Lx + Jhᵀ·Z⁻¹·(γe + M·h).
         let zinv_term: Vec<f64> = (0..niq).map(|r| (gamma + mu[r] * h[r]) / z[r]).collect();
         let jht_zt = jh.mul_vec_t(&zinv_term);
         // N = Lx + Jhᵀ·Z⁻¹(γe + M·h), exactly as in MIPS: eliminating Δz
         // and Δμ folds the current duals (Z⁻¹·M·z = μ) back into the
-        // barrier term. Built directly in the reusable solution buffer:
-        // `sol` holds the rhs going into the in-place solve, the step
-        // coming out.
-        sol.resize(n_kkt, 0.0);
+        // barrier term.
+        rhs.resize(n_kkt, 0.0);
         for i in 0..nx {
-            sol[i] = -(lx[i] + jht_zt[i]);
+            rhs[i] = -(lx[i] + jht_zt[i]);
         }
         for r in 0..neq {
-            sol[nx + r] = -g[r];
+            rhs[nx + r] = -g[r];
         }
 
-        let lu = match engine.factorize(kkt_m) {
-            Ok(lu) => lu,
-            Err(_) => {
-                message = format!("singular KKT system at iteration {it}");
-                break;
-            }
+        let forced_fallback = gm_faults::inject("acopf.kkt.ldl") == Some(FaultKind::LuSingular);
+        let refined = if forced_fallback {
+            None
+        } else {
+            ldl.factor(kkt_m)
+                .and_then(|()| {
+                    ldl.solve_refined(
+                        kkt_m,
+                        &rhs,
+                        &mut sol,
+                        &mut solve_ws,
+                        KKT_RESIDUAL_TOL,
+                        KKT_REFINE_STEPS,
+                    )
+                })
+                .ok()
         };
-        solve_ws.resize(n_kkt, 0.0);
-        lu.solve_in_place(&mut sol, &mut solve_ws);
+        match refined {
+            Some(r) => {
+                gm_telemetry::counter_add("acopf.kkt.refine_steps", r.steps as u64);
+                gm_telemetry::histogram_record("acopf.kkt.residual", r.residual);
+            }
+            None => {
+                // The static pivot order failed on these values: take
+                // this one step from the pivoting LU instead.
+                gm_telemetry::counter_add("acopf.kkt.lu_fallbacks", 1);
+                let Ok(lu) = SparseLu::factor(kkt_m) else {
+                    message = format!("singular KKT system at iteration {it}");
+                    break;
+                };
+                sol.clone_from(&rhs);
+                solve_ws.resize(n_kkt, 0.0);
+                lu.solve_in_place(&mut sol, &mut solve_ws);
+            }
+        }
         let dx = &sol[..nx];
         let dlam = &sol[nx..];
 

@@ -107,7 +107,6 @@ pub struct ScopfSolution {
 struct ScopfProblem<'a> {
     base: AcopfProblem<'a>,
     security: Vec<SecurityConstraint>,
-    base_niq: usize,
 }
 
 impl ScopfProblem<'_> {
@@ -168,7 +167,8 @@ impl Nlp for ScopfProblem<'_> {
     fn lagrangian_hessian(&self, x: &[f64], lam: &[f64], mu: &[f64]) -> CsMat<f64> {
         // The security rows are linear: only the base multipliers carry
         // curvature.
-        self.base.lagrangian_hessian(x, lam, &mu[..self.base_niq])
+        self.base
+            .lagrangian_hessian(x, lam, &mu[..self.base.n_inequalities()])
     }
 }
 
@@ -247,12 +247,9 @@ pub fn solve_scopf(net: &Network, opts: &ScopfOptions) -> Result<ScopfSolution, 
                     problems: vec!["no slack bus".to_string()],
                 });
             };
-            let (_, base_jh) = base_prob.inequalities(&base_prob.x0());
-            let base_niq = base_jh.rows();
             let prob = ScopfProblem {
                 base: base_prob,
                 security: active.values().copied().collect(),
-                base_niq,
             };
             let res = ipm::solve(&prob, &opts.acopf.ipm);
             if res.converged {

@@ -17,6 +17,9 @@
 //! statistic regressing by more than 25% (`BENCH_REGRESSION_TOLERANCE`
 //! overrides), or any baseline-nonzero telemetry counter going to
 //! zero, fails the run with a nonzero exit — the CI regression gate.
+//! With or without it, the run fails when the ACOPF artifact's exact
+//! work counts show more than one KKT symbolic analysis per IPM solve
+//! or any pivoting-LU fallback step.
 //!
 //! Interpretation: `mean_s`/`std_s` are wall-clock per solve (host
 //! dependent); the telemetry counters (`pf.newton.iterations`,
@@ -26,7 +29,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gm_acopf::{solve_acopf, AcopfOptions};
+use gm_acopf::{solve_acopf, solve_scopf, AcopfOptions, ScopfOptions};
 use gm_bench::compare::{compare_all, tolerances_from_env};
 use gm_bench::{read_artifact, stats_value, write_artifact};
 use gm_network::{cases, CaseId};
@@ -64,7 +67,9 @@ fn bench_pf() -> Value {
     out
 }
 
-/// Interior-point ACOPF on the cases the paper evaluates (§4.2).
+/// Interior-point ACOPF on the cases the paper evaluates (§4.2) plus
+/// case300, and the preventive SCOPF on the two cases small enough to
+/// repeat (`<case>-scopf` rows, gated like the rest through `mean_s`).
 fn bench_acopf() -> Value {
     let reg = Registry::new();
     let _guard = reg.install();
@@ -74,6 +79,7 @@ fn bench_acopf() -> Value {
         CaseId::Ieee30,
         CaseId::Ieee57,
         CaseId::Ieee118,
+        CaseId::Ieee300,
     ] {
         let net = cases::load(id);
         let mut secs = Vec::with_capacity(ACOPF_RUNS);
@@ -92,8 +98,51 @@ fn bench_acopf() -> Value {
         v["objective_cost"] = json!(cost);
         per_case.insert(format!("{id:?}"), v);
     }
+    for id in [CaseId::Ieee30, CaseId::Ieee57] {
+        let net = cases::load(id);
+        let mut secs = Vec::with_capacity(ACOPF_RUNS);
+        let mut last = None;
+        for _ in 0..ACOPF_RUNS {
+            let t0 = Instant::now();
+            let sol = solve_scopf(&net, &ScopfOptions::default()).expect("paper case secures");
+            secs.push(t0.elapsed().as_secs_f64());
+            last = Some(sol);
+        }
+        let mut v = stats_value(&secs);
+        v["n_bus"] = json!(net.n_bus());
+        if let Some(sol) = last {
+            v["objective_cost"] = json!(sol.solution.objective_cost);
+            v["security_premium"] = json!(sol.security_premium);
+            v["n_security_constraints"] = json!(sol.n_security_constraints);
+        }
+        per_case.insert(format!("{id:?}-scopf"), v);
+    }
     let mut out = json!({ "bench": "acopf", "cases": Value::Object(per_case) });
     out["telemetry"] = reg.export();
+    out
+}
+
+/// Deterministic work-count gate on the ACOPF artifact: the IPM must
+/// analyze its KKT pattern once per solve and never need the pivoting-LU
+/// fallback on the paper cases. Returns the violated rules.
+fn acopf_kkt_violations(acopf: &Value) -> Vec<String> {
+    let counter = |name: &str| acopf["telemetry"]["counters"][name].as_u64().unwrap_or(0);
+    let (builds, solves) = (
+        counter("sparse.symbolic.build"),
+        counter("acopf.ipm.solves"),
+    );
+    let fallbacks = counter("acopf.kkt.lu_fallbacks");
+    let mut out = Vec::new();
+    if builds > solves {
+        out.push(format!(
+            "BENCH_acopf.json: {builds} symbolic analyses for {solves} IPM solves (more than one per solve)"
+        ));
+    }
+    if fallbacks != 0 {
+        out.push(format!(
+            "BENCH_acopf.json: {fallbacks} KKT steps fell back to the pivoting LU"
+        ));
+    }
     out
 }
 
@@ -240,9 +289,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let acopf = bench_acopf();
+    let kkt_violations = acopf_kkt_violations(&acopf);
     let artifacts = [
         ("BENCH_pf.json", bench_pf()),
-        ("BENCH_acopf.json", bench_acopf()),
+        ("BENCH_acopf.json", acopf),
         ("BENCH_sparse.json", bench_sparse()),
         ("BENCH_e2e.json", bench_e2e()),
         ("BENCH_serve.json", bench_serve()),
@@ -255,6 +306,13 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+
+    for line in &kkt_violations {
+        eprintln!("bench_export: REGRESSION {line}");
+    }
+    if !kkt_violations.is_empty() {
+        return ExitCode::FAILURE;
     }
 
     if let Some(base_dir) = baseline_dir {

@@ -181,6 +181,10 @@ fn seeded_kind(site: &str, z: u64) -> Option<FaultKind> {
         // symbolic cache down its full re-analysis fallback, which must
         // stay invisible to answers (caught below the recovery ladder).
         "sparse.refactor" => Some(FaultKind::LuSingular),
+        // The IPM's static-order LDLᵀ: a fired fault sends that one
+        // barrier iteration through the pivoting-LU fallback, which
+        // must be just as invisible.
+        "acopf.kkt.ldl" => Some(FaultKind::LuSingular),
         "cache.get" => Some(if z & (1 << 32) == 0 {
             FaultKind::CacheMiss
         } else {

@@ -14,7 +14,10 @@
 //! - [`SparseLu`] — a left-looking Gilbert–Peierls LU factorization with
 //!   partial pivoting and an optional greedy minimum-degree column
 //!   preordering ([`order`]), property-tested against the dense
-//!   factorization in `gm-numeric`.
+//!   factorization in `gm-numeric`;
+//! - [`SparseLdl`] — a static-order LDLᵀ for symmetric indefinite
+//!   (KKT) systems: one symbolic analysis, numeric refactorization
+//!   into the same structure, iteratively refined solves.
 //!
 //! Everything here is deterministic: given the same matrix, assembly,
 //! ordering, and factorization produce bit-identical results, which the
@@ -47,6 +50,7 @@
 
 pub mod compensate;
 pub mod csmat;
+pub mod ldl;
 pub mod lu;
 pub mod order;
 pub mod scalar;
@@ -55,6 +59,7 @@ pub mod triplets;
 
 pub use compensate::{CompensateError, CompensatedLu};
 pub use csmat::CsMat;
+pub use ldl::{LdlError, Refinement, SparseLdl};
 pub use lu::{SparseLu, SparseLuError};
 pub use order::{Ordering, OrderingError};
 pub use scalar::Scalar;

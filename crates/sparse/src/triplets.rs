@@ -80,6 +80,18 @@ impl<T: Scalar> Triplets<T> {
     /// Converts to CSR, summing duplicate positions and dropping exact
     /// zeros that result from cancellation.
     pub fn to_csr(&self) -> CsMat<T> {
+        self.csr::<false>()
+    }
+
+    /// Converts to CSR like [`Triplets::to_csr`] but keeps every pushed
+    /// position, explicit zeros included: the output pattern is a
+    /// function of the push positions alone, never of the values. For
+    /// matrices whose pattern feeds a reusable symbolic analysis.
+    pub fn to_csr_structural(&self) -> CsMat<T> {
+        self.csr::<true>()
+    }
+
+    fn csr<const KEEP_ZEROS: bool>(&self) -> CsMat<T> {
         // Counting sort by row, then sort-merge within each row.
         let mut counts = vec![0usize; self.rows + 1];
         for &(r, _, _) in &self.entries {
@@ -120,7 +132,7 @@ impl<T: Scalar> Triplets<T> {
                     acc += vals[order[k]];
                     k += 1;
                 }
-                if !acc.is_zero() {
+                if KEEP_ZEROS || !acc.is_zero() {
                     out_cols.push(c);
                     out_vals.push(acc);
                 }
@@ -136,6 +148,17 @@ impl<T: Scalar> Triplets<T> {
     /// numeric part of the conversion in place on a later stamping of the
     /// same position sequence.
     pub fn to_csr_with_map(&self) -> (CsMat<T>, ScatterMap) {
+        self.csr_with_map::<false>()
+    }
+
+    /// [`Triplets::to_csr_structural`] plus its [`ScatterMap`]: with no
+    /// position ever dropped, the map applies to every later stamping
+    /// of the same position sequence, whatever the values.
+    pub fn to_csr_structural_with_map(&self) -> (CsMat<T>, ScatterMap) {
+        self.csr_with_map::<true>()
+    }
+
+    fn csr_with_map<const KEEP_ZEROS: bool>(&self) -> (CsMat<T>, ScatterMap) {
         // Counting sort by row, tracking the raw entry index of each slot.
         let mut counts = vec![0usize; self.rows + 1];
         for &(r, _, _) in &self.entries {
@@ -182,7 +205,7 @@ impl<T: Scalar> Triplets<T> {
                     acc += vals[order[k]];
                     k += 1;
                 }
-                if !acc.is_zero() {
+                if KEEP_ZEROS || !acc.is_zero() {
                     let slot = out_cols.len();
                     for &p in &order[start..k] {
                         dst_of_raw[raw[p]] = slot;
@@ -206,6 +229,7 @@ impl<T: Scalar> Triplets<T> {
             nnz,
             raw_len: self.entries.len(),
             pos_fp: position_fingerprint(&self.entries),
+            keep_zeros: KEEP_ZEROS,
             dst_of_raw,
             dropped_raw,
             dropped_ptr,
@@ -246,6 +270,9 @@ pub struct ScatterMap {
     nnz: usize,
     raw_len: usize,
     pos_fp: u64,
+    /// Built by the structural conversion: exact-zero sums stay in the
+    /// pattern, so they never invalidate the map.
+    keep_zeros: bool,
     /// Per raw entry (push order): destination slot in the CSR value
     /// array, or `usize::MAX` when the entry belongs to a position that
     /// cancelled to exact zero and was dropped from the pattern.
@@ -290,7 +317,7 @@ impl ScatterMap {
         }
         // A kept position that now cancels to exact zero would have been
         // dropped by `to_csr` — pattern change, rebuild.
-        if vals.iter().any(|v| v.is_zero()) {
+        if !self.keep_zeros && vals.iter().any(|v| v.is_zero()) {
             return false;
         }
         // Dropped positions must still cancel exactly.
@@ -339,6 +366,28 @@ mod tests {
         t.push(0, 0, 2.0);
         t.push(0, 0, -2.0);
         assert_eq!(t.to_csr().nnz(), 0);
+    }
+
+    #[test]
+    fn structural_conversion_keeps_zeros_and_its_map_always_applies() {
+        let mut t = Triplets::new(2, 2);
+        t.push(0, 0, 2.0);
+        t.push(0, 0, -2.0);
+        t.push(1, 0, 0.0);
+        t.push(1, 1, 4.0);
+        assert_eq!(t.to_csr().nnz(), 1);
+        let (mut m, map) = t.to_csr_structural_with_map();
+        assert_eq!(m.indices(), t.to_csr_structural().indices());
+        assert_eq!(m.indices(), &[0, 0, 1]);
+        assert_eq!(m.values(), &[0.0, 0.0, 4.0]);
+        // Zero ↔ nonzero flips in either direction keep the pattern.
+        t.clear();
+        t.push(0, 0, 2.0);
+        t.push(0, 0, 1.0);
+        t.push(1, 0, 5.0);
+        t.push(1, 1, 0.0);
+        assert!(map.scatter(&t, &mut m));
+        assert_eq!(m.values(), &[3.0, 5.0, 0.0]);
     }
 
     #[test]

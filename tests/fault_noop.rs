@@ -43,57 +43,90 @@ fn run_session(
     replies
 }
 
-/// A `LuSingular` fault under pattern-reuse refactorization must be
-/// absorbed *inside* the sparse layer: every attacked refactorization
-/// falls back to a full symbolic re-analysis (counted as
-/// `sparse.symbolic.fallback`), the recovery ladder never descends, no
-/// caveat appears, and every answer stays byte-identical to the
-/// fault-free session — the fallback path is a slower route to the same
-/// bits, not a degraded method.
-#[test]
-fn refactor_fault_falls_back_without_descending_the_ladder() {
+/// Runs `queries` fault-free and under `rules`, and asserts the faults
+/// were absorbed below the recovery ladder: more than `min_injected`
+/// fired, each became exactly one bump of `fallback_counter`, no
+/// `recovery.*` counter moved, no caveat appeared, and every answer
+/// reads the same as the fault-free one.
+fn assert_absorbed_below_the_ladder(
+    rules: Vec<FaultRule>,
+    queries: &[&str],
+    fallback_counter: &str,
+    min_injected: u64,
+) {
     let profile = ModelProfile::paper_models().remove(0);
-    let queries = ["solve case14", "run the n-1 contingency analysis"];
-
     let baseline: Vec<String> = {
         let mut gm = GridMind::new(profile.clone());
         queries.iter().map(|q| gm.ask(q).text).collect()
     };
 
-    let inj = FaultInjector::scripted(vec![FaultRule::new(
-        "sparse.refactor",
-        FaultKind::LuSingular,
-        0,
-        u64::MAX,
-    )]);
+    let inj = FaultInjector::scripted(rules);
     let guard = inj.install();
     let mut gm = GridMind::new(profile);
     let answers: Vec<String> = queries.iter().map(|q| gm.ask(q).text).collect();
     drop(guard);
 
     assert!(
-        inj.injected_total() > 0,
-        "no pattern-reuse refactorization was attacked — the Newton loop \
-         stopped exercising the symbolic cache"
+        inj.injected_total() > min_injected,
+        "only {} faults fired — the attacked path is no longer exercised",
+        inj.injected_total()
     );
     assert_eq!(
-        gm.session
-            .telemetry
-            .counter_value("sparse.symbolic.fallback"),
+        gm.session.telemetry.counter_value(fallback_counter),
         inj.injected_total(),
-        "every injected refactorization failure must become exactly one \
-         full re-analysis fallback"
+        "every injected fault must become exactly one {fallback_counter}"
     );
     assert_eq!(
         gm.session.telemetry.sum_prefix("recovery."),
         0,
-        "the sparse-layer fallback leaked into the solver recovery ladder"
+        "the internal fallback leaked into the solver recovery ladder"
     );
     assert!(
         answers.iter().all(|t| !t.contains(CAVEAT_PREFIX)),
-        "caveat appeared for a fault the sparse layer must absorb"
+        "caveat appeared for a fault the solver layer must absorb"
     );
-    assert_eq!(answers, baseline, "refactor fallback changed an answer");
+    assert_eq!(answers, baseline, "the fallback changed an answer");
+}
+
+/// A `LuSingular` fault under pattern-reuse refactorization must be
+/// absorbed *inside* the sparse layer: every attacked refactorization
+/// falls back to a full symbolic re-analysis (counted as
+/// `sparse.symbolic.fallback`) — a slower route to the same bits, not a
+/// degraded method.
+#[test]
+fn refactor_fault_falls_back_without_descending_the_ladder() {
+    assert_absorbed_below_the_ladder(
+        vec![FaultRule::new(
+            "sparse.refactor",
+            FaultKind::LuSingular,
+            0,
+            u64::MAX,
+        )],
+        &["solve case14", "run the n-1 contingency analysis"],
+        "sparse.symbolic.fallback",
+        0,
+    );
+}
+
+/// A `LuSingular` fault at the IPM's LDLᵀ site must be absorbed inside
+/// the interior point loop: every attacked barrier iteration takes its
+/// step from the one-shot pivoting LU instead (counted as
+/// `acopf.kkt.lu_fallbacks`) — the solver this path replaced, not a
+/// degraded method.
+#[test]
+fn kkt_ldl_fault_takes_the_lu_step_without_descending_the_ladder() {
+    // Two isolated iterations of the first solve (case14 takes 28),
+    // then every iteration of the second.
+    assert_absorbed_below_the_ladder(
+        vec![
+            FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 2, 1),
+            FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 5, 1),
+            FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 28, u64::MAX),
+        ],
+        &["solve case14", "solve case30"],
+        "acopf.kkt.lu_fallbacks",
+        2,
+    );
 }
 
 proptest! {

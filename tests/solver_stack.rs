@@ -3,8 +3,77 @@
 //! numerical story on every case.
 
 use gm_acopf::{economic_dispatch, solve_acopf, solve_dcopf, AcopfError, AcopfOptions, IpmOptions};
-use gm_network::{cases, BusKind, CaseId};
+use gm_network::{cases, BusKind, CaseId, Network};
+use gm_numeric::Complex;
 use gm_powerflow::{solve, solve_dc, PfOptions};
+
+/// Largest nodal power mismatch (p.u., either P or Q) of an ACOPF
+/// solution, recomputed from the raw branch records: ideal transformer,
+/// series impedance, half the charging at each end. Shares no code with
+/// `gm-acopf` and none with `YBus` — an independent certificate that the
+/// returned voltages and dispatch satisfy the AC network equations.
+fn power_balance_residual_pu(net: &Network, sol: &gm_acopf::AcopfSolution) -> f64 {
+    let base = net.base_mva;
+    let v: Vec<Complex> = (0..net.n_bus())
+        .map(|i| Complex::from_polar(sol.bus_vm_pu[i], sol.bus_va_deg[i].to_radians()))
+        .collect();
+    // Net injection each bus must absorb: generation − load − shunt.
+    let mut s = vec![Complex::ZERO; net.n_bus()];
+    for (gi, g) in net.gens.iter().enumerate().filter(|(_, g)| g.in_service) {
+        s[g.bus] += Complex::new(sol.gen_dispatch_mw[gi], sol.gen_dispatch_mvar[gi]) / base;
+    }
+    for l in net.loads.iter().filter(|l| l.in_service) {
+        s[l.bus] -= Complex::new(l.p_mw, l.q_mvar) / base;
+    }
+    for sh in net.shunts.iter().filter(|sh| sh.in_service) {
+        let v2 = v[sh.bus].norm_sqr();
+        s[sh.bus] -= Complex::new(sh.g_mw, -sh.b_mvar) * (v2 / base);
+    }
+    // Minus what leaves over the branches.
+    for br in net.branches.iter().filter(|b| b.in_service) {
+        let ys = Complex::new(br.r_pu, br.x_pu).inv();
+        let half_charging = Complex::new(0.0, br.b_pu / 2.0);
+        let a = Complex::from_polar(br.tap, br.shift_deg.to_radians());
+        let (vf, vt) = (v[br.from_bus] / a, v[br.to_bus]);
+        let series = (vf - vt) * ys;
+        let i_from = (series + half_charging * vf) / a.conj();
+        let i_to = half_charging * vt - series;
+        s[br.from_bus] -= v[br.from_bus] * i_from.conj();
+        s[br.to_bus] -= vt * i_to.conj();
+    }
+    s.iter()
+        .fold(0.0f64, |m, si| m.max(si.re.abs()).max(si.im.abs()))
+}
+
+#[test]
+fn acopf_objectives_are_pinned_and_power_balance_is_certified() {
+    // Objectives of the pivoting-LU IPM this solver replaced (case14 is
+    // also MATPOWER's published 8081.53): a factorization change may
+    // move them by rounding, not by 1e-6.
+    let pinned = [
+        (CaseId::Ieee14, 8081.526257),
+        (CaseId::Ieee30, 799.585421),
+        (CaseId::Ieee57, 40600.099067),
+        (CaseId::Ieee118, 109875.708236),
+        (CaseId::Ieee300, 899498.204112),
+    ];
+    for (id, want) in pinned {
+        let net = cases::load(id);
+        let sol = solve_acopf(&net, &AcopfOptions::default()).unwrap();
+        assert!(
+            (sol.objective_cost - want).abs() <= 1e-6 * want,
+            "{id:?}: objective {:.6} vs pinned {want:.6}",
+            sol.objective_cost
+        );
+        let mismatch = power_balance_residual_pu(&net, &sol);
+        assert!(
+            mismatch <= 1e-6,
+            "{id:?}: AC power balance violated by {mismatch:e} p.u."
+        );
+    }
+    let case14 = solve_acopf(&cases::load(CaseId::Ieee14), &AcopfOptions::default()).unwrap();
+    assert!((case14.objective_cost - 8081.53).abs() <= 1e-6 * 8081.53);
+}
 
 #[test]
 fn cost_hierarchy_ed_dcopf_acopf() {
