@@ -43,7 +43,7 @@ use gm_acopf::{
     IpmOptions, ScopfOptions, ScopfSolution,
 };
 use gm_contingency::{run_n1_cached, solve_base, CaOptions, ContingencyCache, ContingencyReport};
-use gm_network::Network;
+use gm_network::{Network, Snapshot};
 use gm_powerflow::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions};
 use gm_powerflow::PfReport;
 use serde_json::{json, Value};
@@ -132,7 +132,7 @@ fn descend_pf<T>(
 /// it. The fallback result is *not* written to the shared cache.
 pub fn solve_base_recovered(
     cache: Option<&SharedSolverCache>,
-    net: &Network,
+    net: &Snapshot,
     opts: &CaOptions,
 ) -> Result<(PfReport, Option<String>), PfError> {
     descend_pf(
@@ -154,7 +154,7 @@ pub fn solve_base_recovered(
 /// recalled as exact ones.
 pub(crate) fn run_n1_recovered(
     cache: Option<&SharedSolverCache>,
-    net: &Network,
+    net: &Snapshot,
     opts: &CaOptions,
     base: Option<&PfReport>,
     outages: (&ContingencyCache, u64),
@@ -328,7 +328,7 @@ fn dc_to_pf_report(net: &Network, dc: &gm_powerflow::DcReport) -> PfReport {
 /// fallback.
 pub fn solve_acopf_recovered(
     cache: Option<&SharedSolverCache>,
-    net: &Network,
+    net: &Snapshot,
     opts: &AcopfOptions,
 ) -> Result<(AcopfSolution, Option<String>), AcopfError> {
     let primary = match gm_faults::inject("acopf.ipm") {
@@ -420,7 +420,7 @@ fn dcopf_to_acopf_solution(net: &Network, dc: &gm_acopf::DcOpfSolution) -> Acopf
 /// explicit.
 pub fn solve_scopf_recovered(
     cache: Option<&SharedSolverCache>,
-    net: &Network,
+    net: &Snapshot,
     opts: &ScopfOptions,
 ) -> Result<(ScopfSolution, Option<String>), AcopfError> {
     let err = match memoized(cache, net, opts.fingerprint(), || solve_scopf(net, opts)) {
@@ -458,10 +458,10 @@ mod tests {
     use super::*;
     use crate::solver_cache::SolverCache;
     use gm_faults::{FaultInjector, FaultKind, FaultRule};
-    use gm_network::{cases, CaseId};
+    use gm_network::{library, CaseId};
 
-    fn net14() -> Network {
-        cases::load(CaseId::Ieee14)
+    fn net14() -> Snapshot {
+        library::case(CaseId::Ieee14)
     }
 
     #[test]
@@ -571,11 +571,12 @@ mod tests {
 
     #[test]
     fn invalid_network_is_not_recovered() {
-        let mut net = net14();
+        let mut net = Network::clone(&net14());
         for b in &mut net.buses {
             b.kind = gm_network::BusKind::Pq; // no slack anywhere
         }
-        let err = solve_base_recovered(None, &net, &CaOptions::default()).unwrap_err();
+        let err =
+            solve_base_recovered(None, &Snapshot::new(net), &CaOptions::default()).unwrap_err();
         assert!(matches!(err, PfError::InvalidNetwork { .. }));
     }
 }

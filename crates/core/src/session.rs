@@ -10,7 +10,7 @@
 
 use gm_acopf::AcopfSolution;
 use gm_contingency::{ContingencyCache, ContingencyReport};
-use gm_network::{cases, DiffLog, Modification, Network};
+use gm_network::{library, DiffLog, Modification, Network, Snapshot};
 use gm_powerflow::PfReport;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -47,10 +47,13 @@ pub struct SessionContext {
 pub struct SessionState {
     /// Canonical name of the active case ("case118").
     pub active_case: Option<String>,
-    /// Pristine base network of the active case.
-    pub base: Option<Network>,
-    /// Network with all modifications applied.
-    pub current: Option<Network>,
+    /// Pristine base network of the active case — the library's own
+    /// allocation, shared with every other session on that case.
+    pub base: Option<Snapshot>,
+    /// Network with all modifications applied. Shares `base`'s
+    /// allocation until the first edit; each edit installs a fresh
+    /// snapshot (copy-on-write), so handed-out snapshots never change.
+    pub current: Option<Snapshot>,
     /// Chronological modification log.
     pub diffs: DiffLog,
     /// Latest ACOPF solution (stamped).
@@ -106,29 +109,30 @@ impl SessionContext {
     }
 
     /// Loads (or switches to) a case by fuzzy name, returning the
-    /// canonical network and the identification confidence. Resets diffs
-    /// and stale artifacts when the case changes.
-    pub fn load_case(&self, name: &str) -> Result<(Network, f64), SessionError> {
-        let (net, confidence) =
-            cases::load_case(name).map_err(|e| SessionError::UnknownCase(e.input))?;
+    /// current network and the identification confidence. Resets diffs
+    /// and stale artifacts when the case changes; naming the case that
+    /// is already active costs the name canonicalisation and nothing
+    /// else.
+    pub fn load_case(&self, name: &str) -> Result<(Snapshot, f64), SessionError> {
+        let (key, confidence) =
+            library::identify(name).ok_or_else(|| SessionError::UnknownCase(name.to_string()))?;
         let mut s = self.inner.write();
-        let canonical = gm_network::identify_case(name)
-            .map(|(id, _)| id.short_name().to_string())
-            .unwrap_or_else(|| name.to_string());
-        if s.active_case.as_deref() != Some(canonical.as_str()) {
+        if s.active_case.as_deref() != Some(key.short_name()) {
+            let net = library::case(key);
             self.cache.invalidate_case(&net.name);
             *s = SessionState {
-                active_case: Some(canonical),
+                active_case: Some(key.short_name().to_string()),
                 base: Some(net.clone()),
-                current: Some(net.clone()),
+                current: Some(net),
                 ..Default::default()
             };
         }
-        Ok((s.current.clone().expect("just set"), confidence))
+        let current = s.current.clone().ok_or(SessionError::NoActiveCase)?;
+        Ok((current, confidence))
     }
 
-    /// The current (modified) network.
-    pub fn current_network(&self) -> Result<Network, SessionError> {
+    /// The current (modified) network: a shared handle, not a copy.
+    pub fn current_network(&self) -> Result<Snapshot, SessionError> {
         self.inner
             .read()
             .current
@@ -146,13 +150,13 @@ impl SessionContext {
     pub fn apply(&self, m: Modification) -> Result<(), SessionError> {
         let mut s = self.inner.write();
         let mut net = match &s.current {
-            Some(n) => n.clone(),
+            Some(n) => Network::clone(n),
             None => return Err(SessionError::NoActiveCase),
         };
         s.diffs
             .apply(&mut net, m)
             .map_err(|e| SessionError::BadModification(e.to_string()))?;
-        s.current = Some(net);
+        s.current = Some(Snapshot::new(net));
         Ok(())
     }
 

@@ -31,7 +31,7 @@
 
 use gm_acopf::{AcopfSolution, ScopfSolution};
 use gm_contingency::ContingencyReport;
-use gm_network::Network;
+use gm_network::Snapshot;
 use gm_powerflow::{BatchReport, PfReport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -313,12 +313,16 @@ memo_kind!(
 /// outcome; a miss solves and, when the outcome is
 /// [`Memo::cacheable`], memoizes it. `None` cache always solves.
 ///
+/// The network half of the key is the hash the [`Snapshot`] carries, so
+/// a lookup costs no serialisation and the key cannot describe any
+/// network but the one `solve` sees (see DESIGN.md §4c).
+///
 /// `params` must fingerprint everything besides the network that
 /// `solve` depends on — the solver options' `fingerprint()`, plus any
 /// further input (the batch tool folds its scenario set in).
 pub fn memoized<T: Memo, E>(
     cache: Option<&SharedSolverCache>,
-    net: &Network,
+    net: &Snapshot,
     params: u64,
     solve: impl FnOnce() -> Result<T, E>,
 ) -> Result<T, E> {
@@ -477,7 +481,7 @@ mod tests {
 
     #[test]
     fn batch_study_caches_clean_runs_and_recalls_them() {
-        let net = cases::load(gm_network::CaseId::Ieee14);
+        let net = gm_network::library::case(gm_network::CaseId::Ieee14);
         let cache = SolverCache::new(8);
         let opts = PfOptions::default();
         let study = |set: &ScenarioSet| {
@@ -497,7 +501,7 @@ mod tests {
 
     #[test]
     fn injected_cache_faults_force_resolve_and_poison_detection() {
-        let net = cases::load(gm_network::CaseId::Ieee14);
+        let net = gm_network::library::case(gm_network::CaseId::Ieee14);
         let cache = SolverCache::new(8);
         let opts = gm_contingency::CaOptions::default();
         let base = || {

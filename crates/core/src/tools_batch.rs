@@ -50,11 +50,12 @@ pub(crate) fn batch_params(opts: &PfOptions, set: &ScenarioSet) -> u64 {
     h.finish()
 }
 
-/// Total production cost ($/h) of a solved scenario, evaluated on the
-/// scenario's own network (dispatch deltas change the cost basis).
-fn scenario_cost(net_k: &Network, rep: &PfReport) -> f64 {
-    net_k
-        .gens
+/// Total production cost ($/h) of a solved scenario. No scenario delta
+/// touches a unit's cost curve or service flag — the dispatch a delta
+/// sets arrives through `rep` — so the base network prices every
+/// scenario.
+fn scenario_cost(net: &Network, rep: &PfReport) -> f64 {
+    net.gens
         .iter()
         .zip(&rep.gens)
         .filter(|(g, _)| g.in_service)
@@ -230,22 +231,17 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
             )
             .map_err(ToolError::fatal)?;
 
-            // Scenario networks are needed twice: to price each dispatch
-            // on its own cost basis, and to rebuild a failed scenario for
-            // the recovery ladder.
-            let nets = set.materialize(&net).map_err(ToolError::fatal)?;
-
             let mut rows = Vec::with_capacity(batch.outcomes.len());
             let mut converged = 0usize;
             let mut caveats: Vec<String> = Vec::new();
-            for (outcome, net_k) in batch.outcomes.iter().zip(&nets) {
+            for (outcome, scenario) in batch.outcomes.iter().zip(&set.scenarios) {
                 match &outcome.report {
                     Ok(rep) => {
                         converged += 1;
                         rows.push(row_json(
                             &outcome.label,
                             rep,
-                            scenario_cost(net_k, rep),
+                            scenario_cost(&net, rep),
                             outcome.warm_started,
                             outcome.flat_restarted,
                         ));
@@ -259,12 +255,15 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
                             "recovery.descent",
                             format!("ladder=batch scenario={} reason={err}", outcome.label),
                         );
-                        match pf_ladder(net_k, &opts, &err.to_string()) {
+                        // Only a failed scenario needs a network of
+                        // its own, for the ladder to re-solve.
+                        let net_k = scenario.materialize(&net).map_err(ToolError::fatal)?;
+                        match pf_ladder(&net_k, &opts, &err.to_string()) {
                             Some((rep, cav)) => {
                                 let mut row = row_json(
                                     &outcome.label,
                                     &rep,
-                                    scenario_cost(net_k, &rep),
+                                    scenario_cost(&net, &rep),
                                     outcome.warm_started,
                                     outcome.flat_restarted,
                                 );

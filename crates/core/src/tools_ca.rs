@@ -8,7 +8,7 @@ use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
 use gm_contingency::{
     evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy,
 };
-use gm_network::{BranchKind, Network};
+use gm_network::{BranchKind, Snapshot};
 use gm_powerflow::{PfError, PfReport};
 use serde_json::{json, Value};
 
@@ -29,7 +29,7 @@ fn base_case_failed(e: PfError) -> ToolError {
 /// whose caveat, if any, the tool must attach to its answer.
 fn base_case(
     session: &SharedSession,
-    net: &Network,
+    net: &Snapshot,
     opts: &CaOptions,
 ) -> Result<(PfReport, Option<String>), ToolError> {
     match session.fresh_base_pf() {

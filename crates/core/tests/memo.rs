@@ -6,7 +6,7 @@ use std::cell::Cell;
 
 use gm_contingency::CaOptions;
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
-use gm_network::{cases, CaseId, Network};
+use gm_network::{library, CaseId, Snapshot};
 use gm_powerflow::{run_batch, PfOptions, ScenarioSet};
 use gridmind_core::solver_cache::{memoized, Memo, SharedSolverCache};
 use gridmind_core::{QueryKind, SolverCache};
@@ -18,7 +18,7 @@ use gridmind_core::{QueryKind, SolverCache};
 type Probe<'a> = Box<dyn Fn(Option<&SharedSolverCache>) -> String + 'a>;
 
 fn probe<'a, T, E>(
-    net: &'a Network,
+    net: &'a Snapshot,
     params: u64,
     solves: &'a Cell<u32>,
     solve: impl Fn() -> Result<T, E> + 'a,
@@ -41,7 +41,7 @@ where
 
 #[test]
 fn memo_path_is_uniform_over_every_query_kind() {
-    let net = cases::load(CaseId::Ieee14);
+    let net = library::case(CaseId::Ieee14);
     let solves = Cell::new(0);
     let acopf = gm_acopf::AcopfOptions::default();
     let scopf = gm_acopf::ScopfOptions::default();
@@ -146,7 +146,7 @@ fn memo_path_is_uniform_over_every_query_kind() {
 
 #[test]
 fn batch_with_a_failed_scenario_is_returned_but_never_memoized() {
-    let net = cases::load(CaseId::Ieee14);
+    let net = library::case(CaseId::Ieee14);
     let cache = SolverCache::new(8);
     let opts = PfOptions::default();
     // 12x nominal demand is far past the nose of the PV curve: the

@@ -129,31 +129,30 @@ pub fn identify_case(input: &str) -> Option<(CaseId, f64)> {
     Some((id, conf))
 }
 
-/// Applies the embedded AC-calibrated ratings to a synthetic case (see
-/// `ratings.rs` and `gm-bench/src/bin/calibrate_ratings.rs`).
-fn apply_ratings(mut net: Network, ratings: &[f64]) -> Network {
-    assert_eq!(
-        net.branches.len(),
-        ratings.len(),
-        "embedded ratings out of sync with the generator — re-run calibrate_ratings"
-    );
+/// Generates a synthetic case and applies its embedded AC-calibrated
+/// ratings (see `ratings.rs` and `gm-bench/src/bin/calibrate_ratings.rs`).
+fn synthetic(spec: SynthSpec, ratings: &[f64]) -> Result<Network, String> {
+    let mut net = generate(&spec).map_err(|e| e.to_string())?;
+    if net.branches.len() != ratings.len() {
+        return Err(
+            "embedded ratings out of sync with the generator — re-run calibrate_ratings".into(),
+        );
+    }
     for (br, &r) in net.branches.iter_mut().zip(ratings) {
         br.rating_mva = r;
     }
-    net
+    Ok(net)
 }
 
-/// Loads a case by [`CaseId`].
-pub fn load(id: CaseId) -> Network {
+/// Builds a case from its embedded data. [`crate::library`] calls this
+/// once per process and validates the result; everything else reads the
+/// library.
+pub(crate) fn build(id: CaseId) -> Result<Network, String> {
     match id {
-        CaseId::Ieee14 => {
-            crate::caseformat::parse(ieee14::IEEE14).expect("embedded IEEE 14 case data must parse")
-        }
-        CaseId::Ieee30 => {
-            crate::caseformat::parse(ieee30::IEEE30).expect("embedded IEEE 30 case data must parse")
-        }
-        CaseId::Ieee57 => apply_ratings(
-            generate(&SynthSpec {
+        CaseId::Ieee14 => crate::caseformat::parse(ieee14::IEEE14).map_err(|e| e.to_string()),
+        CaseId::Ieee30 => crate::caseformat::parse(ieee30::IEEE30).map_err(|e| e.to_string()),
+        CaseId::Ieee57 => synthetic(
+            SynthSpec {
                 name: "IEEE 57-bus system".into(),
                 n_bus: 57,
                 n_gen: 7,
@@ -164,12 +163,11 @@ pub fn load(id: CaseId) -> Network {
                 total_gen_capacity_mw: 2800.0,
                 seed: 0x57,
                 rating_margin: 1.0,
-            })
-            .expect("embedded case57 spec must generate"),
+            },
             ratings::RATINGS_57,
         ),
-        CaseId::Ieee118 => apply_ratings(
-            generate(&SynthSpec {
+        CaseId::Ieee118 => synthetic(
+            SynthSpec {
                 name: "IEEE 118-bus system".into(),
                 n_bus: 118,
                 n_gen: 54,
@@ -180,12 +178,11 @@ pub fn load(id: CaseId) -> Network {
                 total_gen_capacity_mw: 9161.0,
                 seed: 0x118,
                 rating_margin: 1.0,
-            })
-            .expect("embedded case118 spec must generate"),
+            },
             ratings::RATINGS_118,
         ),
-        CaseId::Ieee300 => apply_ratings(
-            generate(&SynthSpec {
+        CaseId::Ieee300 => synthetic(
+            SynthSpec {
                 name: "IEEE 300-bus system".into(),
                 n_bus: 300,
                 n_gen: 68,
@@ -196,27 +193,23 @@ pub fn load(id: CaseId) -> Network {
                 total_gen_capacity_mw: 43000.0,
                 seed: 0x300,
                 rating_margin: 1.45,
-            })
-            .expect("embedded case300 spec must generate"),
+            },
             ratings::RATINGS_300,
         ),
     }
 }
 
-/// Loads a case by fuzzy name, returning the network and the identification
-/// confidence (the paper's log line). Falls through to the
-/// interconnect-scale registry ([`crate::scale`]) so `synth9241`-class
-/// names resolve the same way the paper cases do.
+/// An owned copy of a case, for callers that edit it. Reads the
+/// [`crate::library`]: the generator runs once per process, not per call.
+pub fn load(id: CaseId) -> Network {
+    Network::clone(crate::library::entry(id.into()))
+}
+
+/// Owned copy of a case by fuzzy name, with the identification
+/// confidence (the paper's log line). Resolves `synth9241`-class names
+/// the same way the paper cases do.
 pub fn load_case(input: &str) -> Result<(Network, f64), UnknownCase> {
-    if let Some((id, conf)) = identify_case(input) {
-        return Ok((load(id), conf));
-    }
-    if let Some((id, conf)) = crate::scale::identify_scale(input) {
-        return Ok((crate::scale::load_scale(id).clone(), conf));
-    }
-    Err(UnknownCase {
-        input: input.to_string(),
-    })
+    crate::library::find(input).map(|(snapshot, conf)| (Network::clone(&snapshot), conf))
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@
 //! - [`cases`] — the IEEE test case library (Table 2 of the paper) with
 //!   fuzzy case identification; IEEE 14/30 are embedded authentic data,
 //!   IEEE 57/118/300 are deterministic synthetic reconstructions.
+//! - [`library`] — the process-wide immutable case library: every named
+//!   case built and validated once, shared as a [`Snapshot`] that carries
+//!   its content hash.
 //! - [`synth`] — the synthetic case generator with DC-calibrated
 //!   impedances and N-1-aware thermal ratings.
 //!
@@ -38,6 +41,7 @@ pub mod audit;
 pub mod caseformat;
 pub mod cases;
 pub mod diff;
+pub mod library;
 pub mod matpower;
 pub mod model;
 pub mod scale;
@@ -49,6 +53,7 @@ pub use audit::{AuditFinding, GridLint, Severity};
 pub use caseformat::{CaseError, CaseErrorKind};
 pub use cases::{identify_case, load_case, CaseId};
 pub use diff::{DiffLog, Modification};
+pub use library::{CaseKey, Snapshot};
 pub use matpower::{parse_matpower, SAMPLE_CASE9};
 pub use model::{
     Branch, BranchKind, Bus, BusKind, GenCost, Generator, Load, ModelError, Network,

@@ -25,16 +25,15 @@
 //!    identical networks, and the per-area inventories (bus split, line
 //!    chords, generator count) are fixed functions of the spec.
 //!
-//! Loaded networks are cached in `OnceLock` statics — benches and tools
-//! request `synth9241` by name through [`crate::cases::load_case`] without
-//! re-running calibration.
+//! Built cases live in the process-wide [`crate::library`] — benches and
+//! tools request `synth9241` by name through [`crate::cases::load_case`]
+//! without re-running calibration.
 
 use crate::model::{Branch, BranchKind, Bus, BusKind, GenCost, Generator, Load, Network, Shunt};
 use crate::synth::{dc_flows, SynthError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 /// Canonical identifiers for the interconnect-scale synthetic cases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -598,17 +597,12 @@ pub fn identify_scale(input: &str) -> Option<(ScaleId, f64)> {
     Some((id, conf))
 }
 
-/// Loads (and caches) a scale case. Generation at 9241 buses runs a
-/// sampled DC N-1 calibration (~`n1_samples` LU factorizations), so the
-/// first call per process takes seconds; later calls are free.
+/// The [`crate::library`]'s entry for a scale case. Generation at 9241
+/// buses runs a sampled DC N-1 calibration (~`n1_samples` LU
+/// factorizations), so the first call per process takes seconds; later
+/// calls are free.
 pub fn load_scale(id: ScaleId) -> &'static Network {
-    static CACHE: [OnceLock<Network>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-    let slot = match id {
-        ScaleId::Synth1354 => &CACHE[0],
-        ScaleId::Synth2869 => &CACHE[1],
-        ScaleId::Synth9241 => &CACHE[2],
-    };
-    slot.get_or_init(|| generate_scale(&id.spec()).expect("embedded scale spec must generate"))
+    crate::library::entry(id.into())
 }
 
 #[cfg(test)]

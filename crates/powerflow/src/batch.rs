@@ -111,6 +111,21 @@ pub struct Scenario {
     pub deltas: Vec<ScenarioDelta>,
 }
 
+impl Scenario {
+    /// Applies this scenario's edits to a clone of `net`.
+    pub fn materialize(&self, net: &Network) -> Result<Network, BatchError> {
+        let mut net_k = net.clone();
+        for d in &self.deltas {
+            d.apply(&mut net_k)
+                .map_err(|reason| BatchError::BadScenario {
+                    label: self.label.clone(),
+                    reason,
+                })?;
+        }
+        Ok(net_k)
+    }
+}
+
 /// A typed set of scenarios sharing one base network.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSet {
@@ -190,19 +205,10 @@ impl ScenarioSet {
     /// Applies every scenario to a clone of `net`, returning the
     /// materialized per-scenario networks in scenario order.
     pub fn materialize(&self, net: &Network) -> Result<Vec<Network>, BatchError> {
-        let mut nets = Vec::with_capacity(self.len());
-        for sc in &self.scenarios {
-            let mut net_k = net.clone();
-            for d in &sc.deltas {
-                d.apply(&mut net_k)
-                    .map_err(|reason| BatchError::BadScenario {
-                        label: sc.label.clone(),
-                        reason,
-                    })?;
-            }
-            nets.push(net_k);
-        }
-        Ok(nets)
+        self.scenarios
+            .iter()
+            .map(|sc| sc.materialize(net))
+            .collect()
     }
 
     /// Canonical length-prefixed encoding for cache fingerprinting.

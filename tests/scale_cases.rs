@@ -3,7 +3,7 @@
 //! Only `synth1354` is exercised here — the runtime size cap that keeps
 //! tier-1 wall time bounded. The 2869/9241-bus cases run in `bench_scale`
 //! and the CI `scale` job. The network is generated once per process
-//! (`load_scale` caches in a `OnceLock`), so the cost of the sampled DC
+//! (`load_scale` reads the case library), so the cost of the sampled DC
 //! N-1 calibration is paid a single time across all tests in this binary.
 
 use gm_network::{load_scale, ScaleId};

@@ -91,7 +91,10 @@ fn scripted_session_produces_span_tree_and_solver_counters() {
 fn identical_sessions_produce_identical_metrics() {
     // Replayability: the same scripted conversation must count the same
     // work, iteration for iteration. Wall-clock durations differ;
-    // counters and deterministic histogram totals must not.
+    // counters and deterministic histogram totals must not. The case
+    // library is built first: that happens once per process and is
+    // counted (`network.case_library.builds`) by whoever triggers it.
+    gm_network::library::case(CaseId::Ieee30);
     let a = scripted_session().expect("built-in GPT-5 profile");
     let b = scripted_session().expect("built-in GPT-5 profile");
     let (sa, sb) = (
