@@ -812,36 +812,39 @@ mod tests {
 
     #[test]
     fn cascade_matches_brute_on_criticals_and_top5() {
-        // The Table 1 invariant on the paper's case: identical top-5
-        // ranking, identical violation inventory on every AC-verified
-        // outage, and a meaningful screened-out share.
-        let net = cases::load(CaseId::Ieee118);
-        let brute = run_n1(&net, &brute_opts(), None).unwrap();
-        let cascade = run_n1(&net, &CaOptions::default(), None).unwrap();
-        assert_eq!(cascade.n_contingencies, brute.n_contingencies);
-        assert_eq!(cascade.mode, SweepMode::Cascade);
-        assert_eq!(cascade.top_labels(5), brute.top_labels(5));
-        for (b, c) in brute.outcomes.iter().zip(&cascade.outcomes) {
-            if b.n_thermal() > 0 {
-                assert!(
-                    c.ac_solved,
-                    "outage of branch {} missed by the cascade screen",
-                    b.outage.branch
-                );
-                assert_eq!(b.n_thermal(), c.n_thermal());
+        // The Table 1 invariant on the paper's case and on the largest
+        // one: identical top-5 ranking, identical violation inventory on
+        // every AC-verified outage, and a meaningful screened-out share.
+        for id in [CaseId::Ieee118, CaseId::Ieee300] {
+            let net = cases::load(id);
+            let brute = run_n1(&net, &brute_opts(), None).unwrap();
+            let cascade = run_n1(&net, &CaOptions::default(), None).unwrap();
+            assert_eq!(cascade.n_contingencies, brute.n_contingencies, "{id:?}");
+            assert_eq!(cascade.mode, SweepMode::Cascade);
+            assert_eq!(cascade.top_labels(5), brute.top_labels(5), "{id:?}");
+            for (b, c) in brute.outcomes.iter().zip(&cascade.outcomes) {
+                if b.n_thermal() > 0 {
+                    assert!(
+                        c.ac_solved,
+                        "{id:?}: outage of branch {} missed by the cascade screen",
+                        b.outage.branch
+                    );
+                    assert_eq!(b.n_thermal(), c.n_thermal(), "{id:?}");
+                }
             }
+            assert!(
+                cascade.screened_out > cascade.n_contingencies / 4,
+                "{id:?}: cascade only screened out {}",
+                cascade.screened_out
+            );
+            assert_eq!(
+                cascade.screened_out
+                    + cascade.ac_verified
+                    + cascade.outcomes.iter().filter(|o| o.islands).count(),
+                cascade.n_contingencies,
+                "{id:?}"
+            );
         }
-        assert!(
-            cascade.screened_out > cascade.n_contingencies / 4,
-            "cascade only screened out {}",
-            cascade.screened_out
-        );
-        assert_eq!(
-            cascade.screened_out
-                + cascade.ac_verified
-                + cascade.outcomes.iter().filter(|o| o.islands).count(),
-            cascade.n_contingencies
-        );
     }
 
     #[test]

@@ -610,8 +610,8 @@ mod tests {
     use super::*;
 
     /// A deliberately small spec so unit tests stay fast; the real cases
-    /// are exercised by the tier-1 `scale_cases` integration tests (1354
-    /// only) and `bench_scale`.
+    /// are exercised by the tier-1 `scale_cases` (1354 only) and
+    /// `work_counts` (all three) integration tests.
     fn tiny_spec() -> ScaleSpec {
         ScaleSpec {
             name: "tiny 3-area".into(),

@@ -666,19 +666,41 @@ mod tests {
 
     #[test]
     fn batch_matches_naive_bitwise_on_daily_profile() {
-        let net = cases::load(CaseId::Ieee30);
+        // The daily profile, and the two operating-envelope sweeps the
+        // batch engine is sized for. On case300 three scenarios fail to
+        // converge: both engines must fail them with the same error.
         let factors: Vec<f64> = (0..12).map(|h| 0.85 + 0.03 * (h as f64)).collect();
-        let set = ScenarioSet::daily_profile(&factors);
-        let fast = run_batch(&net, &opts(), &set).unwrap();
-        let slow = run_naive(&net, &opts(), &set).unwrap();
-        assert_eq!(fast.warm_hits, slow.warm_hits);
-        assert_eq!(fast.flat_restarts, slow.flat_restarts);
-        for (a, b) in fast.outcomes.iter().zip(&slow.outcomes) {
-            let (ra, rb) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
-            assert_eq!(ra.iterations, rb.iterations);
-            for (ba, bb) in ra.buses.iter().zip(&rb.buses) {
-                assert_eq!(ba.vm_pu.to_bits(), bb.vm_pu.to_bits());
-                assert_eq!(ba.va_deg.to_bits(), bb.va_deg.to_bits());
+        for (id, set) in [
+            (CaseId::Ieee30, ScenarioSet::daily_profile(&factors)),
+            (CaseId::Ieee118, ScenarioSet::load_sweep(0.90, 1.10, 96)),
+            (CaseId::Ieee300, ScenarioSet::load_sweep(0.90, 1.10, 64)),
+        ] {
+            let net = cases::load(id);
+            let fast = run_batch(&net, &opts(), &set).unwrap();
+            let slow = run_naive(&net, &opts(), &set).unwrap();
+            assert!(fast.warm_hits > 0, "{id:?}: warm starts never engaged");
+            assert_eq!(fast.warm_hits, slow.warm_hits, "{id:?}");
+            assert_eq!(fast.flat_restarts, slow.flat_restarts, "{id:?}");
+            assert_eq!(fast.scenarios, slow.scenarios, "{id:?}");
+            for (a, b) in fast.outcomes.iter().zip(&slow.outcomes) {
+                assert_eq!(a.label, b.label, "{id:?}");
+                assert_eq!(a.warm_started, b.warm_started, "{id:?} {}", a.label);
+                let (ra, rb) = match (&a.report, &b.report) {
+                    (Ok(ra), Ok(rb)) => (ra, rb),
+                    (Err(ea), Err(eb)) => {
+                        assert_eq!(ea, eb, "{id:?} {}", a.label);
+                        continue;
+                    }
+                    _ => panic!("{id:?} {}: one engine failed, the other did not", a.label),
+                };
+                assert_eq!(ra.iterations, rb.iterations, "{id:?} {}", a.label);
+                for (ba, bb) in ra.buses.iter().zip(&rb.buses) {
+                    assert_eq!(ba.vm_pu.to_bits(), bb.vm_pu.to_bits());
+                    assert_eq!(ba.va_deg.to_bits(), bb.va_deg.to_bits());
+                }
+                for (fa, fb) in ra.branches.iter().zip(&rb.branches) {
+                    assert_eq!(fa.p_from_mw.to_bits(), fb.p_from_mw.to_bits());
+                }
             }
         }
     }

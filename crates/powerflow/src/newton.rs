@@ -18,7 +18,8 @@ pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
 }
 
 /// Solves with an explicit starting voltage (warm start), overriding
-/// `opts.init`. The slice must have one entry per bus.
+/// `opts.init`. The slice must have one entry per bus; any other length is
+/// a [`PfError::InvalidNetwork`].
 pub fn solve_from(
     net: &Network,
     opts: &PfOptions,
@@ -42,6 +43,18 @@ pub fn solve_from_with_engine(
     if let Err(problems) = net.validate() {
         return Err(PfError::InvalidNetwork {
             problems: problems.iter().map(|p| p.to_string()).collect(),
+        });
+    }
+    // A start taken from another network (a stale base-case report, the
+    // wrong case's voltages) is a caller error the retry ladders can
+    // recover from — not a reason to abort the process.
+    if let Some(v0) = start.filter(|v0| v0.len() != net.n_bus()) {
+        return Err(PfError::InvalidNetwork {
+            problems: vec![format!(
+                "warm start has {} entries for {} buses",
+                v0.len(),
+                net.n_bus()
+            )],
         });
     }
     let ybus = YBus::assemble(net);
@@ -70,8 +83,8 @@ pub(crate) struct QState {
 /// the batch engine can amortize validation, `YBus` assembly, and
 /// allocation across scenarios that share a topology. Assumes `net` has
 /// already passed [`Network::validate`] (load/dispatch deltas on a valid
-/// base cannot invalidate it); results are bit-identical to the public
-/// entry points.
+/// base cannot invalidate it) and that `start` has one entry per bus;
+/// results are bit-identical to the public entry points.
 pub(crate) fn solve_prepared(
     net: &Network,
     opts: &PfOptions,
@@ -129,10 +142,7 @@ pub(crate) fn solve_prepared(
 
     // Initial voltages.
     let mut v: Vec<Complex> = match start {
-        Some(v0) => {
-            assert_eq!(v0.len(), n, "warm start length mismatch");
-            v0.to_vec()
-        }
+        Some(v0) => v0.to_vec(),
         None => match opts.init {
             InitStrategy::Flat => (0..n)
                 .map(|i| {

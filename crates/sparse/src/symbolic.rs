@@ -419,10 +419,6 @@ pub struct LuEngine {
     /// MRU-first.
     slots: Vec<Slot>,
     scratch: Vec<f64>,
-    /// Ordering used by [`LuEngine::factorize`] (the no-arguments path
-    /// every solver loop calls). Defaults to [`Ordering::default`];
-    /// benches pin it to A/B orderings end to end.
-    ordering: Ordering,
 }
 
 impl Default for LuEngine {
@@ -446,24 +442,14 @@ impl LuEngine {
             capacity: capacity.max(1),
             slots: Vec::new(),
             scratch: Vec::new(),
-            ordering: Ordering::default(),
         }
-    }
-
-    /// Same engine, but [`LuEngine::factorize`] uses `ordering` instead
-    /// of the default. Lets a caller A/B a whole solver loop (Newton,
-    /// the N-1 sweep) under a pinned ordering without threading an
-    /// argument through every layer.
-    pub fn with_ordering(mut self, ordering: Ordering) -> LuEngine {
-        self.ordering = ordering;
-        self
     }
 
     /// Factors `a` with the default ordering and pivot threshold (the
     /// same defaults as [`SparseLu::factor`]), reusing a cached symbolic
     /// analysis when `a`'s pattern has been seen before.
     pub fn factorize(&mut self, a: &CsMat<f64>) -> Result<&SparseLu, SparseLuError> {
-        self.factorize_with(a, self.ordering, 0.1)
+        self.factorize_with(a, Ordering::default(), 0.1)
     }
 
     /// Factors `a` with explicit ordering and pivot threshold. The

@@ -8,9 +8,8 @@
 //! gm-trace diff <baseline.json> <candidate.json>
 //! ```
 //!
-//! Files may be raw `gm-telemetry` exports, saved GridMind sessions
-//! (telemetry embedded under the `"telemetry"` key), or `BENCH_*.json`
-//! files.
+//! Files may be raw `gm-telemetry` exports (`gm-serve --out`) or saved
+//! GridMind sessions (telemetry embedded under the `"telemetry"` key).
 //!
 //! With `--check` the process exits nonzero unless every required solver
 //! metric (Newton/IPM iterations, LU factorizations, contingency

@@ -3,10 +3,10 @@
 //! [`Registry::snapshot`] captures everything a registry recorded into a
 //! serializable [`TelemetrySnapshot`]; [`Registry::export`] is the same
 //! as JSON. [`render_report`] turns an exported snapshot (or any JSON
-//! blob embedding one under a `"telemetry"` key, e.g. a saved session or
-//! a `BENCH_*.json` file) back into a human-readable report: a
-//! flamegraph-style span tree (siblings aggregated by name) plus counter
-//! and histogram summary tables.
+//! blob embedding one under a `"telemetry"` key, e.g. a saved session)
+//! back into a human-readable report: a flamegraph-style span tree
+//! (siblings aggregated by name) plus counter and histogram summary
+//! tables.
 
 use crate::flight::FlightEvent;
 use crate::quantile::QuantileSketch;
@@ -62,7 +62,7 @@ impl Registry {
 
 /// Locates the telemetry snapshot inside an arbitrary exported JSON file:
 /// either the value itself is a snapshot, or it embeds one under a
-/// `"telemetry"` key (saved sessions, `BENCH_*.json`).
+/// `"telemetry"` key (saved sessions).
 pub fn find_snapshot(blob: &Value) -> Option<TelemetrySnapshot> {
     let candidate = if blob.get("counters").is_some() && blob.get("spans").is_some() {
         blob.clone()
@@ -136,8 +136,10 @@ fn fmt_secs(s: f64) -> String {
 /// Renders the per-session report: span tree, counters, histograms,
 /// events. Returns an error string when `blob` holds no snapshot.
 pub fn render_report(blob: &Value) -> Result<String, String> {
-    let snap = find_snapshot(blob)
-        .ok_or_else(|| "no telemetry snapshot found (expected a gm-telemetry export, a saved session, or a BENCH_*.json file)".to_string())?;
+    let snap = find_snapshot(blob).ok_or_else(|| {
+        "no telemetry snapshot found (expected a gm-telemetry export or a saved session)"
+            .to_string()
+    })?;
     let mut out = String::new();
     out.push_str(&format!(
         "session: wall {} | virtual {:.2}s | {} spans | {} events\n",

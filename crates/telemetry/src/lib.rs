@@ -17,8 +17,7 @@
 //! [`VirtualClock`] lives here too, stamping spans and events with
 //! virtual timestamps so traces replay the deterministic session
 //! timeline. [`Registry::export`] emits the JSON consumed by the
-//! `gm-trace` report binary, embedded in session saves and
-//! `BENCH_*.json` files.
+//! `gm-trace` report binary and embedded in session saves.
 
 pub mod clock;
 pub mod diff;

@@ -3,7 +3,10 @@
 //! grounded response (the paper's reliability claim depends on this).
 
 use gm_agents::{classify, extract_entities, IntentRule, Schema};
+use gm_contingency::{evaluate_outage, CaOptions, Outage};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
+use gm_network::{cases, CaseId};
+use gm_powerflow::{solve, solve_from, PfError, PfOptions};
 use gridmind_core::{GridMind, ModelProfile, CAVEAT_PREFIX};
 use proptest::prelude::*;
 
@@ -128,6 +131,35 @@ fn bus_that_does_not_exist_fails_transparently() {
     );
     // The diff log must not record the failed modification.
     assert_eq!(gm.session.diff_count(), 0);
+}
+
+#[test]
+fn warm_start_from_another_network_is_a_typed_error() {
+    // A caller holding the wrong case's voltages gets an error it can
+    // repair from, at the solver entry and through the outage evaluator.
+    let opts = PfOptions::default();
+    let v_case14 = solve(&cases::load(CaseId::Ieee14), &opts)
+        .unwrap()
+        .voltages();
+    let case30 = cases::load(CaseId::Ieee30);
+    match solve_from(&case30, &opts, Some(&v_case14)) {
+        Err(PfError::InvalidNetwork { problems }) => {
+            assert_eq!(problems, ["warm start has 14 entries for 30 buses"]);
+        }
+        other => panic!("expected InvalidNetwork, got {other:?}"),
+    }
+
+    // `evaluate_outage` treats it like any failed warm start: one retry
+    // from flat, and a converged AC answer.
+    let reg = gm_telemetry::Registry::new();
+    let _guard = reg.install();
+    let outage = Outage {
+        branch: 0,
+        kind: case30.branches[0].kind,
+    };
+    let outcome = evaluate_outage(&case30, &CaOptions::default(), &v_case14, outage, 0);
+    assert!(outcome.converged && outcome.ac_solved, "{outcome:?}");
+    assert_eq!(reg.counter_value("ca.warm_start_retries"), 1);
 }
 
 proptest! {

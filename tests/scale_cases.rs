@@ -1,10 +1,12 @@
 //! Tier-1 coverage for the interconnect-scale tier (PR 10).
 //!
 //! Only `synth1354` is exercised here — the runtime size cap that keeps
-//! tier-1 wall time bounded. The 2869/9241-bus cases run in `bench_scale`
-//! and the CI `scale` job. The network is generated once per process
-//! (`load_scale` reads the case library), so the cost of the sampled DC
-//! N-1 calibration is paid a single time across all tests in this binary.
+//! tier-1 wall time bounded. The 2869/9241-bus cases are solved, factored
+//! and panel-checked once in `tests/work_counts.rs` and timed by the
+//! `grid_scale` workload of `benchmark/`. The network is generated once
+//! per process (`load_scale` reads the case library), so the cost of the
+//! sampled DC N-1 calibration is paid a single time across all tests in
+//! this binary.
 
 use gm_network::{load_scale, ScaleId};
 use gm_sparse::{CsMat, Ordering, SparseLu, Triplets};

@@ -2,10 +2,14 @@
 //! flow, economic dispatch, DC-OPF, and ACOPF must tell one coherent
 //! numerical story on every case.
 
-use gm_acopf::{economic_dispatch, solve_acopf, solve_dcopf, AcopfError, AcopfOptions, IpmOptions};
+use gm_acopf::{
+    economic_dispatch, solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, IpmOptions,
+    ScopfOptions,
+};
 use gm_network::{cases, BusKind, CaseId, Network};
 use gm_numeric::Complex;
 use gm_powerflow::{solve, solve_dc, PfOptions};
+use gm_telemetry::Registry;
 
 /// Largest nodal power mismatch (p.u., either P or Q) of an ACOPF
 /// solution, recomputed from the raw branch records: ideal transformer,
@@ -45,6 +49,23 @@ fn power_balance_residual_pu(net: &Network, sol: &gm_acopf::AcopfSolution) -> f6
         .fold(0.0f64, |m, si| m.max(si.re.abs()).max(si.im.abs()))
 }
 
+/// The IPM's KKT rule on the exact work counts `reg` collected: the KKT
+/// pattern is analyzed at most once per IPM solve (never re-analyzed
+/// mid-solve) and no LDLᵀ step needed the pivoting-LU fallback.
+fn assert_kkt_rule(what: &str, reg: &Registry) {
+    let builds = reg.counter_value("sparse.symbolic.build");
+    let solves = reg.counter_value("acopf.ipm.solves");
+    assert!(
+        solves > 0 && builds <= solves,
+        "{what}: {builds} symbolic analyses for {solves} IPM solves"
+    );
+    assert_eq!(
+        reg.counter_value("acopf.kkt.lu_fallbacks"),
+        0,
+        "{what}: KKT steps fell back to the pivoting LU"
+    );
+}
+
 #[test]
 fn acopf_objectives_are_pinned_and_power_balance_is_certified() {
     // Objectives of the pivoting-LU IPM this solver replaced (case14 is
@@ -59,7 +80,12 @@ fn acopf_objectives_are_pinned_and_power_balance_is_certified() {
     ];
     for (id, want) in pinned {
         let net = cases::load(id);
-        let sol = solve_acopf(&net, &AcopfOptions::default()).unwrap();
+        let reg = Registry::new();
+        let sol = {
+            let _guard = reg.install();
+            solve_acopf(&net, &AcopfOptions::default()).unwrap()
+        };
+        assert_kkt_rule(id.short_name(), &reg);
         assert!(
             (sol.objective_cost - want).abs() <= 1e-6 * want,
             "{id:?}: objective {:.6} vs pinned {want:.6}",
@@ -73,6 +99,16 @@ fn acopf_objectives_are_pinned_and_power_balance_is_certified() {
     }
     let case14 = solve_acopf(&cases::load(CaseId::Ieee14), &AcopfOptions::default()).unwrap();
     assert!((case14.objective_cost - 8081.53).abs() <= 1e-6 * 8081.53);
+    // Every constraint-generation round of the SCOPF is an IPM solve under
+    // the same rule.
+    for id in [CaseId::Ieee30, CaseId::Ieee57] {
+        let reg = Registry::new();
+        {
+            let _guard = reg.install();
+            solve_scopf(&cases::load(id), &ScopfOptions::default()).unwrap();
+        }
+        assert_kkt_rule(&format!("{} SCOPF", id.short_name()), &reg);
+    }
 }
 
 #[test]

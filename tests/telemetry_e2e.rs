@@ -88,6 +88,28 @@ fn scripted_session_produces_span_tree_and_solver_counters() {
 }
 
 #[test]
+fn every_required_solver_metric_is_live_after_a_full_dialogue() {
+    // `gm-trace --check` as an assertion: one dialogue through the ACOPF
+    // agent, the cascade N-1 sweep, the batch engine and a second case
+    // must leave every `REQUIRED_SOLVER_METRICS` counter nonzero — a
+    // solver path that went dark (or lost its instrumentation) shows up
+    // here by name.
+    let mut gm = GridMind::new(ModelProfile::paper_models().remove(0));
+    for request in [
+        "solve case30",
+        "run the n-1 contingency analysis",
+        "sweep the load from 90% to 110% in 6 steps",
+        "what are the most critical contingencies in case14",
+    ] {
+        let reply = gm.ask(request);
+        assert!(reply.steps.iter().all(|s| s.completed), "{request}");
+    }
+    let missing = gm_telemetry::check_required_metrics(&gm.session.telemetry.export())
+        .expect("a session export embeds a snapshot");
+    assert!(missing.is_empty(), "required metrics are zero: {missing:?}");
+}
+
+#[test]
 fn identical_sessions_produce_identical_metrics() {
     // Replayability: the same scripted conversation must count the same
     // work, iteration for iteration. Wall-clock durations differ;
@@ -141,7 +163,9 @@ fn newton_telemetry_overhead_is_small_on_case118() {
     // case118 Newton solve. Wall timing in CI is noisy, so the assert
     // uses a very generous 1.5× margin — it exists to catch an
     // accidentally quadratic or allocating hot path, not to certify
-    // the 2 % figure (BENCH_pf.json is the place to measure that).
+    // the 2 % figure (`telemetry.span_ns` / `telemetry.counter_add_ns`
+    // against `powerflow.newton_ms.case118` from `benchmark/run.sh
+    // --trace` are the place to measure that).
     let net = cases::load(CaseId::Ieee118);
     let opts = PfOptions::default();
     let time_solves = |n: usize| -> f64 {
