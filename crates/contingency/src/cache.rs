@@ -1,24 +1,25 @@
 //! Contingency result cache.
 //!
 //! §3.4 of the paper: "Each outage evaluation is cached under a composite
-//! key (case + outage + diff hash)". The cache lets compound agent
-//! requests ("solve, assess T-1 risk, rank reinforcements") reuse every
-//! per-outage power flow that is still fresh, and invalidates naturally
-//! when the diff log changes the network.
+//! key (case + outage + diff hash)" — case and diffs being one component
+//! here, the content hash of the network they lead to. Compound requests
+//! ("solve, assess T-1 risk, rank reinforcements") reuse every per-outage
+//! power flow of an unchanged network. One network's outcomes are held at
+//! a time: the first `put` under another `net_hash` drops the rest, so no
+//! caller invalidates and a long session keeps one sweep's worth.
 
 use crate::types::ContingencyOutcome;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Composite cache key.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Case name.
-    pub case: String,
+    /// Content hash of the network the outage is taken out of.
+    pub net_hash: u64,
     /// Branch index of the outage.
     pub outage_branch: usize,
-    /// Hash of the applied modification log.
-    pub diff_hash: u64,
     /// Fingerprint of every sweep option the outcome can depend on: the
     /// voltage band, thermal threshold, power-flow controls, and the
     /// sweep mode with its screening knobs (cascade and brute outcomes
@@ -32,8 +33,8 @@ pub struct CacheKey {
 #[derive(Debug, Default)]
 pub struct ContingencyCache {
     map: RwLock<HashMap<CacheKey, ContingencyOutcome>>,
-    hits: RwLock<u64>,
-    misses: RwLock<u64>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl ContingencyCache {
@@ -45,24 +46,28 @@ impl ContingencyCache {
     /// Fetches a cached outcome, counting the hit/miss.
     pub fn get(&self, key: &CacheKey) -> Option<ContingencyOutcome> {
         let found = self.map.read().get(key).cloned();
-        if found.is_some() {
-            *self.hits.write() += 1;
-            gm_telemetry::counter_add("ca.cache.hits", 1);
-        } else {
-            *self.misses.write() += 1;
-            gm_telemetry::counter_add("ca.cache.misses", 1);
-        }
+        let (tally, counter) = match found {
+            Some(_) => (&self.hits, "ca.cache.hits"),
+            None => (&self.misses, "ca.cache.misses"),
+        };
+        tally.fetch_add(1, Relaxed);
+        gm_telemetry::counter_add(counter, 1);
         found
     }
 
-    /// Stores an outcome.
+    /// Stores an outcome. All held keys share one `net_hash`: the first
+    /// outcome of another network supersedes them.
     pub fn put(&self, key: CacheKey, outcome: ContingencyOutcome) {
-        self.map.write().insert(key, outcome);
+        let mut map = self.map.write();
+        if matches!(map.keys().next(), Some(held) if held.net_hash != key.net_hash) {
+            map.clear();
+        }
+        map.insert(key, outcome);
     }
 
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.read(), *self.misses.read())
+        (self.hits.load(Relaxed), self.misses.load(Relaxed))
     }
 
     /// Number of cached outcomes.
@@ -73,11 +78,6 @@ impl ContingencyCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.read().is_empty()
-    }
-
-    /// Drops every entry for a case (e.g. after an irreversible edit).
-    pub fn invalidate_case(&self, case: &str) {
-        self.map.write().retain(|k, _| k.case != case);
     }
 }
 
@@ -106,11 +106,10 @@ mod tests {
         }
     }
 
-    fn key(case: &str, branch: usize, diff: u64) -> CacheKey {
+    fn key(net_hash: u64, branch: usize) -> CacheKey {
         CacheKey {
-            case: case.into(),
+            net_hash,
             outage_branch: branch,
-            diff_hash: diff,
             options: CaOptions::default().outcome_fingerprint(),
         }
     }
@@ -118,13 +117,13 @@ mod tests {
     #[test]
     fn option_fingerprints_do_not_alias() {
         let cache = ContingencyCache::new();
-        cache.put(key("c14", 0, 1), outcome(0));
+        cache.put(key(14, 0), outcome(0));
         let keyed = |tweak: fn(&mut CaOptions)| {
             let mut opts = CaOptions::default();
             tweak(&mut opts);
             CacheKey {
                 options: opts.outcome_fingerprint(),
-                ..key("c14", 0, 1)
+                ..key(14, 0)
             }
         };
         // Anything an outcome can depend on keys apart ...
@@ -148,29 +147,39 @@ mod tests {
     #[test]
     fn hit_and_miss_accounting() {
         let cache = ContingencyCache::new();
-        assert!(cache.get(&key("c14", 0, 1)).is_none());
-        cache.put(key("c14", 0, 1), outcome(0));
-        assert!(cache.get(&key("c14", 0, 1)).is_some());
+        assert!(cache.get(&key(14, 0)).is_none());
+        cache.put(key(14, 0), outcome(0));
+        assert!(cache.get(&key(14, 0)).is_some());
         assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]
-    fn diff_hash_invalidates() {
+    fn another_net_hash_misses() {
         let cache = ContingencyCache::new();
-        cache.put(key("c14", 0, 1), outcome(0));
-        // Same case and outage, different network state.
-        assert!(cache.get(&key("c14", 0, 2)).is_none());
+        cache.put(key(14, 0), outcome(0));
+        // Same outage and options, different network state.
+        assert!(cache.get(&key(15, 0)).is_none());
+        // Looking does not evict.
+        assert!(cache.get(&key(14, 0)).is_some());
     }
 
     #[test]
-    fn case_isolation_and_invalidation() {
+    fn a_put_under_a_new_net_hash_supersedes() {
         let cache = ContingencyCache::new();
-        cache.put(key("c14", 0, 1), outcome(0));
-        cache.put(key("c30", 0, 1), outcome(0));
+        cache.put(key(14, 0), outcome(0));
+        cache.put(key(14, 1), outcome(1));
         assert_eq!(cache.len(), 2);
-        cache.invalidate_case("c14");
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key("c30", 0, 1)).is_some());
+        cache.put(key(30, 0), outcome(0));
+        assert_eq!(cache.len(), 1, "the old network's outcomes must go");
+        assert!(cache.get(&key(14, 0)).is_none());
+        assert!(cache.get(&key(30, 0)).is_some());
+        // Two option sets of one network live side by side.
+        let brute = CacheKey {
+            options: !key(30, 0).options,
+            ..key(30, 0)
+        };
+        cache.put(brute, outcome(0));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -182,8 +191,8 @@ mod tests {
             let c = cache.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
-                    c.put(key("x", t * 100 + i, 0), outcome(i));
-                    c.get(&key("x", t * 100 + i, 0));
+                    c.put(key(0, t * 100 + i), outcome(i));
+                    c.get(&key(0, t * 100 + i));
                 }
             }));
         }

@@ -275,10 +275,11 @@ enum Step {
 /// outage evaluation is cached under a composite key (case + outage +
 /// diff hash)").
 ///
-/// `cache` is `(cache, diff_hash)`: outcomes are looked up / stored under
-/// the network's case name, branch index, the supplied hash, and the
-/// fingerprint of every option an outcome can depend on, so a repeated
-/// compound request recomputes only what the diff log staled — and
+/// `cache` is `(cache, net_hash)`, `net_hash` being the content hash of
+/// `net` (a session's `Snapshot` carries it — case and diffs in one
+/// number): outcomes are looked up / stored under it, the branch index,
+/// and the fingerprint of every option an outcome can depend on, so a
+/// repeated compound request recomputes only what an edit staled — and
 /// neither cascade results nor a different voltage band, thermal
 /// threshold or power-flow setting can alias a stored outcome.
 pub fn run_n1_cached(
@@ -324,16 +325,15 @@ pub fn run_n1_cached(
             Step::Newton => None,
             Step::Compensated(estimate) => Some(estimate),
         };
-        let keyed = cache.map(|(cache, diff_hash)| {
+        let keyed = cache.map(|(cache, net_hash)| {
             let key = CacheKey {
-                case: net.name.clone(),
+                net_hash,
                 outage_branch: outage.branch,
-                diff_hash,
                 options,
             };
             (cache, key)
         });
-        if let Some(hit) = keyed.as_ref().and_then(|(cache, key)| cache.get(key)) {
+        if let Some(hit) = keyed.and_then(|(cache, key)| cache.get(&key)) {
             return hit;
         }
         let outcome = match compensated {
@@ -873,7 +873,7 @@ mod tests {
         let (h1, m1) = cache.stats();
         assert_eq!(h1, 0);
         assert_eq!(m1 as usize, r1.n_contingencies);
-        // Same diff hash: every outage served from the cache.
+        // Same network hash: every outage served from the cache.
         let r2 = run_n1_cached(&net, &opts, None, Some((&cache, 42))).unwrap();
         let (h2, _) = cache.stats();
         assert_eq!(h2 as usize, r2.n_contingencies);

@@ -9,7 +9,8 @@
 //! - [`ranking`] — composite criticality scoring with auditable
 //!   justifications (§3.2.3), plus the alternative ranking strategies
 //!   used to model per-LLM analytical differences (Table 1).
-//! - [`cache`] — the `(case + outage + diff hash)` result cache of §3.4.
+//! - [`cache`] — the per-outage result cache of §3.4, keyed on the
+//!   network's content hash (case and diffs in one), outage and options.
 //! - [`gen_outage`] — generator T-1 outages (the paper's §2 defines T-1
 //!   over "system assets"; units are assets too).
 //! - [`n2`] — the N-2 preview: LODF pair screening with compensated AC

@@ -10,7 +10,7 @@
 //! outage is a rank-≤-8 Jacobian correction, still far cheaper than a
 //! fresh factorization per pair.
 
-use crate::engine::{enumerate_targets, screening_inputs, solve_base, CaOptions};
+use crate::engine::{enumerate_targets, screening_inputs, solve_base, violations_of, CaOptions};
 use crate::types::{Outage, Violation};
 use gm_network::{topology, Network};
 use gm_powerflow::{CompensationBase, PfReport};
@@ -178,40 +178,16 @@ pub fn n_minus_2_preview(
                 violations: Vec::new(),
                 max_loading_pct: 0.0,
             },
-            Some(rep) => {
-                let mut violations = Vec::new();
-                for bf in &rep.branches {
-                    if bf.loading_pct > opts.thermal_threshold_pct {
-                        violations.push(Violation::ThermalOverload {
-                            branch: bf.index,
-                            loading_pct: bf.loading_pct,
-                        });
-                    }
-                }
-                for bus in &rep.buses {
-                    if bus.vm_pu < opts.vmin_pu {
-                        violations.push(Violation::LowVoltage {
-                            bus_id: bus.id,
-                            vm_pu: bus.vm_pu,
-                        });
-                    } else if bus.vm_pu > opts.vmax_pu {
-                        violations.push(Violation::HighVoltage {
-                            bus_id: bus.id,
-                            vm_pu: bus.vm_pu,
-                        });
-                    }
-                }
-                PairOutcome {
-                    outages: (outage_a, outage_b),
-                    kind_indices: (ki_a, ki_b),
-                    dc_estimate: est,
-                    islands: false,
-                    converged: true,
-                    compensated,
-                    violations,
-                    max_loading_pct: rep.max_loading.0,
-                }
-            }
+            Some(rep) => PairOutcome {
+                outages: (outage_a, outage_b),
+                kind_indices: (ki_a, ki_b),
+                dc_estimate: est,
+                islands: false,
+                converged: true,
+                compensated,
+                violations: violations_of(&rep, opts),
+                max_loading_pct: rep.max_loading.0,
+            },
         };
         verified.push(outcome);
     }

@@ -146,18 +146,18 @@ pub fn solve_base_recovered(
 /// N-1 sweep with the recovery ladder under its base case.
 ///
 /// The primary sweep warm-starts from `base` (the session's fresh base
-/// case, if any) and reads and writes the per-outage cache `outages`. If
-/// its base solve fails numerically — or a `pf.base` fault imitates that,
-/// bypassing the warm start too — the base case is rebuilt down the
-/// ladder and the sweep re-run from it, bypassing both the shared solver
-/// cache and the per-outage cache so approximate outcomes can never be
-/// recalled as exact ones.
+/// case, if any) and reads and writes the per-outage cache `outages`
+/// under the hash `net` carries — a key cannot describe any network but
+/// the one swept. If its base solve fails numerically — or a `pf.base`
+/// fault imitates that, bypassing the warm start too — the base case is
+/// rebuilt down the ladder and the sweep re-run from it, bypassing both
+/// caches so approximate outcomes can never be recalled as exact ones.
 pub(crate) fn run_n1_recovered(
     cache: Option<&SharedSolverCache>,
     net: &Snapshot,
     opts: &CaOptions,
     base: Option<&PfReport>,
-    outages: (&ContingencyCache, u64),
+    outages: &ContingencyCache,
 ) -> Result<(ContingencyReport, Option<String>), PfError> {
     descend_pf(
         net,
@@ -166,7 +166,7 @@ pub(crate) fn run_n1_recovered(
         // per-outage cache.
         || {
             memoized(cache, net, opts.fingerprint(), || {
-                run_n1_cached(net, opts, base, Some(outages))
+                run_n1_cached(net, opts, base, Some((outages, net.content_hash())))
             })
         },
         |rebuilt| run_n1_cached(net, opts, Some(&rebuilt), None),

@@ -4,9 +4,12 @@
 //! All agents collaborate through one [`SessionContext`]: the active
 //! network plus incremental diffs, validated numerical artifacts (latest
 //! ACOPF solution, base power flow, contingency report), the per-outage
-//! cache, and provenance. Freshness is tracked by the diff-log hash: an
-//! artifact deposited at hash `h` is reusable only while the log still
-//! hashes to `h`.
+//! cache, and provenance. A network state has one identity, the content
+//! hash its [`Snapshot`] carries ([`SessionContext::net_hash`]): an
+//! artifact deposited at hash `h` is reusable exactly while the current
+//! network hashes to `h`, the per-outage cache and the shared solver
+//! cache key on the same number, and the diff log is what the paper says
+//! it is — change log, replay, narration, persistence.
 
 use gm_acopf::AcopfSolution;
 use gm_contingency::{ContingencyCache, ContingencyReport};
@@ -16,13 +19,13 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// An artifact stamped with the diff hash it was computed at.
+/// An artifact stamped with the network it was computed on.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Stamped<T> {
     /// The artifact.
     pub value: T,
-    /// Diff-log hash at computation time.
-    pub diff_hash: u64,
+    /// Content hash of the session network at computation time.
+    pub net_hash: u64,
     /// Virtual timestamp (seconds) at computation time.
     pub at_s: f64,
 }
@@ -31,7 +34,8 @@ pub struct Stamped<T> {
 #[derive(Debug, Default)]
 pub struct SessionContext {
     inner: RwLock<SessionState>,
-    /// Per-outage contingency cache (keyed by case + outage + diff hash).
+    /// Per-outage contingency cache (keyed by network hash + outage +
+    /// options; holds the current network's outcomes only).
     pub cache: ContingencyCache,
     /// Session-scoped telemetry: every tool call, solver iteration, and
     /// routing decision of this session lands here, and [`SessionContext::save`]
@@ -62,6 +66,37 @@ pub struct SessionState {
     pub base_pf: Option<Stamped<PfReport>>,
     /// Latest contingency report (stamped).
     pub contingency: Option<Stamped<ContingencyReport>>,
+}
+
+impl SessionState {
+    /// Carried content hash of the current network (zero with no case).
+    fn net_hash(&self) -> u64 {
+        self.current.as_ref().map_or(0, Snapshot::content_hash)
+    }
+
+    /// `value` stamped with the current network.
+    fn stamp<T>(&self, value: T, at_s: f64) -> Stamped<T> {
+        Stamped {
+            value,
+            net_hash: self.net_hash(),
+            at_s,
+        }
+    }
+
+    /// The artifact in `slot` if it was computed on the current network.
+    /// Counts the outcome as `session.<artifact>.fresh`, `.stale`
+    /// (present but stamped with another network) or `.absent`.
+    fn fresh<T: Clone>(&self, artifact: &str, slot: &Option<Stamped<T>>) -> Option<T> {
+        let hash = self.net_hash();
+        let found = slot.as_ref().filter(|st| st.net_hash == hash);
+        let outcome = match (found, slot) {
+            (Some(_), _) => "fresh",
+            (None, Some(_)) => "stale",
+            (None, None) => "absent",
+        };
+        gm_telemetry::counter_add(&format!("session.{artifact}.{outcome}"), 1);
+        found.map(|st| st.value.clone())
+    }
 }
 
 /// Shared handle used by tools and the coordinator.
@@ -119,7 +154,6 @@ impl SessionContext {
         let mut s = self.inner.write();
         if s.active_case.as_deref() != Some(key.short_name()) {
             let net = library::case(key);
-            self.cache.invalidate_case(&net.name);
             *s = SessionState {
                 active_case: Some(key.short_name().to_string()),
                 base: Some(net.clone()),
@@ -146,7 +180,8 @@ impl SessionContext {
     }
 
     /// Applies and records a modification (invalidates nothing by itself:
-    /// freshness is hash-based).
+    /// freshness is hash-based, so an edit that leaves the network bit
+    /// for bit as it was stales nothing).
     pub fn apply(&self, m: Modification) -> Result<(), SessionError> {
         let mut s = self.inner.write();
         let mut net = match &s.current {
@@ -160,9 +195,16 @@ impl SessionContext {
         Ok(())
     }
 
-    /// Current diff-log hash (the freshness stamp).
+    /// Content hash of the current network — the freshness stamp and
+    /// the network half of every cache key. Zero before a case is loaded.
+    pub fn net_hash(&self) -> u64 {
+        self.inner.read().net_hash()
+    }
+
+    /// Forwards to [`Self::net_hash`]; kept for `benchmark/`, which may
+    /// not be edited outside a benchmark-only PR.
     pub fn diff_hash(&self) -> u64 {
-        self.inner.read().diffs.hash()
+        self.net_hash()
     }
 
     /// Number of recorded modifications.
@@ -183,95 +225,49 @@ impl SessionContext {
 
     /// Deposits a solved ACOPF (stamped at the current hash).
     pub fn put_acopf(&self, sol: AcopfSolution, at_s: f64) {
-        let hash = self.diff_hash();
-        self.inner.write().acopf = Some(Stamped {
-            value: sol,
-            diff_hash: hash,
-            at_s,
-        });
+        let mut s = self.inner.write();
+        s.acopf = Some(s.stamp(sol, at_s));
     }
 
-    /// The latest ACOPF solution *if still fresh* (computed at the
-    /// current diff hash).
+    /// The latest ACOPF solution *if still fresh* (computed on the
+    /// current network).
     pub fn fresh_acopf(&self) -> Option<AcopfSolution> {
         let s = self.inner.read();
-        let hash = s.diffs.hash();
-        let found = s
-            .acopf
-            .as_ref()
-            .filter(|st| st.diff_hash == hash)
-            .map(|st| st.value.clone());
-        Self::count_freshness("acopf", found.is_some(), s.acopf.is_some());
-        found
+        s.fresh("acopf", &s.acopf)
     }
 
     /// The latest ACOPF solution regardless of freshness, with staleness
     /// flag.
     pub fn any_acopf(&self) -> Option<(AcopfSolution, bool)> {
         let s = self.inner.read();
-        let hash = s.diffs.hash();
+        let hash = s.net_hash();
         s.acopf
             .as_ref()
-            .map(|st| (st.value.clone(), st.diff_hash != hash))
+            .map(|st| (st.value.clone(), st.net_hash != hash))
     }
 
     /// Deposits a base power flow report.
     pub fn put_base_pf(&self, rep: PfReport, at_s: f64) {
-        let hash = self.diff_hash();
-        self.inner.write().base_pf = Some(Stamped {
-            value: rep,
-            diff_hash: hash,
-            at_s,
-        });
+        let mut s = self.inner.write();
+        s.base_pf = Some(s.stamp(rep, at_s));
     }
 
     /// Fresh base power flow, if any.
     pub fn fresh_base_pf(&self) -> Option<PfReport> {
         let s = self.inner.read();
-        let hash = s.diffs.hash();
-        let found = s
-            .base_pf
-            .as_ref()
-            .filter(|st| st.diff_hash == hash)
-            .map(|st| st.value.clone());
-        Self::count_freshness("base_pf", found.is_some(), s.base_pf.is_some());
-        found
+        s.fresh("base_pf", &s.base_pf)
     }
 
     /// Deposits a contingency report.
     pub fn put_contingency(&self, rep: ContingencyReport, at_s: f64) {
-        let hash = self.diff_hash();
-        self.inner.write().contingency = Some(Stamped {
-            value: rep,
-            diff_hash: hash,
-            at_s,
-        });
+        let mut s = self.inner.write();
+        s.contingency = Some(s.stamp(rep, at_s));
     }
 
     /// Fresh contingency report, if any.
     pub fn fresh_contingency(&self) -> Option<ContingencyReport> {
         let s = self.inner.read();
-        let hash = s.diffs.hash();
-        let found = s
-            .contingency
-            .as_ref()
-            .filter(|st| st.diff_hash == hash)
-            .map(|st| st.value.clone());
-        Self::count_freshness("contingency", found.is_some(), s.contingency.is_some());
-        found
-    }
-
-    /// Counts artifact freshness outcomes: `fresh` (reused), `stale`
-    /// (present but computed at an older diff hash), or `absent`.
-    fn count_freshness(artifact: &str, fresh: bool, present: bool) {
-        let outcome = if fresh {
-            "fresh"
-        } else if present {
-            "stale"
-        } else {
-            "absent"
-        };
-        gm_telemetry::counter_add(&format!("session.{artifact}.{outcome}"), 1);
+        s.fresh("contingency", &s.contingency)
     }
 
     /// Serializes the session for persistence (§3.4 "Session persistence

@@ -185,7 +185,7 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                 &net,
                 &opts,
                 base.as_ref(),
-                (&session.cache, session.diff_hash()),
+                &session.cache,
             )
             .map_err(base_case_failed)?;
             session.put_contingency(rep.clone(), clock.now());

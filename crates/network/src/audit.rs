@@ -335,13 +335,15 @@ impl GridLint {
         }
 
         // -- Per-unit base consistency.
-        if net.base_mva <= 0.0 {
+        if !(net.base_mva.is_finite() && net.base_mva > 0.0) {
             rep.push(
                 Severity::Error,
                 "GM-BASE-MVA",
                 "case",
                 format!("system MVA base must be positive, got {}", net.base_mva),
-                None,
+                Some(ModelError::BadBaseMva {
+                    value: net.base_mva,
+                }),
             );
         }
 
@@ -546,10 +548,17 @@ mod tests {
 
     #[test]
     fn base_mva_must_be_positive() {
-        let mut net = two_bus();
-        net.base_mva = 0.0;
-        let f = GridLint::default().audit(&net);
-        assert!(codes(&f).contains(&"GM-BASE-MVA"), "{f:?}");
+        for value in [0.0, -100.0, f64::NAN, f64::INFINITY] {
+            let mut net = two_bus();
+            net.base_mva = value;
+            let f = GridLint::default().audit(&net);
+            assert!(codes(&f).contains(&"GM-BASE-MVA"), "{value}: {f:?}");
+            let errs = net.validate().unwrap_err();
+            assert!(
+                matches!(errs[..], [ModelError::BadBaseMva { .. }]),
+                "{value}: {errs:?}"
+            );
+        }
     }
 
     #[test]

@@ -131,7 +131,9 @@ fn undeclared(line: usize, field: &'static str, bus: u32) -> CaseError {
 }
 
 fn parse_f64(tok: &str, line: usize, what: &'static str) -> Result<f64, CaseError> {
-    tok.parse::<f64>().map_err(|_| bad_field(line, what, tok))
+    // `str::parse` reads "NaN" and "inf"; no quantity in a case is either.
+    let finite = tok.parse::<f64>().ok().filter(|x| x.is_finite());
+    finite.ok_or_else(|| bad_field(line, what, tok))
 }
 
 fn parse_u32(tok: &str, line: usize, what: &'static str) -> Result<u32, CaseError> {
@@ -442,6 +444,17 @@ shunt 2 0 19
         let e = parse("case z\nbasemva lots\n").unwrap_err();
         assert!(e.message().contains("invalid base MVA"));
         assert_eq!(e.field, Some("base MVA"));
+    }
+
+    #[test]
+    fn non_finite_number_rejected_with_its_line() {
+        for tok in ["NaN", "inf", "-inf", "+infinity", "1e999"] {
+            let text = format!("case z\nbus 1 slack 1 0 138 0.9 1.1 1\nload 1 10 {tok}\n");
+            let e = parse(&text).unwrap_err();
+            assert_eq!((e.line, e.field), (3, Some("q_mvar")), "{tok}");
+            let token = tok.to_string();
+            assert_eq!(e.kind, CaseErrorKind::BadField { token });
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! as a [`Modification`], applied to produce a derived network, and appended
 //! to a chronological diff log (paper §3.2.1 "Memory" and §3.4). A diff log
 //! can be replayed on a fresh copy of the base case to reconstruct state,
-//! and hashed to key contingency caches.
+//! narrated, and persisted. It does not identify the state it leads to —
+//! [`Network::content_hash`] of the edited network does, so an edit that
+//! changes nothing keeps every cache entry and artifact valid.
 
 use crate::model::Network;
 use serde::{Deserialize, Serialize};
@@ -96,8 +98,20 @@ impl std::fmt::Display for DiffError {
 
 impl std::error::Error for DiffError {}
 
+/// A NaN or infinite MW / MVAr value is never a legitimate what-if, and
+/// `validate()` has no finiteness rule to catch one downstream.
+fn finite(what: &str, x: f64) -> Result<(), DiffError> {
+    if x.is_finite() {
+        return Ok(());
+    }
+    Err(DiffError::BadArgument {
+        reason: format!("{what} = {x}"),
+    })
+}
+
 impl Modification {
-    /// Applies the edit to `net` in place.
+    /// Applies the edit to `net` in place. A rejected edit leaves `net`
+    /// untouched.
     pub fn apply(&self, net: &mut Network) -> Result<(), DiffError> {
         match *self {
             Modification::SetBusLoad {
@@ -105,10 +119,9 @@ impl Modification {
                 p_mw,
                 q_mvar,
             } => {
-                if !p_mw.is_finite() {
-                    return Err(DiffError::BadArgument {
-                        reason: format!("p_mw = {p_mw}"),
-                    });
+                finite("p_mw", p_mw)?;
+                if let Some(q_mvar) = q_mvar {
+                    finite("q_mvar", q_mvar)?;
                 }
                 let bus = net
                     .bus_index(bus_id)
@@ -199,6 +212,8 @@ impl Modification {
                 p_min_mw,
                 p_max_mw,
             } => {
+                finite("p_min_mw", p_min_mw)?;
+                finite("p_max_mw", p_max_mw)?;
                 if p_min_mw > p_max_mw {
                     return Err(DiffError::BadArgument {
                         reason: format!("p_min {p_min_mw} > p_max {p_max_mw}"),
@@ -279,15 +294,6 @@ impl DiffLog {
             m.apply(&mut net)?;
         }
         Ok(net)
-    }
-
-    /// Deterministic hash of the log, used in contingency cache keys
-    /// (`case + outage + diff hash`, §3.4). FNV-1a over the serialized
-    /// entries.
-    pub fn hash(&self) -> u64 {
-        let mut h = gm_numeric::Fnv1a::new();
-        h.bytes(&serde_json::to_vec(&self.entries).unwrap_or_default());
-        h.finish()
     }
 }
 
@@ -465,19 +471,37 @@ mod tests {
     }
 
     #[test]
-    fn hash_changes_with_content() {
-        let b = base();
-        let mut l1 = DiffLog::new();
-        let mut l2 = DiffLog::new();
-        assert_eq!(l1.hash(), l2.hash());
-        let mut n1 = b.clone();
-        l1.apply(&mut n1, Modification::OutageBranch { index: 0 })
-            .unwrap();
-        assert_ne!(l1.hash(), l2.hash());
-        let mut n2 = b.clone();
-        l2.apply(&mut n2, Modification::OutageBranch { index: 0 })
-            .unwrap();
-        assert_eq!(l1.hash(), l2.hash());
+    fn non_finite_arguments_are_rejected_and_change_nothing() {
+        let load = |p_mw, q_mvar| Modification::SetBusLoad {
+            bus_id: 2,
+            p_mw,
+            q_mvar,
+        };
+        let limits = |p_min_mw, p_max_mw| Modification::SetGenLimits {
+            index: 0,
+            p_min_mw,
+            p_max_mw,
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let rejected = [
+            load(nan, None),
+            load(inf, Some(1.0)),
+            load(10.0, Some(nan)),
+            load(10.0, Some(-inf)),
+            Modification::ScaleAllLoads { factor: nan },
+            Modification::ScaleAllLoads { factor: inf },
+            limits(nan, 5.0),
+            limits(5.0, nan),
+            limits(-inf, 5.0),
+            limits(0.0, inf),
+        ];
+        let before = base().content_hash();
+        for m in rejected {
+            let mut net = base();
+            let err = m.apply(&mut net).unwrap_err();
+            assert!(matches!(err, DiffError::BadArgument { .. }), "{m:?}: {err}");
+            assert_eq!(net.content_hash(), before, "{m:?} edited the network");
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The one FNV-1a (64-bit) encoder behind every cache key in the suite:
-//! option fingerprints, network and diff-log content hashes, sparsity
-//! pattern fingerprints and the composite solver-cache parameters.
+//! option fingerprints, the network content hash, sparsity pattern
+//! fingerprints and the composite solver-cache parameters.
 //!
 //! Two ways to feed it, chosen by the shape of the stream:
 //!
 //! - **Fixed-width streams** — a known sequence of scalars, e.g. the
-//!   fields of an options struct or the index arrays of a CSR pattern —
-//!   use the raw writers [`Fnv1a::bytes`] / [`Fnv1a::u64`]. Every value
-//!   occupies a fixed number of bytes at a fixed position, so distinct
-//!   field tuples can only collide through the hash itself.
-//! - **Variable-width streams** — strings, encoded scenario sets — use
+//!   fields of an options struct or of the network model, the index
+//!   arrays of a CSR pattern — use the raw writers [`Fnv1a::bytes`] /
+//!   [`Fnv1a::u64`]. Every value occupies a fixed number of bytes at a
+//!   fixed position, so distinct field tuples can only collide through
+//!   the hash itself.
+//! - **Variable-width streams** — names, encoded scenario sets — use
 //!   [`Fnv1a::field`], which prefixes the bytes with their length so two
 //!   adjacent fields can never trade bytes across their boundary
 //!   (`["ab","c"]` vs `["a","bc"]`).

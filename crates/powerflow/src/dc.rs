@@ -5,7 +5,7 @@
 //! as the fast screening stage of contingency analysis.
 
 use crate::types::PfError;
-use gm_network::{slack_pinned_bprime, Network};
+use gm_network::{slack_pinned_bprime, ModelError, Network};
 use gm_sparse::SparseLu;
 
 /// DC power flow result.
@@ -21,11 +21,21 @@ pub struct DcReport {
 }
 
 /// Solves the DC power flow. Fails with [`PfError::InvalidNetwork`] if
-/// the network has no slack bus and [`PfError::SingularJacobian`] if the
-/// B matrix is singular (islanded network).
+/// the network has no slack bus or no usable MVA base and
+/// [`PfError::SingularJacobian`] if the B matrix is singular (islanded
+/// network). As the recovery ladder's last rung it runs no full
+/// `validate()`.
 pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
     gm_telemetry::counter_add("pf.dc.solves", 1);
     let slack = net.slack().ok_or_else(PfError::no_slack)?;
+    // Every injection is divided by the base: zero or NaN would come
+    // back as an `Ok` report full of NaN.
+    if !(net.base_mva.is_finite() && net.base_mva > 0.0) {
+        let value = net.base_mva;
+        return Err(PfError::InvalidNetwork {
+            problems: vec![ModelError::BadBaseMva { value }.to_string()],
+        });
+    }
     // The pinned slack row absorbs the imbalance (loads + losses are not
     // represented).
     let (p_mw, _) = net.scheduled_injections();

@@ -10,24 +10,29 @@ use gridmind_core::solver_cache::{memoized, SolverCacheKey};
 use gridmind_core::{QueryKind, SessionContext, SolverCache};
 use proptest::prelude::*;
 
-/// `content_hash` of every library entry as the parent commit's
-/// per-call generator produced it (`cases::load` / `generate_scale`).
-const PARENT_HASHES: [(&str, u64); 8] = [
-    ("case14", 0x15cf2303d0194b83),
-    ("case30", 0x9df26bf983e85520),
-    ("case57", 0xdf3e8391bec494c7),
-    ("case118", 0xd4e82da116f39966),
-    ("case300", 0x6da8e062881188e9),
-    ("synth1354", 0xaa59f25e8fec0dce),
-    ("synth2869", 0x7a82558a7d31fc8d),
-    ("synth9241", 0x8ea0c67a476e1221),
+/// Every library entry twice over: FNV-1a of its serde rendering — what
+/// `content_hash` was until PR 18, unchanged since the per-call
+/// generators of PR 15, so the library's bytes did not move — and the
+/// field-walk `content_hash` that replaced it.
+const ENTRY_HASHES: [(&str, u64, u64); 8] = [
+    ("case14", 0x15cf2303d0194b83, 0x6aba5d22aa0be86b),
+    ("case30", 0x9df26bf983e85520, 0xf17fe7fba00d08ad),
+    ("case57", 0xdf3e8391bec494c7, 0x9f32e04c007744a4),
+    ("case118", 0xd4e82da116f39966, 0x058e6d685dbaa81b),
+    ("case300", 0x6da8e062881188e9, 0x74840549ccb9a5af),
+    ("synth1354", 0xaa59f25e8fec0dce, 0x73af21e72a5b9e9f),
+    ("synth2869", 0x7a82558a7d31fc8d, 0xa5e6bece1fb4f98e),
+    ("synth9241", 0x8ea0c67a476e1221, 0x29549db145a7e631),
 ];
 
 #[test]
 fn every_entry_is_the_generators_bytes_valid_and_lint_clean() {
-    for (key, (name, hash)) in CaseKey::all().zip(PARENT_HASHES) {
+    for (key, (name, rendering, hash)) in CaseKey::all().zip(ENTRY_HASHES) {
         assert_eq!(key.short_name(), name);
         let entry = library::case(key);
+        let mut h = gm_numeric::Fnv1a::new();
+        h.bytes(&serde_json::to_vec(&*entry).unwrap());
+        assert_eq!(h.finish(), rendering, "{name}: the entry's bytes moved");
         assert_eq!(entry.content_hash(), hash, "{name}: carried hash");
         assert_eq!(Network::content_hash(&entry), hash, "{name}: fresh hash");
         entry.validate().unwrap_or_else(|e| panic!("{name}: {e:?}"));

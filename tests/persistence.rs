@@ -90,6 +90,27 @@ fn persisted_report_naming_the_retired_sweep_mode_is_a_typed_error() {
 }
 
 #[test]
+fn stamps_under_the_retired_diff_hash_key_never_restore_as_fresh() {
+    // Until PR 18 an artifact was stamped with a hash of the diff log
+    // under the key `diff_hash`. A blob from then must not come back
+    // with that number read as a network hash: the restore fails with a
+    // serde error naming the missing stamp.
+    let mut gm = GridMind::new(ModelProfile::by_name("GPT-5").unwrap());
+    gm.ask("solve case14");
+    gm.ask("run the contingency analysis");
+    let blob = gm.session.save();
+    assert!(SessionContext::restore(&blob).is_ok());
+    for artifact in ["acopf", "base_pf", "contingency"] {
+        let mut old = blob.clone();
+        let stamp = old[artifact].as_object_mut().expect(artifact);
+        let hash = stamp.remove("net_hash").expect("stamped with net_hash");
+        stamp.insert("diff_hash".into(), hash);
+        let err = SessionContext::restore(&old).unwrap_err();
+        assert!(err.to_string().contains("net_hash"), "{artifact}: {err}");
+    }
+}
+
+#[test]
 fn schema_layer_rejects_malformed_session() {
     assert!(SessionContext::restore(&json!({"bogus": true})).is_err());
     assert!(SessionContext::restore(&json!(42)).is_err());

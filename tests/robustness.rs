@@ -2,11 +2,15 @@
 //! conversational stack must never panic and must always produce a
 //! grounded response (the paper's reliability claim depends on this).
 
+use gm_acopf::{solve_acopf, solve_dcopf, AcopfError, AcopfOptions, IpmOptions};
 use gm_agents::{classify, extract_entities, IntentRule, Schema};
 use gm_contingency::{evaluate_outage, CaOptions, Outage};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
 use gm_network::{cases, CaseId};
-use gm_powerflow::{solve, solve_from, PfError, PfOptions};
+use gm_powerflow::{
+    run_batch, solve, solve_dc, solve_fast_decoupled, solve_from, BatchError, PfError, PfOptions,
+    ScenarioSet,
+};
 use gridmind_core::{GridMind, ModelProfile, CAVEAT_PREFIX};
 use proptest::prelude::*;
 
@@ -160,6 +164,48 @@ fn warm_start_from_another_network_is_a_typed_error() {
     let outcome = evaluate_outage(&case30, &CaOptions::default(), &v_case14, outage, 0);
     assert!(outcome.converged && outcome.ac_solved, "{outcome:?}");
     assert_eq!(reg.counter_value("ca.warm_start_retries"), 1);
+}
+
+#[test]
+fn an_unusable_mva_base_is_a_typed_error_at_every_solver_entry() {
+    // Behind a passing `validate()`, a negative base used to panic in
+    // Newton's Q-limit clamp (min > max) and a zero base came back from
+    // `solve_dc` as an `Ok` report full of NaN.
+    let pf = PfOptions::default();
+    let set = ScenarioSet::load_sweep(0.9, 1.1, 3);
+    for value in [0.0, -100.0, f64::NAN, f64::INFINITY] {
+        let mut net = cases::load(CaseId::Ieee14);
+        net.base_mva = value;
+        let pf_invalid = |r: Result<(), PfError>| matches!(r, Err(PfError::InvalidNetwork { .. }));
+        let opf_invalid =
+            |r: Result<(), AcopfError>| matches!(r, Err(AcopfError::InvalidNetwork { .. }));
+        let typed = [
+            ("solve", pf_invalid(solve(&net, &pf).map(drop))),
+            (
+                "solve_fast_decoupled",
+                pf_invalid(solve_fast_decoupled(&net, &pf).map(drop)),
+            ),
+            ("solve_dc", pf_invalid(solve_dc(&net).map(drop))),
+            (
+                "run_batch",
+                matches!(
+                    run_batch(&net, &pf, &set),
+                    Err(BatchError::InvalidBase { .. })
+                ),
+            ),
+            (
+                "solve_acopf",
+                opf_invalid(solve_acopf(&net, &AcopfOptions::default()).map(drop)),
+            ),
+            (
+                "solve_dcopf",
+                opf_invalid(solve_dcopf(&net, &IpmOptions::default()).map(drop)),
+            ),
+        ];
+        for (entry, typed) in typed {
+            assert!(typed, "{entry} with base_mva = {value}");
+        }
+    }
 }
 
 proptest! {
