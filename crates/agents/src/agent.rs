@@ -11,9 +11,10 @@
 use crate::clock::VirtualClock;
 use crate::llm::{LanguageModel, TokenUsage, TurnAction};
 use crate::memory::{AgentMemory, Role};
-use crate::tool::{ToolError, ToolRegistry};
+use crate::tool::{ToolFailure, ToolRegistry};
+use crate::wire::Wire;
 use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::sync::Arc;
 
 /// Severity of a validation finding.
@@ -152,10 +153,12 @@ impl Agent {
         let mut tokens = TokenUsage::default();
 
         for round in 0..self.max_rounds {
-            let mut view = self.memory.view(input);
-            view.pending_results = pending.clone();
-            view.round = round;
-            let (turn, latency, usage) = self.llm.next_turn(&view);
+            let (turn, latency, usage) = {
+                let mut view = self.memory.view(input);
+                view.pending_results = &pending;
+                view.round = round;
+                self.llm.next_turn(&view)
+            };
             self.clock.advance(latency);
             gm_telemetry::counter_add("llm.turns", 1);
             gm_telemetry::counter_add("llm.tokens", usage.total());
@@ -200,13 +203,6 @@ impl Agent {
                                 });
                             }
                             Err(e) => {
-                                let recoverable = matches!(
-                                    e,
-                                    ToolError::Execution {
-                                        recoverable: true,
-                                        ..
-                                    }
-                                );
                                 let now = self.clock.now();
                                 self.memory.push(
                                     Role::Tool,
@@ -216,13 +212,7 @@ impl Agent {
                                 // Surface the failure to the planner as a
                                 // structured pending result so it can take
                                 // the recovery path.
-                                pending.push((
-                                    call.tool.clone(),
-                                    json!({
-                                        "error": e.to_string(),
-                                        "recoverable": recoverable,
-                                    }),
-                                ));
+                                pending.push((call.tool.clone(), ToolFailure::from(&e).to_wire()));
                                 tool_calls.push(TurnToolCall {
                                     tool: call.tool,
                                     ok: false,
@@ -262,31 +252,41 @@ mod tests {
     use crate::llm::{AnalysisStyle, ModelProfile, ModelTurn, Planner, SimulatedLlm, ToolCall};
     use crate::memory::ConversationView;
     use crate::schema::{Field, Schema};
-    use crate::tool::{FnTool, ToolSpec};
+    use crate::tool::{FnTool, ToolError};
+
+    crate::tool_output! {
+        struct Doubled {
+            doubled: f64 = "2x",
+        }
+    }
 
     /// Planner: first round calls `double` on the number in the input;
     /// second round narrates the result.
     struct DoublePlanner;
     impl Planner for DoublePlanner {
         fn plan(&self, view: &ConversationView, _style: AnalysisStyle) -> ModelTurn {
-            if let Some(result) = view.result_of("double") {
-                if result.get("error").is_some() {
-                    // Recovery path: retry with a safe argument.
+            match view.last_result() {
+                // Recovery path: retry with a safe argument.
+                Some((_, Err(_))) => {
                     return ModelTurn {
                         reasoning: vec!["(recover with fallback value)".into()],
                         action: TurnAction::Calls(vec![ToolCall {
                             tool: "double".into(),
                             args: serde_json::json!({"x": 1.0}),
                         }]),
+                    }
+                }
+                Some((_, Ok(result))) => {
+                    let out = Doubled::from_wire(result).expect("declared shape");
+                    return ModelTurn {
+                        reasoning: vec!["(narrate)".into()],
+                        action: TurnAction::Respond(format!(
+                            "the doubled value is {}",
+                            out.doubled
+                        )),
                     };
                 }
-                return ModelTurn {
-                    reasoning: vec!["(narrate)".into()],
-                    action: TurnAction::Respond(format!(
-                        "the doubled value is {}",
-                        result["doubled"]
-                    )),
-                };
+                None => {}
             }
             let x: f64 = view
                 .user_input
@@ -305,15 +305,13 @@ mod tests {
 
     fn double_tool() -> FnTool {
         FnTool::new(
-            ToolSpec {
-                name: "double".into(),
-                description: "doubles a number".into(),
-                input: Schema::object(vec![Field::required("x", Schema::number(), "value")]),
-                output: Schema::object(vec![Field::required("doubled", Schema::number(), "2x")]),
-            },
-            |args| {
-                let x = args["x"].as_f64().unwrap();
-                Ok(serde_json::json!({"doubled": 2.0 * x}))
+            "double",
+            "doubles a number",
+            Schema::object(vec![Field::required("x", Schema::number(), "value")]),
+            |args| -> Result<Doubled, ToolError> {
+                Ok(Doubled {
+                    doubled: 2.0 * args["x"].as_f64().unwrap(),
+                })
             },
         )
     }

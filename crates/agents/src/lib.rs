@@ -6,8 +6,11 @@
 //!
 //! - [`schema`] — structural schemas with path-precise validation (the
 //!   "Pydantic" role, §3.3).
+//! - [`wire`] — [`Wire`] and [`tool_output!`](crate::tool_output): one declaration per tool
+//!   result gives its type, its wire form and its closed schema.
 //! - [`tool`] — typed tools, the registry with input/output validation,
-//!   and the provenance log (§3.2.1 "Trust and auditability").
+//!   error codes, and the provenance log (§3.2.1 "Trust and
+//!   auditability").
 //! - [`nlu`] — deterministic intent classification and entity extraction
 //!   (case ids, buses, MW changes, outage scope; §3.1).
 //! - [`llm`] — the `LanguageModel` abstraction, [`llm::SimulatedLlm`],
@@ -42,6 +45,7 @@ pub mod memory;
 pub mod nlu;
 pub mod schema;
 pub mod tool;
+pub mod wire;
 
 pub use agent::{Agent, AgentResponse, Severity, TurnToolCall, ValidationIssue, Validator};
 pub use clock::VirtualClock;
@@ -53,4 +57,8 @@ pub use llm::{
 pub use memory::{AgentMemory, ConversationView, Message, Role};
 pub use nlu::{classify, extract_entities, tokenize, Entities, IntentMatch, IntentRule};
 pub use schema::{Field, Schema, SchemaViolation};
-pub use tool::{FnTool, InvocationRecord, Tool, ToolError, ToolRegistry, ToolSpec};
+pub use tool::{
+    ErrorCode, FnTool, InvocationRecord, Tool, ToolError, ToolFailure, ToolRegistry, ToolSpec,
+    PROVENANCE_KEEP,
+};
+pub use wire::Wire;

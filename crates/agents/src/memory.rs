@@ -6,6 +6,8 @@
 //! in actual state rather than recollection. Everything here serializes,
 //! giving the session persistence of §3.4.
 
+use crate::tool::ToolFailure;
+use crate::wire::Wire;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -89,7 +91,7 @@ impl AgentMemory {
             user_input,
             messages: &self.messages,
             context: &self.context,
-            pending_results: Vec::new(),
+            pending_results: &[],
             round: 0,
         }
     }
@@ -159,14 +161,15 @@ pub struct ConversationView<'a> {
     pub messages: &'a [Message],
     /// Structured context artifacts.
     pub context: &'a BTreeMap<String, Value>,
-    /// Results of tool calls made earlier in this same turn:
-    /// `(tool name, result)`.
-    pub pending_results: Vec<(String, Value)>,
+    /// Results of tool calls made earlier in this same turn, lent by the
+    /// agent loop: `(tool name, result)`, where a failed call's result is
+    /// a [`ToolFailure`] on the wire.
+    pub pending_results: &'a [(String, Value)],
     /// Plan-invoke round within the current turn (0 = first).
     pub round: usize,
 }
 
-impl ConversationView<'_> {
+impl<'a> ConversationView<'a> {
     /// Renders the prompt as the backend would see it (used for token
     /// accounting).
     pub fn rendered_prompt(&self) -> String {
@@ -176,7 +179,7 @@ impl ConversationView<'_> {
             s.push('\n');
             s.push_str(&m.content);
         }
-        for (tool, result) in &self.pending_results {
+        for (tool, result) in self.pending_results {
             s.push('\n');
             s.push_str(tool);
             s.push_str(&result.to_string());
@@ -191,13 +194,17 @@ impl ConversationView<'_> {
         self.context.get(key)
     }
 
-    /// Latest pending result of a given tool in this turn.
-    pub fn result_of(&self, tool: &str) -> Option<&Value> {
-        self.pending_results
-            .iter()
-            .rev()
-            .find(|(t, _)| t == tool)
-            .map(|(_, v)| v)
+    /// The latest pending result: the tool, and either what it returned
+    /// or the failure that stands in its place.
+    pub fn last_result(&self) -> Option<(&'a str, Result<&'a Value, ToolFailure>)> {
+        let (tool, result) = self.pending_results.last()?;
+        Some((
+            tool.as_str(),
+            match ToolFailure::from_wire(result) {
+                Ok(failure) => Err(failure),
+                Err(_) => Ok(result),
+            },
+        ))
     }
 }
 
@@ -284,12 +291,18 @@ mod tests {
     fn pending_results_lookup() {
         let m = AgentMemory::new("a", "p");
         let mut v = m.view("x");
-        v.pending_results
-            .push(("solve".into(), json!({"ok": true})));
-        v.pending_results
-            .push(("solve".into(), json!({"ok": false})));
-        // Latest wins.
-        assert_eq!(v.result_of("solve").unwrap()["ok"], json!(false));
-        assert!(v.result_of("other").is_none());
+        assert!(v.last_result().is_none());
+        let pending = [
+            ("solve".to_string(), json!({"ok": true})),
+            ("modify".to_string(), json!({"error": "no case loaded"})),
+        ];
+        v.pending_results = &pending[..1];
+        let (tool, result) = v.last_result().unwrap();
+        assert_eq!((tool, result.unwrap()), ("solve", &json!({"ok": true})));
+        // Latest wins, and a failure object reads back as a failure.
+        v.pending_results = &pending;
+        let (tool, result) = v.last_result().unwrap();
+        assert_eq!(tool, "modify");
+        assert_eq!(result.unwrap_err().error, "no case loaded");
     }
 }

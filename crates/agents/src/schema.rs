@@ -49,6 +49,11 @@ pub enum Schema {
         /// Reject fields not listed.
         closed: bool,
     },
+    /// Any one of several shapes (an untagged union).
+    OneOf {
+        /// The alternatives.
+        variants: Vec<Schema>,
+    },
 }
 
 /// One object field.
@@ -139,10 +144,19 @@ impl Schema {
         }
     }
 
+    /// The fields of an object schema (empty for any other), for a
+    /// struct that flattens this one into its own.
+    pub fn into_fields(self) -> Vec<Field> {
+        match self {
+            Schema::Object { fields, .. } => fields,
+            _ => Vec::new(),
+        }
+    }
+
     /// Validates a value, collecting every violation with its JSON path.
     pub fn validate(&self, value: &Value) -> Result<(), Vec<SchemaViolation>> {
         let mut violations = Vec::new();
-        self.check(value, "$", &mut violations);
+        self.check(value, Path::Root, &mut violations);
         if violations.is_empty() {
             Ok(())
         } else {
@@ -150,7 +164,7 @@ impl Schema {
         }
     }
 
-    fn check(&self, value: &Value, path: &str, out: &mut Vec<SchemaViolation>) {
+    fn check(&self, value: &Value, path: Path<'_>, out: &mut Vec<SchemaViolation>) {
         match self {
             Schema::Any => {}
             Schema::Bool => {
@@ -208,7 +222,7 @@ impl Schema {
                 None => out.push(SchemaViolation::wrong_type(path, "array", value)),
                 Some(items) => {
                     for (i, v) in items.iter().enumerate() {
-                        item.check(v, &format!("{path}[{i}]"), out);
+                        item.check(v, Path::Index(&path, i), out);
                     }
                 }
             },
@@ -217,7 +231,7 @@ impl Schema {
                 Some(map) => {
                     for f in fields {
                         match map.get(&f.name) {
-                            Some(v) => f.schema.check(v, &format!("{path}.{}", f.name), out),
+                            Some(v) => f.schema.check(v, Path::Field(&path, &f.name), out),
                             None if f.required => out.push(SchemaViolation {
                                 path: format!("{path}.{}", f.name),
                                 message: "required field missing".to_string(),
@@ -237,6 +251,41 @@ impl Schema {
                     }
                 }
             },
+            Schema::OneOf { variants } => {
+                let mut closest: Option<Vec<SchemaViolation>> = None;
+                for variant in variants {
+                    let mut misses = Vec::new();
+                    variant.check(value, path, &mut misses);
+                    if misses.is_empty() {
+                        return;
+                    }
+                    if closest.as_ref().is_none_or(|c| misses.len() < c.len()) {
+                        closest = Some(misses);
+                    }
+                }
+                // No alternative fits: report the nearest miss.
+                out.extend(closest.unwrap_or_default());
+            }
+        }
+    }
+}
+
+/// Where a value sits in the document. Rendered (`$.rows[3].label`) only
+/// when a violation is reported, so validating a value that conforms
+/// builds no path strings.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    Root,
+    Field(&'a Path<'a>, &'a str),
+    Index(&'a Path<'a>, usize),
+}
+
+impl std::fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Path::Root => f.write_str("$"),
+            Path::Field(parent, name) => write!(f, "{parent}.{name}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
         }
     }
 }
@@ -251,14 +300,14 @@ pub struct SchemaViolation {
 }
 
 impl SchemaViolation {
-    fn wrong_type(path: &str, expected: &str, got: &Value) -> SchemaViolation {
+    fn wrong_type(path: Path<'_>, expected: &str, got: &Value) -> SchemaViolation {
         SchemaViolation {
             path: path.to_string(),
             message: format!("expected {expected}, got {}", type_name(got)),
         }
     }
 
-    fn out_of_range(path: &str, x: f64, lo: f64, hi: Option<f64>) -> SchemaViolation {
+    fn out_of_range(path: Path<'_>, x: f64, lo: f64, hi: Option<f64>) -> SchemaViolation {
         SchemaViolation {
             path: path.to_string(),
             message: match hi {
@@ -275,7 +324,7 @@ impl std::fmt::Display for SchemaViolation {
     }
 }
 
-fn type_name(v: &Value) -> &'static str {
+pub(crate) fn type_name(v: &Value) -> &'static str {
     match v {
         Value::Null => "null",
         Value::Bool(_) => "boolean",

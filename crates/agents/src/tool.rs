@@ -1,23 +1,26 @@
 //! Typed tools and the tool registry.
 //!
 //! Tools are the only path from agent reasoning to numbers (§3.2.1: "Never
-//! fabricate solver outputs; always call tools for numerical data"). Each
-//! tool declares input and output schemas; the registry validates both
+//! fabricate solver outputs; always call tools for numerical data"). A
+//! tool body returns a declared result type ([`Wire`]); its output schema
+//! is generated from that declaration. The registry validates both
 //! directions on every invocation and appends an [`InvocationRecord`] to
 //! the provenance log, so every figure an agent reports is traceable to a
 //! validated tool output.
 
 use crate::clock::VirtualClock;
 use crate::schema::{Schema, SchemaViolation};
-use parking_lot::RwLock;
+use crate::wire::Wire;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::any::TypeId;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 /// Static description of a tool (the capability descriptor the planner
 /// matches subtasks against).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ToolSpec {
     /// Unique tool name, e.g. `solve_acopf_case`.
     pub name: String,
@@ -25,8 +28,78 @@ pub struct ToolSpec {
     pub description: String,
     /// Input schema.
     pub input: Schema,
-    /// Output schema.
-    pub output: Schema,
+    /// Output schema: the one generated from the tool's declared result
+    /// type, shared by every registry the tool is registered in.
+    pub output: Arc<Schema>,
+}
+
+/// `T`'s generated schema, built once per process. Every session
+/// registers the same tools, and a generated schema runs to dozens of
+/// `Field`s with their descriptions: rebuilt per session it cost more
+/// than a cache-hit turn and some 50 kB of each session's memory.
+fn shared_schema<T: Wire + 'static>() -> Arc<Schema> {
+    static SCHEMAS: OnceLock<Mutex<HashMap<TypeId, Arc<Schema>>>> = OnceLock::new();
+    let mut schemas = SCHEMAS.get_or_init(Default::default).lock();
+    let schema = schemas.entry(TypeId::of::<T>());
+    schema.or_insert_with(|| Arc::new(T::schema())).clone()
+}
+
+macro_rules! error_codes {
+    ($($(#[$doc:meta])* $variant:ident = $wire:literal,)+) => {
+        /// Class of a domain failure. Recovery keys on this, never on the
+        /// message text; each domain error type maps to its code in one
+        /// place (`gridmind_core::failure`).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl ErrorCode {
+            /// Every code.
+            pub const ALL: &'static [ErrorCode] = &[$(ErrorCode::$variant),+];
+
+            /// The code's wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $wire,)+
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
+    /// No case is loaded in the session — fixed by loading one.
+    NoActiveCase = "no_active_case",
+    /// The named case is not in the library.
+    UnknownCase = "unknown_case",
+    /// The named bus is not in the active case.
+    UnknownBus = "unknown_bus",
+    /// The named line, transformer or unit is not in the active case.
+    UnknownElement = "unknown_element",
+    /// An argument the request cannot be carried out with.
+    BadArgument = "bad_argument",
+    /// Every solver rung failed numerically.
+    NotConverged = "not_converged",
+    /// The network itself fails validation.
+    InvalidNetwork = "invalid_network",
+}
+
+impl Wire for ErrorCode {
+    fn schema() -> Schema {
+        let codes: Vec<&str> = ErrorCode::ALL.iter().map(|c| c.as_str()).collect();
+        Schema::string_enum(&codes)
+    }
+    fn to_wire(&self) -> Value {
+        Value::String(self.as_str().into())
+    }
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        ErrorCode::ALL
+            .iter()
+            .copied()
+            .find(|c| v.as_str() == Some(c.as_str()))
+            .ok_or_else(|| format!("unknown error code {v}"))
+    }
 }
 
 /// Tool invocation failure.
@@ -50,29 +123,39 @@ pub enum ToolError {
     },
     /// Domain failure inside the tool (solver divergence, unknown case…).
     Execution {
+        /// What class of failure it is.
+        code: ErrorCode,
         /// Tool-reported message.
         message: String,
-        /// Whether the agent may retry with adjusted arguments.
-        recoverable: bool,
     },
 }
 
 impl ToolError {
-    /// A domain failure retrying cannot fix (unknown case, missing
-    /// element, malformed request), carrying `e`'s rendering.
-    pub fn fatal(e: impl std::fmt::Display) -> ToolError {
-        ToolError::Execution {
-            message: e.to_string(),
-            recoverable: false,
+    /// The failure's class: a domain failure's own code, `bad_argument`
+    /// for arguments the input schema rejected, none for a framework
+    /// fault (unknown tool, invalid output).
+    pub fn code(&self) -> Option<ErrorCode> {
+        match self {
+            ToolError::Execution { code, .. } => Some(*code),
+            ToolError::InvalidArgs { .. } => Some(ErrorCode::BadArgument),
+            ToolError::UnknownTool { .. } | ToolError::InvalidOutput { .. } => None,
         }
     }
+}
 
-    /// A domain failure the agent may retry with adjusted arguments
-    /// (solver divergence, no case loaded yet), carrying `e`'s rendering.
-    pub fn recoverable(e: impl std::fmt::Display) -> ToolError {
-        ToolError::Execution {
-            message: e.to_string(),
-            recoverable: true,
+crate::tool_output! {
+    /// What a planner sees in place of a result when the call failed.
+    pub struct ToolFailure {
+        code: Option<ErrorCode> = "failure class; absent for a framework fault",
+        error: String = "rendered failure message",
+    }
+}
+
+impl From<&ToolError> for ToolFailure {
+    fn from(e: &ToolError) -> ToolFailure {
+        ToolFailure {
+            code: e.code(),
+            error: e.to_string(),
         }
     }
 }
@@ -124,14 +207,24 @@ pub struct FnTool {
 }
 
 impl FnTool {
-    /// Wraps a closure with a spec.
-    pub fn new(
-        spec: ToolSpec,
-        f: impl Fn(&Value) -> Result<Value, ToolError> + Send + Sync + 'static,
+    /// Wraps a closure returning the declared result type `T`: the
+    /// tool's output schema is `T`'s generated schema, and the result
+    /// goes onto the wire as `T` lowers it. The closure's error is
+    /// whatever classifies into a [`ToolError`].
+    pub fn new<T: Wire + 'static, E: Into<ToolError>>(
+        name: &str,
+        description: &str,
+        input: Schema,
+        f: impl Fn(&Value) -> Result<T, E> + Send + Sync + 'static,
     ) -> FnTool {
         FnTool {
-            spec,
-            f: Box::new(f),
+            spec: ToolSpec {
+                name: name.into(),
+                description: description.into(),
+                input,
+                output: shared_schema::<T>(),
+            },
+            f: Box::new(move |args| f(args).map(|out| out.to_wire()).map_err(Into::into)),
         }
     }
 }
@@ -159,16 +252,23 @@ pub struct InvocationRecord {
     pub result: Option<Value>,
     /// Error text (present on failure).
     pub error: Option<String>,
+    /// Failure class (present on a classified failure).
+    pub code: Option<ErrorCode>,
     /// Virtual timestamp when the call started (s).
     pub started_at_s: f64,
     /// Wall-clock duration of the tool body (s).
     pub duration_s: f64,
 }
 
+/// Provenance records a registry keeps: the most recent this many. A
+/// served session lives as long as its client keeps talking, and each
+/// record holds a copy of a whole result.
+pub const PROVENANCE_KEEP: usize = 256;
+
 /// Registry of tools with validation, invocation, and provenance.
 pub struct ToolRegistry {
     tools: HashMap<String, Arc<dyn Tool>>,
-    log: RwLock<Vec<InvocationRecord>>,
+    log: RwLock<VecDeque<InvocationRecord>>,
     seq: RwLock<u64>,
     clock: VirtualClock,
 }
@@ -178,7 +278,7 @@ impl ToolRegistry {
     pub fn new(clock: VirtualClock) -> Self {
         ToolRegistry {
             tools: HashMap::new(),
-            log: RwLock::new(Vec::new()),
+            log: RwLock::new(VecDeque::new()),
             seq: RwLock::new(0),
             clock,
         }
@@ -221,6 +321,10 @@ impl ToolRegistry {
         let started_at_s = self.clock.now();
         let (result, duration_s) = self.clock.measure(|| tool.call(args));
         gm_telemetry::histogram_record("tool.duration_s", duration_s);
+        let result = result.and_then(|value| match tool.spec().output.validate(&value) {
+            Ok(()) => Ok(value),
+            Err(violations) => Err(ToolError::InvalidOutput { violations }),
+        });
         if result.is_err() {
             gm_telemetry::counter_add("tool.errors", 1);
         }
@@ -229,35 +333,35 @@ impl ToolRegistry {
             *s += 1;
             *s
         };
-        let record = |result: Option<Value>, error: Option<String>| InvocationRecord {
+        let record = InvocationRecord {
             seq,
             tool: name.to_string(),
             args: args.clone(),
-            result,
-            error,
+            result: result.as_ref().ok().cloned(),
+            error: result.as_ref().err().map(|e| e.to_string()),
+            code: result.as_ref().err().and_then(ToolError::code),
             started_at_s,
             duration_s,
         };
-        match result {
-            Ok(value) => {
-                if let Err(violations) = tool.spec().output.validate(&value) {
-                    let err = ToolError::InvalidOutput { violations };
-                    self.log.write().push(record(None, Some(err.to_string())));
-                    return Err(err);
-                }
-                self.log.write().push(record(Some(value.clone()), None));
-                Ok(value)
+        let dropped = {
+            let mut log = self.log.write();
+            let full = log.len() == PROVENANCE_KEEP;
+            if full {
+                log.pop_front();
             }
-            Err(e) => {
-                self.log.write().push(record(None, Some(e.to_string())));
-                Err(e)
-            }
+            log.push_back(record);
+            full
+        };
+        if dropped {
+            gm_telemetry::counter_add("tool.provenance.dropped", 1);
         }
+        result
     }
 
-    /// Snapshot of the provenance log.
+    /// Snapshot of the provenance log: the most recent
+    /// [`PROVENANCE_KEEP`] records, oldest first.
     pub fn provenance(&self) -> Vec<InvocationRecord> {
-        self.log.read().clone()
+        self.log.read().iter().cloned().collect()
     }
 
     /// Number of invocations so far.
@@ -277,21 +381,24 @@ mod tests {
     use crate::schema::Field;
     use serde_json::json;
 
+    crate::tool_output! {
+        struct Sum {
+            sum: f64 = "a+b",
+        }
+    }
+
     fn adder() -> FnTool {
         FnTool::new(
-            ToolSpec {
-                name: "add".into(),
-                description: "adds two numbers".into(),
-                input: Schema::object(vec![
-                    Field::required("a", Schema::number(), "lhs"),
-                    Field::required("b", Schema::number(), "rhs"),
-                ]),
-                output: Schema::object(vec![Field::required("sum", Schema::number(), "a+b")]),
-            },
-            |args| {
-                let a = args["a"].as_f64().unwrap();
-                let b = args["b"].as_f64().unwrap();
-                Ok(json!({"sum": a + b}))
+            "add",
+            "adds two numbers",
+            Schema::object(vec![
+                Field::required("a", Schema::number(), "lhs"),
+                Field::required("b", Schema::number(), "rhs"),
+            ]),
+            |args| -> Result<Sum, ToolError> {
+                Ok(Sum {
+                    sum: args["a"].as_f64().unwrap() + args["b"].as_f64().unwrap(),
+                })
             },
         )
     }
@@ -328,61 +435,91 @@ mod tests {
         let r = registry();
         let err = r.invoke("add", &json!({"a": 2.0})).unwrap_err();
         assert!(matches!(err, ToolError::InvalidArgs { .. }));
+        assert_eq!(err.code(), Some(ErrorCode::BadArgument));
         // Not logged as an invocation (never started).
         assert_eq!(r.provenance().len(), 0);
     }
 
     #[test]
     fn invalid_output_caught() {
-        let mut r = ToolRegistry::new(VirtualClock::new());
-        r.register(FnTool::new(
-            ToolSpec {
-                name: "bad".into(),
-                description: "returns garbage".into(),
-                input: Schema::Any,
-                output: Schema::object(vec![Field::required("x", Schema::number(), "")]),
-            },
-            |_| Ok(json!({"y": "oops"})),
-        ));
-        let err = r.invoke("bad", &json!({})).unwrap_err();
-        assert!(matches!(err, ToolError::InvalidOutput { .. }));
+        // 1e308 + 1e308 overflows to infinity, which has no wire form:
+        // the generated schema rejects the result.
+        let r = registry();
+        let err = r
+            .invoke("add", &json!({"a": 1e308, "b": 1e308}))
+            .unwrap_err();
+        assert!(matches!(err, ToolError::InvalidOutput { .. }), "{err}");
+        assert_eq!(err.code(), None);
         // The failed attempt IS in the provenance log.
         let log = r.provenance();
         assert_eq!(log.len(), 1);
-        assert!(log[0].error.is_some());
+        assert!(log[0].error.is_some() && log[0].result.is_none());
     }
 
     #[test]
     fn execution_errors_logged() {
         let mut r = ToolRegistry::new(VirtualClock::new());
         r.register(FnTool::new(
-            ToolSpec {
-                name: "fail".into(),
-                description: "always fails".into(),
-                input: Schema::Any,
-                output: Schema::Any,
+            "fail",
+            "always fails",
+            Schema::Any,
+            |_| -> Result<Sum, ToolError> {
+                Err(ToolError::Execution {
+                    code: ErrorCode::NotConverged,
+                    message: "solver diverged".into(),
+                })
             },
-            |_| Err(ToolError::recoverable("solver diverged")),
         ));
         let err = r.invoke("fail", &json!({})).unwrap_err();
         assert!(err.to_string().contains("diverged"));
-        assert_eq!(r.provenance().len(), 1);
+        let log = r.provenance();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].code, Some(ErrorCode::NotConverged));
+        let failure = ToolFailure::from(&err).to_wire();
+        assert_eq!(
+            failure,
+            json!({"code": "not_converged", "error": "solver diverged"})
+        );
+        assert_eq!(
+            ToolFailure::from_wire(&failure).unwrap().code,
+            Some(ErrorCode::NotConverged)
+        );
+    }
+
+    #[test]
+    fn provenance_keeps_the_most_recent_records() {
+        let reg = gm_telemetry::Registry::new();
+        let _t = reg.install();
+        let r = registry();
+        for i in 0..2 * PROVENANCE_KEEP {
+            r.invoke("add", &json!({"a": i as f64, "b": 0.0})).unwrap();
+        }
+        let log = r.provenance();
+        assert_eq!(log.len(), PROVENANCE_KEEP);
+        assert_eq!(log[0].seq, PROVENANCE_KEEP as u64 + 1, "oldest dropped");
+        assert!(log.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        assert_eq!(r.invocation_count(), 2 * PROVENANCE_KEEP as u64);
+        assert_eq!(
+            reg.counter_value("tool.provenance.dropped"),
+            PROVENANCE_KEEP as u64
+        );
     }
 
     #[test]
     fn specs_sorted_and_discoverable() {
         let mut r = registry();
         r.register(FnTool::new(
-            ToolSpec {
-                name: "aardvark".into(),
-                description: "first alphabetically".into(),
-                input: Schema::Any,
-                output: Schema::Any,
-            },
-            |_| Ok(json!(null)),
+            "aardvark",
+            "first alphabetically",
+            Schema::Any,
+            |_| -> Result<Sum, ToolError> { Ok(Sum { sum: 0.0 }) },
         ));
         assert_eq!(r.names(), vec!["aardvark".to_string(), "add".to_string()]);
         assert_eq!(r.specs()[0].name, "aardvark");
+        assert!(matches!(
+            &*r.specs()[0].output,
+            Schema::Object { closed: true, .. }
+        ));
     }
 
     #[test]

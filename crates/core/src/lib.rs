@@ -18,7 +18,10 @@
 //!   (system prompts from Figs. 4–5, tools from Appendix B.3).
 //! - [`planners`] — the deterministic plan/narrate cores the simulated
 //!   LLM backends delegate to.
-//! - [`tools_acopf`] / [`tools_ca`] — the seven typed function tools.
+//! - [`tools_acopf`] / [`tools_ca`] / [`tools_batch`] — the eleven typed
+//!   function tools, each with its one declared result type.
+//! - [`failure`] — [`DomainError`]: every domain error type mapped to
+//!   its error code in one `From` impl.
 //! - [`session`] — the shared versioned session state (§3.4): network +
 //!   diffs, stamped artifacts, contingency cache, persistence.
 //! - [`validators`] — convergence / power-balance / operating-limit
@@ -38,6 +41,7 @@
 
 pub mod agents;
 pub mod coordinator;
+pub mod failure;
 pub mod planners;
 pub mod quality;
 pub mod query_kind;
@@ -52,6 +56,7 @@ pub mod validators;
 
 pub use agents::{build_acopf_agent, build_ca_agent, ACOPF_SYSTEM_PROMPT, CA_SYSTEM_PROMPT};
 pub use coordinator::{AgentKind, CoordinatedResponse, GridMind, TurnMetric, WorkflowStep};
+pub use failure::DomainError;
 pub use gm_agents::ModelProfile;
 pub use quality::{assess, SolutionQuality};
 pub use query_kind::{classify_query_kind, QUERY_KIND_LABELS};

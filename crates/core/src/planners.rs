@@ -5,43 +5,104 @@
 //! LLM. The plan shapes mirror the paper's numbered reasoning traces
 //! ("1. (understand the case to be solved) -> reasoning … 4. (invoke
 //! ACOPF solver) -> function tools …"), and every number in a narration is
-//! read from a pending tool result — never invented.
+//! read from a pending tool result — never invented. A pending result is
+//! lifted once into the type its tool declared
+//! ([`tool_output!`](gm_agents::tool_output)); one that does not lift is
+//! narrated as a failure, and recovery keys on the failure's
+//! [`ErrorCode`], never on its text.
 
+use crate::recovery::Degraded;
+use crate::tools_acopf::{EditResult, GenLimitsResult, NetworkStatus, ScopfResult, SolveResult};
+use crate::tools_batch::{BatchResult, BatchRow};
+use crate::tools_ca::{AnalysisStatus, N1Report, SpecificResult, UnitOutageReport};
 use gm_agents::{
-    classify, extract_entities, AnalysisStyle, ConversationView, IntentRule, ModelTurn, Planner,
-    ToolCall, TurnAction,
+    classify, extract_entities, AnalysisStyle, ConversationView, Entities, ErrorCode, IntentRule,
+    ModelTurn, Planner, ToolCall, ToolFailure, TurnAction, Wire,
 };
 use serde_json::{json, Value};
 
-fn f(v: &Value, key: &str) -> f64 {
-    v[key].as_f64().unwrap_or(f64::NAN)
+fn steps(reasoning: &[&str]) -> Vec<String> {
+    reasoning.iter().map(|s| s.to_string()).collect()
 }
 
-/// Returns the error text of a pending result, if it is an error object.
-fn error_of(result: &Value) -> Option<&str> {
-    result.get("error").and_then(|e| e.as_str())
+/// A turn that finishes with `text`.
+fn respond(reasoning: &[&str], text: String) -> ModelTurn {
+    ModelTurn {
+        reasoning: steps(reasoning),
+        action: TurnAction::Respond(text),
+    }
 }
 
-/// Appends the distinct `degraded_caveat` lines carried by this turn's
-/// tool results to a narration. The recovery ladder
-/// ([`crate::recovery`]) attaches these when an answer was produced by a
-/// fallback solver; the contract is that they are surfaced verbatim —
-/// a degraded answer is never narrated as a clean one. Scanning *all*
-/// pending results (not just the narrated one) keeps the caveat alive
-/// across chained calls, e.g. a degraded base case feeding an N-1 sweep.
+/// A turn that invokes one tool.
+fn call(reasoning: &[&str], tool: &str, args: Value) -> ModelTurn {
+    ModelTurn {
+        reasoning: steps(reasoning),
+        action: TurnAction::Calls(vec![ToolCall {
+            tool: tool.into(),
+            args,
+        }]),
+    }
+}
+
+/// The case a request is about: the one it names, else the session's.
+fn known_case(view: &ConversationView, ents: &Entities) -> Option<String> {
+    ents.case.clone().or_else(|| {
+        view.context_value("active_case")
+            .and_then(|v| v.as_str().map(String::from))
+    })
+}
+
+/// Tool arguments naming `case`, if there is one to name.
+fn case_args(case: Option<&String>) -> Value {
+    case.map_or_else(|| json!({}), |case| json!({ "case_name": case }))
+}
+
+/// Whether a failed call is the one failure the planners repair: no
+/// case was loaded, and the round budget still allows loading one.
+fn wants_case_loaded(view: &ConversationView, failure: &ToolFailure) -> bool {
+    failure.code == Some(ErrorCode::NoActiveCase) && view.round < 3
+}
+
+/// Appends the distinct caveats carried by this turn's tool results to a
+/// narration. The recovery ladder ([`crate::recovery`]) attaches these
+/// when an answer was produced by a fallback solver; the contract is
+/// that they are surfaced verbatim — a degraded answer is never narrated
+/// as a clean one. Scanning *all* pending results (not just the narrated
+/// one) keeps the caveat alive across chained calls, e.g. a degraded
+/// base case feeding an N-1 sweep.
 fn with_caveats(view: &ConversationView, text: String) -> String {
     let mut out = text;
-    let mut seen: Vec<&str> = Vec::new();
-    for (_, result) in &view.pending_results {
-        if let Some(c) = result.get("degraded_caveat").and_then(|v| v.as_str()) {
+    let mut seen: Vec<String> = Vec::new();
+    for (_, result) in view.pending_results {
+        if let Ok(Degraded {
+            degraded_caveat: Some(c),
+        }) = Degraded::from_wire(result)
+        {
             if !seen.contains(&c) {
-                seen.push(c);
                 out.push_str("\n\n");
-                out.push_str(c);
+                out.push_str(&c);
+                seen.push(c);
             }
         }
     }
     out
+}
+
+/// Narrates `result` as the type its tool declared. A result that does
+/// not lift into that type is the failure sentence, never a number.
+fn narrate<T: Wire>(
+    view: &ConversationView,
+    result: &Value,
+    reasoning: &[&str],
+    say: impl FnOnce(&T) -> String,
+    failed: impl FnOnce(&str) -> ModelTurn,
+) -> ModelTurn {
+    match T::from_wire(result) {
+        Ok(out) => respond(reasoning, with_caveats(view, say(&out))),
+        Err(e) => failed(&format!(
+            "its result does not have the declared shape ({e})"
+        )),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -96,17 +157,10 @@ impl AcopfPlanner {
     /// Builds the `batch_study` call from the utterance: the scenario
     /// family from its wording, the range from percent pairs, and the
     /// scenario count from a "… in N steps" entity.
-    fn batch_call(view: &ConversationView) -> ToolCall {
+    fn batch_call(view: &ConversationView, reasoning: &[&str]) -> ModelTurn {
         let ents = extract_entities(view.user_input);
         let lower = view.user_input.to_lowercase();
-        let mut args = json!({});
-        let case = ents.case.clone().or_else(|| {
-            view.context_value("active_case")
-                .and_then(|v| v.as_str().map(String::from))
-        });
-        if let Some(case) = case {
-            args["case_name"] = json!(case);
-        }
+        let mut args = case_args(known_case(view, &ents).as_ref());
         if lower.contains("day") || lower.contains("hour") {
             args["kind"] = json!("daily_profile");
         } else if let Some(&bus) = ents.buses.first() {
@@ -122,73 +176,78 @@ impl AcopfPlanner {
         if let Some(steps) = ents.steps {
             args["steps"] = json!(steps);
         }
-        ToolCall {
-            tool: "batch_study".into(),
-            args,
-        }
+        call(reasoning, "batch_study", args)
     }
 
-    fn narrate_batch(out: &Value) -> String {
-        let rows = out["rows"].as_array().cloned().unwrap_or_default();
+    /// The `modify_bus_load` call for the utterance's first bus and MW
+    /// quantity, if it has both.
+    fn load_edit_call(ents: &Entities, reasoning: &[&str]) -> Option<ModelTurn> {
+        let (bus, mw) = (ents.buses.first()?, ents.mw.first()?);
+        Some(call(
+            reasoning,
+            "modify_bus_load",
+            json!({"bus_id": bus, "p_mw": mw}),
+        ))
+    }
+
+    fn failure(tool: &str, err: &str) -> ModelTurn {
+        respond(
+            &["(tool failed; report the failure transparently)"],
+            format!(
+                "The {tool} call failed: {err}. No numerical results are available for this \
+                 request; please adjust it and try again."
+            ),
+        )
+    }
+
+    fn narrate_batch(out: &BatchResult) -> String {
         let mut table = String::new();
-        for r in &rows {
-            if r["converged"].as_bool() == Some(true) {
-                table.push_str(&format!(
+        for row in &out.rows {
+            match row {
+                BatchRow::Solved(r) => table.push_str(&format!(
                     "  {:<16} cost {:>10.2} $/h | {} violation(s) | max loading {:>5.1}% \
                      | min V {:.4} p.u.{}\n",
-                    r["label"].as_str().unwrap_or("?"),
-                    f(r, "cost_per_hour"),
-                    r["violations"],
-                    f(r, "max_loading_pct"),
-                    f(r, "min_voltage_pu"),
-                    if r["degraded"].as_bool() == Some(true) {
+                    r.label,
+                    r.cost_per_hour,
+                    r.violations,
+                    r.max_loading_pct,
+                    r.min_voltage_pu,
+                    if r.degraded == Some(true) {
                         " (approximate)"
                     } else {
                         ""
                     },
-                ));
-            } else {
-                table.push_str(&format!(
-                    "  {:<16} unsolved: {}\n",
-                    r["label"].as_str().unwrap_or("?"),
-                    r["error"].as_str().unwrap_or("solver failure"),
-                ));
+                )),
+                BatchRow::Unsolved(r) => {
+                    table.push_str(&format!("  {:<16} unsolved: {}\n", r.label, r.error))
+                }
             }
         }
         let mut text = format!(
             "Batched study of {}: {} scenarios solved in one pass \
              ({} warm-started, {} flat restart(s)).\n\n{}",
-            out["case_name"].as_str().unwrap_or("the case"),
-            out["scenarios"],
-            out["warm_hits"],
-            out["flat_restarts"],
-            table,
+            out.case_name, out.scenarios, out.warm_hits, out.flat_restarts, table,
         );
-        if out["cheapest"].is_object() && out["costliest"].is_object() {
+        if let (Some(cheapest), Some(costliest)) = (&out.cheapest, &out.costliest) {
             text.push_str(&format!(
                 "\nCheapest operating point: {} at {:.2} $/h; costliest: {} at {:.2} $/h.",
-                out["cheapest"]["label"].as_str().unwrap_or("?"),
-                f(&out["cheapest"], "cost_per_hour"),
-                out["costliest"]["label"].as_str().unwrap_or("?"),
-                f(&out["costliest"], "cost_per_hour"),
+                cheapest.label, cheapest.cost_per_hour, costliest.label, costliest.cost_per_hour,
             ));
         }
-        match out["worst_violations"]["count"].as_u64() {
-            Some(n) if n > 0 => text.push_str(&format!(
+        match &out.worst_violations {
+            Some(worst) if worst.count > 0 => text.push_str(&format!(
                 " Most violations: {} in scenario {}.",
-                n,
-                out["worst_violations"]["label"].as_str().unwrap_or("?"),
+                worst.count, worst.label,
             )),
-            Some(_) => {
-                text.push_str(" No voltage or thermal violations in any scenario.");
-            }
+            Some(_) => text.push_str(" No voltage or thermal violations in any scenario."),
             None => {}
         }
         text
     }
 
-    fn narrate_solution(sol: &Value) -> String {
-        let net = &sol["network_summary"];
+    fn narrate_solution(out: &SolveResult) -> String {
+        let net = &out.network_summary;
+        let sol = &out.dispatch.summary;
         format!(
             "Solved ACOPF for {}.\n\
              \n\
@@ -202,91 +261,109 @@ impl AcopfPlanner {
              Max branch loading {:.1}% of thermal rating with {} binding constraints. \
              Nodal prices span {:.2}-{:.2} $/MWh.\n\
              Solution quality assessment: Overall={:.1}/10.",
-            sol["case_name"].as_str().unwrap_or("the case"),
-            net["buses"],
-            net["generators"],
-            net["lines"],
-            net["transformers"],
-            net["loads"],
-            f(net, "total_load_mw"),
-            f(net, "total_gen_capacity_mw"),
-            sol["iterations"],
-            f(sol, "objective_cost"),
-            f(sol, "total_generation_mw"),
-            f(sol, "losses_mw"),
-            f(sol, "power_balance_error_mw"),
-            f(sol, "min_voltage_pu"),
-            f(sol, "max_voltage_pu"),
-            f(sol, "max_thermal_loading_pct"),
-            sol["binding_constraints"],
-            f(sol, "lmp_min"),
-            f(sol, "lmp_max"),
-            f(sol, "quality_overall"),
+            sol.case_name,
+            net.buses,
+            net.generators,
+            net.lines,
+            net.transformers,
+            net.loads,
+            net.total_load_mw,
+            net.total_gen_capacity_mw,
+            sol.iterations,
+            sol.objective_cost,
+            sol.total_generation_mw,
+            sol.losses_mw,
+            sol.power_balance_error_mw,
+            sol.min_voltage_pu,
+            sol.max_voltage_pu,
+            sol.max_thermal_loading_pct,
+            sol.binding_constraints,
+            sol.lmp_min,
+            sol.lmp_max,
+            out.dispatch.quality_overall.0,
         )
     }
 
-    fn narrate_modification(out: &Value) -> String {
+    fn narrate_modification(out: &EditResult) -> String {
+        let sol = &out.dispatch.summary;
+        // Without an earlier ACOPF in the session there is no baseline
+        // to compare against, and the narration claims none.
+        let against = match out.previous_cost.zip(out.cost_delta) {
+            Some((previous, delta)) => {
+                format!(" (previously {previous:.2} $/h, a change of {delta:+.2} $/h)")
+            }
+            None => String::new(),
+        };
         format!(
             "Re-solved the ACOPF after setting the load at bus {}. \
-             New objective cost {:.2} $/h (previously {:.2} $/h, a change of {:+.2} $/h). \
+             New objective cost {:.2} $/h{against}. \
              Losses are now {:.2} MW; voltage range [{:.4}, {:.4}] p.u.; \
              max branch loading {:.1}%. Quality assessment: Overall={:.1}/10.",
-            out["modified_bus"],
-            f(out, "objective_cost"),
-            f(out, "previous_cost"),
-            f(out, "cost_delta"),
-            f(out, "losses_mw"),
-            f(out, "min_voltage_pu"),
-            f(out, "max_voltage_pu"),
-            f(out, "max_thermal_loading_pct"),
-            f(out, "quality_overall"),
+            out.modified_bus,
+            sol.objective_cost,
+            sol.losses_mw,
+            sol.min_voltage_pu,
+            sol.max_voltage_pu,
+            sol.max_thermal_loading_pct,
+            out.dispatch.quality_overall.0,
         )
     }
 
-    fn narrate_scopf(out: &Value) -> String {
+    fn narrate_gen_limits(out: &GenLimitsResult) -> String {
+        let sol = &out.edit.dispatch.summary;
+        let against = match out.edit.cost_delta {
+            Some(delta) => format!(" (a change of {delta:+.2} $/h)"),
+            None => String::new(),
+        };
+        format!(
+            "Re-solved after changing the limits of {} unit(s) at bus {}. \
+             New objective cost {:.2} $/h{against}; losses \
+             {:.2} MW; max loading {:.1}%.",
+            out.units_modified,
+            out.edit.modified_bus,
+            sol.objective_cost,
+            sol.losses_mw,
+            sol.max_thermal_loading_pct,
+        )
+    }
+
+    fn narrate_scopf(out: &ScopfResult) -> String {
+        let sol = &out.dispatch.summary;
         format!(
             "Solved the security-constrained OPF. Secure dispatch cost {:.2} $/h against an \
              unconstrained economic optimum of {:.2} $/h — a security premium of {:+.2} $/h \
              covering {} screened post-contingency flow constraints. Losses {:.2} MW; voltage \
              range [{:.4}, {:.4}] p.u. Quality assessment: Overall={:.1}/10.",
-            f(out, "objective_cost"),
-            f(out, "economic_cost"),
-            f(out, "security_premium"),
-            out["n_security_constraints"],
-            f(out, "losses_mw"),
-            f(out, "min_voltage_pu"),
-            f(out, "max_voltage_pu"),
-            f(out, "quality_overall"),
+            sol.objective_cost,
+            out.economic_cost,
+            out.security_premium,
+            out.n_security_constraints,
+            sol.losses_mw,
+            sol.min_voltage_pu,
+            sol.max_voltage_pu,
+            out.dispatch.quality_overall.0,
         )
     }
 
-    fn narrate_status(st: &Value) -> String {
-        if st["has_active_case"] == json!(false) {
-            return "No case is loaded yet. Ask me to solve one of the IEEE test cases \
-                    (14, 30, 57, 118, or 300 bus) to get started."
-                .to_string();
-        }
-        let mods = st["modifications"]
-            .as_array()
-            .map(|a| {
-                a.iter()
-                    .filter_map(|m| m.as_str())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            })
-            .unwrap_or_default();
+    fn narrate_status(status: &NetworkStatus) -> String {
+        let st = match status {
+            NetworkStatus::Active(st) => st,
+            NetworkStatus::Empty(_) => {
+                return "No case is loaded yet. Ask me to solve one of the IEEE test cases \
+                        (14, 30, 57, 118, or 300 bus) to get started."
+                    .to_string()
+            }
+        };
+        let mods = st.modifications.join("; ");
         format!(
             "Active case: {}. Applied modifications: {}. {}",
-            st["active_case"].as_str().unwrap_or("?"),
+            st.active_case,
             if mods.is_empty() { "none" } else { &mods },
-            if st["has_solution"] == json!(true) {
-                if st["solution_stale"] == json!(true) {
-                    "An ACOPF solution exists but is stale relative to the latest modifications."
-                } else {
-                    "A fresh ACOPF solution is available."
-                }
-            } else {
-                "No ACOPF solution has been computed yet."
+            match (st.has_solution, st.solution_stale) {
+                (true, true) =>
+                    "An ACOPF solution exists but is stale relative to the latest modifications.",
+                (true, false) => "A fresh ACOPF solution is available.",
+                (false, _) => "No ACOPF solution has been computed yet.",
             }
         )
     }
@@ -295,39 +372,28 @@ impl AcopfPlanner {
 impl Planner for AcopfPlanner {
     fn plan(&self, view: &ConversationView, _style: AnalysisStyle) -> ModelTurn {
         // ---- Later rounds: react to tool results.
-        if let Some((tool, result)) = view.pending_results.last() {
-            if let Some(err) = error_of(result) {
-                // Recovery path: a modification attempted before any case
-                // was loaded can be fixed by loading the case first.
-                let ents = extract_entities(view.user_input);
-                let known_case = ents.case.clone().or_else(|| {
-                    view.context_value("active_case")
-                        .and_then(|v| v.as_str().map(String::from))
-                });
-                if let Some(case) =
-                    known_case.filter(|_| err.contains("no case loaded") && view.round < 3)
-                {
-                    return ModelTurn {
-                        reasoning: vec![
-                            "(recovery: no case in context — load and solve it first)".into()
-                        ],
-                        action: TurnAction::Calls(vec![ToolCall {
-                            tool: "solve_acopf_case".into(),
-                            args: json!({"case_name": case}),
-                        }]),
+        if let Some((tool, result)) = view.last_result() {
+            let failed = |err: &str| Self::failure(tool, err);
+            let result = match result {
+                Ok(result) => result,
+                Err(failure) => {
+                    // Recovery path: a request made before any case was
+                    // loaded can be fixed by loading the case first.
+                    let ents = extract_entities(view.user_input);
+                    return match known_case(view, &ents) {
+                        Some(case) if wants_case_loaded(view, &failure) => call(
+                            &["(recovery: no case in context — load and solve it first)"],
+                            "solve_acopf_case",
+                            json!({"case_name": case}),
+                        ),
+                        _ => failed(&failure.error),
                     };
                 }
-                return ModelTurn {
-                    reasoning: vec!["(tool failed; report the failure transparently)".into()],
-                    action: TurnAction::Respond(format!(
-                        "The {tool} call failed: {err}. No numerical results are available for \
-                         this request; please adjust it and try again."
-                    )),
-                };
-            }
+            };
             // A successful result: either continue a recovery chain or
             // narrate.
-            match tool.as_str() {
+            let summary = &["(validate results)", "(summary)"];
+            match tool {
                 "solve_acopf_case" => {
                     // If the original intent was a modification or a
                     // batched study, the solve was a recovery step: now
@@ -335,92 +401,61 @@ impl Planner for AcopfPlanner {
                     let ents = extract_entities(view.user_input);
                     let wanted = classify(view.user_input, &Self::rules()).map(|m| m.intent);
                     if wanted.as_deref() == Some("batch_study") && view.round < 4 {
-                        return ModelTurn {
-                            reasoning: vec!["(case ready; run the batched study)".into()],
-                            action: TurnAction::Calls(vec![Self::batch_call(view)]),
-                        };
+                        return Self::batch_call(view, &["(case ready; run the batched study)"]);
                     }
-                    let wanted_modify = wanted.as_deref() == Some("modify_load");
-                    if wanted_modify && !ents.buses.is_empty() && !ents.mw.is_empty() {
-                        return ModelTurn {
-                            reasoning: vec!["(case ready; apply the requested load change)".into()],
-                            action: TurnAction::Calls(vec![ToolCall {
-                                tool: "modify_bus_load".into(),
-                                args: json!({
-                                    "bus_id": ents.buses[0],
-                                    "p_mw": ents.mw[0],
-                                }),
-                            }]),
-                        };
+                    let edit = Self::load_edit_call(
+                        &ents,
+                        &["(case ready; apply the requested load change)"],
+                    );
+                    if let Some(edit) = edit.filter(|_| wanted.as_deref() == Some("modify_load")) {
+                        return edit;
                     }
-                    return ModelTurn {
-                        reasoning: vec!["(validate results)".into(), "(narrate findings)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_solution(result),
-                        )),
-                    };
+                    return narrate(
+                        view,
+                        result,
+                        &["(validate results)", "(narrate findings)"],
+                        Self::narrate_solution,
+                        failed,
+                    );
                 }
                 "modify_bus_load" => {
-                    return ModelTurn {
-                        reasoning: vec!["(validate results)".into(), "(summary)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_modification(result),
-                        )),
-                    };
+                    return narrate(view, result, summary, Self::narrate_modification, failed)
                 }
                 "modify_gen_limits" => {
-                    return ModelTurn {
-                        reasoning: vec!["(validate results)".into(), "(summary)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            format!(
-                                "Re-solved after changing the limits of {} unit(s) at bus {}. \
-                                 New objective cost {:.2} $/h (a change of {:+.2} $/h); losses \
-                                 {:.2} MW; max loading {:.1}%.",
-                                result["units_modified"],
-                                result["modified_bus"],
-                                f(result, "objective_cost"),
-                                f(result, "cost_delta"),
-                                f(result, "losses_mw"),
-                                f(result, "max_thermal_loading_pct"),
-                            ),
-                        )),
-                    };
+                    return narrate(view, result, summary, Self::narrate_gen_limits, failed)
                 }
                 "solve_security_constrained" => {
-                    return ModelTurn {
-                        reasoning: vec![
-                            "(validate the secure dispatch)".into(),
-                            "(compare against the economic optimum)".into(),
+                    return narrate(
+                        view,
+                        result,
+                        &[
+                            "(validate the secure dispatch)",
+                            "(compare against the economic optimum)",
                         ],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_scopf(result),
-                        )),
-                    };
+                        Self::narrate_scopf,
+                        failed,
+                    )
                 }
                 "batch_study" => {
-                    return ModelTurn {
-                        reasoning: vec![
-                            "(validate per-scenario results)".into(),
-                            "(narrate the study table)".into(),
+                    return narrate(
+                        view,
+                        result,
+                        &[
+                            "(validate per-scenario results)",
+                            "(narrate the study table)",
                         ],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_batch(result),
-                        )),
-                    };
+                        Self::narrate_batch,
+                        failed,
+                    )
                 }
                 "get_network_status" => {
-                    return ModelTurn {
-                        reasoning: vec!["(summarize current state)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_status(result),
-                        )),
-                    };
+                    return narrate(
+                        view,
+                        result,
+                        &["(summarize current state)"],
+                        Self::narrate_status,
+                        failed,
+                    )
                 }
                 _ => {}
             }
@@ -429,119 +464,92 @@ impl Planner for AcopfPlanner {
         // ---- First round: parse intent and plan.
         let ents = extract_entities(view.user_input);
         let intent = classify(view.user_input, &Self::rules());
-        let active_case = view
-            .context_value("active_case")
-            .and_then(|v| v.as_str().map(String::from));
+        let intent = intent.as_ref().map(|m| m.intent.as_str());
+        let edit = || {
+            Self::load_edit_call(
+                &ents,
+                &[
+                    "(understand the task to solve)",
+                    "(retrieve current net status)",
+                    "(prepare data for tools)",
+                    "(invoke ACOPF solver again)",
+                ],
+            )
+        };
 
-        match intent.as_ref().map(|m| m.intent.as_str()) {
-            Some("modify_load") if !ents.buses.is_empty() && !ents.mw.is_empty() => ModelTurn {
-                reasoning: vec![
-                    "(understand the task to solve)".into(),
-                    "(retrieve current net status)".into(),
-                    "(prepare data for tools)".into(),
-                    "(invoke ACOPF solver again)".into(),
-                ],
-                action: TurnAction::Calls(vec![ToolCall {
-                    tool: "modify_bus_load".into(),
-                    args: json!({"bus_id": ents.buses[0], "p_mw": ents.mw[0]}),
-                }]),
-            },
-            Some("status") => ModelTurn {
-                reasoning: vec![
-                    "(understand the task)".into(),
-                    "(query stored state)".into(),
-                ],
-                action: TurnAction::Calls(vec![ToolCall {
-                    tool: "get_network_status".into(),
-                    args: json!({}),
-                }]),
-            },
+        match intent {
+            Some("status") => call(
+                &["(understand the task)", "(query stored state)"],
+                "get_network_status",
+                json!({}),
+            ),
             Some("modify_gen")
                 if !ents.buses.is_empty() && ents.numbers.len() + ents.mw.len() >= 2 =>
             {
                 // "limit the generator at bus 2 to between 10 and 60 MW"
-                let mut vals: Vec<f64> = ents.mw.clone();
-                vals.extend(
-                    ents.numbers
-                        .iter()
-                        .copied()
-                        .filter(|v| *v != ents.buses[0] as f64),
-                );
-                vals.sort_by(|a, b| a.total_cmp(b));
-                let (lo, hi) = (vals[0], *vals.last().unwrap());
-                ModelTurn {
-                    reasoning: vec![
-                        "(understand the task: generator limit change)".into(),
-                        "(apply limits and re-solve)".into(),
+                let bus = ents.buses[0];
+                let quantities = ents.mw.iter().copied();
+                let bare = ents.numbers.iter().copied().filter(|v| *v != bus as f64);
+                let (lo, hi) = quantities
+                    .chain(bare)
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                        (lo.min(v), hi.max(v))
+                    });
+                call(
+                    &[
+                        "(understand the task: generator limit change)",
+                        "(apply limits and re-solve)",
                     ],
-                    action: TurnAction::Calls(vec![ToolCall {
-                        tool: "modify_gen_limits".into(),
-                        args: json!({
-                            "bus_id": ents.buses[0],
-                            "p_min_mw": lo,
-                            "p_max_mw": hi,
-                        }),
-                    }]),
-                }
+                    "modify_gen_limits",
+                    json!({"bus_id": bus, "p_min_mw": lo, "p_max_mw": hi}),
+                )
             }
-            Some("secure_dispatch") => {
-                let mut args = json!({});
-                if let Some(case) = ents.case.clone().or(active_case.clone()) {
-                    args["case_name"] = json!(case);
-                }
-                ModelTurn {
-                    reasoning: vec![
-                        "(understand the task: security-constrained operation)".into(),
-                        "(screen contingencies and solve the SCOPF)".into(),
-                    ],
-                    action: TurnAction::Calls(vec![ToolCall {
-                        tool: "solve_security_constrained".into(),
-                        args,
-                    }]),
-                }
-            }
-            Some("batch_study") => ModelTurn {
-                reasoning: vec![
-                    "(understand the task: a family of operating points)".into(),
-                    "(build the scenario set)".into(),
-                    "(one batched power-flow run, then summarize)".into(),
+            Some("secure_dispatch") => call(
+                &[
+                    "(understand the task: security-constrained operation)",
+                    "(screen contingencies and solve the SCOPF)",
                 ],
-                action: TurnAction::Calls(vec![Self::batch_call(view)]),
-            },
+                "solve_security_constrained",
+                case_args(known_case(view, &ents).as_ref()),
+            ),
+            Some("batch_study") => Self::batch_call(
+                view,
+                &[
+                    "(understand the task: a family of operating points)",
+                    "(build the scenario set)",
+                    "(one batched power-flow run, then summarize)",
+                ],
+            ),
             Some("solve_case") | Some("modify_load") | None => {
-                let case = ents.case.clone().or(active_case);
-                match case {
-                    Some(case) => ModelTurn {
-                        reasoning: vec![
-                            "(understand the case to be solved)".into(),
-                            "(extract relevant parameters)".into(),
-                            "(plan solution strategy)".into(),
-                            "(invoke ACOPF solver)".into(),
+                if let Some(edit) = edit().filter(|_| intent == Some("modify_load")) {
+                    return edit;
+                }
+                match known_case(view, &ents) {
+                    Some(case) => call(
+                        &[
+                            "(understand the case to be solved)",
+                            "(extract relevant parameters)",
+                            "(plan solution strategy)",
+                            "(invoke ACOPF solver)",
                         ],
-                        action: TurnAction::Calls(vec![ToolCall {
-                            tool: "solve_acopf_case".into(),
-                            args: json!({"case_name": case}),
-                        }]),
-                    },
-                    None => ModelTurn {
-                        reasoning: vec!["(cannot identify a target case)".into()],
-                        action: TurnAction::Respond(
-                            "I could not identify which IEEE case you mean. Supported cases: \
-                             case14, case30, case57, case118, case300 — for example, \"solve \
-                             IEEE 118\"."
-                                .to_string(),
-                        ),
-                    },
+                        "solve_acopf_case",
+                        json!({"case_name": case}),
+                    ),
+                    None => respond(
+                        &["(cannot identify a target case)"],
+                        "I could not identify which IEEE case you mean. Supported cases: \
+                         case14, case30, case57, case118, case300 — for example, \"solve \
+                         IEEE 118\"."
+                            .to_string(),
+                    ),
                 }
             }
-            Some(_) => ModelTurn {
-                reasoning: vec!["(intent outside my capabilities)".into()],
-                action: TurnAction::Respond(
-                    "I handle ACOPF solving, load modifications, and network status for the \
-                     IEEE test cases."
-                        .to_string(),
-                ),
-            },
+            Some(_) => respond(
+                &["(intent outside my capabilities)"],
+                "I handle ACOPF solving, load modifications, and network status for the \
+                 IEEE test cases."
+                    .to_string(),
+            ),
         }
     }
 }
@@ -599,31 +607,33 @@ impl CaPlanner {
         }
     }
 
-    fn narrate_report(rep: &Value, top_k: usize) -> String {
-        let ranking = rep["ranking"].as_array().cloned().unwrap_or_default();
-        let top: Vec<String> = ranking
+    fn failure(tool: &str, err: &str) -> ModelTurn {
+        respond(
+            &["(tool failed; report transparently)"],
+            format!(
+                "The {tool} call failed: {err}. I cannot report contingency results \
+                 without a successful analysis."
+            ),
+        )
+    }
+
+    fn narrate_report(rep: &N1Report, top_k: usize) -> String {
+        let top: Vec<String> = rep
+            .ranking
             .iter()
             .take(top_k)
-            .map(|r| {
-                format!(
-                    "  {}. {} — {}",
-                    r["rank"].as_u64().unwrap_or(0) + 1,
-                    r["label"].as_str().unwrap_or("?"),
-                    r["justification"].as_str().unwrap_or(""),
-                )
-            })
+            .map(|r| format!("  {}. {} — {}", r.rank + 1, r.label, r.justification))
             .collect();
-        let max_overload = f(rep, "max_overload_pct");
         // Honest fidelity statement: a cascade sweep must say how many
         // outages were classified from the DC estimate alone.
-        let screened_out = rep["screened_out"].as_u64().unwrap_or(0);
-        let fidelity = match rep["mode"].as_str() {
-            Some("cascade") if screened_out > 0 => format!(
+        let fidelity = if rep.mode == "cascade" && rep.screened_out > 0 {
+            format!(
                 " The sweep used DC screening with AC verification: {} outages were \
                  AC-verified and {} were classified secure from the linear screen alone.",
-                rep["ac_verified"], screened_out
-            ),
-            _ => String::new(),
+                rep.ac_verified, rep.screened_out
+            )
+        } else {
+            String::new()
         };
         let mut s = format!(
             "I ran a full N-1 contingency analysis on {} (lines and transformers), after \
@@ -635,27 +645,27 @@ impl CaPlanner {
              Maximum post-contingency loading observed: {:.0}%.\n\
              \n\
              Most critical elements:\n{}\n",
-            rep["case_name"].as_str().unwrap_or("the case"),
-            rep["n_contingencies"],
-            rep["n_lines"],
-            rep["n_trafos"],
+            rep.case_name,
+            rep.n_contingencies,
+            rep.n_lines,
+            rep.n_trafos,
             fidelity,
-            rep["total_violations"],
-            rep["outages_with_overloads"],
-            rep["outages_with_voltage_issues"],
-            rep["voltage_band"][0].as_f64().unwrap_or(0.95),
-            rep["voltage_band"][1].as_f64().unwrap_or(1.05),
-            max_overload,
+            rep.total_violations,
+            rep.outages_with_overloads,
+            rep.outages_with_voltage_issues,
+            rep.voltage_band[0],
+            rep.voltage_band[1],
+            rep.max_overload_pct,
             top.join("\n"),
         );
         s.push_str("\nRecommendations:\n");
-        if max_overload > 100.0 {
+        if rep.max_overload_pct > 100.0 {
             s.push_str(
                 "  - Reinforce or redispatch around the overloaded corridors above; verify \
                  ratings before operating close to them.\n",
             );
         }
-        if rep["outages_with_voltage_issues"].as_u64().unwrap_or(0) > 0 {
+        if rep.outages_with_voltage_issues > 0 {
             s.push_str(
                 "  - Add reactive support (shunt capacitors / SVC) near the depressed buses \
                  and review transformer tap setpoints.\n",
@@ -667,36 +677,66 @@ impl CaPlanner {
         s
     }
 
-    fn narrate_specific(out: &Value) -> String {
-        if out["islands"] == json!(true) {
+    fn narrate_specific(out: &SpecificResult) -> String {
+        if out.islands {
             return format!(
                 "Outage of {} splits the network: {} buses would be stranded, shedding \
                  {:.1} MW of load. This is a categorical reliability violation.",
-                out["label"].as_str().unwrap_or("?"),
-                out["stranded_buses"],
-                f(out, "load_shed_mw"),
+                out.label, out.stranded_buses, out.load_shed_mw,
             );
         }
-        if out["converged"] == json!(false) {
+        if !out.converged {
             return format!(
                 "Outage of {}: the post-contingency power flow does not converge, indicating \
                  voltage-collapse risk. Treat this contingency as critical.",
-                out["label"].as_str().unwrap_or("?"),
+                out.label,
             );
         }
         format!(
             "Outage of {}: converged. {} violations ({} total); max branch loading {:.1}%, \
              lowest voltage {:.3} p.u. at bus {}.",
-            out["label"].as_str().unwrap_or("?"),
-            if out["n_violations"].as_u64().unwrap_or(0) == 0 {
+            out.label,
+            if out.n_violations == 0 {
                 "No".to_string()
             } else {
-                out["n_violations"].to_string()
+                out.n_violations.to_string()
             },
-            out["n_violations"],
-            f(out, "max_loading_pct"),
-            f(out, "min_voltage_pu"),
-            out["min_voltage_bus"],
+            out.n_violations,
+            out.max_loading_pct,
+            out.min_voltage_pu,
+            out.min_voltage_bus,
+        )
+    }
+
+    fn narrate_unit_outages(out: &UnitOutageReport) -> String {
+        let lines: Vec<String> = out
+            .ranking
+            .iter()
+            .map(|r| {
+                let tag = if r.loses_reference {
+                    " [loses the reference machine]".to_string()
+                } else if !r.converged {
+                    " [post-outage power flow does not converge]".to_string()
+                } else {
+                    format!(
+                        " ({} violations, slack pickup {:.0} MW)",
+                        r.n_violations, r.slack_pickup_mw
+                    )
+                };
+                format!(
+                    "  - unit {} at bus {} losing {:.0} MW{}",
+                    r.gen, r.bus_id, r.lost_mw, tag
+                )
+            })
+            .collect();
+        format!(
+            "I simulated the outage of all {} in-service generating units. \
+             {} did not converge and {} caused violations. Most critical unit \
+             outages:\n{}",
+            out.n_units,
+            out.units_not_converged,
+            out.units_with_violations,
+            lines.join("\n"),
         )
     }
 }
@@ -707,121 +747,82 @@ impl Planner for CaPlanner {
         let top_k = ents.top_k.unwrap_or(5);
 
         // ---- React to pending results.
-        if let Some((tool, result)) = view.pending_results.last() {
-            if let Some(err) = error_of(result) {
-                let known_case = ents.case.clone().or_else(|| {
-                    view.context_value("active_case")
-                        .and_then(|v| v.as_str().map(String::from))
-                });
-                if let Some(case) =
-                    known_case.filter(|_| err.contains("no case loaded") && view.round < 3)
-                {
-                    return ModelTurn {
-                        reasoning: vec!["(recovery: solve the base case first)".into()],
-                        action: TurnAction::Calls(vec![ToolCall {
-                            tool: "solve_base_case".into(),
-                            args: json!({"case_name": case}),
-                        }]),
+        if let Some((tool, result)) = view.last_result() {
+            let failed = |err: &str| Self::failure(tool, err);
+            let result = match result {
+                Ok(result) => result,
+                Err(failure) => {
+                    return match known_case(view, &ents) {
+                        Some(case) if wants_case_loaded(view, &failure) => call(
+                            &["(recovery: solve the base case first)"],
+                            "solve_base_case",
+                            json!({"case_name": case}),
+                        ),
+                        _ => failed(&failure.error),
                     };
                 }
-                return ModelTurn {
-                    reasoning: vec!["(tool failed; report transparently)".into()],
-                    action: TurnAction::Respond(format!(
-                        "The {tool} call failed: {err}. I cannot report contingency results \
-                         without a successful analysis."
-                    )),
-                };
-            }
-            match tool.as_str() {
+            };
+            match tool {
                 "solve_base_case" => {
-                    return ModelTurn {
-                        reasoning: vec![
-                            "(base case validated; run the N-1 sweep)".into(),
-                            "(run contingency analysis)".into(),
+                    return call(
+                        &[
+                            "(base case validated; run the N-1 sweep)",
+                            "(run contingency analysis)",
                         ],
-                        action: TurnAction::Calls(vec![ToolCall {
-                            tool: "run_n1_contingency_analysis".into(),
-                            args: json!({
-                                "strategy": Self::strategy_for(style),
-                                "top_k": top_k.max(10),
-                            }),
-                        }]),
-                    };
+                        "run_n1_contingency_analysis",
+                        json!({
+                            "strategy": Self::strategy_for(style),
+                            "top_k": top_k.max(10),
+                        }),
+                    );
                 }
                 "run_n1_contingency_analysis" => {
-                    return ModelTurn {
-                        reasoning: vec![
-                            "(validate the sweep results)".into(),
-                            "(rank critical elements and justify)".into(),
+                    return narrate(
+                        view,
+                        result,
+                        &[
+                            "(validate the sweep results)",
+                            "(rank critical elements and justify)",
                         ],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_report(result, top_k),
-                        )),
-                    };
+                        |rep: &N1Report| Self::narrate_report(rep, top_k),
+                        failed,
+                    )
                 }
                 "analyze_specific_contingency" => {
-                    return ModelTurn {
-                        reasoning: vec!["(interpret the outage result)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            Self::narrate_specific(result),
-                        )),
-                    };
+                    return narrate(
+                        view,
+                        result,
+                        &["(interpret the outage result)"],
+                        Self::narrate_specific,
+                        failed,
+                    )
                 }
                 "run_generator_contingency_analysis" => {
-                    let ranking = result["ranking"].as_array().cloned().unwrap_or_default();
-                    let lines: Vec<String> = ranking
-                        .iter()
-                        .map(|r| {
-                            let tag = if r["loses_reference"] == json!(true) {
-                                " [loses the reference machine]".to_string()
-                            } else if r["converged"] == json!(false) {
-                                " [post-outage power flow does not converge]".to_string()
-                            } else {
-                                format!(
-                                    " ({} violations, slack pickup {:.0} MW)",
-                                    r["n_violations"],
-                                    f(r, "slack_pickup_mw")
-                                )
-                            };
-                            format!(
-                                "  - unit {} at bus {} losing {:.0} MW{}",
-                                r["gen"],
-                                r["bus_id"],
-                                f(r, "lost_mw"),
-                                tag
-                            )
-                        })
-                        .collect();
-                    return ModelTurn {
-                        reasoning: vec!["(rank unit outages by system stress)".into()],
-                        action: TurnAction::Respond(with_caveats(
-                            view,
-                            format!(
-                                "I simulated the outage of all {} in-service generating units. \
-                                 {} did not converge and {} caused violations. Most critical unit \
-                                 outages:\n{}",
-                                result["n_units"],
-                                result["units_not_converged"],
-                                result["units_with_violations"],
-                                lines.join("\n"),
-                            ),
-                        )),
-                    };
+                    return narrate(
+                        view,
+                        result,
+                        &["(rank unit outages by system stress)"],
+                        Self::narrate_unit_outages,
+                        failed,
+                    )
                 }
                 "get_contingency_status" => {
-                    let text = if result["has_analysis"] == json!(true) {
-                        Self::narrate_report(result, top_k)
-                    } else {
-                        "No fresh contingency analysis exists for the current network state; \
-                         ask me to run the N-1 analysis."
-                            .to_string()
-                    };
-                    return ModelTurn {
-                        reasoning: vec!["(summarize cached analysis)".into()],
-                        action: TurnAction::Respond(with_caveats(view, text)),
-                    };
+                    return narrate(
+                        view,
+                        result,
+                        &["(summarize cached analysis)"],
+                        |status: &AnalysisStatus| match status {
+                            AnalysisStatus::Fresh(fresh) => {
+                                Self::narrate_report(&fresh.report, top_k)
+                            }
+                            AnalysisStatus::Absent(_) => {
+                                "No fresh contingency analysis exists for the current network \
+                                 state; ask me to run the N-1 analysis."
+                                    .to_string()
+                            }
+                        },
+                        failed,
+                    )
                 }
                 _ => {}
             }
@@ -831,66 +832,41 @@ impl Planner for CaPlanner {
         let intent = classify(view.user_input, &Self::rules());
         match intent.as_ref().map(|m| m.intent.as_str()) {
             Some("specific") if !ents.elements.is_empty() => {
-                let (kind, index) = ents.elements[0].clone();
-                ModelTurn {
-                    reasoning: vec![
-                        "(understand task)".into(),
-                        "(analyze the specific element outage)".into(),
-                    ],
-                    action: TurnAction::Calls(vec![ToolCall {
-                        tool: "analyze_specific_contingency".into(),
-                        args: json!({"element": kind, "index": index}),
-                    }]),
-                }
+                let (kind, index) = &ents.elements[0];
+                call(
+                    &["(understand task)", "(analyze the specific element outage)"],
+                    "analyze_specific_contingency",
+                    json!({"element": kind, "index": index}),
+                )
             }
-            Some("status") => ModelTurn {
-                reasoning: vec!["(check analysis status)".into()],
-                action: TurnAction::Calls(vec![ToolCall {
-                    tool: "get_contingency_status".into(),
-                    args: json!({}),
-                }]),
-            },
-            Some("gen_outages") => ModelTurn {
-                reasoning: vec![
-                    "(understand task: unit T-1 outages)".into(),
-                    "(sweep generator outages)".into(),
+            Some("status") => call(
+                &["(check analysis status)"],
+                "get_contingency_status",
+                json!({}),
+            ),
+            Some("gen_outages") => call(
+                &[
+                    "(understand task: unit T-1 outages)",
+                    "(sweep generator outages)",
                 ],
-                action: TurnAction::Calls(vec![ToolCall {
-                    tool: "run_generator_contingency_analysis".into(),
-                    args: json!({"top_k": top_k}),
-                }]),
-            },
-            Some("base_case") => {
-                let mut args = json!({});
-                if let Some(case) = &ents.case {
-                    args["case_name"] = json!(case);
-                }
-                ModelTurn {
-                    reasoning: vec!["(solve the base case)".into()],
-                    action: TurnAction::Calls(vec![ToolCall {
-                        tool: "solve_base_case".into(),
-                        args,
-                    }]),
-                }
-            }
-            _ => {
-                // Full analysis (also the default for anything
-                // contingency-flavoured): ensure a base case, then sweep.
-                let mut args = json!({});
-                if let Some(case) = &ents.case {
-                    args["case_name"] = json!(case);
-                }
-                ModelTurn {
-                    reasoning: vec![
-                        "(understand task)".into(),
-                        "(solve base case before contingencies)".into(),
-                    ],
-                    action: TurnAction::Calls(vec![ToolCall {
-                        tool: "solve_base_case".into(),
-                        args,
-                    }]),
-                }
-            }
+                "run_generator_contingency_analysis",
+                json!({"top_k": top_k}),
+            ),
+            Some("base_case") => call(
+                &["(solve the base case)"],
+                "solve_base_case",
+                case_args(ents.case.as_ref()),
+            ),
+            // Full analysis (also the default for anything
+            // contingency-flavoured): ensure a base case, then sweep.
+            _ => call(
+                &[
+                    "(understand task)",
+                    "(solve base case before contingencies)",
+                ],
+                "solve_base_case",
+                case_args(ents.case.as_ref()),
+            ),
         }
     }
 }
@@ -967,13 +943,35 @@ mod tests {
         }
     }
 
+    /// The turn `planner` takes after `pending`, the calls made so far
+    /// in the turn.
+    fn turn_after(
+        planner: &dyn Planner,
+        input: &str,
+        style: AnalysisStyle,
+        pending: &[(String, Value)],
+    ) -> ModelTurn {
+        let memory = AgentMemory::new("t", "p");
+        let mut view = memory.view(input);
+        view.pending_results = pending;
+        planner.plan(&view, style)
+    }
+
+    fn response_of(turn: ModelTurn) -> String {
+        match turn.action {
+            TurnAction::Respond(text) => text,
+            other => panic!("expected respond, got {other:?}"),
+        }
+    }
+
     #[test]
     fn ca_base_result_chains_to_sweep_with_style() {
-        let memory = AgentMemory::new("t", "p");
-        let mut view = memory.view("find the top 5 critical lines");
-        view.pending_results
-            .push(("solve_base_case".into(), json!({"converged": true})));
-        let t = CaPlanner.plan(&view, AnalysisStyle::OverloadFirst);
+        let t = turn_after(
+            &CaPlanner,
+            "find the top 5 critical lines",
+            AnalysisStyle::OverloadFirst,
+            &[("solve_base_case".into(), json!({"converged": true}))],
+        );
         match t.action {
             TurnAction::Calls(calls) => {
                 assert_eq!(calls[0].tool, "run_n1_contingency_analysis");
@@ -996,21 +994,18 @@ mod tests {
         }
     }
 
+    fn case14_report() -> N1Report {
+        let net = gm_network::cases::load(gm_network::CaseId::Ieee14);
+        let rep = gm_contingency::run_n1(&net, &Default::default(), None).expect("sweep");
+        N1Report::new(&rep, 5, None)
+    }
+
     #[test]
     fn narration_quotes_tool_numbers() {
-        let rep = json!({
-            "case_name": "IEEE 118-bus system",
-            "n_contingencies": 186, "n_lines": 175, "n_trafos": 11,
-            "total_violations": 665,
-            "outages_with_overloads": 3, "outages_with_voltage_issues": 40,
-            "max_overload_pct": 137.0,
-            "voltage_band": [0.95, 1.05],
-            "ranking": [
-                {"rank": 0, "label": "line 6", "justification": "2 thermal overloads up to 137%",
-                 "max_loading_pct": 137.0, "min_voltage_pu": 0.94, "min_voltage_bus": 52,
-                 "n_thermal": 2, "n_voltage": 1, "islands": false, "load_shed_mw": 0.0},
-            ],
-        });
+        let mut rep = case14_report();
+        rep.n_contingencies = 186;
+        rep.max_overload_pct = 137.0;
+        rep.ranking[0].label = "line 6".into();
         let text = CaPlanner::narrate_report(&rep, 5);
         assert!(text.contains("186"));
         assert!(text.contains("137"));
@@ -1020,16 +1015,16 @@ mod tests {
 
     #[test]
     fn narration_discloses_cascade_screening() {
-        // Through the real wire format (report_to_json), not a hand-built
-        // JSON: the narrated answer for a cascade sweep must disclose how
-        // many outages were screened out vs AC-verified.
+        // Through the tool's own result type, not a hand-built one: the
+        // narrated answer for a cascade sweep must disclose how many
+        // outages were screened out vs AC-verified.
         let net = gm_network::cases::load(gm_network::CaseId::Ieee118);
         let opts = gm_contingency::CaOptions::default();
         let rep = gm_contingency::run_n1(&net, &opts, None).expect("sweep");
         assert!(rep.screened_out > 0, "cascade screened nothing out");
-        let j = crate::tools_ca::report_to_json(&rep, 5);
-        assert_eq!(j["mode"], json!("cascade"));
-        let text = CaPlanner::narrate_report(&j, 5);
+        let out = N1Report::new(&rep, 5, None);
+        assert_eq!(out.mode, "cascade");
+        let text = CaPlanner::narrate_report(&out, 5);
         assert!(
             text.contains("classified secure from the linear screen alone"),
             "cascade narration hides the screening: {text}"
@@ -1044,46 +1039,87 @@ mod tests {
             "barrier stall",
             "DC optimal power flow",
         );
-        let memory = AgentMemory::new("t", "p");
-        let mut view = memory.view("solve case14");
         // A degraded base case earlier in the turn, then a clean sweep:
         // the caveat must survive the chain into the final narration.
-        view.pending_results.push((
-            "solve_base_case".into(),
-            json!({"converged": true, "degraded_caveat": caveat}),
+        let text = response_of(turn_after(
+            &CaPlanner,
+            "solve case14",
+            AnalysisStyle::Composite,
+            &[
+                (
+                    "solve_base_case".into(),
+                    json!({"converged": true, "degraded_caveat": caveat}),
+                ),
+                (
+                    "run_n1_contingency_analysis".into(),
+                    case14_report().to_wire(),
+                ),
+            ],
         ));
-        view.pending_results.push((
-            "run_n1_contingency_analysis".into(),
-            json!({"case_name": "case14", "n_contingencies": 20, "ranking": []}),
-        ));
-        let t = CaPlanner.plan(&view, AnalysisStyle::Composite);
-        match t.action {
-            TurnAction::Respond(text) => {
-                assert!(
-                    text.contains(crate::recovery::CAVEAT_PREFIX),
-                    "degraded answers must be caveated, got: {text}"
-                );
-                assert!(text.contains("barrier stall"));
-            }
-            other => panic!("expected respond, got {other:?}"),
-        }
+        assert!(
+            text.contains(crate::recovery::CAVEAT_PREFIX),
+            "degraded answers must be caveated, got: {text}"
+        );
+        assert!(text.contains("barrier stall"));
     }
 
     #[test]
     fn error_results_narrated_transparently() {
-        let memory = AgentMemory::new("t", "p");
-        let mut view = memory.view("solve case118");
-        view.pending_results.push((
-            "solve_acopf_case".into(),
-            json!({"error": "ACOPF did not converge", "recoverable": true}),
+        let failure = ToolFailure {
+            code: Some(ErrorCode::NotConverged),
+            error: "ACOPF did not converge".into(),
+        };
+        let text = response_of(turn_after(
+            &AcopfPlanner,
+            "solve case118",
+            AnalysisStyle::Composite,
+            &[("solve_acopf_case".into(), failure.to_wire())],
         ));
-        let t = AcopfPlanner.plan(&view, AnalysisStyle::Composite);
-        match t.action {
-            TurnAction::Respond(text) => {
-                assert!(text.contains("failed"));
-                assert!(text.contains("did not converge"));
-            }
-            other => panic!("expected respond, got {other:?}"),
+        assert!(text.contains("failed"));
+        assert!(text.contains("did not converge"));
+    }
+
+    #[test]
+    fn recovery_keys_on_the_code_not_the_message() {
+        // Same words, different class: only `no_active_case` is repaired
+        // by loading the case the utterance names.
+        let plan = |code| {
+            let failure = ToolFailure {
+                code,
+                error: "no case loaded; ask to solve a case first".into(),
+            };
+            turn_after(
+                &AcopfPlanner,
+                "set the load at bus 10 of case14 to 50 MW",
+                AnalysisStyle::Composite,
+                &[("modify_bus_load".into(), failure.to_wire())],
+            )
+        };
+        match plan(Some(ErrorCode::NoActiveCase)).action {
+            TurnAction::Calls(calls) => assert_eq!(calls[0].tool, "solve_acopf_case"),
+            other => panic!("expected the load-then-retry call, got {other:?}"),
         }
+        for code in [Some(ErrorCode::UnknownBus), None] {
+            assert!(response_of(plan(code)).contains("call failed"));
+        }
+    }
+
+    #[test]
+    fn a_result_that_does_not_parse_is_a_failure_sentence() {
+        // A renamed field must not narrate "NaN $/h": the result no
+        // longer lifts into the declared type, and the answer says so.
+        let net = gm_network::library::case(gm_network::CaseId::Ieee14);
+        let rep = gm_powerflow::solve(&net, &Default::default()).expect("base case");
+        let mut wire = serde_json::to_value(&rep).expect("serializes");
+        wire["objective_cost"] = json!(8081.53);
+        let text = response_of(turn_after(
+            &AcopfPlanner,
+            "solve case14",
+            AnalysisStyle::Composite,
+            &[("solve_acopf_case".into(), wire)],
+        ));
+        assert!(text.contains("The solve_acopf_case call failed"), "{text}");
+        assert!(text.contains("declared shape"), "{text}");
+        assert!(!text.contains("8081") && !text.contains("NaN"), "{text}");
     }
 }

@@ -46,7 +46,6 @@ use gm_contingency::{run_n1_cached, solve_base, CaOptions, ContingencyCache, Con
 use gm_network::{Network, Snapshot};
 use gm_powerflow::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions};
 use gm_powerflow::PfReport;
-use serde_json::{json, Value};
 
 /// Marker every degraded-answer caveat starts with. The planners append
 /// caveat lines verbatim, and the serve-layer chaos gate greps responses
@@ -67,13 +66,13 @@ pub fn caveat(primary: &str, reason: &str, fallback: &str) -> String {
     )
 }
 
-/// Attaches a fallback rung's caveat to a tool's JSON answer as
-/// `degraded_caveat` — the field the planners surface verbatim.
-pub(crate) fn with_caveat(mut out: Value, degraded: Option<String>) -> Value {
-    if let Some(c) = degraded {
-        out["degraded_caveat"] = json!(c);
+gm_agents::tool_output! {
+    /// The part of a tool result that says a fallback rung produced it.
+    /// Every result that can be degraded flattens this in, and the
+    /// planners surface the caveat verbatim.
+    pub struct Degraded {
+        degraded_caveat: Option<String> = "caveat naming the failed method and the fallback that produced these numbers",
     }
-    out
 }
 
 /// Maps an injected fault at the power-flow boundary to the solver error

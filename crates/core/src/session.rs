@@ -13,6 +13,7 @@
 
 use gm_acopf::AcopfSolution;
 use gm_contingency::{ContingencyCache, ContingencyReport};
+use gm_network::diff::DiffError;
 use gm_network::{library, DiffLog, Modification, Network, Snapshot};
 use gm_powerflow::PfReport;
 use parking_lot::RwLock;
@@ -110,7 +111,7 @@ pub enum SessionError {
     /// The requested case could not be identified.
     UnknownCase(String),
     /// A modification failed.
-    BadModification(String),
+    BadModification(DiffError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -190,7 +191,7 @@ impl SessionContext {
         };
         s.diffs
             .apply(&mut net, m)
-            .map_err(|e| SessionError::BadModification(e.to_string()))?;
+            .map_err(SessionError::BadModification)?;
         s.current = Some(Snapshot::new(net));
         Ok(())
     }

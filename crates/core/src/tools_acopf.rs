@@ -2,121 +2,290 @@
 //! `solve_acopf_case`, `modify_bus_load`, `get_network_status`.
 //!
 //! Every tool reads and writes the shared
-//! [`SessionContext`](crate::session::SessionContext), returns a
-//! schema-validated JSON object whose field names are the semantic
-//! anchors the planner narrates from (`objective_cost`,
-//! `min_voltage_pu`, …), and deposits typed artifacts for other agents.
+//! [`SessionContext`](crate::session::SessionContext), returns a result
+//! type declared here with [`tool_output!`] — whose field names are the
+//! semantic anchors on the wire (`objective_cost`, `min_voltage_pu`, …)
+//! and whose closed schema the registry validates against — and deposits
+//! typed artifacts for other agents.
 
+use crate::failure::DomainError;
 use crate::quality;
-use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, with_caveat};
+use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, Degraded};
 use crate::session::SharedSession;
 use gm_acopf::{AcopfOptions, AcopfSolution, ScopfOptions};
-use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
-use gm_network::{Modification, Network};
-use serde_json::{json, Value};
+use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock, Wire};
+use gm_network::{Modification, Network, Snapshot};
+use serde_json::Value;
 
-/// JSON summary of an ACOPF solution (the `ACOPFSolution` wire shape).
-pub fn solution_to_json(sol: &AcopfSolution, quality_overall: f64) -> Value {
-    let largest_units_mw = {
-        let mut d = sol.gen_dispatch_mw.clone();
-        d.sort_by(|a, b| b.total_cmp(a));
-        d.truncate(5);
-        d
-    };
-    json!({
-        "case_name": sol.case_name,
-        "solved": sol.solved,
-        "objective_cost": sol.objective_cost,
-        "total_generation_mw": sol.total_generation_mw,
-        "total_load_mw": sol.total_load_mw,
-        "losses_mw": sol.losses_mw,
-        "min_voltage_pu": sol.min_voltage_pu,
-        "max_voltage_pu": sol.max_voltage_pu,
-        "max_thermal_loading_pct": sol.max_thermal_loading_pct,
-        "iterations": sol.iterations,
-        "solve_time_s": sol.solve_time_s,
-        "binding_constraints": sol.binding_constraints,
-        "power_balance_error_mw": sol.power_balance_error_mw(),
-        "quality_overall": quality_overall,
-        "n_generators": sol.gen_dispatch_mw.len(),
-        "largest_units_mw": largest_units_mw,
-        "lmp_min": sol.bus_lmp.iter().cloned().fold(f64::INFINITY, f64::min),
-        "lmp_max": sol.bus_lmp.iter().cloned().fold(0.0f64, f64::max),
-    })
+tool_output! {
+    /// Inventory counts of a case (the wire form of
+    /// [`gm_network::NetworkSummary`]).
+    pub struct CaseSummary {
+        case_name: String = "case name",
+        buses: usize = "bus count",
+        generators: usize = "generator count",
+        loads: usize = "load count",
+        lines: usize = "AC line count",
+        transformers: usize = "transformer count",
+        total_load_mw: f64 = "total active demand (MW)",
+        total_gen_capacity_mw: f64 = "total generation capacity (MW)",
+    }
 }
 
-fn solution_output_schema() -> Schema {
-    Schema::Object {
-        fields: vec![
-            Field::required("case_name", Schema::string(), "case identifier"),
-            Field::required("solved", Schema::Bool, "convergence flag"),
-            Field::required(
-                "objective_cost",
-                Schema::number(),
-                "total generation cost ($/h)",
-            ),
-            Field::required("total_generation_mw", Schema::number(), "dispatched MW"),
-            Field::required("total_load_mw", Schema::number(), "system demand MW"),
-            Field::required("losses_mw", Schema::number(), "network losses MW"),
-            Field::required("min_voltage_pu", Schema::number(), "lowest bus voltage"),
-            Field::required("max_voltage_pu", Schema::number(), "highest bus voltage"),
-            Field::required(
-                "max_thermal_loading_pct",
-                Schema::number(),
-                "worst branch loading",
-            ),
-            Field::required("iterations", Schema::integer(), "IPM iterations"),
-            Field::required(
-                "quality_overall",
-                Schema::number_range(0.0, 10.0),
-                "0-10 score",
-            ),
-        ],
-        closed: false,
+impl From<&Network> for CaseSummary {
+    fn from(net: &Network) -> CaseSummary {
+        let s = net.summary();
+        CaseSummary {
+            case_name: s.case_name,
+            buses: s.buses,
+            generators: s.generators,
+            loads: s.loads,
+            lines: s.lines,
+            transformers: s.transformers,
+            total_load_mw: s.total_load_mw,
+            total_gen_capacity_mw: s.total_gen_capacity_mw,
+        }
+    }
+}
+
+/// A 0–10 quality score (Appendix C).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Score(pub f64);
+
+impl Wire for Score {
+    fn schema() -> Schema {
+        Schema::number_range(0.0, 10.0)
+    }
+    fn to_wire(&self) -> Value {
+        self.0.to_wire()
+    }
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        f64::from_wire(v).map(Score)
+    }
+}
+
+tool_output! {
+    /// An ACOPF solution in summary (the `ACOPFSolution` wire shape).
+    pub struct AcopfSummary {
+        case_name: String = "case identifier",
+        solved: bool = "convergence flag",
+        objective_cost: f64 = "total generation cost ($/h)",
+        total_generation_mw: f64 = "dispatched generation (MW)",
+        total_load_mw: f64 = "system demand (MW)",
+        losses_mw: f64 = "network losses (MW)",
+        min_voltage_pu: f64 = "lowest bus voltage (p.u.)",
+        max_voltage_pu: f64 = "highest bus voltage (p.u.)",
+        max_thermal_loading_pct: f64 = "worst branch loading (% of rating)",
+        iterations: usize = "interior-point iterations",
+        solve_time_s: f64 = "solver wall time (s)",
+        binding_constraints: usize = "constraints active at the optimum",
+        power_balance_error_mw: f64 = "generation minus load minus losses (MW)",
+        n_generators: usize = "dispatched units",
+        largest_units_mw: Vec<f64> = "the five largest unit outputs (MW), descending",
+        lmp_min: f64 = "lowest nodal price ($/MWh)",
+        lmp_max: f64 = "highest nodal price ($/MWh)",
+    }
+}
+
+impl From<&AcopfSolution> for AcopfSummary {
+    fn from(sol: &AcopfSolution) -> AcopfSummary {
+        let mut largest_units_mw = sol.gen_dispatch_mw.clone();
+        largest_units_mw.sort_by(|a, b| b.total_cmp(a));
+        largest_units_mw.truncate(5);
+        AcopfSummary {
+            case_name: sol.case_name.clone(),
+            solved: sol.solved,
+            objective_cost: sol.objective_cost,
+            total_generation_mw: sol.total_generation_mw,
+            total_load_mw: sol.total_load_mw,
+            losses_mw: sol.losses_mw,
+            min_voltage_pu: sol.min_voltage_pu,
+            max_voltage_pu: sol.max_voltage_pu,
+            max_thermal_loading_pct: sol.max_thermal_loading_pct,
+            iterations: sol.iterations,
+            solve_time_s: sol.solve_time_s,
+            binding_constraints: sol.binding_constraints,
+            power_balance_error_mw: sol.power_balance_error_mw(),
+            n_generators: sol.gen_dispatch_mw.len(),
+            largest_units_mw,
+            lmp_min: sol.bus_lmp.iter().cloned().fold(f64::INFINITY, f64::min),
+            lmp_max: sol.bus_lmp.iter().cloned().fold(0.0f64, f64::max),
+        }
+    }
+}
+
+tool_output! {
+    /// A freshly solved and scored dispatch — the part every solving
+    /// tool's result extends.
+    pub struct Dispatch {
+        ..summary: AcopfSummary,
+        ..degraded: Degraded,
+        quality_overall: Score = "0-10 solution quality score",
+    }
+}
+
+tool_output! {
+    /// Result of `solve_acopf_case`.
+    pub struct SolveResult {
+        ..dispatch: Dispatch,
+        identification_confidence: f64 = "confidence (0-1) that the case name was understood",
+        network_summary: CaseSummary = "inventory of the solved case",
+    }
+}
+
+tool_output! {
+    /// Result of `modify_bus_load`, and the part `modify_gen_limits`
+    /// extends: the re-solved dispatch against the session's last one.
+    pub struct EditResult {
+        ..dispatch: Dispatch,
+        previous_cost: Option<f64> = "cost of the session's last ACOPF before the change ($/h); absent when there was none",
+        cost_delta: Option<f64> = "cost change against previous_cost ($/h)",
+        modified_bus: u32 = "external bus number that was edited",
+    }
+}
+
+tool_output! {
+    /// Result of `modify_gen_limits`.
+    pub struct GenLimitsResult {
+        ..edit: EditResult,
+        units_modified: usize = "units at the bus whose limits changed",
+    }
+}
+
+tool_output! {
+    /// Result of `solve_security_constrained`.
+    pub struct ScopfResult {
+        ..dispatch: Dispatch,
+        economic_cost: f64 = "unconstrained economic optimum ($/h)",
+        security_premium: f64 = "cost of security over the economic optimum ($/h)",
+        n_security_constraints: usize = "screened post-contingency flow constraints",
+    }
+}
+
+tool_output! {
+    /// `get_network_status` with no case loaded.
+    pub struct NoCase {
+        has_active_case: bool = "whether a case is loaded (false here)",
+        message: String = "what to do about it",
+    }
+}
+
+tool_output! {
+    /// `get_network_status` with a case loaded.
+    pub struct ActiveStatus {
+        has_active_case: bool = "whether a case is loaded (true here)",
+        active_case: String = "canonical name of the active case",
+        network_summary: CaseSummary = "inventory of the current network",
+        modifications: Vec<String> = "applied modifications, chronological",
+        has_solution: bool = "whether the session holds an ACOPF solution",
+        solution_stale: bool = "whether that solution predates the latest modification",
+        solution: Option<AcopfSummary> = "the session's last ACOPF solution",
+    }
+}
+
+tool_output! {
+    /// Result of `get_network_status`.
+    pub enum NetworkStatus {
+        /// A case is loaded.
+        Active(ActiveStatus),
+        /// Nothing is loaded yet.
+        Empty(NoCase),
     }
 }
 
 /// Scores a freshly solved dispatch, deposits it as the session's ACOPF
-/// artifact and renders the tool output, carrying the recovery caveat
-/// when a fallback rung produced the numbers.
+/// artifact and renders it, carrying the recovery caveat when a fallback
+/// rung produced the numbers.
 fn publish_solution(
     session: &SharedSession,
     clock: &VirtualClock,
     net: &Network,
     sol: &AcopfSolution,
-    degraded: Option<String>,
-) -> Value {
+    degraded_caveat: Option<String>,
+) -> Dispatch {
     let q = quality::assess(net, sol);
     session.put_acopf(sol.clone(), clock.now());
-    with_caveat(solution_to_json(sol, q.overall_score), degraded)
+    Dispatch {
+        summary: sol.into(),
+        degraded: Degraded { degraded_caveat },
+        quality_overall: Score(q.overall_score),
+    }
+}
+
+/// Cost of the session's last ACOPF, stale or not — the baseline an
+/// edit's `cost_delta` is measured against, if there is one.
+fn previous_cost(session: &SharedSession) -> Option<f64> {
+    session.any_acopf().map(|(s, _)| s.objective_cost)
+}
+
+/// Re-solves the ACOPF on the session's just-edited network and reports
+/// it against `previous_cost`.
+fn resolve_edit(
+    session: &SharedSession,
+    clock: &VirtualClock,
+    modified_bus: u32,
+    previous_cost: Option<f64>,
+    what: &str,
+) -> Result<EditResult, DomainError> {
+    let net = session.current_network()?;
+    let (sol, degraded) = solve_acopf_recovered(
+        session.solver_cache.as_ref(),
+        &net,
+        &AcopfOptions::default(),
+    )
+    .map_err(|e| DomainError::from(e).during(what))?;
+    Ok(EditResult {
+        dispatch: publish_solution(session, clock, &net, &sol, degraded),
+        previous_cost,
+        cost_delta: previous_cost.map(|before| sol.objective_cost - before),
+        modified_bus,
+    })
+}
+
+/// Loads `case_name` when the call names one, then hands back the
+/// session's current network.
+pub(crate) fn network_for(session: &SharedSession, args: &Value) -> Result<Snapshot, DomainError> {
+    if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
+        session.load_case(name)?;
+    }
+    Ok(session.current_network()?)
+}
+
+fn bus_id_field(description: &str) -> Field {
+    Field::required(
+        "bus_id",
+        Schema::Integer {
+            min: Some(1),
+            max: None,
+        },
+        description,
+    )
 }
 
 /// `solve_acopf_case` — load and solve an IEEE case.
 pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "solve_acopf_case".into(),
-            description: "Load a standard IEEE test case (14, 30, 57, 118, 300 bus) and solve the AC optimal power flow, returning cost, dispatch, voltages, and loading.".into(),
-            input: Schema::object(vec![Field::required(
-                "case_name",
-                Schema::string(),
-                "case reference, e.g. 'case118' or 'IEEE 118'",
-            )]),
-            output: solution_output_schema(),
-        },
-        move |args| {
+        "solve_acopf_case",
+        "Load a standard IEEE test case (14, 30, 57, 118, 300 bus) and solve the AC optimal \
+         power flow, returning cost, dispatch, voltages, and loading.",
+        Schema::object(vec![Field::required(
+            "case_name",
+            Schema::string(),
+            "case reference, e.g. 'case118' or 'IEEE 118'",
+        )]),
+        move |args| -> Result<SolveResult, DomainError> {
             let name = args["case_name"].as_str().unwrap_or_default();
-            let (net, confidence) = session.load_case(name).map_err(ToolError::fatal)?;
+            let (net, confidence) = session.load_case(name)?;
             let (sol, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &AcopfOptions::default(),
-            )
-            .map_err(ToolError::recoverable)?;
-            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
-            out["identification_confidence"] = json!(confidence);
-            out["network_summary"] = serde_json::to_value(net.summary()).unwrap();
-            Ok(out)
+            )?;
+            Ok(SolveResult {
+                dispatch: publish_solution(&session, &clock, &net, &sol, degraded),
+                identification_confidence: confidence,
+                network_summary: CaseSummary::from(&*net),
+            })
         },
     )
 }
@@ -124,57 +293,39 @@ pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnT
 /// `modify_bus_load` — change a bus load and re-solve.
 pub fn modify_bus_load_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "modify_bus_load".into(),
-            description: "Set the active (and optionally reactive) demand at a bus of the active case, then re-solve the ACOPF and report the economic impact.".into(),
-            input: Schema::object(vec![
-                Field::required("bus_id", Schema::Integer { min: Some(1), max: None }, "external bus number"),
-                Field::required(
-                    "p_mw",
-                    Schema::number_range(0.0, 100_000.0),
-                    "new active demand (MW)",
-                ),
-                Field::optional("q_mvar", Schema::number(), "new reactive demand (MVAr); omitted keeps the power factor"),
-            ]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("solved", Schema::Bool, "convergence flag"),
-                    Field::required("objective_cost", Schema::number(), "new cost ($/h)"),
-                    Field::required("previous_cost", Schema::number(), "cost before the change ($/h)"),
-                    Field::required("cost_delta", Schema::number(), "cost change ($/h)"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
+        "modify_bus_load",
+        "Set the active (and optionally reactive) demand at a bus of the active case, then \
+         re-solve the ACOPF and report the economic impact.",
+        Schema::object(vec![
+            bus_id_field("external bus number"),
+            Field::required(
+                "p_mw",
+                Schema::number_range(0.0, 100_000.0),
+                "new active demand (MW)",
+            ),
+            Field::optional(
+                "q_mvar",
+                Schema::number(),
+                "new reactive demand (MVAr); omitted keeps the power factor",
+            ),
+        ]),
+        move |args| -> Result<EditResult, DomainError> {
             let bus_id = args["bus_id"].as_u64().unwrap() as u32;
             let p_mw = args["p_mw"].as_f64().unwrap();
             let q_mvar = args.get("q_mvar").and_then(|v| v.as_f64());
-            let previous_cost = session
-                .any_acopf()
-                .map(|(s, _)| s.objective_cost)
-                .unwrap_or(0.0);
-            session
-                .apply(Modification::SetBusLoad {
-                    bus_id,
-                    p_mw,
-                    q_mvar,
-                })
-                .map_err(ToolError::fatal)?;
-            let net = session.current_network().map_err(ToolError::fatal)?;
-            let (sol, degraded) = solve_acopf_recovered(
-                session.solver_cache.as_ref(),
-                &net,
-                &AcopfOptions::default(),
-            )
-            .map_err(|e| {
-                ToolError::recoverable(format!("re-solve after modification failed: {e}"))
+            let before = previous_cost(&session);
+            session.apply(Modification::SetBusLoad {
+                bus_id,
+                p_mw,
+                q_mvar,
             })?;
-            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
-            out["previous_cost"] = json!(previous_cost);
-            out["cost_delta"] = json!(sol.objective_cost - previous_cost);
-            out["modified_bus"] = json!(bus_id);
-            Ok(out)
+            resolve_edit(
+                &session,
+                &clock,
+                bus_id,
+                before,
+                "re-solve after modification failed",
+            )
         },
     )
 }
@@ -183,31 +334,26 @@ pub fn modify_bus_load_tool(session: SharedSession, clock: VirtualClock) -> FnTo
 /// re-solve (Fig. 4 capability 2: "modifying system parameters (loads,
 /// generation limits, etc.) and re-solving").
 pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
+    let mw = || Schema::number_range(0.0, 100_000.0);
     FnTool::new(
-        ToolSpec {
-            name: "modify_gen_limits".into(),
-            description: "Set the active power limits of the generator(s) at a bus of the active case, then re-solve the ACOPF and report the economic impact.".into(),
-            input: Schema::object(vec![
-                Field::required("bus_id", Schema::Integer { min: Some(1), max: None }, "external bus number of the unit"),
-                Field::required("p_min_mw", Schema::number_range(0.0, 100_000.0), "new minimum output (MW)"),
-                Field::required("p_max_mw", Schema::number_range(0.0, 100_000.0), "new maximum output (MW)"),
-            ]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("solved", Schema::Bool, "convergence flag"),
-                    Field::required("objective_cost", Schema::number(), "new cost ($/h)"),
-                    Field::required("cost_delta", Schema::number(), "cost change ($/h)"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
+        "modify_gen_limits",
+        "Set the active power limits of the generator(s) at a bus of the active case, then \
+         re-solve the ACOPF and report the economic impact.",
+        Schema::object(vec![
+            bus_id_field("external bus number of the unit"),
+            Field::required("p_min_mw", mw(), "new minimum output (MW)"),
+            Field::required("p_max_mw", mw(), "new maximum output (MW)"),
+        ]),
+        move |args| -> Result<GenLimitsResult, DomainError> {
             let bus_id = args["bus_id"].as_u64().unwrap() as u32;
-            let p_min = args["p_min_mw"].as_f64().unwrap();
-            let p_max = args["p_max_mw"].as_f64().unwrap();
-            let net0 = session.current_network().map_err(ToolError::fatal)?;
+            let p_min_mw = args["p_min_mw"].as_f64().unwrap();
+            let p_max_mw = args["p_max_mw"].as_f64().unwrap();
+            let net0 = session.current_network()?;
             let bus = net0.bus_index(bus_id).ok_or_else(|| {
-                ToolError::fatal(format!("bus {bus_id} does not exist in {}", net0.name))
+                DomainError::new(
+                    ErrorCode::UnknownBus,
+                    format!("bus {bus_id} does not exist in {}", net0.name),
+                )
             })?;
             let gens: Vec<usize> = net0
                 .gens
@@ -217,36 +363,29 @@ pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> Fn
                 .map(|(i, _)| i)
                 .collect();
             if gens.is_empty() {
-                return Err(ToolError::fatal(format!("bus {bus_id} hosts no generator")));
+                return Err(DomainError::new(
+                    ErrorCode::UnknownElement,
+                    format!("bus {bus_id} hosts no generator"),
+                ));
             }
-            let previous_cost = session
-                .any_acopf()
-                .map(|(s, _)| s.objective_cost)
-                .unwrap_or(0.0);
-            for gi in &gens {
-                session
-                    .apply(Modification::SetGenLimits {
-                        index: *gi,
-                        p_min_mw: p_min,
-                        p_max_mw: p_max,
-                    })
-                    .map_err(ToolError::fatal)?;
+            let before = previous_cost(&session);
+            for &index in &gens {
+                session.apply(Modification::SetGenLimits {
+                    index,
+                    p_min_mw,
+                    p_max_mw,
+                })?;
             }
-            let net = session.current_network().map_err(ToolError::fatal)?;
-            let (sol, degraded) = solve_acopf_recovered(
-                session.solver_cache.as_ref(),
-                &net,
-                &AcopfOptions::default(),
-            )
-            .map_err(|e| {
-                ToolError::recoverable(format!("re-solve after limit change failed: {e}"))
-            })?;
-            let mut out = publish_solution(&session, &clock, &net, &sol, degraded);
-            out["previous_cost"] = json!(previous_cost);
-            out["cost_delta"] = json!(sol.objective_cost - previous_cost);
-            out["modified_bus"] = json!(bus_id);
-            out["units_modified"] = json!(gens.len());
-            Ok(out)
+            Ok(GenLimitsResult {
+                edit: resolve_edit(
+                    &session,
+                    &clock,
+                    bus_id,
+                    before,
+                    "re-solve after limit change failed",
+                )?,
+                units_modified: gens.len(),
+            })
         },
     )
 }
@@ -258,45 +397,28 @@ pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> Fn
 /// the planner notices capabilities without refactoring core logic".
 pub fn solve_security_constrained_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "solve_security_constrained".into(),
-            description: "Solve the preventive security-constrained OPF (SCOPF) for the active case: the cheapest dispatch whose LODF-estimated post-contingency flows respect emergency ratings. Reports the security premium over the economic dispatch.".into(),
-            input: Schema::object(vec![Field::optional(
-                "case_name",
-                Schema::string(),
-                "case to load when none is active",
-            )]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("solved", Schema::Bool, "convergence flag"),
-                    Field::required("objective_cost", Schema::number(), "secure dispatch cost ($/h)"),
-                    Field::required("economic_cost", Schema::number(), "unconstrained optimum ($/h)"),
-                    Field::required("security_premium", Schema::number(), "cost of security ($/h)"),
-                    Field::required(
-                        "n_security_constraints",
-                        Schema::integer(),
-                        "screened post-contingency constraints",
-                    ),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
-            if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
-                session.load_case(name).map_err(ToolError::fatal)?;
-            }
-            let net = session.current_network().map_err(ToolError::fatal)?;
+        "solve_security_constrained",
+        "Solve the preventive security-constrained OPF (SCOPF) for the active case: the \
+         cheapest dispatch whose LODF-estimated post-contingency flows respect emergency \
+         ratings. Reports the security premium over the economic dispatch.",
+        Schema::object(vec![Field::optional(
+            "case_name",
+            Schema::string(),
+            "case to load when none is active",
+        )]),
+        move |args| -> Result<ScopfResult, DomainError> {
+            let net = network_for(&session, args)?;
             let (scopf, degraded) = solve_scopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &ScopfOptions::default(),
-            )
-            .map_err(ToolError::recoverable)?;
-            let mut out = publish_solution(&session, &clock, &net, &scopf.solution, degraded);
-            out["economic_cost"] = json!(scopf.economic_cost);
-            out["security_premium"] = json!(scopf.security_premium);
-            out["n_security_constraints"] = json!(scopf.n_security_constraints);
-            Ok(out)
+            )?;
+            Ok(ScopfResult {
+                dispatch: publish_solution(&session, &clock, &net, &scopf.solution, degraded),
+                economic_cost: scopf.economic_cost,
+                security_premium: scopf.security_premium,
+                n_security_constraints: scopf.n_security_constraints,
+            })
         },
     )
 }
@@ -304,35 +426,27 @@ pub fn solve_security_constrained_tool(session: SharedSession, clock: VirtualClo
 /// `get_network_status` — current network and solution status.
 pub fn get_network_status_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "get_network_status".into(),
-            description: "Report the active case, applied modifications, and whether a fresh ACOPF solution exists.".into(),
-            input: Schema::object(vec![]),
-            output: Schema::Object {
-                fields: vec![Field::required("has_active_case", Schema::Bool, "whether a case is loaded")],
-                closed: false,
-            },
-        },
-        move |_args| {
-            let Some(case) = session.active_case() else {
-                return Ok(json!({
-                    "has_active_case": false,
-                    "message": "no case loaded yet",
+        "get_network_status",
+        "Report the active case, applied modifications, and whether a fresh ACOPF solution \
+         exists.",
+        Schema::object(vec![]),
+        move |_args| -> Result<NetworkStatus, DomainError> {
+            let Some(active_case) = session.active_case() else {
+                return Ok(NetworkStatus::Empty(NoCase {
+                    has_active_case: false,
+                    message: "no case loaded yet".into(),
                 }));
             };
-            let net = session.current_network().map_err(ToolError::fatal)?;
-            let (solution, stale) = match session.any_acopf() {
-                Some((sol, stale)) => (Some(solution_to_json(&sol, 0.0)), stale),
-                None => (None, false),
-            };
-            Ok(json!({
-                "has_active_case": true,
-                "active_case": case,
-                "network_summary": serde_json::to_value(net.summary()).unwrap(),
-                "modifications": session.diff_descriptions(),
-                "has_solution": solution.is_some(),
-                "solution_stale": stale,
-                "solution": solution,
+            let net = session.current_network()?;
+            let last = session.any_acopf();
+            Ok(NetworkStatus::Active(ActiveStatus {
+                has_active_case: true,
+                active_case,
+                network_summary: CaseSummary::from(&*net),
+                modifications: session.diff_descriptions(),
+                has_solution: last.is_some(),
+                solution_stale: last.as_ref().is_some_and(|(_, stale)| *stale),
+                solution: last.map(|(sol, _)| AcopfSummary::from(&sol)),
             }))
         },
     )
@@ -342,7 +456,8 @@ pub fn get_network_status_tool(session: SharedSession, _clock: VirtualClock) -> 
 mod tests {
     use super::*;
     use crate::session::SessionContext;
-    use gm_agents::ToolRegistry;
+    use gm_agents::{ToolError, ToolRegistry};
+    use serde_json::json;
 
     fn registry() -> (SharedSession, ToolRegistry) {
         let session = SessionContext::new();

@@ -14,14 +14,15 @@
 //! instead of losing the whole study. Degraded rows are never cached —
 //! the memo only stores all-converged reports.
 
-use crate::recovery::{caveat, pf_ladder};
+use crate::failure::DomainError;
+use crate::recovery::{caveat, pf_ladder, Degraded};
 use crate::session::SharedSession;
 use crate::solver_cache::memoized;
-use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
+use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
-use gm_powerflow::{run_batch, PfOptions, PfReport, ScenarioSet};
-use serde_json::{json, Value};
+use gm_powerflow::{run_batch, PfOptions, PfReport, ScenarioOutcome, ScenarioSet};
+use serde_json::Value;
 
 /// Voltage band and thermal threshold used for the violation counts.
 const VMIN_PU: f64 = 0.95;
@@ -34,6 +35,74 @@ const DAILY_FACTORS: [f64; 24] = [
     0.74, 0.71, 0.69, 0.68, 0.70, 0.75, 0.83, 0.91, 0.96, 0.99, 1.01, 1.02, 1.02, 1.01, 1.00, 0.99,
     1.00, 1.03, 1.06, 1.08, 1.05, 0.98, 0.89, 0.80,
 ];
+
+tool_output! {
+    /// A scenario with numbers: solved by the batch engine, or — marked
+    /// `degraded` — by a recovery rung.
+    pub struct SolvedRow {
+        label: String = "scenario label",
+        converged: bool = "power flow convergence",
+        cost_per_hour: f64 = "production cost ($/h)",
+        violations: usize = "buses outside the voltage band plus overloaded branches",
+        max_loading_pct: f64 = "worst branch loading (% of rating)",
+        min_voltage_pu: f64 = "lowest bus voltage (p.u.)",
+        losses_mw: f64 = "network losses (MW)",
+        warm_started: bool = "seeded from a solved neighbour's voltages",
+        flat_restarted: bool = "re-run from a flat start after the seeded solve diverged",
+        degraded: Option<bool> = "present and true when a recovery rung produced the row",
+    }
+}
+
+tool_output! {
+    /// A scenario every rung failed on: it has a reason, not numbers.
+    pub struct UnsolvedRow {
+        label: String = "scenario label",
+        converged: bool = "power flow convergence (false here)",
+        error: String = "why the scenario has no numbers",
+    }
+}
+
+tool_output! {
+    /// One row of the study table.
+    pub enum BatchRow {
+        /// Carries numbers.
+        Solved(SolvedRow),
+        /// Carries the failure.
+        Unsolved(UnsolvedRow),
+    }
+}
+
+tool_output! {
+    /// The cheapest or costliest solved scenario.
+    pub struct CostExtreme {
+        label: String = "scenario label",
+        cost_per_hour: f64 = "production cost ($/h)",
+    }
+}
+
+tool_output! {
+    /// The solved scenario with the most violations.
+    pub struct WorstViolations {
+        label: String = "scenario label",
+        count: usize = "violations in that scenario",
+    }
+}
+
+tool_output! {
+    /// Result of `batch_study`.
+    pub struct BatchResult {
+        ..degraded: Degraded,
+        case_name: String = "case identifier",
+        scenarios: usize = "scenarios in the study",
+        converged_scenarios: usize = "scenarios with a full AC answer",
+        warm_hits: u64 = "warm-started solves",
+        flat_restarts: u64 = "scenarios retried from a flat start",
+        rows: Vec<BatchRow> = "per-scenario results in specification order",
+        cheapest: Option<CostExtreme> = "cheapest solved scenario",
+        costliest: Option<CostExtreme> = "costliest solved scenario",
+        worst_violations: Option<WorstViolations> = "solved scenario with the most violations",
+    }
+}
 
 /// Solver-cache parameters of a batch study: the power-flow options
 /// *and* the scenario set. `SolverCacheKey` only folds the network hash
@@ -63,28 +132,32 @@ fn scenario_cost(net: &Network, rep: &PfReport) -> f64 {
         .sum()
 }
 
-/// Violation count: buses outside the voltage band plus overloaded
-/// branches.
-fn scenario_violations(rep: &PfReport) -> usize {
-    rep.voltage_violations(VMIN_PU, VMAX_PU).len() + rep.overloads(OVERLOAD_PCT).len()
-}
-
-fn row_json(label: &str, rep: &PfReport, cost: f64, warm: bool, flat: bool) -> Value {
-    json!({
-        "label": label,
-        "converged": rep.converged,
-        "cost_per_hour": cost,
-        "violations": scenario_violations(rep),
-        "max_loading_pct": rep.max_loading.0,
-        "min_voltage_pu": rep.min_vm.0,
-        "losses_mw": rep.losses_mw,
-        "warm_started": warm,
-        "flat_restarted": flat,
-    })
+/// The table row of a scenario that `rep` answers; `degraded` says a
+/// recovery rung, not the batch engine, produced `rep`.
+fn solved_row(
+    net: &Network,
+    outcome: &ScenarioOutcome,
+    rep: &PfReport,
+    degraded: bool,
+) -> SolvedRow {
+    SolvedRow {
+        label: outcome.label.clone(),
+        converged: rep.converged,
+        cost_per_hour: scenario_cost(net, rep),
+        // Buses outside the voltage band plus overloaded branches.
+        violations: rep.voltage_violations(VMIN_PU, VMAX_PU).len()
+            + rep.overloads(OVERLOAD_PCT).len(),
+        max_loading_pct: rep.max_loading.0,
+        min_voltage_pu: rep.min_vm.0,
+        losses_mw: rep.losses_mw,
+        warm_started: outcome.warm_started,
+        flat_restarted: outcome.flat_restarted,
+        degraded: degraded.then_some(true),
+    }
 }
 
 /// Builds the [`ScenarioSet`] described by the tool arguments.
-fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, ToolError> {
+fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, DomainError> {
     let kind = args["kind"].as_str().unwrap_or("load_sweep");
     let from = args["from_percent"].as_f64().unwrap_or(80.0) / 100.0;
     let to = args["to_percent"].as_f64().unwrap_or(120.0) / 100.0;
@@ -94,14 +167,17 @@ fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, To
         "daily_profile" => Ok(ScenarioSet::daily_profile(&DAILY_FACTORS)),
         "bus_profile" => {
             let Some(bus_id) = args["bus_id"].as_u64() else {
-                return Err(ToolError::fatal("bus_profile needs a bus_id"));
+                return Err(DomainError::new(
+                    ErrorCode::BadArgument,
+                    "bus_profile needs a bus_id",
+                ));
             };
             let bus_id = u32::try_from(bus_id).unwrap_or(u32::MAX);
             let Some(bus_ix) = net.buses.iter().position(|b| b.id == bus_id) else {
-                return Err(ToolError::fatal(format!(
-                    "bus {bus_id} not found in {}",
-                    net.name
-                )));
+                return Err(DomainError::new(
+                    ErrorCode::UnknownBus,
+                    format!("bus {bus_id} not found in {}", net.name),
+                ));
             };
             let base_p: f64 = net
                 .loads
@@ -124,102 +200,58 @@ fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, To
                 .collect();
             Ok(ScenarioSet::bus_profile(bus_id, &levels))
         }
-        other => Err(ToolError::fatal(format!(
-            "unknown study kind '{other}' (expected load_sweep, daily_profile, or bus_profile)"
-        ))),
-    }
-}
-
-fn output_schema() -> Schema {
-    Schema::Object {
-        fields: vec![
-            Field::required("case_name", Schema::string(), "case identifier"),
-            Field::required("scenarios", Schema::integer(), "scenarios in the study"),
-            Field::required(
-                "converged_scenarios",
-                Schema::integer(),
-                "scenarios with a full AC answer",
+        other => Err(DomainError::new(
+            ErrorCode::BadArgument,
+            format!(
+                "unknown study kind '{other}' (expected load_sweep, daily_profile, or bus_profile)"
             ),
-            Field::required("warm_hits", Schema::integer(), "warm-started solves"),
-            Field::required(
-                "flat_restarts",
-                Schema::integer(),
-                "scenarios retried from flat start",
-            ),
-            Field::required(
-                "rows",
-                Schema::array(Schema::Object {
-                    fields: vec![
-                        Field::required("label", Schema::string(), "scenario label"),
-                        Field::required("converged", Schema::Bool, "AC convergence flag"),
-                        Field::required("cost_per_hour", Schema::number(), "production cost $/h"),
-                        Field::required(
-                            "violations",
-                            Schema::integer(),
-                            "voltage + thermal violations",
-                        ),
-                        Field::required("max_loading_pct", Schema::number(), "worst loading"),
-                        Field::required("min_voltage_pu", Schema::number(), "lowest voltage"),
-                    ],
-                    closed: false,
-                }),
-                "per-scenario results in specification order",
-            ),
-        ],
-        closed: false,
+        )),
     }
 }
 
 /// `batch_study` — solve a whole family of operating points in one call.
 pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "batch_study".into(),
-            description: "Solve many what-if scenarios of the active case in one batched \
-                          power-flow run (load sweep, 24-hour daily profile, or per-bus ramp) \
-                          and return a per-scenario table of cost and violations with \
-                          min/max summaries."
-                .into(),
-            input: Schema::object(vec![
-                Field::optional(
-                    "case_name",
-                    Schema::string(),
-                    "case to study; defaults to the session's active case",
-                ),
-                Field::optional(
-                    "kind",
-                    Schema::string_enum(&["load_sweep", "daily_profile", "bus_profile"]),
-                    "scenario family (default load_sweep)",
-                ),
-                Field::optional(
-                    "from_percent",
-                    Schema::number_range(1.0, 500.0),
-                    "sweep start as percent of nominal load (default 80)",
-                ),
-                Field::optional(
-                    "to_percent",
-                    Schema::number_range(1.0, 500.0),
-                    "sweep end as percent of nominal load (default 120)",
-                ),
-                Field::optional(
-                    "steps",
-                    Schema::integer(),
-                    "number of scenarios in a sweep (default 9)",
-                ),
-                Field::optional(
-                    "bus_id",
-                    Schema::integer(),
-                    "bus to ramp when kind is bus_profile",
-                ),
-            ]),
-            output: output_schema(),
-        },
-        move |args| {
+        "batch_study",
+        "Solve many what-if scenarios of the active case in one batched power-flow run (load \
+         sweep, 24-hour daily profile, or per-bus ramp) and return a per-scenario table of \
+         cost and violations with min/max summaries.",
+        Schema::object(vec![
+            Field::optional(
+                "case_name",
+                Schema::string(),
+                "case to study; defaults to the session's active case",
+            ),
+            Field::optional(
+                "kind",
+                Schema::string_enum(&["load_sweep", "daily_profile", "bus_profile"]),
+                "scenario family (default load_sweep)",
+            ),
+            Field::optional(
+                "from_percent",
+                Schema::number_range(1.0, 500.0),
+                "sweep start as percent of nominal load (default 80)",
+            ),
+            Field::optional(
+                "to_percent",
+                Schema::number_range(1.0, 500.0),
+                "sweep end as percent of nominal load (default 120)",
+            ),
+            Field::optional(
+                "steps",
+                Schema::integer(),
+                "number of scenarios in a sweep (default 9)",
+            ),
+            Field::optional(
+                "bus_id",
+                Schema::integer(),
+                "bus to ramp when kind is bus_profile",
+            ),
+        ]),
+        move |args| -> Result<BatchResult, DomainError> {
             let net = match args["case_name"].as_str() {
-                Some(name) if !name.is_empty() => {
-                    session.load_case(name).map_err(ToolError::fatal)?.0
-                }
-                _ => session.current_network().map_err(ToolError::recoverable)?,
+                Some(name) if !name.is_empty() => session.load_case(name)?.0,
+                _ => session.current_network()?,
             };
             let set = scenario_set_from_args(args, &net)?;
             let opts = PfOptions::default();
@@ -228,108 +260,86 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
                 &net,
                 batch_params(&opts, &set),
                 || run_batch(&net, &opts, &set),
-            )
-            .map_err(ToolError::fatal)?;
+            )?;
 
             let mut rows = Vec::with_capacity(batch.outcomes.len());
-            let mut converged = 0usize;
+            let mut converged_scenarios = 0usize;
             let mut caveats: Vec<String> = Vec::new();
             for (outcome, scenario) in batch.outcomes.iter().zip(&set.scenarios) {
-                match &outcome.report {
+                let err = match &outcome.report {
                     Ok(rep) => {
-                        converged += 1;
-                        rows.push(row_json(
-                            &outcome.label,
-                            rep,
-                            scenario_cost(&net, rep),
-                            outcome.warm_started,
-                            outcome.flat_restarted,
-                        ));
+                        converged_scenarios += 1;
+                        rows.push(BatchRow::Solved(solved_row(&net, outcome, rep, false)));
+                        continue;
                     }
-                    Err(err) => {
-                        // The batch engine already burned its flat
-                        // restart; descend the remaining ladder rungs
-                        // for an approximate, clearly-caveated row.
-                        gm_telemetry::counter_add("recovery.attempts", 1);
-                        gm_telemetry::flight_event(
-                            "recovery.descent",
-                            format!("ladder=batch scenario={} reason={err}", outcome.label),
-                        );
-                        // Only a failed scenario needs a network of
-                        // its own, for the ladder to re-solve.
-                        let net_k = scenario.materialize(&net).map_err(ToolError::fatal)?;
-                        match pf_ladder(&net_k, &opts, &err.to_string()) {
-                            Some((rep, cav)) => {
-                                let mut row = row_json(
-                                    &outcome.label,
-                                    &rep,
-                                    scenario_cost(&net, &rep),
-                                    outcome.warm_started,
-                                    outcome.flat_restarted,
-                                );
-                                row["degraded"] = json!(true);
-                                rows.push(row);
-                                caveats.push(cav);
-                            }
-                            None => {
-                                rows.push(json!({
-                                    "label": outcome.label,
-                                    "converged": false,
-                                    "cost_per_hour": 0.0,
-                                    "violations": 0,
-                                    "max_loading_pct": 0.0,
-                                    "min_voltage_pu": 0.0,
-                                    "error": err.to_string(),
-                                }));
-                                caveats.push(caveat(
-                                    &format!("power flow for scenario '{}'", outcome.label),
-                                    &err.to_string(),
-                                    "none — every recovery rung also failed; the scenario \
-                                     is reported unsolved",
-                                ));
-                            }
-                        }
+                    Err(err) => err.to_string(),
+                };
+                // The batch engine already burned its flat restart;
+                // descend the remaining ladder rungs for an approximate,
+                // clearly-caveated row.
+                gm_telemetry::counter_add("recovery.attempts", 1);
+                gm_telemetry::flight_event(
+                    "recovery.descent",
+                    format!("ladder=batch scenario={} reason={err}", outcome.label),
+                );
+                // Only a failed scenario needs a network of its own, for
+                // the ladder to re-solve.
+                let net_k = scenario.materialize(&net)?;
+                match pf_ladder(&net_k, &opts, &err) {
+                    Some((rep, cav)) => {
+                        rows.push(BatchRow::Solved(solved_row(&net, outcome, &rep, true)));
+                        caveats.push(cav);
+                    }
+                    None => {
+                        caveats.push(caveat(
+                            &format!("power flow for scenario '{}'", outcome.label),
+                            &err,
+                            "none — every recovery rung also failed; the scenario is reported \
+                             unsolved",
+                        ));
+                        rows.push(BatchRow::Unsolved(UnsolvedRow {
+                            label: outcome.label.clone(),
+                            converged: false,
+                            error: err,
+                        }));
                     }
                 }
             }
 
-            // Min/max/argmax over rows that carry real numbers.
-            let priced: Vec<(&str, f64, u64)> = rows
-                .iter()
-                .filter(|r| r["converged"].as_bool() == Some(true))
-                .map(|r| {
-                    (
-                        r["label"].as_str().unwrap_or(""),
-                        r["cost_per_hour"].as_f64().unwrap_or(0.0),
-                        r["violations"].as_u64().unwrap_or(0),
-                    )
+            // Min/max/argmax over the rows that carry numbers.
+            let priced = || {
+                rows.iter().filter_map(|row| match row {
+                    BatchRow::Solved(r) => Some(r),
+                    BatchRow::Unsolved(_) => None,
                 })
-                .collect();
-            let mut out = json!({
-                "case_name": batch.case_name,
-                "scenarios": batch.scenarios,
-                "converged_scenarios": converged,
-                "warm_hits": batch.warm_hits,
-                "flat_restarts": batch.flat_restarts,
-                "rows": rows,
-            });
-            if let Some((label, cost, _)) =
-                priced.iter().min_by(|a, b| a.1.total_cmp(&b.1)).copied()
-            {
-                out["cheapest"] = json!({ "label": label, "cost_per_hour": cost });
-            }
-            if let Some((label, cost, _)) =
-                priced.iter().max_by(|a, b| a.1.total_cmp(&b.1)).copied()
-            {
-                out["costliest"] = json!({ "label": label, "cost_per_hour": cost });
-            }
-            if let Some((label, _, v)) = priced.iter().max_by_key(|r| r.2).copied() {
-                out["worst_violations"] = json!({ "label": label, "count": v });
-            }
-            if !caveats.is_empty() {
-                out["degraded_caveat"] = json!(caveats.join(" "));
-            }
-            Ok(out)
+            };
+            let extreme = |r: &SolvedRow| CostExtreme {
+                label: r.label.clone(),
+                cost_per_hour: r.cost_per_hour,
+            };
+            Ok(BatchResult {
+                degraded: Degraded {
+                    degraded_caveat: (!caveats.is_empty()).then(|| caveats.join(" ")),
+                },
+                case_name: batch.case_name.clone(),
+                scenarios: batch.scenarios,
+                converged_scenarios,
+                warm_hits: batch.warm_hits,
+                flat_restarts: batch.flat_restarts,
+                cheapest: priced()
+                    .min_by(|a, b| a.cost_per_hour.total_cmp(&b.cost_per_hour))
+                    .map(extreme),
+                costliest: priced()
+                    .max_by(|a, b| a.cost_per_hour.total_cmp(&b.cost_per_hour))
+                    .map(extreme),
+                worst_violations: priced()
+                    .max_by_key(|r| r.violations)
+                    .map(|r| WorstViolations {
+                        label: r.label.clone(),
+                        count: r.violations,
+                    }),
+                rows,
+            })
         },
     )
 }
@@ -337,7 +347,29 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gm_agents::Wire;
     use gm_powerflow::{Scenario, ScenarioDelta};
+    use serde_json::json;
+
+    #[test]
+    fn an_unsolved_row_carries_a_reason_and_no_placeholder_numbers() {
+        let row = BatchRow::Unsolved(UnsolvedRow {
+            label: "load 400.0%".into(),
+            converged: false,
+            error: "power flow diverged".into(),
+        });
+        let wire = row.to_wire();
+        assert_eq!(
+            wire,
+            json!({"label": "load 400.0%", "converged": false, "error": "power flow diverged"}),
+            "no cost_per_hour / min_voltage_pu of 0.0 on the wire"
+        );
+        assert!(BatchRow::schema().validate(&wire).is_ok());
+        assert_eq!(BatchRow::from_wire(&wire).unwrap(), row);
+        // A row claiming numbers must have all of them.
+        let half = json!({"label": "x", "converged": true, "cost_per_hour": 0.0});
+        assert!(BatchRow::schema().validate(&half).is_err());
+    }
 
     #[test]
     fn batch_naive_concat_collision_is_fixed() {

@@ -1,16 +1,243 @@
 //! The contingency analysis agent's function tools (Appendix B.3.2):
 //! `solve_base_case`, `run_n1_contingency_analysis`,
 //! `analyze_specific_contingency`, `get_contingency_status`.
+//!
+//! Each tool's result type is declared here once with [`tool_output!`];
+//! the registry validates against the schema that declaration generates
+//! and the planner narrates from the same type.
 
-use crate::recovery::{run_n1_recovered, solve_base_recovered, with_caveat};
+use crate::failure::DomainError;
+use crate::recovery::{run_n1_recovered, solve_base_recovered, Degraded};
 use crate::session::SharedSession;
-use gm_agents::{Field, FnTool, Schema, ToolError, ToolSpec, VirtualClock};
+use crate::tools_acopf::{network_for, CaseSummary};
+use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock};
 use gm_contingency::{
-    evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy,
+    evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy, Violation,
 };
 use gm_network::{BranchKind, Snapshot};
 use gm_powerflow::{PfError, PfReport};
-use serde_json::{json, Value};
+
+tool_output! {
+    /// Result of `solve_base_case`.
+    pub struct BaseCaseResult {
+        ..degraded: Degraded,
+        converged: bool = "power flow convergence",
+        iterations: usize = "Newton iterations",
+        losses_mw: f64 = "network losses (MW)",
+        min_voltage_pu: f64 = "lowest bus voltage (p.u.)",
+        min_voltage_bus: u32 = "bus with the lowest voltage",
+        max_voltage_pu: f64 = "highest bus voltage (p.u.)",
+        max_loading_pct: f64 = "worst branch loading (% of rating)",
+        total_load_mw: f64 = "system demand (MW)",
+        network_summary: CaseSummary = "inventory of the solved network",
+    }
+}
+
+tool_output! {
+    /// One ranked outage of an N-1 report.
+    pub struct RankingRow {
+        rank: usize = "rank, 0 = most critical",
+        label: String = "element label, e.g. 'line 6' or 'trafo 0'",
+        score: f64 = "criticality score (higher = worse)",
+        justification: String = "why it ranks here, grounded in the solver outputs",
+        max_loading_pct: f64 = "worst post-outage branch loading (%)",
+        min_voltage_pu: f64 = "lowest post-outage voltage (p.u.)",
+        min_voltage_bus: u32 = "bus with the lowest post-outage voltage",
+        n_thermal: usize = "thermal overloads",
+        n_voltage: usize = "voltage violations",
+        islands: bool = "whether the outage splits the network",
+        load_shed_mw: f64 = "load stranded by the split (MW)",
+    }
+}
+
+tool_output! {
+    /// Result of `run_n1_contingency_analysis`: sweep statistics and the
+    /// top of the ranking.
+    pub struct N1Report {
+        ..degraded: Degraded,
+        case_name: String = "case identifier",
+        n_contingencies: usize = "outages analyzed",
+        n_lines: usize = "line outages analyzed",
+        n_trafos: usize = "transformer outages analyzed",
+        total_violations: usize = "violation occurrences across all outages",
+        outages_with_overloads: usize = "outages causing a thermal overload",
+        outages_with_voltage_issues: usize = "outages causing a voltage violation",
+        max_overload_pct: f64 = "worst post-contingency loading (%)",
+        voltage_band: [f64; 2] = "voltage band violations are counted against (p.u.)",
+        sweep_time_s: f64 = "sweep wall time (s)",
+        mode: String = "sweep fidelity: cascade (DC screen + AC verification) or brute",
+        screened_out: usize = "outages classified secure from the DC screen alone",
+        ac_verified: usize = "outages verified with an AC solve",
+        ranking: Vec<RankingRow> = "most critical outages first",
+    }
+}
+
+impl N1Report {
+    /// Wire summary of `rep` with the top-`k` ranking expanded.
+    pub fn new(rep: &ContingencyReport, k: usize, degraded_caveat: Option<String>) -> N1Report {
+        let ranking = rep.ranking.iter().take(k).map(|r| {
+            let o = &rep.outcomes[r.outcome_index];
+            RankingRow {
+                rank: r.rank,
+                label: r.label.clone(),
+                score: r.score,
+                justification: r.justification.clone(),
+                max_loading_pct: o.max_loading_pct,
+                min_voltage_pu: o.min_vm.0,
+                min_voltage_bus: o.min_vm.1,
+                n_thermal: o.n_thermal(),
+                n_voltage: o.n_voltage(),
+                islands: o.islands,
+                load_shed_mw: o.load_shed_mw,
+            }
+        });
+        N1Report {
+            degraded: Degraded { degraded_caveat },
+            case_name: rep.case_name.clone(),
+            n_contingencies: rep.n_contingencies,
+            n_lines: rep.n_lines,
+            n_trafos: rep.n_trafos,
+            total_violations: rep.total_violations,
+            outages_with_overloads: rep.outages_with_overloads,
+            outages_with_voltage_issues: rep.outages_with_voltage_issues,
+            max_overload_pct: rep.max_overload_pct.0,
+            voltage_band: [rep.voltage_band.0, rep.voltage_band.1],
+            sweep_time_s: rep.sweep_time_s,
+            // The sweep's fidelity is part of the answer: a cascade
+            // report says how many outages were classified from the DC
+            // estimate alone versus AC-verified.
+            mode: rep.mode.as_str().into(),
+            screened_out: rep.screened_out,
+            ac_verified: rep.ac_verified,
+            ranking: ranking.collect(),
+        }
+    }
+}
+
+tool_output! {
+    /// A branch over its thermal rating.
+    pub struct BranchOverload {
+        branch: usize = "branch index",
+        loading_pct: f64 = "loading (% of rating)",
+    }
+}
+
+tool_output! {
+    /// A bus outside the voltage band.
+    pub struct BusVoltage {
+        bus_id: u32 = "external bus id",
+        vm_pu: f64 = "voltage magnitude (p.u.)",
+    }
+}
+
+tool_output! {
+    /// One limit violation, keyed by its kind — exactly one member is
+    /// present (the wire form of [`gm_contingency::Violation`]).
+    #[allow(non_snake_case)]
+    pub struct ViolationOut {
+        ThermalOverload: Option<BranchOverload> = "branch loaded above its thermal rating",
+        LowVoltage: Option<BusVoltage> = "bus voltage below the band",
+        HighVoltage: Option<BusVoltage> = "bus voltage above the band",
+    }
+}
+
+impl From<&Violation> for ViolationOut {
+    fn from(v: &Violation) -> ViolationOut {
+        let mut out = ViolationOut {
+            ThermalOverload: None,
+            LowVoltage: None,
+            HighVoltage: None,
+        };
+        match *v {
+            Violation::ThermalOverload {
+                branch,
+                loading_pct,
+            } => {
+                out.ThermalOverload = Some(BranchOverload {
+                    branch,
+                    loading_pct,
+                })
+            }
+            Violation::LowVoltage { bus_id, vm_pu } => {
+                out.LowVoltage = Some(BusVoltage { bus_id, vm_pu })
+            }
+            Violation::HighVoltage { bus_id, vm_pu } => {
+                out.HighVoltage = Some(BusVoltage { bus_id, vm_pu })
+            }
+        }
+        out
+    }
+}
+
+tool_output! {
+    /// Result of `analyze_specific_contingency`.
+    pub struct SpecificResult {
+        ..degraded: Degraded,
+        label: String = "element label",
+        branch_index: usize = "index of the element in the branch table",
+        converged: bool = "post-outage power flow convergence",
+        islands: bool = "whether the outage splits the network",
+        stranded_buses: usize = "buses cut off from the reference by the split",
+        load_shed_mw: f64 = "load stranded by the split (MW)",
+        max_loading_pct: f64 = "worst post-outage branch loading (%)",
+        min_voltage_pu: f64 = "lowest post-outage voltage (p.u.)",
+        min_voltage_bus: u32 = "bus with the lowest post-outage voltage",
+        n_violations: usize = "limit violations found",
+        violations: Vec<ViolationOut> = "every violation in detail",
+    }
+}
+
+tool_output! {
+    /// One ranked unit outage.
+    pub struct UnitOutageRow {
+        gen: usize = "generator index",
+        bus_id: u32 = "external id of the unit's bus",
+        lost_mw: f64 = "lost injection: the unit's pre-outage dispatch (MW)",
+        score: f64 = "system-stress score (higher = worse)",
+        converged: bool = "post-outage power flow convergence",
+        loses_reference: bool = "whether the outage removes the reference machine",
+        n_violations: usize = "limit violations found",
+        slack_pickup_mw: f64 = "what the reference had to pick up (MW)",
+        min_voltage_pu: f64 = "lowest post-outage voltage (p.u.)",
+    }
+}
+
+tool_output! {
+    /// Result of `run_generator_contingency_analysis`.
+    pub struct UnitOutageReport {
+        ..degraded: Degraded,
+        n_units: usize = "in-service units analyzed",
+        units_not_converged: usize = "unit outages whose power flow did not converge",
+        units_with_violations: usize = "unit outages causing a violation",
+        ranking: Vec<UnitOutageRow> = "most critical unit outages first",
+    }
+}
+
+tool_output! {
+    /// `get_contingency_status` with a fresh analysis to summarize.
+    pub struct FreshAnalysis {
+        ..report: N1Report,
+        has_analysis: bool = "fresh analysis available (true here)",
+    }
+}
+
+tool_output! {
+    /// `get_contingency_status` with nothing fresh.
+    pub struct NoAnalysis {
+        has_analysis: bool = "fresh analysis available (false here)",
+        message: String = "what is missing",
+    }
+}
+
+tool_output! {
+    /// Result of `get_contingency_status`.
+    pub enum AnalysisStatus {
+        /// A report computed on the current network.
+        Fresh(FreshAnalysis),
+        /// No report, or a stale one.
+        Absent(NoAnalysis),
+    }
+}
 
 fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
     match s {
@@ -20,8 +247,8 @@ fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
     }
 }
 
-fn base_case_failed(e: PfError) -> ToolError {
-    ToolError::recoverable(format!("base case power flow failed: {e}"))
+fn base_case_failed(e: PfError) -> DomainError {
+    DomainError::from(e).during("base case power flow failed")
 }
 
 /// The base case an outage study starts from: the session's fresh
@@ -31,7 +258,7 @@ fn base_case(
     session: &SharedSession,
     net: &Snapshot,
     opts: &CaOptions,
-) -> Result<(PfReport, Option<String>), ToolError> {
+) -> Result<(PfReport, Option<String>), DomainError> {
     match session.fresh_base_pf() {
         Some(rep) => Ok((rep, None)),
         None => {
@@ -40,92 +267,46 @@ fn base_case(
     }
 }
 
-/// JSON summary of a contingency report, with the top-`k` ranking
-/// expanded (default 10).
-pub fn report_to_json(rep: &ContingencyReport, k: usize) -> Value {
-    let ranking: Vec<Value> = rep
-        .ranking
-        .iter()
-        .take(k)
-        .map(|r| {
-            let o = &rep.outcomes[r.outcome_index];
-            json!({
-                "rank": r.rank,
-                "label": r.label,
-                "score": r.score,
-                "justification": r.justification,
-                "max_loading_pct": o.max_loading_pct,
-                "min_voltage_pu": o.min_vm.0,
-                "min_voltage_bus": o.min_vm.1,
-                "n_thermal": o.n_thermal(),
-                "n_voltage": o.n_voltage(),
-                "islands": o.islands,
-                "load_shed_mw": o.load_shed_mw,
-            })
-        })
-        .collect();
-    json!({
-        "case_name": rep.case_name,
-        "n_contingencies": rep.n_contingencies,
-        "n_lines": rep.n_lines,
-        "n_trafos": rep.n_trafos,
-        "total_violations": rep.total_violations,
-        "outages_with_overloads": rep.outages_with_overloads,
-        "outages_with_voltage_issues": rep.outages_with_voltage_issues,
-        "max_overload_pct": rep.max_overload_pct.0,
-        "voltage_band": [rep.voltage_band.0, rep.voltage_band.1],
-        "sweep_time_s": rep.sweep_time_s,
-        // The sweep's fidelity is part of the answer: a cascade report
-        // says how many outages were classified from the DC estimate
-        // alone versus AC-verified.
-        "mode": rep.mode.as_str(),
-        "screened_out": rep.screened_out,
-        "ac_verified": rep.ac_verified,
-        "ranking": ranking,
-    })
+fn top_k_field(max: i64, description: &str) -> Field {
+    Field::optional(
+        "top_k",
+        Schema::Integer {
+            min: Some(1),
+            max: Some(max),
+        },
+        description,
+    )
 }
 
 /// `solve_base_case` — solve the pre-contingency power flow.
 pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "solve_base_case".into(),
-            description: "Solve the base-case AC power flow for the active case (loading a case first if named), as the reference point for contingency analysis.".into(),
-            input: Schema::object(vec![Field::optional(
-                "case_name",
-                Schema::string(),
-                "case to load when none is active",
-            )]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("converged", Schema::Bool, "power flow convergence"),
-                    Field::required("losses_mw", Schema::number(), "network losses"),
-                    Field::required("min_voltage_pu", Schema::number(), "lowest voltage"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
-            if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
-                session.load_case(name).map_err(ToolError::fatal)?;
-            }
-            let net = session.current_network().map_err(ToolError::fatal)?;
+        "solve_base_case",
+        "Solve the base-case AC power flow for the active case (loading a case first if \
+         named), as the reference point for contingency analysis.",
+        Schema::object(vec![Field::optional(
+            "case_name",
+            Schema::string(),
+            "case to load when none is active",
+        )]),
+        move |args| -> Result<BaseCaseResult, DomainError> {
+            let net = network_for(&session, args)?;
             let opts = CaOptions::default();
-            let (rep, degraded) = solve_base_recovered(session.solver_cache.as_ref(), &net, &opts)
-                .map_err(ToolError::recoverable)?;
+            let (rep, degraded_caveat) =
+                solve_base_recovered(session.solver_cache.as_ref(), &net, &opts)?;
             session.put_base_pf(rep.clone(), clock.now());
-            let out = json!({
-                "converged": rep.converged,
-                "iterations": rep.iterations,
-                "losses_mw": rep.losses_mw,
-                "min_voltage_pu": rep.min_vm.0,
-                "min_voltage_bus": rep.min_vm.1,
-                "max_voltage_pu": rep.max_vm.0,
-                "max_loading_pct": rep.max_loading.0,
-                "total_load_mw": net.total_load_mw(),
-                "network_summary": serde_json::to_value(net.summary()).unwrap(),
-            });
-            Ok(with_caveat(out, degraded))
+            Ok(BaseCaseResult {
+                degraded: Degraded { degraded_caveat },
+                converged: rep.converged,
+                iterations: rep.iterations,
+                losses_mw: rep.losses_mw,
+                min_voltage_pu: rep.min_vm.0,
+                min_voltage_bus: rep.min_vm.1,
+                max_voltage_pu: rep.max_vm.0,
+                max_loading_pct: rep.max_loading.0,
+                total_load_mw: net.total_load_mw(),
+                network_summary: CaseSummary::from(&*net),
+            })
         },
     )
 }
@@ -133,43 +314,27 @@ pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTo
 /// `run_n1_contingency_analysis` — the full T-1 sweep.
 pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "run_n1_contingency_analysis".into(),
-            description: "Run the comprehensive N-1 contingency sweep over all lines and transformers of the active case, returning violation statistics and the ranked critical elements.".into(),
-            input: Schema::object(vec![
-                Field::optional(
-                    "strategy",
-                    Schema::string_enum(&["composite", "overload_first", "voltage_first"]),
-                    "criticality ranking strategy",
-                ),
-                Field::optional(
-                    "top_k",
-                    Schema::Integer { min: Some(1), max: Some(50) },
-                    "ranking entries to include (default 10)",
-                ),
-                Field::optional(
-                    "mode",
-                    Schema::string_enum(&["cascade", "full"]),
-                    "cascade (default): DC screening with compensated AC verification of suspects; full: brute AC sweep of every outage",
-                ),
-            ]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("n_contingencies", Schema::integer(), "outages analyzed"),
-                    Field::required("total_violations", Schema::integer(), "violation count"),
-                    Field::required("max_overload_pct", Schema::number(), "worst loading"),
-                    Field::required("ranking", Schema::array(Schema::Any), "critical elements"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
+        "run_n1_contingency_analysis",
+        "Run the comprehensive N-1 contingency sweep over all lines and transformers of the \
+         active case, returning violation statistics and the ranked critical elements.",
+        Schema::object(vec![
+            Field::optional(
+                "strategy",
+                Schema::string_enum(&["composite", "overload_first", "voltage_first"]),
+                "criticality ranking strategy",
+            ),
+            top_k_field(50, "ranking entries to include (default 10)"),
+            Field::optional(
+                "mode",
+                Schema::string_enum(&["cascade", "full"]),
+                "cascade (default): DC screening with compensated AC verification of \
+                 suspects; full: brute AC sweep of every outage",
+            ),
+        ]),
+        move |args| -> Result<N1Report, DomainError> {
             let strategy = strategy_from_str(args.get("strategy").and_then(|v| v.as_str()));
-            let top_k = args
-                .get("top_k")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(10) as usize;
-            let net = session.current_network().map_err(ToolError::fatal)?;
+            let top_k = args.get("top_k").and_then(|v| v.as_u64()).unwrap_or(10) as usize;
+            let net = session.current_network()?;
             let mode = match args.get("mode").and_then(|v| v.as_str()) {
                 Some("full") | Some("brute") => gm_contingency::SweepMode::Brute,
                 _ => gm_contingency::SweepMode::Cascade,
@@ -189,7 +354,7 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
             )
             .map_err(base_case_failed)?;
             session.put_contingency(rep.clone(), clock.now());
-            Ok(with_caveat(report_to_json(&rep, top_k), degraded))
+            Ok(N1Report::new(&rep, top_k, degraded))
         },
     )
 }
@@ -197,33 +362,28 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
 /// `analyze_specific_contingency` — one element in detail.
 pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "analyze_specific_contingency".into(),
-            description: "Analyze the outage of one named element (e.g. line 171 or trafo 0) in detail: convergence, violations, worst loading and voltage.".into(),
-            input: Schema::object(vec![
-                Field::required(
-                    "element",
-                    Schema::string_enum(&["line", "trafo"]),
-                    "element kind",
-                ),
-                Field::required(
-                    "index",
-                    Schema::Integer { min: Some(0), max: None },
-                    "kind-relative element index",
-                ),
-            ]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("label", Schema::string(), "element label"),
-                    Field::required("converged", Schema::Bool, "post-outage convergence"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
+        "analyze_specific_contingency",
+        "Analyze the outage of one named element (e.g. line 171 or trafo 0) in detail: \
+         convergence, violations, worst loading and voltage.",
+        Schema::object(vec![
+            Field::required(
+                "element",
+                Schema::string_enum(&["line", "trafo"]),
+                "element kind",
+            ),
+            Field::required(
+                "index",
+                Schema::Integer {
+                    min: Some(0),
+                    max: None,
+                },
+                "kind-relative element index",
+            ),
+        ]),
+        move |args| -> Result<SpecificResult, DomainError> {
             let element = args["element"].as_str().unwrap();
             let index = args["index"].as_u64().unwrap() as usize;
-            let net = session.current_network().map_err(ToolError::fatal)?;
+            let net = session.current_network()?;
             // Resolve the kind-relative index to a branch index.
             let want_kind = if element == "line" {
                 BranchKind::Line
@@ -238,36 +398,34 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 .nth(index)
                 .map(|(bi, _)| bi)
                 .ok_or_else(|| {
-                    ToolError::fatal(format!("{element} {index} does not exist in {}", net.name))
+                    DomainError::new(
+                        ErrorCode::UnknownElement,
+                        format!("{element} {index} does not exist in {}", net.name),
+                    )
                 })?;
             let opts = CaOptions::default();
             // Warm start from the base solution.
-            let (base, degraded) = base_case(&session, &net, &opts)?;
+            let (base, degraded_caveat) = base_case(&session, &net, &opts)?;
             let v0 = base.voltages();
             let outage = Outage {
                 branch,
                 kind: want_kind,
             };
             let o = evaluate_outage(&net, &opts, &v0, outage, index);
-            let violations: Vec<Value> = o
-                .violations
-                .iter()
-                .map(|v| serde_json::to_value(v).unwrap())
-                .collect();
-            let out = json!({
-                "label": outage.label(index),
-                "branch_index": branch,
-                "converged": o.converged,
-                "islands": o.islands,
-                "stranded_buses": o.stranded_buses,
-                "load_shed_mw": o.load_shed_mw,
-                "max_loading_pct": o.max_loading_pct,
-                "min_voltage_pu": o.min_vm.0,
-                "min_voltage_bus": o.min_vm.1,
-                "n_violations": o.violations.len(),
-                "violations": violations,
-            });
-            Ok(with_caveat(out, degraded))
+            Ok(SpecificResult {
+                degraded: Degraded { degraded_caveat },
+                label: outage.label(index),
+                branch_index: branch,
+                converged: o.converged,
+                islands: o.islands,
+                stranded_buses: o.stranded_buses,
+                load_shed_mw: o.load_shed_mw,
+                max_loading_pct: o.max_loading_pct,
+                min_voltage_pu: o.min_vm.0,
+                min_voltage_bus: o.min_vm.1,
+                n_violations: o.violations.len(),
+                violations: o.violations.iter().map(ViolationOut::from).collect(),
+            })
         },
     )
 }
@@ -279,27 +437,15 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
 /// "system assets", and generating units are assets too.
 pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "run_generator_contingency_analysis".into(),
-            description: "Simulate the outage of every in-service generating unit of the active case: slack pickup, violations, and the units whose loss stresses the system most.".into(),
-            input: Schema::object(vec![Field::optional(
-                "top_k",
-                Schema::Integer { min: Some(1), max: Some(20) },
-                "entries to report (default 5)",
-            )]),
-            output: Schema::Object {
-                fields: vec![
-                    Field::required("n_units", Schema::integer(), "units analyzed"),
-                    Field::required("ranking", Schema::array(Schema::Any), "most critical units"),
-                ],
-                closed: false,
-            },
-        },
-        move |args| {
+        "run_generator_contingency_analysis",
+        "Simulate the outage of every in-service generating unit of the active case: slack \
+         pickup, violations, and the units whose loss stresses the system most.",
+        Schema::object(vec![top_k_field(20, "entries to report (default 5)")]),
+        move |args| -> Result<UnitOutageReport, DomainError> {
             let top_k = args.get("top_k").and_then(|v| v.as_u64()).unwrap_or(5) as usize;
-            let net = session.current_network().map_err(ToolError::fatal)?;
+            let net = session.current_network()?;
             let opts = CaOptions::default();
-            let (base, degraded) = base_case(&session, &net, &opts)?;
+            let (base, degraded_caveat) = base_case(&session, &net, &opts)?;
             let outcomes = run_gen_n1(&net, &opts, Some(&base)).map_err(base_case_failed)?;
             // Rank: reference loss > non-convergence > violations > lost MW.
             let mut scored: Vec<(f64, &gm_contingency::GenOutageOutcome)> = outcomes
@@ -316,30 +462,24 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
                 })
                 .collect();
             scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let ranking: Vec<Value> = scored
-                .iter()
-                .take(top_k)
-                .map(|(score, o)| {
-                    json!({
-                        "gen": o.gen,
-                        "bus_id": o.bus_id,
-                        "lost_mw": o.lost_mw,
-                        "score": score,
-                        "converged": o.converged,
-                        "loses_reference": o.loses_reference,
-                        "n_violations": o.violations.len(),
-                        "slack_pickup_mw": o.slack_pickup_mw,
-                        "min_voltage_pu": o.min_vm.0,
-                    })
-                })
-                .collect();
-            let out = json!({
-                "n_units": outcomes.len(),
-                "units_not_converged": outcomes.iter().filter(|o| !o.converged).count(),
-                "units_with_violations": outcomes.iter().filter(|o| !o.violations.is_empty()).count(),
-                "ranking": ranking,
+            let ranking = scored.iter().take(top_k).map(|&(score, o)| UnitOutageRow {
+                gen: o.gen,
+                bus_id: o.bus_id,
+                lost_mw: o.lost_mw,
+                score,
+                converged: o.converged,
+                loses_reference: o.loses_reference,
+                n_violations: o.violations.len(),
+                slack_pickup_mw: o.slack_pickup_mw,
+                min_voltage_pu: o.min_vm.0,
             });
-            Ok(with_caveat(out, degraded))
+            Ok(UnitOutageReport {
+                degraded: Degraded { degraded_caveat },
+                n_units: outcomes.len(),
+                units_not_converged: outcomes.iter().filter(|o| !o.converged).count(),
+                units_with_violations: outcomes.iter().filter(|o| !o.violations.is_empty()).count(),
+                ranking: ranking.collect(),
+            })
         },
     )
 }
@@ -347,29 +487,21 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
 /// `get_contingency_status` — cached analysis state.
 pub fn get_contingency_status_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
     FnTool::new(
-        ToolSpec {
-            name: "get_contingency_status".into(),
-            description: "Report whether a fresh contingency analysis exists for the current network state, and summarize it.".into(),
-            input: Schema::object(vec![]),
-            output: Schema::Object {
-                fields: vec![Field::required(
-                    "has_analysis",
-                    Schema::Bool,
-                    "fresh analysis available",
-                )],
-                closed: false,
-            },
-        },
-        move |_args| match session.fresh_contingency() {
-            Some(rep) => {
-                let mut out = report_to_json(&rep, 5);
-                out["has_analysis"] = json!(true);
-                Ok(out)
-            }
-            None => Ok(json!({
-                "has_analysis": false,
-                "message": "no fresh contingency analysis for the current network state",
-            })),
+        "get_contingency_status",
+        "Report whether a fresh contingency analysis exists for the current network state, \
+         and summarize it.",
+        Schema::object(vec![]),
+        move |_args| -> Result<AnalysisStatus, DomainError> {
+            Ok(match session.fresh_contingency() {
+                Some(rep) => AnalysisStatus::Fresh(FreshAnalysis {
+                    report: N1Report::new(&rep, 5, None),
+                    has_analysis: true,
+                }),
+                None => AnalysisStatus::Absent(NoAnalysis {
+                    has_analysis: false,
+                    message: "no fresh contingency analysis for the current network state".into(),
+                }),
+            })
         },
     )
 }
@@ -379,6 +511,7 @@ mod tests {
     use super::*;
     use crate::session::SessionContext;
     use gm_agents::ToolRegistry;
+    use serde_json::{json, Value};
 
     fn registry() -> (SharedSession, ToolRegistry) {
         let session = SessionContext::new();

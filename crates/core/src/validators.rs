@@ -5,6 +5,25 @@
 use gm_agents::{Severity, ValidationIssue, Validator};
 use serde_json::Value;
 
+/// The wire keys the validators read. They look a result over before any
+/// planner lifts it into its declared type, so they stay on the wire
+/// form; `tests/tool_schemas.rs` checks that every key still names a
+/// field of some tool's generated schema, so a rename cannot orphan one.
+pub const ANCHOR_KEYS: [&str; 6] = [
+    SOLVED,
+    CONVERGED,
+    POWER_BALANCE,
+    MIN_VOLTAGE,
+    MAX_VOLTAGE,
+    MAX_LOADING,
+];
+const SOLVED: &str = "solved";
+const CONVERGED: &str = "converged";
+const POWER_BALANCE: &str = "power_balance_error_mw";
+const MIN_VOLTAGE: &str = "min_voltage_pu";
+const MAX_VOLTAGE: &str = "max_voltage_pu";
+const MAX_LOADING: &str = "max_thermal_loading_pct";
+
 /// Flags unconverged solver results.
 pub struct ConvergenceValidator;
 
@@ -14,7 +33,7 @@ impl Validator for ConvergenceValidator {
     }
     fn validate(&self, _tool: &str, result: &Value) -> Vec<ValidationIssue> {
         let mut issues = Vec::new();
-        for key in ["solved", "converged"] {
+        for key in [SOLVED, CONVERGED] {
             if result.get(key) == Some(&Value::Bool(false)) {
                 issues.push(ValidationIssue {
                     severity: Severity::Error,
@@ -45,10 +64,7 @@ impl Validator for PowerBalanceValidator {
         "power_balance"
     }
     fn validate(&self, _tool: &str, result: &Value) -> Vec<ValidationIssue> {
-        match result
-            .get("power_balance_error_mw")
-            .and_then(|v| v.as_f64())
-        {
+        match result.get(POWER_BALANCE).and_then(|v| v.as_f64()) {
             Some(err) if err.abs() > self.tolerance_mw => vec![ValidationIssue {
                 severity: Severity::Warning,
                 check: "power_balance".into(),
@@ -86,7 +102,7 @@ impl Validator for OperatingLimitValidator {
     }
     fn validate(&self, _tool: &str, result: &Value) -> Vec<ValidationIssue> {
         let mut issues = Vec::new();
-        if let Some(v) = result.get("min_voltage_pu").and_then(|v| v.as_f64()) {
+        if let Some(v) = result.get(MIN_VOLTAGE).and_then(|v| v.as_f64()) {
             if v < self.vmin_pu {
                 issues.push(ValidationIssue {
                     severity: Severity::Warning,
@@ -95,7 +111,7 @@ impl Validator for OperatingLimitValidator {
                 });
             }
         }
-        if let Some(v) = result.get("max_voltage_pu").and_then(|v| v.as_f64()) {
+        if let Some(v) = result.get(MAX_VOLTAGE).and_then(|v| v.as_f64()) {
             if v > self.vmax_pu {
                 issues.push(ValidationIssue {
                     severity: Severity::Warning,
@@ -104,10 +120,7 @@ impl Validator for OperatingLimitValidator {
                 });
             }
         }
-        if let Some(l) = result
-            .get("max_thermal_loading_pct")
-            .and_then(|v| v.as_f64())
-        {
+        if let Some(l) = result.get(MAX_LOADING).and_then(|v| v.as_f64()) {
             if l > 100.5 {
                 issues.push(ValidationIssue {
                     severity: Severity::Warning,
