@@ -1,4 +1,4 @@
-//! Golden-bit pins for the power-flow core.
+//! Golden-bit pins for the power-flow core and the OPF solvers.
 //!
 //! Newton, the compensated outage solve, FDLF, DC, the LODF and the
 //! synthetic generator all share one statement of the power-flow
@@ -9,7 +9,14 @@
 //! baseline are calibrated against these exact numbers. Each digest is
 //! FNV-1a over the `to_bits()` of the quantities named beside it,
 //! recorded before the equations were pulled into one place.
+//!
+//! The ACOPF / SCOPF / DC-OPF rows pin the interior point method the same
+//! way: recorded at PR 22's parent, before the per-iteration triplet
+//! assembly of the KKT system became a slot program, and unedited since.
 
+use gm_acopf::{
+    solve_acopf, solve_dcopf, solve_scopf, AcopfOptions, AcopfSolution, IpmOptions, ScopfOptions,
+};
 use gm_network::{cases, generate_scale, CaseId, ScaleId};
 use gm_numeric::Fnv1a;
 use gm_powerflow::{
@@ -120,4 +127,59 @@ fn synth1354_branches_are_bit_pinned() {
     let net = generate_scale(&ScaleId::Synth1354.spec()).unwrap();
     let got = digest(net.branches.iter().flat_map(|b| [b.x_pu, b.rating_mva]));
     assert_eq!(got, 0xf0bdde5fbe57c1bd, "{got:#018x}");
+}
+
+/// Every bus `vm_pu`, `va_deg`, every unit's MW, every nodal price, the
+/// objective and the iteration count.
+fn acopf_digest(sol: &AcopfSolution) -> u64 {
+    digest(
+        sol.bus_vm_pu
+            .iter()
+            .chain(&sol.bus_va_deg)
+            .chain(&sol.gen_dispatch_mw)
+            .chain(&sol.bus_lmp)
+            .copied()
+            .chain([sol.objective_cost, sol.iterations as f64]),
+    )
+}
+
+#[test]
+fn acopf_solutions_are_bit_pinned() {
+    let got = CaseId::ALL
+        .map(|id| acopf_digest(&solve_acopf(&cases::load(id), &AcopfOptions::default()).unwrap()));
+    let want = [
+        0x3fdee7f5eeeed641,
+        0x164848de7630d7c2,
+        0x19a7659f07caaf10,
+        0xfaa253572948d0f3,
+        0x8ffd748e2506d63c,
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
+}
+
+#[test]
+fn scopf_solutions_are_bit_pinned() {
+    let got = [CaseId::Ieee30, CaseId::Ieee57].map(|id| {
+        let scopf = solve_scopf(&cases::load(id), &ScopfOptions::default()).unwrap();
+        acopf_digest(&scopf.solution)
+    });
+    let want = [0x75113a2788316421, 0xd09a131afb2fc1d4];
+    assert_eq!(got, want, "{got:#018x?}");
+}
+
+#[test]
+fn dcopf_solutions_are_bit_pinned() {
+    let got = [CaseId::Ieee14, CaseId::Ieee118].map(|id| {
+        let dc = solve_dcopf(&cases::load(id), &IpmOptions::default()).unwrap();
+        digest(
+            dc.gen_dispatch_mw
+                .iter()
+                .chain(&dc.flow_mw)
+                .chain(&dc.bus_va_deg)
+                .copied()
+                .chain([dc.objective_cost, dc.iterations as f64]),
+        )
+    });
+    let want = [0xb29f2dd2bb5098df, 0x01fc6f9d125a7236];
+    assert_eq!(got, want, "{got:#018x?}");
 }
