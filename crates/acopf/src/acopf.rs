@@ -15,11 +15,10 @@
 //! [`crate::ipm`].
 
 use crate::flows::{end_flow, EndFlow, THF, THT, VF, VT};
-use crate::ipm::{self, IpmOptions, Nlp};
+use crate::ipm::{self, IpmOptions, Nlp, Stamp};
 use crate::types::{AcopfError, AcopfSolution, BranchLoading};
 use gm_network::{Network, YBus};
 use gm_numeric::Fnv1a;
-use gm_sparse::{CsMat, Triplets};
 use std::cell::{Ref, RefCell};
 
 /// ACOPF solver options.
@@ -204,12 +203,6 @@ impl<'a> AcopfProblem<'a> {
         })
     }
 
-    /// Rows of [`Nlp::inequalities`]: two flow limits per rated branch,
-    /// then the box bounds.
-    pub(crate) fn n_inequalities(&self) -> usize {
-        self.limits.len() + self.bounds.len()
-    }
-
     /// Decodes θ and Vm for a bus from the variable vector.
     #[inline]
     fn bus_state(&self, x: &[f64], bus: usize) -> (f64, f64) {
@@ -271,8 +264,17 @@ impl Nlp for AcopfProblem<'_> {
         self.layout.nx
     }
 
-    fn x0(&self) -> Vec<f64> {
-        let mut x = vec![0.0; self.layout.nx];
+    fn neq(&self) -> usize {
+        2 * self.net.n_bus()
+    }
+
+    /// Two flow limits per rated branch, then the box bounds.
+    fn niq(&self) -> usize {
+        self.limits.len() + self.bounds.len()
+    }
+
+    fn x0(&self, x: &mut [f64]) {
+        x.fill(0.0);
         let base = self.net.base_mva;
         for (i, bus) in self.net.buses.iter().enumerate() {
             let vm0 = if self.warm_start {
@@ -299,13 +301,12 @@ impl Nlp for AcopfProblem<'_> {
             x[self.layout.pg[gi]] = p0 / base;
             x[self.layout.qg[gi]] = 0.5 * (g.q_min_mvar + g.q_max_mvar) / base;
         }
-        x
     }
 
-    fn objective(&self, x: &[f64]) -> (f64, Vec<f64>) {
+    fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
         let base = self.net.base_mva;
         let mut f = 0.0;
-        let mut df = vec![0.0; self.layout.nx];
+        df.fill(0.0);
         for (gi, g) in self.net.gens.iter().enumerate() {
             if !g.in_service {
                 continue;
@@ -315,16 +316,14 @@ impl Nlp for AcopfProblem<'_> {
             f += g.cost.eval(p_mw);
             df[col] = g.cost.marginal(p_mw) * base;
         }
-        (f, df)
+        f
     }
 
-    fn equalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
+    fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], jg: &mut S) {
         let n = self.net.n_bus();
-        let neq = 2 * n;
         let flows = self.branch_flows(x);
-        let mut g = vec![0.0; neq];
         // Row layout: P balance rows 0..n, Q balance rows n..2n.
-        let mut t = Triplets::with_capacity(neq, self.layout.nx, 16 * self.net.branches.len());
+        g.fill(0.0);
 
         // Load and generation terms.
         for i in 0..n {
@@ -336,10 +335,10 @@ impl Nlp for AcopfProblem<'_> {
             g[i] += vm * vm * gsh;
             g[n + i] -= vm * vm * bsh;
             if gsh != 0.0 {
-                t.push(i, self.layout.vm[i], 2.0 * vm * gsh);
+                jg.add(i, self.layout.vm[i], 2.0 * vm * gsh);
             }
             if bsh != 0.0 {
-                t.push(n + i, self.layout.vm[i], -2.0 * vm * bsh);
+                jg.add(n + i, self.layout.vm[i], -2.0 * vm * bsh);
             }
         }
         for (gi, gen) in self.net.gens.iter().enumerate() {
@@ -348,8 +347,8 @@ impl Nlp for AcopfProblem<'_> {
             }
             g[gen.bus] -= x[self.layout.pg[gi]];
             g[n + gen.bus] -= x[self.layout.qg[gi]];
-            t.push(gen.bus, self.layout.pg[gi], -1.0);
-            t.push(n + gen.bus, self.layout.qg[gi], -1.0);
+            jg.add(gen.bus, self.layout.pg[gi], -1.0);
+            jg.add(n + gen.bus, self.layout.qg[gi], -1.0);
         }
 
         // Branch-end contributions.
@@ -365,19 +364,15 @@ impl Nlp for AcopfProblem<'_> {
                     if cols[k] == usize::MAX {
                         continue;
                     }
-                    t.push(bus, cols[k], end.dp[k]);
-                    t.push(n + bus, cols[k], end.dq[k]);
+                    jg.add(bus, cols[k], end.dp[k]);
+                    jg.add(n + bus, cols[k], end.dq[k]);
                 }
             }
         }
-        (g, t.to_csr_structural())
     }
 
-    fn inequalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
+    fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
         let flows = self.branch_flows(x);
-        let niq = self.n_inequalities();
-        let mut h = vec![0.0; niq];
-        let mut t = Triplets::with_capacity(niq, self.layout.nx, 8 * self.limits.len() + niq);
 
         for (r, lim) in self.limits.iter().enumerate() {
             let Some((from, to)) = flows[lim.branch].as_ref() else {
@@ -393,31 +388,25 @@ impl Nlp for AcopfProblem<'_> {
                 if cols[k] == usize::MAX {
                     continue;
                 }
-                t.push(r, cols[k], 2.0 * (end.p * end.dp[k] + end.q * end.dq[k]));
+                jh.add(r, cols[k], 2.0 * (end.p * end.dp[k] + end.q * end.dq[k]));
             }
         }
         let off = self.limits.len();
         for (r, &(col, coef, konst)) in self.bounds.iter().enumerate() {
             h[off + r] = coef * x[col] + konst;
-            t.push(off + r, col, coef);
+            jh.add(off + r, col, coef);
         }
-        (h, t.to_csr_structural())
     }
 
-    fn lagrangian_hessian(&self, x: &[f64], lam: &[f64], mu: &[f64]) -> CsMat<f64> {
+    fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], lam: &[f64], mu: &[f64], hess: &mut S) {
         let n = self.net.n_bus();
         let base = self.net.base_mva;
         let flows = self.branch_flows(x);
-        let mut t = Triplets::with_capacity(
-            self.layout.nx,
-            self.layout.nx,
-            32 * self.net.branches.len() + self.net.gens.len(),
-        );
 
         // Objective curvature: 2·c2·base² on each Pg.
         for (gi, g) in self.net.gens.iter().enumerate() {
             if g.in_service && g.cost.c2 != 0.0 {
-                t.push(
+                hess.add(
                     self.layout.pg[gi],
                     self.layout.pg[gi],
                     2.0 * g.cost.c2 * base * base,
@@ -430,7 +419,7 @@ impl Nlp for AcopfProblem<'_> {
             let (gsh, bsh) = self.shunt[i];
             if gsh != 0.0 || bsh != 0.0 {
                 let w = lam[i] * 2.0 * gsh + lam[n + i] * (-2.0 * bsh);
-                t.push(self.layout.vm[i], self.layout.vm[i], w);
+                hess.add(self.layout.vm[i], self.layout.vm[i], w);
             }
         }
 
@@ -443,9 +432,7 @@ impl Nlp for AcopfProblem<'_> {
             for (end, bus, from_end) in [(from, br.from_bus, true), (to, br.to_bus, false)] {
                 let cols = self.end_cols(bi, from_end);
                 let (wp, wq) = (lam[bus], lam[n + bus]);
-                scatter_4x4(&mut t, &cols, |r, c| {
-                    wp * end.d2p[r][c] + wq * end.d2q[r][c]
-                });
+                scatter_4x4(hess, &cols, |r, c| wp * end.d2p[r][c] + wq * end.d2q[r][c]);
             }
         }
         for (r, lim) in self.limits.iter().enumerate() {
@@ -456,7 +443,7 @@ impl Nlp for AcopfProblem<'_> {
             let end = if lim.from_end { from } else { to };
             let cols = self.end_cols(lim.branch, lim.from_end);
             // ∇²(P²+Q²) = 2(∇P∇Pᵀ + P∇²P + ∇Q∇Qᵀ + Q∇²Q).
-            scatter_4x4(&mut t, &cols, |r2, c2| {
+            scatter_4x4(hess, &cols, |r2, c2| {
                 2.0 * m
                     * (end.dp[r2] * end.dp[c2]
                         + end.p * end.d2p[r2][c2]
@@ -464,14 +451,13 @@ impl Nlp for AcopfProblem<'_> {
                         + end.q * end.d2q[r2][c2])
             });
         }
-        t.to_csr_structural()
     }
 }
 
-/// Scatters a dense symmetric 4×4 block into the triplet buffer, skipping
-/// fixed (slack-θ) columns. Zero values are stamped too: the Hessian
-/// pattern must not depend on the iterate.
-fn scatter_4x4(t: &mut Triplets<f64>, cols: &[usize; 4], val: impl Fn(usize, usize) -> f64) {
+/// Stamps a dense symmetric 4×4 block, skipping fixed (slack-θ) columns.
+/// Zero values are stamped too: the Hessian pattern must not depend on
+/// the iterate.
+fn scatter_4x4<S: Stamp>(out: &mut S, cols: &[usize; 4], val: impl Fn(usize, usize) -> f64) {
     for r in [THF, THT, VF, VT] {
         if cols[r] == usize::MAX {
             continue;
@@ -480,7 +466,7 @@ fn scatter_4x4(t: &mut Triplets<f64>, cols: &[usize; 4], val: impl Fn(usize, usi
             if cols[c] == usize::MAX {
                 continue;
             }
-            t.push(cols[r], cols[c], val(r, c));
+            out.add(cols[r], cols[c], val(r, c));
         }
     }
 }

@@ -8,10 +8,10 @@
 //! and as a cross-check: DC-OPF cost should track ACOPF cost from below
 //! on loss-dominated systems.
 
-use crate::ipm::{self, IpmOptions, Nlp};
+use crate::ipm::{self, IpmOptions, Nlp, Stamp, Stencil, Structure};
 use crate::types::AcopfError;
-use gm_network::Network;
-use gm_sparse::{CsMat, Triplets};
+use gm_network::{Branch, Network};
+use gm_sparse::Triplets;
 
 /// DC-OPF solution.
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ pub struct DcOpfSolution {
     pub iterations: usize,
 }
 
-struct DcOpfProblem<'a> {
+pub(crate) struct DcOpfProblem<'a> {
     net: &'a Network,
     /// θ column per bus (MAX for slack).
     th: Vec<usize>,
@@ -45,7 +45,7 @@ struct DcOpfProblem<'a> {
 impl<'a> DcOpfProblem<'a> {
     /// `None` when the network has no slack bus (surfaced by
     /// [`solve_dcopf`] as an invalid-network error — no panic path).
-    fn build(net: &'a Network) -> Option<Self> {
+    pub(crate) fn build(net: &'a Network) -> Option<Self> {
         let n = net.n_bus();
         let slack = net.slack()?;
         let mut th = vec![usize::MAX; n];
@@ -91,27 +91,42 @@ impl<'a> DcOpfProblem<'a> {
             x[self.th[bus]]
         }
     }
+
+    /// DC flow `(θf − θt)/x` on a branch, p.u.
+    fn flow(&self, x: &[f64], br: &Branch) -> f64 {
+        (self.angle(x, br.from_bus) - self.angle(x, br.to_bus)) * (1.0 / br.x_pu)
+    }
 }
 
+/// Every constraint is linear and the cost quadratic, so the callbacks
+/// write vectors only: the three matrices are constants, stated in
+/// [`Nlp::structure`].
 impl Nlp for DcOpfProblem<'_> {
     fn nx(&self) -> usize {
         self.nx
     }
 
-    fn x0(&self) -> Vec<f64> {
-        let mut x = vec![0.0; self.nx];
+    fn neq(&self) -> usize {
+        self.net.n_bus()
+    }
+
+    fn niq(&self) -> usize {
+        2 * self.limits.len() + 2 * self.pg.iter().filter(|&&c| c != usize::MAX).count()
+    }
+
+    fn x0(&self, x: &mut [f64]) {
+        x.fill(0.0);
         for (gi, g) in self.net.gens.iter().enumerate() {
             if g.in_service {
                 x[self.pg[gi]] = 0.5 * (g.p_min_mw + g.p_max_mw) / self.net.base_mva;
             }
         }
-        x
     }
 
-    fn objective(&self, x: &[f64]) -> (f64, Vec<f64>) {
+    fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
         let base = self.net.base_mva;
         let mut f = 0.0;
-        let mut df = vec![0.0; self.nx];
+        df.fill(0.0);
         for (gi, g) in self.net.gens.iter().enumerate() {
             if !g.in_service {
                 continue;
@@ -120,81 +135,99 @@ impl Nlp for DcOpfProblem<'_> {
             f += g.cost.eval(p_mw);
             df[self.pg[gi]] = g.cost.marginal(p_mw) * base;
         }
-        (f, df)
+        f
     }
 
-    fn equalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
-        let n = self.net.n_bus();
-        let mut g = self.pd.clone();
-        let mut t = Triplets::with_capacity(n, self.nx, 4 * self.net.branches.len());
+    fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], _jg: &mut S) {
+        g.copy_from_slice(&self.pd);
         for br in self.net.branches.iter().filter(|b| b.in_service) {
-            let b = 1.0 / br.x_pu;
-            let flow = (self.angle(x, br.from_bus) - self.angle(x, br.to_bus)) * b;
+            let flow = self.flow(x, br);
             g[br.from_bus] += flow;
             g[br.to_bus] -= flow;
+        }
+        for (gi, gen) in self.net.gens.iter().enumerate() {
+            if gen.in_service {
+                g[gen.bus] -= x[self.pg[gi]];
+            }
+        }
+    }
+
+    fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], _jh: &mut S) {
+        let (h_flow, h_gen) = h.split_at_mut(2 * self.limits.len());
+        for (&(bi, lim), rows) in self.limits.iter().zip(h_flow.chunks_exact_mut(2)) {
+            let br = &self.net.branches[bi];
+            let flow = self.flow(x, br);
+            rows[0] = flow - lim;
+            rows[1] = -flow - lim;
+        }
+        let base = self.net.base_mva;
+        let in_service = self
+            .net
+            .gens
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.in_service);
+        for ((gi, g), rows) in in_service.zip(h_gen.chunks_exact_mut(2)) {
+            rows[0] = g.p_min_mw / base - x[self.pg[gi]];
+            rows[1] = x[self.pg[gi]] - g.p_max_mw / base;
+        }
+    }
+
+    fn lagrangian_hessian<S: Stamp>(&self, _x: &[f64], _l: &[f64], _m: &[f64], _hess: &mut S) {}
+
+    fn structure(&self) -> Structure {
+        let base = self.net.base_mva;
+        let mut jg = Triplets::with_capacity(self.neq(), self.nx, 4 * self.net.branches.len());
+        for br in self.net.branches.iter().filter(|b| b.in_service) {
+            let b = 1.0 / br.x_pu;
             for (bus, sign) in [(br.from_bus, 1.0), (br.to_bus, -1.0)] {
                 if self.th[br.from_bus] != usize::MAX {
-                    t.push(bus, self.th[br.from_bus], sign * b);
+                    jg.push(bus, self.th[br.from_bus], sign * b);
                 }
                 if self.th[br.to_bus] != usize::MAX {
-                    t.push(bus, self.th[br.to_bus], -sign * b);
+                    jg.push(bus, self.th[br.to_bus], -sign * b);
                 }
             }
         }
         for (gi, gen) in self.net.gens.iter().enumerate() {
             if gen.in_service {
-                g[gen.bus] -= x[self.pg[gi]];
-                t.push(gen.bus, self.pg[gi], -1.0);
+                jg.push(gen.bus, self.pg[gi], -1.0);
             }
         }
-        (g, t.to_csr())
-    }
 
-    fn inequalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
-        let niq = 2 * self.limits.len() + 2 * self.pg.iter().filter(|&&c| c != usize::MAX).count();
-        let mut h = Vec::with_capacity(niq);
-        let mut t = Triplets::with_capacity(niq, self.nx, 4 * niq);
-        for &(bi, lim) in &self.limits {
+        let niq = self.niq();
+        let mut jh = Triplets::with_capacity(niq, self.nx, 4 * niq);
+        let mut row = 0;
+        for &(bi, _) in &self.limits {
             let br = &self.net.branches[bi];
             let b = 1.0 / br.x_pu;
-            let flow = (self.angle(x, br.from_bus) - self.angle(x, br.to_bus)) * b;
             for sign in [1.0, -1.0] {
-                let row = h.len();
-                h.push(sign * flow - lim);
                 if self.th[br.from_bus] != usize::MAX {
-                    t.push(row, self.th[br.from_bus], sign * b);
+                    jh.push(row, self.th[br.from_bus], sign * b);
                 }
                 if self.th[br.to_bus] != usize::MAX {
-                    t.push(row, self.th[br.to_bus], -sign * b);
+                    jh.push(row, self.th[br.to_bus], -sign * b);
                 }
+                row += 1;
             }
         }
-        let base = self.net.base_mva;
+        let mut hess = Triplets::new(self.nx, self.nx);
         for (gi, g) in self.net.gens.iter().enumerate() {
             if !g.in_service {
                 continue;
             }
-            let col = self.pg[gi];
-            let row = h.len();
-            h.push(g.p_min_mw / base - x[col]);
-            t.push(row, col, -1.0);
-            let row = h.len();
-            h.push(x[col] - g.p_max_mw / base);
-            t.push(row, col, 1.0);
-        }
-        debug_assert_eq!(h.len(), niq);
-        (h, t.to_csr())
-    }
-
-    fn lagrangian_hessian(&self, _x: &[f64], _lam: &[f64], _mu: &[f64]) -> CsMat<f64> {
-        let base = self.net.base_mva;
-        let mut t = Triplets::new(self.nx, self.nx);
-        for (gi, g) in self.net.gens.iter().enumerate() {
-            if g.in_service && g.cost.c2 != 0.0 {
-                t.push(self.pg[gi], self.pg[gi], 2.0 * g.cost.c2 * base * base);
+            jh.push(row, self.pg[gi], -1.0);
+            jh.push(row + 1, self.pg[gi], 1.0);
+            row += 2;
+            if g.cost.c2 != 0.0 {
+                hess.push(self.pg[gi], self.pg[gi], 2.0 * g.cost.c2 * base * base);
             }
         }
-        t.to_csr()
+        Structure {
+            jg: Stencil::constant(jg.to_csr()),
+            jh: Stencil::constant(jh.to_csr()),
+            hess: Stencil::constant(hess.to_csr()),
+        }
     }
 }
 

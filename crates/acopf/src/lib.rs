@@ -41,6 +41,7 @@ pub mod dcopf;
 pub mod dispatch;
 pub mod flows;
 pub mod ipm;
+mod oracle;
 pub mod scopf;
 pub mod types;
 

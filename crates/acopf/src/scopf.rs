@@ -17,7 +17,7 @@
 //! post-contingency overloads (see the `scopf_comparison` example).
 
 use crate::acopf::{unpack_solution, AcopfOptions, AcopfProblem};
-use crate::ipm::{self, Nlp};
+use crate::ipm::{self, Nlp, Stamp, Structure};
 use crate::types::{AcopfError, AcopfSolution};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
@@ -104,9 +104,9 @@ pub struct ScopfSolution {
     pub n_security_constraints: usize,
 }
 
-struct ScopfProblem<'a> {
-    base: AcopfProblem<'a>,
-    security: Vec<SecurityConstraint>,
+pub(crate) struct ScopfProblem<'a> {
+    pub(crate) base: AcopfProblem<'a>,
+    pub(crate) security: Vec<SecurityConstraint>,
 }
 
 impl ScopfProblem<'_> {
@@ -127,48 +127,78 @@ impl ScopfProblem<'_> {
         let tht = if ct == usize::MAX { 0.0 } else { x[ct] };
         (thf - tht) * b
     }
+
+    /// The Jacobian of the security rows, two per constraint (`+flow`
+    /// and `−flow` against the limit). Linear in the angles, so constant
+    /// for the solve and stated once. Which positions it holds is read
+    /// off the constraint, not off the converted values: a pair whose
+    /// LODF is exactly zero (the outage moves nothing onto the monitored
+    /// branch) has no outage term, and two terms on a shared bus that
+    /// happen to cancel keep their position as an explicit zero.
+    fn security_rows(&self) -> CsMat<f64> {
+        let mut t =
+            Triplets::with_capacity(2 * self.security.len(), self.nx(), 8 * self.security.len());
+        for (r2, sc) in self.security.iter().enumerate() {
+            let (mf, mt, mb) = self.branch_terms(sc.monitored);
+            let (of, ot, ob) = self.branch_terms(sc.outage);
+            let monitored = [(mf, mb), (mt, -mb)];
+            let outage = [(of, sc.lodf * ob), (ot, -sc.lodf * ob)];
+            let terms = monitored
+                .into_iter()
+                .chain(outage.into_iter().filter(|_| sc.lodf != 0.0));
+            for (col, coef) in terms.filter(|&(col, _)| col != usize::MAX) {
+                t.push(2 * r2, col, coef);
+                t.push(2 * r2 + 1, col, -coef);
+            }
+        }
+        t.to_csr_structural()
+    }
 }
 
 impl Nlp for ScopfProblem<'_> {
     fn nx(&self) -> usize {
         self.base.nx()
     }
-    fn x0(&self) -> Vec<f64> {
-        self.base.x0()
+    fn neq(&self) -> usize {
+        self.base.neq()
     }
-    fn objective(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        self.base.objective(x)
+    fn niq(&self) -> usize {
+        self.base.niq() + 2 * self.security.len()
     }
-    fn equalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
-        self.base.equalities(x)
+    fn x0(&self, x: &mut [f64]) {
+        self.base.x0(x);
+    }
+    fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
+        self.base.objective(x, df)
+    }
+    fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], jg: &mut S) {
+        self.base.equalities(x, g, jg);
     }
 
-    fn inequalities(&self, x: &[f64]) -> (Vec<f64>, CsMat<f64>) {
-        let (mut h, jh) = self.base.inequalities(x);
-        let n_sec = 2 * self.security.len();
-        let mut t = Triplets::with_capacity(n_sec, self.nx(), 8 * self.security.len());
-        for (r2, sc) in self.security.iter().enumerate() {
+    /// The base rows are stamped per iterate; of the security rows only
+    /// the values change, their Jacobian is stated in
+    /// [`Nlp::structure`].
+    fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
+        let (h_base, h_sec) = h.split_at_mut(self.base.niq());
+        self.base.inequalities(x, h_base, jh);
+        for (sc, rows) in self.security.iter().zip(h_sec.chunks_exact_mut(2)) {
             let flow = self.dc_flow(x, sc.monitored) + sc.lodf * self.dc_flow(x, sc.outage);
-            let (mf, mt, mb) = self.branch_terms(sc.monitored);
-            let (of, ot, ob) = self.branch_terms(sc.outage);
-            for (sign_idx, sign) in [1.0f64, -1.0].iter().enumerate() {
-                let row = 2 * r2 + sign_idx;
-                h.push(sign * flow - sc.limit_pu);
-                for (col, coef) in [(mf, mb), (mt, -mb), (of, sc.lodf * ob), (ot, -sc.lodf * ob)] {
-                    if col != usize::MAX {
-                        t.push(row, col, sign * coef);
-                    }
-                }
-            }
+            rows[0] = flow - sc.limit_pu;
+            rows[1] = -flow - sc.limit_pu;
         }
-        (h, jh.vstack(&t.to_csr()))
     }
 
-    fn lagrangian_hessian(&self, x: &[f64], lam: &[f64], mu: &[f64]) -> CsMat<f64> {
+    fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], lam: &[f64], mu: &[f64], hess: &mut S) {
         // The security rows are linear: only the base multipliers carry
         // curvature.
         self.base
-            .lagrangian_hessian(x, lam, &mu[..self.base.n_inequalities()])
+            .lagrangian_hessian(x, lam, &mu[..self.base.niq()], hess);
+    }
+
+    fn structure(&self) -> Structure {
+        let mut s = self.base.structure();
+        s.jh.append_constant_rows(&self.security_rows());
+        s
     }
 }
 
@@ -177,6 +207,14 @@ impl Nlp for ScopfProblem<'_> {
 /// `(outage, monitored)` pairs, repeat until no new violations or the
 /// round budget is spent.
 pub fn solve_scopf(net: &Network, opts: &ScopfOptions) -> Result<ScopfSolution, AcopfError> {
+    secure(net, opts).map(|(solution, _)| solution)
+}
+
+/// [`solve_scopf`] plus the security rows of its final problem.
+pub(crate) fn secure(
+    net: &Network,
+    opts: &ScopfOptions,
+) -> Result<(ScopfSolution, Vec<SecurityConstraint>), AcopfError> {
     let _span = gm_telemetry::span!("acopf.scopf.solve", case = net.name);
     gm_telemetry::counter_add("acopf.scopf.solves", 1);
     let economic = crate::solve_acopf(net, &opts.acopf)?;
@@ -276,12 +314,13 @@ pub fn solve_scopf(net: &Network, opts: &ScopfOptions) -> Result<ScopfSolution, 
         }
     }
 
-    Ok(ScopfSolution {
+    let solution = ScopfSolution {
         economic_cost: economic.objective_cost,
         security_premium: current.objective_cost - economic.objective_cost,
         n_security_constraints: active.len(),
         solution: current,
-    })
+    };
+    Ok((solution, active.into_values().collect()))
 }
 
 #[cfg(test)]
@@ -382,5 +421,36 @@ mod tests {
         let scopf = solve_scopf(&net, &ScopfOptions::default()).unwrap();
         assert_eq!(scopf.n_security_constraints, 0);
         assert_eq!(scopf.security_premium, 0.0);
+    }
+
+    #[test]
+    fn zero_lodf_row_keeps_one_pattern_for_the_whole_solve() {
+        // A pair the outage does not load: the row is the monitored
+        // branch's own DC limit, with no outage term to drop or keep.
+        let net = cases::load(CaseId::Ieee14);
+        let prob = ScopfProblem {
+            base: AcopfProblem::build(&net, false).unwrap(),
+            security: vec![SecurityConstraint {
+                outage: 0,
+                monitored: 3,
+                lodf: 0.0,
+                limit_pu: 2.0,
+            }],
+        };
+        let rows = prob.security_rows();
+        assert_eq!(rows.shape(), (2, prob.nx()));
+        let (cols, plus) = rows.row(0);
+        assert_eq!(cols.len(), 2, "monitored θf, θt only");
+        assert_eq!(rows.row(1), (cols, &[-plus[0], -plus[1]][..]));
+
+        let reg = gm_telemetry::Registry::new();
+        let res = {
+            let _guard = reg.install();
+            ipm::solve(&prob, &ScopfOptions::default().acopf.ipm)
+        };
+        assert!(res.converged, "{}", res.message);
+        assert_eq!(reg.counter_value("sparse.symbolic.build"), 1);
+        assert_eq!(reg.counter_value("acopf.kkt.structure_builds"), 1);
+        assert_eq!(reg.counter_value("acopf.kkt.lu_fallbacks"), 0);
     }
 }

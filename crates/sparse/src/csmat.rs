@@ -144,25 +144,39 @@ impl<T: Scalar> CsMat<T> {
 
     /// Matrix-vector product `y = A·x`.
     pub fn mul_vec(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.cols, "mul_vec dimension mismatch");
         let mut y = vec![T::zero(); self.rows];
-        for i in 0..self.rows {
+        self.mul_vec_into(x, &mut y);
+        y
+    }
+
+    /// [`CsMat::mul_vec`] into a caller-owned `y` (overwritten), for
+    /// loops that reuse one buffer.
+    pub fn mul_vec_into(&self, x: &[T], y: &mut [T]) {
+        assert_eq!(x.len(), self.cols, "mul_vec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "mul_vec output length mismatch");
+        for (i, yi) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(i);
             let mut acc = T::zero();
             for (&j, &v) in cols.iter().zip(vals) {
                 acc += v * x[j];
             }
-            y[i] = acc;
+            *yi = acc;
         }
-        y
     }
 
     /// Transposed product `y = Aᵀ·x`.
     pub fn mul_vec_t(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.rows, "mul_vec_t dimension mismatch");
         let mut y = vec![T::zero(); self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
+        self.mul_vec_t_into(x, &mut y);
+        y
+    }
+
+    /// [`CsMat::mul_vec_t`] into a caller-owned `y` (overwritten).
+    pub fn mul_vec_t_into(&self, x: &[T], y: &mut [T]) {
+        assert_eq!(x.len(), self.rows, "mul_vec_t dimension mismatch");
+        assert_eq!(y.len(), self.cols, "mul_vec_t output length mismatch");
+        y.fill(T::zero());
+        for (i, &xi) in x.iter().enumerate() {
             if xi.is_zero() {
                 continue;
             }
@@ -171,7 +185,6 @@ impl<T: Scalar> CsMat<T> {
                 y[j] += v * xi;
             }
         }
-        y
     }
 
     /// Returns the transpose as a new CSR matrix (equivalently: this matrix
@@ -317,6 +330,12 @@ mod tests {
         let m = sample();
         assert_eq!(m.mul_vec(&[1.0, 1.0, 1.0]), vec![3.0, 3.0, 9.0]);
         assert_eq!(m.mul_vec_t(&[1.0, 1.0, 1.0]), vec![5.0, 3.0, 7.0]);
+        // The `_into` forms overwrite whatever the buffer held.
+        let mut y = [f64::NAN; 3];
+        m.mul_vec_into(&[1.0, 1.0, 1.0], &mut y);
+        assert_eq!(y, [3.0, 3.0, 9.0]);
+        m.mul_vec_t_into(&[1.0, 0.0, 1.0], &mut y);
+        assert_eq!(y, [5.0, 0.0, 7.0]);
     }
 
     #[test]

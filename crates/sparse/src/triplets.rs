@@ -158,6 +158,16 @@ impl<T: Scalar> Triplets<T> {
         self.csr_with_map::<true>()
     }
 
+    /// [`Triplets::to_csr_structural`] plus, for each pushed entry in push
+    /// order, the value slot it was summed into. A caller that stamps the
+    /// same position sequence again replays the conversion's arithmetic
+    /// with `vals[slot[k]] += v_k` from zeroed values — no buffer, no
+    /// sort, no position check.
+    pub fn to_csr_structural_with_slots(&self) -> (CsMat<T>, Vec<usize>) {
+        let (mat, map) = self.csr_with_map::<true>();
+        (mat, map.dst_of_raw)
+    }
+
     fn csr_with_map<const KEEP_ZEROS: bool>(&self) -> (CsMat<T>, ScatterMap) {
         // Counting sort by row, tracking the raw entry index of each slot.
         let mut counts = vec![0usize; self.rows + 1];
@@ -388,6 +398,32 @@ mod tests {
         t.push(1, 1, 0.0);
         assert!(map.scatter(&t, &mut m));
         assert_eq!(m.values(), &[3.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn slots_replay_the_structural_conversion_bit_for_bit() {
+        let mut t = Triplets::new(2, 3);
+        for &(r, c, v) in &[
+            (1, 2, 0.1),
+            (0, 1, 1e16),
+            (1, 2, 0.2),
+            (0, 1, 1.0),
+            (1, 0, 0.0),
+            (0, 1, -1e16),
+            (1, 2, 0.3),
+        ] {
+            t.push(r, c, v);
+        }
+        let (m, slots) = t.to_csr_structural_with_slots();
+        assert_eq!(m, t.to_csr_structural());
+        assert_eq!(slots, [2, 0, 2, 0, 1, 0, 2]);
+        // Summation order is the push order, so the replay rounds alike.
+        let mut vals = vec![0.0; m.nnz()];
+        for (&slot, &(_, _, v)) in slots.iter().zip(t.entries()) {
+            vals[slot] += v;
+        }
+        assert_eq!(vals, m.values());
+        assert_eq!(vals[0], 0.0, "1e16 + 1 - 1e16 in push order");
     }
 
     #[test]

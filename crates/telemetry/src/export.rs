@@ -267,6 +267,10 @@ pub const REQUIRED_SOLVER_METRICS: &[&str] = &[
     "sparse.amd.orders",
     "acopf.ipm.solves",
     "acopf.ipm.iterations",
+    // One KKT structure (pattern, slot program, LDLᵀ analysis) per IPM
+    // solve: zero here means the once-per-solve build lost its counter —
+    // `tests/work_counts.rs` holds the count to `acopf.ipm.solves`.
+    "acopf.kkt.structure_builds",
     "ca.outages_evaluated",
     // Cascade screening must actually engage: every sweep classifies its
     // outages (`verified`) and solves suspects through the compensated

@@ -86,6 +86,17 @@ const PINNED: &[(&str, u64)] = &[
     ("acopf.scopf_rounds.case57", 2),
     ("acopf.scopf_security_rows.case57", 393),
     ("acopf.scopf_ipm_iters.case57", 84),
+    // The KKT structure — pattern, slot program, LDLᵀ analysis — is
+    // built once per IPM solve, never per barrier iteration: 1 for an
+    // ACOPF; the economic solve plus one per round and relaxation for a
+    // SCOPF. Each row is also checked against `acopf.ipm.solves`.
+    ("acopf.kkt_structure_builds.case14", 1),
+    ("acopf.kkt_structure_builds.case30", 1),
+    ("acopf.kkt_structure_builds.case57", 1),
+    ("acopf.kkt_structure_builds.case118", 1),
+    ("acopf.kkt_structure_builds.case300", 1),
+    ("acopf.scopf_kkt_structure_builds.case30", 2),
+    ("acopf.scopf_kkt_structure_builds.case57", 3),
     // Cascade N-1, serial: the fidelity split. The cascade is faster than
     // the brute sweep exactly by the outages it does not AC-solve, and
     // the whole sweep shares one Jacobian analysis (the base case's; the
@@ -204,6 +215,14 @@ fn newton_iterations_and_factorizations() {
     check("powerflow.newton_", rows);
 }
 
+/// `acopf.kkt.structure_builds`, which must equal the IPM solves of the
+/// same call.
+fn kkt_structure_builds(reg: &Registry) -> u64 {
+    let builds = reg.counter_value("acopf.kkt.structure_builds");
+    assert_eq!(builds, reg.counter_value("acopf.ipm.solves"));
+    builds
+}
+
 #[test]
 fn ipm_iterations_and_kkt_analyses() {
     let mut rows = Rows::new();
@@ -216,6 +235,7 @@ fn ipm_iterations_and_kkt_analyses() {
                 "acopf.symbolic_builds",
                 reg.counter_value("sparse.symbolic.build"),
             ),
+            ("acopf.kkt_structure_builds", kkt_structure_builds(&reg)),
         ];
         put(&mut rows, case, &counts);
     }
@@ -235,6 +255,10 @@ fn ipm_iterations_and_kkt_analyses() {
             (
                 "acopf.scopf_ipm_iters",
                 reg.counter_value("acopf.ipm.iterations"),
+            ),
+            (
+                "acopf.scopf_kkt_structure_builds",
+                kkt_structure_builds(&reg),
             ),
         ];
         put(&mut rows, id.short_name(), &counts);
