@@ -491,7 +491,9 @@ pub fn evaluate_outage(
     outage: Outage,
     kind_index: usize,
 ) -> ContingencyOutcome {
-    evaluate_outage_with_engine(net, opts, v0, outage, kind_index, &mut LuEngine::new())
+    gm_sparse::with_thread_engine(|engine| {
+        evaluate_outage_with_engine(net, opts, v0, outage, kind_index, engine)
+    })
 }
 
 /// The islanding outcome shared by every evaluation path. Islanding is

@@ -177,11 +177,19 @@ pub(crate) fn run_n1_recovered(
 /// or `None` when every rung fails. The batch tool walks it once per
 /// failed scenario and bumps `recovery.attempts` itself.
 pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(PfReport, String)> {
-    // One symbolic-LU engine spans the whole ladder: the flat-Newton
-    // retry and the FDLF rung's Newton polish share the same Jacobian
-    // pattern, so descending a rung reuses the analysis the rung above
-    // already paid for.
-    let mut engine = gm_sparse::LuEngine::new();
+    // One symbolic-LU engine spans the whole ladder — the thread's, so
+    // the analysis the failed primary attempt paid for is already in
+    // it: the flat-Newton retry and the FDLF rung's Newton polish share
+    // that Jacobian pattern, and the DC rung's `B'` outlives the ladder.
+    gm_sparse::with_thread_engine(|engine| pf_ladder_with_engine(net, pf, reason, engine))
+}
+
+fn pf_ladder_with_engine(
+    net: &Network,
+    pf: &PfOptions,
+    reason: &str,
+    engine: &mut gm_sparse::LuEngine,
+) -> Option<(PfReport, String)> {
     // Rung 2: flat-start damped Newton, doubled budget. An injected
     // `pf.retry` fault forces the ladder past this rung.
     if gm_faults::inject("pf.retry").is_none() {
@@ -191,7 +199,7 @@ pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(
             max_iter: pf.max_iter.saturating_mul(2),
             ..pf.clone()
         };
-        if let Ok(rep) = gm_powerflow::solve_from_with_engine(net, &retry, None, &mut engine) {
+        if let Ok(rep) = gm_powerflow::solve_from_with_engine(net, &retry, None, engine) {
             gm_telemetry::counter_add("recovery.newton_flat", 1);
             return Some((
                 rep,
@@ -211,7 +219,7 @@ pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(
             max_iter: pf.max_iter.max(30).saturating_mul(2),
             ..pf.clone()
         };
-        if let Ok(rep) = gm_powerflow::solve_fast_decoupled_with_engine(net, &fd, &mut engine) {
+        if let Ok(rep) = gm_powerflow::solve_fast_decoupled_with_engine(net, &fd, engine) {
             gm_telemetry::counter_add("recovery.fdlf", 1);
             return Some((
                 rep,
@@ -225,7 +233,7 @@ pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(
     }
 
     // Rung 4: DC approximation — report synthesized at flat voltage.
-    match gm_powerflow::solve_dc(net) {
+    match gm_powerflow::solve_dc_with_engine(net, engine) {
         Ok(dc) => {
             gm_telemetry::counter_add("recovery.dc", 1);
             Some((

@@ -351,15 +351,22 @@ pub fn run_batch(
     opts: &PfOptions,
     set: &ScenarioSet,
 ) -> Result<BatchReport, BatchError> {
+    gm_sparse::with_thread_engine(|engine| run_batch_with_engine(net, opts, set, engine))
+}
+
+fn run_batch_with_engine(
+    net: &Network,
+    opts: &PfOptions,
+    set: &ScenarioSet,
+    engine: &mut LuEngine,
+) -> Result<BatchReport, BatchError> {
     let _span = gm_telemetry::span!("batch.run", case = net.name, scenarios = set.len());
     let plan = prepare(net, set)?;
     let nets = &plan.0;
 
     // Fixed costs, paid once for the whole batch.
     let ybus = YBus::assemble(net);
-    let dc_lu = dc_bprime(net)?;
-    let dc_seeds = dc_seed_panel(&dc_lu, net, nets);
-    let mut engine = LuEngine::new();
+    let dc_seeds = dc_seed_panel(dc_bprime(net, engine)?, net, nets);
     let mut scratch = JacScratch::new();
 
     let report = run_plan(
@@ -369,15 +376,7 @@ pub fn run_batch(
         |k| Ok(dc_voltages(&dc_seeds[k])),
         |k, seed, q_seed| {
             let t0 = std::time::Instant::now();
-            let solved = solve_scenario(
-                &nets[k],
-                opts,
-                seed,
-                q_seed,
-                &ybus,
-                &mut engine,
-                &mut scratch,
-            );
+            let solved = solve_scenario(&nets[k], opts, seed, q_seed, &ybus, engine, &mut scratch);
             gm_telemetry::quantile_record("batch.scenario_s", t0.elapsed().as_secs_f64());
             solved
         },
@@ -408,7 +407,8 @@ pub fn run_naive(
         &plan,
         |k| {
             // Per-scenario DC seed: fresh factorization, single RHS.
-            let lu = dc_bprime(net)?;
+            let mut engine = LuEngine::new();
+            let lu = dc_bprime(net, &mut engine)?;
             let n = net.n_bus();
             let mut b = vec![0.0f64; n];
             dc_rhs(net, &nets[k], &mut b, 1, 0);
@@ -582,15 +582,17 @@ fn nearest_converged<T>(k: usize, sigs: &[f64], solved: &[Option<T>]) -> Option<
 /// matrix [`crate::dc::solve_dc`] factors. Load/dispatch deltas never
 /// touch branch data, so one factorization from the base network serves
 /// every scenario in the set.
-fn dc_bprime(net: &Network) -> Result<SparseLu, BatchError> {
+fn dc_bprime<'e>(net: &Network, engine: &'e mut LuEngine) -> Result<&'e SparseLu, BatchError> {
     let Some(slack) = net.slack() else {
         return Err(BatchError::InvalidBase {
             problems: vec!["network has no slack bus".into()],
         });
     };
-    SparseLu::factor(&slack_pinned_bprime(net, slack).to_csr()).map_err(|_| BatchError::DcSeed {
-        error: PfError::SingularJacobian { iteration: 0 },
-    })
+    engine
+        .factorize(&slack_pinned_bprime(net, slack).to_csr())
+        .map_err(|_| BatchError::DcSeed {
+            error: PfError::SingularJacobian { iteration: 0 },
+        })
 }
 
 /// Writes scenario `net_k`'s p.u. active injections (slack pinned to

@@ -24,7 +24,7 @@
 //! that routes the caller to the existing full-Newton fallback.
 
 use crate::newton::build_report;
-use crate::polar::{effective_roles, targets_pu, PolarIndex, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
 use crate::types::{PfOptions, PfReport};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
@@ -306,6 +306,7 @@ impl CompensationBase {
 
         Ok(build_report(
             work,
+            &BusDevices::new(work),
             &ybus_out,
             &v,
             self.slack,

@@ -6,7 +6,7 @@
 
 use crate::types::PfError;
 use gm_network::{slack_pinned_bprime, ModelError, Network};
-use gm_sparse::SparseLu;
+use gm_sparse::LuEngine;
 
 /// DC power flow result.
 #[derive(Clone, Debug)]
@@ -26,6 +26,14 @@ pub struct DcReport {
 /// network). As the recovery ladder's last rung it runs no full
 /// `validate()`.
 pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
+    gm_sparse::with_thread_engine(|engine| solve_dc_with_engine(net, engine))
+}
+
+/// Like [`solve_dc`] — which borrows the calling thread's engine — but
+/// factoring `B'` through a caller-owned [`LuEngine`]: a solver that
+/// already holds one (Newton's DC warm start, the recovery ladder)
+/// passes it down instead of reaching for the thread's a second time.
+pub fn solve_dc_with_engine(net: &Network, engine: &mut LuEngine) -> Result<DcReport, PfError> {
     gm_telemetry::counter_add("pf.dc.solves", 1);
     let slack = net.slack().ok_or_else(PfError::no_slack)?;
     // Every injection is divided by the base: zero or NaN would come
@@ -43,7 +51,9 @@ pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
     p[slack] = 0.0;
 
     let bmat = slack_pinned_bprime(net, slack).to_csr();
-    let lu = SparseLu::factor(&bmat).map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
+    let lu = engine
+        .factorize(&bmat)
+        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
     let theta = lu.solve(&p);
 
     let flow_mw: Vec<f64> = net

@@ -5,7 +5,7 @@
 //! GridMind uses it as a recovery fallback when Newton struggles and as a
 //! cross-check in the validation layer.
 
-use crate::polar::{effective_roles, targets_pu, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, Role};
 use crate::types::{PfError, PfOptions, PfReport};
 use gm_network::{slack_pinned_bprime, Network, YBus};
 use gm_numeric::Complex;
@@ -20,14 +20,15 @@ use gm_sparse::{LuEngine, Triplets};
 /// solver uses, so `max_iter` budgets the two solvers comparably and the
 /// reported `iterations` are measured in the same unit.
 pub fn solve_fast_decoupled(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
-    solve_fast_decoupled_with_engine(net, opts, &mut LuEngine::new())
+    gm_sparse::with_thread_engine(|engine| solve_fast_decoupled_with_engine(net, opts, engine))
 }
 
-/// Like [`solve_fast_decoupled`], but running the final Newton polish
-/// through a caller-owned [`LuEngine`]. The polish Jacobian shares its
-/// pattern with the plain Newton solve of the same network, so the
-/// recovery ladder's FDLF rung reuses the symbolic analysis its Newton
-/// rungs already paid for.
+/// Like [`solve_fast_decoupled`] — which borrows the calling thread's
+/// engine — but factoring `B′`, `B″` and the final Newton polish through
+/// a caller-owned [`LuEngine`]. The polish Jacobian shares its pattern
+/// with the plain Newton solve of the same network, so the recovery
+/// ladder's FDLF rung reuses the symbolic analysis its Newton rungs
+/// already paid for.
 pub fn solve_fast_decoupled_with_engine(
     net: &Network,
     opts: &PfOptions,
@@ -91,31 +92,31 @@ pub fn solve_fast_decoupled_with_engine(
     }
     let bpp = tpp.to_csr();
 
-    // B′ and B″ are constant: factored once through the shared
-    // symbolic/numeric API and then reused by in-place solves for every
-    // half iteration. Each factor gets its own engine so both stay
-    // resident simultaneously.
-    let mut engine_p = LuEngine::with_capacity(1);
-    let lup = engine_p
+    // B′ and B″ are constant: factored once through the engine and then
+    // reused by in-place solves for every half iteration. The engine
+    // lends out one factor at a time, so each is cloned out of it — its
+    // values only; the structure stays shared with the analysis.
+    let lup = engine
         .factorize(&bp)
-        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
-    let mut engine_pp = LuEngine::with_capacity(1);
+        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?
+        .clone();
     let lupp = if n_vm > 0 {
         Some(
-            engine_pp
+            engine
                 .factorize(&bpp)
-                .map_err(|_| PfError::SingularJacobian { iteration: 0 })?,
+                .map_err(|_| PfError::SingularJacobian { iteration: 0 })?
+                .clone(),
         )
     } else {
         None
     };
 
     // Flat start with setpoint magnitudes.
+    let devices = BusDevices::new(net);
     let mut vm: Vec<f64> = (0..n)
         .map(|i| {
             if role[i] != Role::Pq {
-                net.gens_at(i)
-                    .next()
+                (devices.gens_at(net, i).next())
                     .map(|(_, g)| g.vm_setpoint_pu)
                     .unwrap_or(net.buses[i].vm_pu)
             } else {

@@ -48,7 +48,7 @@ pub use batch::{
     ScenarioSet,
 };
 pub use compensated::{CompensatedPfError, CompensationBase};
-pub use dc::{solve_dc, DcReport};
+pub use dc::{solve_dc, solve_dc_with_engine, DcReport};
 pub use decoupled::{solve_fast_decoupled, solve_fast_decoupled_with_engine};
 pub use newton::{solve, solve_from, solve_from_with_engine};
 pub use sensitivity::{sensitivities, sensitivities_for_screening, Sensitivities};

@@ -6,7 +6,7 @@
 //! `iwamoto muliplier:` lines visible in the paper's Fig. 8 logs), and
 //! generator reactive-limit enforcement by PV→PQ switching.
 
-use crate::polar::{effective_roles, targets_pu, PolarIndex, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
 use crate::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
@@ -25,15 +25,17 @@ pub fn solve_from(
     opts: &PfOptions,
     start: Option<&[Complex]>,
 ) -> Result<PfReport, PfError> {
-    solve_from_with_engine(net, opts, start, &mut LuEngine::new())
+    gm_sparse::with_thread_engine(|engine| solve_from_with_engine(net, opts, start, engine))
 }
 
-/// Like [`solve_from`], but factoring through a caller-owned
-/// [`LuEngine`] so the Jacobian's symbolic analysis is shared across
-/// Newton iterations, Q-limit rounds, repeated warm-started solves (the
-/// recovery ladder), and — in the N-1 sweep — across outages with the
-/// same post-outage pattern. Results are bit-identical to
-/// [`solve_from`] regardless of the engine's cache state.
+/// Like [`solve_from`] — which borrows the calling thread's engine
+/// ([`gm_sparse::with_thread_engine`]) — but factoring through a
+/// caller-owned [`LuEngine`], for callers that decide themselves what
+/// shares analyses with what: the N-1 sweep's per-worker engines, a test
+/// that counts them. Either way the Jacobian's symbolic analysis is
+/// shared across Newton iterations, Q-limit rounds and every later
+/// solve of the same pattern, and results are bit-identical regardless
+/// of the engine's cache state.
 pub fn solve_from_with_engine(
     net: &Network,
     opts: &PfOptions,
@@ -103,6 +105,7 @@ pub(crate) fn solve_prepared(
 
     let mut role = effective_roles(net, slack);
     let (p_spec, mut q_spec) = targets_pu(net);
+    let devices = BusDevices::new(net);
     // At PQ buses the scheduled Q excludes any (switched-off-PV) generator
     // contribution — handled below during Q-limit rounds.
 
@@ -110,7 +113,7 @@ pub(crate) fn solve_prepared(
     let mut vm_set = vec![1.0f64; n];
     for (i, bus) in net.buses.iter().enumerate() {
         vm_set[i] = bus.vm_pu.max(0.5);
-        if let Some((_, g)) = net.gens_at(i).next() {
+        if let Some((_, g)) = devices.gens_at(net, i).next() {
             if role[i] != Role::Pq {
                 vm_set[i] = g.vm_setpoint_pu;
             }
@@ -131,9 +134,9 @@ pub(crate) fn solve_prepared(
             }
             if let Some(pin) = seed.pinned_q_gen.get(i).copied().flatten() {
                 role[i] = Role::Pq;
-                q_spec[i] = pin - bus_load_q(net, i);
+                q_spec[i] = pin - bus_load_q(net, &devices, i);
                 pinned_q[i] = Some(pin);
-                for (gi, _) in net.gens_at(i) {
+                for (gi, _) in devices.gens_at(net, i) {
                     at_limit[gi] = true;
                 }
             }
@@ -155,7 +158,7 @@ pub(crate) fn solve_prepared(
                 .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
                 .collect(),
             InitStrategy::DcWarmStart => {
-                let dc = crate::dc::solve_dc(net)?;
+                let dc = crate::dc::solve_dc_with_engine(net, engine)?;
                 (0..n)
                     .map(|i| {
                         Complex::from_polar(
@@ -213,15 +216,15 @@ pub(crate) fn solve_prepared(
                 continue;
             }
             // Total generator Q needed at the bus = injection + load Q.
-            let load_q = bus_load_q(net, i);
+            let load_q = bus_load_q(net, &devices, i);
             let q_gen = s_calc[i].im + load_q;
-            let (q_min, q_max) = gen_q_range(net, i);
+            let (q_min, q_max) = gen_q_range(net, &devices, i);
             if q_gen > q_max + 1e-9 || q_gen < q_min - 1e-9 {
                 let pinned = q_gen.clamp(q_min, q_max);
                 role[i] = Role::Pq;
                 q_spec[i] = pinned - load_q;
                 pinned_q[i] = Some(pinned);
-                for (gi, _) in net.gens_at(i) {
+                for (gi, _) in devices.gens_at(net, i) {
                     at_limit[gi] = true;
                 }
                 switched = true;
@@ -238,6 +241,7 @@ pub(crate) fn solve_prepared(
     gm_telemetry::histogram_record("pf.newton.iterations_per_solve", iterations as f64);
     let report = build_report(
         net,
+        &devices,
         ybus,
         &v,
         slack,
@@ -256,20 +260,15 @@ pub(crate) fn solve_prepared(
 }
 
 /// Total in-service load reactive demand at a bus (p.u.).
-fn bus_load_q(net: &Network, bus: usize) -> f64 {
-    net.loads
-        .iter()
-        .filter(|l| l.in_service && l.bus == bus)
-        .map(|l| l.q_mvar)
-        .sum::<f64>()
-        / net.base_mva
+fn bus_load_q(net: &Network, devices: &BusDevices, bus: usize) -> f64 {
+    devices.load_mw_mvar(net, bus).1 / net.base_mva
 }
 
 /// Total generator reactive range at a bus (p.u.).
-fn gen_q_range(net: &Network, bus: usize) -> (f64, f64) {
+fn gen_q_range(net: &Network, devices: &BusDevices, bus: usize) -> (f64, f64) {
     let mut lo = 0.0;
     let mut hi = 0.0;
-    for (_, g) in net.gens_at(bus) {
+    for (_, g) in devices.gens_at(net, bus) {
         lo += g.q_min_mvar;
         hi += g.q_max_mvar;
     }
@@ -412,6 +411,7 @@ fn newton_inner(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_report(
     net: &Network,
+    devices: &BusDevices,
     ybus: &YBus,
     v: &[Complex],
     slack: usize,
@@ -485,25 +485,13 @@ pub(crate) fn build_report(
             continue;
         }
         let bus = g.bus;
-        let load_p: f64 = net
-            .loads
-            .iter()
-            .filter(|l| l.in_service && l.bus == bus)
-            .map(|l| l.p_mw)
-            .sum();
-        let load_q: f64 = net
-            .loads
-            .iter()
-            .filter(|l| l.in_service && l.bus == bus)
-            .map(|l| l.q_mvar)
-            .sum();
+        let (load_p, load_q) = devices.load_mw_mvar(net, bus);
         let p_bus = s_calc[bus].re * base + load_p;
         let q_bus = s_calc[bus].im * base + load_q;
         // Share among co-located units proportionally to capacity/range.
-        let units: Vec<&gm_network::Generator> = net.gens_at(bus).map(|(_, u)| u).collect();
-        let p_cap: f64 = units.iter().map(|u| u.p_max_mw.max(1e-6)).sum();
-        let q_rng: f64 = units
-            .iter()
+        let units = || devices.gens_at(net, bus).map(|(_, u)| u);
+        let p_cap: f64 = units().map(|u| u.p_max_mw.max(1e-6)).sum();
+        let q_rng: f64 = units()
             .map(|u| (u.q_max_mvar - u.q_min_mvar).max(1e-6))
             .sum();
         let p_share = if bus == slack {

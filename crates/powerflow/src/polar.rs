@@ -17,7 +17,7 @@
 //! the assembled Jacobian, and every report and counter downstream, is a
 //! bit-exact function of the inputs (`tests/golden_bits.rs`).
 
-use gm_network::{BusKind, Network, YBus};
+use gm_network::{BusKind, Generator, Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::Triplets;
 
@@ -33,13 +33,87 @@ pub(crate) enum Role {
 /// Effective roles: a PV bus without an in-service generator is just PQ.
 pub(crate) fn effective_roles(net: &Network, slack: usize) -> Vec<Role> {
     let mut role = vec![Role::Pq; net.n_bus()];
-    for (i, bus) in net.buses.iter().enumerate() {
-        if bus.kind == BusKind::Pv && net.gens_at(i).next().is_some() {
-            role[i] = Role::Pv;
+    for g in net.gens.iter().filter(|g| g.in_service) {
+        if net.buses.get(g.bus).is_some_and(|b| b.kind == BusKind::Pv) {
+            role[g.bus] = Role::Pv;
         }
     }
     role[slack] = Role::Slack;
     role
+}
+
+/// The in-service generators and loads of every bus, grouped in one
+/// pass so the solver's set-up, Q-limit rounds and report do not scan
+/// `net.gens` / `net.loads` once per bus. Within a bus both lists keep
+/// network order — the order [`Network::gens_at`] yields and the order a
+/// filtered scan of the loads sums in — so every total taken over them
+/// is the bit pattern the scans produced.
+pub(crate) struct BusDevices {
+    gen_ptr: Vec<usize>,
+    gen_idx: Vec<usize>,
+    load_ptr: Vec<usize>,
+    load_idx: Vec<usize>,
+}
+
+/// Counting sort of `(item, bus)` pairs into per-bus spans, stable
+/// within a bus.
+fn group_by_bus(n_bus: usize, at: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    let mut ptr = vec![0usize; n_bus + 1];
+    for &(_, bus) in at {
+        ptr[bus + 1] += 1;
+    }
+    for b in 0..n_bus {
+        ptr[b + 1] += ptr[b];
+    }
+    let mut next = ptr.clone();
+    let mut idx = vec![0usize; at.len()];
+    for &(item, bus) in at {
+        idx[next[bus]] = item;
+        next[bus] += 1;
+    }
+    (ptr, idx)
+}
+
+impl BusDevices {
+    pub(crate) fn new(net: &Network) -> BusDevices {
+        let n = net.n_bus();
+        let gens: Vec<(usize, usize)> = (net.gens.iter().enumerate())
+            .filter(|(_, g)| g.in_service && g.bus < n)
+            .map(|(gi, g)| (gi, g.bus))
+            .collect();
+        let loads: Vec<(usize, usize)> = (net.loads.iter().enumerate())
+            .filter(|(_, l)| l.in_service && l.bus < n)
+            .map(|(li, l)| (li, l.bus))
+            .collect();
+        let (gen_ptr, gen_idx) = group_by_bus(n, &gens);
+        let (load_ptr, load_idx) = group_by_bus(n, &loads);
+        BusDevices {
+            gen_ptr,
+            gen_idx,
+            load_ptr,
+            load_idx,
+        }
+    }
+
+    /// [`Network::gens_at`] without the scan.
+    pub(crate) fn gens_at<'a>(
+        &'a self,
+        net: &'a Network,
+        bus: usize,
+    ) -> impl Iterator<Item = (usize, &'a Generator)> + 'a {
+        self.gen_idx[self.gen_ptr[bus]..self.gen_ptr[bus + 1]]
+            .iter()
+            .map(move |&gi| (gi, &net.gens[gi]))
+    }
+
+    /// Total in-service load `(P MW, Q MVAr)` at a bus.
+    pub(crate) fn load_mw_mvar(&self, net: &Network, bus: usize) -> (f64, f64) {
+        let at = &self.load_idx[self.load_ptr[bus]..self.load_ptr[bus + 1]];
+        (
+            at.iter().map(|&li| net.loads[li].p_mw).sum(),
+            at.iter().map(|&li| net.loads[li].q_mvar).sum(),
+        )
+    }
 }
 
 /// Scheduled `(P, Q)` injection targets per bus, in p.u.

@@ -2,7 +2,7 @@
 
 use crate::scalar::Scalar;
 use crate::triplets::Triplets;
-use gm_numeric::{DMat, Fnv1a};
+use gm_numeric::DMat;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -114,23 +114,6 @@ impl<T: Scalar> CsMat<T> {
     /// hook for in-place numeric re-assembly of a fixed-pattern matrix.
     pub fn values_mut(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// FNV-1a fingerprint of the sparsity pattern — shape, `indptr` and
-    /// `indices`, values excluded. Equal fingerprints are used to key
-    /// symbolic-factorization caches; callers should still cross-check
-    /// shape and nnz, which the factorization layer does.
-    pub fn pattern_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.u64(self.rows as u64);
-        h.u64(self.cols as u64);
-        for &p in &self.indptr {
-            h.u64(p as u64);
-        }
-        for &j in &self.indices {
-            h.u64(j as u64);
-        }
-        h.finish()
     }
 
     /// Value at `(i, j)`, `zero()` if not stored. Binary-searches the row.

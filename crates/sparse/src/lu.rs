@@ -12,6 +12,7 @@
 
 use crate::csmat::CsMat;
 use crate::order::Ordering;
+use std::sync::Arc;
 
 /// Failure modes of the sparse factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +60,20 @@ impl std::fmt::Display for SparseLuError {
 
 impl std::error::Error for SparseLuError {}
 
-/// Column-compressed factor storage (diagonal-first for `L`,
+/// Index type of every stored structure array: row indices, column
+/// pointers, permutations and CSR value offsets. Half the width of
+/// `usize` on the targets this runs on, which halves what a retained
+/// analysis costs in memory and what a replay streams through the
+/// cache; [`elimination_plan`] asserts the dimensions fit before any
+/// index is narrowed.
+pub(crate) type Idx = u32;
+
+/// Column-compressed factor under construction (diagonal-first for `L`,
 /// diagonal-last for `U`).
-#[derive(Clone, Debug)]
-pub(crate) struct CscFactor {
-    pub(crate) colptr: Vec<usize>,
-    pub(crate) rows: Vec<usize>,
-    pub(crate) vals: Vec<f64>,
+struct CscFactor {
+    colptr: Vec<Idx>,
+    rows: Vec<Idx>,
+    vals: Vec<f64>,
 }
 
 impl CscFactor {
@@ -79,13 +87,16 @@ impl CscFactor {
         }
     }
 
-    pub(crate) fn close_col(&mut self) {
-        self.colptr.push(self.rows.len());
+    fn close_col(&mut self) {
+        assert!(
+            self.rows.len() <= Idx::MAX as usize,
+            "factor fill exceeds the 32-bit structure index"
+        );
+        self.colptr.push(self.rows.len() as Idx);
     }
 
-    pub(crate) fn col(&self, j: usize) -> (&[usize], &[f64]) {
-        let span = self.colptr[j]..self.colptr[j + 1];
-        (&self.rows[span.clone()], &self.vals[span])
+    fn col_rows(&self, j: usize) -> &[Idx] {
+        &self.rows[self.colptr[j] as usize..self.colptr[j + 1] as usize]
     }
 }
 
@@ -96,9 +107,9 @@ impl CscFactor {
 /// lets a refactorization read fresh values straight out of the matrix.
 #[derive(Clone, Debug)]
 pub(crate) struct ColAccess {
-    pub(crate) colptr: Vec<usize>,
-    pub(crate) rows: Vec<usize>,
-    pub(crate) src: Vec<usize>,
+    pub(crate) colptr: Vec<Idx>,
+    pub(crate) rows: Vec<Idx>,
+    pub(crate) src: Vec<Idx>,
 }
 
 impl ColAccess {
@@ -106,7 +117,7 @@ impl ColAccess {
     /// Row indices within each column come out ascending — the same
     /// order `CsMat::transpose` produces — so factorizations driven by
     /// this plan are bit-identical to the transpose-based path.
-    pub(crate) fn build(a: &CsMat<f64>, q: &[usize]) -> ColAccess {
+    pub(crate) fn build(a: &CsMat<f64>, q: &[Idx]) -> ColAccess {
         let n = a.rows();
         let nnz = a.nnz();
         // Count per original column, prefix-sum, then fill row-by-row so
@@ -120,15 +131,15 @@ impl ColAccess {
         }
         let col_of = head.clone();
         let mut next = head;
-        let mut rows = vec![0usize; nnz];
-        let mut src = vec![0usize; nnz];
+        let mut rows = vec![0; nnz];
+        let mut src = vec![0; nnz];
         let indptr = a.indptr();
         let indices = a.indices();
         for i in 0..n {
             for p in indptr[i]..indptr[i + 1] {
                 let j = indices[p];
-                rows[next[j]] = i;
-                src[next[j]] = p;
+                rows[next[j]] = i as Idx;
+                src[next[j]] = p as Idx;
                 next[j] += 1;
             }
         }
@@ -139,10 +150,10 @@ impl ColAccess {
         let mut qsrc = Vec::with_capacity(nnz);
         colptr.push(0);
         for &col in q {
-            let span = col_of[col]..col_of[col + 1];
+            let span = col_of[col as usize]..col_of[col as usize + 1];
             qrows.extend_from_slice(&rows[span.clone()]);
             qsrc.extend_from_slice(&src[span]);
-            colptr.push(qrows.len());
+            colptr.push(qrows.len() as Idx);
         }
         ColAccess {
             colptr,
@@ -151,10 +162,39 @@ impl ColAccess {
         }
     }
 
-    pub(crate) fn col(&self, k: usize) -> (&[usize], &[usize]) {
-        let span = self.colptr[k]..self.colptr[k + 1];
+    pub(crate) fn col(&self, k: usize) -> (&[Idx], &[Idx]) {
+        let span = self.colptr[k] as usize..self.colptr[k + 1] as usize;
         (&self.rows[span.clone()], &self.src[span])
     }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.colptr.len() + self.rows.len() + self.src.len()) * std::mem::size_of::<Idx>()
+    }
+}
+
+/// What both factorization entry points start from: the fill-reducing
+/// column order of `a` and the access plan along it. This is where
+/// indices are narrowed, so it is where the dimensions are held to
+/// [`Idx`] — with `Idx::MAX` left over as the "not yet pivoted" mark.
+pub(crate) fn elimination_plan(
+    a: &CsMat<f64>,
+    ordering: Ordering,
+) -> Result<(Vec<Idx>, ColAccess), SparseLuError> {
+    let q =
+        ordering
+            .permutation(a)
+            .map_err(|crate::order::OrderingError::NotSquare { shape }| {
+                SparseLuError::NotSquare { shape }
+            })?;
+    assert!(
+        a.rows() < Idx::MAX as usize && a.nnz() <= Idx::MAX as usize,
+        "a {0}x{0} matrix with {1} entries exceeds the 32-bit structure index",
+        a.rows(),
+        a.nnz()
+    );
+    let q: Vec<Idx> = q.iter().map(|&j| j as Idx).collect();
+    let acc = ColAccess::build(a, &q);
+    Ok((q, acc))
 }
 
 /// Structure captured during an analysis factorization, consumed by
@@ -164,20 +204,50 @@ impl ColAccess {
 /// the pivot permutation fully determines the `L`/`U` fill structure.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PatternCapture {
-    pub(crate) pat_ptr: Vec<usize>,
-    pub(crate) pat_rows: Vec<usize>,
+    pub(crate) pat_ptr: Vec<Idx>,
+    pub(crate) pat_rows: Vec<Idx>,
 }
 
-/// A sparse LU factorization `A[:, q] = P⁻¹ L U` usable for repeated solves.
+/// Everything about a factorization that is a function of the sparsity
+/// pattern and the pivot sequence alone: the two permutations and the
+/// fill structure of `L` and `U`. It exists once per analysis, shared by
+/// the [`crate::SymbolicLu`] that captured it and by every numeric
+/// factor replayed from it, so a refactorization copies none of it.
+#[derive(Debug)]
+pub(crate) struct LuStructure {
+    pub(crate) n: usize,
+    /// `pinv[original_row] = pivot position`.
+    pub(crate) pinv: Vec<Idx>,
+    /// Column order: column `q[k]` eliminated at step `k`.
+    pub(crate) q: Vec<Idx>,
+    /// `L` by columns, unit diagonal first, rows in pivot order.
+    pub(crate) l_colptr: Vec<Idx>,
+    pub(crate) l_rows: Vec<Idx>,
+    /// `U` by columns, diagonal last.
+    pub(crate) u_colptr: Vec<Idx>,
+    pub(crate) u_rows: Vec<Idx>,
+}
+
+impl LuStructure {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.pinv.len()
+            + self.q.len()
+            + self.l_colptr.len()
+            + self.l_rows.len()
+            + self.u_colptr.len()
+            + self.u_rows.len())
+            * std::mem::size_of::<Idx>()
+    }
+}
+
+/// A sparse LU factorization `A[:, q] = P⁻¹ L U` usable for repeated
+/// solves: the values of `L` and `U` plus a shared reference to their
+/// structure.
 #[derive(Clone, Debug)]
 pub struct SparseLu {
-    pub(crate) n: usize,
-    pub(crate) l: CscFactor,
-    pub(crate) u: CscFactor,
-    /// `pinv[original_row] = pivot position`.
-    pub(crate) pinv: Vec<usize>,
-    /// Column order: column `q[k]` eliminated at step `k`.
-    pub(crate) q: Vec<usize>,
+    pub(crate) s: Arc<LuStructure>,
+    pub(crate) l_vals: Vec<f64>,
+    pub(crate) u_vals: Vec<f64>,
 }
 
 impl SparseLu {
@@ -194,24 +264,32 @@ impl SparseLu {
         ordering: Ordering,
         pivot_tol: f64,
     ) -> Result<Self, SparseLuError> {
-        if a.rows() != a.cols() {
-            return Err(SparseLuError::NotSquare { shape: a.shape() });
-        }
-        let q = ordering.permutation(a).map_err(
-            |crate::order::OrderingError::NotSquare { shape }| SparseLuError::NotSquare { shape },
-        )?;
-        let acc = ColAccess::build(a, &q);
+        let (q, acc) = elimination_plan(a, ordering)?;
         factor_core(a.rows(), a.nnz(), &acc, a.values(), q, pivot_tol, None)
     }
 
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
-        self.n
+        self.s.n
     }
 
     /// Number of nonzeros in `L` plus `U` (fill metric).
     pub fn factor_nnz(&self) -> usize {
-        self.l.rows.len() + self.u.rows.len()
+        self.l_vals.len() + self.u_vals.len()
+    }
+
+    /// Column `j` of `L`: rows in pivot order, unit diagonal first.
+    #[inline]
+    fn l_col(&self, j: usize) -> (&[Idx], &[f64]) {
+        let span = self.s.l_colptr[j] as usize..self.s.l_colptr[j + 1] as usize;
+        (&self.s.l_rows[span.clone()], &self.l_vals[span])
+    }
+
+    /// Column `j` of `U`, diagonal last.
+    #[inline]
+    fn u_col(&self, j: usize) -> (&[Idx], &[f64]) {
+        let span = self.s.u_colptr[j] as usize..self.s.u_colptr[j + 1] as usize;
+        (&self.s.u_rows[span.clone()], &self.u_vals[span])
     }
 
     /// Solves `A·x = b`, allocating the result. Thin wrapper over
@@ -219,7 +297,7 @@ impl SparseLu {
     /// and call that directly.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut out = b.to_vec();
-        let mut scratch = vec![0.0f64; self.n];
+        let mut scratch = vec![0.0f64; self.dim()];
         self.solve_in_place(&mut out, &mut scratch);
         out
     }
@@ -232,40 +310,41 @@ impl SparseLu {
     /// # Panics
     /// Panics when `b` or `scratch` is not of length `n`.
     pub fn solve_in_place(&self, b: &mut [f64], scratch: &mut [f64]) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(scratch.len(), self.n, "scratch length mismatch");
+        let n = self.dim();
+        assert_eq!(b.len(), n, "rhs length mismatch");
+        assert_eq!(scratch.len(), n, "scratch length mismatch");
         gm_telemetry::counter_add("sparse.lu.solves", 1);
         // x = P b
         let x = scratch;
-        for (orig, &pk) in self.pinv.iter().enumerate() {
-            x[pk] = b[orig];
+        for (orig, &pk) in self.s.pinv.iter().enumerate() {
+            x[pk as usize] = b[orig];
         }
         // L solve (unit diagonal first entry per column).
-        for j in 0..self.n {
-            let (rows, vals) = self.l.col(j);
+        for j in 0..n {
+            let (rows, vals) = self.l_col(j);
             let xj = x[j];
             if xj != 0.0 {
                 for (&r, &v) in rows.iter().zip(vals).skip(1) {
-                    x[r] -= v * xj;
+                    x[r as usize] -= v * xj;
                 }
             }
         }
         // U solve (diagonal last entry per column).
-        for j in (0..self.n).rev() {
-            let (rows, vals) = self.u.col(j);
+        for j in (0..n).rev() {
+            let (rows, vals) = self.u_col(j);
             let last = rows.len() - 1;
-            debug_assert_eq!(rows[last], j);
+            debug_assert_eq!(rows[last] as usize, j);
             x[j] /= vals[last];
             let xj = x[j];
             if xj != 0.0 {
                 for (&r, &v) in rows[..last].iter().zip(&vals[..last]) {
-                    x[r] -= v * xj;
+                    x[r as usize] -= v * xj;
                 }
             }
         }
         // Undo the column permutation: out[q[k]] = x[k].
-        for (k, &qk) in self.q.iter().enumerate() {
-            b[qk] = x[k];
+        for (k, &qk) in self.s.q.iter().enumerate() {
+            b[qk as usize] = x[k];
         }
     }
 
@@ -288,22 +367,20 @@ impl SparseLu {
     /// Panics when `nrhs` is zero or the slice lengths disagree with
     /// `n * nrhs` / `n * nrhs + nrhs`.
     pub fn solve_many_in_place(&self, panel: &mut [f64], nrhs: usize, scratch: &mut [f64]) {
+        let n = self.dim();
         assert!(nrhs > 0, "at least one right-hand side");
-        assert_eq!(panel.len(), self.n * nrhs, "panel length mismatch");
-        assert_eq!(
-            scratch.len(),
-            self.n * nrhs + nrhs,
-            "scratch length mismatch"
-        );
+        assert_eq!(panel.len(), n * nrhs, "panel length mismatch");
+        assert_eq!(scratch.len(), n * nrhs + nrhs, "scratch length mismatch");
         gm_telemetry::counter_add("sparse.lu.solves", nrhs as u64);
-        let (x, lanes) = scratch.split_at_mut(self.n * nrhs);
+        let (x, lanes) = scratch.split_at_mut(n * nrhs);
         // X = P B, lane blocks move wholesale.
-        for (orig, &pk) in self.pinv.iter().enumerate() {
+        for (orig, &pk) in self.s.pinv.iter().enumerate() {
+            let pk = pk as usize;
             x[pk * nrhs..(pk + 1) * nrhs].copy_from_slice(&panel[orig * nrhs..(orig + 1) * nrhs]);
         }
         // L solve (unit diagonal first entry per column).
-        for j in 0..self.n {
-            let (rows, vals) = self.l.col(j);
+        for j in 0..n {
+            let (rows, vals) = self.l_col(j);
             lanes.copy_from_slice(&x[j * nrhs..(j + 1) * nrhs]);
             let live = lanes.iter().filter(|v| **v != 0.0).count();
             if live == 0 {
@@ -312,11 +389,13 @@ impl SparseLu {
             if live == nrhs {
                 // Every lane active: blocked dense AXPY over the lane block.
                 for (&r, &v) in rows.iter().zip(vals).skip(1) {
+                    let r = r as usize;
                     axpy_lane_blocked(&mut x[r * nrhs..(r + 1) * nrhs], lanes, v);
                 }
             } else {
                 // Mixed lanes: keep the single-RHS skip-on-zero per lane.
                 for (&r, &v) in rows.iter().zip(vals).skip(1) {
+                    let r = r as usize;
                     for (xr, &xj) in x[r * nrhs..(r + 1) * nrhs].iter_mut().zip(lanes.iter()) {
                         if xj != 0.0 {
                             *xr -= v * xj;
@@ -326,10 +405,10 @@ impl SparseLu {
             }
         }
         // U solve (diagonal last entry per column).
-        for j in (0..self.n).rev() {
-            let (rows, vals) = self.u.col(j);
+        for j in (0..n).rev() {
+            let (rows, vals) = self.u_col(j);
             let last = rows.len() - 1;
-            debug_assert_eq!(rows[last], j);
+            debug_assert_eq!(rows[last] as usize, j);
             let d = vals[last];
             for (xj, lane) in x[j * nrhs..(j + 1) * nrhs].iter_mut().zip(lanes.iter_mut()) {
                 *xj /= d;
@@ -341,10 +420,12 @@ impl SparseLu {
             }
             if live == nrhs {
                 for (&r, &v) in rows[..last].iter().zip(&vals[..last]) {
+                    let r = r as usize;
                     axpy_lane_blocked(&mut x[r * nrhs..(r + 1) * nrhs], lanes, v);
                 }
             } else {
                 for (&r, &v) in rows[..last].iter().zip(&vals[..last]) {
+                    let r = r as usize;
                     for (xr, &xj) in x[r * nrhs..(r + 1) * nrhs].iter_mut().zip(lanes.iter()) {
                         if xj != 0.0 {
                             *xr -= v * xj;
@@ -354,7 +435,8 @@ impl SparseLu {
             }
         }
         // Undo the column permutation: out[q[k]] = x[k], lane blocks.
-        for (k, &qk) in self.q.iter().enumerate() {
+        for (k, &qk) in self.s.q.iter().enumerate() {
+            let qk = qk as usize;
             panel[qk * nrhs..(qk + 1) * nrhs].copy_from_slice(&x[k * nrhs..(k + 1) * nrhs]);
         }
     }
@@ -398,20 +480,21 @@ pub(crate) fn factor_core(
     nnz: usize,
     acc: &ColAccess,
     avals: &[f64],
-    q: Vec<usize>,
+    q: Vec<Idx>,
     pivot_tol: f64,
     mut capture: Option<&mut PatternCapture>,
 ) -> Result<SparseLu, SparseLuError> {
+    const UNPIVOTED: Idx = Idx::MAX;
     gm_telemetry::counter_add("sparse.lu.factorizations", 1);
     let mut l = CscFactor::with_capacity(n, 4 * nnz.max(n));
     let mut u = CscFactor::with_capacity(n, 4 * nnz.max(n));
-    let mut pinv = vec![usize::MAX; n];
+    let mut pinv = vec![UNPIVOTED; n];
 
     // Workspaces.
     let mut x = vec![0.0f64; n];
     let mut marked = vec![false; n];
-    let mut pattern: Vec<usize> = Vec::with_capacity(n); // topological order (reverse)
-    let mut dfs_stack: Vec<(usize, usize)> = Vec::with_capacity(n);
+    let mut pattern: Vec<Idx> = Vec::with_capacity(n); // topological order (reverse)
+    let mut dfs_stack: Vec<(Idx, usize)> = Vec::with_capacity(n);
 
     if let Some(cap) = capture.as_deref_mut() {
         cap.pat_ptr.clear();
@@ -420,25 +503,25 @@ pub(crate) fn factor_core(
     }
 
     for k in 0..n {
-        let col = q[k];
+        let col = q[k] as usize;
         let (bcols, bsrc) = acc.col(k); // A(:, col), rows ascending
 
         // --- Symbolic: pattern of x = L \ A(:,col) via DFS. ---
         pattern.clear();
         for &i in bcols {
-            if !marked[i] {
+            if !marked[i as usize] {
                 dfs_stack.push((i, 0));
-                marked[i] = true;
+                marked[i as usize] = true;
                 while let Some(top) = dfs_stack.last_mut() {
                     let node = top.0;
-                    let jcol = pinv[node];
+                    let jcol = pinv[node as usize];
                     let mut next_child = None;
-                    if jcol != usize::MAX {
-                        let (lrows, _) = l.col(jcol);
+                    if jcol != UNPIVOTED {
+                        let lrows = l.col_rows(jcol as usize);
                         while top.1 < lrows.len() {
                             let r = lrows[top.1];
                             top.1 += 1;
-                            if !marked[r] {
+                            if !marked[r as usize] {
                                 next_child = Some(r);
                                 break;
                             }
@@ -446,7 +529,7 @@ pub(crate) fn factor_core(
                     }
                     match next_child {
                         Some(r) => {
-                            marked[r] = true;
+                            marked[r as usize] = true;
                             dfs_stack.push((r, 0));
                         }
                         None => {
@@ -462,28 +545,33 @@ pub(crate) fn factor_core(
         // when traversed in reverse.
         if let Some(cap) = capture.as_deref_mut() {
             cap.pat_rows.extend_from_slice(&pattern);
-            cap.pat_ptr.push(cap.pat_rows.len());
+            assert!(
+                cap.pat_rows.len() <= Idx::MAX as usize,
+                "reach patterns exceed the 32-bit structure index"
+            );
+            cap.pat_ptr.push(cap.pat_rows.len() as Idx);
         }
 
         // --- Numeric: scatter b, then eliminate. ---
         for &i in &pattern {
-            x[i] = 0.0;
+            x[i as usize] = 0.0;
         }
         for (&i, &p) in bcols.iter().zip(bsrc) {
-            x[i] = avals[p];
+            x[i as usize] = avals[p as usize];
         }
         for idx in (0..pattern.len()).rev() {
-            let i = pattern[idx];
+            let i = pattern[idx] as usize;
             let jcol = pinv[i];
-            if jcol == usize::MAX {
+            if jcol == UNPIVOTED {
                 continue;
             }
             // L column jcol is diagonal-first with unit diagonal.
-            let (lrows, lvals) = l.col(jcol);
+            let span = l.colptr[jcol as usize] as usize..l.colptr[jcol as usize + 1] as usize;
+            let (lrows, lvals) = (&l.rows[span.clone()], &l.vals[span]);
             let xi = x[i]; // already fully updated (topological order)
             if xi != 0.0 {
                 for (&r, &lv) in lrows.iter().zip(lvals).skip(1) {
-                    x[r] -= lv * xi;
+                    x[r as usize] -= lv * xi;
                 }
             }
         }
@@ -492,7 +580,8 @@ pub(crate) fn factor_core(
         let mut ipiv = usize::MAX;
         let mut amax = 0.0f64;
         for &i in &pattern {
-            if pinv[i] == usize::MAX {
+            let i = i as usize;
+            if pinv[i] == UNPIVOTED {
                 let t = x[i].abs();
                 if t > amax {
                     amax = t;
@@ -501,14 +590,10 @@ pub(crate) fn factor_core(
             }
         }
         if ipiv == usize::MAX || amax <= 0.0 {
-            // Clean up marks before returning.
-            for &i in &pattern {
-                marked[i] = false;
-            }
             return Err(SparseLuError::Singular { step: k });
         }
         // Prefer the diagonal candidate when acceptable.
-        if pinv[col] == usize::MAX && x[col].abs() >= pivot_tol * amax && x[col] != 0.0 {
+        if pinv[col] == UNPIVOTED && x[col].abs() >= pivot_tol * amax && x[col] != 0.0 {
             ipiv = col;
         }
         let pivot = x[ipiv];
@@ -516,38 +601,55 @@ pub(crate) fn factor_core(
         // --- Store U column k (rows already pivoted), diagonal last.
         // Exact zeros are kept: structure must not depend on values. ---
         for &i in &pattern {
-            if pinv[i] != usize::MAX {
-                u.rows.push(pinv[i]);
-                u.vals.push(x[i]);
+            if pinv[i as usize] != UNPIVOTED {
+                u.rows.push(pinv[i as usize]);
+                u.vals.push(x[i as usize]);
             }
         }
-        u.rows.push(k);
+        u.rows.push(k as Idx);
         u.vals.push(pivot);
         u.close_col();
 
         // --- Store L column k (unpivoted rows), unit diagonal first. ---
-        pinv[ipiv] = k;
-        l.rows.push(ipiv);
+        pinv[ipiv] = k as Idx;
+        l.rows.push(ipiv as Idx);
         l.vals.push(1.0);
         for &i in &pattern {
-            if pinv[i] == usize::MAX {
+            if pinv[i as usize] == UNPIVOTED {
                 l.rows.push(i);
-                l.vals.push(x[i] / pivot);
+                l.vals.push(x[i as usize] / pivot);
             }
         }
         l.close_col();
 
         for &i in &pattern {
-            marked[i] = false;
+            marked[i as usize] = false;
         }
     }
 
     // Rewrite L's row indices into pivot order so solves are plain
-    // triangular sweeps.
+    // triangular sweeps. The build buffers were reserved for worst-case
+    // fill; what outlives this call is shrunk to the fill that happened.
     for r in &mut l.rows {
-        *r = pinv[*r];
+        *r = pinv[*r as usize];
     }
-    Ok(SparseLu { n, l, u, pinv, q })
+    l.rows.shrink_to_fit();
+    l.vals.shrink_to_fit();
+    u.rows.shrink_to_fit();
+    u.vals.shrink_to_fit();
+    Ok(SparseLu {
+        s: Arc::new(LuStructure {
+            n,
+            pinv,
+            q,
+            l_colptr: l.colptr,
+            l_rows: l.rows,
+            u_colptr: u.colptr,
+            u_rows: u.rows,
+        }),
+        l_vals: l.vals,
+        u_vals: u.vals,
+    })
 }
 
 #[cfg(test)]

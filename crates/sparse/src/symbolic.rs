@@ -24,31 +24,43 @@
 //! never change a solver's answer, only its speed.
 //!
 //! [`LuEngine`] packages the policy: a small MRU cache of symbolic
-//! objects keyed by [`CsMat::pattern_fingerprint`], automatic fallback,
-//! reusable numeric buffers, and telemetry
+//! objects looked up by shape and confirmed by comparing the pattern
+//! itself, automatic fallback, reusable numeric buffers, and telemetry
 //! (`sparse.symbolic.{build,reuse,fallback}` counters,
 //! `sparse.analyze_s`/`sparse.refactor_s` timings).
+//! [`with_thread_engine`] is its per-thread home: the engine the
+//! solvers' convenience entry points borrow, so a thread analyzes each
+//! pattern it meets once, not once per call.
 
 use crate::csmat::CsMat;
-use crate::lu::{factor_core, ColAccess, PatternCapture, SparseLu, SparseLuError};
+use crate::lu::{
+    elimination_plan, factor_core, ColAccess, Idx, LuStructure, PatternCapture, SparseLu,
+    SparseLuError,
+};
 use crate::order::Ordering;
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Reusable symbolic analysis of one sparsity pattern: fill-reducing
 /// column order, captured pivot sequence, and per-step reach patterns of
 /// the analysis factorization. Stored factors keep explicit zeros, so
-/// these three fully determine the `L`/`U` fill structure.
+/// these three fully determine the `L`/`U` fill structure — which lives
+/// here once (`LuStructure`, shared with every numeric factor replayed
+/// from this analysis), in 32-bit indices.
 #[derive(Clone, Debug)]
 pub struct SymbolicLu {
-    n: usize,
-    nnz: usize,
-    fingerprint: u64,
     ordering: Ordering,
     pivot_tol: f64,
-    /// Column order: column `q[k]` eliminated at step `k`.
-    q: Vec<usize>,
-    /// Captured pivot permutation: `pinv[original_row] = pivot position`.
-    pinv: Vec<usize>,
+    /// The analyzed pattern itself, so a matrix is matched against it by
+    /// comparing, exactly, instead of by hashing (as
+    /// [`crate::SparseLdl`] does).
+    indptr: Vec<Idx>,
+    indices: Vec<Idx>,
+    /// Column order, captured pivot permutation and the final factor
+    /// structure — a pure function of pattern + pivot sequence, so a
+    /// refactorization only writes values beside it.
+    structure: Arc<LuStructure>,
     /// Per-step reach pattern (`pat_rows` spans indexed by `pat_ptr`),
     /// re-ordered from the captured DFS postorder into two runs per
     /// step: rows already pivoted before step `k` (`pinv[i] < k`, the
@@ -56,25 +68,23 @@ pub struct SymbolicLu {
     /// `pat_split[k]`, then the not-yet-pivoted rows. The numeric replay
     /// then runs branch-free: the same operations in the same order as
     /// the analysis loop, minus the per-entry `pinv` comparisons.
-    pat_ptr: Vec<usize>,
-    pat_split: Vec<usize>,
-    pat_rows: Vec<usize>,
-    /// Exact entry counts of the analysis factors, for reservation.
-    l_nnz: usize,
-    u_nnz: usize,
-    /// Final factor structure — a pure function of pattern + pivot
-    /// sequence, so a refactorization only writes values into it:
-    /// `l_rows_orig` holds L's row indices as original rows (what the
-    /// elimination scatter indexes), `l_rows_piv` the same entries
-    /// rewritten into pivot order (what the finished factor stores).
-    l_colptr: Vec<usize>,
-    l_rows_orig: Vec<usize>,
-    l_rows_piv: Vec<usize>,
-    u_colptr: Vec<usize>,
-    u_rows: Vec<usize>,
+    pat_ptr: Vec<Idx>,
+    pat_split: Vec<Idx>,
+    pat_rows: Vec<Idx>,
+    /// `structure.l_rows` as original rows (what the elimination scatter
+    /// indexes); the structure keeps the same entries in pivot order
+    /// (what the finished factor stores).
+    l_rows_orig: Vec<Idx>,
     /// Column-access plan: step `k` reads `A(:, q[k])` values straight
     /// out of the CSR data array.
     acc: ColAccess,
+}
+
+/// `wide == narrow`, element for element. A stored index that did not
+/// fit `Idx` cannot have come from an analysis ([`elimination_plan`]
+/// asserts the fit), and would compare unequal here rather than alias.
+fn same_indices(wide: &[usize], narrow: &[Idx]) -> bool {
+    wide.len() == narrow.len() && wide.iter().zip(narrow).all(|(&w, &s)| w == s as usize)
 }
 
 impl SymbolicLu {
@@ -87,72 +97,61 @@ impl SymbolicLu {
         ordering: Ordering,
         pivot_tol: f64,
     ) -> Result<(SymbolicLu, SparseLu), SparseLuError> {
-        if a.rows() != a.cols() {
-            return Err(SparseLuError::NotSquare { shape: a.shape() });
-        }
-        let q = ordering.permutation(a).map_err(
-            |crate::order::OrderingError::NotSquare { shape }| SparseLuError::NotSquare { shape },
-        )?;
-        let acc = ColAccess::build(a, &q);
+        let (q, acc) = elimination_plan(a, ordering)?;
         let mut cap = PatternCapture::default();
         let numeric = factor_core(
             a.rows(),
             a.nnz(),
             &acc,
             a.values(),
-            q.clone(),
+            q,
             pivot_tol,
             Some(&mut cap),
         )?;
         let n = a.rows();
-        let pinv = numeric.pinv.clone();
+        let structure = Arc::clone(&numeric.s);
+        let pinv = &structure.pinv;
         // Split each step's postorder pattern into eliminated-before-k /
         // not-yet-pivoted runs (see the `pat_split` field docs). Both
         // runs preserve their relative postorder, so the replay executes
         // the exact same floating-point sequence as the analysis.
-        let mut pat_split = vec![0usize; n];
+        let mut pat_split = vec![0; n];
         let mut pat_rows = Vec::with_capacity(cap.pat_rows.len());
         for k in 0..n {
-            let span = &cap.pat_rows[cap.pat_ptr[k]..cap.pat_ptr[k + 1]];
+            let span = &cap.pat_rows[cap.pat_ptr[k] as usize..cap.pat_ptr[k + 1] as usize];
             for &i in span {
-                if pinv[i] < k {
+                if (pinv[i as usize] as usize) < k {
                     pat_rows.push(i);
                 }
             }
-            pat_split[k] = pat_rows.len();
+            pat_split[k] = pat_rows.len() as Idx;
             for &i in span {
-                if pinv[i] >= k {
+                if pinv[i as usize] as usize >= k {
                     pat_rows.push(i);
                 }
             }
         }
-        // Capture the final factor structure. L's stored rows are in
-        // pivot order; the elimination reads them as original rows, so
-        // keep both images of the same index sequence.
-        let mut pivot_row = vec![0usize; n];
+        // L's stored rows are in pivot order; the elimination reads them
+        // as original rows, so keep that image of the same sequence.
+        let mut pivot_row = vec![0; n];
         for (orig, &pk) in pinv.iter().enumerate() {
-            pivot_row[pk] = orig;
+            pivot_row[pk as usize] = orig as Idx;
         }
-        let l_rows_piv = numeric.l.rows.clone();
-        let l_rows_orig: Vec<usize> = l_rows_piv.iter().map(|&r| pivot_row[r]).collect();
+        let l_rows_orig = structure
+            .l_rows
+            .iter()
+            .map(|&r| pivot_row[r as usize])
+            .collect();
         let sym = SymbolicLu {
-            n,
-            nnz: a.nnz(),
-            fingerprint: a.pattern_fingerprint(),
             ordering,
             pivot_tol,
-            q,
-            pinv,
+            indptr: a.indptr().iter().map(|&p| p as Idx).collect(),
+            indices: a.indices().iter().map(|&j| j as Idx).collect(),
+            structure,
             pat_ptr: cap.pat_ptr,
             pat_split,
             pat_rows,
-            l_nnz: numeric.l.rows.len(),
-            u_nnz: numeric.u.rows.len(),
-            l_colptr: numeric.l.colptr.clone(),
             l_rows_orig,
-            l_rows_piv,
-            u_colptr: numeric.u.colptr.clone(),
-            u_rows: numeric.u.rows.clone(),
             acc,
         };
         Ok((sym, numeric))
@@ -160,18 +159,12 @@ impl SymbolicLu {
 
     /// Matrix dimension this analysis applies to.
     pub fn dim(&self) -> usize {
-        self.n
+        self.structure.n
     }
 
     /// Nonzero count of the analyzed pattern.
     pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Pattern fingerprint of the analyzed matrix
-    /// (see [`CsMat::pattern_fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.indices.len()
     }
 
     /// Ordering the analysis was built with.
@@ -182,6 +175,26 @@ impl SymbolicLu {
     /// Pivot threshold the analysis was built with.
     pub fn pivot_tol(&self) -> f64 {
         self.pivot_tol
+    }
+
+    /// Whether `a` has exactly the analyzed pattern: shape, `indptr` and
+    /// `indices` compared element for element.
+    pub fn same_pattern(&self, a: &CsMat<f64>) -> bool {
+        a.shape() == (self.dim(), self.dim())
+            && same_indices(a.indptr(), &self.indptr)
+            && same_indices(a.indices(), &self.indices)
+    }
+
+    /// Heap bytes this analysis keeps alive, the shared factor structure
+    /// included.
+    fn retained_bytes(&self) -> usize {
+        let idx = self.indptr.len()
+            + self.indices.len()
+            + self.pat_ptr.len()
+            + self.pat_split.len()
+            + self.pat_rows.len()
+            + self.l_rows_orig.len();
+        idx * std::mem::size_of::<Idx>() + self.structure.heap_bytes() + self.acc.heap_bytes()
     }
 
     /// Numeric refactorization of `a` (same pattern as the analyzed
@@ -202,27 +215,40 @@ impl SymbolicLu {
     /// ordering is a pure function of the pattern), while skipping the
     /// ordering and transpose work that dominates a cold factorization.
     pub fn factor_fresh(&self, a: &CsMat<f64>) -> Result<SparseLu, SparseLuError> {
-        if a.rows() != a.cols() {
-            return Err(SparseLuError::NotSquare { shape: a.shape() });
-        }
-        if a.rows() != self.n || a.nnz() != self.nnz || a.pattern_fingerprint() != self.fingerprint
-        {
-            return Err(SparseLuError::RefactorUnstable { step: 0 });
-        }
+        self.check_pattern(a)?;
+        self.factor_fresh_unchecked(a)
+    }
+
+    fn factor_fresh_unchecked(&self, a: &CsMat<f64>) -> Result<SparseLu, SparseLuError> {
         factor_core(
-            self.n,
-            self.nnz,
+            self.dim(),
+            self.nnz(),
             &self.acc,
             a.values(),
-            self.q.clone(),
+            self.structure.q.clone(),
             self.pivot_tol,
             None,
         )
     }
 
+    /// The public entry points' guard: the replay indexes `a`'s values
+    /// by stored offsets, so anything but the analyzed pattern is
+    /// refused before a value is read.
+    fn check_pattern(&self, a: &CsMat<f64>) -> Result<(), SparseLuError> {
+        if a.rows() != a.cols() {
+            return Err(SparseLuError::NotSquare { shape: a.shape() });
+        }
+        if !self.same_pattern(a) {
+            return Err(SparseLuError::RefactorUnstable { step: 0 });
+        }
+        Ok(())
+    }
+
     /// Numeric refactorization: replays the captured elimination on
-    /// `a`'s values, reusing `out`'s buffers and `scratch` (resized to
-    /// `n`; contents irrelevant) so the steady state allocates nothing.
+    /// `a`'s values, reusing `out`'s value buffers and `scratch`
+    /// (resized to `n`; contents irrelevant) so the steady state
+    /// allocates nothing and copies no structure — `out` ends up
+    /// sharing this analysis's.
     ///
     /// On `Ok`, `out` is bit-identical to what a fresh
     /// [`SparseLu::factor_with`]`(a, ordering, pivot_tol)` would
@@ -238,34 +264,34 @@ impl SymbolicLu {
         out: &mut SparseLu,
         scratch: &mut Vec<f64>,
     ) -> Result<(), SparseLuError> {
-        if a.rows() != a.cols() {
-            return Err(SparseLuError::NotSquare { shape: a.shape() });
-        }
-        if a.rows() != self.n || a.nnz() != self.nnz || a.pattern_fingerprint() != self.fingerprint
-        {
-            return Err(SparseLuError::RefactorUnstable { step: 0 });
-        }
-        gm_telemetry::counter_add("sparse.lu.factorizations", 1);
-        let n = self.n;
-        let avals = a.values();
-        let pinv = &self.pinv;
+        self.check_pattern(a)?;
+        self.replay(a.values(), out, scratch)
+    }
 
+    /// The replay behind [`SymbolicLu::refactor_into`], for callers that
+    /// have already matched `avals`' matrix against this analysis
+    /// ([`SymbolicLu::same_pattern`]).
+    fn replay(
+        &self,
+        avals: &[f64],
+        out: &mut SparseLu,
+        scratch: &mut Vec<f64>,
+    ) -> Result<(), SparseLuError> {
+        gm_telemetry::counter_add("sparse.lu.factorizations", 1);
+        let s = &*self.structure;
+        let n = s.n;
+        let pinv = &s.pinv[..];
         // The fill structure is a pure function of pattern + verified
-        // pivot sequence, so the captured colptr/rows ARE the output
+        // pivot sequence, so the captured structure IS the output
         // structure: the replay below only writes values, through a
         // cursor per factor, with no per-push capacity checks and no
         // final row-rewrite pass. Elimination reads L's in-progress
         // columns through the captured original-row image
         // (`l_rows_orig`) — only values change between refactorizations.
-        out.n = n;
-        out.q.clone_from(&self.q);
-        out.pinv.clone_from(pinv);
-        out.l.colptr.clone_from(&self.l_colptr);
-        out.l.rows.clone_from(&self.l_rows_piv);
-        out.l.vals.resize(self.l_nnz, 0.0);
-        out.u.colptr.clone_from(&self.u_colptr);
-        out.u.rows.clone_from(&self.u_rows);
-        out.u.vals.resize(self.u_nnz, 0.0);
+        out.s = Arc::clone(&self.structure);
+        out.l_vals.resize(s.l_rows.len(), 0.0);
+        out.u_vals.resize(s.u_rows.len(), 0.0);
+        let (l_vals, u_vals) = (&mut out.l_vals[..], &mut out.u_vals[..]);
         scratch.resize(n, 0.0);
         let x = &mut scratch[..];
         let mut lpos = 0usize;
@@ -277,30 +303,31 @@ impl SymbolicLu {
             // not-yet-pivoted rest. Same index sets the analysis loop
             // partitioned per entry — pre-split, so the hot loops are
             // branch-free.
-            let elim = &self.pat_rows[self.pat_ptr[k]..self.pat_split[k]];
-            let rest = &self.pat_rows[self.pat_split[k]..self.pat_ptr[k + 1]];
+            let split = self.pat_split[k] as usize;
+            let elim = &self.pat_rows[self.pat_ptr[k] as usize..split];
+            let rest = &self.pat_rows[split..self.pat_ptr[k + 1] as usize];
 
             // --- Numeric: scatter A(:, q[k]), then eliminate in the
             // captured topological order (reverse postorder). ---
             for &i in elim {
-                x[i] = 0.0;
+                x[i as usize] = 0.0;
             }
             for &i in rest {
-                x[i] = 0.0;
+                x[i as usize] = 0.0;
             }
             let (bcols, bsrc) = self.acc.col(k);
             for (&i, &p) in bcols.iter().zip(bsrc) {
-                x[i] = avals[p];
+                x[i as usize] = avals[p as usize];
             }
-            for idx in (0..elim.len()).rev() {
-                let i = elim[idx];
-                let jcol = pinv[i];
-                let lrows = &self.l_rows_orig[self.l_colptr[jcol]..self.l_colptr[jcol + 1]];
-                let lvals = &out.l.vals[self.l_colptr[jcol]..self.l_colptr[jcol + 1]];
-                let xi = x[i];
+            for &i in elim.iter().rev() {
+                let jcol = pinv[i as usize] as usize;
+                let span = s.l_colptr[jcol] as usize..s.l_colptr[jcol + 1] as usize;
+                let lrows = &self.l_rows_orig[span.clone()];
+                let lvals = &l_vals[span];
+                let xi = x[i as usize];
                 if xi != 0.0 {
                     for (&r, &lv) in lrows.iter().zip(lvals).skip(1) {
-                        x[r] -= lv * xi;
+                        x[r as usize] -= lv * xi;
                     }
                 }
             }
@@ -310,20 +337,20 @@ impl SymbolicLu {
             let mut ipiv = usize::MAX;
             let mut amax = 0.0f64;
             for &i in rest {
-                let t = x[i].abs();
+                let t = x[i as usize].abs();
                 if t > amax {
                     amax = t;
-                    ipiv = i;
+                    ipiv = i as usize;
                 }
             }
             if ipiv == usize::MAX || amax <= 0.0 {
                 return Err(SparseLuError::Singular { step: k });
             }
-            let col = self.q[k];
-            if pinv[col] >= k && x[col].abs() >= self.pivot_tol * amax && x[col] != 0.0 {
+            let col = s.q[k] as usize;
+            if pinv[col] as usize >= k && x[col].abs() >= self.pivot_tol * amax && x[col] != 0.0 {
                 ipiv = col;
             }
-            if pinv[ipiv] != k {
+            if pinv[ipiv] as usize != k {
                 return Err(SparseLuError::RefactorUnstable { step: k });
             }
             let pivot = x[ipiv];
@@ -331,23 +358,23 @@ impl SymbolicLu {
             // --- Write U and L values for column k straight into the
             // captured structure (explicit zeros included). ---
             for &i in elim {
-                out.u.vals[upos] = x[i];
+                u_vals[upos] = x[i as usize];
                 upos += 1;
             }
-            out.u.vals[upos] = pivot;
+            u_vals[upos] = pivot;
             upos += 1;
 
-            out.l.vals[lpos] = 1.0;
+            l_vals[lpos] = 1.0;
             lpos += 1;
             for &i in rest {
-                if pinv[i] > k {
-                    out.l.vals[lpos] = x[i] / pivot;
+                if pinv[i as usize] as usize > k {
+                    l_vals[lpos] = x[i as usize] / pivot;
                     lpos += 1;
                 }
             }
         }
-        debug_assert_eq!(lpos, self.l_nnz);
-        debug_assert_eq!(upos, self.u_nnz);
+        debug_assert_eq!(lpos, l_vals.len());
+        debug_assert_eq!(upos, u_vals.len());
         Ok(())
     }
 }
@@ -357,31 +384,43 @@ impl SparseLu {
     /// [`LuEngine`] buffer reuse. Not usable for solves until filled.
     pub fn empty() -> SparseLu {
         SparseLu {
-            n: 0,
-            l: crate::lu::CscFactor {
-                colptr: vec![0],
-                rows: Vec::new(),
-                vals: Vec::new(),
-            },
-            u: crate::lu::CscFactor {
-                colptr: vec![0],
-                rows: Vec::new(),
-                vals: Vec::new(),
-            },
-            pinv: Vec::new(),
-            q: Vec::new(),
+            s: Arc::new(LuStructure {
+                n: 0,
+                pinv: Vec::new(),
+                q: Vec::new(),
+                l_colptr: vec![0],
+                l_rows: Vec::new(),
+                u_colptr: vec![0],
+                u_rows: Vec::new(),
+            }),
+            l_vals: Vec::new(),
+            u_vals: Vec::new(),
         }
     }
 }
 
 struct Slot {
-    fingerprint: u64,
     sym: SymbolicLu,
     numeric: SparseLu,
     /// Consecutive refactorizations that degraded into a re-analysis.
     /// At [`DIRECT_DEMOTION_STREAK`] the slot stops attempting replays
     /// and switches to [`SymbolicLu::factor_fresh`] permanently.
     fallback_streak: u32,
+}
+
+impl Slot {
+    /// Heap bytes the slot keeps alive. A factor that came out of a
+    /// demoted slot's fresh pivoting carries a structure of its own.
+    fn retained_bytes(&self) -> usize {
+        let own_structure = if Arc::ptr_eq(&self.numeric.s, &self.sym.structure) {
+            0
+        } else {
+            self.numeric.s.heap_bytes()
+        };
+        self.sym.retained_bytes()
+            + own_structure
+            + self.numeric.factor_nnz() * std::mem::size_of::<f64>()
+    }
 }
 
 /// Consecutive fallbacks after which a slot is demoted to direct
@@ -394,12 +433,14 @@ const DIRECT_DEMOTION_STREAK: u32 = 2;
 /// Pattern-reuse factorization engine: the one-stop API the solvers use
 /// instead of calling [`SparseLu::factor`] per iteration.
 ///
-/// Keeps a small MRU cache of symbolic analyses keyed by pattern
-/// fingerprint. [`LuEngine::factorize`] refactors numerically on a
-/// pattern hit (falling back to a fresh analysis whenever the replay
-/// reports instability, so results never depend on cache state) and
-/// analyzes on a miss. Numeric factors and scratch space are owned by
-/// the engine and reused across calls.
+/// Keeps a small MRU cache of symbolic analyses. A lookup shortlists by
+/// `(dim, nnz)` and confirms by comparing the pattern itself against the
+/// copy the analysis keeps — a hit is exact, never a hash's word for it.
+/// [`LuEngine::factorize`] refactors numerically on a pattern hit
+/// (falling back to a fresh analysis whenever the replay reports
+/// instability, so results never depend on cache state) and analyzes on
+/// a miss. Numeric factors and scratch space are owned by the engine and
+/// reused across calls.
 ///
 /// A slot whose replays keep failing (`DIRECT_DEMOTION_STREAK`
 /// consecutive fallbacks) is demoted: further hits skip the replay and
@@ -410,10 +451,14 @@ const DIRECT_DEMOTION_STREAK: u32 = 2;
 /// `sparse.symbolic.reuse` successful refactorizations,
 /// `sparse.symbolic.fallback` refactorizations that degraded into a
 /// re-analysis (also counted as a build), `sparse.symbolic.direct`
-/// demoted-slot factorizations; `sparse.analyze_s` /
-/// `sparse.refactor_s` / `sparse.direct_s` record the respective wall
-/// times. The `sparse.refactor` fault site (gm-faults, kind
-/// `LuSingular`) forces the fallback path for chaos testing.
+/// demoted-slot factorizations, `sparse.symbolic.miss_same_shape`
+/// misses that had a cached pattern of equal `dim`/`nnz` to rule out,
+/// `sparse.symbolic.evict` analyses dropped for room;
+/// `sparse.analyze_s` / `sparse.refactor_s` / `sparse.direct_s` record
+/// the respective wall times and `sparse.engine.retained_kb` what the
+/// engine holds after each analysis. The `sparse.refactor` fault site
+/// (gm-faults, kind `LuSingular`) forces the fallback path for chaos
+/// testing.
 pub struct LuEngine {
     capacity: usize,
     /// MRU-first.
@@ -466,16 +511,17 @@ impl LuEngine {
         if a.rows() != a.cols() {
             return Err(SparseLuError::NotSquare { shape: a.shape() });
         }
-        let fingerprint = a.pattern_fingerprint();
+        let mut same_shape = false;
         let hit = self.slots.iter().position(|s| {
-            s.fingerprint == fingerprint
-                && s.sym.dim() == a.rows()
+            let shortlisted = s.sym.dim() == a.rows()
                 && s.sym.nnz() == a.nnz()
                 && s.sym.ordering() == ordering
                 // Cache-key identity: bitwise compare so the slot only
                 // matches the exact threshold it was analyzed with
                 // (NaN-safe, unlike `==`).
-                && s.sym.pivot_tol().to_bits() == pivot_tol.to_bits()
+                && s.sym.pivot_tol().to_bits() == pivot_tol.to_bits();
+            same_shape |= shortlisted;
+            shortlisted && s.sym.same_pattern(a)
         });
 
         if let Some(idx) = hit {
@@ -488,7 +534,7 @@ impl LuEngine {
                 // factorization at a fraction of its cost.
                 gm_telemetry::counter_add("sparse.symbolic.direct", 1);
                 let t0 = Instant::now();
-                let numeric = self.slots[0].sym.factor_fresh(a)?;
+                let numeric = self.slots[0].sym.factor_fresh_unchecked(a)?;
                 self.slots[0].numeric = numeric;
                 gm_telemetry::histogram_record("sparse.direct_s", t0.elapsed().as_secs_f64());
                 return Ok(&self.slots[0].numeric);
@@ -503,7 +549,7 @@ impl LuEngine {
                 Err(SparseLuError::RefactorUnstable { step: 0 })
             } else {
                 slot.sym
-                    .refactor_into(a, &mut slot.numeric, &mut self.scratch)
+                    .replay(a.values(), &mut slot.numeric, &mut self.scratch)
             };
             match refactored {
                 Ok(()) => {
@@ -523,23 +569,33 @@ impl LuEngine {
                     slot.sym = sym;
                     slot.numeric = numeric;
                     slot.fallback_streak += 1;
+                    self.record_retained();
                     return Ok(&self.slots[0].numeric);
                 }
                 Err(e) => return Err(e),
             }
         }
 
+        if same_shape {
+            gm_telemetry::counter_add("sparse.symbolic.miss_same_shape", 1);
+        }
         let (sym, numeric) = self.analyze_timed(a, ordering, pivot_tol)?;
         self.slots.insert(
             0,
             Slot {
-                fingerprint,
                 sym,
                 numeric,
                 fallback_streak: 0,
             },
         );
-        self.slots.truncate(self.capacity);
+        if self.slots.len() > self.capacity {
+            gm_telemetry::counter_add(
+                "sparse.symbolic.evict",
+                (self.slots.len() - self.capacity) as u64,
+            );
+            self.slots.truncate(self.capacity);
+        }
+        self.record_retained();
         Ok(&self.slots[0].numeric)
     }
 
@@ -556,10 +612,67 @@ impl LuEngine {
         Ok(pair)
     }
 
+    fn record_retained(&self) {
+        gm_telemetry::histogram_record(
+            "sparse.engine.retained_kb",
+            self.retained_bytes() as f64 / 1024.0,
+        );
+    }
+
     /// Number of analyzed patterns currently cached.
     pub fn cached_patterns(&self) -> usize {
         self.slots.len()
     }
+
+    /// Heap bytes the cached analyses and their numeric factors keep
+    /// alive.
+    pub fn retained_bytes(&self) -> usize {
+        self.slots.iter().map(Slot::retained_bytes).sum::<usize>()
+            + self.scratch.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Patterns the per-thread engine keeps: one more than the largest
+/// working set measured on a single thread (the `grid_scale` script
+/// cycles seven — three Jacobians, two DC `B'`, FDLF's `B'` and `B''`),
+/// evicted least-recently-used first.
+const THREAD_ENGINE_SLOTS: usize = 8;
+
+thread_local! {
+    /// Where the thread's engine rests between calls of
+    /// [`with_thread_engine`]; empty before the first one and while a
+    /// call has it checked out.
+    static THREAD_ENGINE: Cell<Option<LuEngine>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the calling thread's long-lived [`LuEngine`]: the home
+/// of every symbolic analysis made on behalf of a caller that does not
+/// own an engine (the solvers' convenience entry points), so that a
+/// repeated solve on one topology pays for refactorizations only.
+///
+/// Per thread, not per process: a test, a rayon worker or a serve worker
+/// each has its own history, there is nothing to lock, and exact work
+/// counts stay a function of what that thread did. The hidden state is
+/// safe for the reason any engine is — results are bit-identical
+/// whatever it holds. The engine is checked out for the duration of
+/// `f`; a nested call (a solver reached from inside another's `f`) finds
+/// the home empty and works on an engine of its own, which the outer
+/// call's return replaces; if `f` panics the engine is dropped with the
+/// unwind and the next call starts an empty one.
+pub fn with_thread_engine<R>(f: impl FnOnce(&mut LuEngine) -> R) -> R {
+    // `try_with`: a solve from another thread-local's destructor must
+    // not abort the process.
+    let mut engine = THREAD_ENGINE
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| LuEngine::with_capacity(THREAD_ENGINE_SLOTS));
+    let out = f(&mut engine);
+    // An exiting thread's home is already gone; the engine goes with it.
+    THREAD_ENGINE
+        .try_with(|home| home.set(Some(engine)))
+        .unwrap_or(());
+    out
 }
 
 #[cfg(test)]
@@ -580,15 +693,16 @@ mod tests {
     }
 
     fn factors_equal(a: &SparseLu, b: &SparseLu) -> bool {
-        a.n == b.n
-            && a.pinv == b.pinv
-            && a.q == b.q
-            && a.l.colptr == b.l.colptr
-            && a.l.rows == b.l.rows
-            && a.l.vals == b.l.vals
-            && a.u.colptr == b.u.colptr
-            && a.u.rows == b.u.rows
-            && a.u.vals == b.u.vals
+        let (sa, sb) = (&a.s, &b.s);
+        sa.n == sb.n
+            && sa.pinv == sb.pinv
+            && sa.q == sb.q
+            && sa.l_colptr == sb.l_colptr
+            && sa.l_rows == sb.l_rows
+            && a.l_vals == b.l_vals
+            && sa.u_colptr == sb.u_colptr
+            && sa.u_rows == sb.u_rows
+            && a.u_vals == b.u_vals
     }
 
     #[test]
@@ -597,7 +711,7 @@ mod tests {
         let (sym, numeric) = SymbolicLu::analyze(&a, Ordering::MinDegree, 0.1).unwrap();
         let oneshot = SparseLu::factor_with(&a, Ordering::MinDegree, 0.1).unwrap();
         assert!(factors_equal(&numeric, &oneshot));
-        assert_eq!(sym.fingerprint(), a.pattern_fingerprint());
+        assert!(sym.same_pattern(&a));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use crate::csmat::CsMat;
 use crate::scalar::Scalar;
-use gm_numeric::Fnv1a;
 
 /// A growable list of `(row, col, value)` entries.
 #[derive(Clone, Debug)]
@@ -148,14 +147,14 @@ impl<T: Scalar> Triplets<T> {
     /// numeric part of the conversion in place on a later stamping of the
     /// same position sequence.
     pub fn to_csr_with_map(&self) -> (CsMat<T>, ScatterMap) {
-        self.csr_with_map::<false>()
+        self.csr_with_checked_map::<false>()
     }
 
     /// [`Triplets::to_csr_structural`] plus its [`ScatterMap`]: with no
     /// position ever dropped, the map applies to every later stamping
     /// of the same position sequence, whatever the values.
     pub fn to_csr_structural_with_map(&self) -> (CsMat<T>, ScatterMap) {
-        self.csr_with_map::<true>()
+        self.csr_with_checked_map::<true>()
     }
 
     /// [`Triplets::to_csr_structural`] plus, for each pushed entry in push
@@ -166,6 +165,20 @@ impl<T: Scalar> Triplets<T> {
     pub fn to_csr_structural_with_slots(&self) -> (CsMat<T>, Vec<usize>) {
         let (mat, map) = self.csr_with_map::<true>();
         (mat, map.dst_of_raw)
+    }
+
+    /// [`Triplets::csr_with_map`] plus the pushed positions a
+    /// [`ScatterMap`] that leaves this module checks later stampings
+    /// against — taken once the conversion's own buffers are gone.
+    fn csr_with_checked_map<const KEEP_ZEROS: bool>(&self) -> (CsMat<T>, ScatterMap) {
+        let (mat, mut map) = self.csr_with_map::<KEEP_ZEROS>();
+        // Narrowed: a position beyond 32 bits is stored wrong and then
+        // never equals the wide one `scatter` compares it with, so the
+        // map just stops applying.
+        map.pos = (self.entries.iter())
+            .map(|&(r, c, _)| (r as u32, c as u32))
+            .collect();
+        (mat, map)
     }
 
     fn csr_with_map<const KEEP_ZEROS: bool>(&self) -> (CsMat<T>, ScatterMap) {
@@ -237,8 +250,7 @@ impl<T: Scalar> Triplets<T> {
             rows: self.rows,
             cols: self.cols,
             nnz,
-            raw_len: self.entries.len(),
-            pos_fp: position_fingerprint(&self.entries),
+            pos: Vec::new(),
             keep_zeros: KEEP_ZEROS,
             dst_of_raw,
             dropped_raw,
@@ -246,16 +258,6 @@ impl<T: Scalar> Triplets<T> {
         };
         (mat, map)
     }
-}
-
-/// FNV-1a over the `(row, col)` push sequence, values ignored.
-fn position_fingerprint<T: Scalar>(entries: &[(usize, usize, T)]) -> u64 {
-    let mut h = Fnv1a::new();
-    for &(r, c, _) in entries {
-        h.u64(r as u64);
-        h.u64(c as u64);
-    }
-    h.finish()
 }
 
 /// Precomputed triplet → CSR scatter plan.
@@ -278,8 +280,9 @@ pub struct ScatterMap {
     rows: usize,
     cols: usize,
     nnz: usize,
-    raw_len: usize,
-    pos_fp: u64,
+    /// The `(row, col)` push sequence the map was built for, which
+    /// `scatter` holds each later stamping against entry by entry.
+    pos: Vec<(u32, u32)>,
     /// Built by the structural conversion: exact-zero sums stay in the
     /// pattern, so they never invalidate the map.
     keep_zeros: bool,
@@ -306,24 +309,30 @@ impl ScatterMap {
     #[must_use]
     pub fn scatter<T: Scalar>(&self, t: &Triplets<T>, dst: &mut CsMat<T>) -> bool {
         if t.shape() != (self.rows, self.cols)
-            || t.entries.len() != self.raw_len
+            || t.entries.len() != self.pos.len()
             || dst.shape() != (self.rows, self.cols)
             || dst.nnz() != self.nnz
-            || position_fingerprint(&t.entries) != self.pos_fp
         {
             return false;
         }
         // One forward pass: each slot accumulates its duplicates in push
         // order, starting from zero — the same operation sequence as the
-        // conversion, so the values come out bit-identical.
+        // conversion, so the values come out bit-identical — while each
+        // entry's position is held against the one the map was built
+        // for.
         let vals = dst.values_mut();
         for v in vals.iter_mut() {
             *v = T::zero();
         }
-        for (&d, e) in self.dst_of_raw.iter().zip(&t.entries) {
+        let mut same_positions = true;
+        for ((&d, &(r, c)), e) in self.dst_of_raw.iter().zip(&self.pos).zip(&t.entries) {
+            same_positions &= (e.0, e.1) == (r as usize, c as usize);
             if d != usize::MAX {
                 vals[d] += e.2;
             }
+        }
+        if !same_positions {
+            return false;
         }
         // A kept position that now cancels to exact zero would have been
         // dropped by `to_csr` — pattern change, rebuild.

@@ -109,6 +109,14 @@ fn every_required_solver_metric_is_live_after_a_full_dialogue() {
     assert!(missing.is_empty(), "required metrics are zero: {missing:?}");
 }
 
+/// `scripted_session` on a thread of its own: no earlier solve's
+/// symbolic analyses in the thread's `LuEngine`.
+fn scripted_session_on_a_fresh_thread() -> Option<GridMind> {
+    std::thread::spawn(scripted_session)
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 #[test]
 fn identical_sessions_produce_identical_metrics() {
     // Replayability: the same scripted conversation must count the same
@@ -116,9 +124,13 @@ fn identical_sessions_produce_identical_metrics() {
     // counters and deterministic histogram totals must not. The case
     // library is built first: that happens once per process and is
     // counted (`network.case_library.builds`) by whoever triggers it.
+    // And each session runs on a thread of its own: the solvers keep
+    // their symbolic analyses per thread (`gm_sparse::with_thread_engine`),
+    // so "the same work" is a statement about equal thread histories —
+    // what a shared history changes is pinned in the test below.
     gm_network::library::case(CaseId::Ieee30);
-    let a = scripted_session().expect("built-in GPT-5 profile");
-    let b = scripted_session().expect("built-in GPT-5 profile");
+    let a = scripted_session_on_a_fresh_thread().expect("built-in GPT-5 profile");
+    let b = scripted_session_on_a_fresh_thread().expect("built-in GPT-5 profile");
     let (sa, sb) = (
         a.session.telemetry.snapshot(),
         b.session.telemetry.snapshot(),
@@ -155,6 +167,64 @@ fn identical_sessions_produce_identical_metrics() {
     // tool wall time (see VirtualClock::measure), so it is close but
     // not bit-identical across runs — only work counts are.
     assert!((sa.virtual_now_s - sb.virtual_now_s).abs() < 1.0);
+}
+
+#[test]
+fn a_repeated_session_on_one_thread_reanalyzes_less_and_answers_the_same() {
+    // The other half of the replay contract: a second session on the
+    // thread that ran the first finds that one's symbolic analyses in
+    // the thread's engine. It must give the same answers from the same
+    // numeric work — iteration for iteration, factorization for
+    // factorization — and only skip analyses.
+    gm_network::library::case(CaseId::Ieee30);
+    let (a, b) = std::thread::spawn(|| {
+        let a = scripted_session().expect("built-in GPT-5 profile");
+        (a, scripted_session().expect("built-in GPT-5 profile"))
+    })
+    .join()
+    .expect("session thread panicked");
+
+    let answers = |gm: &GridMind| {
+        let pf = gm
+            .session
+            .fresh_base_pf()
+            .expect("the sweep left a base PF");
+        let ca = (gm.session.fresh_contingency()).expect("the sweep left a report");
+        let acopf = gm.session.fresh_acopf().expect("the solve left an ACOPF");
+        let mut bits: Vec<u64> = vec![acopf.objective_cost.to_bits()];
+        bits.extend(
+            pf.buses
+                .iter()
+                .flat_map(|b| [b.vm_pu, b.va_deg])
+                .map(f64::to_bits),
+        );
+        bits.extend(
+            (ca.outcomes.iter()).flat_map(|o| [o.max_loading_pct.to_bits(), o.min_vm.0.to_bits()]),
+        );
+        bits
+    };
+    assert_eq!(answers(&a), answers(&b), "answers depend on thread history");
+
+    let (sa, sb) = (
+        a.session.telemetry.snapshot(),
+        b.session.telemetry.snapshot(),
+    );
+    let count =
+        |s: &gm_telemetry::TelemetrySnapshot, k: &str| s.counters.get(k).copied().unwrap_or(0);
+    for same in [
+        "pf.newton.iterations",
+        "sparse.lu.factorizations",
+        "sparse.lu.solves",
+        "acopf.ipm.iterations",
+    ] {
+        assert_eq!(count(&sa, same), count(&sb, same), "{same} moved");
+    }
+    assert!(
+        count(&sb, "sparse.symbolic.build") < count(&sa, "sparse.symbolic.build"),
+        "the repeat analyzed {} patterns, the first run {}",
+        count(&sb, "sparse.symbolic.build"),
+        count(&sa, "sparse.symbolic.build")
+    );
 }
 
 #[test]

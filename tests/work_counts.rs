@@ -15,12 +15,17 @@
 //!
 //! Sweeps run with `parallel: false`: the parallel sweep gives each
 //! worker its own `LuEngine`, so `sparse.symbolic.*` would depend on the
-//! core count.
+//! core count. And every measurement runs on a thread of its own
+//! (`counted`): the convenience entry points keep their symbolic
+//! analyses in a per-thread engine (`gm_sparse::with_thread_engine`), so
+//! a symbolic count is a function of what the thread solved before — a
+//! fresh thread is the cold case, and the `repeat_` rows pin the warm
+//! one.
 
 use gm_acopf::{solve_acopf, solve_scopf, AcopfOptions, ScopfOptions};
 use gm_contingency::{run_n1, CaOptions};
 use gm_network::{cases, load_scale, slack_pinned_bprime, CaseId, Network, ScaleId};
-use gm_powerflow::{run_batch, solve, PfOptions, ScenarioSet};
+use gm_powerflow::{run_batch, solve, solve_fast_decoupled, PfOptions, ScenarioSet};
 use gm_sparse::{Ordering, SparseLu};
 use gm_telemetry::Registry;
 use rand::rngs::SmallRng;
@@ -49,6 +54,12 @@ const PINNED: &[(&str, u64)] = &[
     ("powerflow.newton_factorizations.synth1354", 5),
     ("powerflow.newton_factorizations.synth2869", 9),
     ("powerflow.newton_factorizations.synth9241", 7),
+    // The second of two identical solves on one thread: every pattern is
+    // in the thread's engine, so it refactors and analyzes nothing. FDLF
+    // counts its `B'`, `B''` and the polish Jacobian.
+    ("powerflow.repeat_symbolic_builds.case118", 0),
+    ("powerflow.repeat_symbolic_builds.synth1354", 0),
+    ("powerflow.fdlf_repeat_symbolic_builds.case118", 0),
     // `run_batch` over `load_sweep(0.90, 1.10, n)`: the batch is fast
     // because it analyzes a handful of Jacobian patterns, not one per
     // scenario, and warm-starts all but the first. On case300 three
@@ -58,7 +69,9 @@ const PINNED: &[(&str, u64)] = &[
     ("powerflow.batch_converged.case118x96", 96),
     ("powerflow.batch_warm_hits.case118x96", 95),
     ("powerflow.batch_flat_restarts.case118x96", 0),
-    ("powerflow.batch_symbolic_builds.case118x96", 3),
+    // 3 Jacobian patterns + the DC seed's `B'`, which PR 23 moved from a
+    // one-shot `SparseLu::factor` (uncounted) into the engine (was 3).
+    ("powerflow.batch_symbolic_builds.case118x96", 4),
     ("powerflow.batch_direct_demotions.case118x96", 0),
     ("powerflow.batch_converged.case300x64", 61),
     ("powerflow.batch_warm_hits.case300x64", 60),
@@ -145,11 +158,21 @@ fn put(rows: &mut Rows, case: &str, counts: &[(&str, u64)]) {
     );
 }
 
-/// Runs `work` under a fresh telemetry registry and hands back both.
-fn counted<T>(work: impl FnOnce() -> T) -> (T, Registry) {
-    let reg = Registry::new();
-    let _guard = reg.install();
-    (work(), reg)
+/// Runs `work` on a fresh thread — an empty per-thread `LuEngine` —
+/// under a fresh telemetry registry, and hands back both.
+fn counted<T: Send>(work: impl FnOnce() -> T + Send) -> (T, Registry) {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let reg = Registry::new();
+            let out = {
+                let _guard = reg.install();
+                work()
+            };
+            (out, reg)
+        })
+        .join()
+    })
+    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Compares one section's measured rows with the `PINNED` rows sharing its
@@ -213,6 +236,52 @@ fn newton_iterations_and_factorizations() {
         newton(case, net, &no_q_limits);
     }
     check("powerflow.newton_", rows);
+}
+
+#[test]
+fn repeated_solves_on_one_thread_analyze_nothing() {
+    /// `sparse.symbolic.build` of the second of two `solve` calls, which
+    /// must also reproduce the first one's factorization count.
+    fn second_run_builds<T>(solve: impl Fn() -> T + Sync) -> u64 {
+        let (builds, _) = counted(|| {
+            let first = Registry::new();
+            {
+                let _guard = first.install();
+                solve();
+            }
+            assert!(first.counter_value("sparse.symbolic.build") > 0);
+            let second = Registry::new();
+            {
+                let _guard = second.install();
+                solve();
+            }
+            assert_eq!(
+                first.counter_value("sparse.lu.factorizations"),
+                second.counter_value("sparse.lu.factorizations")
+            );
+            second.counter_value("sparse.symbolic.build")
+        });
+        builds
+    }
+    let case118 = cases::load(CaseId::Ieee118);
+    let synth1354 = load_scale(ScaleId::Synth1354);
+    let opts = PfOptions::default();
+    let fd_opts = PfOptions {
+        enforce_q_limits: false,
+        max_iter: 60,
+        ..Default::default()
+    };
+    let newton = [("case118", &case118), ("synth1354", synth1354)].map(|(case, net)| {
+        let builds = second_run_builds(|| solve(net, &opts).expect("Newton converges"));
+        (format!("powerflow.repeat_symbolic_builds.{case}"), builds)
+    });
+    check("powerflow.repeat_", newton.to_vec());
+    let fdlf =
+        second_run_builds(|| solve_fast_decoupled(&case118, &fd_opts).expect("FDLF converges"));
+    check(
+        "powerflow.fdlf_repeat_",
+        vec![("powerflow.fdlf_repeat_symbolic_builds.case118".into(), fdlf)],
+    );
 }
 
 /// `acopf.kkt.structure_builds`, which must equal the IPM solves of the
