@@ -8,7 +8,7 @@
 //! and as a cross-check: DC-OPF cost should track ACOPF cost from below
 //! on loss-dominated systems.
 
-use crate::ipm::{self, IpmOptions, Nlp, Stamp, Stencil, Structure};
+use crate::ipm::{self, Constants, IpmOptions, Nlp, Stamp};
 use crate::types::AcopfError;
 use gm_network::{Branch, Network};
 use gm_sparse::Triplets;
@@ -100,7 +100,7 @@ impl<'a> DcOpfProblem<'a> {
 
 /// Every constraint is linear and the cost quadratic, so the callbacks
 /// write vectors only: the three matrices are constants, stated in
-/// [`Nlp::structure`].
+/// [`Nlp::constants`].
 impl Nlp for DcOpfProblem<'_> {
     fn nx(&self) -> usize {
         self.nx
@@ -175,7 +175,7 @@ impl Nlp for DcOpfProblem<'_> {
 
     fn lagrangian_hessian<S: Stamp>(&self, _x: &[f64], _l: &[f64], _m: &[f64], _hess: &mut S) {}
 
-    fn structure(&self) -> Structure {
+    fn constants(&self) -> Constants {
         let base = self.net.base_mva;
         let mut jg = Triplets::with_capacity(self.neq(), self.nx, 4 * self.net.branches.len());
         for br in self.net.branches.iter().filter(|b| b.in_service) {
@@ -223,10 +223,10 @@ impl Nlp for DcOpfProblem<'_> {
                 hess.push(self.pg[gi], self.pg[gi], 2.0 * g.cost.c2 * base * base);
             }
         }
-        Structure {
-            jg: Stencil::constant(jg.to_csr()),
-            jh: Stencil::constant(jh.to_csr()),
-            hess: Stencil::constant(hess.to_csr()),
+        Constants {
+            jg: Some(jg.to_csr()),
+            jh: Some(jh.to_csr()),
+            hess: Some(hess.to_csr()),
         }
     }
 }

@@ -19,12 +19,18 @@
 //! convergence criteria (feasibility, gradient, complementarity, cost).
 //!
 //! The reduced system is symmetric and its pattern is fixed for the
-//! whole solve, so everything that depends on the pattern alone is built
-//! once: an [`Nlp`] states the structure of `Jg`, `Jh` and `H` one time
-//! ([`Structure`]), the solver derives the KKT pattern, its slot program
-//! and the static-order [`SparseLdl`] analysis from it, and a barrier
-//! iteration only writes numbers — `vals[slot[k]] += c_k` in stamping
-//! order ([`Stamper`]) — and refactors. The
+//! whole solve — and for every later solve of the same topology — so
+//! everything that depends on the pattern alone is a **plan** built once
+//! per pattern per thread: an [`Nlp`] states the structure of `Jg`, `Jh`
+//! and `H` ([`Structure`]), the solver derives the KKT pattern, its slot
+//! program and the static-order [`SparseLdl`] analysis from it, and a
+//! barrier iteration only writes numbers — `vals[slot[k]] += c_k` in
+//! stamping order ([`Stamper`]) — and refactors. A kept plan serves a
+//! solve only after an exact comparison: the constants the problem
+//! states are compared with the plan's, and the first stamping pass of
+//! each matrix is held, position by position, to the sequence the plan
+//! was built from. Anything else is a fresh build, so an answer never
+//! depends on what the thread solved before. The
 //! static order carries no stability guarantee, so every step is
 //! verified instead — refined against the assembled system to a
 //! relative residual of 1e-12 — and an iteration whose LDLᵀ breaks down or
@@ -33,7 +39,9 @@
 
 use gm_faults::FaultKind;
 use gm_numeric::Fnv1a;
-use gm_sparse::{CsMat, SparseLdl, SparseLu, Triplets};
+use gm_sparse::{with_checked_out, CsMat, Mru, SparseLdl, SparseLu, Triplets};
+use std::cell::Cell;
+use std::mem::size_of;
 use std::time::Instant;
 
 /// Relative residual (as [`SparseLdl::solve_refined`] measures it)
@@ -44,7 +52,7 @@ const KKT_REFINE_STEPS: usize = 12;
 
 /// Where one stamping pass sends its elemental contributions: into a
 /// [`Triplets`] buffer when the structure is stated, into a [`Stamper`]
-/// — which ignores the position — on every iterate after that.
+/// on every iterate after that.
 pub trait Stamp {
     /// Adds `v` at `(row, col)`; contributions to one position sum.
     fn add(&mut self, row: usize, col: usize, v: f64);
@@ -56,42 +64,39 @@ impl Stamp for Triplets<f64> {
     }
 }
 
-/// One derivative matrix as the solver holds it: the CSR pattern, fixed
-/// for the solve, and for each contribution of a stamping pass, in
-/// stamping order, the value slot it sums into. Rows appended as
-/// constants keep the values they came with.
+/// One derivative matrix as the solver holds it: the CSR pattern and,
+/// for each contribution of a stamping pass, in stamping order, the
+/// value slot it sums into — which also says where it was stated: a
+/// slot's position is its row and column in the pattern. Rows appended
+/// as constants keep the values they came with.
 #[derive(Clone, Debug)]
 pub struct Stencil {
     mat: CsMat<f64>,
-    slots: Vec<usize>,
+    slots: Vec<u32>,
     /// Leading values a pass rewrites; the rest are constants.
     varying: usize,
+    /// Trailing rows stated as constants.
+    constant_rows: usize,
 }
 
 impl Stencil {
     /// The pattern one stamping pass touches, explicit zeros kept.
-    pub fn stamped(pass: &Triplets<f64>) -> Stencil {
-        let (mat, slots) = pass.to_csr_structural_with_slots();
-        let varying = mat.nnz();
+    fn stamped(pass: &Triplets<f64>) -> Stencil {
+        let (mut mat, slots) = pass.to_csr_structural_with_slots();
+        // Kept for the thread's lifetime: not with room for every push.
+        mat.shrink_to_fit();
         Stencil {
+            varying: mat.nnz(),
             mat,
-            slots,
-            varying,
-        }
-    }
-
-    /// A matrix no iterate changes: later passes must add nothing.
-    pub fn constant(mat: CsMat<f64>) -> Stencil {
-        Stencil {
-            mat,
-            slots: Vec::new(),
-            varying: 0,
+            slots: slots.into_iter().map(|s| s as u32).collect(),
+            constant_rows: 0,
         }
     }
 
     /// Appends rows whose values never change (linear constraints).
-    pub fn append_constant_rows(&mut self, rows: &CsMat<f64>) {
+    fn append_constant_rows(&mut self, rows: &CsMat<f64>) {
         self.mat = self.mat.vstack(rows);
+        self.constant_rows += rows.rows();
     }
 
     /// The matrix with the values of the last pass.
@@ -99,40 +104,97 @@ impl Stencil {
         &self.mat
     }
 
-    /// Zeroes the varying values and opens a pass over them.
-    pub fn stamper(&mut self) -> Stamper<'_> {
-        let vals = self.mat.values_mut();
+    /// Whether `rows` (`None`: no rows) are, position for position, the
+    /// constant rows this stencil was stated with.
+    fn has_constant_rows(&self, rows: Option<&CsMat<f64>>) -> bool {
+        let Some(rows) = rows else {
+            return self.constant_rows == 0;
+        };
+        let first = self.mat.rows() - self.constant_rows;
+        rows.shape() == (self.constant_rows, self.mat.cols())
+            && self.mat.indices()[self.varying..] == *rows.indices()
+            && (self.mat.indptr()[first..].iter().zip(rows.indptr()))
+                .all(|(&kept, &stated)| kept == stated + self.varying)
+    }
+
+    /// Takes the values of `rows`, which [`Stencil::has_constant_rows`].
+    fn restate_constant_rows(&mut self, rows: Option<&CsMat<f64>>) {
+        if let Some(rows) = rows {
+            self.mat.values_mut()[self.varying..].copy_from_slice(rows.values());
+        }
+    }
+
+    /// Zeroes the varying values and opens a pass over them, held to the
+    /// stated positions when `VERIFY` is set.
+    fn stamper<const VERIFY: bool>(&mut self) -> Stamper<'_, VERIFY> {
+        let (indptr, indices, vals) = self.mat.pattern_and_values_mut();
         vals[..self.varying].fill(0.0);
         Stamper {
             vals,
             slots: &self.slots,
+            indptr,
+            indices,
             next: 0,
+            strayed: None,
         }
+    }
+
+    fn retained_bytes(&self) -> usize {
+        let m = &self.mat;
+        (m.indptr().len() + m.indices().len()) * size_of::<usize>()
+            + m.nnz() * size_of::<f64>()
+            + self.slots.len() * size_of::<u32>()
     }
 }
 
 /// One pass of values into a [`Stencil`]: the `k`-th contribution lands
-/// in the slot the structure pass recorded for its `k`-th position.
-pub struct Stamper<'a> {
+/// in the slot the structure pass recorded for its `k`-th position. A
+/// `VERIFY` pass — the first of every solve — also compares the position
+/// it is handed with that slot's; the others ignore it, at no cost.
+pub struct Stamper<'a, const VERIFY: bool> {
     vals: &'a mut [f64],
-    slots: &'a [usize],
+    slots: &'a [u32],
+    indptr: &'a [usize],
+    indices: &'a [usize],
     next: usize,
+    /// First contribution handed another position than its slot's.
+    strayed: Option<(usize, usize, usize)>,
 }
 
-impl Stamp for Stamper<'_> {
+impl<const VERIFY: bool> Stamp for Stamper<'_, VERIFY> {
     #[inline]
-    fn add(&mut self, _row: usize, _col: usize, v: f64) {
+    fn add(&mut self, row: usize, col: usize, v: f64) {
         if let Some(&slot) = self.slots.get(self.next) {
+            let slot = slot as usize;
             self.vals[slot] += v;
+            if VERIFY {
+                // Slot `s` sits at `(r, indices[s])` for the one row `r`
+                // with `indptr[r] <= s < indptr[r + 1]`.
+                let rows = self.indptr.get(row..row + 2);
+                let there = self.indices[slot] == col
+                    && matches!(rows, Some(&[lo, hi]) if lo <= slot && slot < hi);
+                if !there && self.strayed.is_none() {
+                    self.strayed = Some((self.next, row, col));
+                }
+            }
         }
         self.next += 1;
     }
 }
 
-impl Stamper<'_> {
-    /// `Err` when the pass wrote a different number of contributions
-    /// than the structure states (a surplus was dropped, not indexed).
+impl<const VERIFY: bool> Stamper<'_, VERIFY> {
+    /// `Err` when a verifying pass was handed a position the structure
+    /// does not state there, or any pass wrote a different number of
+    /// contributions than it states (a surplus was dropped, not indexed).
     fn finish(self, what: &str) -> Result<(), String> {
+        if let Some((k, row, col)) = self.strayed {
+            let slot = self.slots[k] as usize;
+            let r = self.indptr.partition_point(|&start| start <= slot) - 1;
+            return Err(format!(
+                "{what}: contribution {k} at ({row},{col}), structure has ({r},{})",
+                self.indices[slot]
+            ));
+        }
         if self.next == self.slots.len() {
             Ok(())
         } else {
@@ -145,7 +207,20 @@ impl Stamper<'_> {
     }
 }
 
-/// What an [`Nlp`] states once per solve.
+/// The rows of `Jg`, `Jh` and `H` no iterate changes, which a problem
+/// states as matrices instead of stamping them: each one is the trailing
+/// rows of its matrix (all of them when nothing is stamped).
+#[derive(Clone, Debug, Default)]
+pub struct Constants {
+    /// Trailing rows of the equality Jacobian.
+    pub jg: Option<CsMat<f64>>,
+    /// Trailing rows of the inequality Jacobian.
+    pub jh: Option<CsMat<f64>>,
+    /// Trailing rows of the Lagrangian Hessian.
+    pub hess: Option<CsMat<f64>>,
+}
+
+/// The structure of the three derivative matrices of an [`Nlp`].
 #[derive(Clone, Debug)]
 pub struct Structure {
     /// Equality Jacobian, `neq × nx`.
@@ -156,12 +231,53 @@ pub struct Structure {
     pub hess: Stencil,
 }
 
+impl Structure {
+    /// What the problem states: above its [`Nlp::constants`], whatever
+    /// one pass of each callback at `x0` touches.
+    ///
+    /// # Panics
+    /// Panics when a constant has another column count than `nx` or a
+    /// pass stamps into a constant row ([`solve`] refuses a misshapen
+    /// constant instead).
+    pub fn of<P: Nlp + ?Sized>(prob: &P) -> Structure {
+        let mut x0 = vec![0.0; prob.nx()];
+        prob.x0(&mut x0);
+        Structure::above(prob, prob.constants(), &x0)
+    }
+
+    fn above<P: Nlp + ?Sized>(prob: &P, constants: Constants, x0: &[f64]) -> Structure {
+        let (nx, neq, niq) = (prob.nx(), prob.neq(), prob.niq());
+        let stamped = |rows: usize, c: &Option<CsMat<f64>>| {
+            rows.saturating_sub(c.as_ref().map_or(0, CsMat::rows))
+        };
+        let rows = [
+            stamped(neq, &constants.jg),
+            stamped(niq, &constants.jh),
+            stamped(nx, &constants.hess),
+        ];
+        let [jg, jh, hess] = passes_into(prob, x0, &vec![0.0; neq], &vec![0.0; niq], rows);
+        let stencil = |pass: &Triplets<f64>, constant: Option<CsMat<f64>>| {
+            let mut s = Stencil::stamped(pass);
+            if let Some(rows) = constant {
+                s.append_constant_rows(&rows);
+            }
+            s
+        };
+        Structure {
+            jg: stencil(&jg, constants.jg),
+            jh: stencil(&jh, constants.jh),
+            hess: stencil(&hess, constants.hess),
+        }
+    }
+}
+
 /// A smooth nonlinear program the IPM can solve.
 ///
 /// The three derivative callbacks are stamping passes: each sends the
 /// same sequence of positions to its sink whatever `x` and the
 /// multipliers are — a derivative that happens to be zero at some iterate is added
-/// as a zero — so the structure stated once holds for the whole solve.
+/// as a zero — so the structure stated once holds for the whole solve,
+/// and for every later solve that states the same one.
 /// Vectors are caller-owned and arrive with stale contents.
 pub trait Nlp {
     /// Number of primal variables.
@@ -185,37 +301,49 @@ pub trait Nlp {
     /// (lower+upper, i.e. the full symmetric matrix).
     fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], lam: &[f64], mu: &[f64], hess: &mut S);
 
-    /// The structure of the three matrices, asked for once per solve:
-    /// by default whatever one pass of each callback at `x0` touches. A
-    /// problem with constant matrices states them here instead and
-    /// stamps nothing per iterate.
+    /// The constant rows of the three matrices, asked for once per
+    /// solve: a problem with linear constraints or a constant Hessian
+    /// states them here and stamps nothing for those rows. None by
+    /// default.
+    fn constants(&self) -> Constants {
+        Constants::default()
+    }
+
+    /// [`Structure::of`] this problem. The solver does not call this: an
+    /// override changes nothing about a solve.
     fn structure(&self) -> Structure {
-        let mut x = vec![0.0; self.nx()];
-        self.x0(&mut x);
-        let [jg, jh, hess] = passes(self, &x, &vec![0.0; self.neq()], &vec![0.0; self.niq()]);
-        Structure {
-            jg: Stencil::stamped(&jg),
-            jh: Stencil::stamped(&jh),
-            hess: Stencil::stamped(&hess),
-        }
+        Structure::of(self)
     }
 }
 
 /// One stamping pass of each derivative callback into triplet buffers
 /// (`Jg`, `Jh`, `H`): the positions, in order, and the values the
-/// problem sends at this iterate.
+/// problem sends at this iterate. What the oracle converts afresh.
+#[cfg(test)]
 pub(crate) fn passes<P: Nlp + ?Sized>(
     prob: &P,
     x: &[f64],
     lam: &[f64],
     mu: &[f64],
 ) -> [Triplets<f64>; 3] {
+    passes_into(prob, x, lam, mu, [prob.neq(), prob.niq(), prob.nx()])
+}
+
+/// One stamping pass of each derivative callback into triplet buffers
+/// of the given row counts (`Jg`, `Jh`, `H`).
+fn passes_into<P: Nlp + ?Sized>(
+    prob: &P,
+    x: &[f64],
+    lam: &[f64],
+    mu: &[f64],
+    rows: [usize; 3],
+) -> [Triplets<f64>; 3] {
     let (nx, neq, niq) = (prob.nx(), prob.neq(), prob.niq());
-    let mut jg = Triplets::new(neq, nx);
+    let mut jg = Triplets::new(rows[0], nx);
     prob.equalities(x, &mut vec![0.0; neq], &mut jg);
-    let mut jh = Triplets::new(niq, nx);
+    let mut jh = Triplets::new(rows[1], nx);
     prob.inequalities(x, &mut vec![0.0; niq], &mut jh);
-    let mut hess = Triplets::new(nx, nx);
+    let mut hess = Triplets::new(rows[2], nx);
     prob.lagrangian_hessian(x, lam, mu, &mut hess);
     [jg, jh, hess]
 }
@@ -365,24 +493,35 @@ pub(crate) struct System {
     /// Scratch of length `nx` / `niq`.
     tx: Vec<f64>,
     tz: Vec<f64>,
+    /// When the problem being solved had stamped each matrix once at
+    /// exactly the stated positions — the end of its first
+    /// [`System::assemble`]. Passes verify until then.
+    verified: Option<Instant>,
 }
 
 impl System {
-    /// Takes the structure the problem states and derives the KKT
-    /// pattern and slot program from it.
+    #[cfg(test)]
     pub(crate) fn build<P: Nlp>(prob: &P) -> Result<System, String> {
+        System::above(prob, prob.constants(), &IpmResult::start(prob).x)
+    }
+
+    /// Takes the structure the problem states above `constants` — its
+    /// passes run at `x0` — and derives the KKT pattern and slot program
+    /// from it.
+    fn above<P: Nlp>(prob: &P, constants: Constants, x0: &[f64]) -> Result<System, String> {
         let (nx, neq, niq) = (prob.nx(), prob.neq(), prob.niq());
-        let s = prob.structure();
-        for (what, m, rows) in [
-            ("Jg", s.jg.mat(), neq),
-            ("Jh", s.jh.mat(), niq),
-            ("H", s.hess.mat(), nx),
+        for (what, c, rows) in [
+            ("Jg", &constants.jg, neq),
+            ("Jh", &constants.jh, niq),
+            ("H", &constants.hess, nx),
         ] {
-            if m.shape() != (rows, nx) {
-                let (r, c) = m.shape();
-                return Err(format!("{what}: stated {r}x{c}, expected {rows}x{nx}"));
+            if let Some((r, c)) = c.as_ref().map(CsMat::shape) {
+                if r > rows || c != nx {
+                    return Err(format!("{what}: stated {r}x{c}, expected {rows}x{nx}"));
+                }
             }
         }
+        let s = Structure::above(prob, constants, x0);
         let n_kkt = nx + neq;
         let nnz = |m: &Stencil| m.mat().nnz();
         let pushes = nnz(&s.hess) + 4 * nnz(&s.jh) + 2 * nnz(&s.jg) + n_kkt;
@@ -400,19 +539,68 @@ impl System {
             rhs: vec![0.0; n_kkt],
             tx: vec![0.0; nx],
             tz: vec![0.0; niq],
+            verified: None,
         })
+    }
+
+    /// Whether this system may have been built for a problem of these
+    /// sizes stating these constants — everything about its structure
+    /// that can be compared before a pass is run.
+    fn may_serve(&self, (nx, neq, niq): (usize, usize, usize), constants: &Constants) -> bool {
+        (self.df.len(), self.g.len(), self.h.len()) == (nx, neq, niq)
+            && self.s.jg.has_constant_rows(constants.jg.as_ref())
+            && self.s.jh.has_constant_rows(constants.jh.as_ref())
+            && self.s.hess.has_constant_rows(constants.hess.as_ref())
+    }
+
+    /// Readies a kept system for another problem it [`System::may_serve`]:
+    /// that problem's constants, vectors as a fresh build hands them to
+    /// the callbacks, and every stamped position to be verified again.
+    fn restate(&mut self, constants: &Constants) {
+        self.s.jg.restate_constant_rows(constants.jg.as_ref());
+        self.s.jh.restate_constant_rows(constants.jh.as_ref());
+        self.s.hess.restate_constant_rows(constants.hess.as_ref());
+        for v in [&mut self.df, &mut self.g, &mut self.h] {
+            v.fill(0.0);
+        }
+        self.verified = None;
     }
 
     /// Objective, constraints and both Jacobians at `x`; returns `f`.
     pub(crate) fn evaluate<P: Nlp>(&mut self, prob: &P, x: &[f64]) -> Result<f64, String> {
+        if self.verified.is_none() {
+            self.evaluate_as::<true, P>(prob, x)
+        } else {
+            self.evaluate_as::<false, P>(prob, x)
+        }
+    }
+
+    fn evaluate_as<const VERIFY: bool, P: Nlp>(
+        &mut self,
+        prob: &P,
+        x: &[f64],
+    ) -> Result<f64, String> {
         let f = prob.objective(x, &mut self.df);
-        let mut jg = self.s.jg.stamper();
+        let mut jg = self.s.jg.stamper::<VERIFY>();
         prob.equalities(x, &mut self.g, &mut jg);
         jg.finish("Jg")?;
-        let mut jh = self.s.jh.stamper();
+        let mut jh = self.s.jh.stamper::<VERIFY>();
         prob.inequalities(x, &mut self.h, &mut jh);
         jh.finish("Jh")?;
         Ok(f)
+    }
+
+    /// The Lagrangian Hessian at the iterate last evaluated.
+    fn stamp_hessian<const VERIFY: bool, P: Nlp>(
+        &mut self,
+        prob: &P,
+        x: &[f64],
+        lam: &[f64],
+        mu: &[f64],
+    ) -> Result<(), String> {
+        let mut hess = self.s.hess.stamper::<VERIFY>();
+        prob.lagrangian_hessian(x, lam, mu, &mut hess);
+        hess.finish("H")
     }
 
     /// Lagrangian gradient `Lx = df + Jgᵀλ + Jhᵀμ`.
@@ -435,10 +623,13 @@ impl System {
         z: &[f64],
         gamma: f64,
     ) -> Result<(), String> {
-        let mut hess = self.s.hess.stamper();
-        prob.lagrangian_hessian(x, lam, mu, &mut hess);
-        hess.finish("H")?;
-        let mut kkt = self.kkt.stamper();
+        if self.verified.is_none() {
+            self.stamp_hessian::<true, P>(prob, x, lam, mu)?;
+            self.verified = Some(Instant::now());
+        } else {
+            self.stamp_hessian::<false, P>(prob, x, lam, mu)?;
+        }
+        let mut kkt = self.kkt.stamper::<false>();
         stamp_kkt(&self.s, mu, z, &mut kkt);
         // N = Lx + Jhᵀ·Z⁻¹(γe + M·h), exactly as in MIPS: eliminating Δz
         // and Δμ folds the current duals (Z⁻¹·M·z = μ) back into the
@@ -458,6 +649,81 @@ impl System {
     }
 }
 
+/// Everything about a solve that depends on the problem's pattern
+/// alone: the [`System`] (three stencils, the KKT stencil derived from
+/// them), the LDLᵀ analysis of that KKT pattern — made from it here and
+/// kept beside it, so a factorization is a values-only
+/// [`SparseLdl::replay`] — and the buffers of the barrier loop.
+struct Plan {
+    sys: System,
+    ldl: SparseLdl,
+    sol: Vec<f64>,
+    solve_ws: Vec<f64>,
+    z: Vec<f64>,
+    dz: Vec<f64>,
+    dmu: Vec<f64>,
+}
+
+impl Plan {
+    fn build<P: Nlp>(prob: &P, constants: Constants, x0: &[f64]) -> Result<Plan, String> {
+        let sys = System::above(prob, constants, x0)?;
+        let ldl =
+            SparseLdl::analyze(sys.kkt.mat()).map_err(|e| format!("KKT analysis failed: {e}"))?;
+        let (n_kkt, niq) = (sys.rhs.len(), sys.h.len());
+        Ok(Plan {
+            sys,
+            ldl,
+            sol: Vec::with_capacity(n_kkt),
+            solve_ws: Vec::with_capacity(2 * n_kkt),
+            z: Vec::with_capacity(niq),
+            dz: vec![0.0; niq],
+            dmu: vec![0.0; niq],
+        })
+    }
+
+    fn retained_bytes(&self) -> usize {
+        let Plan {
+            sys,
+            ldl,
+            sol,
+            solve_ws,
+            z,
+            dz,
+            dmu,
+        } = self;
+        let vectors = [
+            &sys.df, &sys.g, &sys.h, &sys.lx, &sys.rhs, &sys.tx, &sys.tz, sol, solve_ws, z, dz, dmu,
+        ];
+        let stencils = [&sys.s.jg, &sys.s.jh, &sys.s.hess, &sys.kkt];
+        stencils.map(Stencil::retained_bytes).iter().sum::<usize>()
+            + vectors.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<f64>()
+            + ldl.retained_bytes()
+    }
+}
+
+/// Plans a thread keeps, least recently used evicted first: one more
+/// than the largest working set one thread of the `opf_dialogue`
+/// benchmark shows — the four ACOPF patterns (case14 / 30 / 57 / 118)
+/// plus the SCOPF case30 round patterns its seeded edits screen in, two
+/// to four of them on seeds 101–110 and never more than the script's
+/// five case30 dialogues. `cargo bench -p gm-bench --bench acopf`
+/// (`repeat_solve`) prints what one plan retains.
+const THREAD_PLANS: usize = 9;
+
+thread_local! {
+    /// Where the thread's plans rest between solves; checked out by
+    /// [`solve`] under [`gm_sparse::with_checked_out`]'s rules.
+    static PLANS: Cell<Option<Mru<Plan>>> = const { Cell::new(None) };
+}
+
+/// Why a solve stopped short of convergence.
+enum Stop {
+    /// A pass contradicted the structure it was written into.
+    Mismatch(String),
+    /// The iteration itself gave up.
+    Short(String),
+}
+
 /// Solves the NLP.
 pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
     let _span = gm_telemetry::span!("acopf.ipm.solve", nx = prob.nx());
@@ -473,27 +739,11 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
             &[1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-6],
         );
     }
-    let mut x = vec![0.0; prob.nx()];
-    prob.x0(&mut x);
-    let mut res = IpmResult {
-        converged: false,
-        x,
-        f: f64::NAN,
-        lam: vec![0.0; prob.neq()],
-        mu: vec![0.0; prob.niq()],
-        iterations: 0,
-        feascond: f64::INFINITY,
-        gradcond: f64::INFINITY,
-        compcond: f64::INFINITY,
-        message: String::new(),
-    };
-    res.message = match barrier_iterations(prob, opts, &mut res) {
-        Ok(()) => {
-            res.converged = true;
-            format!("converged in {} iterations", res.iterations)
-        }
-        Err(stopped) => stopped,
-    };
+    let res = with_checked_out(
+        &PLANS,
+        || Mru::new(THREAD_PLANS),
+        |plans| solve_planned(prob, opts, plans),
+    );
 
     gm_telemetry::counter_add("acopf.ipm.iterations", res.iterations as u64);
     gm_telemetry::histogram_record("acopf.ipm.iterations_per_solve", res.iterations as f64);
@@ -508,14 +758,112 @@ pub fn solve<P: Nlp>(prob: &P, opts: &IpmOptions) -> IpmResult {
     res
 }
 
+/// Solves on a kept plan that states this problem's structure, or on
+/// one built for it and kept afterwards.
+fn solve_planned<P: Nlp>(prob: &P, opts: &IpmOptions, plans: &mut Mru<Plan>) -> IpmResult {
+    let started = Instant::now();
+    let start = IpmResult::start(prob);
+    let constants = prob.constants();
+    let dims = (prob.nx(), prob.neq(), prob.niq());
+    for idx in 0..plans.len() {
+        if !plans[idx].sys.may_serve(dims, &constants) {
+            continue;
+        }
+        plans[idx].sys.restate(&constants);
+        let (res, mismatch) = run(prob, opts, &mut plans[idx], start.clone());
+        let verified = plans[idx].sys.verified;
+        if mismatch && verified.is_none() {
+            // Equal sizes and constants, other stamped positions: the
+            // plan is somebody else's, and still good for them.
+            continue;
+        }
+        gm_telemetry::counter_add("acopf.kkt.structure_reuse", 1);
+        if let Some(verified) = verified {
+            // What the lookup cost, the first pass of every matrix —
+            // which any solve makes — included.
+            let lookup = verified.duration_since(started);
+            gm_telemetry::histogram_record("acopf.kkt.lookup_s", lookup.as_secs_f64());
+        }
+        if mismatch {
+            // The problem broke its own structure mid-solve.
+            plans.remove(idx);
+        } else {
+            plans.promote(idx);
+        }
+        return res;
+    }
+
+    let mut plan = match Plan::build(prob, constants, &start.x) {
+        Ok(plan) => plan,
+        Err(refused) => {
+            return IpmResult {
+                message: refused,
+                ..start
+            }
+        }
+    };
+    gm_telemetry::histogram_record("acopf.kkt.build_s", started.elapsed().as_secs_f64());
+    let (res, mismatch) = run(prob, opts, &mut plan, start);
+    if !mismatch {
+        let evicted = plans.insert(plan);
+        if evicted > 0 {
+            gm_telemetry::counter_add("acopf.kkt.structure_evict", evicted as u64);
+        }
+        let retained: usize = plans.iter().map(Plan::retained_bytes).sum();
+        gm_telemetry::histogram_record("sparse.engine.retained_kb", retained as f64 / 1024.0);
+    }
+    res
+}
+
+/// One solve on `plan` from the state `res`; the flag says a pass
+/// contradicted the plan's structure.
+fn run<P: Nlp>(
+    prob: &P,
+    opts: &IpmOptions,
+    plan: &mut Plan,
+    mut res: IpmResult,
+) -> (IpmResult, bool) {
+    let (message, mismatch) = match barrier_iterations(prob, opts, plan, &mut res) {
+        Ok(()) => {
+            res.converged = true;
+            (format!("converged in {} iterations", res.iterations), false)
+        }
+        Err(Stop::Short(why)) => (why, false),
+        Err(Stop::Mismatch(which)) => (which, true),
+    };
+    res.message = message;
+    (res, mismatch)
+}
+
+impl IpmResult {
+    /// The state a solve starts from: `x0`, zero multipliers.
+    fn start<P: Nlp>(prob: &P) -> IpmResult {
+        let mut x = vec![0.0; prob.nx()];
+        prob.x0(&mut x);
+        IpmResult {
+            converged: false,
+            x,
+            f: f64::NAN,
+            lam: vec![0.0; prob.neq()],
+            mu: vec![0.0; prob.niq()],
+            iterations: 0,
+            feascond: f64::INFINITY,
+            gradcond: f64::INFINITY,
+            compcond: f64::INFINITY,
+            message: String::new(),
+        }
+    }
+}
+
 /// Runs the barrier iterations from `res.x`, leaving the final iterate
 /// and its conditions in `res`. `Err` says why it stopped short of
 /// convergence.
 fn barrier_iterations<P: Nlp>(
     prob: &P,
     opts: &IpmOptions,
+    plan: &mut Plan,
     res: &mut IpmResult,
-) -> Result<(), String> {
+) -> Result<(), Stop> {
     let IpmResult {
         x,
         f,
@@ -529,23 +877,24 @@ fn barrier_iterations<P: Nlp>(
     } = res;
     let (nx, neq, niq) = (x.len(), lam.len(), mu.len());
     let n_kkt = nx + neq;
+    let Plan {
+        sys,
+        ldl,
+        sol,
+        solve_ws,
+        z,
+        dz,
+        dmu,
+    } = plan;
 
-    // Built once per solve: the structure, the KKT slot program, the
-    // LDLᵀ analysis and every buffer the loop below writes into.
-    let mut sys = System::build(prob)?;
-    let mut ldl =
-        SparseLdl::analyze(sys.kkt.mat()).map_err(|e| format!("KKT analysis failed: {e}"))?;
-    let mut sol: Vec<f64> = Vec::with_capacity(n_kkt);
-    let mut solve_ws: Vec<f64> = Vec::with_capacity(2 * n_kkt);
-    let (mut dz, mut dmu) = (vec![0.0; niq], vec![0.0; niq]);
-
-    *f = sys.evaluate(prob, x)?;
+    *f = sys.evaluate(prob, x).map_err(Stop::Mismatch)?;
 
     // Slack and dual initialization (MIPS defaults).
     let z0 = 1.0;
-    let mut z: Vec<f64> = sys.h.iter().map(|&hi| (-hi).max(z0)).collect();
+    z.clear();
+    z.extend(sys.h.iter().map(|&hi| (-hi).max(z0)));
     let mut gamma = 1.0f64;
-    for (m, zi) in mu.iter_mut().zip(&z) {
+    for (m, zi) in mu.iter_mut().zip(z.iter()) {
         *m = gamma / zi;
     }
     let mut f_old = *f;
@@ -555,7 +904,7 @@ fn barrier_iterations<P: Nlp>(
         sys.gradient(lam, mu);
 
         let maxh = sys.h.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        let norm_x = norm_inf(x).max(norm_inf(&z));
+        let norm_x = norm_inf(x).max(norm_inf(z));
         let norm_lam = norm_inf(lam).max(norm_inf(mu));
         *feascond = norm_inf(&sys.g).max(maxh.max(0.0)) / (1.0 + norm_x);
         *gradcond = norm_inf(&sys.lx) / (1.0 + norm_lam);
@@ -575,7 +924,8 @@ fn barrier_iterations<P: Nlp>(
         }
 
         let t_assemble = Instant::now();
-        sys.assemble(prob, x, lam, mu, &z, gamma)?;
+        sys.assemble(prob, x, lam, mu, z, gamma)
+            .map_err(Stop::Mismatch)?;
         let t_factor = Instant::now();
         let kkt_m = sys.kkt.mat();
 
@@ -583,13 +933,14 @@ fn barrier_iterations<P: Nlp>(
         let refined = if forced_fallback {
             None
         } else {
-            ldl.factor(kkt_m)
+            // The analysis was made from this very matrix: values only.
+            ldl.replay(kkt_m.values())
                 .and_then(|()| {
                     ldl.solve_refined(
                         kkt_m,
                         &sys.rhs,
-                        &mut sol,
-                        &mut solve_ws,
+                        sol,
+                        solve_ws,
                         KKT_RESIDUAL_TOL,
                         KKT_REFINE_STEPS,
                     )
@@ -606,11 +957,13 @@ fn barrier_iterations<P: Nlp>(
                 // this one step from the pivoting LU instead.
                 gm_telemetry::counter_add("acopf.kkt.lu_fallbacks", 1);
                 let Ok(lu) = SparseLu::factor(kkt_m) else {
-                    return Err(format!("singular KKT system at iteration {it}"));
+                    return Err(Stop::Short(format!(
+                        "singular KKT system at iteration {it}"
+                    )));
                 };
                 sol.clone_from(&sys.rhs);
                 solve_ws.resize(n_kkt, 0.0);
-                lu.solve_in_place(&mut sol, &mut solve_ws);
+                lu.solve_in_place(sol, solve_ws);
             }
         }
         gm_telemetry::histogram_record("acopf.ipm.factor_s", t_factor.elapsed().as_secs_f64());
@@ -643,7 +996,7 @@ fn barrier_iterations<P: Nlp>(
             }
         }
         if alpha_p < 1e-14 && alpha_d < 1e-14 {
-            return Err(format!("numerically stuck at iteration {it}"));
+            return Err(Stop::Short(format!("numerically stuck at iteration {it}")));
         }
 
         for i in 0..nx {
@@ -661,12 +1014,14 @@ fn barrier_iterations<P: Nlp>(
         gm_telemetry::histogram_record("acopf.ipm.barrier_mu", gamma);
 
         f_old = *f;
-        *f = sys.evaluate(prob, x)?;
+        *f = sys.evaluate(prob, x).map_err(Stop::Mismatch)?;
         if !f.is_finite() {
-            return Err(format!("objective became non-finite at iteration {it}"));
+            return Err(Stop::Short(format!(
+                "objective became non-finite at iteration {it}"
+            )));
         }
     }
-    Err(String::from("iteration limit reached"))
+    Err(Stop::Short(String::from("iteration limit reached")))
 }
 
 #[cfg(test)]
@@ -854,6 +1209,162 @@ mod tests {
         }
     }
 
+    /// min (x₀−2)² + (x₁−1)² + (x₂−1)²  s.t.  x₀ + x_k = 2,  x₀ ≥ 0.5,
+    /// with `k` = 1 or 2: two problems of equal sizes and equal
+    /// contribution counts whose `Jg` patterns differ in one column.
+    struct Coupled {
+        with_third: bool,
+    }
+
+    impl Coupled {
+        fn partner(&self) -> usize {
+            if self.with_third {
+                2
+            } else {
+                1
+            }
+        }
+    }
+
+    impl Nlp for Coupled {
+        fn nx(&self) -> usize {
+            3
+        }
+        fn neq(&self) -> usize {
+            1
+        }
+        fn niq(&self) -> usize {
+            1
+        }
+        fn x0(&self, x: &mut [f64]) {
+            x.fill(1.0);
+        }
+        fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
+            let target = [2.0, 1.0, 1.0];
+            for i in 0..3 {
+                df[i] = 2.0 * (x[i] - target[i]);
+            }
+            (0..3).map(|i| (x[i] - target[i]).powi(2)).sum()
+        }
+        fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], jg: &mut S) {
+            g[0] = x[0] + x[self.partner()] - 2.0;
+            jg.add(0, 0, 1.0);
+            jg.add(0, self.partner(), 1.0);
+        }
+        fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
+            h[0] = 0.5 - x[0];
+            jh.add(0, 0, -1.0);
+        }
+        fn lagrangian_hessian<S: Stamp>(&self, _x: &[f64], _l: &[f64], _m: &[f64], hess: &mut S) {
+            for i in 0..3 {
+                hess.add(i, i, 2.0);
+            }
+        }
+    }
+
+    fn counts(reg: &gm_telemetry::Registry) -> [u64; 2] {
+        ["acopf.kkt.structure_builds", "acopf.kkt.structure_reuse"].map(|k| reg.counter_value(k))
+    }
+
+    #[test]
+    fn equal_sizes_and_counts_with_another_pattern_is_a_fresh_build() {
+        let reg = gm_telemetry::Registry::new();
+        let _guard = reg.install();
+        let opts = IpmOptions::default();
+        let mut answers = Vec::new();
+        for (with_third, want, so_far) in [
+            (false, [1.5, 0.5, 1.0], [1, 0]),
+            // Same nx / neq / niq, same number of contributions to every
+            // matrix: only comparing the positions tells them apart.
+            (true, [1.5, 1.0, 0.5], [2, 0]),
+            (false, [1.5, 0.5, 1.0], [2, 1]),
+            (true, [1.5, 1.0, 0.5], [2, 2]),
+        ] {
+            let r = solve(&Coupled { with_third }, &opts);
+            assert!(r.converged, "{}", r.message);
+            for (got, want) in r.x.iter().zip(want) {
+                assert!((got - want).abs() < 1e-5, "x = {:?}", r.x);
+            }
+            assert_eq!(counts(&reg), so_far, "with_third = {with_third}");
+            answers.push(r);
+        }
+        // A kept plan gives the bits a fresh build gave.
+        for (warm, cold) in [(2, 0), (3, 1)] {
+            let bits = |r: &IpmResult| -> Vec<u64> {
+                (r.x.iter().chain(&r.lam).chain(&r.mu))
+                    .map(|v| v.to_bits())
+                    .chain([r.f.to_bits(), r.iterations as u64])
+                    .collect()
+            };
+            assert_eq!(bits(&answers[warm]), bits(&answers[cold]));
+        }
+    }
+
+    /// [`Quadratic`] stamping its two `Jg` entries in alternating order:
+    /// same positions, same count, same CSR pattern even — but the value
+    /// pass that follows the structure pass sends them the other way
+    /// round, and would land each value in the other's slot.
+    struct Misordered {
+        calls: Cell<usize>,
+    }
+
+    impl Nlp for Misordered {
+        fn nx(&self) -> usize {
+            2
+        }
+        fn neq(&self) -> usize {
+            1
+        }
+        fn niq(&self) -> usize {
+            1
+        }
+        fn x0(&self, x: &mut [f64]) {
+            Quadratic.x0(x);
+        }
+        fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
+            Quadratic.objective(x, df)
+        }
+        fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], jg: &mut S) {
+            g[0] = x[0] + 3.0 * x[1] - 2.0;
+            let call = self.calls.replace(self.calls.get() + 1);
+            if call.is_multiple_of(2) {
+                jg.add(0, 0, 1.0);
+                jg.add(0, 1, 3.0);
+            } else {
+                jg.add(0, 1, 3.0);
+                jg.add(0, 0, 1.0);
+            }
+        }
+        fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
+            Quadratic.inequalities(x, h, jh);
+        }
+        fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], l: &[f64], m: &[f64], hess: &mut S) {
+            Quadratic.lagrangian_hessian(x, l, m, hess);
+        }
+    }
+
+    #[test]
+    fn a_misordered_pass_is_a_failed_solve_and_its_plan_is_not_kept() {
+        let reg = gm_telemetry::Registry::new();
+        let _guard = reg.install();
+        let prob = Misordered {
+            calls: Cell::new(0),
+        };
+        let r = solve(&prob, &IpmOptions::default());
+        assert!(!r.converged);
+        assert_eq!(
+            r.message,
+            "Jg: contribution 0 at (0,1), structure has (0,0)"
+        );
+        assert_eq!(r.iterations, 0);
+        // Nothing was kept: the well-behaved problem of the same sizes
+        // and pattern builds its own plan, and that one is.
+        for so_far in [[2, 0], [2, 1]] {
+            assert!(solve(&Quadratic, &IpmOptions::default()).converged);
+            assert_eq!(counts(&reg), so_far);
+        }
+    }
+
     /// A stated shape that contradicts `neq` is refused before any value
     /// is written.
     struct WrongShape;
@@ -881,10 +1392,10 @@ mod tests {
         fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], l: &[f64], m: &[f64], hess: &mut S) {
             Bound.lagrangian_hessian(x, l, m, hess);
         }
-        fn structure(&self) -> Structure {
-            Structure {
-                jg: Stencil::constant(Triplets::new(2, 1).to_csr()),
-                ..Bound.structure()
+        fn constants(&self) -> Constants {
+            Constants {
+                jg: Some(Triplets::new(2, 1).to_csr()),
+                ..Constants::default()
             }
         }
     }

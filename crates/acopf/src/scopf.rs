@@ -17,7 +17,7 @@
 //! post-contingency overloads (see the `scopf_comparison` example).
 
 use crate::acopf::{unpack_solution, AcopfOptions, AcopfProblem};
-use crate::ipm::{self, Nlp, Stamp, Structure};
+use crate::ipm::{self, Constants, Nlp, Stamp};
 use crate::types::{AcopfError, AcopfSolution};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
@@ -177,7 +177,7 @@ impl Nlp for ScopfProblem<'_> {
 
     /// The base rows are stamped per iterate; of the security rows only
     /// the values change, their Jacobian is stated in
-    /// [`Nlp::structure`].
+    /// [`Nlp::constants`].
     fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
         let (h_base, h_sec) = h.split_at_mut(self.base.niq());
         self.base.inequalities(x, h_base, jh);
@@ -195,10 +195,11 @@ impl Nlp for ScopfProblem<'_> {
             .lagrangian_hessian(x, lam, &mu[..self.base.niq()], hess);
     }
 
-    fn structure(&self) -> Structure {
-        let mut s = self.base.structure();
-        s.jh.append_constant_rows(&self.security_rows());
-        s
+    fn constants(&self) -> Constants {
+        Constants {
+            jh: Some(self.security_rows()),
+            ..Constants::default()
+        }
     }
 }
 
@@ -226,6 +227,17 @@ pub(crate) fn secure(
     let mut active: std::collections::BTreeMap<(usize, usize), SecurityConstraint> =
         std::collections::BTreeMap::new();
     let mut current = economic.clone();
+    // Only the security rows change between rounds and relaxations: the
+    // base problem (YBus, layout, limits, bounds) is built once.
+    let Some(base_prob) = AcopfProblem::build(net, opts.acopf.warm_start) else {
+        return Err(AcopfError::InvalidNetwork {
+            problems: vec!["no slack bus".to_string()],
+        });
+    };
+    let mut prob = ScopfProblem {
+        base: base_prob,
+        security: Vec::new(),
+    };
 
     for _round in 0..opts.max_rounds {
         // ---- Screen at the current operating point.
@@ -280,15 +292,8 @@ pub(crate) fn secure(
         let mut relaxations = 0usize;
         loop {
             let started = std::time::Instant::now();
-            let Some(base_prob) = AcopfProblem::build(net, opts.acopf.warm_start) else {
-                return Err(AcopfError::InvalidNetwork {
-                    problems: vec!["no slack bus".to_string()],
-                });
-            };
-            let prob = ScopfProblem {
-                base: base_prob,
-                security: active.values().copied().collect(),
-            };
+            prob.security.clear();
+            prob.security.extend(active.values().copied());
             let res = ipm::solve(&prob, &opts.acopf.ipm);
             if res.converged {
                 current = unpack_solution(&prob.base, &res, started.elapsed().as_secs_f64());

@@ -116,6 +116,22 @@ impl<T: Scalar> CsMat<T> {
         &mut self.data
     }
 
+    /// Gives back what the index and value arrays hold beyond their
+    /// length (a conversion reserves for every pushed entry): for a
+    /// matrix that is kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.indptr.shrink_to_fit();
+        self.indices.shrink_to_fit();
+        self.data.shrink_to_fit();
+    }
+
+    /// The pattern (`indptr`, `indices`) beside mutable access to the
+    /// values: for a writer that checks where a value belongs while it
+    /// writes it.
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [T]) {
+        (&self.indptr, &self.indices, &mut self.data)
+    }
+
     /// Value at `(i, j)`, `zero()` if not stored. Binary-searches the row.
     pub fn get(&self, i: usize, j: usize) -> T {
         let (cols, vals) = self.row(i);

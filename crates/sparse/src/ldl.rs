@@ -13,7 +13,9 @@
 //! [`SparseLdl::analyze`] computes them once and every later
 //! [`SparseLdl::factor`] is a numeric replay into the same structure
 //! (up-looking, one sparse triangular solve per row, after Davis' LDL
-//! package).
+//! package). A caller that owns both the matrix and the analysis made
+//! from it skips `factor`'s pattern compare and hands
+//! [`SparseLdl::replay`] the values alone.
 //!
 //! No pivoting means no stability guarantee. The contract is the
 //! opposite of [`crate::SymbolicLu`]'s: the factorization is *cheap and
@@ -32,7 +34,9 @@
 //! `sparse.analyze_s` / `sparse.refactor_s` record the wall times.
 
 use crate::csmat::CsMat;
+use crate::lu::Idx;
 use crate::order::{Ordering, OrderingError};
+use crate::symbolic::same_indices;
 use std::time::Instant;
 
 /// Failure modes of the LDLᵀ factorization and its refined solve.
@@ -100,29 +104,31 @@ pub struct Refinement {
 pub struct SparseLdl {
     n: usize,
     /// The analyzed pattern, kept so [`SparseLdl::factor`] can check its
-    /// input exactly (a slice compare, cheaper than a fingerprint).
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
+    /// input exactly (a compare, cheaper than a fingerprint). Like every
+    /// index array below it is stored in 32 bits: a kept analysis costs
+    /// half the memory and a replay streams half the bytes.
+    indptr: Vec<Idx>,
+    indices: Vec<Idx>,
     /// Elimination order: original index `perm[k]` is pivot `k`.
-    perm: Vec<usize>,
+    perm: Vec<Idx>,
     /// Strictly-lower structure of `L` by columns, rows ascending.
-    l_colptr: Vec<usize>,
-    l_rows: Vec<usize>,
+    l_colptr: Vec<Idx>,
+    l_rows: Vec<Idx>,
     /// The same structure by rows: row `k` of `L` has its columns
     /// `row_cols[row_ptr[k]..row_ptr[k+1]]`, ascending (a topological
     /// order for the row's triangular solve), and `row_dst` gives each
     /// entry's slot in `l_vals`. A column fills in row order, so at row
     /// `k` the entries of column `i` above row `k` are exactly
     /// `l_colptr[i]..row_dst[p]`.
-    row_ptr: Vec<usize>,
-    row_cols: Vec<usize>,
-    row_dst: Vec<usize>,
+    row_ptr: Vec<Idx>,
+    row_cols: Vec<Idx>,
+    row_dst: Vec<Idx>,
     /// Upper-triangle access plan: pivot column `k` of `P·A·Pᵀ` reads
     /// its entries in pivot rows `up_rows[..] ≤ k` from the CSR value
     /// offsets `up_src[..]`, span `up_ptr[k]..up_ptr[k+1]`.
-    up_ptr: Vec<usize>,
-    up_rows: Vec<usize>,
-    up_src: Vec<usize>,
+    up_ptr: Vec<Idx>,
+    up_rows: Vec<Idx>,
+    up_src: Vec<Idx>,
     l_vals: Vec<f64>,
     d: Vec<f64>,
     /// Dense accumulator of the row solve; all zero between rows.
@@ -143,6 +149,13 @@ impl SparseLdl {
             .permutation(a)
             .map_err(|OrderingError::NotSquare { shape }| LdlError::NotSquare { shape })?;
         let n = a.rows();
+        // Every stored index is a row, a CSR offset or an offset into
+        // `L` (checked once its size is known): the arrays that are kept
+        // are built in 32 bits from the start.
+        assert!(
+            n <= Idx::MAX as usize && a.nnz() <= Idx::MAX as usize,
+            "LDLᵀ pattern exceeds the 32-bit index range"
+        );
         let mut pinv = vec![0usize; n];
         for (k, &orig) in perm.iter().enumerate() {
             pinv[orig] = k;
@@ -150,20 +163,22 @@ impl SparseLdl {
 
         // Row `perm[k]` of a symmetric CSR matrix is column `k` of the
         // permuted matrix; keep what lands on or above the diagonal.
-        let mut up_ptr = Vec::with_capacity(n + 1);
-        let mut up_rows = Vec::with_capacity(a.nnz() / 2 + n);
-        let mut up_src = Vec::with_capacity(a.nnz() / 2 + n);
+        let mut up_ptr: Vec<Idx> = Vec::with_capacity(n + 1);
+        let mut up_rows: Vec<Idx> = Vec::with_capacity(a.nnz() / 2 + n);
+        let mut up_src: Vec<Idx> = Vec::with_capacity(a.nnz() / 2 + n);
         up_ptr.push(0);
         for (k, &orig) in perm.iter().enumerate() {
             let base = a.indptr()[orig];
             for (off, &j) in a.row(orig).0.iter().enumerate() {
                 if pinv[j] <= k {
-                    up_rows.push(pinv[j]);
-                    up_src.push(base + off);
+                    up_rows.push(pinv[j] as Idx);
+                    up_src.push((base + off) as Idx);
                 }
             }
-            up_ptr.push(up_rows.len());
+            up_ptr.push(up_rows.len() as Idx);
         }
+        up_rows.shrink_to_fit();
+        up_src.shrink_to_fit();
 
         // Elimination tree and row patterns in one pass: the pattern of
         // row `k` of `L` is everything reached by walking the tree up
@@ -171,53 +186,59 @@ impl SparseLdl {
         const NONE: usize = usize::MAX;
         let mut parent = vec![NONE; n];
         let mut flag = vec![NONE; n];
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut row_cols: Vec<usize> = Vec::new();
+        let mut row_ptr: Vec<Idx> = Vec::with_capacity(n + 1);
+        let mut row_cols: Vec<Idx> = Vec::new();
         let mut col_count = vec![0usize; n];
         row_ptr.push(0);
         for k in 0..n {
             flag[k] = k;
             let start = row_cols.len();
-            for &top in &up_rows[up_ptr[k]..up_ptr[k + 1]] {
-                let mut i = top;
+            for &top in &up_rows[up_ptr[k] as usize..up_ptr[k + 1] as usize] {
+                let mut i = top as usize;
                 while flag[i] != k {
                     if parent[i] == NONE {
                         parent[i] = k;
                     }
-                    row_cols.push(i);
+                    row_cols.push(i as Idx);
                     col_count[i] += 1;
                     flag[i] = k;
                     i = parent[i];
                 }
             }
             row_cols[start..].sort_unstable();
-            row_ptr.push(row_cols.len());
+            assert!(
+                row_cols.len() <= Idx::MAX as usize,
+                "LDLᵀ fill exceeds the 32-bit index range"
+            );
+            row_ptr.push(row_cols.len() as Idx);
         }
+        row_cols.shrink_to_fit();
 
-        let mut l_colptr = Vec::with_capacity(n + 1);
+        let mut l_colptr: Vec<Idx> = Vec::with_capacity(n + 1);
         l_colptr.push(0);
         for i in 0..n {
-            l_colptr.push(l_colptr[i] + col_count[i]);
+            l_colptr.push(l_colptr[i] + col_count[i] as Idx);
         }
-        let mut next = l_colptr[..n].to_vec();
-        let mut l_rows = vec![0usize; row_cols.len()];
-        let mut row_dst = vec![0usize; row_cols.len()];
-        for k in 0..n {
-            for p in row_ptr[k]..row_ptr[k + 1] {
-                let i = row_cols[p];
-                l_rows[next[i]] = k;
-                row_dst[p] = next[i];
-                next[i] += 1;
+        let mut cursor = l_colptr[..n].to_vec();
+        let mut l_rows: Vec<Idx> = vec![0; row_cols.len()];
+        let mut row_dst: Vec<Idx> = vec![0; row_cols.len()];
+        for row in 0..n {
+            for p in row_ptr[row] as usize..row_ptr[row + 1] as usize {
+                let i = row_cols[p] as usize;
+                l_rows[cursor[i] as usize] = row as Idx;
+                row_dst[p] = cursor[i];
+                cursor[i] += 1;
             }
         }
 
+        let narrow = |v: &[usize]| -> Vec<Idx> { v.iter().map(|&i| i as Idx).collect() };
         gm_telemetry::counter_add("sparse.symbolic.build", 1);
         gm_telemetry::histogram_record("sparse.analyze_s", t0.elapsed().as_secs_f64());
         Ok(SparseLdl {
             n,
-            indptr: a.indptr().to_vec(),
-            indices: a.indices().to_vec(),
-            perm,
+            indptr: narrow(a.indptr()),
+            indices: narrow(a.indices()),
+            perm: narrow(&perm),
             l_vals: vec![0.0; l_rows.len()],
             l_colptr,
             l_rows,
@@ -243,36 +264,69 @@ impl SparseLdl {
         &self.d
     }
 
+    /// Heap bytes the analysis and its numeric factor keep alive.
+    pub fn retained_bytes(&self) -> usize {
+        let idx = self.indptr.len()
+            + self.indices.len()
+            + self.perm.len()
+            + self.l_colptr.len()
+            + self.l_rows.len()
+            + self.row_ptr.len()
+            + self.row_cols.len()
+            + self.row_dst.len()
+            + self.up_ptr.len()
+            + self.up_rows.len()
+            + self.up_src.len();
+        let vals = self.l_vals.len() + self.d.len() + self.work.len();
+        idx * std::mem::size_of::<Idx>() + vals * std::mem::size_of::<f64>()
+    }
+
     /// Numeric factorization of `a` — which must have the analyzed
     /// pattern — into the analyzed structure. The result depends only
     /// on the pattern and the values, never on what was factored
     /// before. On `Err` the numeric part is unspecified (the analysis
     /// stays valid): factor again before solving.
     pub fn factor(&mut self, a: &CsMat<f64>) -> Result<(), LdlError> {
-        if a.shape() != (self.n, self.n) || a.indptr() != self.indptr || a.indices() != self.indices
+        if a.shape() != (self.n, self.n)
+            || !same_indices(a.indptr(), &self.indptr)
+            || !same_indices(a.indices(), &self.indices)
         {
+            return Err(LdlError::PatternMismatch);
+        }
+        self.replay(a.values())
+    }
+
+    /// The values-only factorization behind [`SparseLdl::factor`], for
+    /// the caller that made this analysis from a matrix it still owns
+    /// and has only rewritten the values of since: `avals` are that
+    /// matrix's values, in its CSR order. The pattern is not compared
+    /// again — that happened where the pair was made. A slice of
+    /// another length is refused; one of the right length from another
+    /// pattern factors the wrong matrix, which the owner's verified
+    /// solve ([`SparseLdl::solve_refined`]) then reports.
+    pub fn replay(&mut self, avals: &[f64]) -> Result<(), LdlError> {
+        if avals.len() != self.indices.len() {
             return Err(LdlError::PatternMismatch);
         }
         let t0 = Instant::now();
         gm_telemetry::counter_add("sparse.lu.factorizations", 1);
         gm_telemetry::counter_add("sparse.ldl.factorizations", 1);
-        let avals = a.values();
         let y = &mut self.work[..];
         for k in 0..self.n {
-            let span = self.up_ptr[k]..self.up_ptr[k + 1];
+            let span = self.up_ptr[k] as usize..self.up_ptr[k + 1] as usize;
             for (&i, &src) in self.up_rows[span.clone()].iter().zip(&self.up_src[span]) {
-                y[i] = avals[src];
+                y[i as usize] = avals[src as usize];
             }
             let mut dk = y[k];
             y[k] = 0.0;
-            for p in self.row_ptr[k]..self.row_ptr[k + 1] {
-                let i = self.row_cols[p];
-                let dst = self.row_dst[p];
+            for p in self.row_ptr[k] as usize..self.row_ptr[k + 1] as usize {
+                let i = self.row_cols[p] as usize;
+                let dst = self.row_dst[p] as usize;
                 let yi = y[i];
                 y[i] = 0.0;
-                let above = self.l_colptr[i]..dst;
+                let above = self.l_colptr[i] as usize..dst;
                 for (&r, &lv) in self.l_rows[above.clone()].iter().zip(&self.l_vals[above]) {
-                    y[r] -= lv * yi;
+                    y[r as usize] -= lv * yi;
                 }
                 let lki = yi / self.d[i];
                 dk -= lki * yi;
@@ -302,28 +356,28 @@ impl SparseLdl {
         assert_eq!(scratch.len(), self.n, "scratch length mismatch");
         let x = scratch;
         for (k, &orig) in self.perm.iter().enumerate() {
-            x[k] = b[orig];
+            x[k] = b[orig as usize];
         }
         for j in 0..self.n {
-            let span = self.l_colptr[j]..self.l_colptr[j + 1];
+            let span = self.l_colptr[j] as usize..self.l_colptr[j + 1] as usize;
             let xj = x[j];
             for (&r, &lv) in self.l_rows[span.clone()].iter().zip(&self.l_vals[span]) {
-                x[r] -= lv * xj;
+                x[r as usize] -= lv * xj;
             }
         }
         for (xj, dj) in x.iter_mut().zip(&self.d) {
             *xj /= dj;
         }
         for j in (0..self.n).rev() {
-            let span = self.l_colptr[j]..self.l_colptr[j + 1];
+            let span = self.l_colptr[j] as usize..self.l_colptr[j + 1] as usize;
             let mut xj = x[j];
             for (&r, &lv) in self.l_rows[span.clone()].iter().zip(&self.l_vals[span]) {
-                xj -= lv * x[r];
+                xj -= lv * x[r as usize];
             }
             x[j] = xj;
         }
         for (k, &orig) in self.perm.iter().enumerate() {
-            b[orig] = x[k];
+            b[orig as usize] = x[k];
         }
     }
 

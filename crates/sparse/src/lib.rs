@@ -63,5 +63,5 @@ pub use ldl::{LdlError, Refinement, SparseLdl};
 pub use lu::{SparseLu, SparseLuError};
 pub use order::{Ordering, OrderingError};
 pub use scalar::Scalar;
-pub use symbolic::{with_thread_engine, LuEngine, SymbolicLu};
+pub use symbolic::{with_checked_out, with_thread_engine, LuEngine, Mru, SymbolicLu};
 pub use triplets::{ScatterMap, Triplets};

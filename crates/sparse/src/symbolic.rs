@@ -31,6 +31,11 @@
 //! [`with_thread_engine`] is its per-thread home: the engine the
 //! solvers' convenience entry points borrow, so a thread analyzes each
 //! pattern it meets once, not once per call.
+//!
+//! The two rules that make such a home safe are stated once, for every
+//! owner of kept analyses (this engine, the IPM's KKT plans in
+//! gm-acopf): [`Mru`] — what is kept, and what goes first when there is
+//! no room — and [`with_checked_out`] — who may touch it, and when.
 
 use crate::csmat::CsMat;
 use crate::lu::{
@@ -39,7 +44,9 @@ use crate::lu::{
 };
 use crate::order::Ordering;
 use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+use std::thread::LocalKey;
 use std::time::Instant;
 
 /// Reusable symbolic analysis of one sparsity pattern: fill-reducing
@@ -81,9 +88,10 @@ pub struct SymbolicLu {
 }
 
 /// `wide == narrow`, element for element. A stored index that did not
-/// fit `Idx` cannot have come from an analysis ([`elimination_plan`]
-/// asserts the fit), and would compare unequal here rather than alias.
-fn same_indices(wide: &[usize], narrow: &[Idx]) -> bool {
+/// fit `Idx` cannot have come from an analysis ([`elimination_plan`] and
+/// [`crate::SparseLdl::analyze`] assert the fit), and would compare
+/// unequal here rather than alias.
+pub(crate) fn same_indices(wide: &[usize], narrow: &[Idx]) -> bool {
     wide.len() == narrow.len() && wide.iter().zip(narrow).all(|(&w, &s)| w == s as usize)
 }
 
@@ -399,6 +407,93 @@ impl SparseLu {
     }
 }
 
+/// The keeping rule of a per-thread home: a list of constant capacity,
+/// most recently used first. A lookup walks it in that order (it derefs
+/// to a slice), the owner [`Mru::promote`]s what it matched, and an
+/// [`Mru::insert`] beyond the capacity drops from the far end — the
+/// least recently used — and says how many went, so the owner counts
+/// them. What an item *is* and how a match is decided (always by
+/// comparing, never by hashing) is the owner's business.
+#[derive(Debug)]
+pub struct Mru<T> {
+    capacity: usize,
+    items: Vec<T>,
+}
+
+impl<T> Mru<T> {
+    /// An empty list keeping at most `capacity` items (at least one).
+    pub fn new(capacity: usize) -> Mru<T> {
+        Mru {
+            capacity: capacity.max(1),
+            items: Vec::new(),
+        }
+    }
+
+    /// Makes the item at `idx` the most recently used one.
+    pub fn promote(&mut self, idx: usize) {
+        self.items[..=idx].rotate_right(1);
+    }
+
+    /// Puts `item` in front and returns how many items that pushed out.
+    #[must_use = "evictions are counted by the owner"]
+    pub fn insert(&mut self, item: T) -> usize {
+        self.items.insert(0, item);
+        let evicted = self.items.len().saturating_sub(self.capacity);
+        self.items.truncate(self.capacity);
+        evicted
+    }
+
+    /// Takes the item at `idx` out of the list.
+    pub fn remove(&mut self, idx: usize) -> T {
+        self.items.remove(idx)
+    }
+}
+
+impl<T> Deref for Mru<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+impl<T> DerefMut for Mru<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items
+    }
+}
+
+/// The access rule of a per-thread home: runs `f` with what rests in
+/// `home` — or with `fresh()` when nothing does — and puts it back
+/// afterwards.
+///
+/// Per thread, not per process: a test, a rayon worker or a serve worker
+/// each has its own history, there is nothing to lock, and exact work
+/// counts stay a function of what that thread did. The kept state is
+/// checked out for the duration of `f`; a nested call (a solver reached
+/// from inside another's `f`) finds the home empty and works on a fresh
+/// one of its own, which the outer call's return replaces; if `f`
+/// panics the state is dropped with the unwind and the next call starts
+/// from `fresh()`. Hidden state like this is acceptable only when results
+/// are bit-identical whatever it holds — each owner tests that
+/// (`tests/engine_history.rs`).
+pub fn with_checked_out<T: 'static, R>(
+    home: &'static LocalKey<Cell<Option<T>>>,
+    fresh: impl FnOnce() -> T,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    // `try_with`: a solve from another thread-local's destructor must
+    // not abort the process.
+    let mut kept = home
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(fresh);
+    let out = f(&mut kept);
+    // An exiting thread's home is already gone; the state goes with it.
+    home.try_with(|h| h.set(Some(kept))).unwrap_or(());
+    out
+}
+
 struct Slot {
     sym: SymbolicLu,
     numeric: SparseLu,
@@ -460,9 +555,7 @@ const DIRECT_DEMOTION_STREAK: u32 = 2;
 /// (gm-faults, kind `LuSingular`) forces the fallback path for chaos
 /// testing.
 pub struct LuEngine {
-    capacity: usize,
-    /// MRU-first.
-    slots: Vec<Slot>,
+    slots: Mru<Slot>,
     scratch: Vec<f64>,
 }
 
@@ -484,8 +577,7 @@ impl LuEngine {
     /// patterns can coexist per worker.
     pub fn with_capacity(capacity: usize) -> LuEngine {
         LuEngine {
-            capacity: capacity.max(1),
-            slots: Vec::new(),
+            slots: Mru::new(capacity),
             scratch: Vec::new(),
         }
     }
@@ -525,8 +617,7 @@ impl LuEngine {
         });
 
         if let Some(idx) = hit {
-            // Move to MRU position.
-            self.slots[..=idx].rotate_right(1);
+            self.slots.promote(idx);
             if self.slots[0].fallback_streak >= DIRECT_DEMOTION_STREAK {
                 // This pattern's pivots churn between factorizations:
                 // skip the doomed replay, reuse the cached ordering and
@@ -580,20 +671,13 @@ impl LuEngine {
             gm_telemetry::counter_add("sparse.symbolic.miss_same_shape", 1);
         }
         let (sym, numeric) = self.analyze_timed(a, ordering, pivot_tol)?;
-        self.slots.insert(
-            0,
-            Slot {
-                sym,
-                numeric,
-                fallback_streak: 0,
-            },
-        );
-        if self.slots.len() > self.capacity {
-            gm_telemetry::counter_add(
-                "sparse.symbolic.evict",
-                (self.slots.len() - self.capacity) as u64,
-            );
-            self.slots.truncate(self.capacity);
+        let evicted = self.slots.insert(Slot {
+            sym,
+            numeric,
+            fallback_streak: 0,
+        });
+        if evicted > 0 {
+            gm_telemetry::counter_add("sparse.symbolic.evict", evicted as u64);
         }
         self.record_retained();
         Ok(&self.slots[0].numeric)
@@ -649,30 +733,14 @@ thread_local! {
 /// of every symbolic analysis made on behalf of a caller that does not
 /// own an engine (the solvers' convenience entry points), so that a
 /// repeated solve on one topology pays for refactorizations only.
-///
-/// Per thread, not per process: a test, a rayon worker or a serve worker
-/// each has its own history, there is nothing to lock, and exact work
-/// counts stay a function of what that thread did. The hidden state is
-/// safe for the reason any engine is — results are bit-identical
-/// whatever it holds. The engine is checked out for the duration of
-/// `f`; a nested call (a solver reached from inside another's `f`) finds
-/// the home empty and works on an engine of its own, which the outer
-/// call's return replaces; if `f` panics the engine is dropped with the
-/// unwind and the next call starts an empty one.
+/// Checked out per call under [`with_checked_out`]'s rules; safe for the
+/// reason any engine is — results are bit-identical whatever it holds.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut LuEngine) -> R) -> R {
-    // `try_with`: a solve from another thread-local's destructor must
-    // not abort the process.
-    let mut engine = THREAD_ENGINE
-        .try_with(Cell::take)
-        .ok()
-        .flatten()
-        .unwrap_or_else(|| LuEngine::with_capacity(THREAD_ENGINE_SLOTS));
-    let out = f(&mut engine);
-    // An exiting thread's home is already gone; the engine goes with it.
-    THREAD_ENGINE
-        .try_with(|home| home.set(Some(engine)))
-        .unwrap_or(());
-    out
+    with_checked_out(
+        &THREAD_ENGINE,
+        || LuEngine::with_capacity(THREAD_ENGINE_SLOTS),
+        f,
+    )
 }
 
 #[cfg(test)]
@@ -856,6 +924,24 @@ mod tests {
             eng.factorize(m).unwrap();
         }
         assert_eq!(eng.cached_patterns(), 2);
+    }
+
+    #[test]
+    fn mru_keeps_the_most_recently_used_and_says_what_it_dropped() {
+        let mut list = Mru::new(3);
+        assert_eq!([1, 2, 3].map(|k| list.insert(k)), [0, 0, 0]);
+        assert_eq!(*list, [3, 2, 1]);
+        list.promote(2);
+        assert_eq!(*list, [1, 3, 2]);
+        assert_eq!(list.insert(4), 1, "2 was the least recently used");
+        assert_eq!(*list, [4, 1, 3]);
+        assert_eq!(list.remove(1), 1);
+        assert_eq!((list.insert(5), list.len()), (0, 3));
+        // A capacity of zero would keep nothing, not even the item a
+        // caller is about to use: it means one.
+        let mut one = Mru::new(0);
+        assert_eq!((one.insert('a'), one.insert('b')), (0, 1));
+        assert_eq!(*one, ['b']);
     }
 
     #[test]

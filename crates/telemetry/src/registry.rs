@@ -295,14 +295,16 @@ impl Registry {
         InstallGuard { _private: () }
     }
 
-    /// Adds to a named counter.
+    /// Adds to a named counter. Only the first touch of a name
+    /// allocates its key.
     pub fn add(&self, name: &str, delta: u64) {
-        *self
-            .inner
-            .counters
-            .lock()
-            .entry(name.to_string())
-            .or_insert(0) += delta;
+        let mut counters = self.inner.counters.lock();
+        match counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current value of a counter (0 when never touched).
@@ -408,14 +410,18 @@ impl Registry {
             .or_insert_with(|| Histogram::new(bounds));
     }
 
-    /// Records a sample into a named histogram.
+    /// Records a sample into a named histogram. Only the first sample
+    /// of a name allocates its key.
     pub fn record(&self, name: &str, x: f64) {
-        self.inner
-            .histograms
-            .lock()
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(default_bounds(name)))
-            .record(x);
+        let mut histograms = self.inner.histograms.lock();
+        match histograms.get_mut(name) {
+            Some(histogram) => histogram.record(x),
+            None => {
+                let mut histogram = Histogram::new(default_bounds(name));
+                histogram.record(x);
+                histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// Emits a structured event.

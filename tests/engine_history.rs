@@ -1,4 +1,5 @@
-//! History-independence of the per-thread `LuEngine`.
+//! History-independence of the per-thread `LuEngine` and of the IPM's
+//! per-thread KKT plans (second half of this file).
 //!
 //! The convenience entry points (`solve`, `solve_from`,
 //! `solve_fast_decoupled`, `solve_dc`, `run_batch`, the recovery ladder)
@@ -13,8 +14,13 @@
 //! thread against the same solve on a thread that has never solved
 //! anything.
 
+use gm_acopf::ipm::{self, Nlp, Stamp};
+use gm_acopf::{
+    solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, IpmOptions,
+    ScopfOptions,
+};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
-use gm_network::{cases, load_scale, CaseId, Network, ScaleId};
+use gm_network::{cases, load_scale, topology, CaseId, Network, ScaleId};
 use gm_numeric::Fnv1a;
 use gm_powerflow::{
     run_batch, solve, solve_dc, solve_fast_decoupled, InitStrategy, PfError, PfOptions, PfReport,
@@ -25,6 +31,7 @@ use gm_sparse::{
 };
 use gm_telemetry::Registry;
 use gridmind_core::{GridMind, ModelProfile, CAVEAT_PREFIX};
+use std::cell::RefCell;
 
 /// Runs `work` on a thread that has factored nothing yet.
 fn on_a_fresh_thread<T: Send>(work: impl FnOnce() -> T + Send) -> T {
@@ -398,5 +405,401 @@ fn the_threads_engine_outlives_more_patterns_than_it_keeps() {
             48 - kept,
             "cycling 24 patterns through {kept} slots re-analyzes every visit"
         );
+    });
+}
+
+// ---- The IPM's kept KKT plans (`gm_acopf::ipm`) ----------------------
+//
+// `ipm::solve` keeps, per thread, the plan of every problem pattern it
+// has built — structure, KKT slot program, LDLᵀ analysis, buffers — under
+// the same two rules as the engine above (`gm_sparse::Mru`,
+// `gm_sparse::with_checked_out`). Same contract, same kind of test: an
+// answer on a thread with a history against the answer on a thread
+// without one, bit for bit.
+
+/// Every field of an ACOPF solution but the wall time, as bits. The
+/// destructuring is exhaustive: a new field fails to compile here.
+fn acopf_bits(sol: &AcopfSolution) -> Vec<u64> {
+    let AcopfSolution {
+        case_name,
+        solved,
+        objective_cost,
+        gen_dispatch_mw,
+        gen_dispatch_mvar,
+        bus_vm_pu,
+        bus_va_deg,
+        bus_lmp,
+        branch_loading,
+        min_voltage_pu,
+        max_voltage_pu,
+        max_thermal_loading_pct,
+        total_generation_mw,
+        total_load_mw,
+        losses_mw,
+        iterations,
+        solve_time_s: _,
+        convergence_message,
+        binding_constraints,
+    } = sol;
+    let mut text = Fnv1a::new();
+    text.bytes(case_name.as_bytes());
+    text.bytes(convergence_message.as_bytes());
+    let mut bits = vec![
+        text.finish(),
+        *solved as u64,
+        *iterations as u64,
+        *binding_constraints as u64,
+    ];
+    let scalars = [
+        objective_cost,
+        min_voltage_pu,
+        max_voltage_pu,
+        max_thermal_loading_pct,
+        total_generation_mw,
+        total_load_mw,
+        losses_mw,
+    ];
+    let vectors = [
+        gen_dispatch_mw,
+        gen_dispatch_mvar,
+        bus_vm_pu,
+        bus_va_deg,
+        bus_lmp,
+    ];
+    bits.extend(scalars.into_iter().map(|v| v.to_bits()));
+    bits.extend(vectors.into_iter().flatten().map(|v| v.to_bits()));
+    bits.extend(branch_loading.iter().flat_map(|b| {
+        [
+            b.index as u64,
+            b.s_mva.to_bits(),
+            b.loading_pct.to_bits(),
+            b.p_from_mw.to_bits(),
+        ]
+    }));
+    bits
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Opf {
+    /// `solve_acopf`.
+    Ac,
+    /// `solve_scopf`.
+    Secure,
+    /// `solve_dcopf`.
+    Dc,
+}
+
+fn opf_answer(kind: Opf, net: &Network) -> Vec<u64> {
+    let failed = |e: AcopfError| error_bits(&e);
+    match kind {
+        Opf::Ac => {
+            solve_acopf(net, &AcopfOptions::default()).map_or_else(failed, |sol| acopf_bits(&sol))
+        }
+        Opf::Secure => solve_scopf(net, &ScopfOptions::default()).map_or_else(failed, |s| {
+            let mut bits = acopf_bits(&s.solution);
+            bits.extend([
+                s.economic_cost.to_bits(),
+                s.security_premium.to_bits(),
+                s.n_security_constraints as u64,
+            ]);
+            bits
+        }),
+        Opf::Dc => solve_dcopf(net, &IpmOptions::default()).map_or_else(failed, |dc| {
+            (dc.gen_dispatch_mw.iter())
+                .chain(&dc.flow_mw)
+                .chain(&dc.bus_va_deg)
+                .chain([&dc.objective_cost])
+                .map(|v| v.to_bits())
+                .chain([dc.solved as u64, dc.iterations as u64])
+                .collect()
+        }),
+    }
+}
+
+/// The edits of the paper's what-if loop, from a fixed stream: every
+/// load moved by up to ±5 % and every third generator's upper limit cut
+/// by 2–10 %. Neither changes the topology.
+fn edited(net: &Network, seed: u64) -> Network {
+    let mut net = perturbed(net, seed);
+    let mut s = seed.rotate_left(17) | 1;
+    for g in net.gens.iter_mut().step_by(3) {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        g.p_max_mw *= 0.90 + 0.08 * (s >> 11) as f64 / (1u64 << 53) as f64;
+    }
+    net
+}
+
+/// A, B, C, … then A′, B′, C′, …: ACOPF case14 / 30 / 57, SCOPF
+/// case30 / 57, DC-OPF case118, and the same six after seeded edits.
+fn opf_sequence() -> Vec<(Opf, Network)> {
+    let bases = [
+        (Opf::Ac, CaseId::Ieee14),
+        (Opf::Ac, CaseId::Ieee30),
+        (Opf::Ac, CaseId::Ieee57),
+        (Opf::Secure, CaseId::Ieee30),
+        (Opf::Secure, CaseId::Ieee57),
+        (Opf::Dc, CaseId::Ieee118),
+    ]
+    .map(|(kind, id)| (kind, cases::load(id)));
+    let revisits: Vec<(Opf, Network)> = (bases.iter().zip(1u64..))
+        .map(|((kind, net), k)| (*kind, edited(net, 0x51ed_270b * k)))
+        .collect();
+    bases.into_iter().chain(revisits).collect()
+}
+
+/// `acopf.kkt.structure_{builds, reuse, evict}` so far.
+fn plan_counts(reg: &Registry) -> [u64; 3] {
+    ["builds", "reuse", "evict"].map(|k| reg.counter_value(&format!("acopf.kkt.structure_{k}")))
+}
+
+#[test]
+fn an_opf_sequence_on_one_thread_answers_like_fresh_threads() {
+    let sequence = opf_sequence();
+    let (on_one_thread, reg) = on_a_fresh_thread(|| {
+        let reg = Registry::new();
+        let _guard = reg.install();
+        let answers: Vec<Vec<u64>> = (sequence.iter())
+            .map(|(kind, net)| opf_answer(*kind, net))
+            .collect();
+        (answers, reg)
+    });
+    // The sequence did revisit: every economic solve of a SCOPF and every
+    // primed solve found a plan.
+    let [builds, reuse, _] = plan_counts(&reg);
+    assert_eq!(builds + reuse, reg.counter_value("acopf.ipm.solves"));
+    assert!(reuse >= 8, "{reuse} solves on kept plans, {builds} builds");
+    assert_eq!(reg.counter_value("acopf.kkt.lu_fallbacks"), 0);
+
+    for (visit, (kind, net)) in sequence.iter().enumerate() {
+        let fresh = on_a_fresh_thread(|| opf_answer(*kind, net));
+        assert!(fresh[0] != u64::MAX, "visit {visit}: {kind:?} failed");
+        assert!(
+            fresh == on_one_thread[visit],
+            "visit {visit} ({kind:?} {}): answer depends on the thread's history",
+            net.name
+        );
+    }
+}
+
+#[test]
+fn lu_fallback_steps_on_a_kept_plan_change_no_bit() {
+    // Every LDLᵀ step refused: each barrier step of the revisits is
+    // taken from the one-shot pivoting LU of a KKT matrix that a kept
+    // plan assembled.
+    let refuse_ldl = || {
+        FaultInjector::scripted(vec![FaultRule::new(
+            "acopf.kkt.ldl",
+            FaultKind::LuSingular,
+            0,
+            u64::MAX,
+        )])
+    };
+    let sequence = opf_sequence();
+    let (first, second) = sequence.split_at(sequence.len() / 2);
+    let (revisited, reused, fallbacks) = on_a_fresh_thread(|| {
+        for (kind, net) in first {
+            opf_answer(*kind, net);
+        }
+        let inj = refuse_ldl();
+        let _faults = inj.install();
+        let reg = Registry::new();
+        let _guard = reg.install();
+        let answers: Vec<Vec<u64>> = (second.iter())
+            .map(|(kind, net)| opf_answer(*kind, net))
+            .collect();
+        let fallbacks = reg.counter_value("acopf.kkt.lu_fallbacks");
+        (answers, plan_counts(&reg)[1], fallbacks)
+    });
+    assert!(
+        reused >= 6 && fallbacks > 100,
+        "{reused} reuses, {fallbacks} LU steps"
+    );
+    for (visit, (kind, net)) in second.iter().enumerate() {
+        let fresh = on_a_fresh_thread(|| {
+            let inj = refuse_ldl();
+            let _faults = inj.install();
+            opf_answer(*kind, net)
+        });
+        assert!(
+            fresh == revisited[visit],
+            "{kind:?} {}: an LU step on a kept plan moved the answer",
+            net.name
+        );
+    }
+}
+
+#[test]
+fn another_topology_of_equal_sizes_is_a_miss_and_answers_right() {
+    let base = cases::load(CaseId::Ieee14);
+    // An outage: fewer stamped contributions, another pattern.
+    let mut outage = base.clone();
+    outage.branches[5].in_service = false;
+    assert!(!topology::outage_islands(&base, 5));
+    // Branch 5 (bus 3 – bus 4) re-terminated at bus 5: the same buses,
+    // generators, limits and bounds — equal `nx` / `neq` / `niq` — and,
+    // no end on the slack, as many contributions to `Jg`, `Jh` and `H` as
+    // before, at other columns. Only comparing positions tells them apart.
+    let mut rewired = base.clone();
+    assert_eq!(
+        (rewired.branches[5].from_bus, rewired.branches[5].to_bus),
+        (2, 3)
+    );
+    rewired.branches[5].to_bus = 4;
+    assert!(rewired.validate().is_ok() && rewired.slack() == Some(0));
+
+    let visits = [&base, &outage, &base, &rewired, &base, &rewired, &outage];
+    let (answers, counts) = on_a_fresh_thread(|| {
+        let reg = Registry::new();
+        let _guard = reg.install();
+        let answers: Vec<Vec<u64>> = visits.iter().map(|net| opf_answer(Opf::Ac, net)).collect();
+        (answers, plan_counts(&reg))
+    });
+    assert_eq!(counts, [3, 4, 0], "three patterns, each built once");
+    for (visit, net) in visits.iter().enumerate() {
+        let fresh = on_a_fresh_thread(|| opf_answer(Opf::Ac, net));
+        assert!(fresh[0] != u64::MAX, "visit {visit} failed");
+        assert!(
+            fresh == answers[visit],
+            "visit {visit}: a kept plan moved the answer"
+        );
+    }
+    assert_ne!(
+        answers[0], answers[3],
+        "the rewired network is another problem"
+    );
+}
+
+#[test]
+fn more_patterns_than_plans_evicts_the_least_recently_used() {
+    let base = cases::load(CaseId::Ieee14);
+    let patterns: Vec<Network> = (0..base.branches.len())
+        .filter(|&k| !topology::outage_islands(&base, k))
+        .take(14)
+        .map(|k| {
+            let mut net = base.clone();
+            net.branches[k].in_service = false;
+            net
+        })
+        .collect();
+    let m = patterns.len();
+    let cold: Vec<Vec<u64>> = (patterns.iter())
+        .map(|net| on_a_fresh_thread(|| opf_answer(Opf::Ac, net)))
+        .collect();
+    on_a_fresh_thread(|| {
+        let reg = Registry::new();
+        let _guard = reg.install();
+        let solve = |k: usize| {
+            assert!(opf_answer(Opf::Ac, &patterns[k]) == cold[k], "pattern {k}");
+            plan_counts(&reg)
+        };
+        let mut seen = [0; 3];
+        for k in 0..m {
+            seen = solve(k);
+        }
+        let [builds, reuse, evicted] = seen;
+        assert_eq!((builds, reuse), (m as u64, 0));
+        let kept = m - evicted as usize;
+        assert!((2..m).contains(&kept), "kept {kept} of {m} patterns");
+        // The `kept` most recent ones are home, the one before them is not.
+        assert_eq!(solve(m - 1), [builds, 1, evicted], "the newest was kept");
+        assert_eq!(
+            solve(m - kept),
+            [builds, 2, evicted],
+            "the oldest kept one too"
+        );
+        assert_eq!(
+            solve(0),
+            [builds + 1, 2, evicted + 1],
+            "the first was evicted"
+        );
+        // That build pushed out the least recently used: not `m - kept`,
+        // which was just used, but its successor.
+        assert_eq!(solve(m - kept), [builds + 1, 3, evicted + 1]);
+        assert_eq!(solve(m - kept + 1), [builds + 2, 3, evicted + 2]);
+    });
+}
+
+#[test]
+fn a_solve_that_stops_short_leaves_a_plan_the_next_one_can_use() {
+    let net = cases::load(CaseId::Ieee30);
+    let cold = on_a_fresh_thread(|| opf_answer(Opf::Ac, &net));
+    on_a_fresh_thread(|| {
+        let reg = Registry::new();
+        let _guard = reg.install();
+        let mut short = AcopfOptions::default();
+        short.ipm.max_iter = 3;
+        let stopped = solve_acopf(&net, &short);
+        assert!(
+            matches!(&stopped, Err(AcopfError::NotConverged { iterations: 3, message, .. })
+                if message == "iteration limit reached"),
+            "{stopped:?}"
+        );
+        assert!(opf_answer(Opf::Ac, &net) == cold);
+        assert_eq!(plan_counts(&reg), [1, 1, 0]);
+    });
+}
+
+/// min (x − 3)², whose `x0` callback — reached while `ipm::solve` has the
+/// thread's plans checked out — solves an ACOPF of its own.
+struct SolvesWhileSolved<'a> {
+    inner: &'a Network,
+    inner_answer: RefCell<Vec<u64>>,
+}
+
+impl Nlp for SolvesWhileSolved<'_> {
+    fn nx(&self) -> usize {
+        1
+    }
+    fn neq(&self) -> usize {
+        0
+    }
+    fn niq(&self) -> usize {
+        0
+    }
+    fn x0(&self, x: &mut [f64]) {
+        *self.inner_answer.borrow_mut() = opf_answer(Opf::Ac, self.inner);
+        x[0] = 1.0;
+    }
+    fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
+        df[0] = 2.0 * (x[0] - 3.0);
+        (x[0] - 3.0).powi(2)
+    }
+    fn equalities<S: Stamp>(&self, _x: &[f64], _g: &mut [f64], _jg: &mut S) {}
+    fn inequalities<S: Stamp>(&self, _x: &[f64], _h: &mut [f64], _jh: &mut S) {}
+    fn lagrangian_hessian<S: Stamp>(&self, _x: &[f64], _l: &[f64], _m: &[f64], hess: &mut S) {
+        hess.add(0, 0, 2.0);
+    }
+}
+
+#[test]
+fn a_nested_ipm_solve_works_on_plans_of_its_own() {
+    let net = cases::load(CaseId::Ieee14);
+    let cold = on_a_fresh_thread(|| opf_answer(Opf::Ac, &net));
+    on_a_fresh_thread(|| {
+        let reg = Registry::new();
+        let _guard = reg.install();
+        assert!(opf_answer(Opf::Ac, &net) == cold);
+        assert_eq!(plan_counts(&reg), [1, 0, 0]);
+
+        let outer = SolvesWhileSolved {
+            inner: &net,
+            inner_answer: RefCell::default(),
+        };
+        let res = ipm::solve(&outer, &IpmOptions::default());
+        assert!(res.converged && (res.x[0] - 3.0).abs() < 1e-5, "{res:?}");
+        assert!(
+            *outer.inner_answer.borrow() == cold,
+            "the nested answer moved"
+        );
+        // The nested solves found the home empty — the case14 plan was
+        // checked out with the rest — and built on a list of their own,
+        // which the outer call's return replaced.
+        let [builds, reuse, _] = plan_counts(&reg);
+        assert!(builds >= 3 && reuse <= 1, "{builds} builds, {reuse} reuses");
+        // The thread's own list is back, the first plan still in it.
+        assert!(opf_answer(Opf::Ac, &net) == cold);
+        assert_eq!(plan_counts(&reg), [builds, reuse + 1, 0]);
     });
 }

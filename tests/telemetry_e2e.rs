@@ -173,9 +173,10 @@ fn identical_sessions_produce_identical_metrics() {
 fn a_repeated_session_on_one_thread_reanalyzes_less_and_answers_the_same() {
     // The other half of the replay contract: a second session on the
     // thread that ran the first finds that one's symbolic analyses in
-    // the thread's engine. It must give the same answers from the same
-    // numeric work — iteration for iteration, factorization for
-    // factorization — and only skip analyses.
+    // the thread's engine and its KKT plan beside them. It must give the
+    // same answers from the same numeric work — iteration for
+    // iteration, factorization for factorization — and only skip
+    // analyses and structure builds.
     gm_network::library::case(CaseId::Ieee30);
     let (a, b) = std::thread::spawn(|| {
         let a = scripted_session().expect("built-in GPT-5 profile");
@@ -214,17 +215,31 @@ fn a_repeated_session_on_one_thread_reanalyzes_less_and_answers_the_same() {
     for same in [
         "pf.newton.iterations",
         "sparse.lu.factorizations",
+        "sparse.ldl.factorizations",
         "sparse.lu.solves",
+        "acopf.ipm.solves",
         "acopf.ipm.iterations",
+        "acopf.kkt.refine_steps",
     ] {
         assert_eq!(count(&sa, same), count(&sb, same), "{same} moved");
     }
-    assert!(
-        count(&sb, "sparse.symbolic.build") < count(&sa, "sparse.symbolic.build"),
-        "the repeat analyzed {} patterns, the first run {}",
-        count(&sb, "sparse.symbolic.build"),
-        count(&sa, "sparse.symbolic.build")
-    );
+    for fewer in ["sparse.symbolic.build", "acopf.kkt.structure_builds"] {
+        assert!(
+            count(&sb, fewer) < count(&sa, fewer),
+            "{fewer}: {} in the repeat, {} in the first run",
+            count(&sb, fewer),
+            count(&sa, fewer)
+        );
+    }
+    // The ACOPF turn's one IPM solve: built in the first session, found
+    // kept in the second.
+    let plans = |s| {
+        [
+            count(s, "acopf.kkt.structure_builds"),
+            count(s, "acopf.kkt.structure_reuse"),
+        ]
+    };
+    assert_eq!((plans(&sa), plans(&sb)), ([1, 0], [0, 1]));
 }
 
 #[test]

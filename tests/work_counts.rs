@@ -20,7 +20,8 @@
 //! analyses in a per-thread engine (`gm_sparse::with_thread_engine`), so
 //! a symbolic count is a function of what the thread solved before — a
 //! fresh thread is the cold case, and the `repeat_` rows pin the warm
-//! one.
+//! one. The IPM's KKT plans (`acopf.kkt.structure_*`) live per thread
+//! under the same rules, with `repeat_` rows of their own.
 
 use gm_acopf::{solve_acopf, solve_scopf, AcopfOptions, ScopfOptions};
 use gm_contingency::{run_n1, CaOptions};
@@ -110,6 +111,13 @@ const PINNED: &[(&str, u64)] = &[
     ("acopf.kkt_structure_builds.case300", 1),
     ("acopf.scopf_kkt_structure_builds.case30", 2),
     ("acopf.scopf_kkt_structure_builds.case57", 3),
+    // The second of two identical solves on one thread: every plan is
+    // kept, so it builds no structure and analyzes no KKT pattern.
+    ("acopf.repeat_kkt_structure_builds.case30", 0),
+    ("acopf.repeat_kkt_structure_builds.case118", 0),
+    ("acopf.repeat_symbolic_builds.case30", 0),
+    ("acopf.repeat_symbolic_builds.case118", 0),
+    ("acopf.scopf_repeat_kkt_structure_builds.case30", 0),
     // Cascade N-1, serial: the fidelity split. The cascade is faster than
     // the brute sweep exactly by the outages it does not AC-solve, and
     // the whole sweep shares one Jacobian analysis (the base case's; the
@@ -284,11 +292,12 @@ fn repeated_solves_on_one_thread_analyze_nothing() {
     );
 }
 
-/// `acopf.kkt.structure_builds`, which must equal the IPM solves of the
-/// same call.
+/// `acopf.kkt.structure_builds`: every IPM solve of the same call
+/// either built its structure or found it kept.
 fn kkt_structure_builds(reg: &Registry) -> u64 {
     let builds = reg.counter_value("acopf.kkt.structure_builds");
-    assert_eq!(builds, reg.counter_value("acopf.ipm.solves"));
+    let reuse = reg.counter_value("acopf.kkt.structure_reuse");
+    assert_eq!(builds + reuse, reg.counter_value("acopf.ipm.solves"));
     builds
 }
 
@@ -332,6 +341,45 @@ fn ipm_iterations_and_kkt_analyses() {
         ];
         put(&mut rows, id.short_name(), &counts);
     }
+    // The warm side: the same solve again on the thread that just ran it.
+    let repeated = |solve: &(dyn Fn() + Sync)| -> Registry {
+        let (second, _) = counted(|| {
+            solve();
+            let second = Registry::new();
+            {
+                let _guard = second.install();
+                solve();
+            }
+            second
+        });
+        second
+    };
+    for id in [CaseId::Ieee30, CaseId::Ieee118] {
+        let net = cases::load(id);
+        let reg = repeated(&|| {
+            solve_acopf(&net, &AcopfOptions::default()).expect("ACOPF solves");
+        });
+        let counts = [
+            (
+                "acopf.repeat_kkt_structure_builds",
+                kkt_structure_builds(&reg),
+            ),
+            (
+                "acopf.repeat_symbolic_builds",
+                reg.counter_value("sparse.symbolic.build"),
+            ),
+        ];
+        put(&mut rows, id.short_name(), &counts);
+    }
+    let case30 = cases::load(CaseId::Ieee30);
+    let reg = repeated(&|| {
+        solve_scopf(&case30, &ScopfOptions::default()).expect("SCOPF secures");
+    });
+    let counts = [(
+        "acopf.scopf_repeat_kkt_structure_builds",
+        kkt_structure_builds(&reg),
+    )];
+    put(&mut rows, "case30", &counts);
     check("acopf.", rows);
 }
 
