@@ -25,8 +25,8 @@
 //! and `H` ([`Structure`]), the solver derives the KKT pattern, its slot
 //! program and the static-order [`SparseLdl`] analysis from it, and a
 //! barrier iteration only writes numbers — `vals[slot[k]] += c_k` in
-//! stamping order ([`Stamper`]) — and refactors. A kept plan serves a
-//! solve only after an exact comparison: the constants the problem
+//! stamping order ([`gm_sparse::Stamper`]) — and refactors. A kept plan
+//! serves a solve only after an exact comparison: the constants the problem
 //! states are compared with the plan's, and the first stamping pass of
 //! each matrix is held, position by position, to the sequence the plan
 //! was built from. Anything else is a fresh build, so an answer never
@@ -39,7 +39,7 @@
 
 use gm_faults::FaultKind;
 use gm_numeric::Fnv1a;
-use gm_sparse::{with_checked_out, CsMat, Mru, SparseLdl, SparseLu, Triplets};
+use gm_sparse::{with_checked_out, CsMat, Mru, SparseLdl, SparseLu, Stencil, Triplets};
 use std::cell::Cell;
 use std::mem::size_of;
 use std::time::Instant;
@@ -50,162 +50,9 @@ const KKT_RESIDUAL_TOL: f64 = 1e-12;
 /// Correction solves allowed per step before falling back to LU.
 const KKT_REFINE_STEPS: usize = 12;
 
-/// Where one stamping pass sends its elemental contributions: into a
-/// [`Triplets`] buffer when the structure is stated, into a [`Stamper`]
-/// on every iterate after that.
-pub trait Stamp {
-    /// Adds `v` at `(row, col)`; contributions to one position sum.
-    fn add(&mut self, row: usize, col: usize, v: f64);
-}
-
-impl Stamp for Triplets<f64> {
-    fn add(&mut self, row: usize, col: usize, v: f64) {
-        self.push(row, col, v);
-    }
-}
-
-/// One derivative matrix as the solver holds it: the CSR pattern and,
-/// for each contribution of a stamping pass, in stamping order, the
-/// value slot it sums into — which also says where it was stated: a
-/// slot's position is its row and column in the pattern. Rows appended
-/// as constants keep the values they came with.
-#[derive(Clone, Debug)]
-pub struct Stencil {
-    mat: CsMat<f64>,
-    slots: Vec<u32>,
-    /// Leading values a pass rewrites; the rest are constants.
-    varying: usize,
-    /// Trailing rows stated as constants.
-    constant_rows: usize,
-}
-
-impl Stencil {
-    /// The pattern one stamping pass touches, explicit zeros kept.
-    fn stamped(pass: &Triplets<f64>) -> Stencil {
-        let (mut mat, slots) = pass.to_csr_structural_with_slots();
-        // Kept for the thread's lifetime: not with room for every push.
-        mat.shrink_to_fit();
-        Stencil {
-            varying: mat.nnz(),
-            mat,
-            slots: slots.into_iter().map(|s| s as u32).collect(),
-            constant_rows: 0,
-        }
-    }
-
-    /// Appends rows whose values never change (linear constraints).
-    fn append_constant_rows(&mut self, rows: &CsMat<f64>) {
-        self.mat = self.mat.vstack(rows);
-        self.constant_rows += rows.rows();
-    }
-
-    /// The matrix with the values of the last pass.
-    pub fn mat(&self) -> &CsMat<f64> {
-        &self.mat
-    }
-
-    /// Whether `rows` (`None`: no rows) are, position for position, the
-    /// constant rows this stencil was stated with.
-    fn has_constant_rows(&self, rows: Option<&CsMat<f64>>) -> bool {
-        let Some(rows) = rows else {
-            return self.constant_rows == 0;
-        };
-        let first = self.mat.rows() - self.constant_rows;
-        rows.shape() == (self.constant_rows, self.mat.cols())
-            && self.mat.indices()[self.varying..] == *rows.indices()
-            && (self.mat.indptr()[first..].iter().zip(rows.indptr()))
-                .all(|(&kept, &stated)| kept == stated + self.varying)
-    }
-
-    /// Takes the values of `rows`, which [`Stencil::has_constant_rows`].
-    fn restate_constant_rows(&mut self, rows: Option<&CsMat<f64>>) {
-        if let Some(rows) = rows {
-            self.mat.values_mut()[self.varying..].copy_from_slice(rows.values());
-        }
-    }
-
-    /// Zeroes the varying values and opens a pass over them, held to the
-    /// stated positions when `VERIFY` is set.
-    fn stamper<const VERIFY: bool>(&mut self) -> Stamper<'_, VERIFY> {
-        let (indptr, indices, vals) = self.mat.pattern_and_values_mut();
-        vals[..self.varying].fill(0.0);
-        Stamper {
-            vals,
-            slots: &self.slots,
-            indptr,
-            indices,
-            next: 0,
-            strayed: None,
-        }
-    }
-
-    fn retained_bytes(&self) -> usize {
-        let m = &self.mat;
-        (m.indptr().len() + m.indices().len()) * size_of::<usize>()
-            + m.nnz() * size_of::<f64>()
-            + self.slots.len() * size_of::<u32>()
-    }
-}
-
-/// One pass of values into a [`Stencil`]: the `k`-th contribution lands
-/// in the slot the structure pass recorded for its `k`-th position. A
-/// `VERIFY` pass — the first of every solve — also compares the position
-/// it is handed with that slot's; the others ignore it, at no cost.
-pub struct Stamper<'a, const VERIFY: bool> {
-    vals: &'a mut [f64],
-    slots: &'a [u32],
-    indptr: &'a [usize],
-    indices: &'a [usize],
-    next: usize,
-    /// First contribution handed another position than its slot's.
-    strayed: Option<(usize, usize, usize)>,
-}
-
-impl<const VERIFY: bool> Stamp for Stamper<'_, VERIFY> {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, v: f64) {
-        if let Some(&slot) = self.slots.get(self.next) {
-            let slot = slot as usize;
-            self.vals[slot] += v;
-            if VERIFY {
-                // Slot `s` sits at `(r, indices[s])` for the one row `r`
-                // with `indptr[r] <= s < indptr[r + 1]`.
-                let rows = self.indptr.get(row..row + 2);
-                let there = self.indices[slot] == col
-                    && matches!(rows, Some(&[lo, hi]) if lo <= slot && slot < hi);
-                if !there && self.strayed.is_none() {
-                    self.strayed = Some((self.next, row, col));
-                }
-            }
-        }
-        self.next += 1;
-    }
-}
-
-impl<const VERIFY: bool> Stamper<'_, VERIFY> {
-    /// `Err` when a verifying pass was handed a position the structure
-    /// does not state there, or any pass wrote a different number of
-    /// contributions than it states (a surplus was dropped, not indexed).
-    fn finish(self, what: &str) -> Result<(), String> {
-        if let Some((k, row, col)) = self.strayed {
-            let slot = self.slots[k] as usize;
-            let r = self.indptr.partition_point(|&start| start <= slot) - 1;
-            return Err(format!(
-                "{what}: contribution {k} at ({row},{col}), structure has ({r},{})",
-                self.indices[slot]
-            ));
-        }
-        if self.next == self.slots.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{what}: structure states {} contributions, {} written",
-                self.slots.len(),
-                self.next
-            ))
-        }
-    }
-}
+/// The sink of the [`Nlp`] callbacks' stamping passes, re-exported from
+/// gm-sparse, where the [`Stencil`] it fills lives.
+pub use gm_sparse::Stamp;
 
 /// The rows of `Jg`, `Jh` and `H` no iterate changes, which a problem
 /// states as matrices instead of stamping them: each one is the trailing
@@ -233,41 +80,49 @@ pub struct Structure {
 
 impl Structure {
     /// What the problem states: above its [`Nlp::constants`], whatever
-    /// one pass of each callback at `x0` touches.
-    ///
-    /// # Panics
-    /// Panics when a constant has another column count than `nx` or a
-    /// pass stamps into a constant row ([`solve`] refuses a misshapen
-    /// constant instead).
-    pub fn of<P: Nlp + ?Sized>(prob: &P) -> Structure {
+    /// one pass of each callback at `x0` touches. `Err` when a constant
+    /// has another shape than its matrix allows, or a pass stamps
+    /// outside its matrix — into a row stated as a constant, say.
+    pub fn of<P: Nlp + ?Sized>(prob: &P) -> Result<Structure, String> {
         let mut x0 = vec![0.0; prob.nx()];
         prob.x0(&mut x0);
         Structure::above(prob, prob.constants(), &x0)
     }
 
-    fn above<P: Nlp + ?Sized>(prob: &P, constants: Constants, x0: &[f64]) -> Structure {
+    fn above<P: Nlp + ?Sized>(
+        prob: &P,
+        constants: Constants,
+        x0: &[f64],
+    ) -> Result<Structure, String> {
         let (nx, neq, niq) = (prob.nx(), prob.neq(), prob.niq());
-        let stamped = |rows: usize, c: &Option<CsMat<f64>>| {
-            rows.saturating_sub(c.as_ref().map_or(0, CsMat::rows))
-        };
-        let rows = [
-            stamped(neq, &constants.jg),
-            stamped(niq, &constants.jh),
-            stamped(nx, &constants.hess),
+        // Rows each pass stamps: those above the stated constants.
+        let mut rows = [neq, niq, nx];
+        let stated = [
+            ("Jg", &constants.jg),
+            ("Jh", &constants.jh),
+            ("H", &constants.hess),
         ];
+        for ((what, constant), rows) in stated.into_iter().zip(&mut rows) {
+            if let Some((r, c)) = constant.as_ref().map(CsMat::shape) {
+                if r > *rows || c != nx {
+                    return Err(format!("{what}: stated {r}x{c}, expected {rows}x{nx}"));
+                }
+                *rows -= r;
+            }
+        }
         let [jg, jh, hess] = passes_into(prob, x0, &vec![0.0; neq], &vec![0.0; niq], rows);
-        let stencil = |pass: &Triplets<f64>, constant: Option<CsMat<f64>>| {
-            let mut s = Stencil::stamped(pass);
+        let stencil = |what: &str, pass: &Triplets<f64>, constant: Option<CsMat<f64>>| {
+            let mut s = Stencil::stamped(pass, what)?;
             if let Some(rows) = constant {
                 s.append_constant_rows(&rows);
             }
-            s
+            Ok::<_, String>(s)
         };
-        Structure {
-            jg: stencil(&jg, constants.jg),
-            jh: stencil(&jh, constants.jh),
-            hess: stencil(&hess, constants.hess),
-        }
+        Ok(Structure {
+            jg: stencil("Jg", &jg, constants.jg)?,
+            jh: stencil("Jh", &jh, constants.jh)?,
+            hess: stencil("H", &hess, constants.hess)?,
+        })
     }
 }
 
@@ -307,12 +162,6 @@ pub trait Nlp {
     /// default.
     fn constants(&self) -> Constants {
         Constants::default()
-    }
-
-    /// [`Structure::of`] this problem. The solver does not call this: an
-    /// override changes nothing about a solve.
-    fn structure(&self) -> Structure {
-        Structure::of(self)
     }
 }
 
@@ -510,18 +359,7 @@ impl System {
     /// from it.
     fn above<P: Nlp>(prob: &P, constants: Constants, x0: &[f64]) -> Result<System, String> {
         let (nx, neq, niq) = (prob.nx(), prob.neq(), prob.niq());
-        for (what, c, rows) in [
-            ("Jg", &constants.jg, neq),
-            ("Jh", &constants.jh, niq),
-            ("H", &constants.hess, nx),
-        ] {
-            if let Some((r, c)) = c.as_ref().map(CsMat::shape) {
-                if r > rows || c != nx {
-                    return Err(format!("{what}: stated {r}x{c}, expected {rows}x{nx}"));
-                }
-            }
-        }
-        let s = Structure::above(prob, constants, x0);
+        let s = Structure::above(prob, constants, x0)?;
         let n_kkt = nx + neq;
         let nnz = |m: &Stencil| m.mat().nnz();
         let pushes = nnz(&s.hess) + 4 * nnz(&s.jh) + 2 * nnz(&s.jg) + n_kkt;
@@ -530,7 +368,7 @@ impl System {
         stamp_kkt(&s, &ones, &ones, &mut pass);
         gm_telemetry::counter_add("acopf.kkt.structure_builds", 1);
         Ok(System {
-            kkt: Stencil::stamped(&pass),
+            kkt: Stencil::stamped(&pass, "KKT")?,
             s,
             df: vec![0.0; nx],
             g: vec![0.0; neq],
@@ -1406,5 +1244,46 @@ mod tests {
         assert!(!r.converged);
         assert_eq!(r.message, "Jg: stated 2x1, expected 0x1");
         assert_eq!(r.iterations, 0);
+    }
+
+    /// [`Quadratic`] with a second `Jg` contribution in a row past `neq`.
+    struct StampsOutside;
+
+    impl Nlp for StampsOutside {
+        fn nx(&self) -> usize {
+            2
+        }
+        fn neq(&self) -> usize {
+            1
+        }
+        fn niq(&self) -> usize {
+            1
+        }
+        fn x0(&self, x: &mut [f64]) {
+            Quadratic.x0(x);
+        }
+        fn objective(&self, x: &[f64], df: &mut [f64]) -> f64 {
+            Quadratic.objective(x, df)
+        }
+        fn equalities<S: Stamp>(&self, x: &[f64], g: &mut [f64], jg: &mut S) {
+            g[0] = x[0] + x[1] - 2.0;
+            jg.add(0, 0, 1.0);
+            jg.add(self.neq(), 0, 1.0);
+        }
+        fn inequalities<S: Stamp>(&self, x: &[f64], h: &mut [f64], jh: &mut S) {
+            Quadratic.inequalities(x, h, jh);
+        }
+        fn lagrangian_hessian<S: Stamp>(&self, x: &[f64], l: &[f64], m: &[f64], hess: &mut S) {
+            Quadratic.lagrangian_hessian(x, l, m, hess);
+        }
+    }
+
+    #[test]
+    fn a_structure_pass_outside_its_matrix_is_a_failed_solve_not_a_panic() {
+        let r = solve(&StampsOutside, &IpmOptions::default());
+        assert!(!r.converged);
+        assert_eq!(r.message, "Jg: contribution 1 at (1,0) outside 1x2");
+        assert_eq!(r.iterations, 0);
+        assert_eq!(Structure::of(&StampsOutside).unwrap_err(), r.message);
     }
 }

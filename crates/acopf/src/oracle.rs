@@ -12,10 +12,10 @@
 mod tests {
     use crate::acopf::AcopfProblem;
     use crate::dcopf::DcOpfProblem;
-    use crate::ipm::{self, passes, IpmOptions, Nlp, Stencil, System};
+    use crate::ipm::{self, passes, IpmOptions, Nlp, Structure, System};
     use crate::scopf::{secure, ScopfOptions, ScopfProblem};
     use gm_network::{cases, CaseId, Network};
-    use gm_sparse::{CsMat, Triplets};
+    use gm_sparse::{CsMat, Stencil, Triplets};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -99,7 +99,7 @@ mod tests {
         sys.gradient(lam, mu);
         sys.assemble(prob, x, lam, mu, z, gamma).unwrap();
 
-        let stated = prob.structure();
+        let stated = Structure::of(prob).unwrap();
         let [jg, jh, hess] = passes(prob, x, lam, mu);
         assert_written("Jg", &sys.s.jg, &jg, &stated.jg);
         assert_written("Jh", &sys.s.jh, &jh, &stated.jh);
@@ -223,7 +223,7 @@ mod tests {
         prop_assert_eq!(positions(&hess), positions(&hess0));
 
         let mut sys = System::build(prob).unwrap();
-        let stated = prob.structure();
+        let stated = Structure::of(prob).unwrap();
         let f = sys.evaluate(prob, &x);
         prop_assert!(matches!(f, Ok(f) if f.is_finite()), "{f:?}");
         sys.gradient(&lam, &mu);

@@ -28,7 +28,7 @@
 //! `batch.flat_restarts`); only a scenario that fails *both* ways
 //! surfaces an `Err` outcome for the caller's recovery ladder.
 
-use crate::newton::{solve_prepared, JacScratch, QState};
+use crate::newton::{solve_prepared, NewtonScratch, QState};
 use crate::types::{InitStrategy, PfError, PfOptions, PfReport};
 use gm_faults::FaultKind;
 use gm_network::{slack_pinned_bprime, Modification, Network, YBus};
@@ -367,7 +367,7 @@ fn run_batch_with_engine(
     // Fixed costs, paid once for the whole batch.
     let ybus = YBus::assemble(net);
     let dc_seeds = dc_seed_panel(dc_bprime(net, engine)?, net, nets);
-    let mut scratch = JacScratch::new();
+    let mut scratch = NewtonScratch::default();
 
     let report = run_plan(
         net,
@@ -418,7 +418,7 @@ pub fn run_naive(
         },
         |k, seed, q_seed| {
             let ybus = YBus::assemble(&nets[k]);
-            let (mut engine, mut scratch) = (LuEngine::new(), JacScratch::new());
+            let (mut engine, mut scratch) = (LuEngine::new(), NewtonScratch::default());
             solve_scenario(
                 &nets[k],
                 opts,
@@ -525,7 +525,7 @@ fn solve_scenario(
     q_seed: Option<&QState>,
     ybus: &YBus,
     engine: &mut LuEngine,
-    scratch: &mut JacScratch,
+    scratch: &mut NewtonScratch,
 ) -> Solved {
     let primary = match gm_faults::inject("batch.scenario") {
         Some(FaultKind::NewtonDiverge) | Some(FaultKind::LuSingular) => Err(PfError::Diverged {
@@ -589,7 +589,7 @@ fn dc_bprime<'e>(net: &Network, engine: &'e mut LuEngine) -> Result<&'e SparseLu
         });
     };
     engine
-        .factorize(&slack_pinned_bprime(net, slack).to_csr())
+        .factorize(&slack_pinned_bprime(net, slack).to_csr_structural())
         .map_err(|_| BatchError::DcSeed {
             error: PfError::SingularJacobian { iteration: 0 },
         })

@@ -146,7 +146,8 @@ impl CompensationBase {
         // Assemble and factor the base Jacobian at v0.
         let mut tj = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
         idx.stamp_jacobian(&mut tj, &ybus, &v0, &s0);
-        let j0 = SparseLu::factor(&tj.to_csr()).map_err(|_| CompensatedPfError::BaseSingular)?;
+        let j0 = SparseLu::factor(&tj.to_csr_structural())
+            .map_err(|_| CompensatedPfError::BaseSingular)?;
 
         Ok(CompensationBase {
             ybus,

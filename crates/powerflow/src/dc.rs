@@ -50,7 +50,7 @@ pub fn solve_dc_with_engine(net: &Network, engine: &mut LuEngine) -> Result<DcRe
     let mut p: Vec<f64> = p_mw.iter().map(|v| v / net.base_mva).collect();
     p[slack] = 0.0;
 
-    let bmat = slack_pinned_bprime(net, slack).to_csr();
+    let bmat = slack_pinned_bprime(net, slack).to_csr_structural();
     let lu = engine
         .factorize(&bmat)
         .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;

@@ -75,7 +75,7 @@ pub fn solve_fast_decoupled_with_engine(
             tp.push(col_th[r], col_th[c], b);
         }
     }
-    let bp = tp.to_csr();
+    let bp = tp.to_csr_structural();
 
     // B″: negative imaginary part of Ybus over Vm vars.
     let mut tpp = Triplets::new(n_vm, n_vm);
@@ -90,7 +90,7 @@ pub fn solve_fast_decoupled_with_engine(
             }
         }
     }
-    let bpp = tpp.to_csr();
+    let bpp = tpp.to_csr_structural();
 
     // B′ and B″ are constant: factored once through the engine and then
     // reused by in-place solves for every half iteration. The engine

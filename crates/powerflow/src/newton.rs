@@ -10,7 +10,7 @@ use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
 use crate::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{CsMat, LuEngine, ScatterMap, Triplets};
+use gm_sparse::{CsMat, LuEngine, Stencil, Triplets};
 
 /// Solves the AC power flow for a network.
 pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
@@ -60,7 +60,7 @@ pub fn solve_from_with_engine(
         });
     }
     let ybus = YBus::assemble(net);
-    let mut scratch = JacScratch::new();
+    let mut scratch = NewtonScratch::default();
     solve_prepared(net, opts, start, None, &ybus, engine, &mut scratch).map(|(rep, _)| rep)
 }
 
@@ -81,7 +81,7 @@ pub(crate) struct QState {
 }
 
 /// The solver body behind [`solve_from_with_engine`], taking a
-/// pre-assembled admittance matrix and caller-owned Jacobian scratch so
+/// pre-assembled admittance matrix and caller-owned [`NewtonScratch`] so
 /// the batch engine can amortize validation, `YBus` assembly, and
 /// allocation across scenarios that share a topology. Assumes `net` has
 /// already passed [`Network::validate`] (load/dispatch deltas on a valid
@@ -94,7 +94,7 @@ pub(crate) fn solve_prepared(
     q_seed: Option<&QState>,
     ybus: &YBus,
     engine: &mut LuEngine,
-    scratch: &mut JacScratch,
+    scratch: &mut NewtonScratch,
 ) -> Result<(PfReport, QState), PfError> {
     let _span = gm_telemetry::span!("pf.newton.solve", case = net.name, n_bus = net.n_bus());
     gm_telemetry::counter_add("pf.newton.solves", 1);
@@ -275,54 +275,71 @@ fn gen_q_range(net: &Network, devices: &BusDevices, bus: usize) -> (f64, f64) {
     (lo / net.base_mva, hi / net.base_mva)
 }
 
-/// Reusable Jacobian assembly state for one power-flow solve: the
-/// triplet stamping buffer, the assembled matrix with its scatter map
-/// (in-place numeric refresh when the pattern holds, rebuild when it
-/// does not), and the update/scratch vectors for the in-place LU solve.
-pub(crate) struct JacScratch {
-    tj: Triplets<f64>,
-    jac: Option<(CsMat<f64>, ScatterMap)>,
+/// What a Newton solve keeps between iterations, Q-limit rounds and —
+/// through [`solve_prepared`] — batch scenarios: the Jacobian's
+/// [`Stencil`] (its pattern a function of the Ybus pattern and the role
+/// assignment, never of a value) and the buffers of the in-place solve.
+#[derive(Default)]
+pub(crate) struct NewtonScratch {
+    jac: Option<Stencil>,
     dx: Vec<f64>,
     solve_ws: Vec<f64>,
 }
 
-impl JacScratch {
-    pub(crate) fn new() -> JacScratch {
-        JacScratch {
-            tj: Triplets::new(0, 0),
-            jac: None,
-            dx: Vec::new(),
-            solve_ws: Vec::new(),
-        }
-    }
-
-    /// Readies the stamping buffer for an `nvar × nvar` Jacobian,
-    /// invalidating the cached matrix when the variable layout changed
-    /// (e.g. a PV→PQ switch between Q-limit rounds).
-    fn begin(&mut self, nvar: usize, cap: usize) {
-        if self.tj.shape() != (nvar, nvar) {
-            self.tj = Triplets::with_capacity(nvar, nvar, cap);
-            self.jac = None;
-        } else {
-            self.tj.clear();
-        }
-    }
-
-    /// Scatters the stamped values into the cached matrix, rebuilding it
-    /// when the pattern changed. Returns the assembled Jacobian; the
-    /// result equals `tj.to_csr()` bit-for-bit either way.
-    fn assemble(&mut self) -> &CsMat<f64> {
-        let reusable = match &mut self.jac {
-            Some((jac, map)) => map.scatter(&self.tj, jac),
-            None => false,
+impl NewtonScratch {
+    /// The Jacobian at `v`, written into the kept stencil — the pass held
+    /// to its positions when `verify` — or into a new one built from a
+    /// structure pass when none is kept for `nvar` unknowns or the pass
+    /// strayed from it. `s_calc` are the injections at `v`.
+    fn assemble(
+        &mut self,
+        idx: &PolarIndex,
+        ybus: &YBus,
+        v: &[Complex],
+        s_calc: &[Complex],
+        verify: bool,
+    ) -> Result<&CsMat<f64>, PfError> {
+        let nvar = idx.nvar();
+        let kept = self
+            .jac
+            .take()
+            .filter(|jac| jac.mat().shape() == (nvar, nvar));
+        let refilled = kept.and_then(|mut jac| {
+            let written = if verify {
+                refill::<true>(&mut jac, idx, ybus, v, s_calc)
+            } else {
+                refill::<false>(&mut jac, idx, ybus, v, s_calc)
+            };
+            written.then_some(jac)
+        });
+        let jac = match refilled {
+            Some(jac) => jac,
+            None => {
+                let mut pass = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
+                idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
+                // The roles index every stamped position inside the
+                // matrix; an `Err` here is a broken index, not a network.
+                Stencil::stamped(&pass, "Jacobian").map_err(|problem| PfError::InvalidNetwork {
+                    problems: vec![problem],
+                })?
+            }
         };
-        if !reusable {
-            self.jac = None;
-        }
-        let tj = &self.tj;
-        let (jac, _) = self.jac.get_or_insert_with(|| tj.to_csr_with_map());
-        jac
+        Ok(self.jac.insert(jac).mat())
     }
+}
+
+/// Writes the Jacobian's values into `jac`; `false` when the pass did not
+/// match its positions (checked when `VERIFY`) or its count.
+fn refill<const VERIFY: bool>(
+    jac: &mut Stencil,
+    idx: &PolarIndex,
+    ybus: &YBus,
+    v: &[Complex],
+    s_calc: &[Complex],
+) -> bool {
+    let mut pass = jac.stamper::<VERIFY>();
+    idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
+    pass.finish("Jacobian").is_ok()
 }
 
 /// Runs Newton iterations until convergence or the iteration budget is
@@ -339,7 +356,7 @@ fn newton_inner(
     mismatch_history: &mut Vec<f64>,
     multipliers: &mut Vec<f64>,
     engine: &mut LuEngine,
-    scratch: &mut JacScratch,
+    scratch: &mut NewtonScratch,
 ) -> Result<bool, PfError> {
     let idx = PolarIndex::new(role);
     let nvar = idx.nvar();
@@ -360,11 +377,11 @@ fn newton_inner(
         }
         *iterations += 1;
 
-        // ---- Jacobian assembly over the Ybus sparsity pattern.
+        // ---- Jacobian assembly over the Ybus sparsity pattern. A kept
+        // stencil may be another role assignment's (a Q-limit round, a
+        // batch scenario): this call's first pass is held to it.
         let s_calc = ybus.injections(v);
-        scratch.begin(nvar, 4 * ybus.matrix.nnz());
-        idx.stamp_jacobian(&mut scratch.tj, ybus, v, &s_calc);
-        let jac = scratch.assemble();
+        let jac = scratch.assemble(&idx, ybus, v, &s_calc, local_iter == 0)?;
         let lu = engine
             .factorize(jac)
             .map_err(|_| PfError::SingularJacobian {
@@ -537,5 +554,77 @@ pub(crate) fn build_report(
         min_vm,
         max_vm,
         max_loading,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gm_network::{cases, CaseId};
+
+    fn structure_pass(
+        idx: &PolarIndex,
+        ybus: &YBus,
+        v: &[Complex],
+        s: &[Complex],
+    ) -> Triplets<f64> {
+        let mut t = Triplets::new(idx.nvar(), idx.nvar());
+        idx.stamp_jacobian(&mut t, ybus, v, s);
+        t
+    }
+
+    fn bits(m: &CsMat<f64>) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+        let vals = m.values().iter().map(|v| v.to_bits()).collect();
+        (m.indptr().to_vec(), m.indices().to_vec(), vals)
+    }
+
+    #[test]
+    fn a_kept_stencil_of_other_roles_at_equal_nvar_is_verified_and_rebuilt() {
+        let net = cases::load(CaseId::Ieee30);
+        let ybus = YBus::assemble(&net);
+        let base = effective_roles(&net, net.slack().unwrap());
+        let v: Vec<Complex> = (0..net.n_bus())
+            .map(|i| Complex::from_polar(1.0 + 0.01 * i as f64, -0.02 * i as f64))
+            .collect();
+        let s = ybus.injections(&v);
+        // Two assignments that each demote one PV bus: equal `nvar`, and
+        // picked for equal contribution counts, so only the positions
+        // tell them apart.
+        let demoted = |bus: usize| {
+            let mut role = base.clone();
+            role[bus] = Role::Pq;
+            PolarIndex::new(&role)
+        };
+        let pv: Vec<usize> = (0..base.len()).filter(|&i| base[i] == Role::Pv).collect();
+        let (a, b) = (pv.iter().enumerate())
+            .flat_map(|(k, &x)| pv[k + 1..].iter().map(move |&y| (x, y)))
+            .map(|(x, y)| (demoted(x), demoted(y)))
+            .find(|(a, b)| {
+                let count = |idx| structure_pass(idx, &ybus, &v, &s).len();
+                count(a) == count(b)
+            })
+            .expect("two PV buses whose demotions stamp equally many entries");
+        assert_eq!(a.nvar(), b.nvar());
+        let fresh_b = structure_pass(&b, &ybus, &v, &s).to_csr_structural();
+        assert_ne!(
+            bits(&structure_pass(&a, &ybus, &v, &s).to_csr_structural()).1,
+            bits(&fresh_b).1
+        );
+
+        let mut scratch = NewtonScratch::default();
+        scratch.assemble(&a, &ybus, &v, &s, true).unwrap();
+        // A plain pass would sum `b`'s values into `a`'s slots unnoticed;
+        // the verify pass misses.
+        let mut kept = scratch.jac.clone().unwrap();
+        assert!(refill::<false>(&mut kept.clone(), &b, &ybus, &v, &s));
+        assert!(!refill::<true>(&mut kept, &b, &ybus, &v, &s));
+
+        let rebuilt = scratch.assemble(&b, &ybus, &v, &s, true).unwrap();
+        assert_eq!(bits(rebuilt), bits(&fresh_b));
+        // The rebuilt stencil serves `b`'s later passes, verified or not.
+        for verify in [true, false] {
+            let again = scratch.assemble(&b, &ybus, &v, &s, verify).unwrap();
+            assert_eq!(bits(again), bits(&fresh_b));
+        }
     }
 }

@@ -13,13 +13,16 @@
 //!
 //! and the cascade's "compensated ≡ Newton" guarantee only holds while
 //! they agree on every sign and index of it, so none of them carries its
-//! own copy. Triplets are pushed in a fixed order with fixed expressions:
-//! the assembled Jacobian, and every report and counter downstream, is a
-//! bit-exact function of the inputs (`tests/golden_bits.rs`).
+//! own copy. Jacobian entries are stamped in a fixed order with fixed
+//! expressions, and the positions depend on the roles and the Ybus
+//! pattern alone — never on a value — so the assembled Jacobian, and
+//! every report and counter downstream, is a bit-exact function of the
+//! inputs (`tests/golden_bits.rs`), and one kept [`gm_sparse::Stencil`]
+//! serves every iterate of a role assignment.
 
 use gm_network::{BusKind, Generator, Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::Triplets;
+use gm_sparse::Stamp;
 
 /// Effective bus role during a solve (PV buses can be demoted to PQ when
 /// their units hit reactive limits).
@@ -215,9 +218,9 @@ impl PolarIndex {
 
     /// Stamps the whole Jacobian at `v` over the Ybus sparsity pattern,
     /// row by row. `s_calc` are the injections at `v`.
-    pub(crate) fn stamp_jacobian(
+    pub(crate) fn stamp_jacobian<S: Stamp>(
         &self,
-        tj: &mut Triplets<f64>,
+        out: &mut S,
         ybus: &YBus,
         v: &[Complex],
         s_calc: &[Complex],
@@ -226,7 +229,7 @@ impl PolarIndex {
             let (cols, vals) = ybus.matrix.row(i);
             let (vi, thi) = (v[i].abs(), v[i].arg());
             for (&j, &y) in cols.iter().zip(vals) {
-                self.stamp_entries(tj, (i, vi, thi), j, y, v, s_calc);
+                self.stamp_entries(out, (i, vi, thi), j, y, v, s_calc);
             }
         }
     }
@@ -238,9 +241,9 @@ impl PolarIndex {
     // line, the call and the per-entry row lookups cost 2-4% of
     // `grid_scale` / `study_sweep` throughput.
     #[inline(always)]
-    pub(crate) fn stamp_entries(
+    pub(crate) fn stamp_entries<S: Stamp>(
         &self,
-        tj: &mut Triplets<f64>,
+        out: &mut S,
         (i, vi, thi): (usize, f64, f64),
         j: usize,
         y: Complex,
@@ -253,14 +256,14 @@ impl PolarIndex {
         if i == j {
             let (pi, qi) = (s_calc[i].re, s_calc[i].im);
             if row_p != NONE {
-                tj.push(row_p, self.col_th[i], -qi - b * vi * vi);
+                out.add(row_p, self.col_th[i], -qi - b * vi * vi);
                 if self.col_vm[i] != NONE {
-                    tj.push(row_p, self.col_vm[i], pi / vi + g * vi);
+                    out.add(row_p, self.col_vm[i], pi / vi + g * vi);
                 }
             }
             if row_q != NONE {
-                tj.push(row_q, self.col_th[i], pi - g * vi * vi);
-                tj.push(row_q, self.col_vm[i], qi / vi - b * vi);
+                out.add(row_q, self.col_th[i], pi - g * vi * vi);
+                out.add(row_q, self.col_vm[i], qi / vi - b * vi);
             }
         } else {
             let vj = v[j].abs();
@@ -268,18 +271,18 @@ impl PolarIndex {
             let (sin, cos) = thij.sin_cos();
             if row_p != NONE {
                 if self.col_th[j] != NONE {
-                    tj.push(row_p, self.col_th[j], vi * vj * (g * sin - b * cos));
+                    out.add(row_p, self.col_th[j], vi * vj * (g * sin - b * cos));
                 }
                 if self.col_vm[j] != NONE {
-                    tj.push(row_p, self.col_vm[j], vi * (g * cos + b * sin));
+                    out.add(row_p, self.col_vm[j], vi * (g * cos + b * sin));
                 }
             }
             if row_q != NONE {
                 if self.col_th[j] != NONE {
-                    tj.push(row_q, self.col_th[j], -vi * vj * (g * cos + b * sin));
+                    out.add(row_q, self.col_th[j], -vi * vj * (g * cos + b * sin));
                 }
                 if self.col_vm[j] != NONE {
-                    tj.push(row_q, self.col_vm[j], vi * (g * sin - b * cos));
+                    out.add(row_q, self.col_vm[j], vi * (g * sin - b * cos));
                 }
             }
         }

@@ -86,8 +86,8 @@ fn sensitivities_impl(net: &Network, wanted: Option<&[bool]>) -> Result<Sensitiv
             t.push(i, i, 1.0);
         }
     }
-    let lu =
-        SparseLu::factor(&t.to_csr()).map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
+    let lu = SparseLu::factor(&t.to_csr_structural())
+        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
 
     // θ response per unit injection at each bus: one in-place solve per
     // column against the single factorization above.

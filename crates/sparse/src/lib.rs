@@ -8,6 +8,9 @@
 //!
 //! - [`Triplets`] — coordinate-format assembly with duplicate summing, the
 //!   natural target for Ybus/Jacobian stamping;
+//! - [`Stencil`] / [`Stamper`] — the one way a solver fills a matrix it
+//!   assembles more than once: a pattern taken from one [`Stamp`] pass,
+//!   then values written by slot;
 //! - [`CsMat`] — compressed sparse row storage, generic over [`Scalar`]
 //!   (real `f64` or [`gm_numeric::Complex`]), with mat-vec products,
 //!   transposition, and structural queries;
@@ -54,6 +57,7 @@ pub mod ldl;
 pub mod lu;
 pub mod order;
 pub mod scalar;
+pub mod stencil;
 pub mod symbolic;
 pub mod triplets;
 
@@ -63,5 +67,6 @@ pub use ldl::{LdlError, Refinement, SparseLdl};
 pub use lu::{SparseLu, SparseLuError};
 pub use order::{Ordering, OrderingError};
 pub use scalar::Scalar;
+pub use stencil::{Stamp, Stamper, Stencil};
 pub use symbolic::{with_checked_out, with_thread_engine, LuEngine, Mru, SymbolicLu};
-pub use triplets::{ScatterMap, Triplets};
+pub use triplets::Triplets;

@@ -1,11 +1,10 @@
-//! `gm-trace` — render, gate, and diff telemetry trace exports.
+//! `gm-trace` — render and gate telemetry trace exports.
 //!
 //! Usage:
 //!
 //! ```text
 //! gm-trace <file.json> [--check]
 //! gm-trace slo <file.json> [--spec slo.toml]
-//! gm-trace diff <baseline.json> <candidate.json>
 //! ```
 //!
 //! Files may be raw `gm-telemetry` exports (`gm-serve --out`) or saved
@@ -21,16 +20,11 @@
 //! `slo.toml` spec against the trace's `serve.latency.<kind>.total_s`
 //! quantile sketches and exits nonzero on any violation — the soak/chaos
 //! CI latency gate.
-//!
-//! `diff` aligns two exports' aggregated span trees and renders
-//! per-phase wall-time, counter, and quantile deltas — regression
-//! attribution for "the benchmark moved".
 
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gm-trace <file.json> [--check]
-       gm-trace slo <file.json> [--spec slo.toml]
-       gm-trace diff <baseline.json> <candidate.json>";
+       gm-trace slo <file.json> [--spec slo.toml]";
 
 fn load(path: &str) -> Result<serde_json::Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -104,16 +98,6 @@ fn run_slo(args: &[String]) -> Result<bool, String> {
     }
 }
 
-fn run_diff(args: &[String]) -> Result<bool, String> {
-    let [a, b] = args else {
-        return Err(USAGE.to_string());
-    };
-    let blob_a = load(a)?;
-    let blob_b = load(b)?;
-    print!("{}", gm_telemetry::render_diff(&blob_a, &blob_b)?);
-    Ok(true)
-}
-
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -122,7 +106,6 @@ fn run() -> Result<bool, String> {
             Ok(!args.is_empty())
         }
         Some("slo") => run_slo(&args[1..]),
-        Some("diff") => run_diff(&args[1..]),
         _ => run_report(&args),
     }
 }

@@ -20,7 +20,6 @@
 //! `gm-trace` report binary and embedded in session saves.
 
 pub mod clock;
-pub mod diff;
 pub mod export;
 pub mod flight;
 pub mod quantile;
@@ -29,7 +28,6 @@ pub mod slo;
 pub mod span;
 
 pub use clock::VirtualClock;
-pub use diff::render_diff;
 pub use export::{
     check_required_metrics, find_snapshot, is_serve_snapshot, render_report, TelemetrySnapshot,
     REQUIRED_SERVE_METRICS, REQUIRED_SOLVER_METRICS,
