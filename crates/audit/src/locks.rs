@@ -54,6 +54,8 @@ pub const LOCK_CRATES: &[&str] = &["serve", "core"];
 
 /// Solver/engine entry points a held guard must never span: the
 /// conversational engine, the one memo path, and every solver entry.
+/// The bare Newton `solve` is left out: entries match by call name, and
+/// `solve` would also match every factor's `lu.solve(..)`.
 pub const ENGINE_ENTRY_FNS: &[&str] = &[
     "ask",
     "memoized",
@@ -61,11 +63,15 @@ pub const ENGINE_ENTRY_FNS: &[&str] = &[
     "solve_scopf",
     "solve_dcopf",
     "solve_base",
+    "solve_from",
+    "solve_dc",
     "solve_fast_decoupled",
     "run_batch",
     "run_n1",
     "run_n1_cached",
     "run_gen_n1",
+    "evaluate_outage",
+    "n_minus_2_preview",
 ];
 
 /// One discovered lock field.

@@ -29,16 +29,8 @@ use crate::types::{
 };
 use gm_network::{topology, BranchKind, Network};
 use gm_numeric::{Complex, Fnv1a};
-use gm_powerflow::{solve_from_with_engine, CompensationBase, PfOptions, PfReport};
-use gm_sparse::LuEngine;
+use gm_powerflow::{solve_from, CompensationBase, PfOptions, PfReport};
 use rayon::prelude::*;
-
-/// Symbolic-LU cache depth for sweep workers. Within one outage
-/// evaluation every Newton iteration (and the flat-start retry) shares a
-/// post-outage Jacobian pattern; across outages, parallel branch pairs
-/// collide onto the same pattern. A handful of slots per worker captures
-/// both without unbounded growth.
-const SWEEP_ENGINE_SLOTS: usize = 8;
 
 /// Sweep options.
 #[derive(Clone, Debug)]
@@ -317,7 +309,7 @@ pub fn run_n1_cached(
     let plan: Vec<((Outage, usize), Step)> = targets.into_iter().zip(steps).collect();
 
     let options = opts.outcome_fingerprint();
-    let eval = |engine: &mut LuEngine, &((outage, kind_index), step): &((Outage, usize), Step)| {
+    let eval = |&((outage, kind_index), step): &((Outage, usize), Step)| {
         let compensated = match step {
             Step::ScreenedOut(estimate) => {
                 return screened_out_outcome(base, outage, kind_index, estimate)
@@ -345,38 +337,33 @@ pub fn run_n1_cached(
                 outage,
                 kind_index,
                 estimate,
-                engine,
             ),
-            None => evaluate_outage_with_engine(net, opts, &v0, outage, kind_index, engine),
+            None => evaluate_outage(net, opts, &v0, outage, kind_index),
         };
         if let Some((cache, key)) = keyed {
             cache.put(key, outcome.clone());
         }
         outcome
     };
+    // Outage solves factor on a fresh engine, never on one that holds
+    // whatever the thread solved before: within one outage evaluation
+    // every Newton iteration and the flat-start retry share the
+    // post-outage Jacobian's analysis; the serial sweep also shares it
+    // across outages whose patterns collide (parallel branch pairs).
     let outcomes: Vec<ContingencyOutcome> = if opts.parallel {
         // Rayon workers have their own collector stacks: re-install the
         // sweep thread's registry per worker so worker-side metrics and
-        // spans join this trace under the sweep span. The per-worker
-        // state also carries a symbolic-LU cache keyed by post-outage
-        // Jacobian pattern, so repeated patterns inside a worker's chunk
-        // skip the fill-reducing analysis.
+        // spans join this trace under the sweep span.
         let collector = gm_telemetry::current();
         let parent = sweep_span.id();
         plan.par_iter()
             .map_init(
-                || {
-                    (
-                        collector.as_ref().map(|reg| reg.install_scoped(parent)),
-                        LuEngine::with_capacity(SWEEP_ENGINE_SLOTS),
-                    )
-                },
-                |(_worker, engine), job| eval(engine, job),
+                || collector.as_ref().map(|reg| reg.install_scoped(parent)),
+                |_worker, job| gm_sparse::with_fresh_engine(|| eval(job)),
             )
             .collect()
     } else {
-        let mut engine = LuEngine::with_capacity(SWEEP_ENGINE_SLOTS);
-        plan.iter().map(|job| eval(&mut engine, job)).collect()
+        gm_sparse::with_fresh_engine(|| plan.iter().map(eval).collect())
     };
     Ok(assemble_report(net, opts, outcomes, started, mode))
 }
@@ -393,8 +380,8 @@ pub fn run_n1_cached(
 /// verification. Each verified solve goes through the base-case Jacobian
 /// factorization with a Woodbury outage-block correction
 /// ([`gm_powerflow::CompensationBase`], returned beside the steps);
-/// ill-conditioned or stalled compensations fall back to the full-Newton
-/// [`LuEngine`] path, and islanding outages never reach a solver at all.
+/// ill-conditioned or stalled compensations fall back to a full Newton
+/// solve, and islanding outages never reach a solver at all.
 /// Screened-out outages are classified secure from the DC estimate with
 /// `ac_solved = false` and counted honestly in the report.
 fn cascade_plan(
@@ -483,19 +470,6 @@ fn screened_out_outcome(
     }
 }
 
-/// Analyzes one specific outage (the `analyze_specific_contingency` tool).
-pub fn evaluate_outage(
-    net: &Network,
-    opts: &CaOptions,
-    v0: &[Complex],
-    outage: Outage,
-    kind_index: usize,
-) -> ContingencyOutcome {
-    gm_sparse::with_thread_engine(|engine| {
-        evaluate_outage_with_engine(net, opts, v0, outage, kind_index, engine)
-    })
-}
-
 /// The islanding outcome shared by every evaluation path. Islanding is
 /// detected from topology before any solver runs — compensation is never
 /// attempted for a bridge outage.
@@ -575,17 +549,16 @@ fn outcome_from_pf(
     }
 }
 
-/// Like [`evaluate_outage`], but factoring through a caller-owned
-/// [`LuEngine`]: the warm-started solve and its flat-start retry share
-/// one symbolic analysis of the post-outage Jacobian, and sweep workers
-/// keep the analysis across outages with the same pattern.
-pub fn evaluate_outage_with_engine(
+/// Analyzes one specific outage (the `analyze_specific_contingency` tool):
+/// a Newton solve warm-started from `v0`, retried once from flat if that
+/// fails. Both share one symbolic analysis of the post-outage Jacobian
+/// on the thread's engine.
+pub fn evaluate_outage(
     net: &Network,
     opts: &CaOptions,
     v0: &[Complex],
     outage: Outage,
     kind_index: usize,
-    engine: &mut LuEngine,
 ) -> ContingencyOutcome {
     gm_telemetry::counter_add("ca.outages_evaluated", 1);
     // Island screening before any solve.
@@ -599,14 +572,14 @@ pub fn evaluate_outage_with_engine(
 
     // Warm start from the base voltages; fall back to a flat start if the
     // warm-started Newton fails (automatic recovery, §3.2.1).
-    let report = solve_from_with_engine(&work, &opts.pf, Some(v0), engine).or_else(|_| {
+    let report = solve_from(&work, &opts.pf, Some(v0)).or_else(|_| {
         gm_telemetry::counter_add("ca.warm_start_retries", 1);
         let flat = PfOptions {
             init: gm_powerflow::InitStrategy::Flat,
             max_iter: opts.pf.max_iter + 15,
             ..opts.pf.clone()
         };
-        solve_from_with_engine(&work, &flat, None, engine)
+        solve_from(&work, &flat, None)
     });
 
     match report {
@@ -628,8 +601,9 @@ pub fn evaluate_outage_with_engine(
 
 /// Cascade verification of one suspect outage: Woodbury-compensated solve
 /// against the base factorization, full-Newton fallback on any typed
-/// compensation failure. Islanding is detected before either path.
-#[allow(clippy::too_many_arguments)]
+/// compensation failure — or when the `ca.compensate` fault site
+/// (gm-faults) refuses the compensated solve. Islanding is detected
+/// before either path.
 fn evaluate_outage_cascade(
     net: &Network,
     opts: &CaOptions,
@@ -638,14 +612,13 @@ fn evaluate_outage_cascade(
     outage: Outage,
     kind_index: usize,
     estimate: Option<f64>,
-    engine: &mut LuEngine,
 ) -> ContingencyOutcome {
     let stranded = topology::stranded_buses(net, outage.branch);
     if !stranded.is_empty() {
         gm_telemetry::counter_add("ca.outages_evaluated", 1);
         return islanding_outcome(net, outage, kind_index, &stranded);
     }
-    if let Some(cb) = comp_base {
+    if let Some(cb) = comp_base.filter(|_| gm_faults::inject("ca.compensate").is_none()) {
         let mut work = net.clone();
         work.branches[outage.branch].in_service = false;
         match cb.solve_outage(&work, &opts.pf, &[outage.branch]) {
@@ -670,7 +643,7 @@ fn evaluate_outage_cascade(
         gm_telemetry::counter_add("ca.screen.fallback", 1);
     }
     // Full-Newton fallback (counts its own evaluation).
-    evaluate_outage_with_engine(net, opts, v0, outage, kind_index, engine)
+    evaluate_outage(net, opts, v0, outage, kind_index)
 }
 
 /// Base-case `(P, |Q|)` branch flows the LODF screens (cascade plan and
@@ -846,6 +819,43 @@ mod tests {
                 cascade.n_contingencies,
                 "{id:?}"
             );
+        }
+    }
+
+    #[test]
+    fn refused_compensated_solves_take_the_newton_fallback() {
+        // The `ca.compensate` fault site refusing every compensated solve
+        // on case118: each suspect the unforced sweep compensated takes
+        // the full-Newton fallback instead, and the answers still match
+        // the brute sweep's as `cascade_matches_brute_on_criticals_and_top5`
+        // checks them. Serial, so the sweep runs on the injector's thread.
+        use gm_faults::{FaultInjector, FaultKind, FaultRule};
+        let net = cases::load(CaseId::Ieee118);
+        let serial = CaOptions {
+            parallel: false,
+            ..Default::default()
+        };
+        let sweep = |faults: Option<FaultInjector>| {
+            let _faults = faults.as_ref().map(FaultInjector::install);
+            let reg = gm_telemetry::Registry::new();
+            let _guard = reg.install();
+            (run_n1(&net, &serial, None).unwrap(), reg)
+        };
+        let (_, unforced) = sweep(None);
+        let refuse_all = FaultRule::new("ca.compensate", FaultKind::LuSingular, 0, u64::MAX);
+        let (forced, reg) = sweep(Some(FaultInjector::scripted(vec![refuse_all])));
+        let compensated = unforced.counter_value("ca.screen.compensated");
+        assert!(compensated > 0);
+        assert_eq!(reg.counter_value("ca.screen.fallback"), compensated);
+        assert_eq!(reg.counter_value("ca.screen.compensated"), 0);
+
+        let brute = run_n1(&net, &brute_opts(), None).unwrap();
+        assert_eq!(forced.top_labels(5), brute.top_labels(5));
+        for (b, c) in brute.outcomes.iter().zip(&forced.outcomes) {
+            if b.n_thermal() > 0 {
+                assert!(c.ac_solved, "outage of branch {} missed", b.outage.branch);
+                assert_eq!(b.n_thermal(), c.n_thermal());
+            }
         }
     }
 

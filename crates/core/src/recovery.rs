@@ -176,20 +176,12 @@ pub(crate) fn run_n1_recovered(
 /// failed with `reason`). Returns the recovered report and its caveat,
 /// or `None` when every rung fails. The batch tool walks it once per
 /// failed scenario and bumps `recovery.attempts` itself.
+///
+/// Every rung factors on the thread's engine, so the analysis the failed
+/// primary attempt paid for is already there: the flat-Newton retry and
+/// the FDLF rung's Newton polish share that Jacobian pattern, and the DC
+/// rung's `B'` outlives the ladder.
 pub(crate) fn pf_ladder(net: &Network, pf: &PfOptions, reason: &str) -> Option<(PfReport, String)> {
-    // One symbolic-LU engine spans the whole ladder — the thread's, so
-    // the analysis the failed primary attempt paid for is already in
-    // it: the flat-Newton retry and the FDLF rung's Newton polish share
-    // that Jacobian pattern, and the DC rung's `B'` outlives the ladder.
-    gm_sparse::with_thread_engine(|engine| pf_ladder_with_engine(net, pf, reason, engine))
-}
-
-fn pf_ladder_with_engine(
-    net: &Network,
-    pf: &PfOptions,
-    reason: &str,
-    engine: &mut gm_sparse::LuEngine,
-) -> Option<(PfReport, String)> {
     // Rung 2: flat-start damped Newton, doubled budget. An injected
     // `pf.retry` fault forces the ladder past this rung.
     if gm_faults::inject("pf.retry").is_none() {
@@ -199,7 +191,7 @@ fn pf_ladder_with_engine(
             max_iter: pf.max_iter.saturating_mul(2),
             ..pf.clone()
         };
-        if let Ok(rep) = gm_powerflow::solve_from_with_engine(net, &retry, None, engine) {
+        if let Ok(rep) = gm_powerflow::solve_from(net, &retry, None) {
             gm_telemetry::counter_add("recovery.newton_flat", 1);
             return Some((
                 rep,
@@ -219,7 +211,7 @@ fn pf_ladder_with_engine(
             max_iter: pf.max_iter.max(30).saturating_mul(2),
             ..pf.clone()
         };
-        if let Ok(rep) = gm_powerflow::solve_fast_decoupled_with_engine(net, &fd, engine) {
+        if let Ok(rep) = gm_powerflow::solve_fast_decoupled(net, &fd) {
             gm_telemetry::counter_add("recovery.fdlf", 1);
             return Some((
                 rep,
@@ -233,7 +225,7 @@ fn pf_ladder_with_engine(
     }
 
     // Rung 4: DC approximation — report synthesized at flat voltage.
-    match gm_powerflow::solve_dc_with_engine(net, engine) {
+    match gm_powerflow::solve_dc(net) {
         Ok(dc) => {
             gm_telemetry::counter_add("recovery.dc", 1);
             Some((

@@ -185,6 +185,10 @@ fn seeded_kind(site: &str, z: u64) -> Option<FaultKind> {
         // barrier iteration through the pivoting-LU fallback, which
         // must be just as invisible.
         "acopf.kkt.ldl" => Some(FaultKind::LuSingular),
+        // The cascade's Woodbury-compensated outage solve: a fired fault
+        // sends that outage through the full-Newton fallback, which must
+        // give the brute sweep's answer.
+        "ca.compensate" => Some(FaultKind::LuSingular),
         "cache.get" => Some(if z & (1 << 32) == 0 {
             FaultKind::CacheMiss
         } else {

@@ -8,8 +8,8 @@
 //! validation, `YBus` assembly, the DC seed factorization (one `B'`
 //! factor, all scenario angle seeds in a single
 //! [`SparseLu::solve_many_in_place`] panel solve), and the Jacobian
-//! symbolic analysis inside the shared [`LuEngine`] — then refactors
-//! per scenario and warm-starts each solve from the nearest
+//! symbolic analysis on the thread's engine — then refactors per
+//! scenario and warm-starts each solve from the nearest
 //! already-solved neighbor's voltages.
 //!
 //! Two entry points share one per-scenario policy:
@@ -33,7 +33,7 @@ use crate::types::{InitStrategy, PfError, PfOptions, PfReport};
 use gm_faults::FaultKind;
 use gm_network::{slack_pinned_bprime, Modification, Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{LuEngine, SparseLu};
+use gm_sparse::SparseLu;
 use serde::{Deserialize, Serialize};
 
 /// One load/dispatch edit inside a scenario. None of the variants touch
@@ -351,22 +351,13 @@ pub fn run_batch(
     opts: &PfOptions,
     set: &ScenarioSet,
 ) -> Result<BatchReport, BatchError> {
-    gm_sparse::with_thread_engine(|engine| run_batch_with_engine(net, opts, set, engine))
-}
-
-fn run_batch_with_engine(
-    net: &Network,
-    opts: &PfOptions,
-    set: &ScenarioSet,
-    engine: &mut LuEngine,
-) -> Result<BatchReport, BatchError> {
     let _span = gm_telemetry::span!("batch.run", case = net.name, scenarios = set.len());
     let plan = prepare(net, set)?;
     let nets = &plan.0;
 
     // Fixed costs, paid once for the whole batch.
     let ybus = YBus::assemble(net);
-    let dc_seeds = dc_seed_panel(dc_bprime(net, engine)?, net, nets);
+    let dc_seeds = dc_bprime(net, |lu| dc_seed_panel(lu, net, nets))?;
     let mut scratch = NewtonScratch::default();
 
     let report = run_plan(
@@ -376,7 +367,7 @@ fn run_batch_with_engine(
         |k| Ok(dc_voltages(&dc_seeds[k])),
         |k, seed, q_seed| {
             let t0 = std::time::Instant::now();
-            let solved = solve_scenario(&nets[k], opts, seed, q_seed, &ybus, engine, &mut scratch);
+            let solved = solve_scenario(&nets[k], opts, seed, q_seed, &ybus, &mut scratch);
             gm_telemetry::quantile_record("batch.scenario_s", t0.elapsed().as_secs_f64());
             solved
         },
@@ -390,10 +381,10 @@ fn run_batch_with_engine(
 
 /// The reference replay: the same plan order and the same seeds as
 /// [`run_batch`], but every scenario pays its own fixed costs — fresh
-/// validation, fresh `YBus`, fresh DC `B'` factorization, fresh
-/// `LuEngine` and Jacobian scratch. Exists so tests and benches can pin
-/// the batch engine bit-for-bit against an unshared execution; emits no
-/// `batch.*` telemetry of its own.
+/// validation, fresh `YBus`, fresh DC `B'` factorization, fresh engine
+/// ([`gm_sparse::with_fresh_engine`]) and Jacobian scratch. Exists so
+/// tests and benches can pin the batch engine bit-for-bit against an
+/// unshared execution; emits no `batch.*` telemetry of its own.
 pub fn run_naive(
     net: &Network,
     opts: &PfOptions,
@@ -407,27 +398,22 @@ pub fn run_naive(
         &plan,
         |k| {
             // Per-scenario DC seed: fresh factorization, single RHS.
-            let mut engine = LuEngine::new();
-            let lu = dc_bprime(net, &mut engine)?;
-            let n = net.n_bus();
-            let mut b = vec![0.0f64; n];
-            dc_rhs(net, &nets[k], &mut b, 1, 0);
-            let mut ws = vec![0.0f64; n];
-            lu.solve_in_place(&mut b, &mut ws);
-            Ok(dc_voltages(&b))
+            gm_sparse::with_fresh_engine(|| {
+                dc_bprime(net, |lu| {
+                    let n = net.n_bus();
+                    let mut b = vec![0.0f64; n];
+                    dc_rhs(net, &nets[k], &mut b, 1, 0);
+                    lu.solve_in_place(&mut b, &mut vec![0.0f64; n]);
+                    dc_voltages(&b)
+                })
+            })
         },
         |k, seed, q_seed| {
             let ybus = YBus::assemble(&nets[k]);
-            let (mut engine, mut scratch) = (LuEngine::new(), NewtonScratch::default());
-            solve_scenario(
-                &nets[k],
-                opts,
-                seed,
-                q_seed,
-                &ybus,
-                &mut engine,
-                &mut scratch,
-            )
+            let mut scratch = NewtonScratch::default();
+            gm_sparse::with_fresh_engine(|| {
+                solve_scenario(&nets[k], opts, seed, q_seed, &ybus, &mut scratch)
+            })
         },
     )
 }
@@ -440,7 +426,7 @@ type Solved = (Result<(PfReport, QState), PfError>, bool);
 /// neighbor's voltages and Q-switching state, or from `dc_seed` until
 /// one exists; runs `solve`; files the outcome row under the scenario's
 /// original index and tallies warm hits and flat restarts. What each
-/// caller keeps to itself is the lifetime of its `YBus`, `LuEngine` and
+/// caller keeps to itself is the lifetime of its `YBus`, engine and
 /// `B'` factor.
 fn run_plan(
     net: &Network,
@@ -524,7 +510,6 @@ fn solve_scenario(
     seed: &[Complex],
     q_seed: Option<&QState>,
     ybus: &YBus,
-    engine: &mut LuEngine,
     scratch: &mut NewtonScratch,
 ) -> Solved {
     let primary = match gm_faults::inject("batch.scenario") {
@@ -532,7 +517,7 @@ fn solve_scenario(
             iterations: 0,
             mismatch_pu: f64::INFINITY,
         }),
-        _ => solve_prepared(net_k, opts, Some(seed), q_seed, ybus, engine, scratch),
+        _ => solve_prepared(net_k, opts, Some(seed), q_seed, ybus, scratch),
     };
     match primary {
         Err(PfError::Diverged { .. }) | Err(PfError::SingularJacobian { .. }) => {
@@ -541,7 +526,7 @@ fn solve_scenario(
                 ..opts.clone()
             };
             (
-                solve_prepared(net_k, &flat, None, None, ybus, engine, scratch),
+                solve_prepared(net_k, &flat, None, None, ybus, scratch),
                 true,
             )
         }
@@ -578,21 +563,23 @@ fn nearest_converged<T>(k: usize, sigs: &[f64], solved: &[Option<T>]) -> Option<
     best.map(|(_, j)| j)
 }
 
-/// The DC `B'` factorization over [`slack_pinned_bprime`] — the same
-/// matrix [`crate::dc::solve_dc`] factors. Load/dispatch deltas never
-/// touch branch data, so one factorization from the base network serves
-/// every scenario in the set.
-fn dc_bprime<'e>(net: &Network, engine: &'e mut LuEngine) -> Result<&'e SparseLu, BatchError> {
+/// Runs `use_factor` on the DC `B'` factorization over
+/// [`slack_pinned_bprime`] — the same matrix [`crate::dc::solve_dc`]
+/// factors, on the thread's engine too. Load/dispatch deltas never touch
+/// branch data, so one factorization from the base network serves every
+/// scenario in the set.
+fn dc_bprime<R>(net: &Network, use_factor: impl FnOnce(&SparseLu) -> R) -> Result<R, BatchError> {
     let Some(slack) = net.slack() else {
         return Err(BatchError::InvalidBase {
             problems: vec!["network has no slack bus".into()],
         });
     };
-    engine
-        .factorize(&slack_pinned_bprime(net, slack).to_csr_structural())
-        .map_err(|_| BatchError::DcSeed {
+    let bprime = slack_pinned_bprime(net, slack).to_csr_structural();
+    gm_sparse::with_thread_engine(|engine| engine.factorize(&bprime).map(use_factor)).map_err(
+        |_| BatchError::DcSeed {
             error: PfError::SingularJacobian { iteration: 0 },
-        })
+        },
+    )
 }
 
 /// Writes scenario `net_k`'s p.u. active injections (slack pinned to

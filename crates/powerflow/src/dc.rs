@@ -6,7 +6,6 @@
 
 use crate::types::PfError;
 use gm_network::{slack_pinned_bprime, ModelError, Network};
-use gm_sparse::LuEngine;
 
 /// DC power flow result.
 #[derive(Clone, Debug)]
@@ -24,16 +23,10 @@ pub struct DcReport {
 /// the network has no slack bus or no usable MVA base and
 /// [`PfError::SingularJacobian`] if the B matrix is singular (islanded
 /// network). As the recovery ladder's last rung it runs no full
-/// `validate()`.
+/// `validate()`. `B'` is factored on the calling thread's engine, so
+/// Newton's DC warm start and the ladder's DC rung find the analysis an
+/// earlier DC solve of the same topology made.
 pub fn solve_dc(net: &Network) -> Result<DcReport, PfError> {
-    gm_sparse::with_thread_engine(|engine| solve_dc_with_engine(net, engine))
-}
-
-/// Like [`solve_dc`] — which borrows the calling thread's engine — but
-/// factoring `B'` through a caller-owned [`LuEngine`]: a solver that
-/// already holds one (Newton's DC warm start, the recovery ladder)
-/// passes it down instead of reaching for the thread's a second time.
-pub fn solve_dc_with_engine(net: &Network, engine: &mut LuEngine) -> Result<DcReport, PfError> {
     gm_telemetry::counter_add("pf.dc.solves", 1);
     let slack = net.slack().ok_or_else(PfError::no_slack)?;
     // Every injection is divided by the base: zero or NaN would come
@@ -51,10 +44,9 @@ pub fn solve_dc_with_engine(net: &Network, engine: &mut LuEngine) -> Result<DcRe
     p[slack] = 0.0;
 
     let bmat = slack_pinned_bprime(net, slack).to_csr_structural();
-    let lu = engine
-        .factorize(&bmat)
-        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
-    let theta = lu.solve(&p);
+    let theta =
+        gm_sparse::with_thread_engine(|engine| engine.factorize(&bmat).map(|lu| lu.solve(&p)))
+            .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
 
     let flow_mw: Vec<f64> = net
         .branches

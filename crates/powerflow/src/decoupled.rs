@@ -5,11 +5,11 @@
 //! GridMind uses it as a recovery fallback when Newton struggles and as a
 //! cross-check in the validation layer.
 
-use crate::polar::{effective_roles, targets_pu, BusDevices, Role};
+use crate::polar::{effective_roles, max_nan, targets_pu, BusDevices, Role};
 use crate::types::{PfError, PfOptions, PfReport};
 use gm_network::{slack_pinned_bprime, Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{LuEngine, Triplets};
+use gm_sparse::{CsMat, Triplets};
 
 /// Solves the power flow with the fast-decoupled XB scheme.
 ///
@@ -19,21 +19,12 @@ use gm_sparse::{LuEngine, Triplets};
 /// same "one corrective update per iteration" accounting the Newton
 /// solver uses, so `max_iter` budgets the two solvers comparably and the
 /// reported `iterations` are measured in the same unit.
+///
+/// `B′`, `B″` and the final Newton polish are factored on the calling
+/// thread's engine. The polish Jacobian shares its pattern with the
+/// plain Newton solve of the same network, so the recovery ladder's FDLF
+/// rung reuses the symbolic analysis its Newton rungs already paid for.
 pub fn solve_fast_decoupled(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
-    gm_sparse::with_thread_engine(|engine| solve_fast_decoupled_with_engine(net, opts, engine))
-}
-
-/// Like [`solve_fast_decoupled`] — which borrows the calling thread's
-/// engine — but factoring `B′`, `B″` and the final Newton polish through
-/// a caller-owned [`LuEngine`]. The polish Jacobian shares its pattern
-/// with the plain Newton solve of the same network, so the recovery
-/// ladder's FDLF rung reuses the symbolic analysis its Newton rungs
-/// already paid for.
-pub fn solve_fast_decoupled_with_engine(
-    net: &Network,
-    opts: &PfOptions,
-    engine: &mut LuEngine,
-) -> Result<PfReport, PfError> {
     let _span = gm_telemetry::span!("pf.fdlf.solve", case = net.name);
     gm_telemetry::counter_add("pf.fdlf.solves", 1);
     if let Err(problems) = net.validate() {
@@ -92,24 +83,16 @@ pub fn solve_fast_decoupled_with_engine(
     }
     let bpp = tpp.to_csr_structural();
 
-    // B′ and B″ are constant: factored once through the engine and then
-    // reused by in-place solves for every half iteration. The engine
+    // B′ and B″ are constant: factored once on the thread's engine and
+    // then reused by in-place solves for every half iteration. The engine
     // lends out one factor at a time, so each is cloned out of it — its
     // values only; the structure stays shared with the analysis.
-    let lup = engine
-        .factorize(&bp)
-        .map_err(|_| PfError::SingularJacobian { iteration: 0 })?
-        .clone();
-    let lupp = if n_vm > 0 {
-        Some(
-            engine
-                .factorize(&bpp)
-                .map_err(|_| PfError::SingularJacobian { iteration: 0 })?
-                .clone(),
-        )
-    } else {
-        None
+    let factor = |b: &CsMat<f64>| {
+        gm_sparse::with_thread_engine(|engine| engine.factorize(b).cloned())
+            .map_err(|_| PfError::SingularJacobian { iteration: 0 })
     };
+    let lup = factor(&bp)?;
+    let lupp = if n_vm > 0 { Some(factor(&bpp)?) } else { None };
 
     // Flat start with setpoint magnitudes.
     let devices = BusDevices::new(net);
@@ -139,10 +122,10 @@ pub fn solve_fast_decoupled_with_engine(
         let mut norm = 0.0f64;
         for i in 0..n {
             if col_th[i] != usize::MAX {
-                norm = norm.max((s[i].re - p_spec[i]).abs());
+                norm = max_nan(norm, (s[i].re - p_spec[i]).abs());
             }
             if col_vm[i] != usize::MAX {
-                norm = norm.max((s[i].im - q_spec[i]).abs());
+                norm = max_nan(norm, (s[i].im - q_spec[i]).abs());
             }
         }
         history.push(norm);
@@ -205,7 +188,7 @@ pub fn solve_fast_decoupled_with_engine(
         max_iter: 2,
         ..opts.clone()
     };
-    let mut report = crate::newton::solve_from_with_engine(net, &polish, Some(&v), engine)?;
+    let mut report = crate::newton::solve_from(net, &polish, Some(&v))?;
     report.iterations += iterations;
     let mut full_history = history;
     full_history.append(&mut report.mismatch_history);

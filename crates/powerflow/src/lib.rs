@@ -48,9 +48,9 @@ pub use batch::{
     ScenarioSet,
 };
 pub use compensated::{CompensatedPfError, CompensationBase};
-pub use dc::{solve_dc, solve_dc_with_engine, DcReport};
-pub use decoupled::{solve_fast_decoupled, solve_fast_decoupled_with_engine};
-pub use newton::{solve, solve_from, solve_from_with_engine};
+pub use dc::{solve_dc, DcReport};
+pub use decoupled::solve_fast_decoupled;
+pub use newton::{solve, solve_from};
 pub use sensitivity::{sensitivities, sensitivities_for_screening, Sensitivities};
 pub use types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
 

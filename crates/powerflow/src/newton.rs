@@ -10,7 +10,7 @@ use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
 use crate::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{CsMat, LuEngine, Stencil, Triplets};
+use gm_sparse::{CsMat, SparseLuError, Stencil, Triplets};
 
 /// Solves the AC power flow for a network.
 pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
@@ -18,29 +18,18 @@ pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfReport, PfError> {
 }
 
 /// Solves with an explicit starting voltage (warm start), overriding
-/// `opts.init`. The slice must have one entry per bus; any other length is
-/// a [`PfError::InvalidNetwork`].
+/// `opts.init`. The slice must have one finite entry per bus; anything
+/// else is a [`PfError::InvalidNetwork`].
+///
+/// Every factorization borrows the calling thread's engine
+/// ([`gm_sparse::with_thread_engine`]), so the Jacobian's symbolic
+/// analysis is shared across Newton iterations, Q-limit rounds and every
+/// later solve of the same pattern on the thread, and results are
+/// bit-identical regardless of the engine's cache state.
 pub fn solve_from(
     net: &Network,
     opts: &PfOptions,
     start: Option<&[Complex]>,
-) -> Result<PfReport, PfError> {
-    gm_sparse::with_thread_engine(|engine| solve_from_with_engine(net, opts, start, engine))
-}
-
-/// Like [`solve_from`] — which borrows the calling thread's engine
-/// ([`gm_sparse::with_thread_engine`]) — but factoring through a
-/// caller-owned [`LuEngine`], for callers that decide themselves what
-/// shares analyses with what: the N-1 sweep's per-worker engines, a test
-/// that counts them. Either way the Jacobian's symbolic analysis is
-/// shared across Newton iterations, Q-limit rounds and every later
-/// solve of the same pattern, and results are bit-identical regardless
-/// of the engine's cache state.
-pub fn solve_from_with_engine(
-    net: &Network,
-    opts: &PfOptions,
-    start: Option<&[Complex]>,
-    engine: &mut LuEngine,
 ) -> Result<PfReport, PfError> {
     if let Err(problems) = net.validate() {
         return Err(PfError::InvalidNetwork {
@@ -48,20 +37,28 @@ pub fn solve_from_with_engine(
         });
     }
     // A start taken from another network (a stale base-case report, the
-    // wrong case's voltages) is a caller error the retry ladders can
-    // recover from — not a reason to abort the process.
-    if let Some(v0) = start.filter(|v0| v0.len() != net.n_bus()) {
-        return Err(PfError::InvalidNetwork {
-            problems: vec![format!(
+    // wrong case's voltages) or holding a non-finite entry is a caller
+    // error the retry ladders can recover from — not a reason to abort
+    // the process, nor a start to report convergence from.
+    let bad_start = start.and_then(|v0| {
+        if v0.len() != net.n_bus() {
+            return Some(format!(
                 "warm start has {} entries for {} buses",
                 v0.len(),
                 net.n_bus()
-            )],
+            ));
+        }
+        let i = v0.iter().position(|v| !v.is_finite())?;
+        Some(format!("warm start entry {i} is not finite"))
+    });
+    if let Some(problem) = bad_start {
+        return Err(PfError::InvalidNetwork {
+            problems: vec![problem],
         });
     }
     let ybus = YBus::assemble(net);
     let mut scratch = NewtonScratch::default();
-    solve_prepared(net, opts, start, None, &ybus, engine, &mut scratch).map(|(rep, _)| rep)
+    solve_prepared(net, opts, start, None, &ybus, &mut scratch).map(|(rep, _)| rep)
 }
 
 /// Reactive-limit switching state of a converged solve: for each bus,
@@ -80,7 +77,7 @@ pub(crate) struct QState {
     pub(crate) pinned_q_gen: Vec<Option<f64>>,
 }
 
-/// The solver body behind [`solve_from_with_engine`], taking a
+/// The solver body behind [`solve_from`], taking a
 /// pre-assembled admittance matrix and caller-owned [`NewtonScratch`] so
 /// the batch engine can amortize validation, `YBus` assembly, and
 /// allocation across scenarios that share a topology. Assumes `net` has
@@ -93,7 +90,6 @@ pub(crate) fn solve_prepared(
     start: Option<&[Complex]>,
     q_seed: Option<&QState>,
     ybus: &YBus,
-    engine: &mut LuEngine,
     scratch: &mut NewtonScratch,
 ) -> Result<(PfReport, QState), PfError> {
     let _span = gm_telemetry::span!("pf.newton.solve", case = net.name, n_bus = net.n_bus());
@@ -158,7 +154,7 @@ pub(crate) fn solve_prepared(
                 .map(|b| Complex::from_polar(b.vm_pu, b.va_deg.to_radians()))
                 .collect(),
             InitStrategy::DcWarmStart => {
-                let dc = crate::dc::solve_dc_with_engine(net, engine)?;
+                let dc = crate::dc::solve_dc(net)?;
                 (0..n)
                     .map(|i| {
                         Complex::from_polar(
@@ -193,7 +189,6 @@ pub(crate) fn solve_prepared(
             &mut iterations,
             &mut mismatch_history,
             &mut multipliers,
-            engine,
             scratch,
         )?;
         if !converged {
@@ -286,25 +281,22 @@ pub(crate) struct NewtonScratch {
     solve_ws: Vec<f64>,
 }
 
-impl NewtonScratch {
-    /// The Jacobian at `v`, written into the kept stencil — the pass held
-    /// to its positions when `verify` — or into a new one built from a
-    /// structure pass when none is kept for `nvar` unknowns or the pass
-    /// strayed from it. `s_calc` are the injections at `v`.
-    fn assemble(
-        &mut self,
-        idx: &PolarIndex,
-        ybus: &YBus,
-        v: &[Complex],
-        s_calc: &[Complex],
-        verify: bool,
-    ) -> Result<&CsMat<f64>, PfError> {
-        let nvar = idx.nvar();
-        let kept = self
-            .jac
-            .take()
-            .filter(|jac| jac.mat().shape() == (nvar, nvar));
-        let refilled = kept.and_then(|mut jac| {
+/// The Jacobian at `v`, written into the `kept` stencil — the pass held
+/// to its positions when `verify` — or into a new one built from a
+/// structure pass when none is kept for `nvar` unknowns or the pass
+/// strayed from it. `s_calc` are the injections at `v`.
+fn assemble<'j>(
+    kept: &'j mut Option<Stencil>,
+    idx: &PolarIndex,
+    ybus: &YBus,
+    v: &[Complex],
+    s_calc: &[Complex],
+    verify: bool,
+) -> Result<&'j CsMat<f64>, PfError> {
+    let nvar = idx.nvar();
+    let refilled = (kept.take())
+        .filter(|jac| jac.mat().shape() == (nvar, nvar))
+        .and_then(|mut jac| {
             let written = if verify {
                 refill::<true>(&mut jac, idx, ybus, v, s_calc)
             } else {
@@ -312,20 +304,19 @@ impl NewtonScratch {
             };
             written.then_some(jac)
         });
-        let jac = match refilled {
-            Some(jac) => jac,
-            None => {
-                let mut pass = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
-                idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
-                // The roles index every stamped position inside the
-                // matrix; an `Err` here is a broken index, not a network.
-                Stencil::stamped(&pass, "Jacobian").map_err(|problem| PfError::InvalidNetwork {
-                    problems: vec![problem],
-                })?
-            }
-        };
-        Ok(self.jac.insert(jac).mat())
-    }
+    let jac = match refilled {
+        Some(jac) => jac,
+        None => {
+            let mut pass = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
+            idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
+            // The roles index every stamped position inside the
+            // matrix; an `Err` here is a broken index, not a network.
+            Stencil::stamped(&pass, "Jacobian").map_err(|problem| PfError::InvalidNetwork {
+                problems: vec![problem],
+            })?
+        }
+    };
+    Ok(kept.insert(jac).mat())
 }
 
 /// Writes the Jacobian's values into `jac`; `false` when the pass did not
@@ -355,7 +346,6 @@ fn newton_inner(
     iterations: &mut usize,
     mismatch_history: &mut Vec<f64>,
     multipliers: &mut Vec<f64>,
-    engine: &mut LuEngine,
     scratch: &mut NewtonScratch,
 ) -> Result<bool, PfError> {
     let idx = PolarIndex::new(role);
@@ -381,17 +371,20 @@ fn newton_inner(
         // stencil may be another role assignment's (a Q-limit round, a
         // batch scenario): this call's first pass is held to it.
         let s_calc = ybus.injections(v);
-        let jac = scratch.assemble(&idx, ybus, v, &s_calc, local_iter == 0)?;
-        let lu = engine
-            .factorize(jac)
-            .map_err(|_| PfError::SingularJacobian {
-                iteration: *iterations,
-            })?;
-        scratch.dx.clear();
-        scratch.dx.extend_from_slice(&f);
-        scratch.solve_ws.resize(nvar, 0.0);
-        lu.solve_in_place(&mut scratch.dx, &mut scratch.solve_ws);
-        let dx = &scratch.dx;
+        let NewtonScratch { jac, dx, solve_ws } = &mut *scratch;
+        let jac = assemble(jac, &idx, ybus, v, &s_calc, local_iter == 0)?;
+        dx.clear();
+        dx.extend_from_slice(&f);
+        solve_ws.resize(nvar, 0.0);
+        gm_sparse::with_thread_engine(|engine| {
+            let lu = engine.factorize(jac)?;
+            lu.solve_in_place(dx, solve_ws);
+            Ok(())
+        })
+        .map_err(|_: SparseLuError| PfError::SingularJacobian {
+            iteration: *iterations,
+        })?;
+        let dx = &*dx;
 
         // ---- Step with optional Iwamoto-style optimal multiplier.
         let full = idx.step(v, dx, 1.0);
@@ -611,19 +604,19 @@ mod tests {
             bits(&fresh_b).1
         );
 
-        let mut scratch = NewtonScratch::default();
-        scratch.assemble(&a, &ybus, &v, &s, true).unwrap();
+        let mut jac = None;
+        assemble(&mut jac, &a, &ybus, &v, &s, true).unwrap();
         // A plain pass would sum `b`'s values into `a`'s slots unnoticed;
         // the verify pass misses.
-        let mut kept = scratch.jac.clone().unwrap();
+        let mut kept = jac.clone().unwrap();
         assert!(refill::<false>(&mut kept.clone(), &b, &ybus, &v, &s));
         assert!(!refill::<true>(&mut kept, &b, &ybus, &v, &s));
 
-        let rebuilt = scratch.assemble(&b, &ybus, &v, &s, true).unwrap();
+        let rebuilt = assemble(&mut jac, &b, &ybus, &v, &s, true).unwrap();
         assert_eq!(bits(rebuilt), bits(&fresh_b));
         // The rebuilt stencil serves `b`'s later passes, verified or not.
         for verify in [true, false] {
-            let again = scratch.assemble(&b, &ybus, &v, &s, verify).unwrap();
+            let again = assemble(&mut jac, &b, &ybus, &v, &s, verify).unwrap();
             assert_eq!(bits(again), bits(&fresh_b));
         }
     }

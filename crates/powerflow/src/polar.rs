@@ -128,6 +128,18 @@ pub(crate) fn targets_pu(net: &Network) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
+/// `norm.max(entry)` that keeps a NaN from either side: a max-norm built
+/// from it is NaN when an entry is, where `f64::max` would skip the entry
+/// and report a NaN iterate as converged. Same bits as `f64::max`
+/// otherwise.
+pub(crate) fn max_nan(norm: f64, entry: f64) -> f64 {
+    if norm.is_nan() || norm >= entry {
+        norm
+    } else {
+        entry
+    }
+}
+
 /// Marks a bus without the unknown in question.
 const NONE: usize = usize::MAX;
 
@@ -173,7 +185,7 @@ impl PolarIndex {
     }
 
     /// Mismatch vector `f` of the injections `s_calc` against the
-    /// targets, and its max-norm `‖f‖∞`.
+    /// targets, and its max-norm `‖f‖∞` (NaN when an entry is).
     pub(crate) fn mismatch(
         &self,
         s_calc: &[Complex],
@@ -186,12 +198,12 @@ impl PolarIndex {
             if self.col_th[i] != NONE {
                 let m = s_calc[i].re - p_spec[i];
                 f[self.col_th[i]] = m;
-                norm = norm.max(m.abs());
+                norm = max_nan(norm, m.abs());
             }
             if self.col_vm[i] != NONE {
                 let m = s_calc[i].im - q_spec[i];
                 f[self.col_vm[i]] = m;
-                norm = norm.max(m.abs());
+                norm = max_nan(norm, m.abs());
             }
         }
         (f, norm)

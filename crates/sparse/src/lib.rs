@@ -68,5 +68,7 @@ pub use lu::{SparseLu, SparseLuError};
 pub use order::{Ordering, OrderingError};
 pub use scalar::Scalar;
 pub use stencil::{Stamp, Stamper, Stencil};
-pub use symbolic::{with_checked_out, with_thread_engine, LuEngine, Mru, SymbolicLu};
+pub use symbolic::{
+    with_checked_out, with_fresh_engine, with_thread_engine, LuEngine, Mru, SymbolicLu,
+};
 pub use triplets::Triplets;

@@ -28,9 +28,12 @@
 //! itself, automatic fallback, reusable numeric buffers, and telemetry
 //! (`sparse.symbolic.{build,reuse,fallback}` counters,
 //! `sparse.analyze_s`/`sparse.refactor_s` timings).
-//! [`with_thread_engine`] is its per-thread home: the engine the
-//! solvers' convenience entry points borrow, so a thread analyzes each
-//! pattern it meets once, not once per call.
+//! [`with_thread_engine`] is its per-thread home: every power-flow
+//! solver borrows it for each factorization, so a thread analyzes each
+//! pattern it meets once, not once per call, and a solver that calls
+//! another reaches the same engine without holding one.
+//! [`with_fresh_engine`] lends the thread an empty engine for a closure,
+//! for callers that want work done cold on purpose.
 //!
 //! The two rules that make such a home safe are stated once, for every
 //! owner of kept analyses (this engine, the IPM's KKT plans in
@@ -215,19 +218,14 @@ impl SymbolicLu {
         Ok(out)
     }
 
-    /// Fresh numeric factorization of `a` reusing only the cached
-    /// fill-reducing ordering and column-access plan — pivoting is
-    /// re-run from scratch, so this succeeds where
-    /// [`SymbolicLu::refactor`] reports instability. Bit-identical to
-    /// [`SparseLu::factor_with`]`(a, ordering, pivot_tol)` (the
-    /// ordering is a pure function of the pattern), while skipping the
-    /// ordering and transpose work that dominates a cold factorization.
-    pub fn factor_fresh(&self, a: &CsMat<f64>) -> Result<SparseLu, SparseLuError> {
-        self.check_pattern(a)?;
-        self.factor_fresh_unchecked(a)
-    }
-
-    fn factor_fresh_unchecked(&self, a: &CsMat<f64>) -> Result<SparseLu, SparseLuError> {
+    /// Fresh numeric factorization of `a` (already matched against this
+    /// analysis) reusing only the cached fill-reducing ordering and
+    /// column-access plan — pivoting is re-run from scratch, so this
+    /// succeeds where a replay reports instability. Bit-identical to
+    /// [`SparseLu::factor_with`]`(a, ordering, pivot_tol)` (the ordering
+    /// is a pure function of the pattern), while skipping the ordering
+    /// and transpose work that dominates a cold factorization.
+    fn factor_fresh(&self, a: &CsMat<f64>) -> Result<SparseLu, SparseLuError> {
         factor_core(
             self.dim(),
             self.nnz(),
@@ -499,7 +497,7 @@ struct Slot {
     numeric: SparseLu,
     /// Consecutive refactorizations that degraded into a re-analysis.
     /// At [`DIRECT_DEMOTION_STREAK`] the slot stops attempting replays
-    /// and switches to [`SymbolicLu::factor_fresh`] permanently.
+    /// and switches to fresh pivoting on its cached ordering permanently.
     fallback_streak: u32,
 }
 
@@ -539,8 +537,8 @@ const DIRECT_DEMOTION_STREAK: u32 = 2;
 ///
 /// A slot whose replays keep failing (`DIRECT_DEMOTION_STREAK`
 /// consecutive fallbacks) is demoted: further hits skip the replay and
-/// run [`SymbolicLu::factor_fresh`] — cached ordering, fresh pivots —
-/// which is still well below cold-factorization cost.
+/// pivot fresh on the cached ordering and column plan, which is still
+/// well below cold-factorization cost.
 ///
 /// Telemetry: `sparse.symbolic.build` counts full analyses,
 /// `sparse.symbolic.reuse` successful refactorizations,
@@ -572,9 +570,8 @@ impl LuEngine {
         LuEngine::with_capacity(4)
     }
 
-    /// Engine holding up to `capacity` analyzed patterns. The N-1 sweep
-    /// uses a slightly larger cache so base-pattern and post-outage
-    /// patterns can coexist per worker.
+    /// Engine holding up to `capacity` analyzed patterns. The thread's
+    /// engine ([`with_thread_engine`], [`with_fresh_engine`]) keeps 8.
     pub fn with_capacity(capacity: usize) -> LuEngine {
         LuEngine {
             slots: Mru::new(capacity),
@@ -625,7 +622,7 @@ impl LuEngine {
                 // factorization at a fraction of its cost.
                 gm_telemetry::counter_add("sparse.symbolic.direct", 1);
                 let t0 = Instant::now();
-                let numeric = self.slots[0].sym.factor_fresh_unchecked(a)?;
+                let numeric = self.slots[0].sym.factor_fresh(a)?;
                 self.slots[0].numeric = numeric;
                 gm_telemetry::histogram_record("sparse.direct_s", t0.elapsed().as_secs_f64());
                 return Ok(&self.slots[0].numeric);
@@ -730,9 +727,9 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's long-lived [`LuEngine`]: the home
-/// of every symbolic analysis made on behalf of a caller that does not
-/// own an engine (the solvers' convenience entry points), so that a
-/// repeated solve on one topology pays for refactorizations only.
+/// of every symbolic analysis a power-flow solver makes, borrowed for one
+/// factorization and the solves on that factor, so that a repeated solve
+/// on one topology pays for refactorizations only.
 /// Checked out per call under [`with_checked_out`]'s rules; safe for the
 /// reason any engine is — results are bit-identical whatever it holds.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut LuEngine) -> R) -> R {
@@ -741,6 +738,20 @@ pub fn with_thread_engine<R>(f: impl FnOnce(&mut LuEngine) -> R) -> R {
         || LuEngine::with_capacity(THREAD_ENGINE_SLOTS),
         f,
     )
+}
+
+/// Runs `f` with a fresh engine lent to the calling thread: every
+/// factorization inside `f` — however deeply nested its solver — borrows
+/// that engine from [`with_thread_engine`], and the caller's engine comes
+/// back afterwards, untouched. For work that must not share analyses
+/// with what the thread did before: the N-1 sweep's outage evaluation
+/// and the batch's unshared reference replay.
+pub fn with_fresh_engine<R>(f: impl FnOnce() -> R) -> R {
+    // Checking the caller's engine out leaves the home empty: the first
+    // factorization inside `f` starts a fresh engine there, the ones
+    // after it find that one, and this call's return puts the caller's
+    // engine back over it.
+    with_thread_engine(|_caller| f())
 }
 
 #[cfg(test)]
@@ -957,5 +968,20 @@ mod tests {
             eng.factorize(&a),
             Err(SparseLuError::Singular { .. })
         ));
+    }
+
+    #[test]
+    fn a_fresh_engine_is_lent_for_the_closure_and_the_callers_comes_back() {
+        let (a, b) = (tridiag(5, |i| i as f64), tridiag(7, |i| i as f64));
+        let patterns = || with_thread_engine(|e| e.cached_patterns());
+        with_thread_engine(|e| e.factorize(&a).map(drop)).unwrap();
+        let inside = with_fresh_engine(|| {
+            assert_eq!(patterns(), 0, "the caller's analyses leaked in");
+            with_thread_engine(|e| e.factorize(&b).map(drop)).unwrap();
+            // One lent engine for the whole closure, not one per borrow.
+            patterns()
+        });
+        assert_eq!(inside, 1);
+        assert_eq!(patterns(), 1, "the closure's analyses leaked out");
     }
 }

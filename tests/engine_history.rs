@@ -266,10 +266,10 @@ fn degraded_study(faults: Vec<FaultRule>) -> (String, [u64; 2]) {
 
 #[test]
 fn the_recovery_ladder_descends_on_the_threads_engine() {
-    // FDLF rung: B′, B″ and the nested Newton polish all go through the
-    // engine the ladder holds. DC rung: `B'` through the same one. Twice
-    // on one thread, so the second descent finds the first one's
-    // analyses — and must narrate the same numbers.
+    // FDLF rung: B′, B″ and the nested Newton polish all factor on the
+    // thread's engine. DC rung: `B'` on the same one. Twice on one
+    // thread, so the second descent finds the first one's analyses —
+    // and must narrate the same numbers.
     let diverging = |sites: &[&str]| -> Vec<FaultRule> {
         (sites.iter())
             .map(|site| FaultRule::new(site, FaultKind::NewtonDiverge, 0, 1))

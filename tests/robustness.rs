@@ -7,6 +7,7 @@ use gm_agents::{classify, extract_entities, IntentRule, Schema};
 use gm_contingency::{evaluate_outage, CaOptions, Outage};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
 use gm_network::{cases, CaseId};
+use gm_numeric::Complex;
 use gm_powerflow::{
     run_batch, solve, solve_dc, solve_fast_decoupled, solve_from, BatchError, PfError, PfOptions,
     ScenarioSet,
@@ -139,31 +140,61 @@ fn bus_that_does_not_exist_fails_transparently() {
 
 #[test]
 fn warm_start_from_another_network_is_a_typed_error() {
-    // A caller holding the wrong case's voltages gets an error it can
-    // repair from, at the solver entry and through the outage evaluator.
+    // A caller holding the wrong case's voltages — or a start with a
+    // non-finite entry — gets an error it can repair from, at the solver
+    // entry and through the outage evaluator.
     let opts = PfOptions::default();
-    let v_case14 = solve(&cases::load(CaseId::Ieee14), &opts)
-        .unwrap()
-        .voltages();
+    let case14 = cases::load(CaseId::Ieee14);
+    let v_case14 = solve(&case14, &opts).unwrap().voltages();
     let case30 = cases::load(CaseId::Ieee30);
-    match solve_from(&case30, &opts, Some(&v_case14)) {
-        Err(PfError::InvalidNetwork { problems }) => {
-            assert_eq!(problems, ["warm start has 14 entries for 30 buses"]);
-        }
-        other => panic!("expected InvalidNetwork, got {other:?}"),
-    }
-
-    // `evaluate_outage` treats it like any failed warm start: one retry
-    // from flat, and a converged AC answer.
-    let reg = gm_telemetry::Registry::new();
-    let _guard = reg.install();
-    let outage = Outage {
-        branch: 0,
-        kind: case30.branches[0].kind,
+    let with_entry = |bus: usize, value: f64| {
+        let mut v0 = v_case14.clone();
+        v0[bus] = Complex::new(value, 0.0);
+        v0
     };
-    let outcome = evaluate_outage(&case30, &CaOptions::default(), &v_case14, outage, 0);
-    assert!(outcome.converged && outcome.ac_solved, "{outcome:?}");
-    assert_eq!(reg.counter_value("ca.warm_start_retries"), 1);
+    let inputs = [
+        (
+            &case30,
+            v_case14.clone(),
+            "warm start has 14 entries for 30 buses",
+        ),
+        (
+            &case14,
+            with_entry(3, f64::NAN),
+            "warm start entry 3 is not finite",
+        ),
+        (
+            &case14,
+            with_entry(13, f64::NAN),
+            "warm start entry 13 is not finite",
+        ),
+        (
+            &case14,
+            with_entry(3, f64::INFINITY),
+            "warm start entry 3 is not finite",
+        ),
+    ];
+    for (net, v0, problem) in inputs {
+        match solve_from(net, &opts, Some(&v0)) {
+            Err(PfError::InvalidNetwork { problems }) => assert_eq!(problems, [problem]),
+            other => panic!("{problem}: expected InvalidNetwork, got {other:?}"),
+        }
+
+        // `evaluate_outage` treats it like any failed warm start: one
+        // retry from flat, and a converged AC answer.
+        let reg = gm_telemetry::Registry::new();
+        let _guard = reg.install();
+        let outage = Outage {
+            branch: 0,
+            kind: net.branches[0].kind,
+        };
+        let outcome = evaluate_outage(net, &CaOptions::default(), &v0, outage, 0);
+        assert!(
+            outcome.converged && outcome.ac_solved,
+            "{problem}: {outcome:?}"
+        );
+        assert_eq!(reg.counter_value("ca.warm_start_retries"), 1, "{problem}");
+    }
 }
 
 #[test]

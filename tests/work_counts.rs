@@ -13,20 +13,20 @@
 //! when the change is *meant* to move the count — edit the row in the same
 //! diff, where a reviewer sees it.
 //!
-//! Sweeps run with `parallel: false`: the parallel sweep gives each
-//! worker its own `LuEngine`, so `sparse.symbolic.*` would depend on the
-//! core count. And every measurement runs on a thread of its own
-//! (`counted`): the convenience entry points keep their symbolic
-//! analyses in a per-thread engine (`gm_sparse::with_thread_engine`), so
-//! a symbolic count is a function of what the thread solved before — a
-//! fresh thread is the cold case, and the `repeat_` rows pin the warm
-//! one. The IPM's KKT plans (`acopf.kkt.structure_*`) live per thread
+//! Sweeps run with `parallel: false`: the serial N-1 sweep shares one
+//! fresh engine across its outages, the parallel one gives every outage
+//! its own, so `sparse.symbolic.*` would depend on the mode. And every
+//! measurement runs on a thread of its own (`counted`): every power-flow
+//! solver borrows a per-thread engine for each factorization
+//! (`gm_sparse::with_thread_engine`), so a symbolic count is a function
+//! of what the thread solved before — a fresh thread is the cold case,
+//! and the `repeat_` rows pin the warm one. The IPM's KKT plans (`acopf.kkt.structure_*`) live per thread
 //! under the same rules, with `repeat_` rows of their own.
 
 use gm_acopf::{solve_acopf, solve_scopf, AcopfOptions, ScopfOptions};
-use gm_contingency::{run_n1, CaOptions};
+use gm_contingency::{n_minus_2_preview, run_gen_n1, run_n1, CaOptions, SweepMode};
 use gm_network::{cases, load_scale, slack_pinned_bprime, CaseId, Network, ScaleId};
-use gm_powerflow::{run_batch, solve, solve_fast_decoupled, PfOptions, ScenarioSet};
+use gm_powerflow::{run_batch, solve, solve_fast_decoupled, InitStrategy, PfOptions, ScenarioSet};
 use gm_sparse::{Ordering, SparseLu};
 use gm_telemetry::Registry;
 use rand::rngs::SmallRng;
@@ -72,6 +72,9 @@ const PINNED: &[(&str, u64)] = &[
     ("powerflow.repeat_symbolic_builds.case118", 0),
     ("powerflow.repeat_symbolic_builds.synth1354", 0),
     ("powerflow.fdlf_repeat_symbolic_builds.case118", 0),
+    // A second `InitStrategy::DcWarmStart` solve: the nested DC solve's
+    // `B'` is in the thread's engine too.
+    ("powerflow.dc_start_repeat_symbolic_builds.case118", 0),
     // `run_batch` over `load_sweep(0.90, 1.10, n)`: the batch is fast
     // because it analyzes a handful of Jacobian patterns, not one per
     // scenario, and warm-starts all but the first. On case300 three
@@ -143,6 +146,19 @@ const PINNED: &[(&str, u64)] = &[
     ("contingency.ac_verified.case300", 66),
     ("contingency.newton_fallbacks.case300", 0),
     ("contingency.symbolic_builds.case300", 1),
+    // Serial topology sweeps on case118, base-case solve included,
+    // analyse once per new post-outage pattern: the brute N-1 sweep (186
+    // outages), the generator sweep (`run_gen_n1`, every unit outage a
+    // bus-type change) and the N-2 preview verifying 16 pairs, as the
+    // `study_sweep` benchmark workload calls it (its full-Newton
+    // fallbacks factor). Analyses, refactorizations that fell back to
+    // one, and demoted-slot direct factorizations. ROADMAP items 7 and
+    // 14 move these rows on purpose; nothing else may.
+    ("sweep.brute_symbolic_builds.case118", 181),
+    ("sweep.gen_n1_symbolic_builds.case118", 54),
+    ("sweep.n2_symbolic_builds.case118", 20),
+    ("sweep.n2_symbolic_fallbacks.case118", 12),
+    ("sweep.n2_direct_factorizations.case118", 96),
     // nnz(L + U) of the slack-pinned DC B' under the default AMD ordering
     // and under greedy minimum degree (the A/B oracle), and the entries on
     // which the lane-blocked 64-RHS panel solve differs bitwise from the
@@ -307,6 +323,18 @@ fn repeated_solves_on_one_thread_analyze_nothing() {
         "powerflow.fdlf_repeat_",
         vec![("powerflow.fdlf_repeat_symbolic_builds.case118".into(), fdlf)],
     );
+    let dc_start = PfOptions {
+        init: InitStrategy::DcWarmStart,
+        ..Default::default()
+    };
+    let dc = second_run_builds(|| solve(&case118, &dc_start).expect("Newton converges"));
+    check(
+        "powerflow.dc_start_repeat_",
+        vec![(
+            "powerflow.dc_start_repeat_symbolic_builds.case118".into(),
+            dc,
+        )],
+    );
 }
 
 /// `acopf.kkt.structure_builds`: every IPM solve of the same call
@@ -426,6 +454,39 @@ fn cascade_fidelity_split() {
         put(&mut rows, id.short_name(), &counts);
     }
     check("contingency.", rows);
+}
+
+#[test]
+fn topology_sweep_analyses() {
+    let serial = CaOptions {
+        parallel: false,
+        ..Default::default()
+    };
+    let brute = CaOptions {
+        mode: SweepMode::Brute,
+        ..serial.clone()
+    };
+    let net = cases::load(CaseId::Ieee118);
+    let builds = |reg: &Registry| reg.counter_value("sparse.symbolic.build");
+    let (_, n1) = counted(|| run_n1(&net, &brute, None).expect("brute sweeps"));
+    let (_, gen) = counted(|| run_gen_n1(&net, &serial, None).expect("generator sweeps"));
+    let (_, n2) = counted(|| n_minus_2_preview(&net, &serial, None, 16).expect("N-2 preview runs"));
+    let counts = [
+        ("sweep.brute_symbolic_builds", builds(&n1)),
+        ("sweep.gen_n1_symbolic_builds", builds(&gen)),
+        ("sweep.n2_symbolic_builds", builds(&n2)),
+        (
+            "sweep.n2_symbolic_fallbacks",
+            n2.counter_value("sparse.symbolic.fallback"),
+        ),
+        (
+            "sweep.n2_direct_factorizations",
+            n2.counter_value("sparse.symbolic.direct"),
+        ),
+    ];
+    let mut rows = Rows::new();
+    put(&mut rows, "case118", &counts);
+    check("sweep.", rows);
 }
 
 #[test]
