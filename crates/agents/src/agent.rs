@@ -251,8 +251,13 @@ mod tests {
     use super::*;
     use crate::llm::{AnalysisStyle, ModelProfile, ModelTurn, Planner, SimulatedLlm, ToolCall};
     use crate::memory::ConversationView;
-    use crate::schema::{Field, Schema};
     use crate::tool::{FnTool, ToolError};
+
+    crate::tool_output! {
+        struct Double {
+            x: f64 = "value",
+        }
+    }
 
     crate::tool_output! {
         struct Doubled {
@@ -307,10 +312,9 @@ mod tests {
         FnTool::new(
             "double",
             "doubles a number",
-            Schema::object(vec![Field::required("x", Schema::number(), "value")]),
-            |args| -> Result<Doubled, ToolError> {
+            |args: Double| -> Result<Doubled, ToolError> {
                 Ok(Doubled {
-                    doubled: 2.0 * args["x"].as_f64().unwrap(),
+                    doubled: 2.0 * args.x,
                 })
             },
         )

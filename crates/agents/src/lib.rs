@@ -56,7 +56,7 @@ pub use llm::{
 };
 pub use memory::{AgentMemory, ConversationView, Message, Role};
 pub use nlu::{classify, extract_entities, tokenize, Entities, IntentMatch, IntentRule};
-pub use schema::{Field, Schema, SchemaViolation};
+pub use schema::{Bounds, Field, Schema, SchemaViolation};
 pub use tool::{
     ErrorCode, FnTool, InvocationRecord, Tool, ToolError, ToolFailure, ToolRegistry, ToolSpec,
     PROVENANCE_KEEP,

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::ops::{RangeFrom, RangeInclusive};
 
 /// A structural schema for JSON-like values.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -92,26 +93,29 @@ impl Field {
     }
 }
 
+/// A declared bound (`1..`, `0.0..=10.0`) as `(lo, hi)`; an open end is
+/// infinite.
+pub trait Bounds {
+    /// The bound's ends.
+    fn ends(&self) -> (f64, f64);
+}
+
+impl<T: Copy + Into<f64>> Bounds for RangeInclusive<T> {
+    fn ends(&self) -> (f64, f64) {
+        ((*self.start()).into(), (*self.end()).into())
+    }
+}
+
+impl<T: Copy + Into<f64>> Bounds for RangeFrom<T> {
+    fn ends(&self) -> (f64, f64) {
+        (self.start.into(), f64::INFINITY)
+    }
+}
+
 impl Schema {
     /// Unbounded number.
     pub fn number() -> Schema {
         Schema::Number {
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Number within `[min, max]`.
-    pub fn number_range(min: f64, max: f64) -> Schema {
-        Schema::Number {
-            min: Some(min),
-            max: Some(max),
-        }
-    }
-
-    /// Unbounded integer.
-    pub fn integer() -> Schema {
-        Schema::Integer {
             min: None,
             max: None,
         }
@@ -141,6 +145,31 @@ impl Schema {
     pub fn array(item: Schema) -> Schema {
         Schema::Array {
             item: Box::new(item),
+        }
+    }
+
+    /// This schema with a declared bound: each finite end of `bound`
+    /// replaces a number's or an integer's own; any other schema has no
+    /// range to bound.
+    pub fn within(self, bound: &impl Bounds) -> Schema {
+        fn end<T>(own: Option<T>, bound: f64, to: impl Fn(f64) -> T) -> Option<T> {
+            if bound.is_finite() {
+                Some(to(bound))
+            } else {
+                own
+            }
+        }
+        let (lo, hi) = bound.ends();
+        match self {
+            Schema::Number { min, max } => Schema::Number {
+                min: end(min, lo, |x| x),
+                max: end(max, hi, |x| x),
+            },
+            Schema::Integer { min, max } => Schema::Integer {
+                min: end(min, lo, |x| x.ceil() as i64),
+                max: end(max, hi, |x| x.floor() as i64),
+            },
+            other => other,
         }
     }
 
@@ -324,7 +353,8 @@ impl std::fmt::Display for SchemaViolation {
     }
 }
 
-pub(crate) fn type_name(v: &Value) -> &'static str {
+/// The JSON type of `v`, as violation messages name it.
+pub fn type_name(v: &Value) -> &'static str {
     match v {
         Value::Null => "null",
         Value::Bool(_) => "boolean",
@@ -342,10 +372,17 @@ mod tests {
 
     fn load_schema() -> Schema {
         Schema::object(vec![
-            Field::required("bus_id", Schema::integer(), "external bus id"),
+            Field::required(
+                "bus_id",
+                Schema::Integer {
+                    min: None,
+                    max: None,
+                },
+                "external bus id",
+            ),
             Field::required(
                 "p_mw",
-                Schema::number_range(0.0, 10_000.0),
+                Schema::number().within(&(0.0..=10_000.0)),
                 "new load in MW",
             ),
             Field::optional("q_mvar", Schema::number(), "reactive demand"),

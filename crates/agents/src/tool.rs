@@ -26,8 +26,9 @@ pub struct ToolSpec {
     pub name: String,
     /// What the tool does, for planner capability matching.
     pub description: String,
-    /// Input schema.
-    pub input: Schema,
+    /// Input schema: the one generated from the tool's declared argument
+    /// type, shared like the output schema.
+    pub input: Arc<Schema>,
     /// Output schema: the one generated from the tool's declared result
     /// type, shared by every registry the tool is registered in.
     pub output: Arc<Schema>,
@@ -44,61 +45,26 @@ fn shared_schema<T: Wire + 'static>() -> Arc<Schema> {
     schema.or_insert_with(|| Arc::new(T::schema())).clone()
 }
 
-macro_rules! error_codes {
-    ($($(#[$doc:meta])* $variant:ident = $wire:literal,)+) => {
-        /// Class of a domain failure. Recovery keys on this, never on the
-        /// message text; each domain error type maps to its code in one
-        /// place (`gridmind_core::failure`).
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-        pub enum ErrorCode {
-            $($(#[$doc])* $variant,)+
-        }
-
-        impl ErrorCode {
-            /// Every code.
-            pub const ALL: &'static [ErrorCode] = &[$(ErrorCode::$variant),+];
-
-            /// The code's wire spelling.
-            pub fn as_str(self) -> &'static str {
-                match self {
-                    $(ErrorCode::$variant => $wire,)+
-                }
-            }
-        }
-    };
-}
-
-error_codes! {
-    /// No case is loaded in the session — fixed by loading one.
-    NoActiveCase = "no_active_case",
-    /// The named case is not in the library.
-    UnknownCase = "unknown_case",
-    /// The named bus is not in the active case.
-    UnknownBus = "unknown_bus",
-    /// The named line, transformer or unit is not in the active case.
-    UnknownElement = "unknown_element",
-    /// An argument the request cannot be carried out with.
-    BadArgument = "bad_argument",
-    /// Every solver rung failed numerically.
-    NotConverged = "not_converged",
-    /// The network itself fails validation.
-    InvalidNetwork = "invalid_network",
-}
-
-impl Wire for ErrorCode {
-    fn schema() -> Schema {
-        let codes: Vec<&str> = ErrorCode::ALL.iter().map(|c| c.as_str()).collect();
-        Schema::string_enum(&codes)
-    }
-    fn to_wire(&self) -> Value {
-        Value::String(self.as_str().into())
-    }
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        ErrorCode::ALL
-            .iter()
-            .copied()
-            .find(|c| v.as_str() == Some(c.as_str()))
-            .ok_or_else(|| format!("unknown error code {v}"))
+crate::tool_output! {
+    /// Class of a domain failure. Recovery keys on this, never on the
+    /// message text; each domain error type maps to its code in one
+    /// place (`gridmind_core::failure`).
+    #[derive(Serialize, Deserialize)]
+    pub enum ErrorCode {
+        /// No case is loaded in the session — fixed by loading one.
+        NoActiveCase = "no_active_case",
+        /// The named case is not in the library.
+        UnknownCase = "unknown_case",
+        /// The named bus is not in the active case.
+        UnknownBus = "unknown_bus",
+        /// The named line, transformer or unit is not in the active case.
+        UnknownElement = "unknown_element",
+        /// An argument the request cannot be carried out with.
+        BadArgument = "bad_argument",
+        /// Every solver rung failed numerically.
+        NotConverged = "not_converged",
+        /// The network itself fails validation.
+        InvalidNetwork = "invalid_network",
     }
 }
 
@@ -207,24 +173,38 @@ pub struct FnTool {
 }
 
 impl FnTool {
-    /// Wraps a closure returning the declared result type `T`: the
-    /// tool's output schema is `T`'s generated schema, and the result
-    /// goes onto the wire as `T` lowers it. The closure's error is
-    /// whatever classifies into a [`ToolError`].
-    pub fn new<T: Wire + 'static, E: Into<ToolError>>(
+    /// Wraps a closure from the declared argument type `A` to the
+    /// declared result type `T`: the tool's input and output schemas are
+    /// `A`'s and `T`'s generated ones, the closure receives the arguments
+    /// lifted into `A`, and its result goes onto the wire as `T` lowers
+    /// it. The closure's error is whatever classifies into a
+    /// [`ToolError`].
+    pub fn new<A, T, E>(
         name: &str,
         description: &str,
-        input: Schema,
-        f: impl Fn(&Value) -> Result<T, E> + Send + Sync + 'static,
-    ) -> FnTool {
+        f: impl Fn(A) -> Result<T, E> + Send + Sync + 'static,
+    ) -> FnTool
+    where
+        A: Wire + 'static,
+        T: Wire + 'static,
+        E: Into<ToolError>,
+    {
         FnTool {
             spec: ToolSpec {
                 name: name.into(),
                 description: description.into(),
-                input,
+                input: shared_schema::<A>(),
                 output: shared_schema::<T>(),
             },
-            f: Box::new(move |args| f(args).map(|out| out.to_wire()).map_err(Into::into)),
+            f: Box::new(move |args| {
+                let args = A::from_wire(args).map_err(|message| ToolError::InvalidArgs {
+                    violations: vec![SchemaViolation {
+                        path: "$".into(),
+                        message,
+                    }],
+                })?;
+                f(args).map(|out| out.to_wire()).map_err(Into::into)
+            }),
         }
     }
 }
@@ -378,8 +358,14 @@ impl ToolRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Field;
     use serde_json::json;
+
+    crate::tool_output! {
+        struct Operands {
+            a: f64 = "lhs",
+            b: f64 = "rhs",
+        }
+    }
 
     crate::tool_output! {
         struct Sum {
@@ -388,19 +374,11 @@ mod tests {
     }
 
     fn adder() -> FnTool {
-        FnTool::new(
-            "add",
-            "adds two numbers",
-            Schema::object(vec![
-                Field::required("a", Schema::number(), "lhs"),
-                Field::required("b", Schema::number(), "rhs"),
-            ]),
-            |args| -> Result<Sum, ToolError> {
-                Ok(Sum {
-                    sum: args["a"].as_f64().unwrap() + args["b"].as_f64().unwrap(),
-                })
-            },
-        )
+        FnTool::new("add", "adds two numbers", |args: Operands| {
+            Ok::<_, ToolError>(Sum {
+                sum: args.a + args.b,
+            })
+        })
     }
 
     fn registry() -> ToolRegistry {
@@ -462,8 +440,7 @@ mod tests {
         r.register(FnTool::new(
             "fail",
             "always fails",
-            Schema::Any,
-            |_| -> Result<Sum, ToolError> {
+            |_: ()| -> Result<Sum, ToolError> {
                 Err(ToolError::Execution {
                     code: ErrorCode::NotConverged,
                     message: "solver diverged".into(),
@@ -511,8 +488,7 @@ mod tests {
         r.register(FnTool::new(
             "aardvark",
             "first alphabetically",
-            Schema::Any,
-            |_| -> Result<Sum, ToolError> { Ok(Sum { sum: 0.0 }) },
+            |_: ()| -> Result<Sum, ToolError> { Ok(Sum { sum: 0.0 }) },
         ));
         assert_eq!(r.names(), vec!["aardvark".to_string(), "add".to_string()]);
         assert_eq!(r.specs()[0].name, "aardvark");

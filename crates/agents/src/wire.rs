@@ -1,17 +1,20 @@
 //! One declaration per wire shape.
 //!
-//! A tool result crosses the tool boundary as `serde_json::Value` — the
-//! form the provenance log, token accounting and persisted sessions
-//! want. [`Wire`] ties the three things that must agree about that form
-//! to one Rust type: how the type lowers to JSON, how it lifts back, and
-//! the closed [`Schema`] that describes it. [`tool_output!`](crate::tool_output) emits the
-//! type and its `Wire` impl together from `field: type = "description"`
-//! lines, so a renamed field is a compile error at every reader instead
-//! of a `NaN` in a narration.
+//! A tool's arguments and its result cross the tool boundary as
+//! `serde_json::Value` — the form the provenance log, token accounting
+//! and persisted sessions want. [`Wire`] ties the three things that must
+//! agree about that form to one Rust type: how the type lowers to JSON,
+//! how it lifts back, and the closed [`Schema`] that describes it.
+//! [`tool_output!`](crate::tool_output) emits the type and its `Wire`
+//! impl together from `field: type = "description"` lines, so a renamed
+//! field is a compile error at every reader instead of a `NaN` in a
+//! narration.
 //!
-//! Non-finite numbers have no wire form: they lower to `null`, which no
-//! number schema accepts and no `f64` lifts from, so a result carrying
-//! one fails output validation instead of reaching the planner.
+//! A lift accepts what the schema accepts: a leaf's schema states the
+//! range its lift takes, a struct refuses an undeclared key, and a
+//! declared bound is checked by both. Non-finite numbers have no wire
+//! form: they lower to `null`, which no number schema accepts and no
+//! `f64` lifts from.
 
 use crate::schema::{type_name, Field, Schema};
 #[doc(hidden)]
@@ -42,6 +45,19 @@ pub trait Wire: Sized {
     fn from_field(v: Option<&Value>) -> Result<Self, String> {
         Self::from_wire(v.ok_or("required field missing")?)
     }
+
+    /// Whether `key` is one of this type's members (a declared struct's
+    /// own or flattened keys; nothing else has members).
+    fn declares(_key: &str) -> bool {
+        false
+    }
+
+    /// Lifts this type's members from an object that may carry other
+    /// keys too — how a flattened member reads its share of the object
+    /// around it.
+    fn from_members(_obj: &Map<String, Value>) -> Result<Self, String> {
+        Err("not a declared struct".into())
+    }
 }
 
 /// A scalar's `Wire` impl: its schema, and the `Value` accessor that
@@ -63,18 +79,35 @@ macro_rules! wire_scalar {
     )*};
 }
 
-const UNSIGNED: Schema = Schema::Integer {
-    min: Some(0),
-    max: None,
-};
-
 wire_scalar! {
     f64: Schema::number(), "number", Value::as_f64;
     bool: Schema::Bool, "boolean", Value::as_bool;
     String: Schema::string(), "string", |v| v.as_str().map(String::from);
-    u32: UNSIGNED, "unsigned integer", |v| v.as_u64().and_then(|n| n.try_into().ok());
-    u64: UNSIGNED, "unsigned integer", Value::as_u64;
-    usize: UNSIGNED, "unsigned integer", |v| v.as_u64().and_then(|n| n.try_into().ok());
+    // An integer schema reads its value as an `i64`, so no unsigned
+    // leaf goes past `i64::MAX`.
+    u32: Schema::Integer { min: Some(0), max: Some(u32::MAX.into()) }, "integer in [0, 4294967295]",
+        |v| v.as_i64().and_then(|n| n.try_into().ok());
+    u64: Schema::Integer { min: Some(0), max: Some(i64::MAX) }, "integer in [0, 2^63)",
+        |v| v.as_i64().and_then(|n| n.try_into().ok());
+    usize: Schema::Integer { min: Some(0), max: Some(i64::MAX) }, "integer in [0, 2^63)",
+        |v| v.as_i64().and_then(|n| n.try_into().ok());
+}
+
+/// No arguments: the empty closed object.
+impl Wire for () {
+    fn schema() -> Schema {
+        Schema::object(Vec::new())
+    }
+    fn to_wire(&self) -> Value {
+        Value::Object(Map::new())
+    }
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        match v.as_object().map(|obj| obj.keys().next()) {
+            Some(None) => Ok(()),
+            Some(Some(key)) => Err(format!("{key}: unexpected field")),
+            None => Err(format!("expected object, got {}", type_name(v))),
+        }
+    }
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -131,18 +164,39 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
     }
 }
 
-/// Declares a tool result — or a part of one — once.
+/// A bounded member's value checked against its bounded schema.
+#[doc(hidden)]
+pub fn check_bound(schema: Schema, v: Option<&Value>) -> Result<(), String> {
+    let Some(Err(violations)) = v.map(|v| schema.validate(v)) else {
+        return Ok(());
+    };
+    let messages: Vec<String> = violations.into_iter().map(|v| v.message).collect();
+    Err(messages.join("; "))
+}
+
+/// Declares a tool's arguments or its result — or a part of one — once.
 ///
 /// The struct form takes `field: Type = "description"` lines and emits a
 /// struct with public fields (the description doubles as the field's
 /// doc comment) plus its [`Wire`] impl: a **closed** object schema with
-/// one [`Field`] per line, and the two conversions. A leading
+/// one [`Field`] per line, and the two conversions. A line may end in a
+/// bound, `p_mw: f64 = "new demand (MW)" in 0.0..=100_000.0` or
+/// `bus_id: u32 = "bus" in 1..`: each finite end of the bound replaces
+/// the leaf's own in the field's schema, and lifting checks it again. A
+/// leading
 /// `..name: Type` member is flattened: its keys sit beside the struct's
 /// own on the wire, which is how results extend a shared summary.
 /// `Option` members are optional in the schema and absent from the wire
-/// when `None`.
+/// when `None`. Lifting refuses a key the struct does not declare, as
+/// the closed schema does.
 ///
-/// The enum form, `enum Name { A(TypeA), B(TypeB) }`, is an untagged
+/// The string-enum form, `pub enum Name { A = "a", B = "b" }`, is a
+/// closed set of wire strings: it emits a `Copy` enum with `ALL`,
+/// `as_str` and `parse`, and its schema is the string enumeration. (It is
+/// always `pub`: a derive on it, like `ErrorCode`'s serde one, cannot
+/// read a forwarded visibility.)
+///
+/// The union form, `enum Name { A(TypeA), B(TypeB) }`, is an untagged
 /// union of declared shapes: it lowers as the variant's payload, its
 /// schema is [`Schema::OneOf`], and it lifts as the first variant that
 /// fits.
@@ -152,7 +206,7 @@ macro_rules! tool_output {
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
             $(..$flat:ident: $flat_ty:ty,)*
-            $($field:ident: $ty:ty = $desc:literal,)*
+            $($field:ident: $ty:ty = $desc:literal $(in $bound:expr)?,)*
         }
     ) => {
         $(#[$meta])*
@@ -172,7 +226,12 @@ macro_rules! tool_output {
             fn schema() -> $crate::Schema {
                 let mut fields: Vec<$crate::Field> = Vec::new();
                 $(fields.extend(<$flat_ty as $crate::Wire>::schema().into_fields());)*
-                fields.extend([$(<$ty as $crate::Wire>::field(stringify!($field), $desc)),*]);
+                fields.extend([$({
+                    #[allow(unused_mut)]
+                    let mut field = <$ty as $crate::Wire>::field(stringify!($field), $desc);
+                    $(field.schema = field.schema.within(&($bound));)?
+                    field
+                }),*]);
                 $crate::Schema::object(fields)
             }
 
@@ -192,14 +251,91 @@ macro_rules! tool_output {
             }
 
             fn from_wire(v: &$crate::wire::Value) -> Result<Self, String> {
-                let obj = v.as_object().ok_or("expected object")?;
+                let obj = v
+                    .as_object()
+                    .ok_or_else(|| format!("expected object, got {}", $crate::schema::type_name(v)))?;
+                let out = <Self as $crate::Wire>::from_members(obj)?;
+                match obj.keys().find(|k| !<Self as $crate::Wire>::declares(k)) {
+                    Some(key) => Err(format!("{key}: unexpected field")),
+                    None => Ok(out),
+                }
+            }
+
+            fn declares(key: &str) -> bool {
+                $(<$flat_ty as $crate::Wire>::declares(key) ||)*
+                    [$(stringify!($field)),*].contains(&key)
+            }
+
+            fn from_members(
+                obj: &$crate::wire::Map<String, $crate::wire::Value>,
+            ) -> Result<Self, String> {
                 Ok($name {
-                    $($flat: <$flat_ty as $crate::Wire>::from_wire(v)?,)*
+                    $($flat: <$flat_ty as $crate::Wire>::from_members(obj)?,)*
                     $(
-                        $field: <$ty as $crate::Wire>::from_field(obj.get(stringify!($field)))
-                            .map_err(|e| format!("{}: {e}", stringify!($field)))?,
+                        $field: {
+                            let v = obj.get(stringify!($field));
+                            $(
+                                $crate::wire::check_bound(
+                                    <$ty as $crate::Wire>::schema().within(&($bound)),
+                                    v,
+                                )
+                                .map_err(|e| format!("{}: {e}", stringify!($field)))?;
+                            )?
+                            <$ty as $crate::Wire>::from_field(v)
+                                .map_err(|e| format!("{}: {e}", stringify!($field)))?
+                        },
                     )*
                 })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $wire:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
+
+            /// The value's wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)+
+                }
+            }
+
+            /// The value spelled `s` on the wire, if there is one.
+            pub fn parse(s: &str) -> Option<$name> {
+                match s {
+                    $($wire => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::Wire for $name {
+            fn schema() -> $crate::Schema {
+                $crate::Schema::string_enum(&[$($wire),+])
+            }
+
+            fn to_wire(&self) -> $crate::wire::Value {
+                $crate::wire::Value::String(self.as_str().into())
+            }
+
+            fn from_wire(v: &$crate::wire::Value) -> Result<Self, String> {
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| format!("expected string, got {}", $crate::schema::type_name(v)))?;
+                $name::parse(s)
+                    .ok_or_else(|| format!("value {s:?} not in enum {:?}", [$($wire),+]))
             }
         }
     };

@@ -12,14 +12,20 @@
 //! [`ErrorCode`], never on its text.
 
 use crate::recovery::Degraded;
-use crate::tools_acopf::{EditResult, GenLimitsResult, NetworkStatus, ScopfResult, SolveResult};
-use crate::tools_batch::{BatchResult, BatchRow};
-use crate::tools_ca::{AnalysisStatus, N1Report, SpecificResult, UnitOutageReport};
+use crate::tools_acopf::{
+    CaseChoice, EditResult, GenLimitsEdit, GenLimitsResult, LoadEdit, NetworkStatus, ScopfResult,
+    SolveCase, SolveResult,
+};
+use crate::tools_batch::{BatchArgs, BatchResult, BatchRow, StudyKind};
+use crate::tools_ca::{
+    AnalysisStatus, ElementKind, GenN1Args, N1Args, N1Report, Ranking, SpecificArgs,
+    SpecificResult, UnitOutageReport,
+};
 use gm_agents::{
     classify, extract_entities, AnalysisStyle, ConversationView, Entities, ErrorCode, IntentRule,
     ModelTurn, Planner, ToolCall, ToolFailure, TurnAction, Wire,
 };
-use serde_json::{json, Value};
+use serde_json::Value;
 
 fn steps(reasoning: &[&str]) -> Vec<String> {
     reasoning.iter().map(|s| s.to_string()).collect()
@@ -33,13 +39,13 @@ fn respond(reasoning: &[&str], text: String) -> ModelTurn {
     }
 }
 
-/// A turn that invokes one tool.
-fn call(reasoning: &[&str], tool: &str, args: Value) -> ModelTurn {
+/// A turn that invokes one tool with its declared arguments.
+fn call(reasoning: &[&str], tool: &str, args: impl Wire) -> ModelTurn {
     ModelTurn {
         reasoning: steps(reasoning),
         action: TurnAction::Calls(vec![ToolCall {
             tool: tool.into(),
-            args,
+            args: args.to_wire(),
         }]),
     }
 }
@@ -50,11 +56,6 @@ fn known_case(view: &ConversationView, ents: &Entities) -> Option<String> {
         view.context_value("active_case")
             .and_then(|v| v.as_str().map(String::from))
     })
-}
-
-/// Tool arguments naming `case`, if there is one to name.
-fn case_args(case: Option<&String>) -> Value {
-    case.map_or_else(|| json!({}), |case| json!({ "case_name": case }))
 }
 
 /// Whether a failed call is the one failure the planners repair: no
@@ -74,9 +75,9 @@ fn with_caveats(view: &ConversationView, text: String) -> String {
     let mut out = text;
     let mut seen: Vec<String> = Vec::new();
     for (_, result) in view.pending_results {
-        if let Ok(Degraded {
+        if let Some(Ok(Degraded {
             degraded_caveat: Some(c),
-        }) = Degraded::from_wire(result)
+        })) = result.as_object().map(Degraded::from_members)
         {
             if !seen.contains(&c) {
                 out.push_str("\n\n");
@@ -160,34 +161,37 @@ impl AcopfPlanner {
     fn batch_call(view: &ConversationView, reasoning: &[&str]) -> ModelTurn {
         let ents = extract_entities(view.user_input);
         let lower = view.user_input.to_lowercase();
-        let mut args = case_args(known_case(view, &ents).as_ref());
-        if lower.contains("day") || lower.contains("hour") {
-            args["kind"] = json!("daily_profile");
+        let (kind, bus_id) = if lower.contains("day") || lower.contains("hour") {
+            (StudyKind::DailyProfile, None)
         } else if let Some(&bus) = ents.buses.first() {
-            args["kind"] = json!("bus_profile");
-            args["bus_id"] = json!(bus);
+            (StudyKind::BusProfile, Some(bus))
         } else {
-            args["kind"] = json!("load_sweep");
-        }
-        if ents.percent.len() >= 2 {
-            args["from_percent"] = json!(ents.percent[0]);
-            args["to_percent"] = json!(ents.percent[1]);
-        }
-        if let Some(steps) = ents.steps {
-            args["steps"] = json!(steps);
-        }
+            (StudyKind::LoadSweep, None)
+        };
+        let (from_percent, to_percent) = match ents.percent[..] {
+            [from, to, ..] => (Some(from), Some(to)),
+            _ => (None, None),
+        };
+        let args = BatchArgs {
+            case_name: known_case(view, &ents),
+            kind: Some(kind),
+            from_percent,
+            to_percent,
+            steps: ents.steps,
+            bus_id,
+        };
         call(reasoning, "batch_study", args)
     }
 
     /// The `modify_bus_load` call for the utterance's first bus and MW
     /// quantity, if it has both.
     fn load_edit_call(ents: &Entities, reasoning: &[&str]) -> Option<ModelTurn> {
-        let (bus, mw) = (ents.buses.first()?, ents.mw.first()?);
-        Some(call(
-            reasoning,
-            "modify_bus_load",
-            json!({"bus_id": bus, "p_mw": mw}),
-        ))
+        let edit = LoadEdit {
+            bus_id: *ents.buses.first()?,
+            p_mw: *ents.mw.first()?,
+            q_mvar: None,
+        };
+        Some(call(reasoning, "modify_bus_load", edit))
     }
 
     fn failure(tool: &str, err: &str) -> ModelTurn {
@@ -280,7 +284,7 @@ impl AcopfPlanner {
             sol.binding_constraints,
             sol.lmp_min,
             sol.lmp_max,
-            out.dispatch.quality_overall.0,
+            out.dispatch.quality_overall,
         )
     }
 
@@ -305,7 +309,7 @@ impl AcopfPlanner {
             sol.min_voltage_pu,
             sol.max_voltage_pu,
             sol.max_thermal_loading_pct,
-            out.dispatch.quality_overall.0,
+            out.dispatch.quality_overall,
         )
     }
 
@@ -341,7 +345,7 @@ impl AcopfPlanner {
             sol.losses_mw,
             sol.min_voltage_pu,
             sol.max_voltage_pu,
-            out.dispatch.quality_overall.0,
+            out.dispatch.quality_overall,
         )
     }
 
@@ -384,7 +388,7 @@ impl Planner for AcopfPlanner {
                         Some(case) if wants_case_loaded(view, &failure) => call(
                             &["(recovery: no case in context — load and solve it first)"],
                             "solve_acopf_case",
-                            json!({"case_name": case}),
+                            SolveCase { case_name: case },
                         ),
                         _ => failed(&failure.error),
                     };
@@ -481,7 +485,7 @@ impl Planner for AcopfPlanner {
             Some("status") => call(
                 &["(understand the task)", "(query stored state)"],
                 "get_network_status",
-                json!({}),
+                (),
             ),
             Some("modify_gen")
                 if !ents.buses.is_empty() && ents.numbers.len() + ents.mw.len() >= 2 =>
@@ -501,7 +505,11 @@ impl Planner for AcopfPlanner {
                         "(apply limits and re-solve)",
                     ],
                     "modify_gen_limits",
-                    json!({"bus_id": bus, "p_min_mw": lo, "p_max_mw": hi}),
+                    GenLimitsEdit {
+                        bus_id: bus,
+                        p_min_mw: lo,
+                        p_max_mw: hi,
+                    },
                 )
             }
             Some("secure_dispatch") => call(
@@ -510,7 +518,9 @@ impl Planner for AcopfPlanner {
                     "(screen contingencies and solve the SCOPF)",
                 ],
                 "solve_security_constrained",
-                case_args(known_case(view, &ents).as_ref()),
+                CaseChoice {
+                    case_name: known_case(view, &ents),
+                },
             ),
             Some("batch_study") => Self::batch_call(
                 view,
@@ -533,7 +543,7 @@ impl Planner for AcopfPlanner {
                             "(invoke ACOPF solver)",
                         ],
                         "solve_acopf_case",
-                        json!({"case_name": case}),
+                        SolveCase { case_name: case },
                     ),
                     None => respond(
                         &["(cannot identify a target case)"],
@@ -600,10 +610,10 @@ impl CaPlanner {
         ]
     }
 
-    fn strategy_for(style: AnalysisStyle) -> &'static str {
+    fn strategy_for(style: AnalysisStyle) -> Ranking {
         match style {
-            AnalysisStyle::Composite => "composite",
-            AnalysisStyle::OverloadFirst => "overload_first",
+            AnalysisStyle::Composite => Ranking::Composite,
+            AnalysisStyle::OverloadFirst => Ranking::OverloadFirst,
         }
     }
 
@@ -756,7 +766,9 @@ impl Planner for CaPlanner {
                         Some(case) if wants_case_loaded(view, &failure) => call(
                             &["(recovery: solve the base case first)"],
                             "solve_base_case",
-                            json!({"case_name": case}),
+                            CaseChoice {
+                                case_name: Some(case),
+                            },
                         ),
                         _ => failed(&failure.error),
                     };
@@ -770,10 +782,11 @@ impl Planner for CaPlanner {
                             "(run contingency analysis)",
                         ],
                         "run_n1_contingency_analysis",
-                        json!({
-                            "strategy": Self::strategy_for(style),
-                            "top_k": top_k.max(10),
-                        }),
+                        N1Args {
+                            strategy: Some(Self::strategy_for(style)),
+                            top_k: Some(top_k.max(10)),
+                            mode: None,
+                        },
                     );
                 }
                 "run_n1_contingency_analysis" => {
@@ -830,33 +843,33 @@ impl Planner for CaPlanner {
 
         // ---- First round.
         let intent = classify(view.user_input, &Self::rules());
-        match intent.as_ref().map(|m| m.intent.as_str()) {
-            Some("specific") if !ents.elements.is_empty() => {
-                let (kind, index) = &ents.elements[0];
-                call(
-                    &["(understand task)", "(analyze the specific element outage)"],
-                    "analyze_specific_contingency",
-                    json!({"element": kind, "index": index}),
-                )
-            }
-            Some("status") => call(
-                &["(check analysis status)"],
-                "get_contingency_status",
-                json!({}),
+        let element = ents.elements.first().and_then(|(kind, index)| {
+            Some(SpecificArgs {
+                element: ElementKind::parse(kind)?,
+                index: *index,
+            })
+        });
+        let base_case = || CaseChoice {
+            case_name: ents.case.clone(),
+        };
+        match (intent.as_ref().map(|m| m.intent.as_str()), element) {
+            (Some("specific"), Some(element)) => call(
+                &["(understand task)", "(analyze the specific element outage)"],
+                "analyze_specific_contingency",
+                element,
             ),
-            Some("gen_outages") => call(
+            (Some("status"), _) => call(&["(check analysis status)"], "get_contingency_status", ()),
+            (Some("gen_outages"), _) => call(
                 &[
                     "(understand task: unit T-1 outages)",
                     "(sweep generator outages)",
                 ],
                 "run_generator_contingency_analysis",
-                json!({"top_k": top_k}),
+                GenN1Args { top_k: Some(top_k) },
             ),
-            Some("base_case") => call(
-                &["(solve the base case)"],
-                "solve_base_case",
-                case_args(ents.case.as_ref()),
-            ),
+            (Some("base_case"), _) => {
+                call(&["(solve the base case)"], "solve_base_case", base_case())
+            }
             // Full analysis (also the default for anything
             // contingency-flavoured): ensure a base case, then sweep.
             _ => call(
@@ -865,7 +878,7 @@ impl Planner for CaPlanner {
                     "(solve base case before contingencies)",
                 ],
                 "solve_base_case",
-                case_args(ents.case.as_ref()),
+                base_case(),
             ),
         }
     }
@@ -875,6 +888,7 @@ impl Planner for CaPlanner {
 mod tests {
     use super::*;
     use gm_agents::AgentMemory;
+    use serde_json::json;
 
     fn turn_of(planner: &dyn Planner, input: &str) -> ModelTurn {
         let memory = AgentMemory::new("t", "p");

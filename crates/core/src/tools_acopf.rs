@@ -8,14 +8,52 @@
 //! and whose closed schema the registry validates against — and deposits
 //! typed artifacts for other agents.
 
+// The tool boundary is panic-free outside tests: an argument a body
+// cannot use is a typed `bad_argument`, never an unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::failure::DomainError;
 use crate::quality;
 use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, Degraded};
 use crate::session::SharedSession;
 use gm_acopf::{AcopfOptions, AcopfSolution, ScopfOptions};
-use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock, Wire};
+use gm_agents::{tool_output, ErrorCode, FnTool, VirtualClock};
 use gm_network::{Modification, Network, Snapshot};
-use serde_json::Value;
+
+tool_output! {
+    /// Arguments of `solve_acopf_case`.
+    pub struct SolveCase {
+        case_name: String = "case reference, e.g. 'case118' or 'IEEE 118'",
+    }
+}
+
+tool_output! {
+    /// Arguments of `modify_bus_load`.
+    pub struct LoadEdit {
+        bus_id: u32 = "external bus number" in 1..,
+        p_mw: f64 = "new active demand (MW)" in 0.0..=100_000.0,
+        q_mvar: Option<f64> = "new reactive demand (MVAr); omitted keeps the power factor",
+    }
+}
+
+tool_output! {
+    /// Arguments of `modify_gen_limits`.
+    pub struct GenLimitsEdit {
+        bus_id: u32 = "external bus number of the unit" in 1..,
+        p_min_mw: f64 = "new minimum output (MW)" in 0.0..=100_000.0,
+        p_max_mw: f64 = "new maximum output (MW)" in 0.0..=100_000.0,
+    }
+}
+
+tool_output! {
+    /// Arguments of `solve_security_constrained` and `solve_base_case`.
+    pub struct CaseChoice {
+        case_name: Option<String> = "case to load when none is active",
+    }
+}
 
 tool_output! {
     /// Inventory counts of a case (the wire form of
@@ -45,22 +83,6 @@ impl From<&Network> for CaseSummary {
             total_load_mw: s.total_load_mw,
             total_gen_capacity_mw: s.total_gen_capacity_mw,
         }
-    }
-}
-
-/// A 0–10 quality score (Appendix C).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Score(pub f64);
-
-impl Wire for Score {
-    fn schema() -> Schema {
-        Schema::number_range(0.0, 10.0)
-    }
-    fn to_wire(&self) -> Value {
-        self.0.to_wire()
-    }
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        f64::from_wire(v).map(Score)
     }
 }
 
@@ -120,7 +142,7 @@ tool_output! {
     pub struct Dispatch {
         ..summary: AcopfSummary,
         ..degraded: Degraded,
-        quality_overall: Score = "0-10 solution quality score",
+        quality_overall: f64 = "0-10 solution quality score" in 0.0..=10.0,
     }
 }
 
@@ -208,7 +230,7 @@ fn publish_solution(
     Dispatch {
         summary: sol.into(),
         degraded: Degraded { degraded_caveat },
-        quality_overall: Score(q.overall_score),
+        quality_overall: q.overall_score,
     }
 }
 
@@ -244,22 +266,14 @@ fn resolve_edit(
 
 /// Loads `case_name` when the call names one, then hands back the
 /// session's current network.
-pub(crate) fn network_for(session: &SharedSession, args: &Value) -> Result<Snapshot, DomainError> {
-    if let Some(name) = args.get("case_name").and_then(|v| v.as_str()) {
+pub(crate) fn network_for(
+    session: &SharedSession,
+    case_name: Option<&str>,
+) -> Result<Snapshot, DomainError> {
+    if let Some(name) = case_name {
         session.load_case(name)?;
     }
     Ok(session.current_network()?)
-}
-
-fn bus_id_field(description: &str) -> Field {
-    Field::required(
-        "bus_id",
-        Schema::Integer {
-            min: Some(1),
-            max: None,
-        },
-        description,
-    )
 }
 
 /// `solve_acopf_case` — load and solve an IEEE case.
@@ -268,14 +282,8 @@ pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnT
         "solve_acopf_case",
         "Load a standard IEEE test case (14, 30, 57, 118, 300 bus) and solve the AC optimal \
          power flow, returning cost, dispatch, voltages, and loading.",
-        Schema::object(vec![Field::required(
-            "case_name",
-            Schema::string(),
-            "case reference, e.g. 'case118' or 'IEEE 118'",
-        )]),
-        move |args| -> Result<SolveResult, DomainError> {
-            let name = args["case_name"].as_str().unwrap_or_default();
-            let (net, confidence) = session.load_case(name)?;
+        move |args: SolveCase| -> Result<SolveResult, DomainError> {
+            let (net, confidence) = session.load_case(&args.case_name)?;
             let (sol, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
@@ -296,23 +304,12 @@ pub fn modify_bus_load_tool(session: SharedSession, clock: VirtualClock) -> FnTo
         "modify_bus_load",
         "Set the active (and optionally reactive) demand at a bus of the active case, then \
          re-solve the ACOPF and report the economic impact.",
-        Schema::object(vec![
-            bus_id_field("external bus number"),
-            Field::required(
-                "p_mw",
-                Schema::number_range(0.0, 100_000.0),
-                "new active demand (MW)",
-            ),
-            Field::optional(
-                "q_mvar",
-                Schema::number(),
-                "new reactive demand (MVAr); omitted keeps the power factor",
-            ),
-        ]),
-        move |args| -> Result<EditResult, DomainError> {
-            let bus_id = args["bus_id"].as_u64().unwrap() as u32;
-            let p_mw = args["p_mw"].as_f64().unwrap();
-            let q_mvar = args.get("q_mvar").and_then(|v| v.as_f64());
+        move |LoadEdit {
+                  bus_id,
+                  p_mw,
+                  q_mvar,
+              }|
+              -> Result<EditResult, DomainError> {
             let before = previous_cost(&session);
             session.apply(Modification::SetBusLoad {
                 bus_id,
@@ -334,20 +331,16 @@ pub fn modify_bus_load_tool(session: SharedSession, clock: VirtualClock) -> FnTo
 /// re-solve (Fig. 4 capability 2: "modifying system parameters (loads,
 /// generation limits, etc.) and re-solving").
 pub fn modify_gen_limits_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
-    let mw = || Schema::number_range(0.0, 100_000.0);
     FnTool::new(
         "modify_gen_limits",
         "Set the active power limits of the generator(s) at a bus of the active case, then \
          re-solve the ACOPF and report the economic impact.",
-        Schema::object(vec![
-            bus_id_field("external bus number of the unit"),
-            Field::required("p_min_mw", mw(), "new minimum output (MW)"),
-            Field::required("p_max_mw", mw(), "new maximum output (MW)"),
-        ]),
-        move |args| -> Result<GenLimitsResult, DomainError> {
-            let bus_id = args["bus_id"].as_u64().unwrap() as u32;
-            let p_min_mw = args["p_min_mw"].as_f64().unwrap();
-            let p_max_mw = args["p_max_mw"].as_f64().unwrap();
+        move |GenLimitsEdit {
+                  bus_id,
+                  p_min_mw,
+                  p_max_mw,
+              }|
+              -> Result<GenLimitsResult, DomainError> {
             let net0 = session.current_network()?;
             let bus = net0.bus_index(bus_id).ok_or_else(|| {
                 DomainError::new(
@@ -401,13 +394,8 @@ pub fn solve_security_constrained_tool(session: SharedSession, clock: VirtualClo
         "Solve the preventive security-constrained OPF (SCOPF) for the active case: the \
          cheapest dispatch whose LODF-estimated post-contingency flows respect emergency \
          ratings. Reports the security premium over the economic dispatch.",
-        Schema::object(vec![Field::optional(
-            "case_name",
-            Schema::string(),
-            "case to load when none is active",
-        )]),
-        move |args| -> Result<ScopfResult, DomainError> {
-            let net = network_for(&session, args)?;
+        move |args: CaseChoice| -> Result<ScopfResult, DomainError> {
+            let net = network_for(&session, args.case_name.as_deref())?;
             let (scopf, degraded) = solve_scopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
@@ -429,8 +417,7 @@ pub fn get_network_status_tool(session: SharedSession, _clock: VirtualClock) -> 
         "get_network_status",
         "Report the active case, applied modifications, and whether a fresh ACOPF solution \
          exists.",
-        Schema::object(vec![]),
-        move |_args| -> Result<NetworkStatus, DomainError> {
+        move |()| -> Result<NetworkStatus, DomainError> {
             let Some(active_case) = session.active_case() else {
                 return Ok(NetworkStatus::Empty(NoCase {
                     has_active_case: false,
@@ -535,10 +522,30 @@ mod tests {
 
     #[test]
     fn bad_args_rejected_by_schema() {
-        let (_s, reg) = registry();
-        let err = reg
-            .invoke("modify_bus_load", &json!({"bus_id": 1, "p_mw": -5.0}))
-            .unwrap_err();
-        assert!(matches!(err, ToolError::InvalidArgs { .. }));
+        let (session, reg) = registry();
+        reg.invoke("solve_acopf_case", &json!({"case_name": "case14"}))
+            .unwrap();
+        for (args, field, bound) in [
+            (json!({"bus_id": 1, "p_mw": -5.0}), "p_mw", "[0, 100000]"),
+            // 2^32 + 10: read as `u64 as u32`, it used to edit bus 10.
+            (
+                json!({"bus_id": 4_294_967_306u64, "p_mw": 50}),
+                "bus_id",
+                "[1, 4294967295]",
+            ),
+        ] {
+            let err = reg.invoke("modify_bus_load", &args).unwrap_err();
+            assert!(matches!(err, ToolError::InvalidArgs { .. }), "{err}");
+            assert_eq!(err.code(), Some(ErrorCode::BadArgument));
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("$.{field}")) && msg.contains(bound),
+                "{msg}"
+            );
+            assert!(
+                session.diff_descriptions().is_empty(),
+                "{args} edited the case"
+            );
+        }
     }
 }

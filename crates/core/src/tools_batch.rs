@@ -14,15 +14,22 @@
 //! instead of losing the whole study. Degraded rows are never cached —
 //! the memo only stores all-converged reports.
 
+// The tool boundary is panic-free outside tests: an argument a body
+// cannot use is a typed `bad_argument`, never an unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::failure::DomainError;
 use crate::recovery::{caveat, pf_ladder, Degraded};
 use crate::session::SharedSession;
 use crate::solver_cache::memoized;
-use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock};
+use crate::tools_acopf::network_for;
+use gm_agents::{tool_output, ErrorCode, FnTool, VirtualClock};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
 use gm_powerflow::{run_batch, PfOptions, PfReport, ScenarioOutcome, ScenarioSet};
-use serde_json::Value;
 
 /// Voltage band and thermal threshold used for the violation counts.
 const VMIN_PU: f64 = 0.95;
@@ -35,6 +42,28 @@ const DAILY_FACTORS: [f64; 24] = [
     0.74, 0.71, 0.69, 0.68, 0.70, 0.75, 0.83, 0.91, 0.96, 0.99, 1.01, 1.02, 1.02, 1.01, 1.00, 0.99,
     1.00, 1.03, 1.06, 1.08, 1.05, 0.98, 0.89, 0.80,
 ];
+
+tool_output! {
+    /// The scenario family of a batch study: every load scaled, the
+    /// 24-hour shape, or one bus's load ramped.
+    pub enum StudyKind {
+        LoadSweep = "load_sweep",
+        DailyProfile = "daily_profile",
+        BusProfile = "bus_profile",
+    }
+}
+
+tool_output! {
+    /// Arguments of `batch_study`.
+    pub struct BatchArgs {
+        case_name: Option<String> = "case to study; defaults to the session's active case",
+        kind: Option<StudyKind> = "scenario family (default load_sweep)",
+        from_percent: Option<f64> = "sweep start as percent of nominal load (default 80)" in 1.0..=500.0,
+        to_percent: Option<f64> = "sweep end as percent of nominal load (default 120)" in 1.0..=500.0,
+        steps: Option<usize> = "number of scenarios in a sweep (default 9)" in 2..=256,
+        bus_id: Option<u32> = "bus to ramp when kind is bus_profile",
+    }
+}
 
 tool_output! {
     /// A scenario with numbers: solved by the batch engine, or — marked
@@ -157,22 +186,20 @@ fn solved_row(
 }
 
 /// Builds the [`ScenarioSet`] described by the tool arguments.
-fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, DomainError> {
-    let kind = args["kind"].as_str().unwrap_or("load_sweep");
-    let from = args["from_percent"].as_f64().unwrap_or(80.0) / 100.0;
-    let to = args["to_percent"].as_f64().unwrap_or(120.0) / 100.0;
-    let steps = args["steps"].as_u64().unwrap_or(9).clamp(2, 256) as usize;
-    match kind {
-        "load_sweep" => Ok(ScenarioSet::load_sweep(from, to, steps)),
-        "daily_profile" => Ok(ScenarioSet::daily_profile(&DAILY_FACTORS)),
-        "bus_profile" => {
-            let Some(bus_id) = args["bus_id"].as_u64() else {
+fn scenario_set(args: &BatchArgs, net: &Network) -> Result<ScenarioSet, DomainError> {
+    let from = args.from_percent.unwrap_or(80.0) / 100.0;
+    let to = args.to_percent.unwrap_or(120.0) / 100.0;
+    let steps = args.steps.unwrap_or(9);
+    match args.kind.unwrap_or(StudyKind::LoadSweep) {
+        StudyKind::LoadSweep => Ok(ScenarioSet::load_sweep(from, to, steps)),
+        StudyKind::DailyProfile => Ok(ScenarioSet::daily_profile(&DAILY_FACTORS)),
+        StudyKind::BusProfile => {
+            let Some(bus_id) = args.bus_id else {
                 return Err(DomainError::new(
                     ErrorCode::BadArgument,
                     "bus_profile needs a bus_id",
                 ));
             };
-            let bus_id = u32::try_from(bus_id).unwrap_or(u32::MAX);
             let Some(bus_ix) = net.buses.iter().position(|b| b.id == bus_id) else {
                 return Err(DomainError::new(
                     ErrorCode::UnknownBus,
@@ -200,12 +227,6 @@ fn scenario_set_from_args(args: &Value, net: &Network) -> Result<ScenarioSet, Do
                 .collect();
             Ok(ScenarioSet::bus_profile(bus_id, &levels))
         }
-        other => Err(DomainError::new(
-            ErrorCode::BadArgument,
-            format!(
-                "unknown study kind '{other}' (expected load_sweep, daily_profile, or bus_profile)"
-            ),
-        )),
     }
 }
 
@@ -216,44 +237,11 @@ pub fn batch_study_tool(session: SharedSession, _clock: VirtualClock) -> FnTool 
         "Solve many what-if scenarios of the active case in one batched power-flow run (load \
          sweep, 24-hour daily profile, or per-bus ramp) and return a per-scenario table of \
          cost and violations with min/max summaries.",
-        Schema::object(vec![
-            Field::optional(
-                "case_name",
-                Schema::string(),
-                "case to study; defaults to the session's active case",
-            ),
-            Field::optional(
-                "kind",
-                Schema::string_enum(&["load_sweep", "daily_profile", "bus_profile"]),
-                "scenario family (default load_sweep)",
-            ),
-            Field::optional(
-                "from_percent",
-                Schema::number_range(1.0, 500.0),
-                "sweep start as percent of nominal load (default 80)",
-            ),
-            Field::optional(
-                "to_percent",
-                Schema::number_range(1.0, 500.0),
-                "sweep end as percent of nominal load (default 120)",
-            ),
-            Field::optional(
-                "steps",
-                Schema::integer(),
-                "number of scenarios in a sweep (default 9)",
-            ),
-            Field::optional(
-                "bus_id",
-                Schema::integer(),
-                "bus to ramp when kind is bus_profile",
-            ),
-        ]),
-        move |args| -> Result<BatchResult, DomainError> {
-            let net = match args["case_name"].as_str() {
-                Some(name) if !name.is_empty() => session.load_case(name)?.0,
-                _ => session.current_network()?,
-            };
-            let set = scenario_set_from_args(args, &net)?;
+        move |args: BatchArgs| -> Result<BatchResult, DomainError> {
+            // An empty name means the active case, as no name does.
+            let case_name = args.case_name.as_deref().filter(|name| !name.is_empty());
+            let net = network_for(&session, case_name)?;
+            let set = scenario_set(&args, &net)?;
             let opts = PfOptions::default();
             let batch = memoized(
                 session.solver_cache.as_ref(),
@@ -369,6 +357,38 @@ mod tests {
         // A row claiming numbers must have all of them.
         let half = json!({"label": "x", "converged": true, "cost_per_hour": 0.0});
         assert!(BatchRow::schema().validate(&half).is_err());
+    }
+
+    #[test]
+    fn arguments_the_body_used_to_clamp_are_bad_arguments() {
+        let session = crate::session::SessionContext::new();
+        let clock = VirtualClock::new();
+        let mut reg = gm_agents::ToolRegistry::new(clock.clone());
+        reg.register(batch_study_tool(session.clone(), clock));
+        session.load_case("case14").unwrap();
+        let ok = reg.invoke("batch_study", &json!({"steps": 3})).unwrap();
+        assert_eq!(ok["scenarios"], json!(3));
+        for (args, field, bound) in [
+            // Clamped or defaulted by the body before: 9, 2 and 256
+            // scenarios.
+            (json!({"steps": -5}), "steps", "[2, 256]"),
+            (json!({"steps": 1}), "steps", "[2, 256]"),
+            (json!({"steps": 100000}), "steps", "[2, 256]"),
+            // Answered "bus_profile needs a bus_id" before.
+            (
+                json!({"kind": "bus_profile", "bus_id": -3}),
+                "bus_id",
+                "[0, 4294967295]",
+            ),
+        ] {
+            let err = reg.invoke("batch_study", &args).unwrap_err();
+            assert_eq!(err.code(), Some(ErrorCode::BadArgument), "{args}: {err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("$.{field}")) && msg.contains(bound),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

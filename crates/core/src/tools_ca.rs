@@ -6,16 +6,77 @@
 //! the registry validates against the schema that declaration generates
 //! and the planner narrates from the same type.
 
+// The tool boundary is panic-free outside tests: an argument a body
+// cannot use is a typed `bad_argument`, never an unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::failure::DomainError;
 use crate::recovery::{run_n1_recovered, solve_base_recovered, Degraded};
 use crate::session::SharedSession;
-use crate::tools_acopf::{network_for, CaseSummary};
-use gm_agents::{tool_output, ErrorCode, Field, FnTool, Schema, VirtualClock};
+use crate::tools_acopf::{network_for, CaseChoice, CaseSummary};
+use gm_agents::{tool_output, ErrorCode, FnTool, VirtualClock};
 use gm_contingency::{
-    evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy, Violation,
+    evaluate_outage, run_gen_n1, CaOptions, ContingencyReport, Outage, RankingStrategy, SweepMode,
+    Violation,
 };
 use gm_network::{BranchKind, Snapshot};
 use gm_powerflow::{PfError, PfReport};
+
+tool_output! {
+    /// How `run_n1_contingency_analysis` ranks outages
+    /// ([`RankingStrategy`]).
+    pub enum Ranking {
+        Composite = "composite",
+        OverloadFirst = "overload_first",
+        VoltageFirst = "voltage_first",
+    }
+}
+
+tool_output! {
+    /// The fidelity of an N-1 sweep ([`SweepMode`]; `full` is
+    /// [`SweepMode::Brute`]).
+    pub enum Sweep {
+        Cascade = "cascade",
+        Full = "full",
+    }
+}
+
+tool_output! {
+    /// Arguments of `run_n1_contingency_analysis`.
+    pub struct N1Args {
+        strategy: Option<Ranking> = "criticality ranking strategy",
+        top_k: Option<usize> = "ranking entries to include (default 10)" in 1..=50,
+        mode: Option<Sweep> = "cascade (default): DC screening with compensated AC verification of \
+                               suspects; full: brute AC sweep of every outage",
+    }
+}
+
+tool_output! {
+    /// The kind of branch `analyze_specific_contingency` takes out
+    /// ([`BranchKind`]).
+    pub enum ElementKind {
+        Line = "line",
+        Trafo = "trafo",
+    }
+}
+
+tool_output! {
+    /// Arguments of `analyze_specific_contingency`.
+    pub struct SpecificArgs {
+        element: ElementKind = "element kind",
+        index: usize = "kind-relative element index",
+    }
+}
+
+tool_output! {
+    /// Arguments of `run_generator_contingency_analysis`.
+    pub struct GenN1Args {
+        top_k: Option<usize> = "entries to report (default 5)" in 1..=20,
+    }
+}
 
 tool_output! {
     /// Result of `solve_base_case`.
@@ -239,14 +300,6 @@ tool_output! {
     }
 }
 
-fn strategy_from_str(s: Option<&str>) -> RankingStrategy {
-    match s {
-        Some("overload_first") => RankingStrategy::OverloadFirst,
-        Some("voltage_first") => RankingStrategy::VoltageFirst,
-        _ => RankingStrategy::Composite,
-    }
-}
-
 fn base_case_failed(e: PfError) -> DomainError {
     DomainError::from(e).during("base case power flow failed")
 }
@@ -267,30 +320,14 @@ fn base_case(
     }
 }
 
-fn top_k_field(max: i64, description: &str) -> Field {
-    Field::optional(
-        "top_k",
-        Schema::Integer {
-            min: Some(1),
-            max: Some(max),
-        },
-        description,
-    )
-}
-
 /// `solve_base_case` — solve the pre-contingency power flow.
 pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
     FnTool::new(
         "solve_base_case",
         "Solve the base-case AC power flow for the active case (loading a case first if \
          named), as the reference point for contingency analysis.",
-        Schema::object(vec![Field::optional(
-            "case_name",
-            Schema::string(),
-            "case to load when none is active",
-        )]),
-        move |args| -> Result<BaseCaseResult, DomainError> {
-            let net = network_for(&session, args)?;
+        move |args: CaseChoice| -> Result<BaseCaseResult, DomainError> {
+            let net = network_for(&session, args.case_name.as_deref())?;
             let opts = CaOptions::default();
             let (rep, degraded_caveat) =
                 solve_base_recovered(session.solver_cache.as_ref(), &net, &opts)?;
@@ -317,31 +354,18 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
         "run_n1_contingency_analysis",
         "Run the comprehensive N-1 contingency sweep over all lines and transformers of the \
          active case, returning violation statistics and the ranked critical elements.",
-        Schema::object(vec![
-            Field::optional(
-                "strategy",
-                Schema::string_enum(&["composite", "overload_first", "voltage_first"]),
-                "criticality ranking strategy",
-            ),
-            top_k_field(50, "ranking entries to include (default 10)"),
-            Field::optional(
-                "mode",
-                Schema::string_enum(&["cascade", "full"]),
-                "cascade (default): DC screening with compensated AC verification of \
-                 suspects; full: brute AC sweep of every outage",
-            ),
-        ]),
-        move |args| -> Result<N1Report, DomainError> {
-            let strategy = strategy_from_str(args.get("strategy").and_then(|v| v.as_str()));
-            let top_k = args.get("top_k").and_then(|v| v.as_u64()).unwrap_or(10) as usize;
+        move |args: N1Args| -> Result<N1Report, DomainError> {
             let net = session.current_network()?;
-            let mode = match args.get("mode").and_then(|v| v.as_str()) {
-                Some("full") | Some("brute") => gm_contingency::SweepMode::Brute,
-                _ => gm_contingency::SweepMode::Cascade,
-            };
             let opts = CaOptions {
-                strategy,
-                mode,
+                strategy: match args.strategy.unwrap_or(Ranking::Composite) {
+                    Ranking::Composite => RankingStrategy::Composite,
+                    Ranking::OverloadFirst => RankingStrategy::OverloadFirst,
+                    Ranking::VoltageFirst => RankingStrategy::VoltageFirst,
+                },
+                mode: match args.mode.unwrap_or(Sweep::Cascade) {
+                    Sweep::Cascade => SweepMode::Cascade,
+                    Sweep::Full => SweepMode::Brute,
+                },
                 ..Default::default()
             };
             let base = session.fresh_base_pf();
@@ -354,7 +378,7 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
             )
             .map_err(base_case_failed)?;
             session.put_contingency(rep.clone(), clock.now());
-            Ok(N1Report::new(&rep, top_k, degraded))
+            Ok(N1Report::new(&rep, args.top_k.unwrap_or(10), degraded))
         },
     )
 }
@@ -365,30 +389,12 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
         "analyze_specific_contingency",
         "Analyze the outage of one named element (e.g. line 171 or trafo 0) in detail: \
          convergence, violations, worst loading and voltage.",
-        Schema::object(vec![
-            Field::required(
-                "element",
-                Schema::string_enum(&["line", "trafo"]),
-                "element kind",
-            ),
-            Field::required(
-                "index",
-                Schema::Integer {
-                    min: Some(0),
-                    max: None,
-                },
-                "kind-relative element index",
-            ),
-        ]),
-        move |args| -> Result<SpecificResult, DomainError> {
-            let element = args["element"].as_str().unwrap();
-            let index = args["index"].as_u64().unwrap() as usize;
+        move |SpecificArgs { element, index }| -> Result<SpecificResult, DomainError> {
             let net = session.current_network()?;
             // Resolve the kind-relative index to a branch index.
-            let want_kind = if element == "line" {
-                BranchKind::Line
-            } else {
-                BranchKind::Transformer
+            let want_kind = match element {
+                ElementKind::Line => BranchKind::Line,
+                ElementKind::Trafo => BranchKind::Transformer,
             };
             let branch = net
                 .branches
@@ -400,7 +406,11 @@ pub fn analyze_specific_tool(session: SharedSession, _clock: VirtualClock) -> Fn
                 .ok_or_else(|| {
                     DomainError::new(
                         ErrorCode::UnknownElement,
-                        format!("{element} {index} does not exist in {}", net.name),
+                        format!(
+                            "{} {index} does not exist in {}",
+                            element.as_str(),
+                            net.name
+                        ),
                     )
                 })?;
             let opts = CaOptions::default();
@@ -440,9 +450,7 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
         "run_generator_contingency_analysis",
         "Simulate the outage of every in-service generating unit of the active case: slack \
          pickup, violations, and the units whose loss stresses the system most.",
-        Schema::object(vec![top_k_field(20, "entries to report (default 5)")]),
-        move |args| -> Result<UnitOutageReport, DomainError> {
-            let top_k = args.get("top_k").and_then(|v| v.as_u64()).unwrap_or(5) as usize;
+        move |args: GenN1Args| -> Result<UnitOutageReport, DomainError> {
             let net = session.current_network()?;
             let opts = CaOptions::default();
             let (base, degraded_caveat) = base_case(&session, &net, &opts)?;
@@ -462,17 +470,20 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
                 })
                 .collect();
             scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let ranking = scored.iter().take(top_k).map(|&(score, o)| UnitOutageRow {
-                gen: o.gen,
-                bus_id: o.bus_id,
-                lost_mw: o.lost_mw,
-                score,
-                converged: o.converged,
-                loses_reference: o.loses_reference,
-                n_violations: o.violations.len(),
-                slack_pickup_mw: o.slack_pickup_mw,
-                min_voltage_pu: o.min_vm.0,
-            });
+            let ranking = scored
+                .iter()
+                .take(args.top_k.unwrap_or(5))
+                .map(|&(score, o)| UnitOutageRow {
+                    gen: o.gen,
+                    bus_id: o.bus_id,
+                    lost_mw: o.lost_mw,
+                    score,
+                    converged: o.converged,
+                    loses_reference: o.loses_reference,
+                    n_violations: o.violations.len(),
+                    slack_pickup_mw: o.slack_pickup_mw,
+                    min_voltage_pu: o.min_vm.0,
+                });
             Ok(UnitOutageReport {
                 degraded: Degraded { degraded_caveat },
                 n_units: outcomes.len(),
@@ -490,8 +501,7 @@ pub fn get_contingency_status_tool(session: SharedSession, _clock: VirtualClock)
         "get_contingency_status",
         "Report whether a fresh contingency analysis exists for the current network state, \
          and summarize it.",
-        Schema::object(vec![]),
-        move |_args| -> Result<AnalysisStatus, DomainError> {
+        move |()| -> Result<AnalysisStatus, DomainError> {
             Ok(match session.fresh_contingency() {
                 Some(rep) => AnalysisStatus::Fresh(FreshAnalysis {
                     report: N1Report::new(&rep, 5, None),

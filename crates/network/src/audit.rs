@@ -8,6 +8,8 @@
 //!
 //! Rule classes (finding `code` in parentheses):
 //!
+//! - finiteness: every numeric field of every bus, load, generator,
+//!   branch and shunt is finite (`GM-NONFINITE`);
 //! - connectivity: the in-service graph must be a single island
 //!   (`GM-ISLAND`);
 //! - reference bus: exactly one slack (`GM-SLACK-NONE`,
@@ -27,7 +29,9 @@
 //! - operating point plausibility: scheduled voltages inside their
 //!   limits (`GM-VM-RANGE`).
 
-use crate::model::{BranchKind, BusKind, ModelError, Network};
+use crate::model::{
+    Branch, BranchKind, Bus, BusKind, GenCost, Generator, Load, ModelError, Network, Shunt,
+};
 use crate::topology;
 use serde::{Deserialize, Serialize};
 
@@ -125,6 +129,129 @@ impl Report {
     }
 }
 
+/// Reports each of `fields` of `element` that is NaN or infinite.
+fn check_finite(rep: &mut Report, element: impl Fn() -> String, fields: &[(&str, f64)]) {
+    for &(field, value) in fields {
+        if !value.is_finite() {
+            rep.push(
+                Severity::Error,
+                "GM-NONFINITE",
+                element(),
+                format!("{field} is {value}"),
+                Some(ModelError::NonFinite {
+                    element: element(),
+                    field: field.into(),
+                    value,
+                }),
+            );
+        }
+    }
+}
+
+/// The finiteness rule: every numeric field of every element. The
+/// elements are destructured without `..`, as in
+/// [`Network::content_hash`], so a new field does not compile until it
+/// is checked here.
+fn finiteness(net: &Network, rep: &mut Report) {
+    for bus in &net.buses {
+        let Bus {
+            id,
+            name: _,
+            kind: _,
+            vm_pu,
+            va_deg,
+            base_kv,
+            vmin_pu,
+            vmax_pu,
+            area: _,
+        } = bus;
+        let fields = [
+            ("vm_pu", *vm_pu),
+            ("va_deg", *va_deg),
+            ("base_kv", *base_kv),
+            ("vmin_pu", *vmin_pu),
+            ("vmax_pu", *vmax_pu),
+        ];
+        check_finite(rep, || format!("bus {id}"), &fields);
+    }
+    for (i, load) in net.loads.iter().enumerate() {
+        let Load {
+            bus: _,
+            p_mw,
+            q_mvar,
+            in_service: _,
+        } = load;
+        check_finite(
+            rep,
+            || format!("load {i}"),
+            &[("p_mw", *p_mw), ("q_mvar", *q_mvar)],
+        );
+    }
+    for (i, gen) in net.gens.iter().enumerate() {
+        let Generator {
+            bus: _,
+            p_mw,
+            q_mvar,
+            vm_setpoint_pu,
+            p_min_mw,
+            p_max_mw,
+            q_min_mvar,
+            q_max_mvar,
+            in_service: _,
+            cost: GenCost { c2, c1, c0 },
+        } = gen;
+        let fields = [
+            ("p_mw", *p_mw),
+            ("q_mvar", *q_mvar),
+            ("vm_setpoint_pu", *vm_setpoint_pu),
+            ("p_min_mw", *p_min_mw),
+            ("p_max_mw", *p_max_mw),
+            ("q_min_mvar", *q_min_mvar),
+            ("q_max_mvar", *q_max_mvar),
+            ("cost.c2", *c2),
+            ("cost.c1", *c1),
+            ("cost.c0", *c0),
+        ];
+        check_finite(rep, || format!("gen {i}"), &fields);
+    }
+    for (i, branch) in net.branches.iter().enumerate() {
+        let Branch {
+            from_bus: _,
+            to_bus: _,
+            r_pu,
+            x_pu,
+            b_pu,
+            tap,
+            shift_deg,
+            rating_mva,
+            in_service: _,
+            kind: _,
+        } = branch;
+        let fields = [
+            ("r_pu", *r_pu),
+            ("x_pu", *x_pu),
+            ("b_pu", *b_pu),
+            ("tap", *tap),
+            ("shift_deg", *shift_deg),
+            ("rating_mva", *rating_mva),
+        ];
+        check_finite(rep, || format!("branch {i}"), &fields);
+    }
+    for (i, shunt) in net.shunts.iter().enumerate() {
+        let Shunt {
+            bus: _,
+            g_mw,
+            b_mvar,
+            in_service: _,
+        } = shunt;
+        check_finite(
+            rep,
+            || format!("shunt {i}"),
+            &[("g_mw", *g_mw), ("b_mvar", *b_mvar)],
+        );
+    }
+}
+
 impl GridLint {
     /// Runs every rule and returns all findings, errors first.
     pub fn audit(&self, net: &Network) -> Vec<AuditFinding> {
@@ -148,6 +275,7 @@ impl GridLint {
     fn run(&self, net: &Network) -> Report {
         let mut rep = Report::default();
         let n = net.n_bus();
+        finiteness(net, &mut rep);
 
         // -- Identity: unique external bus ids.
         let mut ids: Vec<u32> = net.buses.iter().map(|b| b.id).collect();
@@ -416,7 +544,7 @@ impl GridLint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Branch, Bus, BusKind, GenCost, Generator, Load};
+    use crate::model::{Branch, Bus, BusKind, GenCost, Generator, Load, Shunt};
 
     fn two_bus() -> Network {
         let mut net = Network::new("audit-two-bus");
@@ -558,6 +686,48 @@ mod tests {
                 matches!(errs[..], [ModelError::BadBaseMva { .. }]),
                 "{value}: {errs:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_non_finite_field_of_any_element_is_an_error() {
+        type Spoil = fn(&mut Network, f64);
+        let spoils: [(&str, &str, Spoil); 5] = [
+            ("bus 2", "va_deg", |n, v| n.buses[1].va_deg = v),
+            ("load 0", "q_mvar", |n, v| n.loads[0].q_mvar = v),
+            ("gen 0", "cost.c1", |n, v| n.gens[0].cost.c1 = v),
+            ("branch 0", "rating_mva", |n, v| {
+                n.branches[0].rating_mva = v
+            }),
+            ("shunt 0", "b_mvar", |n, v| n.shunts[0].b_mvar = v),
+        ];
+        for (element, field, spoil) in spoils {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut net = two_bus();
+                net.shunts.push(Shunt {
+                    bus: 1,
+                    g_mw: 0.0,
+                    b_mvar: 5.0,
+                    in_service: true,
+                });
+                assert!(net.validate().is_ok());
+                spoil(&mut net, value);
+                let f = GridLint::default().audit(&net);
+                assert_eq!(f[0].code, "GM-NONFINITE", "{element}.{field}: {f:?}");
+                assert_eq!(f[0].entity, element);
+                let errs = net.validate().unwrap_err();
+                match &errs[0] {
+                    ModelError::NonFinite {
+                        element: e,
+                        field: f,
+                        value: v,
+                    } => {
+                        assert_eq!((e.as_str(), f.as_str()), (element, field));
+                        assert_eq!(v.to_bits(), value.to_bits());
+                    }
+                    other => panic!("{element}.{field}: {other:?}"),
+                }
+            }
         }
     }
 

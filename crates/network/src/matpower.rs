@@ -31,6 +31,23 @@ fn err(message: impl Into<String>) -> MatpowerError {
     }
 }
 
+/// Column `col` (0-based) of row `row` of `mpc.<name>` as the
+/// integer it must be. A non-integral, negative, non-finite or
+/// out-of-range value is an error naming the matrix, row and column:
+/// truncating it would invent an id, type, status or count the file does
+/// not state.
+fn int(rows: &[Vec<f64>], name: &str, row: usize, col: usize) -> Result<u32, MatpowerError> {
+    let v = rows[row][col];
+    if v.is_finite() && v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) {
+        Ok(v as u32)
+    } else {
+        Err(err(format!(
+            "mpc.{name} row {row} column {}: {v} is not a non-negative integer",
+            col + 1
+        )))
+    }
+}
+
 /// Extracts the numeric rows of `mpc.<name> = [ ... ];`.
 fn matrix(text: &str, name: &str) -> Result<Vec<Vec<f64>>, MatpowerError> {
     let needle = format!("mpc.{name}");
@@ -100,12 +117,12 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
     net.base_mva = base_mva;
 
     let mut index_of: HashMap<u32, usize> = HashMap::new();
-    for row in &bus_rows {
+    for (ri, row) in bus_rows.iter().enumerate() {
         if row.len() < 13 {
             return Err(err(format!("bus row needs 13 columns, got {}", row.len())));
         }
-        let id = row[0] as u32;
-        let kind = match row[1] as u32 {
+        let id = int(&bus_rows, "bus", ri, 0)?;
+        let kind = match int(&bus_rows, "bus", ri, 1)? {
             3 => BusKind::Slack,
             2 => BusKind::Pv,
             1 | 4 => BusKind::Pq, // type 4 (isolated) kept as PQ; validation will flag islands
@@ -121,7 +138,7 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
             base_kv: row[9],
             vmin_pu: row[12],
             vmax_pu: row[11],
-            area: row[6] as u32,
+            area: int(&bus_rows, "bus", ri, 6)?,
         });
         let (pd, qd) = (row[2], row[3]);
         if pd != 0.0 || qd != 0.0 {
@@ -149,27 +166,28 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
         if row.len() < 10 {
             return Err(err(format!("gen row {gi} needs 10 columns")));
         }
-        let bus_id = row[0] as u32;
+        let bus_id = int(&gen_rows, "gen", gi, 0)?;
         let bus = *index_of
             .get(&bus_id)
             .ok_or_else(|| err(format!("gen {gi}: unknown bus {bus_id}")))?;
-        let cost = match cost_rows.as_ref().and_then(|c| c.get(gi)) {
+        let cost = match cost_rows.as_ref().filter(|c| gi < c.len()) {
             None => GenCost {
                 c2: 0.01,
                 c1: 20.0,
                 c0: 0.0,
             },
-            Some(c) => {
+            Some(cost_rows) => {
+                let c = &cost_rows[gi];
                 if c.len() < 4 {
                     return Err(err(format!("gencost row {gi} too short")));
                 }
-                let model = c[0] as u32;
+                let model = int(cost_rows, "gencost", gi, 0)?;
                 if model != 2 {
                     return Err(err(format!(
                         "gencost row {gi}: only polynomial (model 2) supported, got {model}"
                     )));
                 }
-                let n = c[3] as usize;
+                let n = int(cost_rows, "gencost", gi, 3)? as usize;
                 let coeffs = &c[4..];
                 if coeffs.len() < n {
                     return Err(err(format!("gencost row {gi}: {n} coefficients expected")));
@@ -212,7 +230,7 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
             p_max_mw: row[8],
             q_min_mvar: row[4],
             q_max_mvar: row[3],
-            in_service: row[7] > 0.0,
+            in_service: int(&gen_rows, "gen", gi, 7)? > 0,
             cost,
         });
     }
@@ -221,8 +239,8 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
         if row.len() < 11 {
             return Err(err(format!("branch row {bi} needs 11 columns")));
         }
-        let f_id = row[0] as u32;
-        let t_id = row[1] as u32;
+        let f_id = int(&branch_rows, "branch", bi, 0)?;
+        let t_id = int(&branch_rows, "branch", bi, 1)?;
         let from_bus = *index_of
             .get(&f_id)
             .ok_or_else(|| err(format!("branch {bi}: unknown bus {f_id}")))?;
@@ -241,7 +259,7 @@ pub fn parse_matpower(text: &str, name: &str) -> Result<Network, MatpowerError> 
             tap: if tap_raw == 0.0 { 1.0 } else { tap_raw },
             shift_deg: shift,
             rating_mva: row[5],
-            in_service: row[10] > 0.0,
+            in_service: int(&branch_rows, "branch", bi, 10)? > 0,
             kind: if is_trafo {
                 BranchKind::Transformer
             } else {
@@ -346,6 +364,55 @@ mod tests {
         );
         let e = parse_matpower(&text, "x").unwrap_err();
         assert!(e.message.contains("polynomial"));
+    }
+
+    #[test]
+    fn integer_columns_are_checked_not_truncated() {
+        // (original row text, replacement, matrix, row, column)
+        let bad = [
+            // Bus id 8.5 used to become a second bus 8, and the import
+            // then failed on "branch 7: unknown bus 9".
+            ("\t9\t1\t125", "\t8.5\t1\t125", "mpc.bus row 8 column 1"),
+            // Bus type 1.7 used to be accepted as PQ.
+            ("\t9\t1\t125", "\t9\t1.7\t125", "mpc.bus row 8 column 2"),
+            (
+                "\t50\t0\t0\t1\t1\t0",
+                "\t50\t0\t0\t-1\t1\t0",
+                "mpc.bus row 8 column 7",
+            ),
+            ("\t3\t85\t", "\t3.25\t85\t", "mpc.gen row 2 column 1"),
+            (
+                "\t-10.95\t300\t-300\t1\t100\t1",
+                "\t-10.95\t300\t-300\t1\t100\t0.5",
+                "mpc.gen row 2 column 8",
+            ),
+            (
+                "\t9\t4\t0.01",
+                "\t9\t4.5\t0.01",
+                "mpc.branch row 8 column 2",
+            ),
+            (
+                "\t0.176\t250\t250\t250\t0\t0\t1",
+                "\t0.176\t250\t250\t250\t0\t0\tInf",
+                "mpc.branch row 8 column 11",
+            ),
+            (
+                "\t2\t3000\t0\t3",
+                "\t2.5\t3000\t0\t3",
+                "mpc.gencost row 2 column 1",
+            ),
+            (
+                "\t2\t3000\t0\t3",
+                "\t2\t3000\t0\tNaN",
+                "mpc.gencost row 2 column 4",
+            ),
+        ];
+        for (from, to, place) in bad {
+            assert!(CASE9.contains(from), "{from:?}");
+            let text = CASE9.replacen(from, to, 1);
+            let e = parse_matpower(&text, "x").unwrap_err();
+            assert!(e.message.starts_with(place), "{to:?}: {}", e.message);
+        }
     }
 
     #[test]

@@ -261,6 +261,15 @@ pub enum ModelError {
         /// Number of connected components.
         components: usize,
     },
+    /// A numeric field of an element is NaN or infinite.
+    NonFinite {
+        /// Element description (e.g. "load 3").
+        element: String,
+        /// The field's name (e.g. "p_mw").
+        field: String,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -289,6 +298,11 @@ impl std::fmt::Display for ModelError {
             ModelError::Islanded { components } => {
                 write!(f, "in-service network splits into {components} islands")
             }
+            ModelError::NonFinite {
+                element,
+                field,
+                value,
+            } => write!(f, "{element} has a non-finite {field}: {value}"),
         }
     }
 }

@@ -259,7 +259,7 @@ proptest! {
         flag in any::<bool>(),
     ) {
         let schema = Schema::object(vec![
-            gm_agents::Field::required("x", Schema::number_range(0.0, 10.0), ""),
+            gm_agents::Field::required("x", Schema::number().within(&(0.0..=10.0)), ""),
             gm_agents::Field::optional("tag", Schema::string_enum(&["a", "b"]), ""),
         ]);
         for v in [

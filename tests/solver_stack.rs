@@ -282,6 +282,49 @@ fn matpower_case9_opf_matches_published_objective() {
 }
 
 #[test]
+fn case14_newton_reproduces_the_published_pstca_solution() {
+    // External ground truth: the bus lines of the case14 text carry the
+    // PSTCA solved point (|V|, angle) and gen 1 carries the published
+    // slack output, 232.4 MW. The network holds them as parsed; a
+    // flat-start Newton (the default) never reads them.
+    let net = cases::load(CaseId::Ieee14);
+    let published = |id: u32| {
+        let b = &net.buses[net.bus_index(id).unwrap()];
+        (b.vm_pu, b.va_deg)
+    };
+    assert_eq!(published(14), (1.036, -16.04), "not the PSTCA bus lines");
+    assert_eq!(net.gens[0].p_mw, 232.4);
+    let rep = solve(&net, &PfOptions::default()).unwrap();
+    for solved in &rep.buses {
+        let (vm, va) = published(solved.id);
+        assert!(
+            (solved.vm_pu - vm).abs() <= 2e-3 && (solved.va_deg - va).abs() <= 0.05,
+            "bus {}: solved {:.4} p.u. {:.3}° vs published {vm} p.u. {va}°",
+            solved.id,
+            solved.vm_pu,
+            solved.va_deg
+        );
+    }
+    let slack_p = rep.gens[0].p_mw;
+    assert!((slack_p - 232.4).abs() <= 0.1, "slack P {slack_p:.2} MW");
+}
+
+#[test]
+fn a_non_finite_load_is_an_invalid_network_not_a_divergence() {
+    // Bus 9's Pd as NaN used to import, validate and reach Newton, which
+    // reported "diverged after 1 iterations (mismatch NaN p.u.)" — a
+    // not-converged failure the recovery ladder would descend on.
+    let text = gm_network::SAMPLE_CASE9.replace("\t9\t1\t125\t", "\t9\t1\tNaN\t");
+    let net = gm_network::parse_matpower(&text, "WSCC 9-bus, NaN load").unwrap();
+    match solve(&net, &PfOptions::default()) {
+        Err(gm_powerflow::PfError::InvalidNetwork { problems }) => {
+            assert_eq!(problems, ["load 2 has a non-finite p_mw: NaN"]);
+        }
+        other => panic!("expected InvalidNetwork, got {other:?}"),
+    }
+}
+
+#[test]
 fn all_cases_full_stack_smoke() {
     // Every case: PF converges, ACOPF solves, DC flows balance.
     for id in CaseId::ALL {

@@ -121,8 +121,9 @@ fn a_nan_in_a_result_is_invalid_output_and_narrates_as_a_failure() {
     tools.register(FnTool::new(
         "solve_acopf_case",
         "a solver whose cost came out NaN",
-        Schema::Any,
-        move |_| -> Result<SolveResult, ToolError> { Ok(spoiled.clone()) },
+        move |_: gridmind_core::tools_acopf::CaseChoice| -> Result<SolveResult, ToolError> {
+            Ok(spoiled.clone())
+        },
     ));
     let err = tools.invoke("solve_acopf_case", &json!({})).unwrap_err();
     match &err {
