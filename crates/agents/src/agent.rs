@@ -9,7 +9,7 @@
 //! errors so it can take the automatic recovery path (§3.2.1).
 
 use crate::clock::VirtualClock;
-use crate::llm::{LanguageModel, TokenUsage, TurnAction};
+use crate::llm::{LanguageModel, TokenUsage, ToolCall, TurnAction};
 use crate::memory::{AgentMemory, Role};
 use crate::tool::{ToolFailure, ToolRegistry};
 use crate::wire::Wire;
@@ -146,7 +146,7 @@ impl Agent {
         self.memory.prune_to(32_000);
         self.memory.push(Role::User, input, t_start);
 
-        let mut pending: Vec<(String, Value)> = Vec::new();
+        let mut pending: Vec<(ToolCall, Value)> = Vec::new();
         let mut reasoning: Vec<String> = Vec::new();
         let mut tool_calls: Vec<TurnToolCall> = Vec::new();
         let mut validation: Vec<(String, ValidationIssue)> = Vec::new();
@@ -156,7 +156,6 @@ impl Agent {
             let (turn, latency, usage) = {
                 let mut view = self.memory.view(input);
                 view.pending_results = &pending;
-                view.round = round;
                 self.llm.next_turn(&view)
             };
             self.clock.advance(latency);
@@ -195,12 +194,12 @@ impl Agent {
                                 let now = self.clock.now();
                                 self.memory
                                     .push(Role::Tool, format!("{} -> ok", call.tool), now);
-                                pending.push((call.tool.clone(), result));
                                 tool_calls.push(TurnToolCall {
-                                    tool: call.tool,
+                                    tool: call.tool.clone(),
                                     ok: true,
                                     error: None,
                                 });
+                                pending.push((call, result));
                             }
                             Err(e) => {
                                 let now = self.clock.now();
@@ -209,15 +208,15 @@ impl Agent {
                                     format!("{} -> error: {e}", call.tool),
                                     now,
                                 );
-                                // Surface the failure to the planner as a
-                                // structured pending result so it can take
-                                // the recovery path.
-                                pending.push((call.tool.clone(), ToolFailure::from(&e).to_wire()));
                                 tool_calls.push(TurnToolCall {
-                                    tool: call.tool,
+                                    tool: call.tool.clone(),
                                     ok: false,
                                     error: Some(e.to_string()),
                                 });
+                                // Surface the failure to the planner as a
+                                // structured pending result so it can take
+                                // the recovery path.
+                                pending.push((call, ToolFailure::from(&e).to_wire()));
                             }
                         }
                     }
@@ -270,7 +269,7 @@ mod tests {
     struct DoublePlanner;
     impl Planner for DoublePlanner {
         fn plan(&self, view: &ConversationView, _style: AnalysisStyle) -> ModelTurn {
-            match view.last_result() {
+            match view.transitions().last() {
                 // Recovery path: retry with a safe argument.
                 Some((_, Err(_))) => {
                     return ModelTurn {

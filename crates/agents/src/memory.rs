@@ -6,6 +6,7 @@
 //! in actual state rather than recollection. Everything here serializes,
 //! giving the session persistence of §3.4.
 
+use crate::llm::ToolCall;
 use crate::tool::ToolFailure;
 use crate::wire::Wire;
 use serde::{Deserialize, Serialize};
@@ -92,7 +93,6 @@ impl AgentMemory {
             messages: &self.messages,
             context: &self.context,
             pending_results: &[],
-            round: 0,
         }
     }
 
@@ -161,12 +161,10 @@ pub struct ConversationView<'a> {
     pub messages: &'a [Message],
     /// Structured context artifacts.
     pub context: &'a BTreeMap<String, Value>,
-    /// Results of tool calls made earlier in this same turn, lent by the
-    /// agent loop: `(tool name, result)`, where a failed call's result is
-    /// a [`ToolFailure`] on the wire.
-    pub pending_results: &'a [(String, Value)],
-    /// Plan-invoke round within the current turn (0 = first).
-    pub round: usize,
+    /// The turn's transition list, lent by the agent loop: each tool call
+    /// made earlier in this same turn and its result, where a failed
+    /// call's result is a [`ToolFailure`] on the wire.
+    pub pending_results: &'a [(ToolCall, Value)],
 }
 
 impl<'a> ConversationView<'a> {
@@ -179,9 +177,9 @@ impl<'a> ConversationView<'a> {
             s.push('\n');
             s.push_str(&m.content);
         }
-        for (tool, result) in self.pending_results {
+        for (call, result) in self.pending_results {
             s.push('\n');
-            s.push_str(tool);
+            s.push_str(&call.tool);
             s.push_str(&result.to_string());
         }
         s.push('\n');
@@ -194,17 +192,20 @@ impl<'a> ConversationView<'a> {
         self.context.get(key)
     }
 
-    /// The latest pending result: the tool, and either what it returned
-    /// or the failure that stands in its place.
-    pub fn last_result(&self) -> Option<(&'a str, Result<&'a Value, ToolFailure>)> {
-        let (tool, result) = self.pending_results.last()?;
-        Some((
-            tool.as_str(),
-            match ToolFailure::from_wire(result) {
-                Ok(failure) => Err(failure),
-                Err(_) => Ok(result),
-            },
-        ))
+    /// The turn's transitions in order: each call, and either what it
+    /// returned or the failure that stands in its place.
+    pub fn transitions(
+        &self,
+    ) -> impl Iterator<Item = (&'a ToolCall, Result<&'a Value, ToolFailure>)> {
+        self.pending_results.iter().map(|(call, result)| {
+            (
+                call,
+                match ToolFailure::from_wire(result) {
+                    Ok(failure) => Err(failure),
+                    Err(_) => Ok(result),
+                },
+            )
+        })
     }
 }
 
@@ -291,18 +292,29 @@ mod tests {
     fn pending_results_lookup() {
         let m = AgentMemory::new("a", "p");
         let mut v = m.view("x");
-        assert!(v.last_result().is_none());
+        assert!(v.transitions().last().is_none());
+        let call = |tool: &str| ToolCall {
+            tool: tool.into(),
+            args: json!({"bus_id": 10}),
+        };
         let pending = [
-            ("solve".to_string(), json!({"ok": true})),
-            ("modify".to_string(), json!({"error": "no case loaded"})),
+            (call("solve"), json!({"ok": true})),
+            (call("modify"), json!({"error": "no case loaded"})),
         ];
         v.pending_results = &pending[..1];
-        let (tool, result) = v.last_result().unwrap();
-        assert_eq!((tool, result.unwrap()), ("solve", &json!({"ok": true})));
+        let (first, result) = v.transitions().last().unwrap();
+        assert_eq!(
+            (first, result.unwrap()),
+            (&call("solve"), &json!({"ok": true}))
+        );
         // Latest wins, and a failure object reads back as a failure.
         v.pending_results = &pending;
-        let (tool, result) = v.last_result().unwrap();
-        assert_eq!(tool, "modify");
+        let (last, result) = v.transitions().last().unwrap();
+        assert_eq!(last, &call("modify"));
         assert_eq!(result.unwrap_err().error, "no case loaded");
+        // The prompt renders a transition as the tool name and its result.
+        assert!(v
+            .rendered_prompt()
+            .contains("\nsolve{\"ok\":true}\nmodify{"));
     }
 }

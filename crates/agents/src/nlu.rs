@@ -215,26 +215,32 @@ pub fn extract_entities(utterance: &str) -> Entities {
     e
 }
 
-/// A keyword intent rule.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A keyword intent rule. Its words are `'static`, so a rule table is a
+/// `static` built once, not per classification.
+#[derive(Clone, Copy, Debug)]
 pub struct IntentRule {
     /// Intent name.
-    pub name: String,
+    pub name: &'static str,
     /// Keywords: any match contributes score; more matches = higher.
-    pub keywords: Vec<String>,
+    pub keywords: &'static [&'static str],
     /// Strong keywords that double-weight.
-    pub strong: Vec<String>,
+    pub strong: &'static [&'static str],
     /// Base score offset (to bias common intents).
     pub bias: f64,
 }
 
 impl IntentRule {
     /// Builds a rule.
-    pub fn new(name: &str, keywords: &[&str], strong: &[&str], bias: f64) -> IntentRule {
+    pub const fn new(
+        name: &'static str,
+        keywords: &'static [&'static str],
+        strong: &'static [&'static str],
+        bias: f64,
+    ) -> IntentRule {
         IntentRule {
-            name: name.into(),
-            keywords: keywords.iter().map(|s| s.to_string()).collect(),
-            strong: strong.iter().map(|s| s.to_string()).collect(),
+            name,
+            keywords,
+            strong,
             bias,
         }
     }
@@ -242,9 +248,9 @@ impl IntentRule {
     fn score(&self, tokens: &[Token]) -> f64 {
         let mut s = self.bias;
         for t in tokens {
-            if self.strong.iter().any(|k| t.text.contains(k.as_str())) {
+            if self.strong.iter().any(|k| t.text.contains(k)) {
                 s += 2.0;
-            } else if self.keywords.iter().any(|k| t.text.contains(k.as_str())) {
+            } else if self.keywords.iter().any(|k| t.text.contains(k)) {
                 s += 1.0;
             }
         }
@@ -277,7 +283,7 @@ pub fn classify(utterance: &str, rules: &[IntentRule]) -> Option<IntentMatch> {
         }
         let total: f64 = scores.iter().map(|s| s.max(0.0)).sum();
         Some(IntentMatch {
-            intent: rules[best_idx].name.clone(),
+            intent: rules[best_idx].name.to_string(),
             confidence: (best / total.max(best)).clamp(0.0, 1.0),
         })
     })();

@@ -16,6 +16,39 @@ use gm_agents::{
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 
+/// The planner agent's routing rules.
+static ROUTING: [IntentRule; 2] = [
+    IntentRule::new(
+        "acopf",
+        &[
+            "solve", "opf", "dispatch", "cost", "load", "modify", "increase", "decrease",
+            "economic", "optimal", "status", "set", "limit",
+        ],
+        &["acopf"],
+        0.05,
+    ),
+    IntentRule::new(
+        "contingency",
+        &[
+            "n-1",
+            "t-1",
+            "outage",
+            "reliability",
+            "critical",
+            "vulnerab",
+            "reinforce",
+            "violation",
+            "lose",
+            "losing",
+            "trip",
+            "unit",
+            "generator",
+        ],
+        &["contingency", "contingencies"],
+        0.0,
+    ),
+];
+
 /// Which domain agent a request (segment) is routed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AgentKind {
@@ -126,44 +159,9 @@ impl GridMind {
         &self.metrics
     }
 
-    /// The planner agent's routing rules.
-    fn routing_rules() -> Vec<IntentRule> {
-        vec![
-            IntentRule::new(
-                "acopf",
-                &[
-                    "solve", "opf", "dispatch", "cost", "load", "modify", "increase", "decrease",
-                    "economic", "optimal", "status", "set", "limit",
-                ],
-                &["acopf"],
-                0.05,
-            ),
-            IntentRule::new(
-                "contingency",
-                &[
-                    "n-1",
-                    "t-1",
-                    "outage",
-                    "reliability",
-                    "critical",
-                    "vulnerab",
-                    "reinforce",
-                    "violation",
-                    "lose",
-                    "losing",
-                    "trip",
-                    "unit",
-                    "generator",
-                ],
-                &["contingency", "contingencies"],
-                0.0,
-            ),
-        ]
-    }
-
     /// Routes one request segment (the planner agent's decision).
     pub fn route(request: &str) -> AgentKind {
-        match classify(request, &Self::routing_rules()) {
+        match classify(request, &ROUTING) {
             Some(m) if m.intent == "contingency" => AgentKind::Contingency,
             _ => AgentKind::Acopf,
         }
@@ -412,5 +410,282 @@ mod tests {
         assert!(m.tokens.total() > 50);
         assert_eq!(m.model, "GPT-o3");
         assert!(m.completed);
+    }
+}
+
+/// Number provenance: every number in an answer is formatted from the
+/// turn's own tool results or failure messages, never invented.
+#[cfg(test)]
+mod number_provenance {
+    use super::*;
+    use gm_agents::{AgentResponse, InvocationRecord};
+    use gm_faults::{FaultInjector, FaultKind, FaultRule};
+    use serde_json::Value;
+
+    /// Numbers the narration templates state themselves.
+    const TEMPLATE_LITERALS: &[&str] = &["(14, 30, 57, 118, or 300 bus)", "N-1"];
+
+    /// The numbers written in `text`: a run of digits with at most one
+    /// inner `.`, not glued to a name before it (`case14`, `run_n1` are
+    /// names), and whether it opens its line.
+    fn numbers(text: &str) -> Vec<(&str, bool)> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            let glued = i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
+            if !bytes[i].is_ascii_digit() || glued {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
+                i += 1;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+            }
+            let line_start = text[..start].rfind('\n').map_or(0, |n| n + 1);
+            out.push((&text[start..i], text[line_start..start].trim().is_empty()));
+        }
+        out
+    }
+
+    /// The numbers a turn's tool results and failure messages carry: JSON
+    /// numbers as values, numbers written in strings as written.
+    #[derive(Default)]
+    struct Sources {
+        values: Vec<f64>,
+        written: Vec<String>,
+    }
+
+    impl Sources {
+        fn collect(&mut self, value: &Value) {
+            match value {
+                Value::Number(n) => self.values.extend(n.as_f64()),
+                Value::String(s) => self.add_text(s),
+                Value::Array(items) => items.iter().for_each(|v| self.collect(v)),
+                Value::Object(map) => map.values().for_each(|v| self.collect(v)),
+                _ => {}
+            }
+        }
+
+        fn add_text(&mut self, text: &str) {
+            self.written
+                .extend(numbers(text).into_iter().map(|(n, _)| n.to_string()));
+        }
+
+        /// The results and failures of one turn's calls.
+        fn of(records: &[InvocationRecord], reply: &AgentResponse) -> Sources {
+            let mut out = Sources::default();
+            for result in records.iter().filter_map(|r| r.result.as_ref()) {
+                out.collect(result);
+            }
+            for error in reply.tool_calls.iter().filter_map(|c| c.error.as_ref()) {
+                out.add_text(error);
+            }
+            out
+        }
+
+        /// Whether `number` is one of these, as the answer writes it: a
+        /// value at the answer's precision, or a number written the same.
+        fn has(&self, number: &str) -> bool {
+            let precision = number.split_once('.').map_or(0, |(_, frac)| frac.len());
+            self.written.iter().any(|w| w == number)
+                || (self.values.iter()).any(|v| format!("{:.precision$}", v.abs()) == number)
+        }
+    }
+
+    /// The numbers of `answer` no source has. A line-opening integer is a
+    /// ranking ordinal (`rank + 1`) and needs no source.
+    fn orphans(answer: &str, sources: &Sources) -> Vec<String> {
+        let mut text = answer.to_string();
+        for literal in TEMPLATE_LITERALS {
+            text = text.replace(literal, "");
+        }
+        let ordinal = |n: &str, opens_line: bool| opens_line && !n.contains('.');
+        numbers(&text)
+            .into_iter()
+            .filter(|&(n, opens_line)| !ordinal(n, opens_line) && !sources.has(n))
+            .map(|(n, _)| n.to_string())
+            .collect()
+    }
+
+    /// A turn's answer and the numbers its sources carry.
+    type Answer = (String, Sources);
+
+    /// Each answer of `dialogue`, asked in a fresh session.
+    fn ask_all(dialogue: &[&str]) -> Vec<Answer> {
+        let mut gm = GridMind::new(ModelProfile::by_name("GPT-5").unwrap());
+        let mut out = Vec::new();
+        for utterance in dialogue {
+            let before = (
+                gm.acopf.tools.invocation_count(),
+                gm.ca.tools.invocation_count(),
+            );
+            let reply = gm.ask(utterance);
+            for (step, turn) in reply.steps.iter().zip(&reply.responses) {
+                let (agent, seen) = match step.agent {
+                    AgentKind::Acopf => (&gm.acopf, before.0),
+                    AgentKind::Contingency => (&gm.ca, before.1),
+                };
+                let mut records = agent.tools.provenance();
+                records.retain(|r| r.seq > seen);
+                out.push((turn.text.clone(), Sources::of(&records, turn)));
+            }
+        }
+        out
+    }
+
+    /// Asserts no answer has an orphan; returns how many numbers were
+    /// checked.
+    fn assert_no_orphans(answers: &[Answer]) -> usize {
+        let mut checked = 0;
+        for (text, sources) in answers {
+            let orphans = orphans(text, sources);
+            assert!(
+                orphans.is_empty(),
+                "{orphans:?} match no tool result:\n{text}"
+            );
+            checked += numbers(text).len();
+        }
+        checked
+    }
+
+    /// The scripted dialogues of `tests/answer_text.rs`.
+    const DIALOGUES: &[&[&str]] = &[
+        &[
+            "what is the current status",
+            "solve case30",
+            "set the load at bus 10 to 50 MW",
+            "limit the generator at bus 2 to between 10 and 60 MW",
+            "show the current status",
+            "solve the security-constrained dispatch",
+            "sweep the load from 80% to 120% in 5 steps",
+            "sweep the load at bus 9 from 50% to 150% in 3 steps",
+            "run an hourly study across the day",
+            "run the n-1 contingency analysis",
+            "analyze the outage of line 3",
+            "analyze the outage of line 30",
+            "what happens if we lose each generator unit",
+            "show the contingency status summary",
+            "analyze the outage of line 999",
+            "set the load at bus 999 to 5 MW",
+            "limit the generator at bus 10 to between 10 and 60 MW",
+            "solve case9000",
+        ],
+        &["set the load at bus 10 of case14 to 50 MW"],
+        &["analyze the outage of line 3 in case14"],
+        &["what happens if we lose each generator unit in case14"],
+        &["limit the generator at bus 2 of case14 to between 10 and 60 MW"],
+        &[
+            "set the load at bus 10 to 50 MW",
+            "analyze the outage of line 3",
+            "show the contingency status summary",
+        ],
+        &[
+            "run the n-1 contingency analysis on case14",
+            "set the load at bus 10 to 50 MW",
+        ],
+    ];
+
+    #[test]
+    fn every_number_in_a_scripted_answer_comes_from_a_tool() {
+        let mut checked = 0;
+        for dialogue in DIALOGUES {
+            checked += assert_no_orphans(&ask_all(dialogue));
+        }
+        // The degraded answers, each with its fallback's caveat.
+        let inj = FaultInjector::scripted(vec![
+            FaultRule::new("acopf.ipm", FaultKind::IpmStall, 0, 1),
+            FaultRule::new("pf.base", FaultKind::NewtonDiverge, 0, 1),
+        ]);
+        let _g = inj.install();
+        checked += assert_no_orphans(&ask_all(&[
+            "solve case14",
+            "run the n-1 contingency analysis",
+        ]));
+        assert!(checked > 400, "only {checked} numbers checked");
+    }
+
+    #[test]
+    fn every_number_in_a_failure_answer_comes_from_a_tool() {
+        // The failure-class utterances of `tests/agent_metamorphic.rs`,
+        // each in its own session.
+        let loaded = || {
+            let s = SessionContext::new();
+            s.load_case("case14").unwrap();
+            s
+        };
+        let without_slack = || {
+            let mut blob = loaded().save();
+            for key in ["base", "current"] {
+                for bus in blob[key]["buses"].as_array_mut().unwrap() {
+                    if bus["kind"] == json!("Slack") {
+                        bus["kind"] = json!("Pq");
+                    }
+                }
+            }
+            SessionContext::restore(&blob).unwrap()
+        };
+        let cases: Vec<(SharedSession, &str)> = vec![
+            (SessionContext::new(), "set the load at bus 10 to 50 MW"),
+            (
+                SessionContext::new(),
+                "set the load at bus 10 of case14 to 50 MW",
+            ),
+            (
+                SessionContext::new(),
+                "analyze the outage of line 3 in case14",
+            ),
+            (SessionContext::new(), "solve case9000"),
+            (loaded(), "set the load at bus 999 to 5 MW"),
+            (
+                loaded(),
+                "sweep the load at bus 999 from 50% to 150% in 3 steps",
+            ),
+            (loaded(), "analyze the outage of line 999"),
+            (
+                loaded(),
+                "limit the generator at bus 10 to between 10 and 60 MW",
+            ),
+            (loaded(), "set the load at bus 10 to 500000 MW"),
+            (loaded(), "limit the generator at bus 2 between 2 and 2"),
+            (loaded(), "set the load at bus 10 to 90000 MW"),
+            (without_slack(), "solve case14"),
+            (without_slack(), "run the n-1 contingency analysis"),
+        ];
+        let profile = ModelProfile::by_name("GPT-5").unwrap();
+        let mut answers = Vec::new();
+        for (session, utterance) in cases {
+            let clock = VirtualClock::new();
+            let mut agent = match GridMind::route(utterance) {
+                AgentKind::Acopf => build_acopf_agent(profile.clone(), session, clock),
+                AgentKind::Contingency => build_ca_agent(profile.clone(), session, clock),
+            };
+            let reply = agent.handle(utterance);
+            answers.push((
+                reply.text.clone(),
+                Sources::of(&agent.tools.provenance(), &reply),
+            ));
+        }
+        assert!(assert_no_orphans(&answers) > 20);
+    }
+
+    #[test]
+    fn a_changed_digit_is_an_orphan() {
+        let answers = ask_all(&["solve case30"]);
+        let (text, sources) = &answers[0];
+        assert!(orphans(text, sources).is_empty());
+        // "Objective value (generation cost): 576.89 $/h" → "… 576.80 $/h".
+        let cost = text.split("generation cost): ").nth(1).unwrap();
+        let cost = &cost[..cost.find(' ').unwrap()];
+        let last = cost.chars().last().unwrap().to_digit(10).unwrap();
+        let changed = format!("{}{}", &cost[..cost.len() - 1], (last + 1) % 10);
+        let forged = text.replacen(cost, &changed, 1);
+        assert_eq!(orphans(&forged, sources), vec![changed]);
     }
 }

@@ -2,14 +2,25 @@
 //!
 //! These implement [`gm_agents::Planner`]: the intent parsing, tool-call
 //! planning, recovery, and narration the paper delegates to the remote
-//! LLM. The plan shapes mirror the paper's numbered reasoning traces
-//! ("1. (understand the case to be solved) -> reasoning … 4. (invoke
-//! ACOPF solver) -> function tools …"), and every number in a narration is
-//! read from a pending tool result — never invented. A pending result is
-//! lifted once into the type its tool declared
-//! ([`tool_output!`](gm_agents::tool_output)); one that does not lift is
-//! narrated as a failure, and recovery keys on the failure's
-//! [`ErrorCode`], never on its text.
+//! LLM, in the shape of the paper's numbered reasoning traces. One driver
+//! runs both agents as a state machine (DESIGN.md §5j): it folds the
+//! turn's transitions into a `Step` and reads the agent's `Table`.
+//! Every number in a narration is read from a tool result lifted once
+//! into the type its tool declared ([`tool_output!`](gm_agents::tool_output));
+//! one that does not lift is narrated as a failure, and recovery keys on
+//! the failure's [`ErrorCode`], never on its text.
+
+// The planner is panic-free outside tests: the utterance is outside
+// input, so what it yields is read with `first()` / `get`, never `[i]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::recovery::Degraded;
 use crate::tools_acopf::{
@@ -23,31 +34,30 @@ use crate::tools_ca::{
 };
 use gm_agents::{
     classify, extract_entities, AnalysisStyle, ConversationView, Entities, ErrorCode, IntentRule,
-    ModelTurn, Planner, ToolCall, ToolFailure, TurnAction, Wire,
+    ModelTurn, Planner, ToolCall, TurnAction, Wire,
 };
 use serde_json::Value;
 
-fn steps(reasoning: &[&str]) -> Vec<String> {
-    reasoning.iter().map(|s| s.to_string()).collect()
+fn turn(reasoning: &[&str], action: TurnAction) -> ModelTurn {
+    let reasoning = reasoning.iter().map(|s| s.to_string()).collect();
+    ModelTurn { reasoning, action }
 }
 
 /// A turn that finishes with `text`.
 fn respond(reasoning: &[&str], text: String) -> ModelTurn {
-    ModelTurn {
-        reasoning: steps(reasoning),
-        action: TurnAction::Respond(text),
-    }
+    turn(reasoning, TurnAction::Respond(text))
 }
 
 /// A turn that invokes one tool with its declared arguments.
 fn call(reasoning: &[&str], tool: &str, args: impl Wire) -> ModelTurn {
-    ModelTurn {
-        reasoning: steps(reasoning),
-        action: TurnAction::Calls(vec![ToolCall {
-            tool: tool.into(),
+    let tool = tool.into();
+    turn(
+        reasoning,
+        TurnAction::Calls(vec![ToolCall {
+            tool,
             args: args.to_wire(),
         }]),
-    }
+    )
 }
 
 /// The case a request is about: the one it names, else the session's.
@@ -58,12 +68,6 @@ fn known_case(view: &ConversationView, ents: &Entities) -> Option<String> {
     })
 }
 
-/// Whether a failed call is the one failure the planners repair: no
-/// case was loaded, and the round budget still allows loading one.
-fn wants_case_loaded(view: &ConversationView, failure: &ToolFailure) -> bool {
-    failure.code == Some(ErrorCode::NoActiveCase) && view.round < 3
-}
-
 /// Appends the distinct caveats carried by this turn's tool results to a
 /// narration. The recovery ladder ([`crate::recovery`]) attaches these
 /// when an answer was produced by a fallback solver; the contract is
@@ -71,38 +75,128 @@ fn wants_case_loaded(view: &ConversationView, failure: &ToolFailure) -> bool {
 /// as a clean one. Scanning *all* pending results (not just the narrated
 /// one) keeps the caveat alive across chained calls, e.g. a degraded
 /// base case feeding an N-1 sweep.
-fn with_caveats(view: &ConversationView, text: String) -> String {
-    let mut out = text;
+fn with_caveats(view: &ConversationView, mut text: String) -> String {
     let mut seen: Vec<String> = Vec::new();
-    for (_, result) in view.pending_results {
-        if let Some(Ok(Degraded {
-            degraded_caveat: Some(c),
-        })) = result.as_object().map(Degraded::from_members)
-        {
-            if !seen.contains(&c) {
-                out.push_str("\n\n");
-                out.push_str(&c);
-                seen.push(c);
-            }
+    let caveats = view.pending_results.iter().filter_map(|(_, result)| {
+        Degraded::from_members(result.as_object()?)
+            .ok()?
+            .degraded_caveat
+    });
+    for caveat in caveats {
+        if !seen.contains(&caveat) {
+            text.push_str("\n\n");
+            text.push_str(&caveat);
+            seen.push(caveat);
         }
     }
-    out
+    text
 }
 
 /// Narrates `result` as the type its tool declared. A result that does
-/// not lift into that type is the failure sentence, never a number.
-fn narrate<T: Wire>(
-    view: &ConversationView,
-    result: &Value,
-    reasoning: &[&str],
-    say: impl FnOnce(&T) -> String,
-    failed: impl FnOnce(&str) -> ModelTurn,
-) -> ModelTurn {
-    match T::from_wire(result) {
-        Ok(out) => respond(reasoning, with_caveats(view, say(&out))),
-        Err(e) => failed(&format!(
-            "its result does not have the declared shape ({e})"
-        )),
+/// not lift into that type is a failure sentence, never a number.
+fn narrate<T: Wire>(result: &Value, say: impl FnOnce(&T) -> String) -> Result<String, String> {
+    T::from_wire(result)
+        .map(|out| say(&out))
+        .map_err(|e| format!("its result does not have the declared shape ({e})"))
+}
+
+// ---------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------
+
+/// One agent, as the driver reads it.
+struct Table {
+    rules: &'static [IntentRule],
+    /// The intent's first call or reply.
+    understand: fn(&ConversationView, &Entities, Option<&str>) -> ModelTurn,
+    tools: &'static [ToolRow],
+    /// The tool that loads `{"case_name": …}`, and the reasoning line of
+    /// the Repair that calls it.
+    load: (&'static str, &'static str),
+    /// What follows a load made outside a repair, if not its narration.
+    chain: Option<fn(&Entities, AnalysisStyle) -> ModelTurn>,
+    /// The reasoning line and the closing sentence of a failure.
+    failed: (&'static str, &'static str),
+}
+
+/// One tool: the reasoning lines that narrate its result, the line that
+/// retries it after a repair, and its narrator.
+struct ToolRow {
+    tool: &'static str,
+    reasoning: &'static [&'static str],
+    retry: &'static str,
+    narrate: fn(&Value, &Entities) -> Result<String, String>,
+}
+
+/// Where the turn stands.
+enum Step<'a> {
+    Understand,
+    /// The turn's first `no_active_case` failure: the call and its error.
+    Repair(&'a ToolCall, String),
+    Retry(&'a ToolCall),
+    Chain(fn(&Entities, AnalysisStyle) -> ModelTurn),
+    Narrate(&'a str, &'a Value),
+    Fail(&'a str, String),
+}
+
+impl Table {
+    /// Folds the turn's transitions into the step that comes next. One
+    /// repair per turn: a second `no_active_case` is a failure.
+    fn step<'a>(&self, view: &ConversationView<'a>) -> Step<'a> {
+        let (mut step, mut repaired) = (Step::Understand, false);
+        for (call, result) in view.transitions() {
+            step = match (result, step) {
+                (Err(e), _) if e.code == Some(ErrorCode::NoActiveCase) && !repaired => {
+                    repaired = true;
+                    Step::Repair(call, e.error)
+                }
+                (Err(e), _) => Step::Fail(&call.tool, e.error),
+                (Ok(_), Step::Repair(failed, _)) if call.tool == self.load.0 => Step::Retry(failed),
+                (Ok(result), _) => match self.chain.filter(|_| call.tool == self.load.0) {
+                    Some(chain) => Step::Chain(chain),
+                    None => Step::Narrate(&call.tool, result),
+                },
+            };
+        }
+        step
+    }
+
+    fn row(&self, tool: &str) -> Result<&'static ToolRow, String> {
+        let row = self.tools.iter().find(|row| row.tool == tool);
+        row.ok_or_else(|| "it is not one of this agent's tools".into())
+    }
+
+    fn failure(&self, tool: &str, err: &str) -> ModelTurn {
+        let (reasoning, closing) = self.failed;
+        let text = format!("The {tool} call failed: {err}. {closing}");
+        respond(&[reasoning], text)
+    }
+
+    fn plan(&self, view: &ConversationView, style: AnalysisStyle) -> ModelTurn {
+        let ents = extract_entities(view.user_input);
+        match self.step(view) {
+            Step::Understand => {
+                let intent = classify(view.user_input, self.rules);
+                (self.understand)(view, &ents, intent.as_ref().map(|m| m.intent.as_str()))
+            }
+            Step::Repair(failed, err) => match known_case(view, &ents) {
+                Some(case) => call(&[self.load.1], self.load.0, SolveCase { case_name: case }),
+                None => self.failure(&failed.tool, &err),
+            },
+            Step::Retry(failed) => {
+                let retry = self.row(&failed.tool).map_or("", |row| row.retry);
+                turn(&[retry], TurnAction::Calls(vec![failed.clone()]))
+            }
+            Step::Chain(chain) => chain(&ents, style),
+            Step::Narrate(tool, result) => {
+                let narrated = self.row(tool).and_then(|row| {
+                    let text = (row.narrate)(result, &ents)?;
+                    Ok(respond(row.reasoning, with_caveats(view, text)))
+                });
+                narrated.unwrap_or_else(|err| self.failure(tool, &err))
+            }
+            Step::Fail(tool, err) => self.failure(tool, &err),
+        }
     }
 }
 
@@ -113,94 +207,214 @@ fn narrate<T: Wire>(
 /// Planner for the ACOPF agent (tools of Appendix B.3.1).
 pub struct AcopfPlanner;
 
+static ACOPF_RULES: [IntentRule; 6] = [
+    IntentRule::new(
+        "solve_case",
+        &["solve", "run", "optimize", "dispatch", "load"],
+        &["acopf", "opf"],
+        0.1,
+    ),
+    IntentRule::new(
+        "modify_load",
+        &["set", "change", "adjust", "load", "demand"],
+        &["increase", "decrease", "modify", "raise", "lower"],
+        0.0,
+    ),
+    IntentRule::new(
+        "modify_gen",
+        &["limit", "limits", "capacity", "derate", "unit", "output"],
+        &["generator", "generation", "gen"],
+        0.0,
+    ),
+    IntentRule::new(
+        "secure_dispatch",
+        &["n-1", "preventive", "scopf", "dispatch"],
+        &["secure", "security-constrained", "security"],
+        0.0,
+    ),
+    IntentRule::new(
+        "status",
+        &["current", "show", "what", "summary", "state"],
+        &["status"],
+        0.0,
+    ),
+    IntentRule::new(
+        "batch_study",
+        &["study", "scenarios", "hourly", "profile", "day", "batch"],
+        &["sweep", "across", "batch"],
+        0.0,
+    ),
+];
+
+static ACOPF: Table = Table {
+    rules: &ACOPF_RULES,
+    understand: AcopfPlanner::understand,
+    tools: &[
+        ToolRow {
+            tool: "solve_acopf_case",
+            reasoning: &["(validate results)", "(narrate findings)"],
+            retry: "(case ready; solve it)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_solution),
+        },
+        ToolRow {
+            tool: "modify_bus_load",
+            reasoning: &["(validate results)", "(summary)"],
+            retry: "(case ready; apply the requested load change)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_modification),
+        },
+        ToolRow {
+            tool: "modify_gen_limits",
+            reasoning: &["(validate results)", "(summary)"],
+            retry: "(case ready; apply the requested limit change)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_gen_limits),
+        },
+        ToolRow {
+            tool: "solve_security_constrained",
+            reasoning: &[
+                "(validate the secure dispatch)",
+                "(compare against the economic optimum)",
+            ],
+            retry: "(case ready; solve the SCOPF)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_scopf),
+        },
+        ToolRow {
+            tool: "batch_study",
+            reasoning: &[
+                "(validate per-scenario results)",
+                "(narrate the study table)",
+            ],
+            retry: "(case ready; run the batched study)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_batch),
+        },
+        ToolRow {
+            tool: "get_network_status",
+            reasoning: &["(summarize current state)"],
+            retry: "(case ready; query stored state)",
+            narrate: |v, _| narrate(v, AcopfPlanner::narrate_status),
+        },
+    ],
+    load: (
+        "solve_acopf_case",
+        "(recovery: no case in context — load and solve it first)",
+    ),
+    chain: None,
+    failed: (
+        "(tool failed; report the failure transparently)",
+        "No numerical results are available for this request; please adjust it and try again.",
+    ),
+};
+
 impl AcopfPlanner {
-    fn rules() -> Vec<IntentRule> {
-        vec![
-            IntentRule::new(
-                "solve_case",
-                &["solve", "run", "optimize", "dispatch", "load"],
-                &["acopf", "opf"],
-                0.1,
+    fn understand(view: &ConversationView, ents: &Entities, intent: Option<&str>) -> ModelTurn {
+        match (intent, ents.buses.first(), ents.mw.first()) {
+            (Some("status"), ..) => call(
+                &["(understand the task)", "(query stored state)"],
+                "get_network_status",
+                (),
             ),
-            IntentRule::new(
-                "modify_load",
-                &["set", "change", "adjust", "load", "demand"],
-                &["increase", "decrease", "modify", "raise", "lower"],
-                0.0,
+            (Some("modify_gen"), Some(&bus_id), _) if ents.numbers.len() + ents.mw.len() >= 2 => {
+                // "limit the generator at bus 2 to between 10 and 60 MW"
+                let bare = ents.numbers.iter().filter(|v| **v != bus_id as f64);
+                let (p_min_mw, p_max_mw) = (ents.mw.iter().chain(bare))
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                        (lo.min(*v), hi.max(*v))
+                    });
+                call(
+                    &[
+                        "(understand the task: generator limit change)",
+                        "(apply limits and re-solve)",
+                    ],
+                    "modify_gen_limits",
+                    GenLimitsEdit {
+                        bus_id,
+                        p_min_mw,
+                        p_max_mw,
+                    },
+                )
+            }
+            (Some("secure_dispatch"), ..) => call(
+                &[
+                    "(understand the task: security-constrained operation)",
+                    "(screen contingencies and solve the SCOPF)",
+                ],
+                "solve_security_constrained",
+                CaseChoice {
+                    case_name: known_case(view, ents),
+                },
             ),
-            IntentRule::new(
-                "modify_gen",
-                &["limit", "limits", "capacity", "derate", "unit", "output"],
-                &["generator", "generation", "gen"],
-                0.0,
+            (Some("batch_study"), ..) => Self::batch_call(view, ents),
+            (Some("modify_load"), Some(&bus_id), Some(&p_mw)) => call(
+                &[
+                    "(understand the task to solve)",
+                    "(retrieve current net status)",
+                    "(prepare data for tools)",
+                    "(invoke ACOPF solver again)",
+                ],
+                "modify_bus_load",
+                LoadEdit {
+                    bus_id,
+                    p_mw,
+                    q_mvar: None,
+                },
             ),
-            IntentRule::new(
-                "secure_dispatch",
-                &["n-1", "preventive", "scopf", "dispatch"],
-                &["secure", "security-constrained", "security"],
-                0.0,
+            (Some("solve_case" | "modify_load") | None, ..) => match known_case(view, ents) {
+                Some(case_name) => call(
+                    &[
+                        "(understand the case to be solved)",
+                        "(extract relevant parameters)",
+                        "(plan solution strategy)",
+                        "(invoke ACOPF solver)",
+                    ],
+                    "solve_acopf_case",
+                    SolveCase { case_name },
+                ),
+                None => respond(
+                    &["(cannot identify a target case)"],
+                    "I could not identify which IEEE case you mean. Supported cases: \
+                     case14, case30, case57, case118, case300 — for example, \"solve \
+                     IEEE 118\"."
+                        .to_string(),
+                ),
+            },
+            (Some(_), ..) => respond(
+                &["(intent outside my capabilities)"],
+                "I handle ACOPF solving, load modifications, and network status for the \
+                 IEEE test cases."
+                    .to_string(),
             ),
-            IntentRule::new(
-                "status",
-                &["current", "show", "what", "summary", "state"],
-                &["status"],
-                0.0,
-            ),
-            IntentRule::new(
-                "batch_study",
-                &["study", "scenarios", "hourly", "profile", "day", "batch"],
-                &["sweep", "across", "batch"],
-                0.0,
-            ),
-        ]
+        }
     }
 
     /// Builds the `batch_study` call from the utterance: the scenario
     /// family from its wording, the range from percent pairs, and the
     /// scenario count from a "… in N steps" entity.
-    fn batch_call(view: &ConversationView, reasoning: &[&str]) -> ModelTurn {
-        let ents = extract_entities(view.user_input);
+    fn batch_call(view: &ConversationView, ents: &Entities) -> ModelTurn {
         let lower = view.user_input.to_lowercase();
-        let (kind, bus_id) = if lower.contains("day") || lower.contains("hour") {
-            (StudyKind::DailyProfile, None)
-        } else if let Some(&bus) = ents.buses.first() {
-            (StudyKind::BusProfile, Some(bus))
-        } else {
-            (StudyKind::LoadSweep, None)
+        let (kind, bus_id) = match ents.buses.first() {
+            _ if lower.contains("day") || lower.contains("hour") => (StudyKind::DailyProfile, None),
+            Some(&bus) => (StudyKind::BusProfile, Some(bus)),
+            None => (StudyKind::LoadSweep, None),
         };
-        let (from_percent, to_percent) = match ents.percent[..] {
-            [from, to, ..] => (Some(from), Some(to)),
+        let (from_percent, to_percent) = match ents.percent.as_slice() {
+            [from, to, ..] => (Some(*from), Some(*to)),
             _ => (None, None),
         };
         let args = BatchArgs {
-            case_name: known_case(view, &ents),
+            case_name: known_case(view, ents),
             kind: Some(kind),
             from_percent,
             to_percent,
             steps: ents.steps,
             bus_id,
         };
-        call(reasoning, "batch_study", args)
-    }
-
-    /// The `modify_bus_load` call for the utterance's first bus and MW
-    /// quantity, if it has both.
-    fn load_edit_call(ents: &Entities, reasoning: &[&str]) -> Option<ModelTurn> {
-        let edit = LoadEdit {
-            bus_id: *ents.buses.first()?,
-            p_mw: *ents.mw.first()?,
-            q_mvar: None,
-        };
-        Some(call(reasoning, "modify_bus_load", edit))
-    }
-
-    fn failure(tool: &str, err: &str) -> ModelTurn {
-        respond(
-            &["(tool failed; report the failure transparently)"],
-            format!(
-                "The {tool} call failed: {err}. No numerical results are available for this \
-                 request; please adjust it and try again."
-            ),
+        call(
+            &[
+                "(understand the task: a family of operating points)",
+                "(build the scenario set)",
+                "(one batched power-flow run, then summarize)",
+            ],
+            "batch_study",
+            args,
         )
     }
 
@@ -373,197 +587,6 @@ impl AcopfPlanner {
     }
 }
 
-impl Planner for AcopfPlanner {
-    fn plan(&self, view: &ConversationView, _style: AnalysisStyle) -> ModelTurn {
-        // ---- Later rounds: react to tool results.
-        if let Some((tool, result)) = view.last_result() {
-            let failed = |err: &str| Self::failure(tool, err);
-            let result = match result {
-                Ok(result) => result,
-                Err(failure) => {
-                    // Recovery path: a request made before any case was
-                    // loaded can be fixed by loading the case first.
-                    let ents = extract_entities(view.user_input);
-                    return match known_case(view, &ents) {
-                        Some(case) if wants_case_loaded(view, &failure) => call(
-                            &["(recovery: no case in context — load and solve it first)"],
-                            "solve_acopf_case",
-                            SolveCase { case_name: case },
-                        ),
-                        _ => failed(&failure.error),
-                    };
-                }
-            };
-            // A successful result: either continue a recovery chain or
-            // narrate.
-            let summary = &["(validate results)", "(summary)"];
-            match tool {
-                "solve_acopf_case" => {
-                    // If the original intent was a modification or a
-                    // batched study, the solve was a recovery step: now
-                    // do the actual work.
-                    let ents = extract_entities(view.user_input);
-                    let wanted = classify(view.user_input, &Self::rules()).map(|m| m.intent);
-                    if wanted.as_deref() == Some("batch_study") && view.round < 4 {
-                        return Self::batch_call(view, &["(case ready; run the batched study)"]);
-                    }
-                    let edit = Self::load_edit_call(
-                        &ents,
-                        &["(case ready; apply the requested load change)"],
-                    );
-                    if let Some(edit) = edit.filter(|_| wanted.as_deref() == Some("modify_load")) {
-                        return edit;
-                    }
-                    return narrate(
-                        view,
-                        result,
-                        &["(validate results)", "(narrate findings)"],
-                        Self::narrate_solution,
-                        failed,
-                    );
-                }
-                "modify_bus_load" => {
-                    return narrate(view, result, summary, Self::narrate_modification, failed)
-                }
-                "modify_gen_limits" => {
-                    return narrate(view, result, summary, Self::narrate_gen_limits, failed)
-                }
-                "solve_security_constrained" => {
-                    return narrate(
-                        view,
-                        result,
-                        &[
-                            "(validate the secure dispatch)",
-                            "(compare against the economic optimum)",
-                        ],
-                        Self::narrate_scopf,
-                        failed,
-                    )
-                }
-                "batch_study" => {
-                    return narrate(
-                        view,
-                        result,
-                        &[
-                            "(validate per-scenario results)",
-                            "(narrate the study table)",
-                        ],
-                        Self::narrate_batch,
-                        failed,
-                    )
-                }
-                "get_network_status" => {
-                    return narrate(
-                        view,
-                        result,
-                        &["(summarize current state)"],
-                        Self::narrate_status,
-                        failed,
-                    )
-                }
-                _ => {}
-            }
-        }
-
-        // ---- First round: parse intent and plan.
-        let ents = extract_entities(view.user_input);
-        let intent = classify(view.user_input, &Self::rules());
-        let intent = intent.as_ref().map(|m| m.intent.as_str());
-        let edit = || {
-            Self::load_edit_call(
-                &ents,
-                &[
-                    "(understand the task to solve)",
-                    "(retrieve current net status)",
-                    "(prepare data for tools)",
-                    "(invoke ACOPF solver again)",
-                ],
-            )
-        };
-
-        match intent {
-            Some("status") => call(
-                &["(understand the task)", "(query stored state)"],
-                "get_network_status",
-                (),
-            ),
-            Some("modify_gen")
-                if !ents.buses.is_empty() && ents.numbers.len() + ents.mw.len() >= 2 =>
-            {
-                // "limit the generator at bus 2 to between 10 and 60 MW"
-                let bus = ents.buses[0];
-                let quantities = ents.mw.iter().copied();
-                let bare = ents.numbers.iter().copied().filter(|v| *v != bus as f64);
-                let (lo, hi) = quantities
-                    .chain(bare)
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                        (lo.min(v), hi.max(v))
-                    });
-                call(
-                    &[
-                        "(understand the task: generator limit change)",
-                        "(apply limits and re-solve)",
-                    ],
-                    "modify_gen_limits",
-                    GenLimitsEdit {
-                        bus_id: bus,
-                        p_min_mw: lo,
-                        p_max_mw: hi,
-                    },
-                )
-            }
-            Some("secure_dispatch") => call(
-                &[
-                    "(understand the task: security-constrained operation)",
-                    "(screen contingencies and solve the SCOPF)",
-                ],
-                "solve_security_constrained",
-                CaseChoice {
-                    case_name: known_case(view, &ents),
-                },
-            ),
-            Some("batch_study") => Self::batch_call(
-                view,
-                &[
-                    "(understand the task: a family of operating points)",
-                    "(build the scenario set)",
-                    "(one batched power-flow run, then summarize)",
-                ],
-            ),
-            Some("solve_case") | Some("modify_load") | None => {
-                if let Some(edit) = edit().filter(|_| intent == Some("modify_load")) {
-                    return edit;
-                }
-                match known_case(view, &ents) {
-                    Some(case) => call(
-                        &[
-                            "(understand the case to be solved)",
-                            "(extract relevant parameters)",
-                            "(plan solution strategy)",
-                            "(invoke ACOPF solver)",
-                        ],
-                        "solve_acopf_case",
-                        SolveCase { case_name: case },
-                    ),
-                    None => respond(
-                        &["(cannot identify a target case)"],
-                        "I could not identify which IEEE case you mean. Supported cases: \
-                         case14, case30, case57, case118, case300 — for example, \"solve \
-                         IEEE 118\"."
-                            .to_string(),
-                    ),
-                }
-            }
-            Some(_) => respond(
-                &["(intent outside my capabilities)"],
-                "I handle ACOPF solving, load modifications, and network status for the \
-                 IEEE test cases."
-                    .to_string(),
-            ),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Contingency analysis agent planner
 // ---------------------------------------------------------------------
@@ -571,60 +594,157 @@ impl Planner for AcopfPlanner {
 /// Planner for the contingency analysis agent (tools of Appendix B.3.2).
 pub struct CaPlanner;
 
-impl CaPlanner {
-    fn rules() -> Vec<IntentRule> {
-        vec![
-            IntentRule::new(
-                "full_analysis",
-                &[
-                    "n-1",
-                    "t-1",
-                    "outages",
-                    "reliability",
-                    "security",
-                    "vulnerab",
-                    "run",
-                ],
-                &["contingency", "contingencies", "critical"],
-                0.1,
-            ),
-            IntentRule::new(
-                "specific",
-                &["analyze", "outage", "remove", "removing", "trip", "impact"],
-                &["specific"],
-                0.0,
-            ),
-            IntentRule::new(
-                "gen_outages",
-                &["unit", "units", "outage", "loss", "losing", "trip"],
-                &["generator", "generators", "gen"],
-                0.0,
-            ),
-            IntentRule::new(
-                "base_case",
-                &["solve", "base", "power", "flow"],
-                &["base"],
-                0.0,
-            ),
-            IntentRule::new("status", &["current", "show", "summary"], &["status"], 0.0),
-        ]
-    }
+static CA_RULES: [IntentRule; 5] = [
+    IntentRule::new(
+        "full_analysis",
+        &[
+            "n-1",
+            "t-1",
+            "outages",
+            "reliability",
+            "security",
+            "vulnerab",
+            "run",
+        ],
+        &["contingency", "contingencies", "critical"],
+        0.1,
+    ),
+    IntentRule::new(
+        "specific",
+        &["analyze", "outage", "remove", "removing", "trip", "impact"],
+        &["specific"],
+        0.0,
+    ),
+    IntentRule::new(
+        "gen_outages",
+        &["unit", "units", "outage", "loss", "losing", "trip"],
+        &["generator", "generators", "gen"],
+        0.0,
+    ),
+    IntentRule::new(
+        "base_case",
+        &["solve", "base", "power", "flow"],
+        &["base"],
+        0.0,
+    ),
+    IntentRule::new("status", &["current", "show", "summary"], &["status"], 0.0),
+];
 
-    fn strategy_for(style: AnalysisStyle) -> Ranking {
-        match style {
-            AnalysisStyle::Composite => Ranking::Composite,
-            AnalysisStyle::OverloadFirst => Ranking::OverloadFirst,
+static CA: Table = Table {
+    rules: &CA_RULES,
+    understand: CaPlanner::understand,
+    tools: &[
+        ToolRow {
+            tool: "run_n1_contingency_analysis",
+            reasoning: &[
+                "(validate the sweep results)",
+                "(rank critical elements and justify)",
+            ],
+            retry: "(base case ready; run contingency analysis)",
+            narrate: |v, ents| narrate(v, |rep| CaPlanner::narrate_report(rep, top_k(ents))),
+        },
+        ToolRow {
+            tool: "analyze_specific_contingency",
+            reasoning: &["(interpret the outage result)"],
+            retry: "(base case ready; analyze the specific element outage)",
+            narrate: |v, _| narrate(v, CaPlanner::narrate_specific),
+        },
+        ToolRow {
+            tool: "run_generator_contingency_analysis",
+            reasoning: &["(rank unit outages by system stress)"],
+            retry: "(base case ready; sweep generator outages)",
+            narrate: |v, _| narrate(v, CaPlanner::narrate_unit_outages),
+        },
+        ToolRow {
+            tool: "get_contingency_status",
+            reasoning: &["(summarize cached analysis)"],
+            retry: "(base case ready; check analysis status)",
+            narrate: |v, ents| narrate(v, |status| CaPlanner::narrate_status(status, top_k(ents))),
+        },
+    ],
+    load: ("solve_base_case", "(recovery: solve the base case first)"),
+    chain: Some(CaPlanner::sweep),
+    failed: (
+        "(tool failed; report transparently)",
+        "I cannot report contingency results without a successful analysis.",
+    ),
+};
+
+/// How many ranked elements an answer lists.
+fn top_k(ents: &Entities) -> usize {
+    ents.top_k.unwrap_or(5)
+}
+
+impl CaPlanner {
+    fn understand(_: &ConversationView, ents: &Entities, intent: Option<&str>) -> ModelTurn {
+        let element = ents.elements.first().and_then(|(kind, index)| {
+            Some(SpecificArgs {
+                element: ElementKind::parse(kind)?,
+                index: *index,
+            })
+        });
+        match (intent, element) {
+            (Some("specific"), Some(element)) => call(
+                &["(understand task)", "(analyze the specific element outage)"],
+                "analyze_specific_contingency",
+                element,
+            ),
+            (Some("status"), _) => call(&["(check analysis status)"], "get_contingency_status", ()),
+            (Some("gen_outages"), _) => call(
+                &[
+                    "(understand task: unit T-1 outages)",
+                    "(sweep generator outages)",
+                ],
+                "run_generator_contingency_analysis",
+                GenN1Args {
+                    top_k: Some(top_k(ents)),
+                },
+            ),
+            // Full analysis (also the default for anything
+            // contingency-flavoured): ensure a base case; Chain sweeps.
+            (intent, _) => call(
+                match intent {
+                    Some("base_case") => &["(solve the base case)"],
+                    _ => &[
+                        "(understand task)",
+                        "(solve base case before contingencies)",
+                    ],
+                },
+                "solve_base_case",
+                CaseChoice {
+                    case_name: ents.case.clone(),
+                },
+            ),
         }
     }
 
-    fn failure(tool: &str, err: &str) -> ModelTurn {
-        respond(
-            &["(tool failed; report transparently)"],
-            format!(
-                "The {tool} call failed: {err}. I cannot report contingency results \
-                 without a successful analysis."
-            ),
+    /// The Chain: after a base case, the N-1 sweep in the model's style.
+    fn sweep(ents: &Entities, style: AnalysisStyle) -> ModelTurn {
+        let strategy = match style {
+            AnalysisStyle::Composite => Ranking::Composite,
+            AnalysisStyle::OverloadFirst => Ranking::OverloadFirst,
+        };
+        call(
+            &[
+                "(base case validated; run the N-1 sweep)",
+                "(run contingency analysis)",
+            ],
+            "run_n1_contingency_analysis",
+            N1Args {
+                strategy: Some(strategy),
+                top_k: Some(top_k(ents).max(10)),
+                mode: None,
+            },
         )
+    }
+
+    fn narrate_status(status: &AnalysisStatus, top_k: usize) -> String {
+        match status {
+            AnalysisStatus::Fresh(fresh) => Self::narrate_report(&fresh.report, top_k),
+            AnalysisStatus::Absent(_) => "No fresh contingency analysis exists for the current \
+                                          network state; ask me to run the N-1 analysis."
+                .to_string(),
+        }
     }
 
     fn narrate_report(rep: &N1Report, top_k: usize) -> String {
@@ -751,143 +871,22 @@ impl CaPlanner {
     }
 }
 
+impl Planner for AcopfPlanner {
+    fn plan(&self, view: &ConversationView, style: AnalysisStyle) -> ModelTurn {
+        ACOPF.plan(view, style)
+    }
+}
+
 impl Planner for CaPlanner {
     fn plan(&self, view: &ConversationView, style: AnalysisStyle) -> ModelTurn {
-        let ents = extract_entities(view.user_input);
-        let top_k = ents.top_k.unwrap_or(5);
-
-        // ---- React to pending results.
-        if let Some((tool, result)) = view.last_result() {
-            let failed = |err: &str| Self::failure(tool, err);
-            let result = match result {
-                Ok(result) => result,
-                Err(failure) => {
-                    return match known_case(view, &ents) {
-                        Some(case) if wants_case_loaded(view, &failure) => call(
-                            &["(recovery: solve the base case first)"],
-                            "solve_base_case",
-                            CaseChoice {
-                                case_name: Some(case),
-                            },
-                        ),
-                        _ => failed(&failure.error),
-                    };
-                }
-            };
-            match tool {
-                "solve_base_case" => {
-                    return call(
-                        &[
-                            "(base case validated; run the N-1 sweep)",
-                            "(run contingency analysis)",
-                        ],
-                        "run_n1_contingency_analysis",
-                        N1Args {
-                            strategy: Some(Self::strategy_for(style)),
-                            top_k: Some(top_k.max(10)),
-                            mode: None,
-                        },
-                    );
-                }
-                "run_n1_contingency_analysis" => {
-                    return narrate(
-                        view,
-                        result,
-                        &[
-                            "(validate the sweep results)",
-                            "(rank critical elements and justify)",
-                        ],
-                        |rep: &N1Report| Self::narrate_report(rep, top_k),
-                        failed,
-                    )
-                }
-                "analyze_specific_contingency" => {
-                    return narrate(
-                        view,
-                        result,
-                        &["(interpret the outage result)"],
-                        Self::narrate_specific,
-                        failed,
-                    )
-                }
-                "run_generator_contingency_analysis" => {
-                    return narrate(
-                        view,
-                        result,
-                        &["(rank unit outages by system stress)"],
-                        Self::narrate_unit_outages,
-                        failed,
-                    )
-                }
-                "get_contingency_status" => {
-                    return narrate(
-                        view,
-                        result,
-                        &["(summarize cached analysis)"],
-                        |status: &AnalysisStatus| match status {
-                            AnalysisStatus::Fresh(fresh) => {
-                                Self::narrate_report(&fresh.report, top_k)
-                            }
-                            AnalysisStatus::Absent(_) => {
-                                "No fresh contingency analysis exists for the current network \
-                                 state; ask me to run the N-1 analysis."
-                                    .to_string()
-                            }
-                        },
-                        failed,
-                    )
-                }
-                _ => {}
-            }
-        }
-
-        // ---- First round.
-        let intent = classify(view.user_input, &Self::rules());
-        let element = ents.elements.first().and_then(|(kind, index)| {
-            Some(SpecificArgs {
-                element: ElementKind::parse(kind)?,
-                index: *index,
-            })
-        });
-        let base_case = || CaseChoice {
-            case_name: ents.case.clone(),
-        };
-        match (intent.as_ref().map(|m| m.intent.as_str()), element) {
-            (Some("specific"), Some(element)) => call(
-                &["(understand task)", "(analyze the specific element outage)"],
-                "analyze_specific_contingency",
-                element,
-            ),
-            (Some("status"), _) => call(&["(check analysis status)"], "get_contingency_status", ()),
-            (Some("gen_outages"), _) => call(
-                &[
-                    "(understand task: unit T-1 outages)",
-                    "(sweep generator outages)",
-                ],
-                "run_generator_contingency_analysis",
-                GenN1Args { top_k: Some(top_k) },
-            ),
-            (Some("base_case"), _) => {
-                call(&["(solve the base case)"], "solve_base_case", base_case())
-            }
-            // Full analysis (also the default for anything
-            // contingency-flavoured): ensure a base case, then sweep.
-            _ => call(
-                &[
-                    "(understand task)",
-                    "(solve base case before contingencies)",
-                ],
-                "solve_base_case",
-                base_case(),
-            ),
-        }
+        CA.plan(view, style)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gm_agents::AgentMemory;
+    use gm_agents::{AgentMemory, ToolFailure};
     use serde_json::json;
 
     fn turn_of(planner: &dyn Planner, input: &str) -> ModelTurn {
@@ -958,12 +957,34 @@ mod tests {
     }
 
     /// The turn `planner` takes after `pending`, the calls made so far
-    /// in the turn.
+    /// in the turn (made with no arguments).
     fn turn_after(
         planner: &dyn Planner,
         input: &str,
         style: AnalysisStyle,
         pending: &[(String, Value)],
+    ) -> ModelTurn {
+        let pending: Vec<(ToolCall, Value)> = pending
+            .iter()
+            .map(|(tool, result)| {
+                (
+                    ToolCall {
+                        tool: tool.clone(),
+                        args: json!({}),
+                    },
+                    result.clone(),
+                )
+            })
+            .collect();
+        turn_after_calls(planner, input, style, &pending)
+    }
+
+    /// The turn `planner` takes after the transitions `pending`.
+    fn turn_after_calls(
+        planner: &dyn Planner,
+        input: &str,
+        style: AnalysisStyle,
+        pending: &[(ToolCall, Value)],
     ) -> ModelTurn {
         let memory = AgentMemory::new("t", "p");
         let mut view = memory.view(input);
@@ -1135,5 +1156,105 @@ mod tests {
         assert!(text.contains("The solve_acopf_case call failed"), "{text}");
         assert!(text.contains("declared shape"), "{text}");
         assert!(!text.contains("8081") && !text.contains("NaN"), "{text}");
+    }
+
+    fn no_case() -> Value {
+        ToolFailure {
+            code: Some(ErrorCode::NoActiveCase),
+            error: "no case loaded; ask to solve a case first".into(),
+        }
+        .to_wire()
+    }
+
+    fn plan(planner: &dyn Planner, input: &str, pending: &[(ToolCall, Value)]) -> ModelTurn {
+        turn_after_calls(planner, input, AnalysisStyle::Composite, pending)
+    }
+
+    /// Each agent's first call for an utterance that names case14, and
+    /// its load tool.
+    fn agents() -> [(&'static dyn Planner, &'static str, &'static str); 4] {
+        [
+            (
+                &AcopfPlanner,
+                "set the load at bus 10 of case14 to 50 MW",
+                "solve_acopf_case",
+            ),
+            (
+                &AcopfPlanner,
+                "limit the generator at bus 2 of case14 to between 10 and 60 MW",
+                "solve_acopf_case",
+            ),
+            (
+                &CaPlanner,
+                "analyze the outage of line 3 in case14",
+                "solve_base_case",
+            ),
+            (
+                &CaPlanner,
+                "what happens if we lose each generator unit in case14",
+                "solve_base_case",
+            ),
+        ]
+    }
+
+    fn first_call(planner: &dyn Planner, input: &str) -> ToolCall {
+        match plan(planner, input, &[]).action {
+            TurnAction::Calls(mut calls) => calls.remove(0),
+            other => panic!("{input:?}: expected a call, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repaired_call_is_retried_with_its_arguments() {
+        for (planner, input, load) in agents() {
+            let failed = first_call(planner, input);
+            let repair = match plan(planner, input, &[(failed.clone(), no_case())]).action {
+                TurnAction::Calls(mut calls) => calls.remove(0),
+                other => panic!("{input:?}: expected the repair, got {other:?}"),
+            };
+            assert_eq!(repair.tool, load, "{input:?}");
+            assert_eq!(repair.args, json!({"case_name": "case14"}), "{input:?}");
+            let retry = plan(
+                planner,
+                input,
+                &[
+                    (failed.clone(), no_case()),
+                    (repair, json!({"converged": true})),
+                ],
+            );
+            assert_eq!(retry.action, TurnAction::Calls(vec![failed]), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn a_turn_repairs_once() {
+        for (planner, input, load) in agents() {
+            let failed = first_call(planner, input);
+            let repair = ToolCall {
+                tool: load.into(),
+                args: json!({"case_name": "case14"}),
+            };
+            let turn = plan(
+                planner,
+                input,
+                &[
+                    (failed.clone(), no_case()),
+                    (repair, json!({"converged": true})),
+                    (failed.clone(), no_case()),
+                ],
+            );
+            match turn.action {
+                TurnAction::Respond(text) => {
+                    assert!(
+                        text.starts_with(&format!(
+                            "The {} call failed: no case loaded",
+                            failed.tool
+                        )),
+                        "{input:?}: {text}"
+                    );
+                }
+                other => panic!("{input:?}: repaired twice: {other:?}"),
+            }
+        }
     }
 }

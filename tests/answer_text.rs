@@ -3,11 +3,11 @@
 //! Every narrated sentence is assembled from a tool result, so a
 //! refactor of the tool boundary (result shapes, error classification,
 //! how the planners read a result) must not move a byte of any answer.
-//! One scripted dialogue covers all 11 tools, both load-then-retry
+//! One scripted dialogue covers all 11 tools, four load-then-retry
 //! recoveries, a degraded (caveated) answer and the transparent-failure
 //! sentences; each digest is FNV-1a over `reply.text`, recorded at the
-//! commit before the typed tool outputs went in (PR 21's parent). The
-//! one row that PR edited on purpose says so beside its digest.
+//! commit before the typed tool outputs went in. Rows edited on purpose
+//! or added since say so beside their digests.
 
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
 use gm_numeric::Fnv1a;
@@ -89,10 +89,27 @@ fn scripted_dialogue_answers_are_byte_pinned() {
                 "set the load at bus 10 of case14 to 50 MW",
                 0x964b_00fe_ee7c_470b,
             )],
-            // CA load-then-retry: same, on the contingency agent.
+            // CA load-then-retry: same, on the contingency agent. Re-recorded
+            // on purpose when the planner became one state machine: before,
+            // the repair's base case was chained into a full N-1 sweep and
+            // that report narrated (0xce7c_e752_4931_2c10, the digest of the
+            // N-1 row below); now the failed call is retried.
             &[(
                 "analyze the outage of line 3 in case14",
-                0xce7c_e752_4931_2c10,
+                0xc800_0221_6953_c120,
+            )],
+            // Generator-outage load-then-retry (added with the state
+            // machine; a full N-1 report was narrated here before).
+            &[(
+                "what happens if we lose each generator unit in case14",
+                0xfd67_0525_056e_02c2,
+            )],
+            // Limit-change load-then-retry (added with the state machine;
+            // before, the repair's plain ACOPF solve was narrated and the
+            // limit never applied).
+            &[(
+                "limit the generator at bus 2 of case14 to between 10 and 60 MW",
+                0x6fb5_ecfe_e816_5534,
             )],
             // No case anywhere: nothing to retry with.
             &[
