@@ -21,27 +21,25 @@ use gm_network::{Network, YBus};
 use gm_numeric::Fnv1a;
 use std::cell::{Ref, RefCell};
 
-/// ACOPF solver options.
+/// ACOPF solver options. The IPM starts from the flat point: mid-band
+/// voltages, zero angles and mid-range dispatch.
 #[derive(Clone, Debug, Default)]
 pub struct AcopfOptions {
     /// IPM controls.
     pub ipm: IpmOptions,
-    /// Warm start voltages/dispatch from the case values instead of flat.
-    pub warm_start: bool,
 }
 
 impl AcopfOptions {
     /// Deterministic fingerprint of every solver control that can affect
     /// the solution, for cross-session solver-cache keys (gm-serve). Two
-    /// option sets with identical fields always fingerprint equal; any
-    /// tolerance, iteration-limit, or warm-start change fingerprints
-    /// different. The destructuring is exhaustive on purpose: a new
-    /// field fails to compile here until it is folded in.
+    /// option sets with identical fields always fingerprint equal; an
+    /// iteration-limit change fingerprints different. The destructuring
+    /// is exhaustive on purpose: a new field fails to compile here until
+    /// it is folded in.
     pub fn fingerprint(&self) -> u64 {
-        let AcopfOptions { ipm, warm_start } = self;
+        let AcopfOptions { ipm } = self;
         let mut h = Fnv1a::new();
         h.u64(ipm.fingerprint());
-        h.u64(u64::from(*warm_start));
         h.finish()
     }
 }
@@ -122,7 +120,6 @@ pub(crate) struct AcopfProblem<'a> {
     qd: Vec<f64>,
     /// Shunt (g, b) per bus in p.u.
     shunt: Vec<(f64, f64)>,
-    warm_start: bool,
     /// Branch-end flows at the iterate they were last asked for. The
     /// three constraint callbacks and [`unpack_solution`] all evaluate
     /// at the same `x`, so each iterate's flows are computed once.
@@ -138,7 +135,7 @@ struct FlowMemo {
 
 impl<'a> AcopfProblem<'a> {
     /// `None` when the network has no slack bus.
-    pub(crate) fn build(net: &'a Network, warm_start: bool) -> Option<AcopfProblem<'a>> {
+    pub(crate) fn build(net: &'a Network) -> Option<AcopfProblem<'a>> {
         let n = net.n_bus();
         let ybus = YBus::assemble(net);
         let layout = Layout::build(net)?;
@@ -198,7 +195,6 @@ impl<'a> AcopfProblem<'a> {
             pd,
             qd,
             shunt,
-            warm_start,
             flows: RefCell::default(),
         })
     }
@@ -277,28 +273,13 @@ impl Nlp for AcopfProblem<'_> {
         x.fill(0.0);
         let base = self.net.base_mva;
         for (i, bus) in self.net.buses.iter().enumerate() {
-            let vm0 = if self.warm_start {
-                bus.vm_pu.clamp(bus.vmin_pu + 0.005, bus.vmax_pu - 0.005)
-            } else {
-                0.5 * (bus.vmin_pu + bus.vmax_pu)
-            };
-            x[self.layout.vm[i]] = vm0;
-            if self.layout.th[i] != usize::MAX && self.warm_start {
-                x[self.layout.th[i]] = bus.va_deg.to_radians();
-            }
+            x[self.layout.vm[i]] = 0.5 * (bus.vmin_pu + bus.vmax_pu);
         }
         for (gi, g) in self.net.gens.iter().enumerate() {
             if !g.in_service {
                 continue;
             }
-            let span = (g.p_max_mw - g.p_min_mw).max(1e-6);
-            let p0 = if self.warm_start {
-                g.p_mw
-                    .clamp(g.p_min_mw + 0.02 * span, g.p_max_mw - 0.02 * span)
-            } else {
-                0.5 * (g.p_min_mw + g.p_max_mw)
-            };
-            x[self.layout.pg[gi]] = p0 / base;
+            x[self.layout.pg[gi]] = 0.5 * (g.p_min_mw + g.p_max_mw) / base;
             x[self.layout.qg[gi]] = 0.5 * (g.q_min_mvar + g.q_max_mvar) / base;
         }
     }
@@ -481,7 +462,7 @@ pub fn solve_acopf(net: &Network, opts: &AcopfOptions) -> Result<AcopfSolution, 
         });
     }
     let started = std::time::Instant::now();
-    let Some(prob) = AcopfProblem::build(net, opts.warm_start) else {
+    let Some(prob) = AcopfProblem::build(net) else {
         return Err(AcopfError::InvalidNetwork {
             problems: vec!["no slack bus".to_string()],
         });

@@ -197,36 +197,25 @@ fn passes_into<P: Nlp + ?Sized>(
     [jg, jh, hess]
 }
 
-/// IPM options.
+/// Feasibility, gradient, complementarity and cost-change tolerance
+/// (the MIPS defaults): the IPM stops when all four conditions are below it.
+const TOL: f64 = 1e-6;
+/// Centering parameter σ.
+pub(crate) const SIGMA: f64 = 0.1;
+/// Step back-off ξ.
+const XI: f64 = 0.99995;
+
+/// IPM options. The convergence tolerances (1e-6), the centering
+/// parameter σ = 0.1 and the step back-off ξ = 0.99995 are fixed.
 #[derive(Clone, Debug)]
 pub struct IpmOptions {
-    /// Feasibility tolerance.
-    pub feastol: f64,
-    /// Gradient tolerance.
-    pub gradtol: f64,
-    /// Complementarity tolerance.
-    pub comptol: f64,
-    /// Cost-change tolerance.
-    pub costtol: f64,
     /// Iteration budget.
     pub max_iter: usize,
-    /// Centering parameter σ.
-    pub sigma: f64,
-    /// Step back-off ξ.
-    pub xi: f64,
 }
 
 impl Default for IpmOptions {
     fn default() -> Self {
-        IpmOptions {
-            feastol: 1e-6,
-            gradtol: 1e-6,
-            comptol: 1e-6,
-            costtol: 1e-6,
-            max_iter: 150,
-            sigma: 0.1,
-            xi: 0.99995,
-        }
+        IpmOptions { max_iter: 150 }
     }
 }
 
@@ -235,22 +224,9 @@ impl IpmOptions {
     /// The destructuring is exhaustive on purpose: a new field fails to
     /// compile here until it is folded in.
     pub fn fingerprint(&self) -> u64 {
-        let IpmOptions {
-            feastol,
-            gradtol,
-            comptol,
-            costtol,
-            max_iter,
-            sigma,
-            xi,
-        } = self;
+        let IpmOptions { max_iter } = self;
         let mut h = Fnv1a::new();
-        for tol in [feastol, gradtol, comptol, costtol] {
-            h.u64(tol.to_bits());
-        }
         h.u64(*max_iter as u64);
-        h.u64(sigma.to_bits());
-        h.u64(xi.to_bits());
         h.finish()
     }
 }
@@ -750,11 +726,7 @@ fn barrier_iterations<P: Nlp>(
             z.iter().zip(mu.iter()).map(|(zi, mi)| zi * mi).sum::<f64>() / (1.0 + norm_inf(x));
         let costcond = (*f - f_old).abs() / (1.0 + f_old.abs());
 
-        if *feascond < opts.feastol
-            && *gradcond < opts.gradtol
-            && *compcond < opts.comptol
-            && (it > 0 && costcond < opts.costtol)
-        {
+        if *feascond < TOL && *gradcond < TOL && *compcond < TOL && (it > 0 && costcond < TOL) {
             return Ok(());
         }
         if it == opts.max_iter {
@@ -824,13 +796,13 @@ fn barrier_iterations<P: Nlp>(
         let mut alpha_p: f64 = 1.0;
         for r in 0..niq {
             if dz[r] < 0.0 {
-                alpha_p = alpha_p.min(-opts.xi * z[r] / dz[r]);
+                alpha_p = alpha_p.min(-XI * z[r] / dz[r]);
             }
         }
         let mut alpha_d: f64 = 1.0;
         for r in 0..niq {
             if dmu[r] < 0.0 {
-                alpha_d = alpha_d.min(-opts.xi * mu[r] / dmu[r]);
+                alpha_d = alpha_d.min(-XI * mu[r] / dmu[r]);
             }
         }
         if alpha_p < 1e-14 && alpha_d < 1e-14 {
@@ -847,8 +819,8 @@ fn barrier_iterations<P: Nlp>(
         for r in 0..neq {
             lam[r] += alpha_d * dlam[r];
         }
-        gamma = opts.sigma * z.iter().zip(mu.iter()).map(|(a, b)| a * b).sum::<f64>()
-            / niq.max(1) as f64;
+        gamma =
+            SIGMA * z.iter().zip(mu.iter()).map(|(a, b)| a * b).sum::<f64>() / niq.max(1) as f64;
         gm_telemetry::histogram_record("acopf.ipm.barrier_mu", gamma);
 
         f_old = *f;

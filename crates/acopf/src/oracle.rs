@@ -144,23 +144,20 @@ mod tests {
         assert_assembly_matches(prob, &mut sys, &x0, &lam0, &mu0, &z0, 1.0);
 
         for steps in [2, 6] {
-            let opts = IpmOptions {
-                max_iter: steps,
-                ..Default::default()
-            };
+            let opts = IpmOptions { max_iter: steps };
             let at = ipm::solve(prob, &opts);
             assert!(!at.converged && at.iterations == steps, "{}", at.message);
             assert!(at.lam.iter().any(|&l| l != 0.0) || prob.neq() == 0);
             sys.evaluate(prob, &at.x).unwrap();
             let z: Vec<f64> = sys.h.iter().map(|h| (-h).max(1e-3)).collect();
             let gamma =
-                0.1 * z.iter().zip(&at.mu).map(|(a, b)| a * b).sum::<f64>() / z.len() as f64;
+                ipm::SIGMA * z.iter().zip(&at.mu).map(|(a, b)| a * b).sum::<f64>() / z.len() as f64;
             assert_assembly_matches(prob, &mut sys, &at.x, &at.lam, &at.mu, &z, gamma);
         }
     }
 
     fn acopf(net: &Network) -> AcopfProblem<'_> {
-        AcopfProblem::build(net, false).unwrap()
+        AcopfProblem::build(net).unwrap()
     }
 
     /// The final SCOPF problem of `solve_scopf` on the case.

@@ -6,7 +6,7 @@
 //! `(outage, monitored branch)` pairs,
 //!
 //! ```text
-//! | P_l(θ) + LODF(l,k) · P_k(θ) | ≤ emergency_factor · rating_l
+//! | P_l(θ) + LODF(l,k) · P_k(θ) | ≤ 0.94 · rating_l
 //! ```
 //!
 //! which is linear in the voltage angles and slots directly into the same
@@ -17,7 +17,7 @@
 //! post-contingency overloads (see the `scopf_comparison` example).
 
 use crate::acopf::{unpack_solution, AcopfOptions, AcopfProblem};
-use crate::ipm::{self, Constants, Nlp, Stamp};
+use crate::ipm::{self, Constants, IpmOptions, Nlp, Stamp};
 use crate::types::{AcopfError, AcopfSolution};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
@@ -37,22 +37,25 @@ pub struct SecurityConstraint {
     pub limit_pu: f64,
 }
 
-/// SCOPF options.
+/// Screen-in threshold: monitor pairs whose estimated post-outage
+/// loading at the *unconstrained* optimum reaches this fraction.
+const MONITOR_THRESHOLD: f64 = 0.90;
+/// Post-contingency flows may reach `EMERGENCY_FACTOR × rating`.
+const EMERGENCY_FACTOR: f64 = 0.94;
+/// Cap on the number of security rows (most-loaded pairs first).
+const MAX_CONSTRAINTS: usize = 6000;
+/// Constraint-generation rounds: after each solve, the screen re-runs at
+/// the new operating point and newly violated pairs are added until
+/// fixpoint (standard iterative SCOPF).
+const MAX_ROUNDS: usize = 4;
+
+/// SCOPF options. The screen (monitor pairs at ≥ 90 % estimated
+/// post-outage loading, at most 6000 rows, 4 constraint-generation
+/// rounds) and the 0.94 emergency rating factor are fixed.
 #[derive(Clone, Debug)]
 pub struct ScopfOptions {
     /// Inner ACOPF/IPM options.
     pub acopf: AcopfOptions,
-    /// Screen-in threshold: monitor pairs whose estimated post-outage
-    /// loading at the *unconstrained* optimum exceeds this fraction.
-    pub monitor_threshold: f64,
-    /// Post-contingency flows may reach `emergency_factor × rating`.
-    pub emergency_factor: f64,
-    /// Cap on the number of security rows (most-loaded pairs first).
-    pub max_constraints: usize,
-    /// Constraint-generation rounds: after each solve, the screen re-runs
-    /// at the new operating point and newly violated pairs are added
-    /// until fixpoint (standard iterative SCOPF).
-    pub max_rounds: usize,
 }
 
 impl ScopfOptions {
@@ -60,33 +63,19 @@ impl ScopfOptions {
     /// options included) for cross-session solver-cache keys; same
     /// construction as [`AcopfOptions::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        let ScopfOptions {
-            acopf,
-            monitor_threshold,
-            emergency_factor,
-            max_constraints,
-            max_rounds,
-        } = self;
+        let ScopfOptions { acopf } = self;
         let mut h = Fnv1a::new();
         h.u64(acopf.fingerprint());
-        h.u64(monitor_threshold.to_bits());
-        h.u64(emergency_factor.to_bits());
-        h.u64(*max_constraints as u64);
-        h.u64(*max_rounds as u64);
         h.finish()
     }
 }
 
 impl Default for ScopfOptions {
     fn default() -> Self {
-        let mut acopf = AcopfOptions::default();
-        acopf.ipm.max_iter = 250;
         ScopfOptions {
-            acopf,
-            monitor_threshold: 0.90,
-            emergency_factor: 0.94,
-            max_constraints: 6000,
-            max_rounds: 4,
+            acopf: AcopfOptions {
+                ipm: IpmOptions { max_iter: 250 },
+            },
         }
     }
 }
@@ -229,7 +218,7 @@ pub(crate) fn secure(
     let mut current = economic.clone();
     // Only the security rows change between rounds and relaxations: the
     // base problem (YBus, layout, limits, bounds) is built once.
-    let Some(base_prob) = AcopfProblem::build(net, opts.acopf.warm_start) else {
+    let Some(base_prob) = AcopfProblem::build(net) else {
         return Err(AcopfError::InvalidNetwork {
             problems: vec!["no slack bus".to_string()],
         });
@@ -239,7 +228,7 @@ pub(crate) fn secure(
         security: Vec::new(),
     };
 
-    for _round in 0..opts.max_rounds {
+    for _round in 0..MAX_ROUNDS {
         // ---- Screen at the current operating point.
         let flows_pu: Vec<f64> = current
             .branch_loading
@@ -264,14 +253,14 @@ pub(crate) fn secure(
                 }
                 let post = flows_pu[l] + d * flows_pu[k];
                 let loading = post.abs() / (brl.rating_mva / base);
-                if loading >= opts.monitor_threshold && active.len() < opts.max_constraints {
+                if loading >= MONITOR_THRESHOLD && active.len() < MAX_CONSTRAINTS {
                     active.insert(
                         (k, l),
                         SecurityConstraint {
                             outage: k,
                             monitored: l,
                             lodf: d,
-                            limit_pu: opts.emergency_factor * brl.rating_mva / base,
+                            limit_pu: EMERGENCY_FACTOR * brl.rating_mva / base,
                         },
                     );
                     added += 1;
@@ -434,7 +423,7 @@ mod tests {
         // branch's own DC limit, with no outage term to drop or keep.
         let net = cases::load(CaseId::Ieee14);
         let prob = ScopfProblem {
-            base: AcopfProblem::build(&net, false).unwrap(),
+            base: AcopfProblem::build(&net).unwrap(),
             security: vec![SecurityConstraint {
                 outage: 0,
                 monitored: 3,

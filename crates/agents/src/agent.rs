@@ -83,6 +83,9 @@ pub struct AgentResponse {
     pub completed: bool,
 }
 
+/// Plan/invoke rounds per turn before the agent narrates what it has.
+const MAX_ROUNDS: usize = 8;
+
 /// A conversational agent.
 pub struct Agent {
     /// Agent name ("ACOPF Agent", "Contingency Analysis Agent").
@@ -94,7 +97,6 @@ pub struct Agent {
     pub memory: AgentMemory,
     validators: Vec<Box<dyn Validator>>,
     clock: VirtualClock,
-    max_rounds: usize,
 }
 
 impl Agent {
@@ -113,18 +115,12 @@ impl Agent {
             memory: AgentMemory::new(name, system_prompt),
             validators: Vec::new(),
             clock,
-            max_rounds: 8,
         }
     }
 
     /// Adds a domain validator.
     pub fn add_validator(&mut self, v: impl Validator + 'static) {
         self.validators.push(Box::new(v));
-    }
-
-    /// Sets the plan/invoke round budget.
-    pub fn set_max_rounds(&mut self, rounds: usize) {
-        self.max_rounds = rounds.max(1);
     }
 
     /// The backend in use.
@@ -152,7 +148,7 @@ impl Agent {
         let mut validation: Vec<(String, ValidationIssue)> = Vec::new();
         let mut tokens = TokenUsage::default();
 
-        for round in 0..self.max_rounds {
+        for round in 0..MAX_ROUNDS {
             let (turn, latency, usage) = {
                 let mut view = self.memory.view(input);
                 view.pending_results = &pending;
@@ -227,7 +223,7 @@ impl Agent {
         // Round budget exhausted: narrate what we have rather than loop.
         let text = format!(
             "I could not complete the request within {} tool rounds; partial results: {} tool call(s) executed.",
-            self.max_rounds,
+            MAX_ROUNDS,
             tool_calls.len()
         );
         let now = self.clock.now();
@@ -239,7 +235,7 @@ impl Agent {
             validation,
             elapsed_s: now - t_start,
             tokens,
-            rounds: self.max_rounds,
+            rounds: MAX_ROUNDS,
             completed: false,
         }
     }
@@ -415,10 +411,9 @@ mod tests {
             LoopPlanner,
         ));
         let mut a = Agent::new("looper", "p", llm, tools, clock);
-        a.set_max_rounds(3);
         let resp = a.handle("go");
         assert!(!resp.completed);
-        assert_eq!(resp.rounds, 3);
-        assert_eq!(resp.tool_calls.len(), 3);
+        assert_eq!(resp.rounds, MAX_ROUNDS);
+        assert_eq!(resp.tool_calls.len(), MAX_ROUNDS);
     }
 }

@@ -242,7 +242,7 @@ fn lint_case(name: &str) -> ExitCode {
         net.n_bus(),
         net.branches.len()
     );
-    let findings = GridLint::default().audit(&net);
+    let findings = GridLint.audit(&net);
     for f in &findings {
         println!("{f}");
     }

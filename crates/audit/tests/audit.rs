@@ -112,7 +112,7 @@ fn every_paper_case_passes_lint_case() {
         CaseId::Ieee300,
     ] {
         let net = cases::load(id);
-        let errors: Vec<_> = GridLint::default()
+        let errors: Vec<_> = GridLint
             .audit(&net)
             .into_iter()
             .filter(|f| f.severity == Severity::Error)
@@ -157,11 +157,7 @@ fn two_bus() -> Network {
 }
 
 fn codes(net: &Network) -> Vec<String> {
-    GridLint::default()
-        .audit(net)
-        .into_iter()
-        .map(|f| f.code)
-        .collect()
+    GridLint.audit(net).into_iter().map(|f| f.code).collect()
 }
 
 #[test]
@@ -204,7 +200,7 @@ fn findings_are_structured_and_errors_sort_first() {
     let mut net = two_bus();
     net.branches[0].x_pu = 0.0; // error
     net.buses[1].vm_pu = 1.5; // warning (outside limits at start)
-    let findings = GridLint::default().audit(&net);
+    let findings = GridLint.audit(&net);
     assert!(findings.len() >= 2);
     assert_eq!(findings[0].severity, Severity::Error);
     let f = &findings[0];

@@ -21,11 +21,12 @@ pub struct CacheKey {
     /// Branch index of the outage.
     pub outage_branch: usize,
     /// Fingerprint of every sweep option the outcome can depend on: the
-    /// voltage band, thermal threshold, power-flow controls, and the
-    /// sweep mode with its screening knobs (cascade and brute outcomes
-    /// agree to solver tolerance but not bit-for-bit). Only `parallel`
-    /// and the ranking strategy are left out, so a re-ranking of the
-    /// same sweep still hits.
+    /// power-flow controls and the sweep mode (cascade and brute outcomes
+    /// agree to solver tolerance but not bit-for-bit). The voltage band,
+    /// thermal threshold, scope and screening cutoff are constants, so
+    /// they need no part of the key. Only `parallel` and the ranking
+    /// strategy are left out, so a re-ranking of the same sweep still
+    /// hits.
     pub options: u64,
 }
 
@@ -127,11 +128,12 @@ mod tests {
             }
         };
         // Anything an outcome can depend on keys apart ...
-        let outcome_relevant: [fn(&mut CaOptions); 4] = [
+        let outcome_relevant: [fn(&mut CaOptions); 5] = [
             |o| o.mode = SweepMode::Brute,
-            |o| o.vmin_pu = 1.0,
-            |o| o.thermal_threshold_pct = 90.0,
-            |o| o.pf.tol_pu = 1e-4,
+            |o| o.pf.max_iter = 40,
+            |o| o.pf.enforce_q_limits = true,
+            |o| o.pf.iwamoto_damping = false,
+            |o| o.pf.init = gm_powerflow::InitStrategy::DcWarmStart,
         ];
         for tweak in outcome_relevant {
             assert!(cache.get(&keyed(tweak)).is_none());

@@ -32,37 +32,35 @@ use gm_numeric::{Complex, Fnv1a};
 use gm_powerflow::{solve_from, CompensationBase, PfOptions, PfReport};
 use rayon::prelude::*;
 
-/// Sweep options.
+/// Lower edge of the voltage band checked post-contingency (p.u.). The
+/// paper uses 0.95–1.05 in its Fig. 8 transcripts.
+pub(crate) const VMIN_PU: f64 = 0.95;
+/// Upper edge of the voltage band (p.u.).
+pub(crate) const VMAX_PU: f64 = 1.05;
+/// Loading (%) above which a branch counts as overloaded.
+pub(crate) const THERMAL_THRESHOLD_PCT: f64 = 100.0;
+/// Cascade: an outage is a suspect when its DC-estimated worst
+/// post-outage loading reaches this fraction of any rating. The 1.0
+/// margin less a 0.15 safety band absorbs the DC estimate's systematic
+/// underestimate of MVA loading.
+pub(crate) const SCREEN_CUTOFF: f64 = 1.0 - 0.15;
+/// Cascade: this many top-DC-ranked outages are AC-verified even when
+/// they fall below the cutoff, so the head of the criticality ranking
+/// always rests on AC solutions.
+const SCREEN_TOP_K: usize = 8;
+
+/// Sweep options. Every in-service line and transformer is swept; the
+/// voltage band (0.95–1.05 p.u.), the thermal threshold (100 %) and the
+/// cascade's screening cutoff (0.85 of rating, plus the 8 top-ranked
+/// outages) are fixed.
 #[derive(Clone, Debug)]
 pub struct CaOptions {
-    /// Voltage band checked post-contingency (p.u.). The paper uses
-    /// 0.95–1.05 in its Fig. 8 transcripts.
-    pub vmin_pu: f64,
-    /// Upper voltage band (p.u.).
-    pub vmax_pu: f64,
-    /// Loading threshold (%) above which a branch counts as overloaded.
-    pub thermal_threshold_pct: f64,
-    /// Include line outages.
-    pub include_lines: bool,
-    /// Include transformer outages.
-    pub include_trafos: bool,
     /// Run the sweep on the rayon thread pool.
     pub parallel: bool,
     /// Ranking strategy for the criticality list.
     pub strategy: RankingStrategy,
     /// Sweep fidelity mode (default: the screening cascade).
     pub mode: SweepMode,
-    /// Cascade: an outage is a suspect when its DC-estimated worst
-    /// post-outage loading reaches this fraction of any rating.
-    pub screen_margin: f64,
-    /// Cascade: safety band subtracted from the margin — the effective
-    /// cutoff is `screen_margin - screen_band`, absorbing the DC
-    /// estimate's systematic underestimate of MVA loading.
-    pub screen_band: f64,
-    /// Cascade: this many top-DC-ranked outages are AC-verified even when
-    /// they fall below the cutoff, so the head of the criticality ranking
-    /// always rests on AC solutions.
-    pub screen_top_k: usize,
     /// Power flow controls for the post-contingency solves.
     pub pf: PfOptions,
 }
@@ -70,17 +68,9 @@ pub struct CaOptions {
 impl Default for CaOptions {
     fn default() -> Self {
         CaOptions {
-            vmin_pu: 0.95,
-            vmax_pu: 1.05,
-            thermal_threshold_pct: 100.0,
-            include_lines: true,
-            include_trafos: true,
             parallel: true,
             strategy: RankingStrategy::Composite,
             mode: SweepMode::Cascade,
-            screen_margin: 1.0,
-            screen_band: 0.15,
-            screen_top_k: 8,
             pf: PfOptions {
                 enforce_q_limits: false,
                 max_iter: 25,
@@ -92,8 +82,7 @@ impl Default for CaOptions {
 
 impl CaOptions {
     /// Deterministic fingerprint of every sweep control that can affect
-    /// the report (voltage band, thermal threshold, scope, ranking
-    /// strategy, sweep mode and screening knobs, inner power-flow
+    /// the report (ranking strategy, sweep mode, inner power-flow
     /// options), for cross-session solver-cache keys (gm-serve).
     /// `parallel` is excluded because serial and parallel sweeps produce
     /// identical reports.
@@ -109,45 +98,25 @@ impl CaOptions {
     }
 
     /// Fingerprint of the controls a single outage's outcome can depend
-    /// on — everything but `parallel` and the ranking `strategy`, which
-    /// only orders finished outcomes. The per-outage cache keys on this.
-    /// The destructuring is exhaustive on purpose: a new field fails to
-    /// compile here until it is folded in (or explicitly left out).
+    /// on — the sweep `mode` and the power-flow options; `parallel` and
+    /// the ranking `strategy` only schedule or order finished outcomes.
+    /// The per-outage cache keys on this. The destructuring is exhaustive
+    /// on purpose: a new field fails to compile here until it is folded
+    /// in (or explicitly left out).
     pub(crate) fn outcome_fingerprint(&self) -> u64 {
         let CaOptions {
-            vmin_pu,
-            vmax_pu,
-            thermal_threshold_pct,
-            include_lines,
-            include_trafos,
             parallel: _,
             strategy: _,
             mode,
-            screen_margin,
-            screen_band,
-            screen_top_k,
             pf,
         } = self;
         let mut h = Fnv1a::new();
-        h.u64(vmin_pu.to_bits());
-        h.u64(vmax_pu.to_bits());
-        h.u64(thermal_threshold_pct.to_bits());
-        h.u64(u64::from(*include_lines));
-        h.u64(u64::from(*include_trafos));
         h.u64(match mode {
             SweepMode::Brute => 0,
             SweepMode::Cascade => 1,
         });
-        h.u64(screen_margin.to_bits());
-        h.u64(screen_band.to_bits());
-        h.u64(*screen_top_k as u64);
         h.u64(pf.fingerprint());
         h.finish()
-    }
-
-    /// Effective DC screening cutoff (fraction of rating).
-    pub fn screen_cutoff(&self) -> f64 {
-        (self.screen_margin - self.screen_band).max(0.0)
     }
 }
 
@@ -156,26 +125,21 @@ pub fn solve_base(net: &Network, opts: &CaOptions) -> Result<PfReport, gm_powerf
     gm_powerflow::solve(net, &opts.pf)
 }
 
-/// Enumerates the outage targets with kind-relative indices
-/// (PandaPower-style "line 6" / "trafo 0" labels).
-pub(crate) fn enumerate_targets(net: &Network, opts: &CaOptions) -> Vec<(Outage, usize)> {
+/// Enumerates the outage targets — every in-service line and
+/// transformer — with kind-relative indices (PandaPower-style "line 6" /
+/// "trafo 0" labels).
+pub(crate) fn enumerate_targets(net: &Network) -> Vec<(Outage, usize)> {
     let mut targets: Vec<(Outage, usize)> = Vec::new();
     let mut line_idx = 0usize;
     let mut trafo_idx = 0usize;
     for (bi, br) in net.branches.iter().enumerate() {
-        let (kind_index, include) = match br.kind {
-            BranchKind::Line => {
-                let k = line_idx;
-                line_idx += 1;
-                (k, opts.include_lines)
-            }
-            BranchKind::Transformer => {
-                let k = trafo_idx;
-                trafo_idx += 1;
-                (k, opts.include_trafos)
-            }
+        let counter = match br.kind {
+            BranchKind::Line => &mut line_idx,
+            BranchKind::Transformer => &mut trafo_idx,
         };
-        if include && br.in_service {
+        let kind_index = *counter;
+        *counter += 1;
+        if br.in_service {
             targets.push((
                 Outage {
                     branch: bi,
@@ -228,7 +192,7 @@ fn assemble_report(
         outages_with_voltage_issues,
         max_overload_pct,
         ranking,
-        voltage_band: (opts.vmin_pu, opts.vmax_pu),
+        voltage_band: (VMIN_PU, VMAX_PU),
         sweep_time_s: started.elapsed().as_secs_f64(),
         parallel: opts.parallel,
         mode,
@@ -272,8 +236,8 @@ enum Step {
 /// number): outcomes are looked up / stored under it, the branch index,
 /// and the fingerprint of every option an outcome can depend on, so a
 /// repeated compound request recomputes only what an edit staled — and
-/// neither cascade results nor a different voltage band, thermal
-/// threshold or power-flow setting can alias a stored outcome.
+/// neither cascade results nor a different power-flow setting can alias
+/// a stored outcome.
 pub fn run_n1_cached(
     net: &Network,
     opts: &CaOptions,
@@ -295,7 +259,7 @@ pub fn run_n1_cached(
         }
     };
     let v0 = base.voltages();
-    let targets = enumerate_targets(net, opts);
+    let targets = enumerate_targets(net);
     // Brute is the all-Newton plan — and so is a cascade whose DC screen
     // is unavailable, which reports itself as the brute sweep it ran.
     let cascade = match opts.mode {
@@ -375,7 +339,7 @@ pub fn run_n1_cached(
 /// Phase 1 — screen: compute LODFs once from the base-case PTDF
 /// machinery and rank every outage by its DC-estimated worst post-outage
 /// MVA loading against ratings. Phase 2 — verify: outages at or above
-/// `opts.screen_cutoff()`, the `opts.screen_top_k` DC-ranked head, and
+/// the screening cutoff (0.85 of rating), the 8-outage DC-ranked head, and
 /// anything the linear model cannot screen (islanding columns) get an AC
 /// verification. Each verified solve goes through the base-case Jacobian
 /// factorization with a Woodbury outage-block correction
@@ -415,7 +379,7 @@ fn cascade_plan(
     if !rated {
         gm_telemetry::counter_add("ca.screen.unrated", 1);
     }
-    let cutoff = if rated { opts.screen_cutoff() } else { -1.0 };
+    let cutoff = if rated { SCREEN_CUTOFF } else { -1.0 };
     let mut order: Vec<usize> = (0..targets.len()).collect();
     order.sort_by(|&a, &b| {
         let ea = estimates[a].unwrap_or(f64::INFINITY);
@@ -425,7 +389,7 @@ fn cascade_plan(
     let mut steps = vec![Step::Newton; targets.len()];
     for (pos, &ti) in order.iter().enumerate() {
         steps[ti] = match estimates[ti] {
-            Some(e) if pos >= opts.screen_top_k && e < cutoff => Step::ScreenedOut(e),
+            Some(e) if pos >= SCREEN_TOP_K && e < cutoff => Step::ScreenedOut(e),
             estimate => Step::Compensated(estimate),
         };
     }
@@ -480,12 +444,13 @@ fn islanding_outcome(
     stranded: &[usize],
 ) -> ContingencyOutcome {
     gm_telemetry::counter_add("ca.islanded", 1);
-    let load_shed: f64 = net
+    // Summed from +0.0: `Sum` for f64 starts at -0.0, which an outage
+    // stranding only load-free buses would narrate as "-0.0 MW".
+    let load_shed = net
         .loads
         .iter()
         .filter(|l| l.in_service && stranded.contains(&l.bus))
-        .map(|l| l.p_mw)
-        .sum();
+        .fold(0.0, |mw, l| mw + l.p_mw);
     ContingencyOutcome {
         outage,
         kind_index,
@@ -501,11 +466,11 @@ fn islanding_outcome(
 }
 
 /// Thermal and voltage violations of a solved post-outage report against
-/// the sweep's threshold and band (branch and generator sweeps alike).
-pub(crate) fn violations_of(rep: &PfReport, opts: &CaOptions) -> Vec<Violation> {
+/// the fixed threshold and band (branch and generator sweeps alike).
+pub(crate) fn violations_of(rep: &PfReport) -> Vec<Violation> {
     let mut violations = Vec::new();
     for bf in &rep.branches {
-        if bf.loading_pct > opts.thermal_threshold_pct {
+        if bf.loading_pct > THERMAL_THRESHOLD_PCT {
             violations.push(Violation::ThermalOverload {
                 branch: bf.index,
                 loading_pct: bf.loading_pct,
@@ -513,12 +478,12 @@ pub(crate) fn violations_of(rep: &PfReport, opts: &CaOptions) -> Vec<Violation> 
         }
     }
     for b in &rep.buses {
-        if b.vm_pu < opts.vmin_pu {
+        if b.vm_pu < VMIN_PU {
             violations.push(Violation::LowVoltage {
                 bus_id: b.id,
                 vm_pu: b.vm_pu,
             });
-        } else if b.vm_pu > opts.vmax_pu {
+        } else if b.vm_pu > VMAX_PU {
             violations.push(Violation::HighVoltage {
                 bus_id: b.id,
                 vm_pu: b.vm_pu,
@@ -529,19 +494,14 @@ pub(crate) fn violations_of(rep: &PfReport, opts: &CaOptions) -> Vec<Violation> 
 }
 
 /// The outcome of a solved post-outage report.
-fn outcome_from_pf(
-    rep: &PfReport,
-    opts: &CaOptions,
-    outage: Outage,
-    kind_index: usize,
-) -> ContingencyOutcome {
+fn outcome_from_pf(rep: &PfReport, outage: Outage, kind_index: usize) -> ContingencyOutcome {
     ContingencyOutcome {
         outage,
         kind_index,
         converged: true,
         islands: false,
         stranded_buses: 0,
-        violations: violations_of(rep, opts),
+        violations: violations_of(rep),
         max_loading_pct: rep.max_loading.0,
         min_vm: rep.min_vm,
         load_shed_mw: 0.0,
@@ -595,7 +555,7 @@ pub fn evaluate_outage(
             load_shed_mw: 0.0,
             ac_solved: true,
         },
-        Ok(rep) => outcome_from_pf(&rep, opts, outage, kind_index),
+        Ok(rep) => outcome_from_pf(&rep, outage, kind_index),
     }
 }
 
@@ -633,7 +593,7 @@ fn evaluate_outage_cascade(
                         (100.0 * est - rep.max_loading.0).abs(),
                     );
                 }
-                return outcome_from_pf(&rep, opts, outage, kind_index);
+                return outcome_from_pf(&rep, outage, kind_index);
             }
             Err(_) => {
                 gm_telemetry::counter_add("ca.screen.fallback", 1);
@@ -735,19 +695,24 @@ mod tests {
     }
 
     #[test]
-    fn line_only_sweep() {
+    fn stranding_only_load_free_buses_sheds_plus_zero() {
+        // case14 bus 8 (a synchronous condenser, no load) hangs off line
+        // 7-8 alone: its outage strands no load, and the narration must
+        // say "0.0 MW", not the "-0.0 MW" an empty f64 `Sum` gives.
         let net = cases::load(CaseId::Ieee14);
-        let rep = run_n1(
-            &net,
-            &CaOptions {
-                include_trafos: false,
-                ..brute_opts()
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(rep.n_contingencies, 17);
-        assert_eq!(rep.n_trafos, 0);
+        let rep = run_n1(&net, &brute_opts(), None).unwrap();
+        let ranked = rep
+            .ranking
+            .iter()
+            .find(|r| rep.outcomes[r.outcome_index].islands)
+            .unwrap();
+        let shed = rep.outcomes[ranked.outcome_index].load_shed_mw;
+        assert_eq!(shed.to_bits(), 0.0f64.to_bits(), "{shed:?}");
+        assert!(
+            ranked.justification.contains("stranding 0.0 MW"),
+            "{}",
+            ranked.justification
+        );
     }
 
     #[test]
@@ -899,39 +864,46 @@ mod tests {
     #[test]
     fn cached_sweep_misses_when_outcome_options_change() {
         // Regression: the per-outage key used to be (case, outage, diff
-        // hash, mode), so a second sweep differing only in the voltage
-        // band was served the first sweep's violations.
+        // hash, mode), so a second sweep differing only in an outcome
+        // option (then the voltage band) was served the first sweep's
+        // outcomes. Mode and power-flow controls are what a caller can
+        // still set; each must miss.
         let net = cases::load(CaseId::Ieee30);
         let cache = crate::cache::ContingencyCache::new();
         let cached =
             |opts: &CaOptions| run_n1_cached(&net, opts, None, Some((&cache, 42))).unwrap();
-        let loose = CaOptions {
-            vmin_pu: 0.80,
-            ..brute_opts()
+        let brute = brute_opts();
+        let n = cached(&brute).n_contingencies as u64;
+        // A Q-limited post-outage solve is another answer: it must not be
+        // served the unlimited sweep's outcomes.
+        let q_limited = CaOptions {
+            pf: PfOptions {
+                enforce_q_limits: true,
+                ..brute.pf.clone()
+            },
+            ..brute.clone()
         };
-        let tight = CaOptions {
-            vmin_pu: 1.00,
-            ..brute_opts()
-        };
-        let n = cached(&loose).n_contingencies as u64;
-        let fresh = run_n1(&net, &tight, None).unwrap();
-        assert_eq!(cached(&tight).total_violations, fresh.total_violations);
-        assert_eq!(cache.stats(), (0, 2 * n), "a band change must miss");
-        // The thermal threshold and the power-flow controls miss too ...
-        let mut coarse = CaOptions {
-            thermal_threshold_pct: 50.0,
-            ..loose.clone()
-        };
-        cached(&coarse);
-        coarse.pf.tol_pu = 1e-5;
-        cached(&coarse);
-        assert_eq!(cache.stats(), (0, 4 * n));
+        let fresh = run_n1(&net, &q_limited, None).unwrap();
+        let served = cached(&q_limited);
+        assert_eq!(
+            format!("{:?}", served.outcomes),
+            format!("{:?}", fresh.outcomes)
+        );
+        assert_eq!(cache.stats(), (0, 2 * n), "a power-flow change must miss");
+        // The iteration budget and the mode miss too ...
+        let mut budget = brute.clone();
+        budget.pf.max_iter += 1;
+        cached(&budget);
+        assert_eq!(cache.stats(), (0, 3 * n));
+        let verified = cached(&CaOptions::default());
+        let verified = (verified.n_contingencies - verified.screened_out) as u64;
+        assert_eq!(cache.stats(), (0, 3 * n + verified));
         // ... while a strategy-only change still hits, as it always did.
         cached(&CaOptions {
             strategy: RankingStrategy::OverloadFirst,
-            ..loose
+            ..brute
         });
-        assert_eq!(cache.stats(), (n, 4 * n));
+        assert_eq!(cache.stats(), (n, 3 * n + verified));
     }
 
     #[test]
@@ -953,43 +925,14 @@ mod tests {
     }
 
     #[test]
-    fn voltage_band_is_configurable() {
-        let net = cases::load(CaseId::Ieee30);
-        let tight = run_n1(
-            &net,
-            &CaOptions {
-                vmin_pu: 1.00,
-                vmax_pu: 1.02,
-                ..brute_opts()
-            },
-            None,
-        )
-        .unwrap();
-        let loose = run_n1(
-            &net,
-            &CaOptions {
-                vmin_pu: 0.80,
-                vmax_pu: 1.20,
-                ..brute_opts()
-            },
-            None,
-        )
-        .unwrap();
-        assert!(tight.total_violations > loose.total_violations);
-        assert_eq!(loose.outages_with_voltage_issues, 0);
-    }
-
-    #[test]
     fn fingerprint_distinguishes_modes() {
         let brute = brute_opts();
         let cascade = CaOptions::default();
         assert_ne!(brute.fingerprint(), cascade.fingerprint());
-        // Screening knobs are fingerprint-relevant too.
-        let tighter = CaOptions {
-            screen_band: 0.30,
-            ..Default::default()
-        };
-        assert_ne!(cascade.fingerprint(), tighter.fingerprint());
+        // The post-outage power-flow controls are fingerprint-relevant too.
+        let mut q_limited = CaOptions::default();
+        q_limited.pf.enforce_q_limits = true;
+        assert_ne!(cascade.fingerprint(), q_limited.fingerprint());
     }
 
     #[test]
@@ -999,29 +942,25 @@ mod tests {
         //   old(fp, s, t) = (((fp ^ s) * P) ^ t.bits) * P,
         // so old(fp, 1, t1) == old(fp, 0, t2) at
         // t2.bits = t1.bits ^ ((fp^1)*P) ^ (fp*P): a screening sweep could
-        // be served a cached full sweep. Mode and threshold are
-        // `CaOptions` fields now, and the fixed-width encoding behind
-        // `fingerprint` gives each its own lane.
+        // be served a cached full sweep. The threshold is a constant now,
+        // so no caller can pick `t2`, and the mode keeps its own lane in
+        // the fixed-width encoding behind `fingerprint`.
         const P: u64 = 0x100000001b3;
         let old_mix = |fp: u64, screening: bool, t: f64| -> u64 {
             ((fp ^ u64::from(screening)).wrapping_mul(P) ^ t.to_bits()).wrapping_mul(P)
         };
         let fp = CaOptions::default().fingerprint();
-        let t1 = 0.85f64;
+        let t1 = SCREEN_CUTOFF;
         let t2 = f64::from_bits(t1.to_bits() ^ (fp ^ 1).wrapping_mul(P) ^ fp.wrapping_mul(P));
         assert_ne!(t1.to_bits(), t2.to_bits(), "a genuinely distinct threshold");
         assert_eq!(old_mix(fp, true, t1), old_mix(fp, false, t2));
-        let new = |mode: SweepMode, margin: f64| {
+        let new = |mode: SweepMode| {
             CaOptions {
                 mode,
-                screen_margin: margin,
                 ..Default::default()
             }
             .fingerprint()
         };
-        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Brute, t2));
-        // The ordinary neighbours too: a mode flip, a threshold change.
-        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Brute, t1));
-        assert_ne!(new(SweepMode::Cascade, t1), new(SweepMode::Cascade, 0.9));
+        assert_ne!(new(SweepMode::Cascade), new(SweepMode::Brute));
     }
 }

@@ -59,13 +59,14 @@ pub fn run_gen_n1(
             problems: vec!["network has no slack bus".into()],
         });
     };
-    let base_slack_p: f64 = base
+    // Slack sums start from +0.0 (`Sum` for f64 starts at -0.0): an
+    // outage of the only slack unit leaves the post-outage set empty.
+    let base_slack_p = base
         .gens
         .iter()
         .zip(&net.gens)
         .filter(|(_, g)| g.bus == slack)
-        .map(|(r, _)| r.p_mw)
-        .sum();
+        .fold(0.0, |mw, (r, _)| mw + r.p_mw);
 
     let targets: Vec<usize> = net
         .gens
@@ -118,20 +119,19 @@ pub fn run_gen_n1(
                 slack_pickup_mw: 0.0,
             },
             Ok(rep) => {
-                let new_slack_p: f64 = rep
+                let new_slack_p = rep
                     .gens
                     .iter()
                     .zip(&work.gens)
                     .filter(|(_, g)| g.bus == slack && g.in_service)
-                    .map(|(r, _)| r.p_mw)
-                    .sum();
+                    .fold(0.0, |mw, (r, _)| mw + r.p_mw);
                 GenOutageOutcome {
                     gen: gi,
                     bus_id,
                     lost_mw,
                     converged: true,
                     loses_reference: false,
-                    violations: violations_of(&rep, opts),
+                    violations: violations_of(&rep),
                     max_loading_pct: rep.max_loading.0,
                     min_vm: rep.min_vm,
                     slack_pickup_mw: new_slack_p - base_slack_p,

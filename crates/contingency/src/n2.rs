@@ -10,7 +10,9 @@
 //! outage is a rank-≤-8 Jacobian correction, still far cheaper than a
 //! fresh factorization per pair.
 
-use crate::engine::{enumerate_targets, screening_inputs, solve_base, violations_of, CaOptions};
+use crate::engine::{
+    enumerate_targets, screening_inputs, solve_base, violations_of, CaOptions, SCREEN_CUTOFF,
+};
 use crate::types::{Outage, Violation};
 use gm_network::{topology, Network};
 use gm_powerflow::{CompensationBase, PfReport};
@@ -92,7 +94,7 @@ pub fn n_minus_2_preview(
     };
     let sens = gm_powerflow::sensitivities_for_screening(net)?;
     let (base_p, base_q) = screening_inputs(base);
-    let targets = enumerate_targets(net, opts);
+    let targets = enumerate_targets(net);
     // Same unrated-network guard as the N-1 cascade: no ratings means no
     // thermal signal, so every pair becomes a suspect (the max_verify cap
     // still bounds the AC work).
@@ -100,7 +102,7 @@ pub fn n_minus_2_preview(
         .branches
         .iter()
         .any(|b| b.in_service && b.rating_mva > 0.0);
-    let cutoff = if rated { opts.screen_cutoff() } else { -1.0 };
+    let cutoff = if rated { SCREEN_CUTOFF } else { -1.0 };
 
     // Phase 1: DC pair screen.
     let mut suspects: Vec<(usize, usize, f64)> = Vec::new();
@@ -185,7 +187,7 @@ pub fn n_minus_2_preview(
                 islands: false,
                 converged: true,
                 compensated,
-                violations: violations_of(&rep, opts),
+                violations: violations_of(&rep),
                 max_loading_pct: rep.max_loading.0,
             },
         };

@@ -9,6 +9,7 @@
 //! higher"). The alternative strategies model the per-LLM analytical
 //! differences the paper observes in Table 1.
 
+use crate::engine::{THERMAL_THRESHOLD_PCT, VMAX_PU, VMIN_PU};
 use crate::types::{ContingencyOutcome, RankedContingency, RankingStrategy, Violation};
 
 /// Scores one outcome under a strategy (higher = more critical).
@@ -28,7 +29,9 @@ pub fn score(outcome: &ContingencyOutcome, strategy: RankingStrategy) -> f64 {
                 .violations
                 .iter()
                 .filter_map(|v| match v {
-                    Violation::ThermalOverload { loading_pct, .. } => Some(loading_pct - 100.0),
+                    Violation::ThermalOverload { loading_pct, .. } => {
+                        Some(loading_pct - THERMAL_THRESHOLD_PCT)
+                    }
                     _ => None,
                 })
                 .sum();
@@ -36,8 +39,8 @@ pub fn score(outcome: &ContingencyOutcome, strategy: RankingStrategy) -> f64 {
                 .violations
                 .iter()
                 .filter_map(|v| match v {
-                    Violation::LowVoltage { vm_pu, .. } => Some((0.95 - vm_pu) * 100.0),
-                    Violation::HighVoltage { vm_pu, .. } => Some((vm_pu - 1.05) * 100.0),
+                    Violation::LowVoltage { vm_pu, .. } => Some((VMIN_PU - vm_pu) * 100.0),
+                    Violation::HighVoltage { vm_pu, .. } => Some((vm_pu - VMAX_PU) * 100.0),
                     _ => None,
                 })
                 .sum();

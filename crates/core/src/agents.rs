@@ -85,8 +85,8 @@ pub fn build_acopf_agent(
     let llm = Arc::new(SimulatedLlm::new(profile, AcopfPlanner));
     let mut agent = Agent::new("ACOPF Agent", ACOPF_SYSTEM_PROMPT, llm, tools, clock);
     agent.add_validator(ConvergenceValidator);
-    agent.add_validator(PowerBalanceValidator::default());
-    agent.add_validator(OperatingLimitValidator::default());
+    agent.add_validator(PowerBalanceValidator);
+    agent.add_validator(OperatingLimitValidator);
     agent
 }
 
@@ -116,7 +116,7 @@ pub fn build_ca_agent(profile: ModelProfile, session: SharedSession, clock: Virt
         clock,
     );
     agent.add_validator(ConvergenceValidator);
-    agent.add_validator(OperatingLimitValidator::default());
+    agent.add_validator(OperatingLimitValidator);
     agent
 }
 

@@ -39,6 +39,14 @@
 //! println!("{}", reply.text);
 //! ```
 
+// The crate is panic-free outside tests: a tool argument a body cannot
+// use is a typed `bad_argument`, and a planner narrates a failure rather
+// than unwrap one. Enforced by clippy here and by `gm-audit lint-src`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod agents;
 pub mod coordinator;
 pub mod failure;

@@ -10,17 +10,10 @@
 //! one that does not lift is narrated as a failure, and recovery keys on
 //! the failure's [`ErrorCode`], never on its text.
 
-// The planner is panic-free outside tests: the utterance is outside
-// input, so what it yields is read with `first()` / `get`, never `[i]`.
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::indexing_slicing
-    )
-)]
+// The planner does not index outside tests: the utterance is outside
+// input, so what it yields is read with `first()` / `get`, never `[i]`
+// (the crate-level gate in `lib.rs` already denies unwrap and panic).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::recovery::Degraded;
 use crate::tools_acopf::{

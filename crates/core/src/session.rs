@@ -274,6 +274,9 @@ impl SessionContext {
     /// Serializes the session for persistence (§3.4 "Session persistence
     /// serializes baseline, diffs, artifacts…").
     pub fn save(&self) -> serde_json::Value {
+        // Cannot fail: the vendored `serde::Serialize` builds a `Value`
+        // infallibly and `serde_json::to_value` only wraps it in `Ok`.
+        #[allow(clippy::expect_used)]
         let mut blob = serde_json::to_value(&*self.inner.read()).expect("session serializes");
         // Saved sessions carry their own trace: the full telemetry
         // snapshot (spans, counters, events) rides along under a key the
@@ -391,6 +394,22 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SessionError::BadModification(_)));
         assert_eq!(s.diff_count(), 0);
+    }
+
+    #[test]
+    fn sessions_saved_with_a_sketch_resolution_field_still_restore() {
+        // A session blob saved while a telemetry sketch's resolution was
+        // a field (`"sub": 32`, the only value ever written).
+        let blob: serde_json::Value = serde_json::from_str(
+            r#"{"acopf":null,"active_case":null,"base":null,"base_pf":null,"contingency":null,"current":null,"diffs":{"entries":[]},"telemetry":{"counters":{"pf.newton.solves":2},"events":[],"flight":[],"histograms":{},"quantiles":{"serve.exec_s":{"count":2,"counts":[1,1],"max":0.000000001,"min":0.0000000005,"sub":32,"sum":0.0000000015000000000000002}},"spans":[{"attrs":{"agent":"x"},"dur_s":0.000000157,"id":0,"name":"agent.turn","parent":null,"start_s":0.000027902,"v_end_s":0.0,"v_start_s":0.0}],"virtual_now_s":0.0,"wall_elapsed_s":0.000037348}}"#,
+        )
+        .unwrap();
+        let restored = SessionContext::restore(&blob).unwrap();
+        assert_eq!(restored.active_case(), None);
+        let snap = gm_telemetry::find_snapshot(&blob).expect("embedded trace parses");
+        assert_eq!(snap.quantiles["serve.exec_s"].count, 2);
+        let report = gm_telemetry::render_report(&blob).expect("renders");
+        assert!(report.contains("serve.exec_s"), "{report}");
     }
 
     #[test]

@@ -394,12 +394,12 @@ mod tests {
         assert_ne!(ka, kc, "a one-line rating perturbation must miss");
 
         // Different solver options must also miss.
-        let mut warm = gm_acopf::AcopfOptions::default();
-        warm.warm_start = !warm.warm_start;
+        let mut longer = gm_acopf::AcopfOptions::default();
+        longer.ipm.max_iter += 1;
         let kw = SolverCacheKey {
             net_hash: a.content_hash(),
             kind: QueryKind::Acopf,
-            params: warm.fingerprint(),
+            params: longer.fingerprint(),
         };
         assert_ne!(ka, kw, "option changes must miss");
 

@@ -8,13 +8,6 @@
 //! and whose closed schema the registry validates against — and deposits
 //! typed artifacts for other agents.
 
-// The tool boundary is panic-free outside tests: an argument a body
-// cannot use is a typed `bad_argument`, never an unwrap.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::failure::DomainError;
 use crate::quality;
 use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, Degraded};

@@ -46,18 +46,16 @@ impl Validator for ConvergenceValidator {
     }
 }
 
+/// Power balance warning threshold (MW).
+const BALANCE_TOLERANCE_MW: f64 = 0.1;
+/// Lower edge of the voltage band a reported solution must stay in (p.u.).
+const VMIN_PU: f64 = 0.94;
+/// Upper edge of that band (p.u.).
+const VMAX_PU: f64 = 1.10;
+
 /// Checks the reported power balance against the paper's 1e-4 p.u.
 /// tolerance (0.01 MW on a 100 MVA base — warnings start at 0.1 MW).
-pub struct PowerBalanceValidator {
-    /// Warning threshold (MW).
-    pub tolerance_mw: f64,
-}
-
-impl Default for PowerBalanceValidator {
-    fn default() -> Self {
-        PowerBalanceValidator { tolerance_mw: 0.1 }
-    }
-}
+pub struct PowerBalanceValidator;
 
 impl Validator for PowerBalanceValidator {
     fn name(&self) -> &str {
@@ -65,13 +63,12 @@ impl Validator for PowerBalanceValidator {
     }
     fn validate(&self, _tool: &str, result: &Value) -> Vec<ValidationIssue> {
         match result.get(POWER_BALANCE).and_then(|v| v.as_f64()) {
-            Some(err) if err.abs() > self.tolerance_mw => vec![ValidationIssue {
+            Some(err) if err.abs() > BALANCE_TOLERANCE_MW => vec![ValidationIssue {
                 severity: Severity::Warning,
                 check: "power_balance".into(),
                 message: format!(
-                    "power balance error {err:.3} MW exceeds the {} MW tolerance; verify load \
-                     scaling and slack treatment",
-                    self.tolerance_mw
+                    "power balance error {err:.3} MW exceeds the {BALANCE_TOLERANCE_MW} MW \
+                     tolerance; verify load scaling and slack treatment"
                 ),
             }],
             _ => vec![],
@@ -79,22 +76,9 @@ impl Validator for PowerBalanceValidator {
     }
 }
 
-/// Flags voltage or thermal limit breaches in reported solutions.
-pub struct OperatingLimitValidator {
-    /// Voltage band (p.u.).
-    pub vmin_pu: f64,
-    /// Upper voltage bound (p.u.).
-    pub vmax_pu: f64,
-}
-
-impl Default for OperatingLimitValidator {
-    fn default() -> Self {
-        OperatingLimitValidator {
-            vmin_pu: 0.94,
-            vmax_pu: 1.10,
-        }
-    }
-}
+/// Flags voltage (outside 0.94–1.10 p.u.) or thermal limit breaches in
+/// reported solutions.
+pub struct OperatingLimitValidator;
 
 impl Validator for OperatingLimitValidator {
     fn name(&self) -> &str {
@@ -103,20 +87,20 @@ impl Validator for OperatingLimitValidator {
     fn validate(&self, _tool: &str, result: &Value) -> Vec<ValidationIssue> {
         let mut issues = Vec::new();
         if let Some(v) = result.get(MIN_VOLTAGE).and_then(|v| v.as_f64()) {
-            if v < self.vmin_pu {
+            if v < VMIN_PU {
                 issues.push(ValidationIssue {
                     severity: Severity::Warning,
                     check: "voltage_limits".into(),
-                    message: format!("minimum voltage {v:.4} p.u. below {}", self.vmin_pu),
+                    message: format!("minimum voltage {v:.4} p.u. below {VMIN_PU}"),
                 });
             }
         }
         if let Some(v) = result.get(MAX_VOLTAGE).and_then(|v| v.as_f64()) {
-            if v > self.vmax_pu {
+            if v > VMAX_PU {
                 issues.push(ValidationIssue {
                     severity: Severity::Warning,
                     check: "voltage_limits".into(),
-                    message: format!("maximum voltage {v:.4} p.u. above {}", self.vmax_pu),
+                    message: format!("maximum voltage {v:.4} p.u. above {VMAX_PU}"),
                 });
             }
         }
@@ -151,7 +135,7 @@ mod tests {
 
     #[test]
     fn power_balance_threshold() {
-        let v = PowerBalanceValidator::default();
+        let v = PowerBalanceValidator;
         assert!(v
             .validate("x", &json!({"power_balance_error_mw": 0.01}))
             .is_empty());
@@ -162,7 +146,7 @@ mod tests {
 
     #[test]
     fn operating_limits() {
-        let v = OperatingLimitValidator::default();
+        let v = OperatingLimitValidator;
         assert!(v
             .validate(
                 "x",
@@ -178,7 +162,7 @@ mod tests {
 
     #[test]
     fn absent_fields_are_fine() {
-        let v = OperatingLimitValidator::default();
+        let v = OperatingLimitValidator;
         assert!(v.validate("x", &json!({"anything": 1})).is_empty());
     }
 }

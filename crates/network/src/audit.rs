@@ -80,25 +80,15 @@ impl std::fmt::Display for AuditFinding {
     }
 }
 
-/// The model-lint pass. Construct with [`GridLint::default`] and run
-/// [`GridLint::audit`]; thresholds are fields so callers can tune them.
-#[derive(Clone, Debug)]
-pub struct GridLint {
-    /// Reactance magnitude below which a branch is degenerate (p.u.).
-    pub min_reactance_pu: f64,
-    /// Required capacity margin over total load (1.02 = 2 % headroom
-    /// for losses) before `GM-CAPACITY` downgrades from error to warning.
-    pub loss_headroom: f64,
-}
+/// Reactance magnitude below which a branch is degenerate (p.u.).
+const MIN_REACTANCE_PU: f64 = 1e-9;
+/// Required capacity margin over total load (1.02 = 2 % headroom for
+/// losses) before `GM-CAPACITY` downgrades from error to warning.
+const LOSS_HEADROOM: f64 = 1.02;
 
-impl Default for GridLint {
-    fn default() -> Self {
-        GridLint {
-            min_reactance_pu: 1e-9,
-            loss_headroom: 1.02,
-        }
-    }
-}
+/// The model-lint pass: run [`GridLint::audit`] (`GridLint.audit(&net)`).
+#[derive(Clone, Copy, Debug)]
+pub struct GridLint;
 
 /// Internal accumulator that grows the finding list and, for rules the
 /// legacy validator also enforced, the matching [`ModelError`].
@@ -406,7 +396,7 @@ impl GridLint {
                 );
                 continue;
             }
-            if br.x_pu.abs() < self.min_reactance_pu {
+            if br.x_pu.abs() < MIN_REACTANCE_PU {
                 rep.push(
                     Severity::Error,
                     "GM-DEGENERATE-X",
@@ -487,7 +477,7 @@ impl GridLint {
                     format!("in-service capacity {capacity:.1} MW cannot cover load {load:.1} MW"),
                     None,
                 );
-            } else if capacity < load * self.loss_headroom {
+            } else if capacity < load * LOSS_HEADROOM {
                 rep.push(
                     Severity::Warning,
                     "GM-CAPACITY",
@@ -495,7 +485,7 @@ impl GridLint {
                     format!(
                         "capacity {capacity:.1} MW leaves under {:.0} % headroom over \
                          load {load:.1} MW; losses may make dispatch infeasible",
-                        (self.loss_headroom - 1.0) * 100.0
+                        (LOSS_HEADROOM - 1.0) * 100.0
                     ),
                     None,
                 );
@@ -585,14 +575,14 @@ mod tests {
 
     #[test]
     fn clean_network_has_no_findings() {
-        assert!(GridLint::default().audit(&two_bus()).is_empty());
+        assert!(GridLint.audit(&two_bus()).is_empty());
     }
 
     #[test]
     fn islanded_bus_flagged() {
         let mut net = two_bus();
         net.branches[0].in_service = false;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-ISLAND"), "{f:?}");
         assert_eq!(f[0].severity, Severity::Error);
         assert!(f[0].message.contains("2 islands"), "{}", f[0].message);
@@ -602,7 +592,7 @@ mod tests {
     fn dual_slack_flagged() {
         let mut net = two_bus();
         net.buses[1].kind = BusKind::Slack;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-SLACK-MULTI"), "{f:?}");
     }
 
@@ -610,7 +600,7 @@ mod tests {
     fn missing_slack_flagged() {
         let mut net = two_bus();
         net.buses[0].kind = BusKind::Pv;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-SLACK-NONE"), "{f:?}");
     }
 
@@ -619,7 +609,7 @@ mod tests {
         let mut net = two_bus();
         net.gens[0].p_min_mw = 300.0;
         net.buses[1].vmin_pu = 1.2;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         let c = codes(&f);
         assert!(c.contains(&"GM-GEN-LIMITS"), "{f:?}");
         assert!(c.contains(&"GM-VOLT-LIMITS"), "{f:?}");
@@ -631,7 +621,7 @@ mod tests {
     fn zero_impedance_branch_flagged() {
         let mut net = two_bus();
         net.branches[0].x_pu = 0.0;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-DEGENERATE-X"), "{f:?}");
     }
 
@@ -639,7 +629,7 @@ mod tests {
     fn negative_line_impedance_flagged() {
         let mut net = two_bus();
         net.branches[0].x_pu = -0.1;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-NEG-IMPEDANCE"), "{f:?}");
     }
 
@@ -647,7 +637,7 @@ mod tests {
     fn kv_mismatch_on_line_is_warning() {
         let mut net = two_bus();
         net.buses[1].base_kv = 69.0;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         let hit = f.iter().find(|x| x.code == "GM-KV-MISMATCH").unwrap();
         assert_eq!(hit.severity, Severity::Warning);
     }
@@ -656,12 +646,12 @@ mod tests {
     fn capacity_shortfall_flagged() {
         let mut net = two_bus();
         net.gens[0].p_max_mw = 40.0;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         let hit = f.iter().find(|x| x.code == "GM-CAPACITY").unwrap();
         assert_eq!(hit.severity, Severity::Error);
         // Barely-enough capacity downgrades to a warning.
         net.gens[0].p_max_mw = 50.5;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         let hit = f.iter().find(|x| x.code == "GM-CAPACITY").unwrap();
         assert_eq!(hit.severity, Severity::Warning);
     }
@@ -670,7 +660,7 @@ mod tests {
     fn scheduled_voltage_outside_limits_is_warning() {
         let mut net = two_bus();
         net.buses[1].vm_pu = 1.2;
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert!(codes(&f).contains(&"GM-VM-RANGE"), "{f:?}");
     }
 
@@ -679,7 +669,7 @@ mod tests {
         for value in [0.0, -100.0, f64::NAN, f64::INFINITY] {
             let mut net = two_bus();
             net.base_mva = value;
-            let f = GridLint::default().audit(&net);
+            let f = GridLint.audit(&net);
             assert!(codes(&f).contains(&"GM-BASE-MVA"), "{value}: {f:?}");
             let errs = net.validate().unwrap_err();
             assert!(
@@ -712,7 +702,7 @@ mod tests {
                 });
                 assert!(net.validate().is_ok());
                 spoil(&mut net, value);
-                let f = GridLint::default().audit(&net);
+                let f = GridLint.audit(&net);
                 assert_eq!(f[0].code, "GM-NONFINITE", "{element}.{field}: {f:?}");
                 assert_eq!(f[0].entity, element);
                 let errs = net.validate().unwrap_err();
@@ -736,7 +726,7 @@ mod tests {
         let mut net = two_bus();
         net.buses[1].vm_pu = 1.2; // warning
         net.branches[0].x_pu = 0.0; // error
-        let f = GridLint::default().audit(&net);
+        let f = GridLint.audit(&net);
         assert_eq!(f[0].severity, Severity::Error);
         assert_eq!(f.last().unwrap().severity, Severity::Warning);
     }
@@ -745,7 +735,7 @@ mod tests {
     fn check_model_matches_legacy_validate_shape() {
         let mut net = two_bus();
         net.loads[0].bus = 7;
-        let errs = GridLint::default().check_model(&net).unwrap_err();
+        let errs = GridLint.check_model(&net).unwrap_err();
         assert!(matches!(errs[0], ModelError::DanglingReference { .. }));
     }
 
@@ -753,7 +743,7 @@ mod tests {
     fn every_paper_case_is_audit_clean() {
         for id in crate::CaseId::ALL {
             let net = crate::cases::load(id);
-            let findings = GridLint::default().audit(&net);
+            let findings = GridLint.audit(&net);
             let errors: Vec<_> = findings
                 .iter()
                 .filter(|f| f.severity == Severity::Error)

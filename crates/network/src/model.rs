@@ -365,31 +365,29 @@ impl Network {
         }
     }
 
-    /// Total in-service active demand (MW).
+    /// Total in-service active demand (MW); +0.0 when there is none.
     pub fn total_load_mw(&self) -> f64 {
         self.loads
             .iter()
             .filter(|l| l.in_service)
-            .map(|l| l.p_mw)
-            .sum()
+            .fold(0.0, |sum, l| sum + l.p_mw)
     }
 
-    /// Total in-service reactive demand (MVAr).
+    /// Total in-service reactive demand (MVAr); +0.0 when there is none.
     pub fn total_load_mvar(&self) -> f64 {
         self.loads
             .iter()
             .filter(|l| l.in_service)
-            .map(|l| l.q_mvar)
-            .sum()
+            .fold(0.0, |sum, l| sum + l.q_mvar)
     }
 
-    /// Total in-service generation capacity (MW).
+    /// Total in-service generation capacity (MW); +0.0 when there is
+    /// none.
     pub fn total_gen_capacity_mw(&self) -> f64 {
         self.gens
             .iter()
             .filter(|g| g.in_service)
-            .map(|g| g.p_max_mw)
-            .sum()
+            .fold(0.0, |sum, g| sum + g.p_max_mw)
     }
 
     /// Count of in-service AC lines.
@@ -440,7 +438,7 @@ impl Network {
     /// run the pass directly via [`crate::audit::GridLint::audit`] for
     /// the full finding list including warnings.
     pub fn validate(&self) -> Result<(), Vec<ModelError>> {
-        crate::audit::GridLint::default().check_model(self)
+        crate::audit::GridLint.check_model(self)
     }
 
     /// Deterministic content hash of the whole model — the one identity
@@ -687,6 +685,20 @@ mod tests {
         assert_eq!(net.total_load_mw(), 50.0);
         assert_eq!(net.total_load_mvar(), 10.0);
         assert_eq!(net.total_gen_capacity_mw(), 200.0);
+    }
+
+    #[test]
+    fn totals_over_nothing_are_plus_zero() {
+        let mut net = two_bus();
+        net.loads.iter_mut().for_each(|l| l.in_service = false);
+        net.gens.iter_mut().for_each(|g| g.in_service = false);
+        for total in [
+            net.total_load_mw(),
+            net.total_load_mvar(),
+            net.total_gen_capacity_mw(),
+        ] {
+            assert_eq!(total.to_bits(), 0.0f64.to_bits(), "{total:?}");
+        }
     }
 
     #[test]

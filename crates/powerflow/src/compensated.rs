@@ -25,7 +25,7 @@
 
 use crate::newton::build_report;
 use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
-use crate::types::{PfOptions, PfReport};
+use crate::types::{PfOptions, PfReport, TOL_PU};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{CompensateError, CompensatedLu, SparseLu, Triplets};
@@ -168,7 +168,7 @@ impl CompensationBase {
     /// (endpoints of the Jacobian delta block).
     ///
     /// On success the report's voltages satisfy the outaged network's
-    /// mismatch to `opts.tol_pu`, exactly like the full Newton path. Any
+    /// mismatch to the same 1e-8 p.u. tolerance, exactly like the full Newton path. Any
     /// failure is a typed signal to fall back to that path.
     pub fn solve_outage(
         &self,
@@ -258,7 +258,7 @@ impl CompensationBase {
         let mut iterations = 0usize;
         loop {
             mismatch_history.push(norm);
-            if norm < opts.tol_pu {
+            if norm < TOL_PU {
                 break;
             }
             if iterations >= COMP_MAX_ITER || !norm.is_finite() {

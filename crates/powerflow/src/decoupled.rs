@@ -6,7 +6,7 @@
 //! cross-check in the validation layer.
 
 use crate::polar::{effective_roles, max_nan, targets_pu, BusDevices, Role};
-use crate::types::{PfError, PfOptions, PfReport};
+use crate::types::{PfError, PfOptions, PfReport, TOL_PU};
 use gm_network::{slack_pinned_bprime, Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{CsMat, Triplets};
@@ -14,11 +14,12 @@ use gm_sparse::{CsMat, Triplets};
 /// Solves the power flow with the fast-decoupled XB scheme.
 ///
 /// Reuses [`crate::newton`]'s reporting by polishing the decoupled solution
-/// with a final report build; convergence control follows `opts.tol_pu` and
-/// `opts.max_iter`. One **P-θ + Q-V pair** counts as one iteration — the
-/// same "one corrective update per iteration" accounting the Newton
-/// solver uses, so `max_iter` budgets the two solvers comparably and the
-/// reported `iterations` are measured in the same unit.
+/// with a final report build; convergence control follows the fixed
+/// 1e-8 p.u. tolerance and `opts.max_iter`. One **P-θ + Q-V pair** counts
+/// as one iteration — the same "one corrective update per iteration"
+/// accounting the Newton solver uses, so `max_iter` budgets the two
+/// solvers comparably and the reported `iterations` are measured in the
+/// same unit.
 ///
 /// `B′`, `B″` and the final Newton polish are factored on the calling
 /// thread's engine. The polish Jacobian shares its pattern with the
@@ -129,7 +130,7 @@ pub fn solve_fast_decoupled(net: &Network, opts: &PfOptions) -> Result<PfReport,
             }
         }
         history.push(norm);
-        if norm < opts.tol_pu {
+        if norm < TOL_PU {
             converged = true;
             break;
         }

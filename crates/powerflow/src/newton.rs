@@ -7,7 +7,10 @@
 //! generator reactive-limit enforcement by PV→PQ switching.
 
 use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
-use crate::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
+use crate::types::{
+    BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport, MAX_Q_ROUNDS,
+    TOL_PU,
+};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
 use gm_sparse::{CsMat, SparseLuError, Stencil, Triplets};
@@ -199,7 +202,7 @@ pub(crate) fn solve_prepared(
                 mismatch_pu: mismatch_history.last().copied().unwrap_or(f64::INFINITY),
             });
         }
-        if !opts.enforce_q_limits || q_rounds >= opts.max_q_rounds {
+        if !opts.enforce_q_limits || q_rounds >= MAX_Q_ROUNDS {
             break;
         }
         // Reactive limit check at PV buses; demote violators to PQ with Q
@@ -359,7 +362,7 @@ fn newton_inner(
     let (mut f, mut norm) = mismatch_at(v);
     for local_iter in 0..=opts.max_iter {
         mismatch_history.push(norm);
-        if norm < opts.tol_pu {
+        if norm < TOL_PU {
             return Ok(true);
         }
         if local_iter == opts.max_iter {

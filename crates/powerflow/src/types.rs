@@ -16,11 +16,16 @@ pub enum InitStrategy {
     DcWarmStart,
 }
 
-/// Options controlling the Newton solver.
+/// Convergence tolerance on the ∞-norm of the power mismatch (p.u.),
+/// for every solver (Newton, fast-decoupled, compensated).
+pub(crate) const TOL_PU: f64 = 1e-8;
+/// Maximum PV→PQ switching rounds when Q limits are enforced.
+pub(crate) const MAX_Q_ROUNDS: usize = 6;
+
+/// Options controlling the Newton solver. The mismatch tolerance
+/// (1e-8 p.u.) and the PV→PQ round cap (6) are fixed.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PfOptions {
-    /// Convergence tolerance on the ∞-norm of the power mismatch (p.u.).
-    pub tol_pu: f64,
     /// Maximum Newton iterations per Q-limit round.
     pub max_iter: usize,
     /// Enable the Iwamoto-style optimal step multiplier when a full step
@@ -28,8 +33,6 @@ pub struct PfOptions {
     pub iwamoto_damping: bool,
     /// Enforce generator reactive limits by PV→PQ switching.
     pub enforce_q_limits: bool,
-    /// Maximum PV→PQ switching rounds.
-    pub max_q_rounds: usize,
     /// Voltage initialization.
     pub init: InitStrategy,
 }
@@ -37,11 +40,9 @@ pub struct PfOptions {
 impl Default for PfOptions {
     fn default() -> Self {
         PfOptions {
-            tol_pu: 1e-8,
             max_iter: 30,
             iwamoto_damping: true,
             enforce_q_limits: true,
-            max_q_rounds: 6,
             init: InitStrategy::Flat,
         }
     }
@@ -53,19 +54,15 @@ impl PfOptions {
     /// compile here until it is folded in.
     pub fn fingerprint(&self) -> u64 {
         let PfOptions {
-            tol_pu,
             max_iter,
             iwamoto_damping,
             enforce_q_limits,
-            max_q_rounds,
             init,
         } = self;
         let mut h = Fnv1a::new();
-        h.u64(tol_pu.to_bits());
         h.u64(*max_iter as u64);
         h.u64(u64::from(*iwamoto_damping));
         h.u64(u64::from(*enforce_q_limits));
-        h.u64(*max_q_rounds as u64);
         h.u64(match init {
             InitStrategy::Flat => 0,
             InitStrategy::CaseValues => 1,
@@ -258,7 +255,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let o = PfOptions::default();
-        assert!(o.tol_pu > 0.0 && o.tol_pu < 1e-4);
         assert!(o.max_iter >= 10);
         assert!(o.enforce_q_limits);
     }

@@ -450,6 +450,26 @@ mod tests {
         assert!(!missing.iter().any(|m| m.starts_with("serve.")));
     }
 
+    /// A trace export written while a sketch's resolution was a field:
+    /// every sketch carried `"sub": 32`, the only value ever written.
+    const EXPORT_WITH_SUB: &str = r#"{"counters":{"pf.newton.solves":2},"events":[],"flight":[],"histograms":{},"quantiles":{"serve.exec_s":{"count":2,"counts":[1,1],"max":0.000000001,"min":0.0000000005,"sub":32,"sum":0.0000000015000000000000002}},"spans":[{"attrs":{"agent":"x"},"dur_s":0.000000157,"id":0,"name":"agent.turn","parent":null,"start_s":0.000027902,"v_end_s":0.0,"v_start_s":0.0}],"virtual_now_s":0.0,"wall_elapsed_s":0.000135637}"#;
+
+    #[test]
+    fn exports_with_a_sketch_resolution_field_still_load() {
+        let blob: Value = serde_json::from_str(EXPORT_WITH_SUB).unwrap();
+        let snap = find_snapshot(&blob).expect("the old export parses");
+        let old = &snap.quantiles["serve.exec_s"];
+        // The same two samples recorded today land in the same buckets.
+        let mut fresh = QuantileSketch::default();
+        fresh.record(5e-10);
+        fresh.record(1e-9);
+        assert_eq!((old.count, &old.counts), (fresh.count, &fresh.counts));
+        assert_eq!(old.quantile(0.99), fresh.quantile(0.99));
+        let report = render_report(&blob).expect("renders");
+        assert!(report.contains("serve.exec_s  2 / "), "{report}");
+        assert!(report.contains("agent.turn"), "{report}");
+    }
+
     #[test]
     fn report_renders_quantiles_and_flight() {
         let reg = populated();

@@ -5,35 +5,34 @@
 //! but useless for tail percentiles: p99 of a latency distribution needs
 //! resolution that tracks the *value*, not a static grid. A
 //! [`QuantileSketch`] buckets samples at geometrically spaced edges
-//! `base · γ^i` with `γ = 2^(1/sub)`, so every bucket spans a constant
-//! *relative* width of `γ − 1`. With the default `sub = 32` sub-buckets
-//! per octave, `γ ≈ 1.0219`: any quantile estimate is within **2.2%**
+//! `base · γ^i` with `γ = 2^(1/32)`, so every bucket spans a constant
+//! *relative* width of `γ − 1`. With [`SUB`] = 32 sub-buckets per
+//! octave, `γ ≈ 1.0219`: any quantile estimate is within **2.2%**
 //! relative error of the exact nearest-rank percentile (for samples
 //! ≥ `BASE`; see [`QuantileSketch::quantile`] for the proof sketch).
 //!
 //! Memory is bounded: the count vector is dense but grows only to the
-//! highest observed bucket, capped at `1 + 64·sub` entries (64 octaves
-//! above `BASE` = 1 ns covers every duration up to ~584 years). Sketches
-//! merge exactly when their resolution matches — the serve layer merges
-//! per-worker sketches into the server registry at shutdown exactly like
-//! fixed-bucket histograms.
+//! highest observed bucket, capped at `1 + 64·32` entries (64 octaves
+//! above `BASE` = 1 ns covers every duration up to ~584 years). Every
+//! sketch has the one resolution, so sketches merge exactly — the serve
+//! layer merges per-worker sketches into the server registry at shutdown
+//! exactly like fixed-bucket histograms. Exports written when the
+//! resolution was a field carry a `"sub": 32` key; it is ignored on load.
 
 use serde::{Deserialize, Serialize};
 
 /// Smallest resolvable sample (seconds): 1 ns. Samples below `BASE` land
 /// in the underflow bucket and are reported as the recorded minimum.
 pub const BASE: f64 = 1e-9;
-/// Default sub-buckets per octave (γ = 2^(1/32) ≈ 1.0219 → ≤2.2% error).
-pub const DEFAULT_SUB: u32 = 32;
-/// Octave cap: bucket indices above `1 + 64·sub` clamp into the last
+/// Sub-buckets per octave (γ = 2^(1/32) ≈ 1.0219 → ≤2.2% error).
+pub const SUB: u32 = 32;
+/// Octave cap: bucket indices above `1 + 64·SUB` clamp into the last
 /// bucket, bounding memory regardless of input.
 const MAX_OCTAVES: u32 = 64;
 
 /// Log-linear quantile sketch with bounded relative error.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct QuantileSketch {
-    /// Sub-buckets per octave; γ = 2^(1/sub).
-    pub sub: u32,
     /// Dense per-bucket counts. Index 0 is the underflow bucket
     /// (samples < [`BASE`]); bucket `i ≥ 1` spans
     /// `[BASE·γ^(i−1), BASE·γ^i)`. Grows lazily to the highest index hit.
@@ -48,28 +47,10 @@ pub struct QuantileSketch {
     pub max: f64,
 }
 
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        QuantileSketch::new(DEFAULT_SUB)
-    }
-}
-
 impl QuantileSketch {
-    /// Empty sketch with `sub` sub-buckets per octave (γ = 2^(1/sub)).
-    pub fn new(sub: u32) -> QuantileSketch {
-        QuantileSketch {
-            sub: sub.max(1),
-            counts: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            min: 0.0,
-            max: 0.0,
-        }
-    }
-
     /// γ, the ratio between consecutive bucket edges.
     pub fn gamma(&self) -> f64 {
-        (2f64).powf(1.0 / f64::from(self.sub))
+        (2f64).powf(1.0 / f64::from(SUB))
     }
 
     /// Guaranteed relative error bound of [`QuantileSketch::quantile`]
@@ -80,7 +61,7 @@ impl QuantileSketch {
     }
 
     fn max_index(&self) -> usize {
-        1 + (MAX_OCTAVES * self.sub) as usize
+        1 + (MAX_OCTAVES * SUB) as usize
     }
 
     /// Bucket index for a finite sample `x ≥ 0`.
@@ -91,13 +72,13 @@ impl QuantileSketch {
         // log2(x) - log2(BASE) rather than log2(x / BASE): the quotient
         // overflows to infinity for x near f64::MAX.
         let octaves = x.log2() - BASE.log2();
-        let i = 1 + (octaves * f64::from(self.sub)).floor() as usize;
+        let i = 1 + (octaves * f64::from(SUB)).floor() as usize;
         i.min(self.max_index())
     }
 
     /// Lower edge of bucket `i ≥ 1`.
     fn lower_edge(&self, i: usize) -> f64 {
-        BASE * (2f64).powf((i - 1) as f64 / f64::from(self.sub))
+        BASE * (2f64).powf((i - 1) as f64 / f64::from(SUB))
     }
 
     /// Records one sample. Non-finite and negative samples are ignored.
@@ -166,10 +147,8 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Merges another sketch into this one. Matching resolutions merge
-    /// exactly (elementwise); on mismatch the other sketch's buckets are
-    /// folded in by their geometric-midpoint representative (an
-    /// approximation). `count`/`sum`/`min`/`max` stay exact either way.
+    /// Merges another sketch into this one, exactly: bucket counts add
+    /// elementwise and `count`/`sum`/`min`/`max` combine.
     pub fn merge(&mut self, other: &QuantileSketch) {
         if other.count == 0 {
             return;
@@ -183,29 +162,11 @@ impl QuantileSketch {
         }
         self.count += other.count;
         self.sum += other.sum;
-        if self.sub == other.sub {
-            if other.counts.len() > self.counts.len() {
-                self.counts.resize(other.counts.len(), 0);
-            }
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
-        } else {
-            for (i, &c) in other.counts.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                let representative = if i == 0 {
-                    other.min
-                } else {
-                    other.lower_edge(i) * other.gamma().sqrt()
-                };
-                let idx = self.index_of(representative.max(0.0));
-                if idx >= self.counts.len() {
-                    self.counts.resize(idx + 1, 0);
-                }
-                self.counts[idx] += c;
-            }
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
     }
 }
@@ -281,7 +242,7 @@ mod tests {
         let mut s = QuantileSketch::default();
         s.record(1e300);
         assert_eq!(s.count, 1);
-        assert!(s.counts.len() <= 1 + (MAX_OCTAVES * DEFAULT_SUB) as usize + 1);
+        assert!(s.counts.len() <= 1 + (MAX_OCTAVES * SUB) as usize + 1);
         // max is exact even though the bucket saturated
         assert!((s.max - 1e300).abs() < 1e288);
     }
@@ -308,21 +269,6 @@ mod tests {
             let est = a.quantile(q).unwrap();
             assert!((est - exact).abs() <= exact * a.relative_error_bound());
         }
-    }
-
-    #[test]
-    fn merge_mismatched_resolution_preserves_totals() {
-        let mut a = QuantileSketch::new(32);
-        let mut b = QuantileSketch::new(8);
-        b.record(0.5);
-        b.record(2.0);
-        a.record(1.0);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert!((a.sum - 3.5).abs() < 1e-12);
-        assert!((a.min - 0.5).abs() < 1e-12);
-        assert!((a.max - 2.0).abs() < 1e-12);
-        assert_eq!(a.counts.iter().sum::<u64>(), 3);
     }
 
     #[test]

@@ -509,9 +509,7 @@ impl Registry {
         }
         let mut mine = self.inner.quantiles.lock();
         for (k, s) in other.inner.quantiles.lock().iter() {
-            mine.entry(k.clone())
-                .or_insert_with(|| QuantileSketch::new(s.sub))
-                .merge(s);
+            mine.entry(k.clone()).or_default().merge(s);
         }
     }
 
@@ -523,7 +521,7 @@ impl Registry {
             *h = Histogram::new(&bounds);
         }
         for s in self.inner.quantiles.lock().values_mut() {
-            *s = QuantileSketch::new(s.sub);
+            *s = QuantileSketch::default();
         }
         self.inner.flight.lock().clear();
         self.inner.events.lock().clear();

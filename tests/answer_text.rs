@@ -68,14 +68,18 @@ fn scripted_dialogue_answers_are_byte_pinned() {
                     0xfcad_3bf4_0c52_67da,
                 ),
                 ("run an hourly study across the day", 0x4e1a_4dd7_0950_beb9),
-                ("run the n-1 contingency analysis", 0x0325_c7a8_d86c_5feb),
+                // This row and the status summary below re-recorded on
+                // purpose when islanding load sums started from +0.0: the
+                // parent narrated "stranding -0.0 MW of load" for lines 10
+                // and 12 (0x0325_c7a8_d86c_5feb); no other byte moved.
+                ("run the n-1 contingency analysis", 0xc817_e05d_b0b5_dd2f),
                 ("analyze the outage of line 3", 0xa323_ab3c_b713_24fd),
                 ("analyze the outage of line 30", 0xbc37_156f_6647_7ddb),
                 (
                     "what happens if we lose each generator unit",
                     0x0c06_44f8_6ef6_20c6,
                 ),
-                ("show the contingency status summary", 0x0325_c7a8_d86c_5feb),
+                ("show the contingency status summary", 0xc817_e05d_b0b5_dd2f),
                 ("analyze the outage of line 999", 0x5bd7_d818_0643_70e6),
                 ("set the load at bus 999 to 5 MW", 0xee49_fb96_78bc_915d),
                 (
@@ -92,8 +96,9 @@ fn scripted_dialogue_answers_are_byte_pinned() {
             // CA load-then-retry: same, on the contingency agent. Re-recorded
             // on purpose when the planner became one state machine: before,
             // the repair's base case was chained into a full N-1 sweep and
-            // that report narrated (0xce7c_e752_4931_2c10, the digest of the
-            // N-1 row below); now the failed call is retried.
+            // that report narrated (0xce7c_e752_4931_2c10, what the N-1 row
+            // below pinned before its -0.0 fix); now the failed call is
+            // retried.
             &[(
                 "analyze the outage of line 3 in case14",
                 0xc800_0221_6953_c120,
@@ -120,11 +125,14 @@ fn scripted_dialogue_answers_are_byte_pinned() {
             // An edit with no earlier ACOPF in the session. The one row PR 21
             // edited on purpose: the parent narrated "(previously 0.00 $/h,
             // a change of +9789.32 $/h)" here (0x0706_4f06_2ee6_35b9); with
-            // no baseline the clause is gone.
+            // no baseline the clause is gone. The N-1 row re-recorded on
+            // purpose when islanding load sums started from +0.0: the parent
+            // narrated "stranding -0.0 MW of load" for line 10
+            // (0xce7c_e752_4931_2c10).
             &[
                 (
                     "run the n-1 contingency analysis on case14",
-                    0xce7c_e752_4931_2c10,
+                    0x6f80_ff57_69d7_2157,
                 ),
                 ("set the load at bus 10 to 50 MW", 0x9ad6_312d_674d_9003),
             ],
@@ -145,7 +153,10 @@ fn degraded_answers_are_byte_pinned() {
         &ModelProfile::by_name("GPT-5").unwrap(),
         &[&[
             ("solve case14", 0x375a_099d_9abf_b61e),
-            ("run the n-1 contingency analysis", 0x1995_85d8_5b9b_2a29),
+            // Re-recorded on purpose when islanding load sums started from
+            // +0.0: the parent narrated "stranding -0.0 MW of load" for
+            // line 10 (0x1995_85d8_5b9b_2a29).
+            ("run the n-1 contingency analysis", 0x3848_26ad_232a_4ec4),
         ]],
     );
 }

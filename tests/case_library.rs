@@ -36,7 +36,7 @@ fn every_entry_is_the_generators_bytes_valid_and_lint_clean() {
         assert_eq!(entry.content_hash(), hash, "{name}: carried hash");
         assert_eq!(Network::content_hash(&entry), hash, "{name}: fresh hash");
         entry.validate().unwrap_or_else(|e| panic!("{name}: {e:?}"));
-        let errors: Vec<_> = GridLint::default()
+        let errors: Vec<_> = GridLint
             .audit(&entry)
             .into_iter()
             .filter(|f| f.severity == Severity::Error)

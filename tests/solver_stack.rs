@@ -150,10 +150,7 @@ fn dcopf_failures_are_typed_like_the_other_solver_entries() {
     let err = solve_dcopf(&net, &IpmOptions::default()).unwrap_err();
     assert!(matches!(err, AcopfError::InvalidNetwork { .. }), "{err}");
 
-    let starved = IpmOptions {
-        max_iter: 1,
-        ..Default::default()
-    };
+    let starved = IpmOptions { max_iter: 1 };
     let err = solve_dcopf(&cases::load(CaseId::Ieee14), &starved).unwrap_err();
     assert!(
         matches!(err, AcopfError::NotConverged { iterations: 1, .. }),
