@@ -54,7 +54,7 @@ pub use llm::{
     estimate_tokens, AnalysisStyle, LanguageModel, ModelProfile, ModelTurn, Planner, SimulatedLlm,
     TokenUsage, ToolCall, TurnAction,
 };
-pub use memory::{AgentMemory, ConversationView, Message, Role};
+pub use memory::{json_len, AgentMemory, ConversationView, Message, Role};
 pub use nlu::{classify, extract_entities, tokenize, Entities, IntentMatch, IntentRule};
 pub use schema::{Bounds, Field, Schema, SchemaViolation};
 pub use tool::{

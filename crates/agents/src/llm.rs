@@ -16,7 +16,7 @@
 //! the deterministic planner implements, plus latency — which the profile
 //! models explicitly (calibrated against Table 1 and Figure 3).
 
-use crate::memory::ConversationView;
+use crate::memory::{json_len, ConversationView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -240,7 +240,12 @@ impl SimulatedLlm {
 
 /// Crude token estimate: ~4 characters per token.
 pub fn estimate_tokens(text: &str) -> u64 {
-    (text.len() as u64).div_ceil(4)
+    tokens_for_len(text.len())
+}
+
+/// [`estimate_tokens`] of a text `len` bytes long.
+fn tokens_for_len(len: usize) -> u64 {
+    (len as u64).div_ceil(4)
 }
 
 impl LanguageModel for SimulatedLlm {
@@ -250,20 +255,20 @@ impl LanguageModel for SimulatedLlm {
 
     fn next_turn(&self, view: &ConversationView) -> (ModelTurn, f64, TokenUsage) {
         let turn = self.planner.plan(view, self.profile.style);
-        let completion_text: String = match &turn.action {
-            TurnAction::Respond(text) => {
-                format!("{}{}", turn.reasoning.join(" "), text)
-            }
+        // Both sides are counted, not rendered: the completion is the
+        // reasoning joined by spaces, then the answer or each call's tool
+        // name and JSON arguments.
+        let reasoning_len = turn.reasoning.iter().map(String::len).sum::<usize>()
+            + turn.reasoning.len().saturating_sub(1);
+        let action_len = match &turn.action {
+            TurnAction::Respond(text) => text.len(),
             TurnAction::Calls(calls) => {
-                let call_text: String = calls
-                    .iter()
-                    .map(|c| format!("{}{}", c.tool, c.args))
-                    .collect();
-                format!("{}{}", turn.reasoning.join(" "), call_text)
+                calls.iter().map(|c| c.tool.len() + json_len(&c.args)).sum()
             }
         };
-        let completion = (estimate_tokens(&completion_text) as f64 * self.profile.verbosity) as u64;
-        let prompt = estimate_tokens(&view.rendered_prompt());
+        let completion =
+            (tokens_for_len(reasoning_len + action_len) as f64 * self.profile.verbosity) as u64;
+        let prompt = tokens_for_len(view.prompt_len());
         let latency = self.sample_latency(completion);
         (turn, latency, TokenUsage { prompt, completion })
     }

@@ -12,6 +12,7 @@ use crate::wire::Wire;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Who said what.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,8 +169,8 @@ pub struct ConversationView<'a> {
 }
 
 impl<'a> ConversationView<'a> {
-    /// Renders the prompt as the backend would see it (used for token
-    /// accounting).
+    /// Renders the prompt as the backend would see it. Token accounting
+    /// reads [`Self::prompt_len`] instead, which counts the same bytes.
     pub fn rendered_prompt(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(self.system_prompt);
@@ -185,6 +186,18 @@ impl<'a> ConversationView<'a> {
         s.push('\n');
         s.push_str(self.user_input);
         s
+    }
+
+    /// Byte length of [`Self::rendered_prompt`], counted without
+    /// rendering it: every tool result is measured by [`json_len`].
+    pub fn prompt_len(&self) -> usize {
+        let messages: usize = self.messages.iter().map(|m| 1 + m.content.len()).sum();
+        let results: usize = self
+            .pending_results
+            .iter()
+            .map(|(call, result)| 1 + call.tool.len() + json_len(result))
+            .sum();
+        self.system_prompt.len() + messages + results + 1 + self.user_input.len()
     }
 
     /// Fetches a context artifact.
@@ -206,6 +219,58 @@ impl<'a> ConversationView<'a> {
                 },
             )
         })
+    }
+}
+
+/// Byte length of `value`'s compact JSON rendering (its `Display`, which
+/// is what `value.to_string()` allocates), counted without rendering it.
+pub fn json_len(value: &Value) -> usize {
+    match value {
+        Value::Null | Value::Bool(true) => 4,
+        Value::Bool(false) => 5,
+        Value::Number(n) => {
+            let mut count = ByteCount(0);
+            write!(count, "{n}").map_or(0, |()| count.0)
+        }
+        Value::String(s) => json_string_len(s),
+        Value::Array(items) => {
+            let commas = items.len().saturating_sub(1);
+            2 + commas + items.iter().map(json_len).sum::<usize>()
+        }
+        Value::Object(map) => {
+            let commas = map.len().saturating_sub(1);
+            let members: usize = map
+                .iter()
+                .map(|(k, v)| json_string_len(k) + 1 + json_len(v))
+                .sum();
+            2 + commas + members
+        }
+    }
+}
+
+/// Length of `s` as a quoted JSON string literal: the escapes of
+/// `serde_json`'s writer (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for
+/// other control characters); every other byte, DEL and multi-byte UTF-8
+/// included, is written as is.
+fn json_string_len(s: &str) -> usize {
+    let body: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+            0..=0x1f => 6,
+            _ => 1,
+        })
+        .sum();
+    2 + body
+}
+
+/// A `fmt::Write` sink that only counts bytes.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 

@@ -34,11 +34,11 @@ use rayon::prelude::*;
 
 /// Lower edge of the voltage band checked post-contingency (p.u.). The
 /// paper uses 0.95–1.05 in its Fig. 8 transcripts.
-pub(crate) const VMIN_PU: f64 = 0.95;
+pub const VMIN_PU: f64 = 0.95;
 /// Upper edge of the voltage band (p.u.).
-pub(crate) const VMAX_PU: f64 = 1.05;
+pub const VMAX_PU: f64 = 1.05;
 /// Loading (%) above which a branch counts as overloaded.
-pub(crate) const THERMAL_THRESHOLD_PCT: f64 = 100.0;
+pub const THERMAL_THRESHOLD_PCT: f64 = 100.0;
 /// Cascade: an outage is a suspect when its DC-estimated worst
 /// post-outage loading reaches this fraction of any rating. The 1.0
 /// margin less a 0.15 safety band absorbs the DC estimate's systematic

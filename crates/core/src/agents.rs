@@ -7,7 +7,7 @@ use crate::tools_acopf;
 use crate::tools_batch;
 use crate::tools_ca;
 use crate::validators::{ConvergenceValidator, OperatingLimitValidator, PowerBalanceValidator};
-use gm_agents::{Agent, ModelProfile, SimulatedLlm, ToolRegistry, VirtualClock};
+use gm_agents::{Agent, LanguageModel, ModelProfile, SimulatedLlm, ToolRegistry, VirtualClock};
 use std::sync::Arc;
 
 /// The ACOPF agent's system prompt (paper Fig. 4).
@@ -60,6 +60,16 @@ pub fn build_acopf_agent(
     session: SharedSession,
     clock: VirtualClock,
 ) -> Agent {
+    let llm = Arc::new(SimulatedLlm::new(profile, AcopfPlanner));
+    acopf_agent(llm, session, clock)
+}
+
+/// The ACOPF agent's tools and validators around a model backend.
+pub(crate) fn acopf_agent(
+    llm: Arc<dyn LanguageModel>,
+    session: SharedSession,
+    clock: VirtualClock,
+) -> Agent {
     let mut tools = ToolRegistry::new(clock.clone());
     tools.register(tools_acopf::solve_acopf_case_tool(
         session.clone(),
@@ -82,7 +92,6 @@ pub fn build_acopf_agent(
         clock.clone(),
     ));
     tools.register(tools_acopf::get_network_status_tool(session, clock.clone()));
-    let llm = Arc::new(SimulatedLlm::new(profile, AcopfPlanner));
     let mut agent = Agent::new("ACOPF Agent", ACOPF_SYSTEM_PROMPT, llm, tools, clock);
     agent.add_validator(ConvergenceValidator);
     agent.add_validator(PowerBalanceValidator);
@@ -92,6 +101,17 @@ pub fn build_acopf_agent(
 
 /// Builds the contingency analysis agent on a shared session.
 pub fn build_ca_agent(profile: ModelProfile, session: SharedSession, clock: VirtualClock) -> Agent {
+    let llm = Arc::new(SimulatedLlm::new(profile, CaPlanner));
+    ca_agent(llm, session, clock)
+}
+
+/// The contingency analysis agent's tools and validators around a model
+/// backend.
+pub(crate) fn ca_agent(
+    llm: Arc<dyn LanguageModel>,
+    session: SharedSession,
+    clock: VirtualClock,
+) -> Agent {
     let mut tools = ToolRegistry::new(clock.clone());
     tools.register(tools_ca::solve_base_case_tool(
         session.clone(),
@@ -107,7 +127,6 @@ pub fn build_ca_agent(profile: ModelProfile, session: SharedSession, clock: Virt
         session,
         clock.clone(),
     ));
-    let llm = Arc::new(SimulatedLlm::new(profile, CaPlanner));
     let mut agent = Agent::new(
         "Contingency Analysis Agent",
         CA_SYSTEM_PROMPT,

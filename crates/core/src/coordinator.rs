@@ -689,3 +689,146 @@ mod number_provenance {
         assert_eq!(orphans(&forged, sources), vec![changed]);
     }
 }
+
+/// Token accounting counts the prompt and the completion without
+/// rendering them; on every model turn of the pinned answer-text
+/// dialogues (`tests/answer_text.rs`) the counts must equal the token
+/// estimate of the rendered texts.
+#[cfg(test)]
+mod token_accounting {
+    use super::*;
+    use crate::agents::{acopf_agent, ca_agent};
+    use crate::planners::{AcopfPlanner, CaPlanner};
+    use gm_agents::{
+        estimate_tokens, AnalysisStyle, ConversationView, LanguageModel, ModelTurn, Planner,
+        SimulatedLlm, TokenUsage, TurnAction,
+    };
+    use gm_faults::{FaultInjector, FaultKind, FaultRule};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// The simulated model, with each turn's usage checked against the
+    /// rendered prompt and completion.
+    struct Rendered {
+        llm: SimulatedLlm,
+        turns: Arc<AtomicUsize>,
+    }
+
+    impl LanguageModel for Rendered {
+        fn name(&self) -> &str {
+            self.llm.name()
+        }
+
+        fn next_turn(&self, view: &ConversationView) -> (ModelTurn, f64, TokenUsage) {
+            let (turn, latency, usage) = self.llm.next_turn(view);
+            let reasoning = turn.reasoning.join(" ");
+            let completion_text = match &turn.action {
+                TurnAction::Respond(text) => format!("{reasoning}{text}"),
+                TurnAction::Calls(calls) => {
+                    let calls: String = calls
+                        .iter()
+                        .map(|c| format!("{}{}", c.tool, c.args))
+                        .collect();
+                    format!("{reasoning}{calls}")
+                }
+            };
+            let verbosity = self.llm.profile().verbosity;
+            let rendered = TokenUsage {
+                prompt: estimate_tokens(&view.rendered_prompt()),
+                completion: (estimate_tokens(&completion_text) as f64 * verbosity) as u64,
+            };
+            assert_eq!(usage, rendered, "{:?}", view.user_input);
+            self.turns.fetch_add(1, Ordering::Relaxed);
+            (turn, latency, usage)
+        }
+
+        fn analysis_style(&self) -> AnalysisStyle {
+            self.llm.analysis_style()
+        }
+    }
+
+    fn rendered(
+        profile: &ModelProfile,
+        planner: impl Planner + 'static,
+        turns: &Arc<AtomicUsize>,
+    ) -> Arc<dyn LanguageModel> {
+        Arc::new(Rendered {
+            llm: SimulatedLlm::new(profile.clone(), planner),
+            turns: Arc::clone(turns),
+        })
+    }
+
+    /// Runs each dialogue in a fresh session whose agents check every
+    /// turn; returns the number of model turns checked.
+    fn check(dialogues: &[&[&str]]) -> usize {
+        let profile = ModelProfile::by_name("GPT-5").unwrap();
+        let turns = Arc::new(AtomicUsize::new(0));
+        for dialogue in dialogues {
+            let mut gm = GridMind::new(profile.clone());
+            let (session, clock) = (gm.session.clone(), gm.clock.clone());
+            gm.acopf = acopf_agent(
+                rendered(&profile, AcopfPlanner, &turns),
+                session.clone(),
+                clock.clone(),
+            );
+            gm.ca = ca_agent(rendered(&profile, CaPlanner, &turns), session, clock);
+            for utterance in *dialogue {
+                gm.ask(utterance);
+            }
+        }
+        turns.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn counted_tokens_equal_the_rendered_estimate() {
+        let turns = check(&[
+            &[
+                "what is the current status",
+                "solve case30",
+                "set the load at bus 10 to 50 MW",
+                "limit the generator at bus 2 to between 10 and 60 MW",
+                "show the current status",
+                "solve the security-constrained dispatch",
+                "sweep the load from 80% to 120% in 5 steps",
+                "sweep the load at bus 9 from 50% to 150% in 3 steps",
+                "run an hourly study across the day",
+                "run the n-1 contingency analysis",
+                "analyze the outage of line 3",
+                "analyze the outage of line 30",
+                "what happens if we lose each generator unit",
+                "show the contingency status summary",
+                "analyze the outage of line 999",
+                "set the load at bus 999 to 5 MW",
+                "limit the generator at bus 10 to between 10 and 60 MW",
+                "solve case9000",
+            ],
+            &["set the load at bus 10 of case14 to 50 MW"],
+            &["analyze the outage of line 3 in case14"],
+            &["what happens if we lose each generator unit in case14"],
+            &["limit the generator at bus 2 of case14 to between 10 and 60 MW"],
+            &[
+                "set the load at bus 10 to 50 MW",
+                "analyze the outage of line 3",
+                "show the contingency status summary",
+            ],
+            &[
+                "run the n-1 contingency analysis on case14",
+                "set the load at bus 10 to 50 MW",
+                "set the load at bus 10 to 40 MW",
+            ],
+        ]);
+        assert!(turns > 60, "{turns} turns checked");
+    }
+
+    #[test]
+    fn degraded_turns_count_the_caveat() {
+        let inj = FaultInjector::scripted(vec![
+            FaultRule::new("acopf.ipm", FaultKind::IpmStall, 0, 1),
+            FaultRule::new("pf.base", FaultKind::NewtonDiverge, 0, 1),
+        ]);
+        let _g = inj.install();
+        let turns = check(&[&["solve case14", "run the n-1 contingency analysis"]]);
+        assert_eq!(inj.injected_total(), 2);
+        assert!(turns >= 5, "{turns} turns checked");
+    }
+}

@@ -66,12 +66,13 @@ pub use agents::{build_acopf_agent, build_ca_agent, ACOPF_SYSTEM_PROMPT, CA_SYST
 pub use coordinator::{AgentKind, CoordinatedResponse, GridMind, TurnMetric, WorkflowStep};
 pub use failure::DomainError;
 pub use gm_agents::ModelProfile;
-pub use quality::{assess, SolutionQuality};
+pub use quality::{score, Scored, SolutionQuality};
 pub use query_kind::{classify_query_kind, QUERY_KIND_LABELS};
 pub use recovery::{
     caveat, solve_acopf_recovered, solve_base_recovered, solve_scopf_recovered, CAVEAT_PREFIX,
 };
 pub use session::{SessionContext, SessionError, SessionState, SharedSession, Stamped};
 pub use solver_cache::{
-    QueryKind, SharedSolverCache, SolverCache, SolverCacheKey, SolverCacheStats, SolverResult,
+    QueryKind, SharedSolverCache, SolverCache, SolverCacheKey, SolverCacheStats, SolverEntry,
+    SolverResult,
 };

@@ -4,8 +4,14 @@
 //! Overall=7.2/10". This module scores a solved ACOPF on four 0–10 axes —
 //! convergence, constraint satisfaction, economic efficiency, and system
 //! security — plus a weighted overall score and concrete recommendations.
+//!
+//! Scoring ([`score`]) is a pure function of the network and the solution
+//! and records nothing; reporting ([`publish`]) is the per-turn log line
+//! and histogram sample. An OPF outcome is scored once, when it is solved
+//! ([`Scored`]), so a memoized solution recalled from the shared solver
+//! cache carries its score and a hit reports it without re-scoring.
 
-use gm_acopf::AcopfSolution;
+use gm_acopf::{AcopfSolution, ScopfSolution};
 use gm_network::Network;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -29,8 +35,48 @@ pub struct SolutionQuality {
     pub recommendations: Vec<String>,
 }
 
-/// Scores a solved ACOPF against its network.
-pub fn assess(net: &Network, sol: &AcopfSolution) -> SolutionQuality {
+/// A solved OPF and its [`SolutionQuality`], scored when it was solved.
+#[derive(Clone, Debug)]
+pub struct Scored<T> {
+    /// The solution.
+    pub solution: T,
+    /// Its score against the network it was solved on.
+    pub quality: SolutionQuality,
+}
+
+impl Scored<AcopfSolution> {
+    /// Scores `solution` against `net`.
+    pub fn new(net: &Network, solution: AcopfSolution) -> Self {
+        Scored {
+            quality: score(net, &solution),
+            solution,
+        }
+    }
+}
+
+impl Scored<ScopfSolution> {
+    /// Scores the dispatch of `solution` against `net`.
+    pub fn new(net: &Network, solution: ScopfSolution) -> Self {
+        Scored {
+            quality: score(net, &solution.solution),
+            solution,
+        }
+    }
+}
+
+/// Reports a score: the "Solution quality assessment" log line and one
+/// `quality.overall_score` sample.
+pub fn publish(quality: &SolutionQuality) {
+    let overall = quality.overall_score;
+    gm_telemetry::event(
+        "quality",
+        format!("Solution quality assessment: Overall={overall}/10"),
+    );
+    gm_telemetry::histogram_record("quality.overall_score", overall);
+}
+
+/// Scores a solved ACOPF against its network. Records no telemetry.
+pub fn score(net: &Network, sol: &AcopfSolution) -> SolutionQuality {
     let mut metrics = BTreeMap::new();
     let mut recommendations = Vec::new();
 
@@ -109,14 +155,8 @@ pub fn assess(net: &Network, sol: &AcopfSolution) -> SolutionQuality {
         + 0.2 * system_security)
         .clamp(0.0, 10.0);
 
-    let rounded = (overall_score * 10.0).round() / 10.0;
-    gm_telemetry::event(
-        "quality",
-        format!("Solution quality assessment: Overall={rounded}/10"),
-    );
-    gm_telemetry::histogram_record("quality.overall_score", rounded);
     SolutionQuality {
-        overall_score: rounded,
+        overall_score: (overall_score * 10.0).round() / 10.0,
         convergence_quality,
         constraint_satisfaction: constraint.clamp(0.0, 10.0),
         economic_efficiency,
@@ -136,7 +176,7 @@ mod tests {
     fn good_solution_scores_high() {
         let net = cases::load(CaseId::Ieee14);
         let sol = solve_acopf(&net, &AcopfOptions::default()).unwrap();
-        let q = assess(&net, &sol);
+        let q = score(&net, &sol);
         assert!(q.overall_score >= 6.0, "overall {}", q.overall_score);
         assert!(q.convergence_quality >= 7.0);
         assert!(q.constraint_satisfaction >= 9.0);
@@ -151,7 +191,7 @@ mod tests {
         sol.max_thermal_loading_pct = 140.0;
         sol.min_voltage_pu = 0.88;
         sol.total_generation_mw += 300.0; // balance error
-        let q = assess(&net, &sol);
+        let q = score(&net, &sol);
         assert!(q.constraint_satisfaction < 5.0);
         assert!(!q.recommendations.is_empty());
         assert!(q
@@ -165,7 +205,7 @@ mod tests {
     fn economic_axis_tracks_dispatch_bound() {
         let net = cases::load(CaseId::Ieee30);
         let sol = solve_acopf(&net, &AcopfOptions::default()).unwrap();
-        let q = assess(&net, &sol);
+        let q = score(&net, &sol);
         let bound = q.detailed_metrics["dispatch_lower_bound_cost"];
         assert!(bound <= sol.objective_cost + 1e-6);
         assert!(q.economic_efficiency >= 4.0);
@@ -175,7 +215,7 @@ mod tests {
     fn scores_serializable() {
         let net = cases::load(CaseId::Ieee14);
         let sol = solve_acopf(&net, &AcopfOptions::default()).unwrap();
-        let q = assess(&net, &sol);
+        let q = score(&net, &sol);
         let v = serde_json::to_value(&q).unwrap();
         assert!(v["overall_score"].as_f64().unwrap() > 0.0);
     }

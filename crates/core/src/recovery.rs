@@ -21,6 +21,11 @@
 //! [`solve_scopf_recovered`] (constrained → unconstrained dispatch). No
 //! tool carries a ladder of its own.
 //!
+//! Each ladder returns the primary outcome as the shared allocation
+//! [`memoized`] handed out (a cache hit copies nothing), and the OPF
+//! ladders return it [`Scored`]: a memoized solution carries the score it
+//! was given when solved, while a DC fallback is scored on each call.
+//!
 //! Every rung is recorded as a `recovery.*` telemetry counter, and any
 //! answer produced below rung 1 carries an explicit caveat string that
 //! the planners must surface verbatim in the narration — a degraded
@@ -37,6 +42,7 @@
 //! [`AcopfError::InvalidNetwork`]) are *not* recoverable by switching
 //! algorithms and pass through untouched.
 
+use crate::quality::Scored;
 use crate::solver_cache::{memoized, SharedSolverCache};
 use gm_acopf::{
     solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, BranchLoading,
@@ -46,6 +52,7 @@ use gm_contingency::{run_n1_cached, solve_base, CaOptions, ContingencyCache, Con
 use gm_network::{Network, Snapshot};
 use gm_powerflow::types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions};
 use gm_powerflow::PfReport;
+use std::sync::Arc;
 
 /// Marker every degraded-answer caveat starts with. The planners append
 /// caveat lines verbatim, and the serve-layer chaos gate greps responses
@@ -133,12 +140,12 @@ pub fn solve_base_recovered(
     cache: Option<&SharedSolverCache>,
     net: &Snapshot,
     opts: &CaOptions,
-) -> Result<(PfReport, Option<String>), PfError> {
+) -> Result<(Arc<PfReport>, Option<String>), PfError> {
     descend_pf(
         net,
         &opts.pf,
         || memoized(cache, net, opts.fingerprint(), || solve_base(net, opts)),
-        Ok,
+        |rebuilt| Ok(Arc::new(rebuilt)),
     )
 }
 
@@ -157,7 +164,7 @@ pub(crate) fn run_n1_recovered(
     opts: &CaOptions,
     base: Option<&PfReport>,
     outages: &ContingencyCache,
-) -> Result<(ContingencyReport, Option<String>), PfError> {
+) -> Result<(Arc<ContingencyReport>, Option<String>), PfError> {
     descend_pf(
         net,
         &opts.pf,
@@ -168,7 +175,7 @@ pub(crate) fn run_n1_recovered(
                 run_n1_cached(net, opts, base, Some((outages, net.content_hash())))
             })
         },
-        |rebuilt| run_n1_cached(net, opts, Some(&rebuilt), None),
+        |rebuilt| run_n1_cached(net, opts, Some(&rebuilt), None).map(Arc::new),
     )
 }
 
@@ -324,19 +331,21 @@ fn dc_to_pf_report(net: &Network, dc: &gm_powerflow::DcReport) -> PfReport {
 /// The degraded solution keeps the wire shape (`AcopfSolution`) the
 /// tools narrate from: flat voltages, zero LMPs (the DC dual is not
 /// comparable), zero losses, and a convergence message naming the
-/// fallback.
+/// fallback. It is scored here, on every call, and never cached.
 pub fn solve_acopf_recovered(
     cache: Option<&SharedSolverCache>,
     net: &Snapshot,
     opts: &AcopfOptions,
-) -> Result<(AcopfSolution, Option<String>), AcopfError> {
+) -> Result<(Arc<Scored<AcopfSolution>>, Option<String>), AcopfError> {
     let primary = match gm_faults::inject("acopf.ipm") {
         Some(gm_faults::FaultKind::IpmStall) => Err(AcopfError::NotConverged {
             iterations: 0,
             feascond: f64::INFINITY,
             message: "barrier stall: complementarity gap stopped shrinking".into(),
         }),
-        _ => memoized(cache, net, opts.fingerprint(), || solve_acopf(net, opts)),
+        _ => memoized(cache, net, opts.fingerprint(), || {
+            solve_acopf(net, opts).map(|sol| Scored::<AcopfSolution>::new(net, sol))
+        }),
     };
     let err = match primary {
         Ok(sol) => return Ok((sol, None)),
@@ -349,9 +358,9 @@ pub fn solve_acopf_recovered(
     match solve_dcopf(net, &IpmOptions::default()) {
         Ok(dc) => {
             gm_telemetry::counter_add("recovery.dcopf", 1);
-            let sol = dcopf_to_acopf_solution(net, &dc);
+            let sol = Scored::<AcopfSolution>::new(net, dcopf_to_acopf_solution(net, &dc));
             Ok((
-                sol,
+                Arc::new(sol),
                 Some(caveat(
                     "AC optimal power flow",
                     &reason,
@@ -421,8 +430,9 @@ pub fn solve_scopf_recovered(
     cache: Option<&SharedSolverCache>,
     net: &Snapshot,
     opts: &ScopfOptions,
-) -> Result<(ScopfSolution, Option<String>), AcopfError> {
-    let err = match memoized(cache, net, opts.fingerprint(), || solve_scopf(net, opts)) {
+) -> Result<(Arc<Scored<ScopfSolution>>, Option<String>), AcopfError> {
+    let solve = || solve_scopf(net, opts).map(|sol| Scored::<ScopfSolution>::new(net, sol));
+    let err = match memoized(cache, net, opts.fingerprint(), solve) {
         Ok(s) => return Ok((s, None)),
         Err(e @ AcopfError::InvalidNetwork { .. }) => return Err(e),
         Err(e) => e,
@@ -432,12 +442,16 @@ pub fn solve_scopf_recovered(
     gm_telemetry::flight_event("recovery.descent", format!("ladder=scopf reason={reason}"));
     let (sol, inner) = solve_acopf_recovered(cache, net, &opts.acopf)?;
     gm_telemetry::counter_add("recovery.scopf_unconstrained", 1);
-    let cost = sol.objective_cost;
-    let scopf = ScopfSolution {
-        solution: sol,
-        economic_cost: cost,
-        security_premium: 0.0,
-        n_security_constraints: 0,
+    // The unconstrained dispatch is the SCOPF's dispatch, so its score is
+    // the SCOPF's score.
+    let scopf = Scored {
+        solution: ScopfSolution {
+            solution: sol.solution.clone(),
+            economic_cost: sol.solution.objective_cost,
+            security_premium: 0.0,
+            n_security_constraints: 0,
+        },
+        quality: sol.quality.clone(),
     };
     let mut text = caveat(
         "security-constrained OPF",
@@ -449,7 +463,7 @@ pub fn solve_scopf_recovered(
         text.push(' ');
         text.push_str(&inner);
     }
-    Ok((scopf, Some(text)))
+    Ok((Arc::new(scopf), Some(text)))
 }
 
 #[cfg(test)]
@@ -471,7 +485,7 @@ mod tests {
         assert!(rep.converged);
         assert!(cav.is_none());
         let (sol, cav) = solve_acopf_recovered(None, &net14(), &AcopfOptions::default()).unwrap();
-        assert!(sol.solved);
+        assert!(sol.solution.solved);
         assert!(cav.is_none());
         assert_eq!(reg.counter_value("recovery.attempts"), 0);
     }
@@ -531,6 +545,7 @@ mod tests {
         let _g = inj.install();
         let net = net14();
         let (sol, cav) = solve_acopf_recovered(None, &net, &AcopfOptions::default()).unwrap();
+        let sol = &sol.solution;
         assert!(sol.solved);
         assert!(sol.objective_cost > 0.0);
         assert_eq!(sol.losses_mw, 0.0);

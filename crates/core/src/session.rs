@@ -10,6 +10,10 @@
 //! network hashes to `h`, the per-outage cache and the shared solver
 //! cache key on the same number, and the diff log is what the paper says
 //! it is — change log, replay, narration, persistence.
+//!
+//! The base power flow and contingency artifacts are shared, not copied:
+//! a tool deposits the allocation the solver cache handed it, and a
+//! `fresh_*` read hands out another handle on it.
 
 use gm_acopf::AcopfSolution;
 use gm_contingency::{ContingencyCache, ContingencyReport};
@@ -64,9 +68,9 @@ pub struct SessionState {
     /// Latest ACOPF solution (stamped).
     pub acopf: Option<Stamped<AcopfSolution>>,
     /// Latest base power flow (stamped).
-    pub base_pf: Option<Stamped<PfReport>>,
+    pub base_pf: Option<Stamped<Arc<PfReport>>>,
     /// Latest contingency report (stamped).
-    pub contingency: Option<Stamped<ContingencyReport>>,
+    pub contingency: Option<Stamped<Arc<ContingencyReport>>>,
 }
 
 impl SessionState {
@@ -247,26 +251,26 @@ impl SessionContext {
             .map(|st| (st.value.clone(), st.net_hash != hash))
     }
 
-    /// Deposits a base power flow report.
-    pub fn put_base_pf(&self, rep: PfReport, at_s: f64) {
+    /// Deposits a base power flow report (a shared one is kept as is).
+    pub fn put_base_pf(&self, rep: impl Into<Arc<PfReport>>, at_s: f64) {
         let mut s = self.inner.write();
-        s.base_pf = Some(s.stamp(rep, at_s));
+        s.base_pf = Some(s.stamp(rep.into(), at_s));
     }
 
     /// Fresh base power flow, if any.
-    pub fn fresh_base_pf(&self) -> Option<PfReport> {
+    pub fn fresh_base_pf(&self) -> Option<Arc<PfReport>> {
         let s = self.inner.read();
         s.fresh("base_pf", &s.base_pf)
     }
 
-    /// Deposits a contingency report.
-    pub fn put_contingency(&self, rep: ContingencyReport, at_s: f64) {
+    /// Deposits a contingency report (a shared one is kept as is).
+    pub fn put_contingency(&self, rep: impl Into<Arc<ContingencyReport>>, at_s: f64) {
         let mut s = self.inner.write();
-        s.contingency = Some(s.stamp(rep, at_s));
+        s.contingency = Some(s.stamp(rep.into(), at_s));
     }
 
     /// Fresh contingency report, if any.
-    pub fn fresh_contingency(&self) -> Option<ContingencyReport> {
+    pub fn fresh_contingency(&self) -> Option<Arc<ContingencyReport>> {
         let s = self.inner.read();
         s.fresh("contingency", &s.contingency)
     }

@@ -25,10 +25,19 @@
 //! (`solve_time_s`, `sweep_time_s`) are the *original* computation's
 //! timings, which keeps replayed answers deterministic.
 //!
+//! Entries are shared, never copied: each outcome is one allocation
+//! ([`SolverEntry`] holds an `Arc` per kind), and a hit, the recovery
+//! wrappers and the session artifacts a tool deposits all hold that same
+//! allocation. The ACOPF and SCOPF entries carry their
+//! [`SolutionQuality`](crate::quality::SolutionQuality), scored once when
+//! the entry was solved ([`Scored`]), so a hit neither copies a report nor
+//! re-scores a dispatch.
+//!
 //! The cache is LRU-bounded with hit/miss/eviction accounting, mirrored
 //! to the installed telemetry collector as `serve.cache.{hits,misses,
 //! evictions,inserts}`.
 
+use crate::quality::Scored;
 use gm_acopf::{AcopfSolution, ScopfSolution};
 use gm_contingency::ContingencyReport;
 use gm_network::Snapshot;
@@ -64,21 +73,6 @@ pub struct SolverCacheKey {
     pub params: u64,
 }
 
-/// A memoized solver outcome.
-#[derive(Clone, Debug)]
-pub enum SolverResult {
-    /// A solved ACOPF.
-    Acopf(AcopfSolution),
-    /// A solved SCOPF.
-    Scopf(ScopfSolution),
-    /// A solved base power flow.
-    Pf(PfReport),
-    /// A completed N-1 sweep report.
-    Contingency(ContingencyReport),
-    /// A completed batched multi-scenario study.
-    Batch(BatchReport),
-}
-
 /// Cumulative cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverCacheStats {
@@ -93,7 +87,7 @@ pub struct SolverCacheStats {
 }
 
 struct LruState {
-    map: HashMap<SolverCacheKey, SolverResult>,
+    map: HashMap<SolverCacheKey, SolverEntry>,
     /// Keys in recency order: front = least recently used.
     order: Vec<SolverCacheKey>,
 }
@@ -142,10 +136,10 @@ impl SolverCache {
         })
     }
 
-    /// Fetches a memoized result, refreshing its recency and counting
-    /// the hit/miss into both the local stats and the installed
-    /// telemetry collector.
-    pub fn get(&self, key: &SolverCacheKey) -> Option<SolverResult> {
+    /// Fetches a memoized result — a handle on the entry's allocation,
+    /// not a copy — refreshing its recency and counting the hit/miss into
+    /// both the local stats and the installed telemetry collector.
+    pub fn get(&self, key: &SolverCacheKey) -> Option<SolverEntry> {
         let mut state = self.inner.lock();
         let found = state.map.get(key).cloned();
         if found.is_some() {
@@ -169,8 +163,13 @@ impl SolverCache {
     /// Stores a result, evicting the least-recently-used entry when the
     /// capacity bound is reached.
     pub fn put(&self, key: SolverCacheKey, result: SolverResult) {
+        self.insert(key, result.into());
+    }
+
+    /// Stores an entry; [`memoized`] keeps its own handle on it.
+    fn insert(&self, key: SolverCacheKey, entry: SolverEntry) {
         let mut state = self.inner.lock();
-        if state.map.insert(key, result).is_none() {
+        if state.map.insert(key, entry).is_none() {
             state.order.push(key);
             while state.map.len() > self.capacity {
                 let victim = state.order.remove(0);
@@ -240,7 +239,7 @@ impl SolverCache {
 /// corrupted entry — it is discarded, counted as
 /// `serve.cache.poison_detected`, and recomputed. With no injector
 /// installed this is exactly `cache.get(key)`.
-fn cache_lookup(cache: &SolverCache, key: &SolverCacheKey) -> Option<SolverResult> {
+fn cache_lookup(cache: &SolverCache, key: &SolverCacheKey) -> Option<SolverEntry> {
     match gm_faults::inject("cache.get") {
         Some(gm_faults::FaultKind::CacheMiss) => None,
         Some(gm_faults::FaultKind::CachePoison) => {
@@ -258,60 +257,91 @@ fn cache_lookup(cache: &SolverCache, key: &SolverCacheKey) -> Option<SolverResul
 }
 
 /// A solver outcome the cache can hold: its [`QueryKind`] slot and its
-/// [`SolverResult`] variant. Supporting a new query kind is one
-/// `memo_kind!` line here plus a [`memoized`] call at the tool.
-pub trait Memo: Clone {
+/// [`SolverEntry`] variant. Supporting a new query kind is one
+/// `memo_kinds!` line here plus a [`memoized`] call at the tool.
+pub trait Memo: Sized {
     /// The key's middle component for this outcome type.
     const KIND: QueryKind;
-    /// Wraps the outcome into its cache variant.
-    fn into_result(self) -> SolverResult;
-    /// Unwraps a recalled entry; `None` when the variant is not this type.
-    fn from_result(result: SolverResult) -> Option<Self>;
+    /// Wraps a shared outcome into its cache variant.
+    fn entry(value: Arc<Self>) -> SolverEntry;
+    /// Shares a recalled entry; `None` when the variant is not this type.
+    fn share(entry: &SolverEntry) -> Option<Arc<Self>>;
     /// Whether this outcome may be memoized at all (default: always).
     fn cacheable(&self) -> bool {
         true
     }
 }
 
-macro_rules! memo_kind {
-    ($ty:ty, $variant:ident, $kind:ident $(, cacheable = $pred:expr)?) => {
-        impl Memo for $ty {
-            const KIND: QueryKind = QueryKind::$kind;
-            fn into_result(self) -> SolverResult {
-                SolverResult::$variant(self)
-            }
-            fn from_result(result: SolverResult) -> Option<Self> {
+/// Declares every query kind once: the owned [`SolverResult`] variant
+/// [`SolverCache::put`] takes, the shared [`SolverEntry`] variant the
+/// cache holds and hands out, and the [`Memo`] impl that wraps and
+/// shares an entry without copying the outcome.
+macro_rules! memo_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident($ty:ty) in $kind:ident $(, cacheable = $pred:expr)?;
+    )*) => {
+        /// A solver outcome to memoize, by value.
+        #[derive(Clone, Debug)]
+        pub enum SolverResult {
+            $($(#[$doc])* $variant($ty),)*
+        }
+
+        /// A memoized solver outcome: one shared allocation, which every
+        /// reader holds instead of a copy.
+        #[derive(Clone, Debug)]
+        pub enum SolverEntry {
+            $($(#[$doc])* $variant(Arc<$ty>),)*
+        }
+
+        impl From<SolverResult> for SolverEntry {
+            fn from(result: SolverResult) -> SolverEntry {
                 match result {
-                    SolverResult::$variant(value) => Some(value),
+                    $(SolverResult::$variant(value) => SolverEntry::$variant(Arc::new(value)),)*
+                }
+            }
+        }
+
+        $(impl Memo for $ty {
+            const KIND: QueryKind = QueryKind::$kind;
+            fn entry(value: Arc<Self>) -> SolverEntry {
+                SolverEntry::$variant(value)
+            }
+            fn share(entry: &SolverEntry) -> Option<Arc<Self>> {
+                match entry {
+                    SolverEntry::$variant(value) => Some(Arc::clone(value)),
                     _ => None,
                 }
             }
             $(fn cacheable(&self) -> bool {
                 $pred(self)
             })?
-        }
+        })*
     };
 }
 
-memo_kind!(AcopfSolution, Acopf, Acopf);
-memo_kind!(ScopfSolution, Scopf, Scopf);
-memo_kind!(PfReport, Pf, BasePf);
-memo_kind!(ContingencyReport, Contingency, ContingencyN1);
-// Only fully-clean batches — every scenario outcome `Ok` — are memoized:
-// a batch with failed scenarios may be narrated through the recovery
-// ladder with CAVEATs, and degraded results must never be served from
-// cache.
-memo_kind!(
-    BatchReport,
-    Batch,
-    BatchStudy,
-    cacheable = |rep: &BatchReport| rep.outcomes.iter().all(|o| o.report.is_ok())
-);
+memo_kinds! {
+    /// A solved ACOPF and its score.
+    Acopf(Scored<AcopfSolution>) in Acopf;
+    /// A solved SCOPF and the score of its dispatch.
+    Scopf(Scored<ScopfSolution>) in Scopf;
+    /// A solved base power flow.
+    Pf(PfReport) in BasePf;
+    /// A completed N-1 sweep report.
+    Contingency(ContingencyReport) in ContingencyN1;
+    /// A completed batched multi-scenario study. Only fully-clean
+    /// batches — every scenario outcome `Ok` — are memoized: a batch with
+    /// failed scenarios may be narrated through the recovery ladder with
+    /// CAVEATs, and degraded results must never be served from cache.
+    Batch(BatchReport) in BatchStudy,
+        cacheable = |rep: &BatchReport| rep.outcomes.iter().all(|o| o.report.is_ok());
+}
 
 /// The one memo path: runs `solve` through the cache under
-/// `(net.content_hash(), T::KIND, params)`. A hit recalls the memoized
+/// `(net.content_hash(), T::KIND, params)`. A hit shares the memoized
 /// outcome; a miss solves and, when the outcome is
-/// [`Memo::cacheable`], memoizes it. `None` cache always solves.
+/// [`Memo::cacheable`], memoizes it — the caller and the cache then hold
+/// the same allocation. `None` cache always solves.
 ///
 /// The network half of the key is the hash the [`Snapshot`] carries, so
 /// a lookup costs no serialisation and the key cannot describe any
@@ -325,21 +355,21 @@ pub fn memoized<T: Memo, E>(
     net: &Snapshot,
     params: u64,
     solve: impl FnOnce() -> Result<T, E>,
-) -> Result<T, E> {
+) -> Result<Arc<T>, E> {
     let Some(cache) = cache else {
-        return solve();
+        return solve().map(Arc::new);
     };
     let key = SolverCacheKey {
         net_hash: net.content_hash(),
         kind: T::KIND,
         params,
     };
-    if let Some(hit) = cache_lookup(cache, &key).and_then(T::from_result) {
+    if let Some(hit) = cache_lookup(cache, &key).as_ref().and_then(T::share) {
         return Ok(hit);
     }
-    let out = solve()?;
+    let out = Arc::new(solve()?);
     if out.cacheable() {
-        cache.put(key, out.clone().into_result());
+        cache.insert(key, T::entry(Arc::clone(&out)));
     }
     Ok(out)
 }
@@ -417,7 +447,7 @@ mod tests {
         assert!(cache.get(&key(1, 1)).is_none());
         cache.put(key(1, 1), pf_stub(3));
         match cache.get(&key(1, 1)) {
-            Some(SolverResult::Pf(rep)) => assert_eq!(rep.iterations, 3),
+            Some(SolverEntry::Pf(rep)) => assert_eq!(rep.iterations, 3),
             other => panic!("expected cached pf, got {other:?}"),
         }
         let s = cache.stats();
@@ -474,7 +504,7 @@ mod tests {
         cache.put(key(3, 0), pf_stub(3));
         assert!(cache.get(&key(2, 0)).is_none());
         match cache.get(&key(1, 0)) {
-            Some(SolverResult::Pf(rep)) => assert_eq!(rep.iterations, 10),
+            Some(SolverEntry::Pf(rep)) => assert_eq!(rep.iterations, 10),
             other => panic!("expected overwritten pf, got {other:?}"),
         }
     }

@@ -9,7 +9,7 @@
 //! typed artifacts for other agents.
 
 use crate::failure::DomainError;
-use crate::quality;
+use crate::quality::{self, SolutionQuality};
 use crate::recovery::{solve_acopf_recovered, solve_scopf_recovered, Degraded};
 use crate::session::SharedSession;
 use gm_acopf::{AcopfOptions, AcopfSolution, ScopfOptions};
@@ -124,7 +124,11 @@ impl From<&AcopfSolution> for AcopfSummary {
             n_generators: sol.gen_dispatch_mw.len(),
             largest_units_mw,
             lmp_min: sol.bus_lmp.iter().cloned().fold(f64::INFINITY, f64::min),
-            lmp_max: sol.bus_lmp.iter().cloned().fold(0.0f64, f64::max),
+            lmp_max: sol
+                .bus_lmp
+                .iter()
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max),
         }
     }
 }
@@ -208,22 +212,22 @@ tool_output! {
     }
 }
 
-/// Scores a freshly solved dispatch, deposits it as the session's ACOPF
-/// artifact and renders it, carrying the recovery caveat when a fallback
-/// rung produced the numbers.
+/// Reports a solved dispatch's score, deposits the dispatch as the
+/// session's ACOPF artifact and renders it, carrying the recovery caveat
+/// when a fallback rung produced the numbers.
 fn publish_solution(
     session: &SharedSession,
     clock: &VirtualClock,
-    net: &Network,
     sol: &AcopfSolution,
+    quality: &SolutionQuality,
     degraded_caveat: Option<String>,
 ) -> Dispatch {
-    let q = quality::assess(net, sol);
+    quality::publish(quality);
     session.put_acopf(sol.clone(), clock.now());
     Dispatch {
         summary: sol.into(),
         degraded: Degraded { degraded_caveat },
-        quality_overall: q.overall_score,
+        quality_overall: quality.overall_score,
     }
 }
 
@@ -243,14 +247,15 @@ fn resolve_edit(
     what: &str,
 ) -> Result<EditResult, DomainError> {
     let net = session.current_network()?;
-    let (sol, degraded) = solve_acopf_recovered(
+    let (scored, degraded) = solve_acopf_recovered(
         session.solver_cache.as_ref(),
         &net,
         &AcopfOptions::default(),
     )
     .map_err(|e| DomainError::from(e).during(what))?;
+    let sol = &scored.solution;
     Ok(EditResult {
-        dispatch: publish_solution(session, clock, &net, &sol, degraded),
+        dispatch: publish_solution(session, clock, sol, &scored.quality, degraded),
         previous_cost,
         cost_delta: previous_cost.map(|before| sol.objective_cost - before),
         modified_bus,
@@ -277,13 +282,19 @@ pub fn solve_acopf_case_tool(session: SharedSession, clock: VirtualClock) -> FnT
          power flow, returning cost, dispatch, voltages, and loading.",
         move |args: SolveCase| -> Result<SolveResult, DomainError> {
             let (net, confidence) = session.load_case(&args.case_name)?;
-            let (sol, degraded) = solve_acopf_recovered(
+            let (scored, degraded) = solve_acopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &AcopfOptions::default(),
             )?;
             Ok(SolveResult {
-                dispatch: publish_solution(&session, &clock, &net, &sol, degraded),
+                dispatch: publish_solution(
+                    &session,
+                    &clock,
+                    &scored.solution,
+                    &scored.quality,
+                    degraded,
+                ),
                 identification_confidence: confidence,
                 network_summary: CaseSummary::from(&*net),
             })
@@ -389,13 +400,20 @@ pub fn solve_security_constrained_tool(session: SharedSession, clock: VirtualClo
          ratings. Reports the security premium over the economic dispatch.",
         move |args: CaseChoice| -> Result<ScopfResult, DomainError> {
             let net = network_for(&session, args.case_name.as_deref())?;
-            let (scopf, degraded) = solve_scopf_recovered(
+            let (scored, degraded) = solve_scopf_recovered(
                 session.solver_cache.as_ref(),
                 &net,
                 &ScopfOptions::default(),
             )?;
+            let scopf = &scored.solution;
             Ok(ScopfResult {
-                dispatch: publish_solution(&session, &clock, &net, &scopf.solution, degraded),
+                dispatch: publish_solution(
+                    &session,
+                    &clock,
+                    &scopf.solution,
+                    &scored.quality,
+                    degraded,
+                ),
                 economic_cost: scopf.economic_cost,
                 security_premium: scopf.security_premium,
                 n_security_constraints: scopf.n_security_constraints,
@@ -460,6 +478,15 @@ mod tests {
         assert!(out["quality_overall"].as_f64().unwrap() > 5.0);
         assert_eq!(out["identification_confidence"], json!(1.0));
         assert!(session.fresh_acopf().is_some());
+    }
+
+    #[test]
+    fn an_all_negative_price_vector_spans_its_own_extremes() {
+        let net = gm_network::library::case(gm_network::CaseId::Ieee14);
+        let mut sol = gm_acopf::solve_acopf(&net, &AcopfOptions::default()).unwrap();
+        sol.bus_lmp = vec![-3.0, -1.5, -7.25];
+        let summary = AcopfSummary::from(&sol);
+        assert_eq!((summary.lmp_min, summary.lmp_max), (-7.25, -1.5));
     }
 
     #[test]

@@ -20,14 +20,12 @@ use crate::session::SharedSession;
 use crate::solver_cache::memoized;
 use crate::tools_acopf::network_for;
 use gm_agents::{tool_output, ErrorCode, FnTool, VirtualClock};
+// The violation counts use the N-1 sweep's voltage band and thermal
+// threshold.
+use gm_contingency::engine::{THERMAL_THRESHOLD_PCT, VMAX_PU, VMIN_PU};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
 use gm_powerflow::{run_batch, PfOptions, PfReport, ScenarioOutcome, ScenarioSet};
-
-/// Voltage band and thermal threshold used for the violation counts.
-const VMIN_PU: f64 = 0.95;
-const VMAX_PU: f64 = 1.05;
-const OVERLOAD_PCT: f64 = 100.0;
 
 /// Default 24-hour load shape (fraction of nominal demand, hour 0–23):
 /// overnight valley, morning ramp, flat afternoon, evening peak.
@@ -168,7 +166,7 @@ fn solved_row(
         cost_per_hour: scenario_cost(net, rep),
         // Buses outside the voltage band plus overloaded branches.
         violations: rep.voltage_violations(VMIN_PU, VMAX_PU).len()
-            + rep.overloads(OVERLOAD_PCT).len(),
+            + rep.overloads(THERMAL_THRESHOLD_PCT).len(),
         max_loading_pct: rep.max_loading.0,
         min_voltage_pu: rep.min_vm.0,
         losses_mw: rep.losses_mw,

@@ -17,6 +17,7 @@ use gm_contingency::{
 };
 use gm_network::{BranchKind, Snapshot};
 use gm_powerflow::{PfError, PfReport};
+use std::sync::Arc;
 
 tool_output! {
     /// How `run_n1_contingency_analysis` ranks outages
@@ -304,7 +305,7 @@ fn base_case(
     session: &SharedSession,
     net: &Snapshot,
     opts: &CaOptions,
-) -> Result<(PfReport, Option<String>), DomainError> {
+) -> Result<(Arc<PfReport>, Option<String>), DomainError> {
     match session.fresh_base_pf() {
         Some(rep) => Ok((rep, None)),
         None => {
@@ -324,7 +325,7 @@ pub fn solve_base_case_tool(session: SharedSession, clock: VirtualClock) -> FnTo
             let opts = CaOptions::default();
             let (rep, degraded_caveat) =
                 solve_base_recovered(session.solver_cache.as_ref(), &net, &opts)?;
-            session.put_base_pf(rep.clone(), clock.now());
+            session.put_base_pf(Arc::clone(&rep), clock.now());
             Ok(BaseCaseResult {
                 degraded: Degraded { degraded_caveat },
                 converged: rep.converged,
@@ -366,11 +367,11 @@ pub fn run_n1_tool(session: SharedSession, clock: VirtualClock) -> FnTool {
                 session.solver_cache.as_ref(),
                 &net,
                 &opts,
-                base.as_ref(),
+                base.as_deref(),
                 &session.cache,
             )
             .map_err(base_case_failed)?;
-            session.put_contingency(rep.clone(), clock.now());
+            session.put_contingency(Arc::clone(&rep), clock.now());
             Ok(N1Report::new(&rep, args.top_k.unwrap_or(10), degraded))
         },
     )
@@ -447,7 +448,7 @@ pub fn run_gen_n1_tool(session: SharedSession, _clock: VirtualClock) -> FnTool {
             let net = session.current_network()?;
             let opts = CaOptions::default();
             let (base, degraded_caveat) = base_case(&session, &net, &opts)?;
-            let outcomes = run_gen_n1(&net, &opts, Some(&base)).map_err(base_case_failed)?;
+            let outcomes = run_gen_n1(&net, &opts, Some(&*base)).map_err(base_case_failed)?;
             // Rank: reference loss > non-convergence > violations > lost MW.
             let mut scored: Vec<(f64, &gm_contingency::GenOutageOutcome)> = outcomes
                 .iter()

@@ -3,13 +3,15 @@
 //! fault hooks force a re-solve, and only cacheable outcomes are stored.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
+use gm_acopf::{AcopfSolution, ScopfSolution};
 use gm_contingency::CaOptions;
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
 use gm_network::{library, CaseId, Snapshot};
 use gm_powerflow::{run_batch, PfOptions, ScenarioSet};
 use gridmind_core::solver_cache::{memoized, Memo, SharedSolverCache};
-use gridmind_core::{QueryKind, SolverCache};
+use gridmind_core::{QueryKind, Scored, SolverCache};
 
 /// One row of the table: runs a solver through `memoized` under the
 /// given cache, counting real solver invocations, and renders the
@@ -25,7 +27,7 @@ fn probe<'a, T, E>(
     scrub: fn(&mut T),
 ) -> Probe<'a>
 where
-    T: Memo + std::fmt::Debug + 'a,
+    T: Memo + Clone + std::fmt::Debug + 'a,
     E: std::fmt::Debug,
 {
     Box::new(move |cache| {
@@ -33,7 +35,7 @@ where
             solves.set(solves.get() + 1);
             solve()
         });
-        let mut out = out.expect("case14 solves");
+        let mut out = Arc::unwrap_or_clone(out.expect("case14 solves"));
         scrub(&mut out);
         format!("{out:?}")
     })
@@ -55,8 +57,11 @@ fn memo_path_is_uniform_over_every_query_kind() {
                 &net,
                 acopf.fingerprint(),
                 &solves,
-                || gm_acopf::solve_acopf(&net, &acopf),
-                |s| s.solve_time_s = 0.0,
+                || {
+                    gm_acopf::solve_acopf(&net, &acopf)
+                        .map(|s| Scored::<AcopfSolution>::new(&net, s))
+                },
+                |s| s.solution.solve_time_s = 0.0,
             ),
         ),
         (
@@ -65,8 +70,11 @@ fn memo_path_is_uniform_over_every_query_kind() {
                 &net,
                 scopf.fingerprint(),
                 &solves,
-                || gm_acopf::solve_scopf(&net, &scopf),
-                |s| s.solution.solve_time_s = 0.0,
+                || {
+                    gm_acopf::solve_scopf(&net, &scopf)
+                        .map(|s| Scored::<ScopfSolution>::new(&net, s))
+                },
+                |s| s.solution.solution.solve_time_s = 0.0,
             ),
         ),
         (
