@@ -13,7 +13,7 @@
 //! | `calibrate_ratings` (bin) | regenerates the embedded rating tables |
 //! | `power_flow` (bench) | Newton solver scaling per case |
 //! | `acopf` (bench) | interior-point ACOPF scaling per case |
-//! | `contingency` (bench) | serial vs rayon-parallel N-1 ablation |
+//! | `contingency` (bench) | serial vs parallel sweeps (cascade N-1, generator, N-2) |
 //! | `sparse_lu` (bench) | sparse vs dense factorization crossover |
 //! | `agent_pipeline` (bench) | end-to-end agent turn (real compute) |
 //!

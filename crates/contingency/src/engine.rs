@@ -19,10 +19,11 @@
 //!   outage islands the network; the rest is classified from the linear
 //!   estimate alone.
 //!
-//! The sweep is embarrassingly parallel and runs on rayon by default; the
-//! serial path is kept for the ablation benchmark.
+//! The sweep is embarrassingly parallel and runs on the crate's work-claiming
+//! fan-out by default; the serial path is kept for the ablation benchmark.
 
 use crate::cache::{CacheKey, ContingencyCache};
+use crate::fan_out::fan_out;
 use crate::ranking::rank;
 use crate::types::{
     ContingencyOutcome, ContingencyReport, Outage, RankingStrategy, SweepMode, Violation,
@@ -30,7 +31,6 @@ use crate::types::{
 use gm_network::{topology, BranchKind, Network};
 use gm_numeric::{Complex, Fnv1a};
 use gm_powerflow::{solve_from, CompensationBase, PfOptions, PfReport};
-use rayon::prelude::*;
 
 /// Lower edge of the voltage band checked post-contingency (p.u.). The
 /// paper uses 0.95–1.05 in its Fig. 8 transcripts.
@@ -55,7 +55,7 @@ const SCREEN_TOP_K: usize = 8;
 /// outages) are fixed.
 #[derive(Clone, Debug)]
 pub struct CaOptions {
-    /// Run the sweep on the rayon thread pool.
+    /// Run the sweep's jobs on the work-claiming thread pool.
     pub parallel: bool,
     /// Ranking strategy for the criticality list.
     pub strategy: RankingStrategy,
@@ -248,7 +248,7 @@ pub fn run_n1_cached(
         SweepMode::Brute => "full",
         SweepMode::Cascade => "cascade",
     };
-    let sweep_span = gm_telemetry::span!("ca.sweep", case = net.name, mode = label);
+    let _span = gm_telemetry::span!("ca.sweep", case = net.name, mode = label);
     let started = std::time::Instant::now();
     let owned_base;
     let base = match base {
@@ -313,22 +313,9 @@ pub fn run_n1_cached(
     // whatever the thread solved before: within one outage evaluation
     // every Newton iteration and the flat-start retry share the
     // post-outage Jacobian's analysis; the serial sweep also shares it
-    // across outages whose patterns collide (parallel branch pairs).
-    let outcomes: Vec<ContingencyOutcome> = if opts.parallel {
-        // Rayon workers have their own collector stacks: re-install the
-        // sweep thread's registry per worker so worker-side metrics and
-        // spans join this trace under the sweep span.
-        let collector = gm_telemetry::current();
-        let parent = sweep_span.id();
-        plan.par_iter()
-            .map_init(
-                || collector.as_ref().map(|reg| reg.install_scoped(parent)),
-                |_worker, job| gm_sparse::with_fresh_engine(|| eval(job)),
-            )
-            .collect()
-    } else {
-        gm_sparse::with_fresh_engine(|| plan.iter().map(eval).collect())
-    };
+    // across outages whose patterns collide (parallel branch pairs),
+    // while the parallel fan-out gives each outage an engine of its own.
+    let outcomes = gm_sparse::with_fresh_engine(|| fan_out(opts.parallel, &plan, eval));
     Ok(assemble_report(net, opts, outcomes, started, mode))
 }
 
@@ -359,12 +346,9 @@ fn cascade_plan(
         return None;
     };
     let (base_p, base_q) = screening_inputs(base);
-    let estimates: Vec<Option<f64>> = targets
-        .iter()
-        .map(|&(outage, _)| {
-            sens.worst_post_outage_loading_mva(net, &base_p, &base_q, outage.branch)
-        })
-        .collect();
+    let estimates = fan_out(opts.parallel, targets, |&(outage, _)| {
+        sens.worst_post_outage_loading_mva(net, &base_p, &base_q, outage.branch)
+    });
 
     // Suspect set: estimate at or above the cutoff, unscreenable
     // (islanding column), or within the top-k safety band of the DC
@@ -822,6 +806,48 @@ mod tests {
                 assert_eq!(b.n_thermal(), c.n_thermal());
             }
         }
+    }
+
+    #[test]
+    fn refused_compensated_solves_fall_back_on_every_worker() {
+        // The parallel twin of the test above: every worker of the
+        // fan-out carries the sweep thread's injector, so a refuse-all
+        // `ca.compensate` rule turns each compensated outage of the
+        // parallel sweep into a counted fallback, and the report is the
+        // forced serial sweep's.
+        use gm_faults::{FaultInjector, FaultKind, FaultRule};
+        let net = cases::load(CaseId::Ieee118);
+        let sweep = |parallel: bool, faults: Option<FaultInjector>| {
+            let _faults = faults.as_ref().map(FaultInjector::install);
+            let reg = gm_telemetry::Registry::new();
+            let _guard = reg.install();
+            let opts = CaOptions {
+                parallel,
+                ..Default::default()
+            };
+            let mut rep = run_n1(&net, &opts, None).unwrap();
+            rep.parallel = false;
+            rep.sweep_time_s = 0.0;
+            (format!("{rep:?}"), reg)
+        };
+        let refuse_all = || {
+            FaultInjector::scripted(vec![FaultRule::new(
+                "ca.compensate",
+                FaultKind::LuSingular,
+                0,
+                u64::MAX,
+            )])
+        };
+        let (_, unforced) = sweep(true, None);
+        let compensated = unforced.counter_value("ca.screen.compensated");
+        assert!(compensated > 0);
+        let injector = refuse_all();
+        let (parallel, reg) = sweep(true, Some(injector.clone()));
+        assert_eq!(injector.injected_total(), compensated);
+        assert_eq!(reg.counter_value("ca.screen.fallback"), compensated);
+        assert_eq!(reg.counter_value("ca.screen.compensated"), 0);
+        let (serial, _) = sweep(false, Some(refuse_all()));
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! scanned with the same violation rules as the branch sweep.
 
 use crate::engine::{violations_of, CaOptions};
+use crate::fan_out::fan_out;
 use crate::types::Violation;
 use gm_network::Network;
 use gm_powerflow::{solve_from, PfReport};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Post-contingency outcome for one generator outage.
@@ -140,11 +140,7 @@ pub fn run_gen_n1(
         }
     };
 
-    Ok(if opts.parallel {
-        targets.par_iter().map(eval).collect()
-    } else {
-        targets.iter().map(eval).collect()
-    })
+    Ok(fan_out(opts.parallel, &targets, eval))
 }
 
 #[cfg(test)]
@@ -216,5 +212,35 @@ mod tests {
             assert_eq!(a.converged, b.converged);
             assert!((a.max_loading_pct - b.max_loading_pct).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn parallel_sweep_records_the_serial_newton_work() {
+        // Every worker of the parallel sweep records into the sweep
+        // thread's registry: the Newton solves and iterations match the
+        // serial sweep's, one solve per unit that does not lose the
+        // reference.
+        let net = cases::load(CaseId::Ieee118);
+        let sweep = |parallel: bool| {
+            let reg = gm_telemetry::Registry::new();
+            let _guard = reg.install();
+            let opts = CaOptions {
+                parallel,
+                ..Default::default()
+            };
+            let outcomes = run_gen_n1(&net, &opts, None).unwrap();
+            (format!("{outcomes:?}"), reg)
+        };
+        let (serial, ser) = sweep(false);
+        let (parallel, par) = sweep(true);
+        assert_eq!(parallel, serial);
+        for counter in ["pf.newton.solves", "pf.newton.iterations"] {
+            assert_eq!(
+                par.counter_value(counter),
+                ser.counter_value(counter),
+                "{counter}"
+            );
+        }
+        assert_eq!(par.counter_value("pf.newton.solves"), 54);
     }
 }

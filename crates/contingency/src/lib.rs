@@ -3,7 +3,7 @@
 //! N-1 contingency analysis for GridMind-RS — the engine behind the
 //! paper's CA agent.
 //!
-//! - [`engine`] — the rayon-parallel T-1 sweep: outage enumeration,
+//! - [`engine`] — the parallel T-1 sweep: outage enumeration,
 //!   island screening, warm-started post-contingency power flows with a
 //!   flat-start recovery path, and violation scanning.
 //! - [`ranking`] — composite criticality scoring with auditable
@@ -37,6 +37,7 @@
 
 pub mod cache;
 pub mod engine;
+mod fan_out;
 pub mod gen_outage;
 pub mod n2;
 pub mod ranking;

@@ -13,6 +13,7 @@
 use crate::engine::{
     enumerate_targets, screening_inputs, solve_base, violations_of, CaOptions, SCREEN_CUTOFF,
 };
+use crate::fan_out::fan_out;
 use crate::types::{Outage, Violation};
 use gm_network::{topology, Network};
 use gm_powerflow::{CompensationBase, PfReport};
@@ -69,6 +70,14 @@ pub struct N2Preview {
     pub sweep_time_s: f64,
 }
 
+/// One first element's row of the DC pair screen.
+#[derive(Default)]
+struct ScreenRow {
+    suspects: Vec<(usize, usize, f64)>,
+    screened_out: usize,
+    unscreenable: usize,
+}
+
 /// Screens every in-service branch pair with the LODF pair formula and
 /// AC-verifies the suspects via the compensated base factorization.
 ///
@@ -76,6 +85,8 @@ pub struct N2Preview {
 /// DC-ranked suspect pairs are verified (the preview is a ranking aid,
 /// not an exhaustive N-2 certification — the report counts what was
 /// screened out and what was unscreenable so the shortcut is explicit).
+/// With `opts.parallel` both phases run on the sweeps' fan-out; the
+/// report is the serial one either way.
 pub fn n_minus_2_preview(
     net: &Network,
     opts: &CaOptions,
@@ -104,22 +115,27 @@ pub fn n_minus_2_preview(
         .any(|b| b.in_service && b.rating_mva > 0.0);
     let cutoff = if rated { SCREEN_CUTOFF } else { -1.0 };
 
-    // Phase 1: DC pair screen.
-    let mut suspects: Vec<(usize, usize, f64)> = Vec::new();
-    let mut screened_out = 0usize;
-    let mut unscreenable = 0usize;
-    let mut pairs = 0usize;
-    for a in 0..targets.len() {
+    // Phase 1: DC pair screen, one job per first element. Rows shrink
+    // towards the end of the list, which the work-claiming fan-out
+    // absorbs.
+    let firsts: Vec<usize> = (0..targets.len()).collect();
+    let rows = fan_out(opts.parallel, &firsts, |&a| {
+        let mut row = ScreenRow::default();
         for b in (a + 1)..targets.len() {
-            pairs += 1;
             let (ka, kb) = (targets[a].0.branch, targets[b].0.branch);
             match sens.worst_pair_outage_loading_mva(net, &base_p, &base_q, ka, kb) {
-                None => unscreenable += 1,
-                Some(est) if est >= cutoff => suspects.push((a, b, est)),
-                Some(_) => screened_out += 1,
+                None => row.unscreenable += 1,
+                Some(est) if est >= cutoff => row.suspects.push((a, b, est)),
+                Some(_) => row.screened_out += 1,
             }
         }
-    }
+        row
+    });
+    let pairs = targets.len() * targets.len().saturating_sub(1) / 2;
+    let screened_out: usize = rows.iter().map(|r| r.screened_out).sum();
+    let unscreenable: usize = rows.iter().map(|r| r.unscreenable).sum();
+    let mut suspects: Vec<(usize, usize, f64)> =
+        rows.into_iter().flat_map(|r| r.suspects).collect();
     gm_telemetry::counter_add("ca.n2.pairs_screened", pairs as u64);
     gm_telemetry::counter_add("ca.n2.screened_out", screened_out as u64);
     suspects.sort_by(|x, y| y.2.total_cmp(&x.2).then((x.0, x.1).cmp(&(y.0, y.1))));
@@ -137,27 +153,29 @@ pub fn n_minus_2_preview(
             None
         }
     };
-    let mut verified = Vec::with_capacity(suspects.len());
-    for (a, b, est) in suspects {
+    let mut verified = fan_out(opts.parallel, &suspects, |&(a, b, est)| {
         let (outage_a, ki_a) = targets[a];
         let (outage_b, ki_b) = targets[b];
         let mut work = net.clone();
         work.branches[outage_a.branch].in_service = false;
         work.branches[outage_b.branch].in_service = false;
+        let unsolved = PairOutcome {
+            outages: (outage_a, outage_b),
+            kind_indices: (ki_a, ki_b),
+            dc_estimate: est,
+            islands: false,
+            converged: false,
+            compensated: false,
+            violations: Vec::new(),
+            max_loading_pct: 0.0,
+        };
         // Joint islanding screen: the pair may split the network even
         // when the LODF pair formula stayed finite.
         if topology::connected_components(&work) > topology::connected_components(net) {
-            verified.push(PairOutcome {
-                outages: (outage_a, outage_b),
-                kind_indices: (ki_a, ki_b),
-                dc_estimate: est,
+            return PairOutcome {
                 islands: true,
-                converged: false,
-                compensated: false,
-                violations: Vec::new(),
-                max_loading_pct: 0.0,
-            });
-            continue;
+                ..unsolved
+            };
         }
         let (rep, compensated) = match comp_base
             .as_ref()
@@ -169,30 +187,20 @@ pub fn n_minus_2_preview(
                 (gm_powerflow::solve(&work, &opts.pf).ok(), false)
             }
         };
-        let outcome = match rep {
+        match rep {
             None => PairOutcome {
-                outages: (outage_a, outage_b),
-                kind_indices: (ki_a, ki_b),
-                dc_estimate: est,
-                islands: false,
-                converged: false,
                 compensated,
-                violations: Vec::new(),
-                max_loading_pct: 0.0,
+                ..unsolved
             },
             Some(rep) => PairOutcome {
-                outages: (outage_a, outage_b),
-                kind_indices: (ki_a, ki_b),
-                dc_estimate: est,
-                islands: false,
                 converged: true,
                 compensated,
                 violations: violations_of(&rep),
                 max_loading_pct: rep.max_loading.0,
+                ..unsolved
             },
-        };
-        verified.push(outcome);
-    }
+        }
+    });
     verified.sort_by(|x, y| y.max_loading_pct.total_cmp(&x.max_loading_pct));
 
     Ok(N2Preview {
@@ -232,6 +240,24 @@ mod tests {
         // Worst-first ordering.
         for w in rep.verified.windows(2) {
             assert!(w[0].max_loading_pct >= w[1].max_loading_pct);
+        }
+    }
+
+    #[test]
+    fn serial_and_parallel_previews_agree() {
+        // The whole preview is `{:?}`-identical but for its wall time.
+        for (id, max_verify) in [(CaseId::Ieee14, 16), (CaseId::Ieee118, 24)] {
+            let net = cases::load(id);
+            let run = |parallel: bool| {
+                let opts = CaOptions {
+                    parallel,
+                    ..Default::default()
+                };
+                let mut rep = n_minus_2_preview(&net, &opts, None, max_verify).unwrap();
+                rep.sweep_time_s = 0.0;
+                format!("{rep:?}")
+            };
+            assert_eq!(run(true), run(false), "{id:?}");
         }
     }
 

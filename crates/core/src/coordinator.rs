@@ -218,8 +218,9 @@ impl GridMind {
     /// Handles a user request end-to-end: plan, route, execute, narrate.
     pub fn ask(&mut self, request: &str) -> CoordinatedResponse {
         // Everything below — routing, agent turns, tool calls, solver
-        // iterations (including rayon workers, which re-install this
-        // registry) — records into the session's registry.
+        // iterations (including the contingency sweeps' pool workers,
+        // which re-install this registry) — records into the session's
+        // registry.
         let _collector = self.session.telemetry.install();
         let _span = gm_telemetry::span!("coordinator.ask");
         gm_telemetry::counter_add("coordinator.requests", 1);

@@ -23,7 +23,8 @@
 //! and the option fingerprints cover every solver control that can alter
 //! the result. Wall-clock fields embedded in cached values
 //! (`solve_time_s`, `sweep_time_s`) are the *original* computation's
-//! timings, which keeps replayed answers deterministic.
+//! timings; no tool result carries them, so neither a replayed nor a
+//! freshly solved answer, nor its prompt, depends on wall time.
 //!
 //! Entries are shared, never copied: each outcome is one allocation
 //! ([`SolverEntry`] holds an `Arc` per kind), and a hit, the recovery

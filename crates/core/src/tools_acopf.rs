@@ -92,7 +92,6 @@ tool_output! {
         max_voltage_pu: f64 = "highest bus voltage (p.u.)",
         max_thermal_loading_pct: f64 = "worst branch loading (% of rating)",
         iterations: usize = "interior-point iterations",
-        solve_time_s: f64 = "solver wall time (s)",
         binding_constraints: usize = "constraints active at the optimum",
         power_balance_error_mw: f64 = "generation minus load minus losses (MW)",
         n_generators: usize = "dispatched units",
@@ -118,7 +117,6 @@ impl From<&AcopfSolution> for AcopfSummary {
             max_voltage_pu: sol.max_voltage_pu,
             max_thermal_loading_pct: sol.max_thermal_loading_pct,
             iterations: sol.iterations,
-            solve_time_s: sol.solve_time_s,
             binding_constraints: sol.binding_constraints,
             power_balance_error_mw: sol.power_balance_error_mw(),
             n_generators: sol.gen_dispatch_mw.len(),

@@ -119,7 +119,6 @@ tool_output! {
         outages_with_voltage_issues: usize = "outages causing a voltage violation",
         max_overload_pct: f64 = "worst post-contingency loading (%)",
         voltage_band: [f64; 2] = "voltage band violations are counted against (p.u.)",
-        sweep_time_s: f64 = "sweep wall time (s)",
         mode: String = "sweep fidelity: cascade (DC screen + AC verification) or brute",
         screened_out: usize = "outages classified secure from the DC screen alone",
         ac_verified: usize = "outages verified with an AC solve",
@@ -157,7 +156,6 @@ impl N1Report {
             outages_with_voltage_issues: rep.outages_with_voltage_issues,
             max_overload_pct: rep.max_overload_pct.0,
             voltage_band: [rep.voltage_band.0, rep.voltage_band.1],
-            sweep_time_s: rep.sweep_time_s,
             // The sweep's fidelity is part of the answer: a cascade
             // report says how many outages were classified from the DC
             // estimate alone versus AC-verified.

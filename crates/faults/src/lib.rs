@@ -16,9 +16,9 @@
 //! Following `gm_telemetry::Registry`, an injector becomes active on a
 //! thread via [`FaultInjector::install`], which pushes it on a
 //! thread-local stack until the returned guard drops. Worker pools
-//! re-install a shared injector inside each worker so solver-layer sites
-//! observe it. Every fired fault is mirrored to the installed telemetry
-//! collector as a `faults.injected.<site>` counter.
+//! capture it with [`current`] and re-install it inside each worker so
+//! solver-layer sites observe it. Every fired fault is mirrored to the
+//! installed telemetry collector as a `faults.injected.<site>` counter.
 //!
 //! The supported fault vocabulary is the failure catalogue of the
 //! recovery ladder (see DESIGN.md "Fault model"): Newton divergence,
@@ -307,12 +307,14 @@ impl FaultInjector {
 /// `site`. **Strict no-op** (`None`, no counting, no allocation) when no
 /// injector is installed on this thread.
 pub fn inject(site: &str) -> Option<FaultKind> {
-    STACK
-        .with(|s| {
-            let stack = s.borrow();
-            stack.last().cloned()
-        })
-        .and_then(|inj| inj.fire(site))
+    current().and_then(|inj| inj.fire(site))
+}
+
+/// The innermost injector installed on this thread, if any: a fan-out
+/// captures it before spawning and re-installs it in every worker, so
+/// the sites its jobs reach fire as they would on this thread.
+pub fn current() -> Option<FaultInjector> {
+    STACK.with(|s| s.borrow().last().cloned())
 }
 
 /// True when a fault injector is installed on this thread.
@@ -410,6 +412,36 @@ mod tests {
             assert_eq!(inject("s"), None, "innermost injector shadows");
         }
         assert_eq!(inject("s"), Some(FaultKind::QueueSaturate));
+    }
+
+    #[test]
+    fn current_is_the_innermost_installed_injector() {
+        assert!(current().is_none());
+        let outer = FaultInjector::disabled();
+        let _g1 = outer.install();
+        let inner = FaultInjector::scripted(vec![FaultRule::new(
+            "s",
+            FaultKind::QueueSaturate,
+            0,
+            u64::MAX,
+        )]);
+        {
+            let _g2 = inner.install();
+            let worker = current().map(|inj| {
+                std::thread::spawn(move || {
+                    let _g = inj.install();
+                    inject("s")
+                })
+            });
+            let fired = worker.map(|w| w.join().ok().flatten());
+            assert_eq!(fired, Some(Some(FaultKind::QueueSaturate)));
+            assert_eq!(
+                inner.hits_at("s"),
+                1,
+                "the worker fired the shared injector"
+            );
+        }
+        assert_eq!(current().map(|inj| inj.hits_at("s")), Some(0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`histogram_record`], [`event`], and the [`span!`] macro — record
 //! into the innermost installed collector and are near-no-ops when none
 //! is installed, so solver hot loops pay a thread-local read when
-//! telemetry is off. Cross-thread fan-outs (the rayon N-1 sweep)
+//! telemetry is off. Cross-thread fan-outs (the contingency sweeps)
 //! re-install the parent registry with [`Registry::install_scoped`] so
 //! worker metrics and spans join the same trace. The session's
 //! [`VirtualClock`] lives here too, stamping spans and events with

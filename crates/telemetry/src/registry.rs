@@ -9,10 +9,10 @@
 //! installed, which keeps the uninstrumented hot-path cost to a
 //! thread-local read.
 //!
-//! Fan-out across threads (the rayon N-1 sweep) is explicit: capture
-//! [`current`]/[`current_span`] before the fan-out and re-install inside
-//! each closure with [`Registry::install_scoped`], so worker-side metrics
-//! land in the same registry and spans nest under the sweep span.
+//! Fan-out across threads (the contingency sweeps' pool) is explicit:
+//! capture [`current`]/[`current_span`] before the fan-out and re-install
+//! inside each closure with [`Registry::install_scoped`], so worker-side
+//! metrics land in the same registry and spans nest under the sweep span.
 
 use crate::clock::VirtualClock;
 use crate::flight::{FlightEvent, FlightRing};
