@@ -3,12 +3,14 @@
 //! the N-2 preview on case118 — and the N-1 sweep's scaling over the
 //! small cases. `cargo bench -p gm-bench --bench contingency` prints
 //! each group's `parallel` and `serial` rows; their ratio is the sweep's
-//! speedup.
+//! speedup. The `compensated_outage` group times one cascade
+//! verification alone: a single outage solved against the base-case
+//! factorization on case118 and case300.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gm_contingency::{n_minus_2_preview, run_gen_n1, run_n1, solve_base, CaOptions};
 use gm_network::{cases, CaseId};
-use gm_powerflow::PfReport;
+use gm_powerflow::{CompensationBase, PfReport};
 use std::hint::black_box;
 
 /// Benches `sweep` under parallel and serial options, both warm-started
@@ -60,6 +62,35 @@ fn bench_parallel_ablation(c: &mut Criterion) {
     );
 }
 
+fn bench_compensated_outage(c: &mut Criterion) {
+    let mut group = c.benchmark_group("compensated_outage");
+    for id in [CaseId::Ieee118, CaseId::Ieee300] {
+        let net = cases::load(id);
+        let opts = CaOptions::default();
+        let base = solve_base(&net, &opts).unwrap();
+        let comp = CompensationBase::new(&net, &opts.pf, &base).unwrap();
+        // The first outage the compensated path accepts.
+        let (branch, work) = (0..net.branches.len())
+            .map(|k| {
+                let mut work = net.clone();
+                work.branches[k].in_service = false;
+                (k, work)
+            })
+            .find(|(k, work)| comp.solve_outage(work, &opts.pf, &[*k]).is_ok())
+            .expect("a compensated outage");
+        group.bench_function(format!("case{}", id.size()), |b| {
+            b.iter(|| {
+                black_box(
+                    comp.solve_outage(&work, &opts.pf, &[branch])
+                        .unwrap()
+                        .iterations,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_sweep_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("n1_sweep_scaling");
     group.sample_size(10);
@@ -73,5 +104,10 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_ablation, bench_sweep_scaling);
+criterion_group!(
+    benches,
+    bench_parallel_ablation,
+    bench_compensated_outage,
+    bench_sweep_scaling
+);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! Criterion bench: Newton–Raphson power flow per IEEE case, plus the
-//! warm-start ablation (DESIGN.md §4.3).
+//! warm-start ablation (DESIGN.md §4.3) on one case118 outage and one
+//! case300 outage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gm_network::{cases, CaseId};
@@ -23,35 +24,40 @@ fn bench_newton(c: &mut Criterion) {
 }
 
 fn bench_warm_vs_flat(c: &mut Criterion) {
-    let mut group = c.benchmark_group("newton_start_strategy");
-    group.sample_size(20);
-    let net = cases::load(CaseId::Ieee118);
     let opts = PfOptions {
         enforce_q_limits: false,
         ..Default::default()
     };
-    let base = solve(&net, &opts).unwrap();
-    let v0 = base.voltages();
-    // Perturbed case (one outage) resolved warm vs flat — the contingency
-    // engine's inner loop.
-    let mut outaged = net.clone();
-    outaged.branches[40].in_service = false;
-
-    group.bench_function("case118_outage_warm", |b| {
-        b.iter(|| black_box(solve_from(&outaged, &opts, Some(&v0)).unwrap().iterations))
-    });
-    group.bench_function("case118_outage_flat", |b| {
-        b.iter(|| black_box(solve(&outaged, &opts).unwrap().iterations))
-    });
     let dc_opts = PfOptions {
         init: InitStrategy::DcWarmStart,
-        enforce_q_limits: false,
-        ..Default::default()
+        ..opts.clone()
     };
-    group.bench_function("case118_outage_dc_start", |b| {
-        b.iter(|| black_box(solve(&outaged, &dc_opts).unwrap().iterations))
-    });
-    group.finish();
+    // One outage resolved warm vs flat: the contingency engine's
+    // full-Newton inner loop.
+    for (group, id, branch) in [
+        ("newton_start_strategy", CaseId::Ieee118, 40),
+        ("newton_start_strategy_case300", CaseId::Ieee300, 40),
+    ] {
+        let mut group = c.benchmark_group(group);
+        group.sample_size(20);
+        let net = cases::load(id);
+        let v0 = solve(&net, &opts).unwrap().voltages();
+        let mut outaged = net.clone();
+        outaged.branches[branch].in_service = false;
+        let case = format!("case{}", id.size());
+        group.bench_function(format!("{case}_outage_warm"), |b| {
+            b.iter(|| black_box(solve_from(&outaged, &opts, Some(&v0)).unwrap().iterations))
+        });
+        group.bench_function(format!("{case}_outage_flat"), |b| {
+            b.iter(|| black_box(solve(&outaged, &opts).unwrap().iterations))
+        });
+        if id == CaseId::Ieee118 {
+            group.bench_function(format!("{case}_outage_dc_start"), |b| {
+                b.iter(|| black_box(solve(&outaged, &dc_opts).unwrap().iterations))
+            });
+        }
+        group.finish();
+    }
 }
 
 criterion_group!(benches, bench_newton, bench_warm_vs_flat);

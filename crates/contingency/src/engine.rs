@@ -28,7 +28,7 @@ use crate::ranking::rank;
 use crate::types::{
     ContingencyOutcome, ContingencyReport, Outage, RankingStrategy, SweepMode, Violation,
 };
-use gm_network::{topology, BranchKind, Network};
+use gm_network::{topology::Islanding, BranchKind, Network};
 use gm_numeric::{Complex, Fnv1a};
 use gm_powerflow::{solve_from, CompensationBase, PfOptions, PfReport};
 
@@ -271,6 +271,9 @@ pub fn run_n1_cached(
         None => (SweepMode::Brute, vec![Step::Newton; targets.len()], None),
     };
     let plan: Vec<((Outage, usize), Step)> = targets.into_iter().zip(steps).collect();
+    // Which outages island, and what each strands, from one search of
+    // the network for the whole sweep.
+    let islanding = Islanding::new(net);
 
     let options = opts.outcome_fingerprint();
     let eval = |&((outage, kind_index), step): &((Outage, usize), Step)| {
@@ -296,13 +299,13 @@ pub fn run_n1_cached(
             Some(estimate) => evaluate_outage_cascade(
                 net,
                 opts,
+                &islanding,
                 comp_base.as_ref(),
                 &v0,
-                outage,
-                kind_index,
+                (outage, kind_index),
                 estimate,
             ),
-            None => evaluate_outage(net, opts, &v0, outage, kind_index),
+            None => evaluate_newton(net, opts, &islanding, &v0, (outage, kind_index)),
         };
         if let Some((cache, key)) = keyed {
             cache.put(key, outcome.clone());
@@ -504,9 +507,20 @@ pub fn evaluate_outage(
     outage: Outage,
     kind_index: usize,
 ) -> ContingencyOutcome {
+    evaluate_newton(net, opts, &Islanding::new(net), v0, (outage, kind_index))
+}
+
+/// [`evaluate_outage`] against a sweep's shared [`Islanding`] of `net`.
+fn evaluate_newton(
+    net: &Network,
+    opts: &CaOptions,
+    islanding: &Islanding,
+    v0: &[Complex],
+    (outage, kind_index): (Outage, usize),
+) -> ContingencyOutcome {
     gm_telemetry::counter_add("ca.outages_evaluated", 1);
     // Island screening before any solve.
-    let stranded = topology::stranded_buses(net, outage.branch);
+    let stranded = islanding.stranded(outage.branch);
     if !stranded.is_empty() {
         return islanding_outcome(net, outage, kind_index, &stranded);
     }
@@ -551,13 +565,13 @@ pub fn evaluate_outage(
 fn evaluate_outage_cascade(
     net: &Network,
     opts: &CaOptions,
+    islanding: &Islanding,
     comp_base: Option<&CompensationBase>,
     v0: &[Complex],
-    outage: Outage,
-    kind_index: usize,
+    (outage, kind_index): (Outage, usize),
     estimate: Option<f64>,
 ) -> ContingencyOutcome {
-    let stranded = topology::stranded_buses(net, outage.branch);
+    let stranded = islanding.stranded(outage.branch);
     if !stranded.is_empty() {
         gm_telemetry::counter_add("ca.outages_evaluated", 1);
         return islanding_outcome(net, outage, kind_index, &stranded);
@@ -587,7 +601,7 @@ fn evaluate_outage_cascade(
         gm_telemetry::counter_add("ca.screen.fallback", 1);
     }
     // Full-Newton fallback (counts its own evaluation).
-    evaluate_outage(net, opts, v0, outage, kind_index)
+    evaluate_newton(net, opts, islanding, v0, (outage, kind_index))
 }
 
 /// Base-case `(P, |Q|)` branch flows the LODF screens (cascade plan and

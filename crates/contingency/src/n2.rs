@@ -153,6 +153,7 @@ pub fn n_minus_2_preview(
             None
         }
     };
+    let base_components = topology::connected_components(net);
     let mut verified = fan_out(opts.parallel, &suspects, |&(a, b, est)| {
         let (outage_a, ki_a) = targets[a];
         let (outage_b, ki_b) = targets[b];
@@ -171,7 +172,7 @@ pub fn n_minus_2_preview(
         };
         // Joint islanding screen: the pair may split the network even
         // when the LODF pair formula stayed finite.
-        if topology::connected_components(&work) > topology::connected_components(net) {
+        if topology::connected_components(&work) > base_components {
             return PairOutcome {
                 islands: true,
                 ..unsolved

@@ -63,6 +63,23 @@ pub fn score(outcome: &ContingencyOutcome, strategy: RankingStrategy) -> f64 {
     }
 }
 
+/// The voltage violation farthest outside `[VMIN_PU, VMAX_PU]`, low or
+/// high, as `(bus id, |V|)`; the first of equals.
+fn worst_voltage(violations: &[Violation]) -> Option<(u32, f64)> {
+    let mut worst: Option<(f64, u32, f64)> = None;
+    for v in violations {
+        let (depth, bus_id, vm_pu) = match *v {
+            Violation::LowVoltage { bus_id, vm_pu } => (VMIN_PU - vm_pu, bus_id, vm_pu),
+            Violation::HighVoltage { bus_id, vm_pu } => (vm_pu - VMAX_PU, bus_id, vm_pu),
+            _ => continue,
+        };
+        if worst.is_none_or(|(d, _, _)| depth > d) {
+            worst = Some((depth, bus_id, vm_pu));
+        }
+    }
+    worst.map(|(_, bus_id, vm_pu)| (bus_id, vm_pu))
+}
+
 /// Builds the justification narrative for a ranked outcome.
 fn justify(outcome: &ContingencyOutcome) -> String {
     if outcome.islands {
@@ -84,12 +101,10 @@ fn justify(outcome: &ContingencyOutcome) -> String {
             outcome.max_loading_pct
         ));
     }
-    if nv > 0 {
+    if let Some((bus_id, vm_pu)) = worst_voltage(&outcome.violations) {
         parts.push(format!(
-            "{nv} voltage violation{} (worst bus {} at {:.3} p.u.)",
+            "{nv} voltage violation{} (worst bus {bus_id} at {vm_pu:.3} p.u.)",
             if nv == 1 { "" } else { "s" },
-            outcome.min_vm.1,
-            outcome.min_vm.0
         ));
     }
     if parts.is_empty() {
@@ -192,6 +207,36 @@ mod tests {
         assert!(ranked[0].score > ranked[1].score);
         assert!(ranked[0].justification.contains("2 thermal overloads"));
         assert!(ranked[0].justification.contains("0.928"));
+    }
+
+    #[test]
+    fn worst_bus_is_the_violation_farthest_outside_the_band() {
+        // High-voltage violations only: the lowest voltage (1.010) is
+        // inside the band and must not be named.
+        let high = |bus_id, vm_pu| Violation::HighVoltage { bus_id, vm_pu };
+        let o = outcome(
+            0,
+            vec![high(4, 1.06), high(9, 1.09), high(2, 1.07)],
+            80.0,
+            1.010,
+        );
+        let why = rank(&[o], RankingStrategy::Composite)[0]
+            .justification
+            .clone();
+        assert!(
+            why.contains("3 voltage violations (worst bus 9 at 1.090 p.u.)"),
+            "{why}"
+        );
+        // Low and high mixed: 0.93 is 0.02 out, 1.06 only 0.01.
+        let low = Violation::LowVoltage {
+            bus_id: 7,
+            vm_pu: 0.93,
+        };
+        let o = outcome(1, vec![high(4, 1.06), low], 80.0, 0.93);
+        let why = rank(&[o], RankingStrategy::Composite)[0]
+            .justification
+            .clone();
+        assert!(why.contains("(worst bus 7 at 0.930 p.u.)"), "{why}");
     }
 
     #[test]

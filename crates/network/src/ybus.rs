@@ -17,7 +17,7 @@ use gm_numeric::Complex;
 use gm_sparse::{CsMat, Triplets};
 
 /// Per-branch admittance blocks, retained for branch-flow computations.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BranchAdmittance {
     /// From-from block.
     pub yff: Complex,
@@ -27,6 +27,27 @@ pub struct BranchAdmittance {
     pub ytf: Complex,
     /// To-to block.
     pub ytt: Complex,
+}
+
+impl BranchAdmittance {
+    /// The blocks of an out-of-service branch.
+    pub const ZERO: BranchAdmittance = BranchAdmittance {
+        yff: Complex::ZERO,
+        yft: Complex::ZERO,
+        ytf: Complex::ZERO,
+        ytt: Complex::ZERO,
+    };
+}
+
+/// `net` with the branches `outaged` switched out.
+fn without(net: &Network, outaged: &[usize]) -> Network {
+    let mut work = net.clone();
+    for &k in outaged {
+        if let Some(br) = work.branches.get_mut(k) {
+            br.in_service = false;
+        }
+    }
+    work
 }
 
 /// The assembled admittance structure for a network.
@@ -48,12 +69,7 @@ impl YBus {
 
         for br in &net.branches {
             if !br.in_service {
-                blocks.push(BranchAdmittance {
-                    yff: Complex::ZERO,
-                    yft: Complex::ZERO,
-                    ytf: Complex::ZERO,
-                    ytt: Complex::ZERO,
-                });
+                blocks.push(BranchAdmittance::ZERO);
                 continue;
             }
             let ys = Complex::new(br.r_pu, br.x_pu).inv();
@@ -87,6 +103,45 @@ impl YBus {
             matrix: t.to_csr(),
             branch: blocks,
         }
+    }
+
+    /// The admittance structure with the branches `outaged` switched out,
+    /// derived from this one (`net` has the same branches as the network
+    /// it was assembled for and supplies their endpoints): each outaged
+    /// branch's four blocks are subtracted at its endpoints and its
+    /// blocks zeroed. The pattern stays this one's, so an entry no other
+    /// branch shares becomes an explicit zero, and the values agree with
+    /// [`YBus::assemble`] of the outaged network to rounding. A copy and
+    /// a few subtractions instead of a re-assembly; a branch listed twice
+    /// is subtracted once.
+    pub fn without_branches(&self, net: &Network, outaged: &[usize]) -> YBus {
+        let mut out = self.clone();
+        for &k in outaged {
+            let (Some(br), Some(blk)) = (net.branches.get(k), out.branch.get(k).copied()) else {
+                continue;
+            };
+            if blk == BranchAdmittance::ZERO {
+                continue;
+            }
+            let (f, t) = (br.from_bus, br.to_bus);
+            for (i, j, y) in [
+                (f, f, blk.yff),
+                (f, t, blk.yft),
+                (t, f, blk.ytf),
+                (t, t, blk.ytt),
+            ] {
+                let (cols, _) = out.matrix.row(i);
+                let Ok(p) = cols.binary_search(&j) else {
+                    // The base entry summed to an exact zero and was
+                    // dropped from the pattern: no slot to write to.
+                    return YBus::assemble(&without(net, outaged));
+                };
+                let at = out.matrix.indptr()[i] + p;
+                out.matrix.values_mut()[at] -= y;
+            }
+            out.branch[k] = BranchAdmittance::ZERO;
+        }
+        out
     }
 
     /// Nodal complex current injections `I = Y·V`.
@@ -291,5 +346,66 @@ mod tests {
         ];
         let loss = y.flow_from(0, &v, &net).re + y.flow_to(0, &v, &net).re;
         assert!(loss > 0.0, "I²R loss must be positive, got {loss}");
+    }
+
+    /// Largest `|derived − assembled|` over both patterns, relative to
+    /// the largest entry magnitude of the row.
+    fn derived_error(net: &Network, base: &YBus, outaged: &[usize]) -> f64 {
+        let derived = base.without_branches(net, outaged);
+        let assembled = YBus::assemble(&without(net, outaged));
+        for (k, blk) in derived.branch.iter().enumerate() {
+            assert_eq!(*blk, assembled.branch[k], "branch {k} blocks");
+        }
+        let mut worst = 0.0f64;
+        for i in 0..net.n_bus() {
+            let (cols, vals) = base.matrix.row(i);
+            let scale = vals.iter().fold(0.0f64, |m, y| m.max(y.abs()));
+            // The derived pattern is the base one; the assembled one is a
+            // subset of it.
+            for &c in assembled.matrix.row(i).0 {
+                assert!(
+                    cols.binary_search(&c).is_ok(),
+                    "({i}, {c}) outside the base"
+                );
+            }
+            for &j in cols {
+                let d = derived.matrix.get(i, j) - assembled.matrix.get(i, j);
+                worst = worst.max(d.abs() / scale);
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn derived_post_outage_ybus_matches_the_assembled_one() {
+        use crate::{cases, CaseId};
+        for id in [CaseId::Ieee118, CaseId::Ieee300] {
+            let net = cases::load(id);
+            let base = YBus::assemble(&net);
+            let mut worst = 0.0f64;
+            for k in (0..net.branches.len()).filter(|&k| net.branches[k].in_service) {
+                worst = worst.max(derived_error(&net, &base, &[k]));
+            }
+            // A pair sharing a bus, the shared diagonal hit twice.
+            let shared = net.branches[0].from_bus;
+            let pair: Vec<usize> = (0..net.branches.len())
+                .filter(|&k| net.branches[k].from_bus == shared || net.branches[k].to_bus == shared)
+                .take(2)
+                .collect();
+            assert_eq!(pair.len(), 2);
+            worst = worst.max(derived_error(&net, &base, &pair));
+            assert!(worst <= 1e-15, "{id:?}: relative error {worst:e}");
+        }
+    }
+
+    #[test]
+    fn a_branch_listed_twice_is_subtracted_once() {
+        let mut net = two_bus(0.01, 0.1, 0.04);
+        net.branches.push(Branch::line(0, 1, 0.02, 0.2, 0.0, 100.0));
+        let base = YBus::assemble(&net);
+        let once = base.without_branches(&net, &[1]);
+        let twice = base.without_branches(&net, &[1, 1]);
+        assert_eq!(once.matrix.values(), twice.matrix.values());
+        assert_eq!(once.branch[1], BranchAdmittance::ZERO);
     }
 }

@@ -24,7 +24,7 @@
 //! that routes the caller to the existing full-Newton fallback.
 
 use crate::newton::build_report;
-use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex, Role};
 use crate::types::{PfOptions, PfReport, TOL_PU};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
@@ -93,10 +93,11 @@ pub struct CompensationBase {
     p_spec: Vec<f64>,
     q_spec: Vec<f64>,
     slack: usize,
-    v0: Vec<Complex>,
-    /// Base injections at `v0` (feeds the outage-block delta).
-    s0: Vec<Complex>,
-    /// Base Jacobian at `v0`, factored once.
+    /// The base state: voltages, their polar coordinates and the base
+    /// injections (these feed the outage-block delta). Every outage
+    /// iterate starts from a copy.
+    x0: Iterate,
+    /// Base Jacobian at `x0`, factored once.
     j0: SparseLu,
 }
 
@@ -140,12 +141,16 @@ impl CompensationBase {
             });
         }
 
-        let v0 = base.voltages();
-        let s0 = ybus.injections(&v0);
+        let mut x0 = Iterate::default();
+        let (vm0, va0): (Vec<f64>, Vec<f64>) = (base.buses.iter())
+            .map(|b| (b.vm_pu, b.va_deg.to_radians()))
+            .unzip();
+        x0.set_polar(&vm0, &va0);
+        idx.evaluate(&mut x0, &ybus, (&p_spec, &q_spec), &mut Vec::new());
 
-        // Assemble and factor the base Jacobian at v0.
+        // Assemble and factor the base Jacobian at x0.
         let mut tj = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
-        idx.stamp_jacobian(&mut tj, &ybus, &v0, &s0);
+        idx.stamp_jacobian(&mut tj, &ybus, &x0);
         let j0 = SparseLu::factor(&tj.to_csr_structural())
             .map_err(|_| CompensatedPfError::BaseSingular)?;
 
@@ -156,8 +161,7 @@ impl CompensationBase {
             p_spec,
             q_spec,
             slack,
-            v0,
-            s0,
+            x0,
             j0,
         })
     }
@@ -183,11 +187,16 @@ impl CompensationBase {
         );
         gm_telemetry::counter_add("pf.compensated.solves", 1);
         let nvar = self.idx.nvar();
-        let ybus_out = YBus::assemble(work);
-        let s0_out = ybus_out.injections(&self.v0);
+        let spec = (&self.p_spec[..], &self.q_spec[..]);
+        let ybus_out = self.ybus.without_branches(work, outaged);
+        // The iterate starts at the base state, under the outaged
+        // network's injections.
+        let mut at = self.x0.clone();
+        let mut currents = Vec::new();
+        self.idx.evaluate(&mut at, &ybus_out, spec, &mut currents);
 
         // Endpoint buses of the outaged branches: the Jacobian delta at
-        // v0 lives entirely on their rows × columns.
+        // the base state lives entirely on their rows × columns.
         let mut buses: Vec<usize> = Vec::with_capacity(2 * outaged.len());
         for &b in outaged {
             buses.push(work.branches[b].from_bus);
@@ -196,19 +205,17 @@ impl CompensationBase {
         buses.sort_unstable();
         buses.dedup();
 
-        // ΔJ = J_out(v0) − J_base(v0), restricted to the endpoint block.
+        // ΔJ = J_out(x0) − J_base(x0), restricted to the endpoint block.
         let mut delta: Vec<(usize, usize, f64)> = Vec::new();
         let mut out_entries = Triplets::new(nvar, nvar);
         let mut base_entries = Triplets::new(nvar, nvar);
         for &i in &buses {
-            let row = (i, self.v0[i].abs(), self.v0[i].arg());
             for &j in &buses {
                 let y_out = ybus_entry(&ybus_out, i, j);
                 let y_base = ybus_entry(&self.ybus, i, j);
+                self.idx.stamp_entries(&mut out_entries, i, j, y_out, &at);
                 self.idx
-                    .stamp_entries(&mut out_entries, row, j, y_out, &self.v0, &s0_out);
-                self.idx
-                    .stamp_entries(&mut base_entries, row, j, y_base, &self.v0, &self.s0);
+                    .stamp_entries(&mut base_entries, i, j, y_base, &self.x0);
             }
         }
         collect_delta(&out_entries, &base_entries, &mut delta);
@@ -243,65 +250,60 @@ impl CompensationBase {
             },
         })?;
 
-        // Fixed-Jacobian iteration against the true post-outage mismatch.
-        let mismatch_at = |v: &[Complex]| {
-            self.idx
-                .mismatch(&ybus_out.injections(v), &self.p_spec, &self.q_spec)
-        };
-        let mut v = self.v0.clone();
+        // Fixed-Jacobian iteration against the true post-outage mismatch,
+        // in buffers sized once: `at` is the accepted iterate, `next` the
+        // step taken from it, `half` the damped alternative.
+        let mut dx = vec![0.0f64; nvar];
         let mut scratch = vec![0.0f64; nvar];
+        let (mut next, mut half) = (Iterate::default(), Iterate::default());
         let mut mismatch_history = Vec::new();
         let mut multipliers = Vec::new();
-        let (mut f, mut norm) = mismatch_at(&v);
-        let mut best = norm;
+        let mut best = at.norm;
         let mut stall = 0usize;
         let mut iterations = 0usize;
         loop {
-            mismatch_history.push(norm);
-            if norm < TOL_PU {
+            mismatch_history.push(at.norm);
+            if at.norm < TOL_PU {
                 break;
             }
-            if iterations >= COMP_MAX_ITER || !norm.is_finite() {
+            if iterations >= COMP_MAX_ITER || !at.norm.is_finite() {
                 return Err(CompensatedPfError::NotConverged {
                     iterations,
-                    mismatch_pu: norm,
+                    mismatch_pu: at.norm,
                 });
             }
             iterations += 1;
-            comp.solve_in_place(&mut f, &mut scratch);
-            let dx = &f;
-            let full = self.idx.step(&v, dx, 1.0);
-            let (f_full, norm_full) = mismatch_at(&full);
-            let (vc, fc, nc, mu) = if norm_full <= norm || !opts.iwamoto_damping {
-                (full, f_full, norm_full, 1.0)
-            } else {
+            dx.copy_from_slice(&at.f);
+            comp.solve_in_place(&mut dx, &mut scratch);
+            self.idx.step(&at, &dx, 1.0, &mut next);
+            self.idx.evaluate(&mut next, &ybus_out, spec, &mut currents);
+            let mut mu = 1.0;
+            let keep_full = !opts.iwamoto_damping || next.norm <= at.norm;
+            if !keep_full {
                 // Overshoot: one halved step is the cheap stabilizer —
                 // if that does not help either, the stall guard below
                 // routes to the full solver.
-                let half = self.idx.step(&v, dx, 0.5);
-                let (f_half, norm_half) = mismatch_at(&half);
-                if norm_half < norm_full {
-                    (half, f_half, norm_half, 0.5)
-                } else {
-                    (full, f_full, norm_full, 1.0)
+                self.idx.step(&at, &dx, 0.5, &mut half);
+                self.idx.evaluate(&mut half, &ybus_out, spec, &mut currents);
+                if half.norm < next.norm {
+                    std::mem::swap(&mut next, &mut half);
+                    mu = 0.5;
                 }
-            };
+            }
             multipliers.push(mu);
-            if nc < best * 0.9999 {
-                best = nc;
+            if next.norm < best * 0.9999 {
+                best = next.norm;
                 stall = 0;
             } else {
                 stall += 1;
                 if stall >= STALL_LIMIT {
                     return Err(CompensatedPfError::NotConverged {
                         iterations,
-                        mismatch_pu: nc,
+                        mismatch_pu: next.norm,
                     });
                 }
             }
-            v = vc;
-            f = fc;
-            norm = nc;
+            std::mem::swap(&mut at, &mut next);
         }
         gm_telemetry::histogram_record("pf.compensated.iterations_per_solve", iterations as f64);
 
@@ -309,7 +311,7 @@ impl CompensationBase {
             work,
             &BusDevices::new(work),
             &ybus_out,
-            &v,
+            &at.v,
             self.slack,
             iterations,
             0,
@@ -321,7 +323,7 @@ impl CompensationBase {
 
     /// Base-case voltages (warm start for fallback solves).
     pub fn base_voltages(&self) -> &[Complex] {
-        &self.v0
+        &self.x0.v
     }
 
     /// Number of solver variables (diagnostics).

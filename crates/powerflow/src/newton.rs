@@ -6,7 +6,7 @@
 //! `iwamoto muliplier:` lines visible in the paper's Fig. 8 logs), and
 //! generator reactive-limit enforcement by PV→PQ switching.
 
-use crate::polar::{effective_roles, targets_pu, BusDevices, PolarIndex, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex, Role};
 use crate::types::{
     BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport, MAX_Q_ROUNDS,
     TOL_PU,
@@ -276,24 +276,29 @@ fn gen_q_range(net: &Network, devices: &BusDevices, bus: usize) -> (f64, f64) {
 /// What a Newton solve keeps between iterations, Q-limit rounds and —
 /// through [`solve_prepared`] — batch scenarios: the Jacobian's
 /// [`Stencil`] (its pattern a function of the Ybus pattern and the role
-/// assignment, never of a value) and the buffers of the in-place solve.
+/// assignment, never of a value), the buffers of the in-place solve, and
+/// the iterates of the step search.
 #[derive(Default)]
 pub(crate) struct NewtonScratch {
     jac: Option<Stencil>,
     dx: Vec<f64>,
     solve_ws: Vec<f64>,
+    /// The accepted iterate, the best step so far and the one on trial.
+    at: Iterate,
+    best: Iterate,
+    trial: Iterate,
+    currents: Vec<Complex>,
 }
 
-/// The Jacobian at `v`, written into the `kept` stencil — the pass held
-/// to its positions when `verify` — or into a new one built from a
-/// structure pass when none is kept for `nvar` unknowns or the pass
-/// strayed from it. `s_calc` are the injections at `v`.
+/// The Jacobian at the iterate `at`, written into the `kept` stencil —
+/// the pass held to its positions when `verify` — or into a new one
+/// built from a structure pass when none is kept for `nvar` unknowns or
+/// the pass strayed from it.
 fn assemble<'j>(
     kept: &'j mut Option<Stencil>,
     idx: &PolarIndex,
     ybus: &YBus,
-    v: &[Complex],
-    s_calc: &[Complex],
+    at: &Iterate,
     verify: bool,
 ) -> Result<&'j CsMat<f64>, PfError> {
     let nvar = idx.nvar();
@@ -301,9 +306,9 @@ fn assemble<'j>(
         .filter(|jac| jac.mat().shape() == (nvar, nvar))
         .and_then(|mut jac| {
             let written = if verify {
-                refill::<true>(&mut jac, idx, ybus, v, s_calc)
+                refill::<true>(&mut jac, idx, ybus, at)
             } else {
-                refill::<false>(&mut jac, idx, ybus, v, s_calc)
+                refill::<false>(&mut jac, idx, ybus, at)
             };
             written.then_some(jac)
         });
@@ -311,7 +316,7 @@ fn assemble<'j>(
         Some(jac) => jac,
         None => {
             let mut pass = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
-            idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
+            idx.stamp_jacobian(&mut pass, ybus, at);
             // The roles index every stamped position inside the
             // matrix; an `Err` here is a broken index, not a network.
             Stencil::stamped(&pass, "Jacobian").map_err(|problem| PfError::InvalidNetwork {
@@ -328,11 +333,10 @@ fn refill<const VERIFY: bool>(
     jac: &mut Stencil,
     idx: &PolarIndex,
     ybus: &YBus,
-    v: &[Complex],
-    s_calc: &[Complex],
+    at: &Iterate,
 ) -> bool {
     let mut pass = jac.stamper::<VERIFY>();
-    idx.stamp_jacobian(&mut pass, ybus, v, s_calc);
+    idx.stamp_jacobian(&mut pass, ybus, at);
     pass.finish("Jacobian").is_ok()
 }
 
@@ -357,27 +361,45 @@ fn newton_inner(
         mismatch_history.push(0.0);
         return Ok(true);
     }
-    let mismatch_at = |v: &[Complex]| idx.mismatch(&ybus.injections(v), p_spec, q_spec);
-
-    let (mut f, mut norm) = mismatch_at(v);
+    let spec = (p_spec, q_spec);
+    let NewtonScratch {
+        jac,
+        dx,
+        solve_ws,
+        at,
+        best,
+        trial,
+        currents,
+    } = &mut *scratch;
+    // Newton's iterate is its phasors, as it is across Q-limit rounds and
+    // warm starts: `|V|` and `arg V` are derived from them once per
+    // iteration (one `hypot` and `atan2` per bus) and shared by the
+    // Jacobian and every trial step. Carrying the polar form across
+    // iterations instead moves each step by rounding, which a diverging
+    // batch scenario amplifies into another pivot history
+    // (`powerflow.batch_direct_demotions.case300x64` in
+    // `tests/work_counts.rs`).
+    at.set_phasors(v);
+    idx.evaluate(at, ybus, spec, currents);
+    let mut converged = false;
     for local_iter in 0..=opts.max_iter {
-        mismatch_history.push(norm);
-        if norm < TOL_PU {
-            return Ok(true);
+        mismatch_history.push(at.norm);
+        if at.norm < TOL_PU {
+            converged = true;
+            break;
         }
         if local_iter == opts.max_iter {
             break;
         }
         *iterations += 1;
 
-        // ---- Jacobian assembly over the Ybus sparsity pattern. A kept
-        // stencil may be another role assignment's (a Q-limit round, a
-        // batch scenario): this call's first pass is held to it.
-        let s_calc = ybus.injections(v);
-        let NewtonScratch { jac, dx, solve_ws } = &mut *scratch;
-        let jac = assemble(jac, &idx, ybus, v, &s_calc, local_iter == 0)?;
+        // ---- Jacobian assembly over the Ybus sparsity pattern, at the
+        // iterate's own injections. A kept stencil may be another role
+        // assignment's (a Q-limit round, a batch scenario): this call's
+        // first pass is held to it.
+        let jac = assemble(jac, &idx, ybus, at, local_iter == 0)?;
         dx.clear();
-        dx.extend_from_slice(&f);
+        dx.extend_from_slice(&at.f);
         solve_ws.resize(nvar, 0.0);
         gm_sparse::with_thread_engine(|engine| {
             let lu = engine.factorize(jac)?;
@@ -387,37 +409,34 @@ fn newton_inner(
         .map_err(|_: SparseLuError| PfError::SingularJacobian {
             iteration: *iterations,
         })?;
-        let dx = &*dx;
 
         // ---- Step with optional Iwamoto-style optimal multiplier.
-        let full = idx.step(v, dx, 1.0);
-        let (f_full, norm_full) = mismatch_at(&full);
-        let (chosen_v, chosen_f, chosen_norm, mu_used) =
-            if !opts.iwamoto_damping || norm_full <= norm {
-                (full, f_full, norm_full, 1.0)
-            } else {
-                // The full step overshoots: search the step length that
-                // minimizes the mismatch norm (Iwamoto's optimal multiplier,
-                // evaluated numerically).
-                let mut best = (full, f_full, norm_full, 1.0);
-                for &mu in &[0.9, 0.75, 0.5, 0.35, 0.2, 0.1, 0.05] {
-                    let cand = idx.step(v, dx, mu);
-                    let (fc, nc) = mismatch_at(&cand);
-                    if nc < best.2 {
-                        best = (cand, fc, nc, mu);
-                    }
+        idx.step(at, dx, 1.0, best);
+        idx.evaluate(best, ybus, spec, currents);
+        let mut mu_used = 1.0;
+        let keep_full = !opts.iwamoto_damping || best.norm <= at.norm;
+        if !keep_full {
+            // The full step overshoots: search the step length that
+            // minimizes the mismatch norm (Iwamoto's optimal multiplier,
+            // evaluated numerically).
+            for &mu in &[0.9, 0.75, 0.5, 0.35, 0.2, 0.1, 0.05] {
+                idx.step(at, dx, mu, trial);
+                idx.evaluate(trial, ybus, spec, currents);
+                if trial.norm < best.norm {
+                    std::mem::swap(best, trial);
+                    mu_used = mu;
                 }
-                best
-            };
+            }
+        }
         multipliers.push(mu_used);
-        v.copy_from_slice(&chosen_v);
-        f = chosen_f;
-        norm = chosen_norm;
-        if !norm.is_finite() {
-            return Ok(false);
+        std::mem::swap(at, best);
+        at.polar_from_phasors();
+        if !at.norm.is_finite() {
+            break;
         }
     }
-    Ok(false)
+    v.copy_from_slice(&at.v);
+    Ok(converged)
 }
 
 /// Assembles the final report from a solved voltage vector.
@@ -558,14 +577,9 @@ mod tests {
     use super::*;
     use gm_network::{cases, CaseId};
 
-    fn structure_pass(
-        idx: &PolarIndex,
-        ybus: &YBus,
-        v: &[Complex],
-        s: &[Complex],
-    ) -> Triplets<f64> {
+    fn structure_pass(idx: &PolarIndex, ybus: &YBus, at: &Iterate) -> Triplets<f64> {
         let mut t = Triplets::new(idx.nvar(), idx.nvar());
-        idx.stamp_jacobian(&mut t, ybus, v, s);
+        idx.stamp_jacobian(&mut t, ybus, at);
         t
     }
 
@@ -579,10 +593,18 @@ mod tests {
         let net = cases::load(CaseId::Ieee30);
         let ybus = YBus::assemble(&net);
         let base = effective_roles(&net, net.slack().unwrap());
-        let v: Vec<Complex> = (0..net.n_bus())
-            .map(|i| Complex::from_polar(1.0 + 0.01 * i as f64, -0.02 * i as f64))
-            .collect();
-        let s = ybus.injections(&v);
+        let mut at = Iterate::default();
+        at.set_polar(
+            &(0..net.n_bus())
+                .map(|i| 1.0 + 0.01 * i as f64)
+                .collect::<Vec<_>>(),
+            &(0..net.n_bus())
+                .map(|i| -0.02 * i as f64)
+                .collect::<Vec<_>>(),
+        );
+        // The injections at `at`; the targets do not enter the Jacobian.
+        let zero = vec![0.0; net.n_bus()];
+        PolarIndex::new(&base).evaluate(&mut at, &ybus, (&zero, &zero), &mut Vec::new());
         // Two assignments that each demote one PV bus: equal `nvar`, and
         // picked for equal contribution counts, so only the positions
         // tell them apart.
@@ -596,30 +618,30 @@ mod tests {
             .flat_map(|(k, &x)| pv[k + 1..].iter().map(move |&y| (x, y)))
             .map(|(x, y)| (demoted(x), demoted(y)))
             .find(|(a, b)| {
-                let count = |idx| structure_pass(idx, &ybus, &v, &s).len();
+                let count = |idx| structure_pass(idx, &ybus, &at).len();
                 count(a) == count(b)
             })
             .expect("two PV buses whose demotions stamp equally many entries");
         assert_eq!(a.nvar(), b.nvar());
-        let fresh_b = structure_pass(&b, &ybus, &v, &s).to_csr_structural();
+        let fresh_b = structure_pass(&b, &ybus, &at).to_csr_structural();
         assert_ne!(
-            bits(&structure_pass(&a, &ybus, &v, &s).to_csr_structural()).1,
+            bits(&structure_pass(&a, &ybus, &at).to_csr_structural()).1,
             bits(&fresh_b).1
         );
 
         let mut jac = None;
-        assemble(&mut jac, &a, &ybus, &v, &s, true).unwrap();
+        assemble(&mut jac, &a, &ybus, &at, true).unwrap();
         // A plain pass would sum `b`'s values into `a`'s slots unnoticed;
         // the verify pass misses.
         let mut kept = jac.clone().unwrap();
-        assert!(refill::<false>(&mut kept.clone(), &b, &ybus, &v, &s));
-        assert!(!refill::<true>(&mut kept, &b, &ybus, &v, &s));
+        assert!(refill::<false>(&mut kept.clone(), &b, &ybus, &at));
+        assert!(!refill::<true>(&mut kept, &b, &ybus, &at));
 
-        let rebuilt = assemble(&mut jac, &b, &ybus, &v, &s, true).unwrap();
+        let rebuilt = assemble(&mut jac, &b, &ybus, &at, true).unwrap();
         assert_eq!(bits(rebuilt), bits(&fresh_b));
         // The rebuilt stencil serves `b`'s later passes, verified or not.
         for verify in [true, false] {
-            let again = assemble(&mut jac, &b, &ybus, &v, &s, verify).unwrap();
+            let again = assemble(&mut jac, &b, &ybus, &at, verify).unwrap();
             assert_eq!(bits(again), bits(&fresh_b));
         }
     }

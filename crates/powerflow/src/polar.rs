@@ -184,71 +184,75 @@ impl PolarIndex {
         self.nvar
     }
 
-    /// Mismatch vector `f` of the injections `s_calc` against the
-    /// targets, and its max-norm `‖f‖∞` (NaN when an entry is).
-    pub(crate) fn mismatch(
-        &self,
-        s_calc: &[Complex],
-        p_spec: &[f64],
-        q_spec: &[f64],
-    ) -> (Vec<f64>, f64) {
-        let mut f = vec![0.0f64; self.nvar];
-        let mut norm = 0.0f64;
-        for i in 0..s_calc.len() {
+    /// Writes `to ← from − μ·dx` in polar coordinates, magnitudes floored
+    /// at 0.1 p.u. to stay physical, and its phasors: one `sin_cos` per
+    /// bus, no `hypot` or `atan2`.
+    pub(crate) fn step(&self, from: &Iterate, dx: &[f64], mu: f64, to: &mut Iterate) {
+        to.resize(from.v.len());
+        for i in 0..from.v.len() {
+            let (mut vm, mut va) = (from.vm[i], from.va[i]);
             if self.col_th[i] != NONE {
-                let m = s_calc[i].re - p_spec[i];
-                f[self.col_th[i]] = m;
-                norm = max_nan(norm, m.abs());
-            }
-            if self.col_vm[i] != NONE {
-                let m = s_calc[i].im - q_spec[i];
-                f[self.col_vm[i]] = m;
-                norm = max_nan(norm, m.abs());
-            }
-        }
-        (f, norm)
-    }
-
-    /// The voltages after the update `x ← x − μ·dx`, magnitudes floored
-    /// at 0.1 p.u. to stay physical.
-    pub(crate) fn step(&self, v: &[Complex], dx: &[f64], mu: f64) -> Vec<Complex> {
-        let mut out = v.to_vec();
-        for i in 0..v.len() {
-            let mut vm = v[i].abs();
-            let mut th = v[i].arg();
-            if self.col_th[i] != NONE {
-                th -= mu * dx[self.col_th[i]];
+                va -= mu * dx[self.col_th[i]];
             }
             if self.col_vm[i] != NONE {
                 vm -= mu * dx[self.col_vm[i]];
                 vm = vm.max(0.1);
             }
-            out[i] = Complex::from_polar(vm, th);
+            to.vm[i] = vm;
+            to.va[i] = va;
+            to.v[i] = Complex::from_polar(vm, va);
         }
-        out
     }
 
-    /// Stamps the whole Jacobian at `v` over the Ybus sparsity pattern,
-    /// row by row. `s_calc` are the injections at `v`.
-    pub(crate) fn stamp_jacobian<S: Stamp>(
+    /// Fills the injections, mismatch vector and its max-norm `‖f‖∞` (NaN
+    /// when an entry is) of `it` against the targets, with `currents` as
+    /// the buffer of `Y·V`.
+    pub(crate) fn evaluate(
         &self,
-        out: &mut S,
+        it: &mut Iterate,
         ybus: &YBus,
-        v: &[Complex],
-        s_calc: &[Complex],
+        (p_spec, q_spec): (&[f64], &[f64]),
+        currents: &mut Vec<Complex>,
     ) {
-        for i in 0..v.len() {
+        let n = it.v.len();
+        currents.resize(n, Complex::ZERO);
+        ybus.matrix.mul_vec_into(&it.v, currents);
+        it.f.resize(self.nvar, 0.0);
+        let mut norm = 0.0f64;
+        for i in 0..n {
+            // `YBus::injections`, term for term.
+            let s = it.v[i] * currents[i].conj();
+            it.s[i] = s;
+            if self.col_th[i] != NONE {
+                let m = s.re - p_spec[i];
+                it.f[self.col_th[i]] = m;
+                norm = max_nan(norm, m.abs());
+            }
+            if self.col_vm[i] != NONE {
+                let m = s.im - q_spec[i];
+                it.f[self.col_vm[i]] = m;
+                norm = max_nan(norm, m.abs());
+            }
+        }
+        it.norm = norm;
+    }
+
+    /// Stamps the whole Jacobian at the iterate `it` over the Ybus
+    /// sparsity pattern, row by row.
+    pub(crate) fn stamp_jacobian<S: Stamp>(&self, out: &mut S, ybus: &YBus, it: &Iterate) {
+        for i in 0..it.v.len() {
             let (cols, vals) = ybus.matrix.row(i);
-            let (vi, thi) = (v[i].abs(), v[i].arg());
             for (&j, &y) in cols.iter().zip(vals) {
-                self.stamp_entries(out, (i, vi, thi), j, y, v, s_calc);
+                self.stamp_entries(out, i, j, y, it);
             }
         }
     }
 
     /// Stamps the (up to four) Jacobian entries that the admittance
-    /// `y = Y[i][j]` contributes, `∂(P_i, Q_i)/∂(θ_j, |V_j|)`. The caller
-    /// hoists `|V_i|` and `arg V_i` once per row.
+    /// `y = Y[i][j]` contributes, `∂(P_i, Q_i)/∂(θ_j, |V_j|)`, at the
+    /// iterate `it` (its phasors, magnitudes and injections). An
+    /// off-diagonal entry is read off `e = V_i·conj(V_j)`, so no entry
+    /// costs a trigonometric call.
     // Called once per Ybus nonzero from the Newton assembly loop: out of
     // line, the call and the per-entry row lookups cost 2-4% of
     // `grid_scale` / `study_sweep` throughput.
@@ -256,17 +260,17 @@ impl PolarIndex {
     pub(crate) fn stamp_entries<S: Stamp>(
         &self,
         out: &mut S,
-        (i, vi, thi): (usize, f64, f64),
+        i: usize,
         j: usize,
         y: Complex,
-        v: &[Complex],
-        s_calc: &[Complex],
+        it: &Iterate,
     ) {
         let (g, b) = (y.re, y.im);
         let row_p = self.col_th[i];
         let row_q = self.col_vm[i];
         if i == j {
-            let (pi, qi) = (s_calc[i].re, s_calc[i].im);
+            let vi = it.vm[i];
+            let (pi, qi) = (it.s[i].re, it.s[i].im);
             if row_p != NONE {
                 out.add(row_p, self.col_th[i], -qi - b * vi * vi);
                 if self.col_vm[i] != NONE {
@@ -278,25 +282,82 @@ impl PolarIndex {
                 out.add(row_q, self.col_vm[i], qi / vi - b * vi);
             }
         } else {
-            let vj = v[j].abs();
-            let thij = thi - v[j].arg();
-            let (sin, cos) = thij.sin_cos();
+            // e = |V_i||V_j|·(cos θ_ij + j·sin θ_ij).
+            let e = it.v[i] * it.v[j].conj();
+            // ∂P_i/∂θ_j, and |V_j|·∂Q_i/∂|V_j|.
+            let dp = g * e.im - b * e.re;
+            // −∂Q_i/∂θ_j, and |V_j|·∂P_i/∂|V_j|.
+            let dq = g * e.re + b * e.im;
+            let vj = it.vm[j];
             if row_p != NONE {
                 if self.col_th[j] != NONE {
-                    out.add(row_p, self.col_th[j], vi * vj * (g * sin - b * cos));
+                    out.add(row_p, self.col_th[j], dp);
                 }
                 if self.col_vm[j] != NONE {
-                    out.add(row_p, self.col_vm[j], vi * (g * cos + b * sin));
+                    out.add(row_p, self.col_vm[j], dq / vj);
                 }
             }
             if row_q != NONE {
                 if self.col_th[j] != NONE {
-                    out.add(row_q, self.col_th[j], -vi * vj * (g * cos + b * sin));
+                    out.add(row_q, self.col_th[j], -dq);
                 }
                 if self.col_vm[j] != NONE {
-                    out.add(row_q, self.col_vm[j], vi * (g * sin - b * cos));
+                    out.add(row_q, self.col_vm[j], dp / vj);
                 }
             }
+        }
+    }
+}
+
+/// One iterate of a polar solve in the buffers it is kept in: the
+/// coordinates `(|V|, θ)` the unknowns live in, the phasors `V` built
+/// from them, the injections `S = V ∘ conj(Y·V)`, and the mismatch `f`
+/// with its max-norm. Newton and the compensated solve keep their state
+/// in these and step from one into another, so an iteration allocates
+/// nothing and every trial step and Jacobian entry reads `|V|` and
+/// `arg V` from the buffers rather than from `hypot` and `atan2`.
+#[derive(Clone, Default)]
+pub(crate) struct Iterate {
+    pub(crate) vm: Vec<f64>,
+    pub(crate) va: Vec<f64>,
+    pub(crate) v: Vec<Complex>,
+    pub(crate) s: Vec<Complex>,
+    pub(crate) f: Vec<f64>,
+    pub(crate) norm: f64,
+}
+
+impl Iterate {
+    /// Sizes every bus-indexed buffer for `n` buses.
+    fn resize(&mut self, n: usize) {
+        self.vm.resize(n, 0.0);
+        self.va.resize(n, 0.0);
+        self.v.resize(n, Complex::ZERO);
+        self.s.resize(n, Complex::ZERO);
+    }
+
+    /// Loads the phasors `v` and their polar coordinates.
+    pub(crate) fn set_phasors(&mut self, v: &[Complex]) {
+        self.resize(v.len());
+        self.v.copy_from_slice(v);
+        self.polar_from_phasors();
+    }
+
+    /// Re-derives the polar coordinates from the phasors: one `hypot` and
+    /// one `atan2` per bus.
+    pub(crate) fn polar_from_phasors(&mut self) {
+        for (i, vi) in self.v.iter().enumerate() {
+            self.vm[i] = vi.abs();
+            self.va[i] = vi.arg();
+        }
+    }
+
+    /// Loads the polar coordinates `(vm, va)` and their phasors.
+    pub(crate) fn set_polar(&mut self, vm: &[f64], va: &[f64]) {
+        self.resize(vm.len());
+        self.vm.copy_from_slice(vm);
+        self.va.copy_from_slice(va);
+        for i in 0..vm.len() {
+            self.v[i] = Complex::from_polar(vm[i], va[i]);
         }
     }
 }
@@ -305,6 +366,7 @@ impl PolarIndex {
 mod tests {
     use super::*;
     use gm_network::{cases, CaseId};
+    use gm_sparse::Triplets;
 
     fn case14() -> (Network, Vec<Role>) {
         let net = cases::load(CaseId::Ieee14);
@@ -352,27 +414,108 @@ mod tests {
         let (net, role) = case14();
         let idx = PolarIndex::new(&role);
         let (p_spec, q_spec) = targets_pu(&net);
-        let flat = vec![Complex::from_polar(1.0, 0.0); net.n_bus()];
-        let s = YBus::assemble(&net).injections(&flat);
-        let (f, norm) = idx.mismatch(&s, &p_spec, &q_spec);
-        assert_eq!(f.len(), idx.nvar());
-        assert!(norm > 0.0, "a flat start is not a solution");
-        assert_eq!(norm, f.iter().fold(0.0f64, |m, x| m.max(x.abs())));
+        let ybus = YBus::assemble(&net);
+        let mut it = Iterate::default();
+        it.set_polar(&vec![1.0; net.n_bus()], &vec![0.0; net.n_bus()]);
+        idx.evaluate(&mut it, &ybus, (&p_spec, &q_spec), &mut Vec::new());
+        assert_eq!(it.f.len(), idx.nvar());
+        assert_eq!(it.s, ybus.injections(&it.v), "the injections, bit for bit");
+        assert!(it.norm > 0.0, "a flat start is not a solution");
+        assert_eq!(it.norm, it.f.iter().fold(0.0f64, |m, x| m.max(x.abs())));
     }
 
     #[test]
     fn step_floors_magnitudes_and_moves_only_the_unknowns() {
         let (net, role) = case14();
         let idx = PolarIndex::new(&role);
-        let v = vec![Complex::from_polar(1.0, 0.0); net.n_bus()];
+        let mut from = Iterate::default();
+        from.set_polar(&vec![1.0; net.n_bus()], &vec![0.0; net.n_bus()]);
         // An absurd update: every unknown moves by −5.
-        let out = idx.step(&v, &vec![5.0; idx.nvar()], 1.0);
+        let mut out = Iterate::default();
+        idx.step(&from, &vec![5.0; idx.nvar()], 1.0, &mut out);
         for (i, r) in role.iter().enumerate() {
-            let want = Complex::from_polar(
+            let (vm, va) = (
                 if *r == Role::Pq { 0.1 } else { 1.0 },
                 if *r == Role::Slack { 0.0 } else { -5.0 },
             );
-            assert!((out[i] - want).abs() < 1e-12, "bus {i}");
+            assert_eq!((out.vm[i], out.va[i]), (vm, va), "bus {i}");
+            assert_eq!(out.v[i], Complex::from_polar(vm, va), "bus {i}");
+        }
+    }
+
+    /// The off-diagonal entries by the textbook formula, from `|V|`,
+    /// `arg V` and `sin_cos θ_ij`: the oracle for the trig-free ones.
+    fn stamp_entries_trig(
+        idx: &PolarIndex,
+        out: &mut Triplets<f64>,
+        (i, j, y): (usize, usize, Complex),
+        v: &[Complex],
+    ) {
+        let (g, b) = (y.re, y.im);
+        let (vi, vj) = (v[i].abs(), v[j].abs());
+        let (sin, cos) = (v[i].arg() - v[j].arg()).sin_cos();
+        let (row_p, row_q) = (idx.col_th[i], idx.col_vm[i]);
+        let (col_th, col_vm) = (idx.col_th[j], idx.col_vm[j]);
+        let mut add = |row: usize, col: usize, x: f64| {
+            if row != NONE && col != NONE {
+                out.add(row, col, x);
+            }
+        };
+        add(row_p, col_th, vi * vj * (g * sin - b * cos));
+        add(row_p, col_vm, vi * (g * cos + b * sin));
+        add(row_q, col_th, -vi * vj * (g * cos + b * sin));
+        add(row_q, col_vm, vi * (g * sin - b * cos));
+    }
+
+    #[test]
+    fn trig_free_jacobian_matches_the_sin_cos_formula() {
+        let net = cases::load(CaseId::Ieee118);
+        let ybus = YBus::assemble(&net);
+        let idx = PolarIndex::new(&effective_roles(&net, net.slack().unwrap()));
+        // A perturbed state: magnitudes in [0.93, 1.07], angles over
+        // ±2 rad, so the angle differences across branches fall in every
+        // quadrant (counted below).
+        let n = net.n_bus();
+        let vm: Vec<f64> = (0..n)
+            .map(|i| 1.0 + 0.07 * (1.7 * i as f64).sin())
+            .collect();
+        let va: Vec<f64> = (0..n).map(|i| 2.0 * (0.37 * i as f64).cos()).collect();
+        let mut it = Iterate::default();
+        it.set_polar(&vm, &va);
+        // Both formulas read the magnitudes off the phasors.
+        it.set_phasors(&it.v.clone());
+        idx.evaluate(
+            &mut it,
+            &ybus,
+            (&vec![0.0; n], &vec![0.0; n]),
+            &mut Vec::new(),
+        );
+
+        let (mut new, mut old) = (
+            Triplets::new(idx.nvar(), idx.nvar()),
+            Triplets::new(idx.nvar(), idx.nvar()),
+        );
+        let mut quadrants = [0usize; 4];
+        for i in 0..n {
+            let (cols, vals) = ybus.matrix.row(i);
+            for (&j, &y) in cols.iter().zip(vals) {
+                if i == j {
+                    continue;
+                }
+                idx.stamp_entries(&mut new, i, j, y, &it);
+                stamp_entries_trig(&idx, &mut old, (i, j, y), &it.v);
+                let (sin, cos) = (va[i] - va[j]).sin_cos();
+                quadrants[usize::from(sin < 0.0) * 2 + usize::from(cos < 0.0)] += 1;
+            }
+        }
+        assert!(quadrants.iter().all(|&q| q > 10), "{quadrants:?}");
+        assert_eq!(new.len(), old.len());
+        for (&(r, c, a), &(r0, c0, b)) in new.entries().iter().zip(old.entries()) {
+            assert_eq!((r, c), (r0, c0));
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs(),
+                "J[{r}][{c}]: {a:e} vs {b:e}"
+            );
         }
     }
 }

@@ -72,14 +72,19 @@ fn scripted_dialogue_answers_are_byte_pinned() {
                 // purpose when islanding load sums started from +0.0: the
                 // parent narrated "stranding -0.0 MW of load" for lines 10
                 // and 12 (0x0325_c7a8_d86c_5feb); no other byte moved.
-                ("run the n-1 contingency analysis", 0xc817_e05d_b0b5_dd2f),
+                // Re-recorded again when the "worst bus" of a voltage
+                // violation became the one farthest outside the band: lines
+                // 11 and 0 now name bus 11 at 1.082 p.u. (a high-voltage
+                // violation) where the lowest voltage was named before
+                // (0xc817_e05d_b0b5_dd2f).
+                ("run the n-1 contingency analysis", 0xbe22_ddd4_4244_76ee),
                 ("analyze the outage of line 3", 0xa323_ab3c_b713_24fd),
                 ("analyze the outage of line 30", 0xbc37_156f_6647_7ddb),
                 (
                     "what happens if we lose each generator unit",
                     0x0c06_44f8_6ef6_20c6,
                 ),
-                ("show the contingency status summary", 0xc817_e05d_b0b5_dd2f),
+                ("show the contingency status summary", 0xbe22_ddd4_4244_76ee),
                 ("analyze the outage of line 999", 0x5bd7_d818_0643_70e6),
                 ("set the load at bus 999 to 5 MW", 0xee49_fb96_78bc_915d),
                 (
@@ -128,11 +133,14 @@ fn scripted_dialogue_answers_are_byte_pinned() {
             // no baseline the clause is gone. The N-1 row re-recorded on
             // purpose when islanding load sums started from +0.0: the parent
             // narrated "stranding -0.0 MW of load" for line 10
-            // (0xce7c_e752_4931_2c10).
+            // (0xce7c_e752_4931_2c10). Re-recorded again for the worst
+            // voltage violation: "worst bus 8 at 1.090 p.u." where the
+            // in-band lowest voltage, "bus 3 at 1.010 p.u.", was named
+            // (0x6f80_ff57_69d7_2157).
             &[
                 (
                     "run the n-1 contingency analysis on case14",
-                    0x6f80_ff57_69d7_2157,
+                    0xe84b_9031_3db9_16c6,
                 ),
                 ("set the load at bus 10 to 50 MW", 0x9ad6_312d_674d_9003),
             ],
@@ -155,8 +163,10 @@ fn degraded_answers_are_byte_pinned() {
             ("solve case14", 0x375a_099d_9abf_b61e),
             // Re-recorded on purpose when islanding load sums started from
             // +0.0: the parent narrated "stranding -0.0 MW of load" for
-            // line 10 (0x1995_85d8_5b9b_2a29).
-            ("run the n-1 contingency analysis", 0x3848_26ad_232a_4ec4),
+            // line 10 (0x1995_85d8_5b9b_2a29). Re-recorded again for the
+            // worst voltage violation, as in the case14 N-1 row above
+            // (0x3848_26ad_232a_4ec4).
+            ("run the n-1 contingency analysis", 0x9148_1b0a_71f4_9c3f),
         ]],
     );
 }

@@ -8,7 +8,8 @@
 //! guarantee, the embedded rating tables and every committed bench
 //! baseline are calibrated against these exact numbers. Each digest is
 //! FNV-1a over the `to_bits()` of the quantities named beside it,
-//! recorded before the equations were pulled into one place.
+//! recorded before the equations were pulled into one place. Rows
+//! re-recorded since on purpose say why beside their digests.
 //!
 //! The ACOPF / SCOPF / DC-OPF rows pin the interior point method the same
 //! way: recorded at PR 22's parent, before the per-iteration triplet
@@ -60,19 +61,25 @@ fn newton_reports_are_bit_pinned() {
         .iter()
         .flat_map(|net| [true, false].map(|on| report_digest(&solve(net, &q_limits(on)).unwrap())))
         .collect();
+    // Re-recorded, all six, when the Jacobian's off-diagonal entries were
+    // read off `V_i·conj(V_j)` instead of `|V|`, `arg V` and `sin_cos`,
+    // and the step search took `|V|` and `arg V` once per iteration. The
+    // digests before are beside each row. Against those answers, Newton on
+    // case14–300 and synth1354, Q-limits on and off, moved by |ΔVm| ≤
+    // 1.8e-15 p.u. and |ΔVa| ≤ 3.7e-13°, with every iteration count kept.
     let want = [
         // case14 has no binding Q-limit: same answer twice. Re-recorded
-        // (was 0x41cc55cc87da3327) when the Jacobian became a stencil
-        // with explicit zeros kept: a flat start cancels some entries to
-        // exact zero, which the old conversion dropped from the pattern,
-        // so the LU ordered a smaller matrix. |ΔVm| ≤ 4.4e-16 p.u. and
-        // |ΔVa| ≤ 2.8e-14° against the old answer.
-        0xaddf93df5592ab71,
-        0xaddf93df5592ab71,
-        0xba28fc38f04d3c0c,
-        0x2b93ff05cab3a68f,
-        0x3edf30983c7c7f72,
-        0x5d8449d519d9f1f0,
+        // once before (was 0x41cc55cc87da3327) when the Jacobian became a
+        // stencil with explicit zeros kept: a flat start cancels some
+        // entries to exact zero, which the old conversion dropped from
+        // the pattern, so the LU ordered a smaller matrix. |ΔVm| ≤
+        // 4.4e-16 p.u. and |ΔVa| ≤ 2.8e-14° against the old answer.
+        0x0ad40a5778530d98, // was 0xaddf93df5592ab71
+        0x0ad40a5778530d98, // was 0xaddf93df5592ab71
+        0x7d1810152b0104a5, // was 0xba28fc38f04d3c0c
+        0x7bfc7487e0117968, // was 0x2b93ff05cab3a68f
+        0x176582618c8a3690, // was 0x3edf30983c7c7f72
+        0x617cc59e527a3391, // was 0x5d8449d519d9f1f0
     ];
     assert_eq!(got, want, "{got:#018x?}");
 }
@@ -104,7 +111,12 @@ fn compensated_outages_are_bit_pinned() {
         work.branches[branch].in_service = false;
         report_digest(&comp.solve_outage(&work, &opts, &[branch]).unwrap())
     });
-    let want = [0x73ec130aed4a04e9, 0x574bbf2e0078d05f, 0xcd4f44497e04b4d1];
+    // Re-recorded when the iterate was carried in polar coordinates and
+    // the post-outage Ybus derived from the base one (was
+    // 0x73ec130aed4a04e9, 0x574bbf2e0078d05f, 0xcd4f44497e04b4d1). Every
+    // case118 and case300 single outage moved by |ΔVm| ≤ 2.0e-15 p.u. and
+    // |ΔVa| ≤ 7.8e-13° against those answers, iteration counts kept.
+    let want = [0xa1f040880f3f4110, 0xe78a011ce17309bc, 0x33e7d9416c1d011d];
     assert_eq!(got, want, "{got:#018x?}");
 }
 
