@@ -123,11 +123,6 @@ impl Agent {
         self.validators.push(Box::new(v));
     }
 
-    /// The backend in use.
-    pub fn model_name(&self) -> &str {
-        self.llm.name()
-    }
-
     /// The shared session clock.
     pub fn clock(&self) -> &VirtualClock {
         &self.clock

@@ -37,6 +37,10 @@
 //! assert!(schema.validate(&json!({"p_mw": "fifty"})).is_err());
 //! ```
 
+// Library code prints nothing: stdout and stderr belong to the
+// binaries. Enforced by clippy, which CI runs with `-D warnings`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod agent;
 pub mod clock;
 pub mod envelope;

@@ -2,30 +2,28 @@
 //!
 //! Two-level static analysis for GridMind-RS.
 //!
-//! **Level 1 — source lints** ([`source`], CLI `lint-src`): a line-based
-//! scanner over the workspace source tree enforcing repo invariants that
-//! `clippy` alone cannot gate offline:
+//! **Level 1 — source lints** ([`source`], CLI `lint-src`): a
+//! token-tree scanner over the workspace source tree enforcing the repo
+//! invariants clippy does not express:
 //!
-//! - no `unwrap()` / `expect()` / `panic!`-family macros in non-test
-//!   code of the solver crates (`gm-numeric`, `gm-sparse`,
-//!   `gm-powerflow`, `gm-acopf`, `gm-contingency`), with an explicit
-//!   allowlist of grandfathered sites that may only shrink;
-//! - no truncating float→int `as` casts in the numeric kernel crates;
-//! - no `println!` / `eprintln!` in library code of any workspace crate
-//!   (binaries and `main.rs` are exempt): diagnostics go through
-//!   `gm_telemetry::event` so stdout stays clean and machine-readable;
-//! - every `pub fn *_tool` handler in `crates/core/src/tools_*.rs` must
-//!   be registered in `crates/core/src/agents.rs` (so every tool an
-//!   agent can call carries a `ToolSpec` schema);
-//! - repo-root `tests/` and `examples/` are scanned for `no-panic`
-//!   only: `println!` is fine there and `#[test]`-annotated functions
-//!   may assert freely, but panic sites in plain helper functions and
-//!   example `main`s are ratcheted like any other.
+//! - `swallowed-error`: no `let _ = call();`, statement-final `.ok();`
+//!   or `Err(_) => {}` in non-test code of the solver crates, the
+//!   coordinator and the serving layer ([`source::SWALLOW_CRATES`]);
+//! - `float-eq`: no `==` / `!=` on float expressions (exact-zero
+//!   compares exempt) in the numeric crates ([`source::FLOAT_CRATES`]);
+//! - `telemetry-xref` ([`xref`]): every metric name a gate, an
+//!   aggregation or a test demands is one some code registers;
+//! - `parse-error`: a file the lexer cannot model fails loudly.
 //!
-//! Grandfathered sites live in `crates/audit/lint_allowlist.txt` as
-//! `<path> [rule] <count>` entries; the ratchet is exact per `(file,
-//! rule)` — more sites than granted fails, and so does fewer (the
-//! allowlist must then shrink).
+//! Every hit is a finding; nothing is grandfathered. Panic sites and
+//! printing in library code are denied by clippy at the crate roots
+//! (`unwrap_used`, `expect_used`, `panic`, `unreachable` in the six
+//! solver crates and gridmind-core; `print_stdout`, `print_stderr` in
+//! the eleven library crates).
+//!
+//! **Lock discipline** ([`locks`], CLI `lock-graph`): the lock-order
+//! graph over `crates/serve` and `crates/core` must be acyclic, and no
+//! guard may span an engine entry (`lock-across-entry`).
 //!
 //! **Level 2 — model lints** (CLI `lint-case`): the [`GridLint`]
 //! invariant pass re-exported from `gm-network`, auditing any [`Network`]
@@ -34,8 +32,8 @@
 //! [`AuditFinding`]s.
 //!
 //! The crate is deliberately regex-free and `syn`-free (the build
-//! environment is offline); the source scanner is a small line-oriented
-//! state machine documented in [`source`].
+//! environment is offline); the scanners share a small lexer ([`lex`])
+//! and token-tree parser ([`tree`]).
 
 pub mod lex;
 pub mod locks;
@@ -45,7 +43,4 @@ pub mod tree;
 pub mod xref;
 
 pub use gm_network::{AuditFinding, GridLint, Network, Severity};
-pub use source::{
-    lint_sources, scan_file, scan_file_rules, scan_test_support_file, SourceFinding,
-    SourceLintReport,
-};
+pub use source::{lint_sources, SourceFinding, SourceLintReport};

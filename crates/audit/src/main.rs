@@ -100,42 +100,22 @@ fn lint_src(json: Option<&str>) -> ExitCode {
     for f in &rep.findings {
         println!("{f}");
     }
-    for e in &rep.allowlist_errors {
-        println!("allowlist: {e}");
-    }
     if let Some(path) = json {
         let body = format!(
-            "{{\"findings\":{},\"allowlist_errors\":{},\"files_scanned\":{},\"grandfathered\":{}}}\n",
+            "{{\"findings\":{},\"files_scanned\":{}}}\n",
             json_findings(&rep.findings),
-            format_args!(
-                "[{}]",
-                rep.allowlist_errors
-                    .iter()
-                    .map(|e| json_str(e))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
             rep.files_scanned,
-            rep.grandfathered.values().sum::<usize>(),
         );
         let code = write_json(path, &body);
         if code != ExitCode::SUCCESS {
             return code;
         }
     }
-    let grandfathered: usize = rep.grandfathered.values().sum();
     if rep.is_clean() {
-        println!(
-            "lint-src clean: {} files scanned, {} grandfathered site(s)",
-            rep.files_scanned, grandfathered
-        );
+        println!("lint-src clean: {} files scanned", rep.files_scanned);
         ExitCode::SUCCESS
     } else {
-        println!(
-            "lint-src: {} violation(s), {} allowlist error(s)",
-            rep.findings.len(),
-            rep.allowlist_errors.len()
-        );
+        println!("lint-src: {} violation(s)", rep.findings.len());
         ExitCode::FAILURE
     }
 }

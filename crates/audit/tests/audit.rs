@@ -1,10 +1,11 @@
 //! Integration tests for gm-audit: the source-lint self-test (the
-//! shipped tree must be clean and the allowlist exact) and the
-//! model-lint rules exercised through the re-exported `GridLint`.
+//! shipped tree must be clean), the clippy gates at the crate roots,
+//! and the model-lint rules exercised through the re-exported
+//! `GridLint`.
 
 use std::path::PathBuf;
 
-use gm_audit::source::ALLOWLIST_PATH;
+use gm_audit::lex::{lex, TokKind};
 use gm_audit::{lint_sources, GridLint, Severity};
 use gm_network::{cases, Branch, Bus, BusKind, CaseId, GenCost, Generator, Load, Network};
 
@@ -29,42 +30,83 @@ fn shipped_tree_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        rep.allowlist_errors.is_empty(),
-        "allowlist errors: {:?}",
-        rep.allowlist_errors
-    );
     assert!(rep.files_scanned > 20, "scanned {}", rep.files_scanned);
 }
 
-#[test]
-fn allowlist_matches_grandfathered_sites_exactly() {
-    // Every allowlist grant must be consumed by exactly that many real
-    // sites: the sum of grandfathered counts equals the sum of the
-    // grants in the file, entry by entry.
-    let root = repo_root();
-    let rep = lint_sources(&root).expect("scan succeeds");
-    let text = std::fs::read_to_string(root.join(ALLOWLIST_PATH)).expect("allowlist readable");
-    let mut granted = std::collections::BTreeMap::new();
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+/// The clippy lints a crate root denies outside tests: the lint names
+/// inside every `#![cfg_attr(not(test), deny(..))]` attribute, read from
+/// tokens so a name mentioned only in a comment does not count.
+fn denied_outside_tests(krate: &str) -> Vec<String> {
+    let path = repo_root().join("crates").join(krate).join("src/lib.rs");
+    let text = std::fs::read_to_string(&path).expect("crate root readable");
+    let (toks, _) = lex(&text);
+    let head = ["cfg_attr", "(", "not", "(", "test", ")", ",", "deny", "("];
+    let mut lints = Vec::new();
+    for start in 0..toks.len() {
+        let matches_head = head
+            .iter()
+            .enumerate()
+            .all(|(k, h)| toks.get(start + k).is_some_and(|t| t.text == *h));
+        if !matches_head {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        // `<path> <rule> <count>`, or legacy `<path> <count>` = no-panic.
-        let (path, rule, count) = match parts.as_slice() {
-            [path, rule, count] => (*path, *rule, *count),
-            [path, count] => (*path, "no-panic", *count),
-            other => panic!("malformed allowlist line: {other:?}"),
-        };
-        let count: usize = count.parse().expect("numeric count");
-        granted.insert((path.to_string(), rule.to_string()), count);
+        for t in toks[start + head.len()..]
+            .iter()
+            .take_while(|t| t.kind != TokKind::Close)
+        {
+            if t.kind == TokKind::Ident && t.text != "clippy" {
+                lints.push(t.text.clone());
+            }
+        }
     }
-    assert_eq!(
-        rep.grandfathered, granted,
-        "grandfathered sites and allowlist grants must match exactly"
-    );
+    lints
+}
+
+fn assert_denied(krate: &str, lints: &[&str]) {
+    let denied = denied_outside_tests(krate);
+    for lint in lints {
+        assert!(
+            denied.iter().any(|d| d == lint),
+            "{krate}: {lint} not denied in {denied:?}"
+        );
+    }
+}
+
+#[test]
+fn crate_roots_deny_panics_and_prints_outside_tests() {
+    // The six solver crates and the coordinator may not panic; the
+    // eleven library crates may not print. `cargo clippy -- -D
+    // warnings` enforces both; this test keeps the gates themselves
+    // from being dropped.
+    for krate in [
+        "numeric",
+        "sparse",
+        "powerflow",
+        "acopf",
+        "contingency",
+        "faults",
+        "core",
+    ] {
+        assert_denied(
+            krate,
+            &["unwrap_used", "expect_used", "panic", "unreachable"],
+        );
+    }
+    for krate in [
+        "numeric",
+        "sparse",
+        "network",
+        "powerflow",
+        "acopf",
+        "contingency",
+        "agents",
+        "telemetry",
+        "core",
+        "serve",
+        "faults",
+    ] {
+        assert_denied(krate, &["print_stdout", "print_stderr"]);
+    }
 }
 
 // -------------------------------------------------------------- lock-graph

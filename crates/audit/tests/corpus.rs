@@ -25,13 +25,8 @@ fn corpus_dir() -> PathBuf {
 
 fn all_rules() -> RuleSet {
     RuleSet {
-        panics: true,
-        casts: true,
-        println: true,
         swallowed: true,
         float_eq: true,
-        nan_cmp: true,
-        skip_test_fns: true,
     }
 }
 
@@ -57,21 +52,6 @@ fn assert_snapshot(name: &str) {
         actual, expected,
         "corpus snapshot mismatch for {name}.rs\n--- actual ---\n{actual}"
     );
-}
-
-#[test]
-fn panics_snapshot() {
-    assert_snapshot("panics");
-}
-
-#[test]
-fn casts_snapshot() {
-    assert_snapshot("casts");
-}
-
-#[test]
-fn println_snapshot() {
-    assert_snapshot("println");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Corpus: float comparison and NaN-unaware ordering.
+//! Corpus: float comparison.
 
 fn float_comparisons(a: f64, b: f64, tol: f64) -> bool {
     if a == b {
@@ -10,11 +10,6 @@ fn float_comparisons(a: f64, b: f64, tol: f64) -> bool {
     let zero_skip2 = 0.0 != b; // no finding: exact-zero, either side
     let drift = a * 1.5 != b; // finding: float-eq
     close || zero_skip || zero_skip2 || drift
-}
-
-fn nan_unaware_sort(xs: &mut Vec<f64>) {
-    xs.sort_by(|p, q| p.partial_cmp(q).unwrap()); // finding: nan-partial-cmp
-    xs.sort_by(|p, q| p.total_cmp(q)); // no finding: NaN-total ordering
 }
 
 fn integer_equality_is_fine(n: usize, m: usize) -> bool {

@@ -3,21 +3,22 @@
 
 fn raw_strings() -> usize {
     let a = r"plain raw with \ backslash";
-    let b = r#"hash-guarded with "quotes" and panic!("x")"#;
-    let c = r##"doubly guarded "# with println!("y") inside"##;
-    a.len() + b.len() + c.len()
+    let b = r#"hash-guarded with "quotes" and let _ = f();"#;
+    let c = r##"doubly guarded "# with x.ok(); inside"##;
+    let d = "plain \"escaped\" with a == 1.5";
+    a.len() + b.len() + c.len() + d.len()
 }
 
 fn byte_and_c_strings() -> usize {
     let a = b"bytes with \" escape";
-    let b = br#"raw bytes with x.unwrap()"#;
+    let b = br#"raw bytes with Err(_) => {}"#;
     let c = c"c string";
     a.len() + b.len() + c.to_bytes().len()
 }
 
 /* Block comments can nest in Rust:
-   /* inner block with panic!("never seen") */
-   still inside the outer comment: x.unwrap()
+   /* inner block with let _ = f(); */
+   still inside the outer comment: a == 1.5; x.ok();
 */
 fn after_nested_comment() -> u32 {
     7
@@ -32,12 +33,12 @@ fn lifetimes_vs_chars<'a>(s: &'a str) -> (char, char, usize) {
 
 struct Pair(f64, u64);
 
-fn tuple_indices(p: Pair, nested: ((u8, u8), u8)) -> f64 {
-    // `p.0` and `nested.0.1` must lex as tuple indices, not floats —
-    // otherwise `p.0 as u64` below would count float evidence.
+fn tuple_indices(p: Pair, nested: ((u8, u8), u8)) -> bool {
+    // `p.1` and `nested.0.1` must lex as tuple indices, not floats —
+    // otherwise the integer compares below would count float evidence.
     let x = nested.0 .1;
-    let y = nested.0.0;
-    (p.1 + u64::from(x) + u64::from(y)) as f64
+    let y = nested.0.1;
+    p.1 == u64::from(x) && nested.0.1 == y
 }
 
 fn radix_integers() -> u64 {

@@ -41,10 +41,19 @@
 
 // The crate is panic-free outside tests: a tool argument a body cannot
 // use is a typed `bad_argument`, and a planner narrates a failure rather
-// than unwrap one. Enforced by clippy here and by `gm-audit lint-src`.
+// than unwrap one. Library code prints nothing: stdout and stderr
+// belong to the binaries. Enforced by clippy, which CI runs with
+// `-D warnings`.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
 )]
 
 pub mod agents;

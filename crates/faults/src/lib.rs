@@ -25,9 +25,20 @@
 //! sparse-LU singularity, IPM barrier stalls, solver-cache misses and
 //! poisoned entries, queue saturation, and deadline storms.
 
+// Solver crates are panic-free outside tests: every fallible path
+// returns a typed error. Library code prints nothing: stdout and
+// stderr belong to the binaries. Enforced by clippy, which CI runs
+// with `-D warnings`.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
 )]
 
 use parking_lot::Mutex;

@@ -37,6 +37,10 @@
 //! assert_eq!(ybus.matrix.shape(), (14, 14));
 //! ```
 
+// Library code prints nothing: stdout and stderr belong to the
+// binaries. Enforced by clippy, which CI runs with `-D warnings`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod audit;
 pub mod caseformat;
 pub mod cases;

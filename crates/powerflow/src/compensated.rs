@@ -24,7 +24,7 @@
 //! that routes the caller to the existing full-Newton fallback.
 
 use crate::newton::build_report;
-use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex, Role};
+use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex};
 use crate::types::{PfOptions, PfReport, TOL_PU};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
@@ -88,7 +88,6 @@ impl std::error::Error for CompensatedPfError {}
 /// sweep workers.
 pub struct CompensationBase {
     ybus: YBus,
-    role: Vec<Role>,
     idx: PolarIndex,
     p_spec: Vec<f64>,
     q_spec: Vec<f64>,
@@ -156,7 +155,6 @@ impl CompensationBase {
 
         Ok(CompensationBase {
             ybus,
-            role,
             idx,
             p_spec,
             q_spec,
@@ -324,17 +322,6 @@ impl CompensationBase {
     /// Base-case voltages (warm start for fallback solves).
     pub fn base_voltages(&self) -> &[Complex] {
         &self.x0.v
-    }
-
-    /// Number of solver variables (diagnostics).
-    pub fn n_variables(&self) -> usize {
-        self.idx.nvar()
-    }
-
-    /// Bus role check used by callers that must not compensate across a
-    /// re-partition (diagnostics/tests).
-    pub fn is_pq(&self, bus: usize) -> bool {
-        self.role.get(bus).copied() == Some(Role::Pq)
     }
 }
 

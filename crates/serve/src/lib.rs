@@ -28,6 +28,10 @@
 //! are defined in [`gm_agents::envelope`] so clients need not link the
 //! server.
 
+// Library code prints nothing: stdout and stderr belong to the
+// binaries. Enforced by clippy, which CI runs with `-D warnings`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod queue;
 pub mod registry;
 pub mod server;

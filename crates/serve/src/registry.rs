@@ -88,19 +88,6 @@ impl SessionSlot {
         }
     }
 
-    /// Removes the most recently queued request — the rollback path for
-    /// [`crate::Server::submit`] when the freshly scheduled session's
-    /// token cannot enter the global queue. Clears the `scheduled` flag
-    /// when the FIFO empties so a later submit schedules a new token.
-    pub fn retract_last(&self) -> Option<QueuedRequest> {
-        let mut s = self.state.lock();
-        let r = s.pending.pop_back();
-        if s.pending.is_empty() {
-            s.scheduled = false;
-        }
-        r
-    }
-
     /// Number of requests waiting in this session's FIFO.
     pub fn backlog(&self) -> usize {
         self.state.lock().pending.len()

@@ -41,11 +41,19 @@
 //! assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
 //! ```
 // Solver crates are panic-free outside tests: every fallible path
-// returns a typed error. Enforced by clippy here and by the regex
-// pass of `gm-audit lint-src` (with its allowlist) in CI.
+// returns a typed error. Library code prints nothing: stdout and
+// stderr belong to the binaries. Enforced by clippy, which CI runs
+// with `-D warnings`.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
 )]
 // Numeric kernels iterate several parallel arrays by index; the
 // index-based loops are the clearer form here.

@@ -19,6 +19,10 @@
 //! timeline. [`Registry::export`] emits the JSON consumed by the
 //! `gm-trace` report binary and embedded in session saves.
 
+// Library code prints nothing: stdout and stderr belong to the
+// binaries. Enforced by clippy, which CI runs with `-D warnings`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod clock;
 pub mod export;
 pub mod flight;

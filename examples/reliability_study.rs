@@ -8,8 +8,9 @@
 
 use gridmind_core::{GridMind, ModelProfile};
 
-fn main() {
-    let mut gm = GridMind::new(ModelProfile::by_name("Claude 4 Sonnet").unwrap());
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let profile = ModelProfile::by_name("Claude 4 Sonnet").ok_or("unknown model profile")?;
+    let mut gm = GridMind::new(profile);
 
     // The compound request of Fig. 9: one utterance, two agents, one
     // shared session.
@@ -23,11 +24,11 @@ fn main() {
     let top = gm
         .session
         .fresh_contingency()
-        .expect("analysis cached in the shared session")
+        .ok_or("no analysis cached in the shared session")?
         .ranking
         .first()
         .map(|r| r.label.clone())
-        .expect("non-empty ranking");
+        .ok_or("empty ranking")?;
     let follow_up = format!("analyze the outage of {top} specifically");
     println!("You: {follow_up}\n");
     let reply = gm.ask(&follow_up);
@@ -49,4 +50,5 @@ fn main() {
         gm.session.cache.len(),
         gm.session.cache.stats()
     );
+    Ok(())
 }

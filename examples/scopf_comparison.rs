@@ -22,15 +22,15 @@ fn apply_dispatch(net: &Network, sol: &AcopfSolution) -> Network {
     out
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = cases::load(CaseId::Ieee118);
     println!(
         "=== Economic vs security-constrained operation, {} ===\n",
         net.name
     );
 
-    let economic = solve_acopf(&net, &AcopfOptions::default()).expect("economic ACOPF");
-    let scopf = solve_scopf(&net, &ScopfOptions::default()).expect("SCOPF");
+    let economic = solve_acopf(&net, &AcopfOptions::default())?;
+    let scopf = solve_scopf(&net, &ScopfOptions::default())?;
 
     println!(
         "Screened security constraints: {}",
@@ -57,8 +57,8 @@ fn main() {
     );
 
     let opts = CaOptions::default();
-    let eco_rep = run_n1(&apply_dispatch(&net, &economic), &opts, None).expect("N-1 (economic)");
-    let sec_rep = run_n1(&apply_dispatch(&net, &scopf.solution), &opts, None).expect("N-1 (SCOPF)");
+    let eco_rep = run_n1(&apply_dispatch(&net, &economic), &opts, None)?;
+    let sec_rep = run_n1(&apply_dispatch(&net, &scopf.solution), &opts, None)?;
     // Both dispatches ride binding base-case limits (the ACOPF binds at
     // exactly 100 %), so the interesting metric is the *severity profile*
     // of post-contingency overloads, not the saturating >100 % count.
@@ -90,4 +90,5 @@ fn main() {
         eco_rep.max_overload_pct.0,
         sec_rep.max_overload_pct.0,
     );
+    Ok(())
 }
