@@ -155,6 +155,22 @@ fn sensitivities_impl(net: &Network, wanted: Option<&[bool]>) -> Result<Sensitiv
 }
 
 impl Sensitivities {
+    /// LODF column `k`: the flow change on every branch per unit of
+    /// branch `k`'s pre-outage flow when `k` is outaged (`-1` at `k`
+    /// itself, `0` on out-of-service branches). `None` when `k` is out of
+    /// service or its outage islands the network.
+    pub fn column(&self, net: &Network, k: usize) -> Option<Vec<f64>> {
+        if !net.branches[k].in_service || self.lodf[(k, k)].is_nan() {
+            return None;
+        }
+        let nb = net.branches.len();
+        Some(
+            (0..nb)
+                .map(|l| if l == k { -1.0 } else { self.lodf[(l, k)] })
+                .collect(),
+        )
+    }
+
     /// Estimated post-outage flows (MW) on every branch when branch `k`
     /// is outaged, given the pre-outage flows. Returns `None` when the
     /// outage islands the network.
