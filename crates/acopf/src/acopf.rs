@@ -461,7 +461,6 @@ pub fn solve_acopf(net: &Network, opts: &AcopfOptions) -> Result<AcopfSolution, 
             problems: problems.iter().map(|p| p.to_string()).collect(),
         });
     }
-    let started = std::time::Instant::now();
     let Some(prob) = AcopfProblem::build(net) else {
         return Err(AcopfError::InvalidNetwork {
             problems: vec!["no slack bus".to_string()],
@@ -475,17 +474,12 @@ pub fn solve_acopf(net: &Network, opts: &AcopfOptions) -> Result<AcopfSolution, 
             message: res.message,
         });
     }
-    let elapsed = started.elapsed().as_secs_f64();
-    Ok(unpack_solution(&prob, &res, elapsed))
+    Ok(unpack_solution(&prob, &res))
 }
 
 /// Converts a converged IPM result into the solution schema (shared by
 /// the plain ACOPF and the SCOPF extension).
-pub(crate) fn unpack_solution(
-    prob: &AcopfProblem<'_>,
-    res: &ipm::IpmResult,
-    elapsed: f64,
-) -> AcopfSolution {
+pub(crate) fn unpack_solution(prob: &AcopfProblem<'_>, res: &ipm::IpmResult) -> AcopfSolution {
     let net = prob.net;
     let base = net.base_mva;
     let x = &res.x;
@@ -570,7 +564,6 @@ pub(crate) fn unpack_solution(
         total_load_mw: net.total_load_mw(),
         losses_mw: losses,
         iterations: res.iterations,
-        solve_time_s: elapsed,
         convergence_message: res.message.clone(),
         binding_constraints: binding,
     }

@@ -21,7 +21,7 @@ use crate::ipm::{self, Constants, IpmOptions, Nlp, Stamp};
 use crate::types::{AcopfError, AcopfSolution};
 use gm_network::Network;
 use gm_numeric::Fnv1a;
-use gm_powerflow::sensitivities_for_screening;
+use gm_powerflow::sensitivities;
 use gm_sparse::{CsMat, Triplets};
 
 /// One screened security constraint.
@@ -208,9 +208,14 @@ pub(crate) fn secure(
     let _span = gm_telemetry::span!("acopf.scopf.solve", case = net.name);
     gm_telemetry::counter_add("acopf.scopf.solves", 1);
     let economic = crate::solve_acopf(net, &opts.acopf)?;
-    let sens = sensitivities_for_screening(net).map_err(|e| AcopfError::InvalidNetwork {
+    let sens = sensitivities(net).map_err(|e| AcopfError::InvalidNetwork {
         problems: vec![e.to_string()],
     })?;
+    // Every round screens every outage: one LODF column per in-service
+    // branch (`None` for an islanding one), solved once for all rounds.
+    let columns: Vec<Option<Vec<f64>>> = (0..net.branches.len())
+        .map(|k| sens.column(net, k))
+        .collect();
     let base = net.base_mva;
 
     let mut active: std::collections::BTreeMap<(usize, usize), SecurityConstraint> =
@@ -236,10 +241,8 @@ pub(crate) fn secure(
             .map(|b| b.p_from_mw / base)
             .collect();
         let mut added = 0usize;
-        for (k, brk) in net.branches.iter().enumerate() {
-            if !brk.in_service || sens.lodf[(k, k)].is_nan() {
-                continue;
-            }
+        for (k, column) in columns.iter().enumerate() {
+            let Some(column) = column else { continue };
             for (l, brl) in net.branches.iter().enumerate() {
                 if l == k || !brl.in_service || brl.rating_mva <= 0.0 {
                     continue;
@@ -247,10 +250,7 @@ pub(crate) fn secure(
                 if active.contains_key(&(k, l)) {
                     continue;
                 }
-                let d = sens.lodf[(l, k)];
-                if d.is_nan() {
-                    continue;
-                }
+                let d = column[l];
                 let post = flows_pu[l] + d * flows_pu[k];
                 let loading = post.abs() / (brl.rating_mva / base);
                 if loading >= MONITOR_THRESHOLD && active.len() < MAX_CONSTRAINTS {
@@ -280,12 +280,11 @@ pub(crate) fn secure(
         // retries — the standard soft-constraint treatment.
         let mut relaxations = 0usize;
         loop {
-            let started = std::time::Instant::now();
             prob.security.clear();
             prob.security.extend(active.values().copied());
             let res = ipm::solve(&prob, &opts.acopf.ipm);
             if res.converged {
-                current = unpack_solution(&prob.base, &res, started.elapsed().as_secs_f64());
+                current = unpack_solution(&prob.base, &res);
                 break;
             }
             relaxations += 1;

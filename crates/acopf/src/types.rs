@@ -52,8 +52,6 @@ pub struct AcopfSolution {
     pub losses_mw: f64,
     /// IPM iterations.
     pub iterations: usize,
-    /// Solver wall time (seconds).
-    pub solve_time_s: f64,
     /// Convergence detail for the audit trail.
     pub convergence_message: String,
     /// Number of binding inequality constraints (|μ| above threshold).
@@ -130,7 +128,6 @@ mod tests {
             total_load_mw: 100.0,
             losses_mw: 5.0,
             iterations: 1,
-            solve_time_s: 0.0,
             convergence_message: String::new(),
             binding_constraints: 0,
         };

@@ -6,7 +6,10 @@
 //! cargo run -p gm-audit -- lint-case <case>          # model invariants
 //! ```
 //!
-//! Exits nonzero when any violation (or, for `lint-case`, any
+//! `lint-src` and `lock-graph` lint the tree in the working directory,
+//! which must hold the workspace's `crates/` (exit 2 otherwise), so one
+//! built binary can lint any checkout, a `git archive` of an old commit
+//! included. Exits nonzero when any violation (or, for `lint-case`, any
 //! error-severity finding) is present — suitable as a CI gate.
 //! `--json` additionally writes the findings as a machine-readable
 //! artifact (hand-rolled serialization: this crate stays
@@ -19,12 +22,20 @@ use std::process::ExitCode;
 use gm_audit::locks::lint_locks;
 use gm_audit::{lint_sources, GridLint, Severity, SourceFinding};
 
-fn repo_root() -> PathBuf {
-    // crates/audit → repo root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
+/// The tree to lint: the working directory, or an error naming it when
+/// it holds no `crates/`, so a run from the wrong place never lints
+/// nothing and passes.
+fn tree_root() -> Result<PathBuf, String> {
+    let dir =
+        std::env::current_dir().map_err(|e| format!("cannot read the working directory: {e}"))?;
+    if dir.join("crates").is_dir() {
+        Ok(dir)
+    } else {
+        Err(format!(
+            "{} has no crates/ directory; run gm-audit from the repository root",
+            dir.display()
+        ))
+    }
 }
 
 fn usage() -> ExitCode {
@@ -82,7 +93,13 @@ fn write_json(path: &str, body: &str) -> ExitCode {
 }
 
 fn lint_src(json: Option<&str>) -> ExitCode {
-    let root = repo_root();
+    let root = match tree_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("lint-src: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let mut rep = match lint_sources(&root) {
         Ok(rep) => rep,
         Err(e) => {
@@ -121,7 +138,13 @@ fn lint_src(json: Option<&str>) -> ExitCode {
 }
 
 fn lock_graph(json: Option<&str>) -> ExitCode {
-    let root = repo_root();
+    let root = match tree_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("lock-graph: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let rep = match lint_locks(&root) {
         Ok(rep) => rep,
         Err(e) => {

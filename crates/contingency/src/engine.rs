@@ -157,7 +157,6 @@ fn assemble_report(
     net: &Network,
     opts: &CaOptions,
     outcomes: Vec<ContingencyOutcome>,
-    started: std::time::Instant,
     mode: SweepMode,
 ) -> ContingencyReport {
     let total_violations: usize = outcomes.iter().map(|o| o.violations.len()).sum();
@@ -193,7 +192,6 @@ fn assemble_report(
         max_overload_pct,
         ranking,
         voltage_band: (VMIN_PU, VMAX_PU),
-        sweep_time_s: started.elapsed().as_secs_f64(),
         parallel: opts.parallel,
         mode,
         screened_out,
@@ -249,7 +247,6 @@ pub fn run_n1_cached(
         SweepMode::Cascade => "cascade",
     };
     let _span = gm_telemetry::span!("ca.sweep", case = net.name, mode = label);
-    let started = std::time::Instant::now();
     let owned_base;
     let base = match base {
         Some(b) => b,
@@ -319,19 +316,19 @@ pub fn run_n1_cached(
     // across outages whose patterns collide (parallel branch pairs),
     // while the parallel fan-out gives each outage an engine of its own.
     let outcomes = gm_sparse::with_fresh_engine(|| fan_out(opts.parallel, &plan, eval));
-    Ok(assemble_report(net, opts, outcomes, started, mode))
+    Ok(assemble_report(net, opts, outcomes, mode))
 }
 
 /// The multi-fidelity screening plan (default sweep mode); `None` when
 /// the linear model itself is unavailable (e.g. a degenerate network)
 /// and the sweep must degrade to brute rather than guess.
 ///
-/// Phase 1 — screen: compute LODFs once from the base-case PTDF
-/// machinery and rank every outage by its DC-estimated worst post-outage
-/// MVA loading against ratings. Phase 2 — verify: outages at or above
-/// the screening cutoff (0.85 of rating), the 8-outage DC-ranked head, and
-/// anything the linear model cannot screen (islanding columns) get an AC
-/// verification. Each verified solve goes through the base-case Jacobian
+/// Phase 1 — screen: factor the base-case B′ once, then, inside each
+/// outage's own job, solve for that outage's LODF column and estimate its
+/// worst post-outage MVA loading against ratings; rank every outage by
+/// that estimate. Phase 2 — verify: outages at or above the screening
+/// cutoff (0.85 of rating), the 8-outage DC-ranked head, and anything the
+/// linear model cannot screen (islanding columns) get an AC verification. Each verified solve goes through the base-case Jacobian
 /// factorization with a Woodbury outage-block correction
 /// ([`gm_powerflow::CompensationBase`], returned beside the steps);
 /// ill-conditioned or stalled compensations fall back to a full Newton
@@ -344,7 +341,7 @@ fn cascade_plan(
     base: &PfReport,
     targets: &[(Outage, usize)],
 ) -> Option<(Vec<Step>, Option<CompensationBase>)> {
-    let Ok(sens) = gm_powerflow::sensitivities_for_screening(net) else {
+    let Ok(sens) = gm_powerflow::sensitivities(net) else {
         gm_telemetry::counter_add("ca.screen.unavailable", 1);
         return None;
     };
@@ -659,7 +656,6 @@ mod tests {
                 let mut rep = run_n1(&net, &opts, None).unwrap();
                 assert_eq!((rep.parallel, rep.mode), (parallel, mode));
                 rep.parallel = false;
-                rep.sweep_time_s = 0.0;
                 format!("{rep:?}")
             };
             assert_eq!(run(true), run(false), "{mode:?} on {id:?}");
@@ -841,7 +837,6 @@ mod tests {
             };
             let mut rep = run_n1(&net, &opts, None).unwrap();
             rep.parallel = false;
-            rep.sweep_time_s = 0.0;
             (format!("{rep:?}"), reg)
         };
         let refuse_all = || {

@@ -64,10 +64,10 @@ pub struct N2Preview {
     /// Pairs whose LODF screen was undefined (joint islanding or
     /// near-singular pair interaction) — counted, not verified.
     pub unscreenable: usize,
-    /// AC-verified suspect pairs, worst first.
+    /// AC-verified suspect pairs, worst first: pairs the AC solve did not
+    /// survive (neither converged nor islanded) above every other, then
+    /// by loading.
     pub verified: Vec<PairOutcome>,
-    /// Wall time (seconds).
-    pub sweep_time_s: f64,
 }
 
 /// One first element's row of the DC pair screen.
@@ -85,8 +85,9 @@ struct ScreenRow {
 /// DC-ranked suspect pairs are verified (the preview is a ranking aid,
 /// not an exhaustive N-2 certification — the report counts what was
 /// screened out and what was unscreenable so the shortcut is explicit).
-/// With `opts.parallel` both phases run on the sweeps' fan-out; the
-/// report is the serial one either way.
+/// With `opts.parallel` the column solves, the pair screen and the AC
+/// verification all run on the sweeps' fan-out; the report is the serial
+/// one either way.
 pub fn n_minus_2_preview(
     net: &Network,
     opts: &CaOptions,
@@ -94,7 +95,6 @@ pub fn n_minus_2_preview(
     max_verify: usize,
 ) -> Result<N2Preview, gm_powerflow::PfError> {
     let _span = gm_telemetry::span!("ca.n2_preview", case = net.name);
-    let started = std::time::Instant::now();
     let owned_base;
     let base = match base {
         Some(b) => b,
@@ -103,9 +103,15 @@ pub fn n_minus_2_preview(
             &owned_base
         }
     };
-    let sens = gm_powerflow::sensitivities_for_screening(net)?;
+    let sens = gm_powerflow::sensitivities(net)?;
     let (base_p, base_q) = screening_inputs(base);
     let targets = enumerate_targets(net);
+    // The pair screen reads the LODF columns of both elements of every
+    // pair, so unlike the N-1 screen it materialises the whole block: one
+    // column per target (`None` for an islanding one), one solve each.
+    let columns = fan_out(opts.parallel, &targets, |&(outage, _)| {
+        sens.column(net, outage.branch)
+    });
     // Same unrated-network guard as the N-1 cascade: no ratings means no
     // thermal signal, so every pair becomes a suspect (the max_verify cap
     // still bounds the AC work).
@@ -122,8 +128,14 @@ pub fn n_minus_2_preview(
     let rows = fan_out(opts.parallel, &firsts, |&a| {
         let mut row = ScreenRow::default();
         for b in (a + 1)..targets.len() {
-            let (ka, kb) = (targets[a].0.branch, targets[b].0.branch);
-            match sens.worst_pair_outage_loading_mva(net, &base_p, &base_q, ka, kb) {
+            let estimate = match (&columns[a], &columns[b]) {
+                (Some(ca), Some(cb)) => {
+                    let (ka, kb) = (targets[a].0.branch, targets[b].0.branch);
+                    pair_loading_mva(net, &base_p, &base_q, (ka, ca), (kb, cb))
+                }
+                _ => None,
+            };
+            match estimate {
                 None => row.unscreenable += 1,
                 Some(est) if est >= cutoff => row.suspects.push((a, b, est)),
                 Some(_) => row.screened_out += 1,
@@ -202,7 +214,14 @@ pub fn n_minus_2_preview(
             },
         }
     });
-    verified.sort_by(|x, y| y.max_loading_pct.total_cmp(&x.max_loading_pct));
+    // A pair the AC solve did not survive is the worst outcome, not the
+    // least loaded one.
+    let unsolved = |p: &PairOutcome| !p.converged && !p.islands;
+    verified.sort_by(|x, y| {
+        unsolved(y)
+            .cmp(&unsolved(x))
+            .then(y.max_loading_pct.total_cmp(&x.max_loading_pct))
+    });
 
     Ok(N2Preview {
         case_name: net.name.clone(),
@@ -210,8 +229,47 @@ pub fn n_minus_2_preview(
         screened_out,
         unscreenable,
         verified,
-        sweep_time_s: started.elapsed().as_secs_f64(),
     })
+}
+
+/// Worst estimated post-outage MVA loading for the simultaneous outage of
+/// branches `k` and `l`, given their LODF columns. The double-outage
+/// flows come from the standard 2×2 compensation of single-outage LODFs:
+///
+/// ```text
+/// Δk = (f_k + L_kl·f_l) / (1 − L_kl·L_lk)
+/// Δl = (f_l + L_lk·f_k) / (1 − L_kl·L_lk)
+/// f'_m = f_m + L_mk·Δk + L_ml·Δl
+/// ```
+///
+/// with `sqrt(P² + Q_base²)` per monitored branch, as in the N-1 screen.
+/// `None` when the pair denominator (the 2×2 capacitance) vanishes: the
+/// pair jointly islands and must be routed to a full evaluation.
+fn pair_loading_mva(
+    net: &Network,
+    base_p_mw: &[f64],
+    base_q_mvar: &[f64],
+    (k, col_k): (usize, &[f64]),
+    (l, col_l): (usize, &[f64]),
+) -> Option<f64> {
+    let (lkl, llk) = (col_l[k], col_k[l]);
+    let denom = 1.0 - lkl * llk;
+    if denom.abs() < 1e-7 {
+        return None;
+    }
+    let (fk, fl) = (base_p_mw[k], base_p_mw[l]);
+    let dk = (fk + lkl * fl) / denom;
+    let dl = (fl + llk * fk) / denom;
+    let mut worst = 0.0f64;
+    for (m, br) in net.branches.iter().enumerate() {
+        if m == k || m == l || !br.in_service || br.rating_mva <= 0.0 {
+            continue;
+        }
+        let p_est = base_p_mw[m] + col_k[m] * dk + col_l[m] * dl;
+        let s = (p_est * p_est + base_q_mvar[m] * base_q_mvar[m]).sqrt();
+        worst = worst.max(s / br.rating_mva);
+    }
+    Some(worst)
 }
 
 #[cfg(test)]
@@ -238,15 +296,45 @@ mod tests {
             rep.verified.iter().any(|p| p.compensated),
             "no pair verified via the compensated base"
         );
-        // Worst-first ordering.
+        assert_worst_first(&rep);
+    }
+
+    /// Pairs the AC solve did not survive lead, then loading decreases.
+    fn assert_worst_first(rep: &N2Preview) {
+        let key = |p: &PairOutcome| (!p.converged && !p.islands, p.max_loading_pct);
         for w in rep.verified.windows(2) {
-            assert!(w[0].max_loading_pct >= w[1].max_loading_pct);
+            assert!(
+                key(&w[0]) >= key(&w[1]),
+                "{} ranked above {}",
+                w[0].label(),
+                w[1].label()
+            );
         }
     }
 
     #[test]
+    fn case118_unsolved_pairs_rank_above_converged_ones() {
+        // Six of case118's 16 worst DC pairs (line + transformer) fail
+        // compensation and then diverge in Newton: the AC solve does not
+        // survive them, which is worse than any converged overload.
+        let net = cases::load(CaseId::Ieee118);
+        let opts = CaOptions {
+            parallel: false,
+            ..Default::default()
+        };
+        let rep = n_minus_2_preview(&net, &opts, None, 16).unwrap();
+        let unsolved = rep
+            .verified
+            .iter()
+            .take_while(|p| !p.converged && !p.islands)
+            .count();
+        assert_eq!(unsolved, 6, "{:#?}", rep.verified);
+        assert_worst_first(&rep);
+    }
+
+    #[test]
     fn serial_and_parallel_previews_agree() {
-        // The whole preview is `{:?}`-identical but for its wall time.
+        // The whole preview is `{:?}`-identical.
         for (id, max_verify) in [(CaseId::Ieee14, 16), (CaseId::Ieee118, 24)] {
             let net = cases::load(id);
             let run = |parallel: bool| {
@@ -254,8 +342,7 @@ mod tests {
                     parallel,
                     ..Default::default()
                 };
-                let mut rep = n_minus_2_preview(&net, &opts, None, max_verify).unwrap();
-                rep.sweep_time_s = 0.0;
+                let rep = n_minus_2_preview(&net, &opts, None, max_verify).unwrap();
                 format!("{rep:?}")
             };
             assert_eq!(run(true), run(false), "{id:?}");

@@ -191,8 +191,6 @@ pub struct ContingencyReport {
     pub ranking: Vec<RankedContingency>,
     /// Voltage band used (p.u.).
     pub voltage_band: (f64, f64),
-    /// Wall time of the sweep (seconds).
-    pub sweep_time_s: f64,
     /// Whether the sweep ran in parallel.
     pub parallel: bool,
     /// Sweep mode that produced the report. Reports serialized before the

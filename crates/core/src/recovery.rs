@@ -416,7 +416,6 @@ fn dcopf_to_acopf_solution(net: &Network, dc: &gm_acopf::DcOpfSolution) -> Acopf
         total_load_mw: net.total_load_mw(),
         losses_mw: 0.0,
         iterations: dc.iterations,
-        solve_time_s: 0.0,
         convergence_message: "DC OPF fallback (primary ACOPF did not converge)".into(),
         binding_constraints: 0,
     }

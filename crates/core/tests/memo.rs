@@ -3,7 +3,6 @@
 //! fault hooks force a re-solve, and only cacheable outcomes are stored.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
 use gm_acopf::{AcopfSolution, ScopfSolution};
 use gm_contingency::CaOptions;
@@ -15,8 +14,7 @@ use gridmind_core::{QueryKind, Scored, SolverCache};
 
 /// One row of the table: runs a solver through `memoized` under the
 /// given cache, counting real solver invocations, and renders the
-/// outcome. `scrub` zeroes the result's wall-clock field, the only part
-/// of a re-solve that is not deterministic.
+/// outcome.
 type Probe<'a> = Box<dyn Fn(Option<&SharedSolverCache>) -> String + 'a>;
 
 fn probe<'a, T, E>(
@@ -24,10 +22,9 @@ fn probe<'a, T, E>(
     params: u64,
     solves: &'a Cell<u32>,
     solve: impl Fn() -> Result<T, E> + 'a,
-    scrub: fn(&mut T),
 ) -> Probe<'a>
 where
-    T: Memo + Clone + std::fmt::Debug + 'a,
+    T: Memo + std::fmt::Debug + 'a,
     E: std::fmt::Debug,
 {
     Box::new(move |cache| {
@@ -35,9 +32,7 @@ where
             solves.set(solves.get() + 1);
             solve()
         });
-        let mut out = Arc::unwrap_or_clone(out.expect("case14 solves"));
-        scrub(&mut out);
-        format!("{out:?}")
+        format!("{:?}", out.expect("case14 solves"))
     })
 }
 
@@ -53,59 +48,33 @@ fn memo_path_is_uniform_over_every_query_kind() {
     let table: Vec<(QueryKind, Probe)> = vec![
         (
             QueryKind::Acopf,
-            probe(
-                &net,
-                acopf.fingerprint(),
-                &solves,
-                || {
-                    gm_acopf::solve_acopf(&net, &acopf)
-                        .map(|s| Scored::<AcopfSolution>::new(&net, s))
-                },
-                |s| s.solution.solve_time_s = 0.0,
-            ),
+            probe(&net, acopf.fingerprint(), &solves, || {
+                gm_acopf::solve_acopf(&net, &acopf).map(|s| Scored::<AcopfSolution>::new(&net, s))
+            }),
         ),
         (
             QueryKind::Scopf,
-            probe(
-                &net,
-                scopf.fingerprint(),
-                &solves,
-                || {
-                    gm_acopf::solve_scopf(&net, &scopf)
-                        .map(|s| Scored::<ScopfSolution>::new(&net, s))
-                },
-                |s| s.solution.solution.solve_time_s = 0.0,
-            ),
+            probe(&net, scopf.fingerprint(), &solves, || {
+                gm_acopf::solve_scopf(&net, &scopf).map(|s| Scored::<ScopfSolution>::new(&net, s))
+            }),
         ),
         (
             QueryKind::BasePf,
-            probe(
-                &net,
-                ca.fingerprint(),
-                &solves,
-                || gm_contingency::solve_base(&net, &ca),
-                |_| {},
-            ),
+            probe(&net, ca.fingerprint(), &solves, || {
+                gm_contingency::solve_base(&net, &ca)
+            }),
         ),
         (
             QueryKind::ContingencyN1,
-            probe(
-                &net,
-                ca.fingerprint(),
-                &solves,
-                || gm_contingency::run_n1(&net, &ca, None),
-                |r| r.sweep_time_s = 0.0,
-            ),
+            probe(&net, ca.fingerprint(), &solves, || {
+                gm_contingency::run_n1(&net, &ca, None)
+            }),
         ),
         (
             QueryKind::BatchStudy,
-            probe(
-                &net,
-                pf.fingerprint(),
-                &solves,
-                || run_batch(&net, &pf, &sweep),
-                |_| {},
-            ),
+            probe(&net, pf.fingerprint(), &solves, || {
+                run_batch(&net, &pf, &sweep)
+            }),
         ),
     ];
     for (kind, run) in &table {

@@ -188,7 +188,7 @@ impl YBus {
 /// there). Taps, shunts and resistance are ignored.
 ///
 /// This is the one assembly behind every DC-model matrix in the stack
-/// (DC power flow and seeds, PTDF/LODF, FDLF's B′, the synthetic-case
+/// (DC power flow and seeds, LODF columns, FDLF's B′, the synthetic-case
 /// rating calibration). The stamp order — branches in index order, then
 /// the slack pin — is part of the contract: the embedded rating tables
 /// and every committed baseline are calibrated against the factor it

@@ -10,8 +10,8 @@
 //!   screening solver.
 //! - [`dc`] — linear DC power flow for warm starts and contingency
 //!   screening.
-//! - [`sensitivity`] — PTDF / LODF linear sensitivities for fast N-1
-//!   screening and security constraints.
+//! - [`sensitivity`] — LODF columns from one B′ factorization, for fast
+//!   N-1 / N-2 screening and security constraints.
 //! - [`types`] — options, rich solution reports, and error types.
 //!
 //! ```
@@ -59,7 +59,7 @@ pub use compensated::{CompensatedPfError, CompensationBase};
 pub use dc::{solve_dc, DcReport};
 pub use decoupled::solve_fast_decoupled;
 pub use newton::{solve, solve_from};
-pub use sensitivity::{sensitivities, sensitivities_for_screening, Sensitivities};
+pub use sensitivity::{sensitivities, Sensitivities};
 pub use types::{BranchFlow, BusResult, GenResult, InitStrategy, PfError, PfOptions, PfReport};
 
 #[cfg(test)]

@@ -437,7 +437,6 @@ fn acopf_bits(sol: &AcopfSolution) -> Vec<u64> {
         total_load_mw,
         losses_mw,
         iterations,
-        solve_time_s: _,
         convergence_message,
         binding_constraints,
     } = sol;

@@ -12,8 +12,9 @@
 //! re-recorded since on purpose say why beside their digests.
 //!
 //! The ACOPF / SCOPF / DC-OPF rows pin the interior point method the same
-//! way: recorded at PR 22's parent, before the per-iteration triplet
-//! assembly of the KKT system became a slot program, and unedited since.
+//! way: recorded before the per-iteration triplet assembly of the KKT
+//! system became a slot program. Only the SCOPF row has moved since, with
+//! the LODF it reads; its reason is beside its digest.
 
 use gm_acopf::{
     solve_acopf, solve_dcopf, solve_scopf, AcopfOptions, AcopfSolution, IpmOptions, ScopfOptions,
@@ -127,17 +128,21 @@ fn dc_solution_is_bit_pinned() {
     assert_eq!(got, 0xfa9eeb66a46f03ca, "{got:#018x}");
 }
 
+/// Every entry of the case57 LODF, row by row (`NaN` for an islanding
+/// column). Re-recorded once, on purpose (0xade211cc7ed7dc35 →
+/// 0x842ed633b7ccf4c2), when the dense PTDF-product build became one B′
+/// solve per column: |ΔLODF| ≤ 7.1e-15 off the diagonal, and the
+/// diagonal reads -1 (the outaged branch loses its own flow) instead of 0.
 #[test]
 fn lodf_is_bit_pinned() {
     let net = cases::load(CaseId::Ieee57);
     let s = sensitivities(&net).unwrap();
     let nb = net.branches.len();
-    let got = digest(
-        (0..nb)
-            .flat_map(|l| (0..nb).map(move |k| (l, k)))
-            .map(|i| s.lodf[i]),
-    );
-    assert_eq!(got, 0xade211cc7ed7dc35, "{got:#018x}");
+    let columns: Vec<Vec<f64>> = (0..nb)
+        .map(|k| s.column(&net, k).unwrap_or_else(|| vec![f64::NAN; nb]))
+        .collect();
+    let got = digest((0..nb).flat_map(|l| columns.iter().map(move |c| c[l])));
+    assert_eq!(got, 0x842ed633b7ccf4c2, "{got:#018x}");
 }
 
 #[test]
@@ -175,13 +180,18 @@ fn acopf_solutions_are_bit_pinned() {
     assert_eq!(got, want, "{got:#018x?}");
 }
 
+/// Re-recorded once, on purpose, with the LODF row above: its security
+/// rows read the per-column LODF (case30 0x75113a2788316421 →
+/// 0x4554ac9310dbefac, case57 0xd09a131afb2fc1d4 → 0x8dec8fcd909510d0;
+/// every |Δ| ≤ 1.4e-10 over `acopf_digest`'s quantities, the same
+/// iteration counts and the same 20 / 393 security rows).
 #[test]
 fn scopf_solutions_are_bit_pinned() {
     let got = [CaseId::Ieee30, CaseId::Ieee57].map(|id| {
         let scopf = solve_scopf(&cases::load(id), &ScopfOptions::default()).unwrap();
         acopf_digest(&scopf.solution)
     });
-    let want = [0x75113a2788316421, 0xd09a131afb2fc1d4];
+    let want = [0x4554ac9310dbefac, 0x8dec8fcd909510d0];
     assert_eq!(got, want, "{got:#018x?}");
 }
 
