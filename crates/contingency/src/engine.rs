@@ -328,8 +328,9 @@ pub fn run_n1_cached(
 /// worst post-outage MVA loading against ratings; rank every outage by
 /// that estimate. Phase 2 — verify: outages at or above the screening
 /// cutoff (0.85 of rating), the 8-outage DC-ranked head, and anything the
-/// linear model cannot screen (islanding columns) get an AC verification. Each verified solve goes through the base-case Jacobian
-/// factorization with a Woodbury outage-block correction
+/// linear model cannot screen (islanding columns) get an AC verification.
+/// Each verified solve goes through the base-case Jacobian factorization
+/// with a Woodbury outage-block correction
 /// ([`gm_powerflow::CompensationBase`], returned beside the steps);
 /// ill-conditioned or stalled compensations fall back to a full Newton
 /// solve, and islanding outages never reach a solver at all.
