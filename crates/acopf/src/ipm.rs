@@ -15,8 +15,21 @@
 //! [ Jg                 0  ] [Δλ] = [ −g ]
 //! ```
 //!
-//! separate primal/dual step clipping, and the standard normalized
-//! convergence criteria (feasibility, gradient, complementarity, cost).
+//! where `N = Lx + Jhᵀ·Z⁻¹(γ + M·h)` carries a per-row complementarity
+//! target `γ`, separate primal/dual step clipping, and the standard
+//! normalized convergence criteria (feasibility, gradient,
+//! complementarity, cost).
+//!
+//! The centering is Mehrotra's predictor–corrector (Mehrotra, SIAM J.
+//! Optim. 2, 1992) instead of MIPS's fixed σ = 0.1. Both solves of an
+//! iteration share one matrix and one factor; only the right-hand side
+//! moves. The predictor solves with `γ = 0` and takes the largest
+//! primal and dual steps to the boundary, which gives the complementarity
+//! `μ_aff` it would reach. The corrector solves with
+//! `γ_r = σμ̄ − Δz_aff,r·Δμ_aff,r`, where `μ̄ = zᵀμ / niq` and
+//! `σ = min(1, (μ_aff/μ̄)³)`: a predictor that makes good progress
+//! centers little, and the second-order term corrects its linearization.
+//! A problem without inequalities makes one solve.
 //!
 //! The reduced system is symmetric and its pattern is fixed for the
 //! whole solve — and for every later solve of the same topology — so
@@ -32,10 +45,11 @@
 //! was built from. Anything else is a fresh build, so an answer never
 //! depends on what the thread solved before. The
 //! static order carries no stability guarantee, so every step is
-//! verified instead — refined against the assembled system to a
-//! relative residual of 1e-12 — and an iteration whose LDLᵀ breaks down or
-//! cannot be refined that far takes its step from a one-shot pivoting
-//! LU, counted as `acopf.kkt.lu_fallbacks`.
+//! verified instead — both solves refined against the assembled system
+//! to a relative residual of 1e-12 — and an iteration whose LDLᵀ breaks
+//! down, or either of whose solves cannot be refined that far, takes both
+//! solves from a one-shot pivoting LU, counted once as
+//! `acopf.kkt.lu_fallbacks`.
 
 use gm_faults::FaultKind;
 use gm_numeric::Fnv1a;
@@ -200,13 +214,11 @@ fn passes_into<P: Nlp + ?Sized>(
 /// Feasibility, gradient, complementarity and cost-change tolerance
 /// (the MIPS defaults): the IPM stops when all four conditions are below it.
 const TOL: f64 = 1e-6;
-/// Centering parameter σ.
-pub(crate) const SIGMA: f64 = 0.1;
 /// Step back-off ξ.
 const XI: f64 = 0.99995;
 
-/// IPM options. The convergence tolerances (1e-6), the centering
-/// parameter σ = 0.1 and the step back-off ξ = 0.99995 are fixed.
+/// IPM options. The convergence tolerances (1e-6) and the step back-off
+/// ξ = 0.99995 are fixed; the centering follows from each predictor.
 #[derive(Clone, Debug)]
 pub struct IpmOptions {
     /// Iteration budget.
@@ -426,8 +438,7 @@ impl System {
         }
     }
 
-    /// The reduced KKT matrix and right-hand side `[−N; −g]` at the
-    /// iterate last evaluated.
+    /// The reduced KKT matrix at the iterate last evaluated.
     pub(crate) fn assemble<P: Nlp>(
         &mut self,
         prob: &P,
@@ -435,7 +446,6 @@ impl System {
         lam: &[f64],
         mu: &[f64],
         z: &[f64],
-        gamma: f64,
     ) -> Result<(), String> {
         if self.verified.is_none() {
             self.stamp_hessian::<true, P>(prob, x, lam, mu)?;
@@ -445,22 +455,99 @@ impl System {
         }
         let mut kkt = self.kkt.stamper::<false>();
         stamp_kkt(&self.s, mu, z, &mut kkt);
-        // N = Lx + Jhᵀ·Z⁻¹(γe + M·h), exactly as in MIPS: eliminating Δz
+        Ok(())
+    }
+
+    /// The right-hand side `[−N; −g]` for the per-row complementarity
+    /// target `γ`, at the iterate last evaluated.
+    pub(crate) fn load_rhs(&mut self, mu: &[f64], z: &[f64], target: &[f64]) {
+        // N = Lx + Jhᵀ·Z⁻¹(γ + M·h), exactly as in MIPS: eliminating Δz
         // and Δμ folds the current duals (Z⁻¹·M·z = μ) back into the
         // barrier term.
         for r in 0..z.len() {
-            self.tz[r] = (gamma + mu[r] * self.h[r]) / z[r];
+            self.tz[r] = (target[r] + mu[r] * self.h[r]) / z[r];
         }
         self.s.jh.mat().mul_vec_t_into(&self.tz, &mut self.tx);
-        let nx = x.len();
+        let nx = self.lx.len();
         for i in 0..nx {
             self.rhs[i] = -(self.lx[i] + self.tx[i]);
         }
         for (r, gr) in self.g.iter().enumerate() {
             self.rhs[nx + r] = -gr;
         }
-        Ok(())
     }
+
+    /// The slack and inequality-dual steps a solution `dx` of the system
+    /// for `target` implies.
+    fn slack_steps(
+        &mut self,
+        dx: &[f64],
+        (z, mu): (&[f64], &[f64]),
+        target: &[f64],
+        (dz, dmu): (&mut [f64], &mut [f64]),
+    ) {
+        let jh_dx = &mut self.tz;
+        self.s.jh.mat().mul_vec_into(dx, jh_dx);
+        for r in 0..z.len() {
+            dz[r] = -(self.h[r] + z[r]) - jh_dx[r];
+            dmu[r] = target[r] / z[r] - mu[r] - (mu[r] / z[r]) * dz[r];
+        }
+    }
+}
+
+/// The largest step `α ≤ 1` that keeps `v + α·dv` at least `1 − ξ` of
+/// the way from the boundary (`ξ = 1`: all the way to it).
+fn boundary_step(v: &[f64], dv: &[f64], xi: f64) -> f64 {
+    let mut alpha: f64 = 1.0;
+    for (&vi, &di) in v.iter().zip(dv) {
+        if di < 0.0 {
+            alpha = alpha.min(-xi * vi / di);
+        }
+    }
+    alpha
+}
+
+/// One iteration's direction on the KKT matrix `solve` applies: the
+/// predictor, then — when there are inequalities — the corrector,
+/// leaving `(Δx, Δλ)` in `sol` and the slack and dual steps in
+/// `dz` / `dmu`. Returns the centering target σμ̄, or `None` as soon as
+/// `solve` fails.
+pub(crate) fn predict_correct(
+    sys: &mut System,
+    (z, mu): (&[f64], &[f64]),
+    target: &mut Vec<f64>,
+    (dz, dmu): (&mut [f64], &mut [f64]),
+    sol: &mut Vec<f64>,
+    mut solve: impl FnMut(&System, &mut Vec<f64>) -> bool,
+) -> Option<f64> {
+    let (nx, niq) = (sys.lx.len(), z.len());
+    target.clear();
+    target.resize(niq, 0.0);
+    sys.load_rhs(mu, z, target);
+    if !solve(sys, sol) {
+        return None;
+    }
+    sys.slack_steps(&sol[..nx], (z, mu), target, (&mut *dz, &mut *dmu));
+    if niq == 0 {
+        return Some(0.0);
+    }
+    let mu_bar = z.iter().zip(mu).map(|(a, b)| a * b).sum::<f64>() / niq as f64;
+    let (alpha_p, alpha_d) = (boundary_step(z, dz, 1.0), boundary_step(mu, dmu, 1.0));
+    let mu_aff = (0..niq)
+        .map(|r| (z[r] + alpha_p * dz[r]) * (mu[r] + alpha_d * dmu[r]))
+        .sum::<f64>()
+        / niq as f64;
+    let sigma = (mu_aff / mu_bar).powi(3).min(1.0);
+    let centre = sigma * mu_bar;
+    for r in 0..niq {
+        target[r] = centre - dz[r] * dmu[r];
+    }
+    sys.load_rhs(mu, z, target);
+    if !solve(sys, sol) {
+        return None;
+    }
+    sys.slack_steps(&sol[..nx], (z, mu), target, (dz, dmu));
+    Some(centre)
 }
 
 /// Everything about a solve that depends on the problem's pattern
@@ -476,6 +563,8 @@ struct Plan {
     z: Vec<f64>,
     dz: Vec<f64>,
     dmu: Vec<f64>,
+    /// The per-row complementarity target of the solve in progress.
+    target: Vec<f64>,
 }
 
 impl Plan {
@@ -492,6 +581,7 @@ impl Plan {
             z: Vec::with_capacity(niq),
             dz: vec![0.0; niq],
             dmu: vec![0.0; niq],
+            target: Vec::with_capacity(niq),
         })
     }
 
@@ -504,9 +594,11 @@ impl Plan {
             z,
             dz,
             dmu,
+            target,
         } = self;
         let vectors = [
-            &sys.df, &sys.g, &sys.h, &sys.lx, &sys.rhs, &sys.tx, &sys.tz, sol, solve_ws, z, dz, dmu,
+            &sys.df, &sys.g, &sys.h, &sys.lx, &sys.rhs, &sys.tx, &sys.tz, sol, solve_ws, z, dz,
+            dmu, target,
         ];
         let stencils = [&sys.s.jg, &sys.s.jh, &sys.s.hess, &sys.kkt];
         stencils.map(Stencil::retained_bytes).iter().sum::<usize>()
@@ -699,6 +791,7 @@ fn barrier_iterations<P: Nlp>(
         z,
         dz,
         dmu,
+        target,
     } = plan;
 
     *f = sys.evaluate(prob, x).map_err(Stop::Mismatch)?;
@@ -707,9 +800,8 @@ fn barrier_iterations<P: Nlp>(
     let z0 = 1.0;
     z.clear();
     z.extend(sys.h.iter().map(|&hi| (-hi).max(z0)));
-    let mut gamma = 1.0f64;
     for (m, zi) in mu.iter_mut().zip(z.iter()) {
-        *m = gamma / zi;
+        *m = 1.0 / zi;
     }
     let mut f_old = *f;
 
@@ -734,77 +826,60 @@ fn barrier_iterations<P: Nlp>(
         }
 
         let t_assemble = Instant::now();
-        sys.assemble(prob, x, lam, mu, z, gamma)
-            .map_err(Stop::Mismatch)?;
+        sys.assemble(prob, x, lam, mu, z).map_err(Stop::Mismatch)?;
         let t_factor = Instant::now();
-        let kkt_m = sys.kkt.mat();
 
         let forced_fallback = gm_faults::inject("acopf.kkt.ldl") == Some(FaultKind::LuSingular);
-        let refined = if forced_fallback {
-            None
-        } else {
-            // The analysis was made from this very matrix: values only.
-            ldl.replay(kkt_m.values())
-                .and_then(|()| {
-                    ldl.solve_refined(
-                        kkt_m,
-                        &sys.rhs,
-                        sol,
-                        solve_ws,
-                        KKT_RESIDUAL_TOL,
-                        KKT_REFINE_STEPS,
-                    )
-                })
-                .ok()
-        };
-        match refined {
-            Some(r) => {
+        // The analysis was made from this very matrix: values only.
+        let replayed = !forced_fallback && ldl.replay(sys.kkt.mat().values()).is_ok();
+        let ldl_solve = |sys: &System, sol: &mut Vec<f64>| {
+            ldl.solve_refined(
+                sys.kkt.mat(),
+                &sys.rhs,
+                sol,
+                solve_ws,
+                KKT_RESIDUAL_TOL,
+                KKT_REFINE_STEPS,
+            )
+            .map(|r| {
                 gm_telemetry::counter_add("acopf.kkt.refine_steps", r.steps as u64);
                 gm_telemetry::histogram_record("acopf.kkt.residual", r.residual);
-            }
+            })
+            .is_ok()
+        };
+        let on_ldl = replayed
+            .then(|| predict_correct(sys, (z, mu), target, (dz, dmu), sol, ldl_solve))
+            .flatten();
+        let centre = match on_ldl {
+            Some(centre) => centre,
             None => {
                 // The static pivot order failed on these values: take
-                // this one step from the pivoting LU instead.
+                // both of this iteration's solves from the pivoting LU.
                 gm_telemetry::counter_add("acopf.kkt.lu_fallbacks", 1);
-                let Ok(lu) = SparseLu::factor(kkt_m) else {
-                    return Err(Stop::Short(format!(
-                        "singular KKT system at iteration {it}"
-                    )));
+                let singular = || Stop::Short(format!("singular KKT system at iteration {it}"));
+                let lu = SparseLu::factor(sys.kkt.mat()).map_err(|_| singular())?;
+                let lu_solve = |sys: &System, sol: &mut Vec<f64>| {
+                    sol.clone_from(&sys.rhs);
+                    solve_ws.resize(n_kkt, 0.0);
+                    lu.solve_in_place(sol, solve_ws);
+                    true
                 };
-                sol.clone_from(&sys.rhs);
-                solve_ws.resize(n_kkt, 0.0);
-                lu.solve_in_place(sol, solve_ws);
+                predict_correct(sys, (z, mu), target, (dz, dmu), sol, lu_solve)
+                    .ok_or_else(singular)?
             }
-        }
+        };
         gm_telemetry::histogram_record("acopf.ipm.factor_s", t_factor.elapsed().as_secs_f64());
         gm_telemetry::histogram_record(
             "acopf.ipm.assemble_s",
             (t_factor - t_assemble).as_secs_f64(),
         );
+        gm_telemetry::histogram_record("acopf.ipm.barrier_mu", centre);
         let dx = &sol[..nx];
         let dlam = &sol[nx..];
 
-        // Recover slack and dual steps.
-        let jh_dx = &mut sys.tz;
-        sys.s.jh.mat().mul_vec_into(dx, jh_dx);
-        for r in 0..niq {
-            dz[r] = -(sys.h[r] + z[r]) - jh_dx[r];
-            dmu[r] = gamma / z[r] - mu[r] - (mu[r] / z[r]) * dz[r];
-        }
-
         // Step lengths.
-        let mut alpha_p: f64 = 1.0;
-        for r in 0..niq {
-            if dz[r] < 0.0 {
-                alpha_p = alpha_p.min(-XI * z[r] / dz[r]);
-            }
-        }
-        let mut alpha_d: f64 = 1.0;
-        for r in 0..niq {
-            if dmu[r] < 0.0 {
-                alpha_d = alpha_d.min(-XI * mu[r] / dmu[r]);
-            }
-        }
+        let alpha_p = boundary_step(z, dz, XI);
+        let alpha_d = boundary_step(mu, dmu, XI);
         if alpha_p < 1e-14 && alpha_d < 1e-14 {
             return Err(Stop::Short(format!("numerically stuck at iteration {it}")));
         }
@@ -819,9 +894,6 @@ fn barrier_iterations<P: Nlp>(
         for r in 0..neq {
             lam[r] += alpha_d * dlam[r];
         }
-        gamma =
-            SIGMA * z.iter().zip(mu.iter()).map(|(a, b)| a * b).sum::<f64>() / niq.max(1) as f64;
-        gm_telemetry::histogram_record("acopf.ipm.barrier_mu", gamma);
 
         f_old = *f;
         *f = sys.evaluate(prob, x).map_err(Stop::Mismatch)?;

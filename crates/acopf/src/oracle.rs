@@ -5,8 +5,9 @@
 //! them with the `JhᵀZ⁻¹MJh` products into a second triplet list and
 //! sort-merged that into the KKT matrix. That path is kept here, out of
 //! the solver, as the oracle the slot programs are held to bit for bit:
-//! same patterns, same values, same right-hand side, at the initial
-//! point and at later iterates of a real solve.
+//! same patterns, same values, the same predictor and corrector
+//! right-hand sides, at the initial point and at later iterates of a
+//! real solve.
 
 #[cfg(test)]
 mod tests {
@@ -15,7 +16,7 @@ mod tests {
     use crate::ipm::{self, passes, IpmOptions, Nlp, Structure, System};
     use crate::scopf::{secure, ScopfOptions, ScopfProblem};
     use gm_network::{cases, CaseId, Network};
-    use gm_sparse::{CsMat, Stencil, Triplets};
+    use gm_sparse::{CsMat, SparseLu, Stencil, Triplets};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -84,8 +85,31 @@ mod tests {
         );
     }
 
-    /// Assembles the system at `(x, λ, μ, z, γ)` through the slot programs
-    /// and through the triplet reference and demands equal bits.
+    /// The parent's right-hand side for the per-row complementarity
+    /// target `γ`, allocating products and all.
+    fn rhs_reference(sys: &System, lam: &[f64], mu: &[f64], z: &[f64], target: &[f64]) -> Vec<f64> {
+        let (jh, jg) = (sys.s.jh.mat(), sys.s.jg.mat());
+        let nx = sys.df.len();
+        let mut lx = sys.df.clone();
+        let (jgt_lam, jht_mu) = (jg.mul_vec_t(lam), jh.mul_vec_t(mu));
+        for i in 0..nx {
+            lx[i] += jgt_lam[i] + jht_mu[i];
+        }
+        let zinv_term: Vec<f64> = (0..z.len())
+            .map(|r| (target[r] + mu[r] * sys.h[r]) / z[r])
+            .collect();
+        let jht_zt = jh.mul_vec_t(&zinv_term);
+        (0..nx)
+            .map(|i| -(lx[i] + jht_zt[i]))
+            .chain(sys.g.iter().map(|g| -g))
+            .collect()
+    }
+
+    /// Assembles the system at `(x, λ, μ, z)` through the slot programs
+    /// and through the triplet reference and demands equal bits — of the
+    /// matrix and of both right-hand sides an iteration solves on it: the
+    /// predictor's (`γ = 0`) and the corrector's, whose target the
+    /// predictor's direction sets.
     fn assert_assembly_matches<P: Nlp>(
         prob: &P,
         sys: &mut System,
@@ -93,11 +117,10 @@ mod tests {
         lam: &[f64],
         mu: &[f64],
         z: &[f64],
-        gamma: f64,
     ) {
         sys.evaluate(prob, x).unwrap();
         sys.gradient(lam, mu);
-        sys.assemble(prob, x, lam, mu, z, gamma).unwrap();
+        sys.assemble(prob, x, lam, mu, z).unwrap();
 
         let stated = Structure::of(prob).unwrap();
         let [jg, jh, hess] = passes(prob, x, lam, mu);
@@ -111,28 +134,38 @@ mod tests {
         assert_eq!(sys.kkt.mat().indices(), kkt.indices(), "KKT pattern");
         assert_eq!(bits(sys.kkt.mat().values()), bits(kkt.values()), "KKT");
 
-        // The parent's right-hand side, allocating products and all.
-        let nx = x.len();
-        let mut lx = sys.df.clone();
-        let (jgt_lam, jht_mu) = (jg.mul_vec_t(lam), jh.mul_vec_t(mu));
-        for i in 0..nx {
-            lx[i] += jgt_lam[i] + jht_mu[i];
-        }
-        let zinv_term: Vec<f64> = (0..z.len())
-            .map(|r| (gamma + mu[r] * sys.h[r]) / z[r])
-            .collect();
-        let jht_zt = jh.mul_vec_t(&zinv_term);
-        let rhs: Vec<f64> = (0..nx)
-            .map(|i| -(lx[i] + jht_zt[i]))
-            .chain(sys.g.iter().map(|g| -g))
-            .collect();
-        assert_eq!(bits(&sys.rhs), bits(&rhs), "rhs");
+        let predictor = vec![0.0; z.len()];
+        sys.load_rhs(mu, z, &predictor);
+        let rhs = rhs_reference(sys, lam, mu, z, &predictor);
+        assert_eq!(bits(&sys.rhs), bits(&rhs), "predictor rhs");
+
+        // The corrector's target and right-hand side, as an iteration
+        // leaves them, from directions the pivoting LU solves for.
+        let lu = SparseLu::factor(sys.kkt.mat()).unwrap();
+        let mut target = Vec::new();
+        let (mut dz, mut dmu) = (vec![0.0; z.len()], vec![0.0; z.len()]);
+        let lu_solve = |sys: &System, sol: &mut Vec<f64>| {
+            sol.clone_from(&sys.rhs);
+            lu.solve_in_place(sol, &mut vec![0.0; sys.rhs.len()]);
+            true
+        };
+        let centre = ipm::predict_correct(
+            sys,
+            (z, mu),
+            &mut target,
+            (&mut dz, &mut dmu),
+            &mut Vec::new(),
+            lu_solve,
+        )
+        .unwrap();
+        assert!(centre > 0.0 && target.iter().any(|&t| t != centre));
+        let rhs = rhs_reference(sys, lam, mu, z, &target);
+        assert_eq!(bits(&sys.rhs), bits(&rhs), "corrector rhs");
     }
 
     /// The differential test: `x0` with the MIPS starting multipliers, then
     /// the iterates a real solve has reached after 2 and after 6 barrier
-    /// steps, with slacks and a barrier parameter of the size they have
-    /// there.
+    /// steps, with slacks of the size they have there.
     fn assert_matches_reference<P: Nlp>(prob: &P) {
         let mut sys = System::build(prob).unwrap();
         let mut x0 = vec![0.0; prob.nx()];
@@ -141,7 +174,7 @@ mod tests {
         let z0: Vec<f64> = sys.h.iter().map(|h| (-h).max(1.0)).collect();
         let mu0: Vec<f64> = z0.iter().map(|z| 1.0 / z).collect();
         let lam0 = vec![0.0; prob.neq()];
-        assert_assembly_matches(prob, &mut sys, &x0, &lam0, &mu0, &z0, 1.0);
+        assert_assembly_matches(prob, &mut sys, &x0, &lam0, &mu0, &z0);
 
         for steps in [2, 6] {
             let opts = IpmOptions { max_iter: steps };
@@ -150,9 +183,7 @@ mod tests {
             assert!(at.lam.iter().any(|&l| l != 0.0) || prob.neq() == 0);
             sys.evaluate(prob, &at.x).unwrap();
             let z: Vec<f64> = sys.h.iter().map(|h| (-h).max(1e-3)).collect();
-            let gamma =
-                ipm::SIGMA * z.iter().zip(&at.mu).map(|(a, b)| a * b).sum::<f64>() / z.len() as f64;
-            assert_assembly_matches(prob, &mut sys, &at.x, &at.lam, &at.mu, &z, gamma);
+            assert_assembly_matches(prob, &mut sys, &at.x, &at.lam, &at.mu, &z);
         }
     }
 
@@ -224,7 +255,8 @@ mod tests {
         let f = sys.evaluate(prob, &x);
         prop_assert!(matches!(f, Ok(f) if f.is_finite()), "{f:?}");
         sys.gradient(&lam, &mu);
-        prop_assert_eq!(sys.assemble(prob, &x, &lam, &mu, &z, 0.1), Ok(()));
+        prop_assert_eq!(sys.assemble(prob, &x, &lam, &mu, &z), Ok(()));
+        sys.load_rhs(&mu, &z, &vec![0.1; z.len()]);
         for (written, stated) in [
             (&sys.s.jg, &stated.jg),
             (&sys.s.jh, &stated.jh),

@@ -423,8 +423,9 @@ mod number_provenance {
     use gm_faults::{FaultInjector, FaultKind, FaultRule};
     use serde_json::Value;
 
-    /// Numbers the narration templates state themselves.
-    const TEMPLATE_LITERALS: &[&str] = &["(14, 30, 57, 118, or 300 bus)", "N-1"];
+    /// Numbers the narration templates state themselves: the case list,
+    /// the N-1 criterion and the quality score's scale ("Overall=8.5/10.").
+    const TEMPLATE_LITERALS: &[&str] = &["(14, 30, 57, 118, or 300 bus)", "N-1", "/10."];
 
     /// The numbers written in `text`: a run of digits with at most one
     /// inner `.`, not glued to a name before it (`case14`, `run_n1` are

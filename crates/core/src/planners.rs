@@ -93,6 +93,17 @@ fn narrate<T: Wire>(result: &Value, say: impl FnOnce(&T) -> String) -> Result<St
         .map_err(|e| format!("its result does not have the declared shape ({e})"))
 }
 
+/// A signed cost change to the cent. One that rounds to nothing is
+/// "+0.00" whatever the sign of the solver tolerance behind it.
+fn signed_cents(delta: f64) -> String {
+    let cents = format!("{delta:+.2}");
+    if cents == "-0.00" {
+        String::from("+0.00")
+    } else {
+        cents
+    }
+}
+
 // ---------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------
@@ -501,7 +512,8 @@ impl AcopfPlanner {
         // to compare against, and the narration claims none.
         let against = match out.previous_cost.zip(out.cost_delta) {
             Some((previous, delta)) => {
-                format!(" (previously {previous:.2} $/h, a change of {delta:+.2} $/h)")
+                let delta = signed_cents(delta);
+                format!(" (previously {previous:.2} $/h, a change of {delta} $/h)")
             }
             None => String::new(),
         };
@@ -523,7 +535,7 @@ impl AcopfPlanner {
     fn narrate_gen_limits(out: &GenLimitsResult) -> String {
         let sol = &out.edit.dispatch.summary;
         let against = match out.edit.cost_delta {
-            Some(delta) => format!(" (a change of {delta:+.2} $/h)"),
+            Some(delta) => format!(" (a change of {} $/h)", signed_cents(delta)),
             None => String::new(),
         };
         format!(
@@ -542,12 +554,12 @@ impl AcopfPlanner {
         let sol = &out.dispatch.summary;
         format!(
             "Solved the security-constrained OPF. Secure dispatch cost {:.2} $/h against an \
-             unconstrained economic optimum of {:.2} $/h — a security premium of {:+.2} $/h \
+             unconstrained economic optimum of {:.2} $/h — a security premium of {} $/h \
              covering {} screened post-contingency flow constraints. Losses {:.2} MW; voltage \
              range [{:.4}, {:.4}] p.u. Quality assessment: Overall={:.1}/10.",
             sol.objective_cost,
             out.economic_cost,
-            out.security_premium,
+            signed_cents(out.security_premium),
             out.n_security_constraints,
             sol.losses_mw,
             sol.min_voltage_pu,

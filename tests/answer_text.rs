@@ -48,16 +48,28 @@ fn scripted_dialogue_answers_are_byte_pinned() {
             // All 11 tools on one session, then three transparent failures.
             &[
                 ("what is the current status", 0xc443_1278_fd14_5e9c),
-                ("solve case30", 0xb3ac_20bd_0a9a_e8fd),
-                ("set the load at bus 10 to 50 MW", 0x42c8_23d8_5690_e248),
+                // The four ACOPF rows below re-recorded on purpose for the
+                // IPM's predictor–corrector. This one narrates "converged
+                // in 7 interior-point iterations" where the parent said 10
+                // (0xb3ac_20bd_0a9a_e8fd); the edit and SCOPF rows narrate
+                // a quality score the iteration count enters, 8.4 where
+                // the parent said 8.3 (0x42c8_23d8_5690_e248 and
+                // 0x8a91_28d5_2456_31b2).
+                ("solve case30", 0x1eea_5adc_982a_7777),
+                ("set the load at bus 10 to 50 MW", 0xbf1f_65f2_a40c_7069),
                 (
                     "limit the generator at bus 2 to between 10 and 60 MW",
-                    0x6fb1_272e_d1ac_1567,
+                    // A cost change that rounds to nothing reads "+0.00"
+                    // whatever the sign of the solver tolerance behind it:
+                    // the parent narrated "a change of -0.00 $/h"
+                    // (0x6fb1_272e_d1ac_1567), and the case14 row below
+                    // would have flipped to it under the predictor–corrector.
+                    0x4c55_68b1_5f23_40c5,
                 ),
                 ("show the current status", 0x9834_701d_39d9_197a),
                 (
                     "solve the security-constrained dispatch",
-                    0x8a91_28d5_2456_31b2,
+                    0x3ace_1dc6_8b4d_ca7f,
                 ),
                 (
                     "sweep the load from 80% to 120% in 5 steps",
@@ -160,7 +172,10 @@ fn degraded_answers_are_byte_pinned() {
     check(
         &ModelProfile::by_name("GPT-5").unwrap(),
         &[&[
-            ("solve case14", 0x375a_099d_9abf_b61e),
+            // Re-recorded on purpose for the IPM's predictor–corrector: the
+            // DC-OPF fallback narrates 7 iterations and a quality score of
+            // 9.9 where the parent said 10 and 9.8 (0x375a_099d_9abf_b61e).
+            ("solve case14", 0xb568_4039_43a8_ca0d),
             // Re-recorded on purpose when islanding load sums started from
             // +0.0: the parent narrated "stranding -0.0 MW of load" for
             // line 10 (0x1995_85d8_5b9b_2a29). Re-recorded again for the

@@ -9,7 +9,9 @@
 //! the fault-free path would poison every baseline it is supposed to
 //! protect.
 
+use gm_acopf::{solve_acopf, AcopfOptions};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
+use gm_network::{cases, CaseId};
 use gridmind_core::{GridMind, ModelProfile, CAVEAT_PREFIX};
 use proptest::prelude::*;
 
@@ -115,13 +117,27 @@ fn refactor_fault_falls_back_without_descending_the_ladder() {
 /// degraded method.
 #[test]
 fn kkt_ldl_fault_takes_the_lu_step_without_descending_the_ladder() {
-    // Two isolated iterations of the first solve (case14 takes 28),
-    // then every iteration of the second.
+    // Two isolated iterations of the first solve, then every iteration
+    // of the second: the site is consulted once per barrier iteration,
+    // so the case14 solve's iteration count is where the case30 solve
+    // begins.
+    let case14 =
+        solve_acopf(&cases::load(CaseId::Ieee14), &AcopfOptions::default()).expect("case14 solves");
+    let case14_iterations = case14.iterations as u64;
+    assert!(
+        case14_iterations > 5,
+        "the isolated faults must land in case14"
+    );
     assert_absorbed_below_the_ladder(
         vec![
             FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 2, 1),
             FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 5, 1),
-            FaultRule::new("acopf.kkt.ldl", FaultKind::LuSingular, 28, u64::MAX),
+            FaultRule::new(
+                "acopf.kkt.ldl",
+                FaultKind::LuSingular,
+                case14_iterations,
+                u64::MAX,
+            ),
         ],
         &["solve case14", "solve case30"],
         "acopf.kkt.lu_fallbacks",

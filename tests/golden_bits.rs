@@ -166,16 +166,21 @@ fn acopf_digest(sol: &AcopfSolution) -> u64 {
     )
 }
 
+/// Re-recorded once, on purpose, when the IPM's fixed centering σ = 0.1
+/// became Mehrotra's predictor–corrector (ROADMAP item 2(b)): another
+/// path to the same optimum, so every quantity moved within the solver's
+/// tolerance and the iteration count fell. Parent digest, max
+/// |Δobjective| ($/h), max |ΔVm| (p.u.) and max |ΔVa| (°) beside each row.
 #[test]
 fn acopf_solutions_are_bit_pinned() {
     let got = CaseId::ALL
         .map(|id| acopf_digest(&solve_acopf(&cases::load(id), &AcopfOptions::default()).unwrap()));
     let want = [
-        0x3fdee7f5eeeed641,
-        0x164848de7630d7c2,
-        0x19a7659f07caaf10,
-        0xfaa253572948d0f3,
-        0x8ffd748e2506d63c,
+        0x27a6396817918d16, // case14: was 0x3fdee7f5eeeed641; 3.9e-8, 1.4e-10, 2.6e-9
+        0x394c68fdf55a1cee, // case30: was 0x164848de7630d7c2; 4.1e-8, 7.1e-9, 7.2e-8
+        0x68990f9ffe5f0690, // case57: was 0x19a7659f07caaf10; 3.5e-5, 1.8e-9, 7.1e-8
+        0xcc7aaa5f4543be71, // case118: was 0xfaa253572948d0f3; 4.4e-8, 7.2e-11, 1.2e-9
+        0xc319674e77173287, // case300: was 0x8ffd748e2506d63c; 1.6e-6, 4.5e-7, 4.7e-6
     ];
     assert_eq!(got, want, "{got:#018x?}");
 }
@@ -184,14 +189,20 @@ fn acopf_solutions_are_bit_pinned() {
 /// rows read the per-column LODF (case30 0x75113a2788316421 →
 /// 0x4554ac9310dbefac, case57 0xd09a131afb2fc1d4 → 0x8dec8fcd909510d0;
 /// every |Δ| ≤ 1.4e-10 over `acopf_digest`'s quantities, the same
-/// iteration counts and the same 20 / 393 security rows).
+/// iteration counts and the same 20 / 393 security rows). Re-recorded
+/// again with the ACOPF rows for the predictor–corrector, the same 20 /
+/// 393 security rows and 0 relaxations; parent digest, max |Δobjective|,
+/// |ΔVm| and |ΔVa| beside each row.
 #[test]
 fn scopf_solutions_are_bit_pinned() {
     let got = [CaseId::Ieee30, CaseId::Ieee57].map(|id| {
         let scopf = solve_scopf(&cases::load(id), &ScopfOptions::default()).unwrap();
         acopf_digest(&scopf.solution)
     });
-    let want = [0x4554ac9310dbefac, 0x8dec8fcd909510d0];
+    let want = [
+        0x49ee2a508b611bd5, // case30: was 0x4554ac9310dbefac; 4.2e-7, 2.6e-8, 1.2e-7
+        0xe5203296c0e23d23, // case57: was 0x8dec8fcd909510d0; 5.4e-9, 6.6e-12, 8.2e-11
+    ];
     assert_eq!(got, want, "{got:#018x?}");
 }
 
@@ -208,6 +219,11 @@ fn dcopf_solutions_are_bit_pinned() {
                 .chain([dc.objective_cost, dc.iterations as f64]),
         )
     });
-    let want = [0xb29f2dd2bb5098df, 0x01fc6f9d125a7236];
+    // Re-recorded with the ACOPF rows for the predictor–corrector; parent
+    // digest, max |Δobjective| ($/h) and max |ΔVa| (°) beside each row.
+    let want = [
+        0x9ac3201d43eec43a, // case14: was 0xb29f2dd2bb5098df; 1.4e-7, 2.1e-8
+        0x1818e67c00235ccc, // case118: was 0x01fc6f9d125a7236; 1.2e-7, 2.3e-8
+    ];
     assert_eq!(got, want, "{got:#018x?}");
 }

@@ -23,7 +23,7 @@
 //! and the `repeat_` rows pin the warm one. The IPM's KKT plans (`acopf.kkt.structure_*`) live per thread
 //! under the same rules, with `repeat_` rows of their own.
 
-use gm_acopf::{solve_acopf, solve_scopf, AcopfOptions, ScopfOptions};
+use gm_acopf::{solve_acopf, solve_dcopf, solve_scopf, AcopfOptions, IpmOptions, ScopfOptions};
 use gm_contingency::{n_minus_2_preview, run_gen_n1, run_n1, CaOptions, SweepMode};
 use gm_network::{cases, load_scale, slack_pinned_bprime, CaseId, Network, ScaleId};
 use gm_powerflow::{run_batch, solve, solve_fast_decoupled, InitStrategy, PfOptions, ScenarioSet};
@@ -94,12 +94,15 @@ const PINNED: &[(&str, u64)] = &[
     ("powerflow.batch_symbolic_builds.case300x64", 17),
     ("powerflow.batch_direct_demotions.case300x64", 88),
     // Interior-point ACOPF: one symbolic analysis of the KKT pattern per
-    // solve, a numeric refactorization per barrier iteration.
-    ("acopf.ipm_iters.case14", 28),
-    ("acopf.ipm_iters.case30", 10),
-    ("acopf.ipm_iters.case57", 28),
-    ("acopf.ipm_iters.case118", 32),
-    ("acopf.ipm_iters.case300", 28),
+    // solve, a numeric refactorization per barrier iteration. The
+    // iteration rows were re-recorded when the fixed centering σ = 0.1
+    // became Mehrotra's predictor–corrector (ROADMAP item 2(b)); the
+    // parent's counts are beside them.
+    ("acopf.ipm_iters.case14", 15),  // was 28
+    ("acopf.ipm_iters.case30", 7),   // was 10
+    ("acopf.ipm_iters.case57", 14),  // was 28
+    ("acopf.ipm_iters.case118", 15), // was 32
+    ("acopf.ipm_iters.case300", 16), // was 28
     ("acopf.symbolic_builds.case14", 1),
     ("acopf.symbolic_builds.case30", 1),
     ("acopf.symbolic_builds.case57", 1),
@@ -110,10 +113,13 @@ const PINNED: &[(&str, u64)] = &[
     // rounds.
     ("acopf.scopf_rounds.case30", 1),
     ("acopf.scopf_security_rows.case30", 20),
-    ("acopf.scopf_ipm_iters.case30", 22),
+    ("acopf.scopf_ipm_iters.case30", 15), // was 22
     ("acopf.scopf_rounds.case57", 2),
     ("acopf.scopf_security_rows.case57", 393),
-    ("acopf.scopf_ipm_iters.case57", 84),
+    ("acopf.scopf_ipm_iters.case57", 43), // was 84
+    // The DC-OPF the recovery ladder's DC rung runs: a QP on the same
+    // IPM (29 under the fixed centering).
+    ("acopf.dcopf_ipm_iters.case118", 11),
     // The KKT structure — pattern, slot program, LDLᵀ analysis — is
     // built once per IPM solve, never per barrier iteration: 1 for an
     // ACOPF; the economic solve plus one per round and relaxation for a
@@ -386,6 +392,13 @@ fn ipm_iterations_and_kkt_analyses() {
         ];
         put(&mut rows, id.short_name(), &counts);
     }
+    let case118 = cases::load(CaseId::Ieee118);
+    let (dc, _) = counted(|| solve_dcopf(&case118, &IpmOptions::default()).expect("DC-OPF solves"));
+    put(
+        &mut rows,
+        "case118",
+        &[("acopf.dcopf_ipm_iters", dc.iterations as u64)],
+    );
     // The warm side: the same solve again on the thread that just ran it.
     let repeated = |solve: &(dyn Fn() + Sync)| -> Registry {
         let (second, _) = counted(|| {
