@@ -1,5 +1,6 @@
-//! Compensated post-outage AC power flow (the Alsac–Stott–Tinney
-//! compensation method).
+//! Compensated post-outage AC power flow (the compensation method of
+//! Alsac, Stott & Tinney, "Sparsity-oriented compensation methods for
+//! modified network solutions", IEEE Trans. PAS-102, 1983).
 //!
 //! A branch outage perturbs the polar Newton Jacobian, evaluated at a
 //! fixed state, only in the rows and columns of its two endpoint buses —
@@ -22,13 +23,30 @@
 //! for severe ones — so every failure mode (ill-conditioned capacitance,
 //! stalled or diverging iteration, Q-limit enforcement) is a typed error
 //! that routes the caller to the existing full-Newton fallback.
+//!
+//! A generating-unit outage changes no admittance, only targets
+//! ([`CompensationBase::solve_unit_outage`]). Where the unit's bus keeps
+//! its role the base factor solves the outaged system as it is. Where
+//! the unit was a PV bus's only support the bus turns PQ, and the
+//! system grows by that bus's `|V|` and Q mismatch: a one-row,
+//! one-column border of the base Jacobian,
+//!
+//! ```text
+//! [ J0  u ] [dx]   [f]      s  = d − wᵀ·J0⁻¹·u          (once per outage)
+//! [ wᵀ  d ] [dv] = [g]      dv = (g − wᵀ·J0⁻¹·f) / s,  dx = J0⁻¹·f − J0⁻¹·u·dv
+//! ```
+//!
+//! solved through the scalar Schur complement `s`. Both kinds of outage
+//! and the branch outages above run one fixed-Jacobian loop
+//! (`CompensationBase::chord`); they differ only in the linear solve and
+//! the system whose mismatch it drives to zero.
 
 use crate::newton::build_report;
-use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex};
+use crate::polar::{effective_roles, targets_pu, BusDevices, Iterate, PolarIndex, Role};
 use crate::types::{PfOptions, PfReport, TOL_PU};
 use gm_network::{Network, YBus};
 use gm_numeric::Complex;
-use gm_sparse::{CompensateError, CompensatedLu, SparseLu, Triplets};
+use gm_sparse::{CompensateError, CompensatedLu, SparseLu, Stamp, Triplets};
 
 /// Iteration budget for the fixed-Jacobian loop. Linear convergence
 /// needs more headroom than Newton's default; past this, the outage is
@@ -39,6 +57,12 @@ const COMP_MAX_ITER: usize = 40;
 /// stall (the fixed-point map is contracting on the cases worth
 /// compensating; a plateau means it is not).
 const STALL_LIMIT: usize = 4;
+
+/// Relative floor on a unit outage's Schur complement `d − wᵀ·J0⁻¹·u`
+/// against the larger of its two terms: below it the bordered system is
+/// numerically singular and the outage goes to the Newton path. As
+/// conservative as the Woodbury capacitance floor in gm-sparse.
+const SCHUR_RCOND_MIN: f64 = 1e-10;
 
 /// Why a compensated outage solve could not produce a report.
 #[derive(Clone, Debug)]
@@ -82,12 +106,15 @@ impl std::error::Error for CompensatedPfError {}
 
 /// Base-case state shared by every compensated outage solve of one
 /// sweep: fixed bus roles and variable maps, scheduled injections, the
-/// base Ybus, the base voltages, and the base Jacobian factored once.
+/// base Ybus, the base voltages, and the base Jacobian factored once —
+/// on the thread's engine, so a sweep that follows its base solve
+/// replays that solve's analysis.
 ///
 /// Immutable after construction, so one instance can back all parallel
 /// sweep workers.
 pub struct CompensationBase {
     ybus: YBus,
+    role: Vec<Role>,
     idx: PolarIndex,
     p_spec: Vec<f64>,
     q_spec: Vec<f64>,
@@ -147,14 +174,18 @@ impl CompensationBase {
         x0.set_polar(&vm0, &va0);
         idx.evaluate(&mut x0, &ybus, (&p_spec, &q_spec), &mut Vec::new());
 
-        // Assemble and factor the base Jacobian at x0.
+        // Assemble and factor the base Jacobian at x0. Its pattern is the
+        // base solve's last Jacobian's, so the engine replays that
+        // analysis, bit-identical to a cold factorization.
         let mut tj = Triplets::with_capacity(nvar, nvar, 4 * ybus.matrix.nnz());
         idx.stamp_jacobian(&mut tj, &ybus, &x0);
-        let j0 = SparseLu::factor(&tj.to_csr_structural())
+        let jac = tj.to_csr_structural();
+        let j0 = gm_sparse::with_thread_engine(|engine| engine.factorize(&jac).cloned())
             .map_err(|_| CompensatedPfError::BaseSingular)?;
 
         Ok(CompensationBase {
             ybus,
+            role,
             idx,
             p_spec,
             q_spec,
@@ -185,13 +216,16 @@ impl CompensationBase {
         );
         gm_telemetry::counter_add("pf.compensated.solves", 1);
         let nvar = self.idx.nvar();
-        let spec = (&self.p_spec[..], &self.q_spec[..]);
         let ybus_out = self.ybus.without_branches(work, outaged);
+        let sys = Mismatch {
+            idx: &self.idx,
+            ybus: &ybus_out,
+            spec: (&self.p_spec, &self.q_spec),
+        };
         // The iterate starts at the base state, under the outaged
         // network's injections.
         let mut at = self.x0.clone();
-        let mut currents = Vec::new();
-        self.idx.evaluate(&mut at, &ybus_out, spec, &mut currents);
+        sys.evaluate(&mut at, &mut Vec::new());
 
         // Endpoint buses of the outaged branches: the Jacobian delta at
         // the base state lives entirely on their rows × columns.
@@ -247,12 +281,151 @@ impl CompensationBase {
                 reason: "malformed update block",
             },
         })?;
-
-        // Fixed-Jacobian iteration against the true post-outage mismatch,
-        // in buffers sized once: `at` is the accepted iterate, `next` the
-        // step taken from it, `half` the damped alternative.
-        let mut dx = vec![0.0f64; nvar];
         let mut scratch = vec![0.0f64; nvar];
+        self.chord(work, opts, &sys, at, |dx| {
+            comp.solve_in_place(dx, &mut scratch)
+        })
+    }
+
+    /// Solves the post-outage power flow for `work` — the base network
+    /// with the generating unit `unit` switched out — against the base
+    /// factorization. The admittances do not change; the targets do.
+    ///
+    /// - While the unit's bus keeps its role (another unit holds a PV or
+    ///   slack bus, or the bus was PQ), only the injection targets move,
+    ///   and the chord iteration runs on the base factor as it is. A PV
+    ///   or slack magnitude starts at the setpoint Newton would hold it
+    ///   to: the first remaining unit's.
+    /// - When the unit was its PV bus's only support, the bus turns PQ:
+    ///   its `|V|` joins the unknowns and its Q mismatch the equations, a
+    ///   one-row, one-column border of the base Jacobian, solved through
+    ///   its Schur complement — one extra base solve up front, then one
+    ///   base solve plus `O(n)` per iteration.
+    ///
+    /// The mismatch is the outaged network's, to the same tolerance as
+    /// the Newton path; any failure is a typed signal to fall back to it.
+    pub fn solve_unit_outage(
+        &self,
+        work: &Network,
+        opts: &PfOptions,
+        unit: usize,
+    ) -> Result<PfReport, CompensatedPfError> {
+        let _span = gm_telemetry::span!(
+            "pf.compensated.solve",
+            case = work.name,
+            n_bus = work.n_bus()
+        );
+        gm_telemetry::counter_add("pf.compensated.solves", 1);
+        let n = self.role.len();
+        let bus = match work.gens.get(unit) {
+            Some(g) if work.n_bus() == n && work.slack() == Some(self.slack) && g.bus < n => g.bus,
+            _ => {
+                return Err(CompensatedPfError::Unsupported {
+                    reason: "the unit or the network is not the base's",
+                })
+            }
+        };
+        let role = effective_roles(work, self.slack);
+        if (0..n).any(|i| i != bus && role[i] != self.role[i]) {
+            return Err(CompensatedPfError::Unsupported {
+                reason: "the outage changes the role of another bus",
+            });
+        }
+        let (p_spec, q_spec) = targets_pu(work);
+        let mut at = self.x0.clone();
+        if role[bus] != Role::Pq {
+            let vm_set = (work.gens_at(bus).next())
+                .map_or(work.buses[bus].vm_pu.max(0.5), |(_, g)| g.vm_setpoint_pu);
+            at.vm[bus] = vm_set;
+            at.v[bus] = Complex::from_polar(vm_set, at.va[bus]);
+        }
+        let nvar = self.idx.nvar();
+        let mut scratch = vec![0.0f64; nvar];
+        match (self.role[bus], role[bus]) {
+            (was, now) if was == now => {
+                let sys = Mismatch {
+                    idx: &self.idx,
+                    ybus: &self.ybus,
+                    spec: (&p_spec, &q_spec),
+                };
+                sys.evaluate(&mut at, &mut Vec::new());
+                self.chord(work, opts, &sys, at, |dx| {
+                    self.j0.solve_in_place(dx, &mut scratch)
+                })
+            }
+            (Role::Pv, Role::Pq) => {
+                let idx = self.idx.with_vm_appended(bus);
+                // The border at the base state, where the base Jacobian
+                // was taken: column `u = ∂(P, Q)/∂|V_bus|`, row
+                // `w = ∂Q_bus/∂(θ, |V|)` and corner `d`.
+                let mut border = Border {
+                    n: nvar,
+                    col: vec![0.0; nvar],
+                    row: vec![0.0; nvar],
+                    corner: 0.0,
+                };
+                let (cols, vals) = self.ybus.matrix.row(bus);
+                for (&j, &y) in cols.iter().zip(vals) {
+                    idx.stamp_entries(&mut border, bus, j, y, &self.x0);
+                    if j != bus {
+                        let y_j = ybus_entry(&self.ybus, j, bus);
+                        idx.stamp_entries(&mut border, j, bus, y_j, &self.x0);
+                    }
+                }
+                let Border {
+                    col, row, corner, ..
+                } = border;
+                // Schur complement `s = d − wᵀ·J0⁻¹·u`.
+                let mut z = col;
+                self.j0.solve_in_place(&mut z, &mut scratch);
+                let wz = dot(&row, &z);
+                let schur = corner - wz;
+                // A NaN Schur complement is rejected too.
+                let floor = SCHUR_RCOND_MIN * corner.abs().max(wz.abs());
+                if schur.is_nan() || schur.abs() <= floor {
+                    return Err(CompensatedPfError::IllConditioned);
+                }
+                let sys = Mismatch {
+                    idx: &idx,
+                    ybus: &self.ybus,
+                    spec: (&p_spec, &q_spec),
+                };
+                sys.evaluate(&mut at, &mut Vec::new());
+                self.chord(work, opts, &sys, at, |dx| {
+                    let (x, t) = dx.split_at_mut(nvar);
+                    self.j0.solve_in_place(x, &mut scratch);
+                    let dv = (t[0] - dot(&row, x)) / schur;
+                    for (xi, zi) in x.iter_mut().zip(&z) {
+                        *xi -= zi * dv;
+                    }
+                    t[0] = dv;
+                })
+            }
+            _ => Err(CompensatedPfError::Unsupported {
+                reason: "the outage turns a bus other than PV into PQ",
+            }),
+        }
+    }
+
+    /// The fixed-Jacobian ("chord") iteration behind every compensated
+    /// solve: from the evaluated start `at`, the step is `solve(f)` — the
+    /// caller's solve against its fixed factor, in place on a copy of
+    /// the mismatch — and the iteration stops when the *true* mismatch of
+    /// `sys` meets [`TOL_PU`]. An overshooting step is halved once; a
+    /// stall, a non-finite mismatch or the iteration budget ends it with
+    /// [`CompensatedPfError::NotConverged`].
+    fn chord(
+        &self,
+        work: &Network,
+        opts: &PfOptions,
+        sys: &Mismatch<'_>,
+        mut at: Iterate,
+        mut solve: impl FnMut(&mut [f64]),
+    ) -> Result<PfReport, CompensatedPfError> {
+        // Buffers sized once: `at` is the accepted iterate, `next` the
+        // step taken from it, `half` the damped alternative.
+        let mut currents = Vec::new();
+        let mut dx = vec![0.0f64; sys.idx.nvar()];
         let (mut next, mut half) = (Iterate::default(), Iterate::default());
         let mut mismatch_history = Vec::new();
         let mut multipliers = Vec::new();
@@ -272,17 +445,17 @@ impl CompensationBase {
             }
             iterations += 1;
             dx.copy_from_slice(&at.f);
-            comp.solve_in_place(&mut dx, &mut scratch);
-            self.idx.step(&at, &dx, 1.0, &mut next);
-            self.idx.evaluate(&mut next, &ybus_out, spec, &mut currents);
+            solve(&mut dx);
+            sys.idx.step(&at, &dx, 1.0, &mut next);
+            sys.evaluate(&mut next, &mut currents);
             let mut mu = 1.0;
             let keep_full = !opts.iwamoto_damping || next.norm <= at.norm;
             if !keep_full {
                 // Overshoot: one halved step is the cheap stabilizer —
                 // if that does not help either, the stall guard below
                 // routes to the full solver.
-                self.idx.step(&at, &dx, 0.5, &mut half);
-                self.idx.evaluate(&mut half, &ybus_out, spec, &mut currents);
+                sys.idx.step(&at, &dx, 0.5, &mut half);
+                sys.evaluate(&mut half, &mut currents);
                 if half.norm < next.norm {
                     std::mem::swap(&mut next, &mut half);
                     mu = 0.5;
@@ -308,7 +481,7 @@ impl CompensationBase {
         Ok(build_report(
             work,
             &BusDevices::new(work),
-            &ybus_out,
+            sys.ybus,
             &at.v,
             self.slack,
             iterations,
@@ -323,6 +496,47 @@ impl CompensationBase {
     pub fn base_voltages(&self) -> &[Complex] {
         &self.x0.v
     }
+}
+
+/// The equations one compensated solve drives to zero: the unknowns'
+/// index, the post-outage admittances and the injection targets.
+struct Mismatch<'a> {
+    idx: &'a PolarIndex,
+    ybus: &'a YBus,
+    spec: (&'a [f64], &'a [f64]),
+}
+
+impl Mismatch<'_> {
+    /// [`PolarIndex::evaluate`] of `it` against this system.
+    fn evaluate(&self, it: &mut Iterate, currents: &mut Vec<Complex>) {
+        self.idx.evaluate(it, self.ybus, self.spec, currents);
+    }
+}
+
+/// The border a PV bus turning PQ adds to the base Jacobian, collected
+/// from the entries its bordered index stamps: the column of the new
+/// unknown (index `n`), the row of the new equation and their corner.
+/// Entries of the base Jacobian itself are dropped.
+struct Border {
+    n: usize,
+    col: Vec<f64>,
+    row: Vec<f64>,
+    corner: f64,
+}
+
+impl Stamp for Border {
+    fn add(&mut self, row: usize, col: usize, v: f64) {
+        match (row == self.n, col == self.n) {
+            (false, true) => self.col[row] += v,
+            (true, false) => self.row[col] += v,
+            (true, true) => self.corner += v,
+            (false, false) => {}
+        }
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Looks up `Y[i][j]`; structurally absent entries are zero (e.g. the

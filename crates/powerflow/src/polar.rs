@@ -184,6 +184,20 @@ impl PolarIndex {
         self.nvar
     }
 
+    /// This map with the `|V|` of the PV bus `bus` appended as unknown
+    /// (and its Q mismatch as equation) `nvar()`, every other unknown
+    /// where it was: the bordered system of a PV bus turned PQ, which
+    /// the base Jacobian's factor still solves in its leading block.
+    pub(crate) fn with_vm_appended(&self, bus: usize) -> PolarIndex {
+        let mut col_vm = self.col_vm.clone();
+        col_vm[bus] = self.nvar;
+        PolarIndex {
+            col_th: self.col_th.clone(),
+            col_vm,
+            nvar: self.nvar + 1,
+        }
+    }
+
     /// Writes `to ← from − μ·dx` in polar coordinates, magnitudes floored
     /// at 0.1 p.u. to stay physical, and its phasors: one `sin_cos` per
     /// bus, no `hypot` or `atan2`.

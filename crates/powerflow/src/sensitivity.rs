@@ -34,7 +34,9 @@ pub struct Sensitivities {
     slack: usize,
 }
 
-/// Factors the slack-pinned B′ of `net` once.
+/// Factors the slack-pinned B′ of `net` once, on the thread's engine: a
+/// later snapshot of the same topology replays the analysis, and the
+/// factor is bit-identical to a cold one whatever the engine holds.
 ///
 /// Buses left without any in-service branch are pinned like the slack,
 /// so B′ stays factorizable; no in-service branch reaches them, so the
@@ -55,7 +57,8 @@ pub fn sensitivities(net: &Network) -> Result<Sensitivities, PfError> {
             t.push(i, i, 1.0);
         }
     }
-    let lu = SparseLu::factor(&t.to_csr_structural())
+    let bprime = t.to_csr_structural();
+    let lu = gm_sparse::with_thread_engine(|engine| engine.factorize(&bprime).cloned())
         .map_err(|_| PfError::SingularJacobian { iteration: 0 })?;
     Ok(Sensitivities { lu, slack })
 }

@@ -19,12 +19,13 @@ use gm_acopf::{
     solve_acopf, solve_dcopf, solve_scopf, AcopfError, AcopfOptions, AcopfSolution, IpmOptions,
     ScopfOptions,
 };
+use gm_contingency::{run_gen_n1, CaOptions};
 use gm_faults::{FaultInjector, FaultKind, FaultRule};
 use gm_network::{cases, load_scale, topology, CaseId, Network, ScaleId};
 use gm_numeric::Fnv1a;
 use gm_powerflow::{
-    run_batch, solve, solve_dc, solve_fast_decoupled, InitStrategy, PfError, PfOptions, PfReport,
-    ScenarioSet,
+    run_batch, sensitivities, solve, solve_dc, solve_fast_decoupled, InitStrategy, PfError,
+    PfOptions, PfReport, ScenarioSet,
 };
 use gm_sparse::{
     with_thread_engine, CsMat, LuEngine, SparseLu, SparseLuError, SymbolicLu, Triplets,
@@ -83,14 +84,21 @@ enum Method {
     Fdlf,
     Dc,
     Batch,
+    /// The slack-pinned B′ factor and every LODF column solved on it.
+    Lodf,
+    /// The serial generator sweep: a base solve, then every unit outage
+    /// against the compensation base factored on the thread's engine.
+    UnitSweep,
 }
 
-const METHODS: [Method; 5] = [
+const METHODS: [Method; 7] = [
     Method::Newton,
     Method::NewtonDcStart,
     Method::Fdlf,
     Method::Dc,
     Method::Batch,
+    Method::Lodf,
+    Method::UnitSweep,
 ];
 
 fn answer(method: Method, net: &Network) -> Vec<u64> {
@@ -123,6 +131,35 @@ fn answer(method: Method, net: &Network) -> Vec<u64> {
                 Ok(batch) => (batch.outcomes.iter())
                     .flat_map(|o| pf_bits(&o.report))
                     .chain([batch.warm_hits, batch.flat_restarts])
+                    .collect(),
+                Err(e) => error_bits(&e),
+            }
+        }
+        // One digest per column: synth1354's block is 1949² entries.
+        Method::Lodf => match sensitivities(net) {
+            Ok(sens) => (0..net.branches.len())
+                .map(|k| {
+                    let mut h = Fnv1a::new();
+                    for x in sens.column(net, k).iter().flatten() {
+                        h.u64(x.to_bits());
+                    }
+                    h.finish()
+                })
+                .collect(),
+            Err(e) => error_bits(&e),
+        },
+        Method::UnitSweep => {
+            let serial = CaOptions {
+                parallel: false,
+                ..Default::default()
+            };
+            match run_gen_n1(net, &serial, None) {
+                Ok(outcomes) => (outcomes.iter())
+                    .flat_map(|o| {
+                        let scalars = [o.max_loading_pct, o.min_vm.0, o.slack_pickup_mw];
+                        (scalars.map(f64::to_bits).into_iter())
+                            .chain([o.converged as u64, o.violations.len() as u64])
+                    })
                     .collect(),
                 Err(e) => error_bits(&e),
             }

@@ -141,30 +141,55 @@ const PINNED: &[(&str, u64)] = &[
     // Cascade N-1, serial: the fidelity split. The cascade is faster than
     // the brute sweep exactly by the outages it does not AC-solve, and
     // the whole sweep shares one Jacobian analysis (the base case's; the
-    // suspects are Woodbury-compensated against it).
+    // suspects are Woodbury-compensated against it, and its factor
+    // replays that analysis on the thread's engine).
     ("contingency.outages.case118", 186),
     ("contingency.screened_out.case118", 167),
     ("contingency.ac_verified.case118", 19),
     ("contingency.newton_fallbacks.case118", 0),
-    ("contingency.symbolic_builds.case118", 1),
     ("contingency.outages.case300", 411),
     ("contingency.screened_out.case300", 345),
     ("contingency.ac_verified.case300", 66),
     ("contingency.newton_fallbacks.case300", 0),
-    ("contingency.symbolic_builds.case300", 1),
+    // Engine analyses: the base Jacobian and the screen's B′. Was 1 while
+    // the B′ and the compensation base were cold `SparseLu::factor`
+    // calls, which this counter never saw; they are engine analyses or
+    // replays now, so the rise is the B′ becoming visible.
+    ("contingency.symbolic_builds.case118", 2),
+    ("contingency.symbolic_builds.case300", 2),
+    // Every fill-reducing ordering, cold or in the engine: the base
+    // Jacobian and the B′. Was 3 while the compensation base ordered the
+    // base Jacobian again instead of replaying it.
+    ("contingency.amd_orders.case118", 2),
+    ("contingency.amd_orders.case300", 2),
     // Serial topology sweeps on case118, base-case solve included,
     // analyse once per new post-outage pattern: the brute N-1 sweep (186
     // outages), the generator sweep (`run_gen_n1`, every unit outage a
     // bus-type change) and the N-2 preview verifying 16 pairs, as the
     // `study_sweep` benchmark workload calls it (its full-Newton
     // fallbacks factor). Analyses, refactorizations that fell back to
-    // one, and demoted-slot direct factorizations. ROADMAP items 7 and
-    // 14 move these rows on purpose; nothing else may.
+    // one, and demoted-slot direct factorizations. A new post-outage
+    // pattern (ROADMAP items 7 and 14), or a factorization moving
+    // between a cold `SparseLu::factor` and the thread's engine, moves
+    // these rows on purpose; nothing else may.
     ("sweep.brute_symbolic_builds.case118", 181),
-    ("sweep.gen_n1_symbolic_builds.case118", 54),
-    ("sweep.n2_symbolic_builds.case118", 20),
+    // Was 54, one analysis per bus-type change: every unit outage is now
+    // solved against the base Jacobian's factor (a replay of the base
+    // solve's analysis), bordered where its bus turns PQ.
+    ("sweep.gen_n1_symbolic_builds.case118", 1),
+    ("sweep.gen_n1_newton_fallbacks.case118", 0),
+    // Was 20: the B′ and the compensation base were cold factorizations
+    // this counter never saw; the B′ is an engine analysis now.
+    ("sweep.n2_symbolic_builds.case118", 21),
     ("sweep.n2_symbolic_fallbacks.case118", 12),
     ("sweep.n2_direct_factorizations.case118", 96),
+    // Every fill-reducing ordering, cold or in the engine, so the fall
+    // the symbolic rows above hide shows: the generator sweep was 54
+    // (the base solve's, then one per unit outage's new pattern), the
+    // N-2 preview 22 (the compensation base ordered the base Jacobian
+    // again; its Newton fallbacks' analyses are the rest).
+    ("sweep.gen_n1_amd_orders.case118", 1),
+    ("sweep.n2_amd_orders.case118", 21),
     // nnz(L + U) of the slack-pinned DC B' under the default AMD ordering
     // and under greedy minimum degree (the A/B oracle), and the entries on
     // which the lane-blocked 64-RHS panel solve differs bitwise from the
@@ -463,6 +488,10 @@ fn cascade_fidelity_split() {
                 "contingency.symbolic_builds",
                 reg.counter_value("sparse.symbolic.build"),
             ),
+            (
+                "contingency.amd_orders",
+                reg.counter_value("sparse.amd.orders"),
+            ),
         ];
         put(&mut rows, id.short_name(), &counts);
     }
@@ -481,13 +510,20 @@ fn topology_sweep_analyses() {
     };
     let net = cases::load(CaseId::Ieee118);
     let builds = |reg: &Registry| reg.counter_value("sparse.symbolic.build");
+    let orders = |reg: &Registry| reg.counter_value("sparse.amd.orders");
     let (_, n1) = counted(|| run_n1(&net, &brute, None).expect("brute sweeps"));
     let (_, gen) = counted(|| run_gen_n1(&net, &serial, None).expect("generator sweeps"));
     let (_, n2) = counted(|| n_minus_2_preview(&net, &serial, None, 16).expect("N-2 preview runs"));
     let counts = [
         ("sweep.brute_symbolic_builds", builds(&n1)),
         ("sweep.gen_n1_symbolic_builds", builds(&gen)),
+        (
+            "sweep.gen_n1_newton_fallbacks",
+            gen.counter_value("ca.gen.fallback"),
+        ),
+        ("sweep.gen_n1_amd_orders", orders(&gen)),
         ("sweep.n2_symbolic_builds", builds(&n2)),
+        ("sweep.n2_amd_orders", orders(&n2)),
         (
             "sweep.n2_symbolic_fallbacks",
             n2.counter_value("sparse.symbolic.fallback"),
